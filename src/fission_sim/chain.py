@@ -22,7 +22,16 @@ from .errors import (
     InvariantViolation,
     RootMismatch,
 )
-from .ledger import EAGER, LAZY, LedgerState, SubTransaction, apply_eager, apply_lazy, shard_of
+from .ledger import (
+    EAGER,
+    LAZY,
+    LedgerState,
+    ShardState,
+    SubTransaction,
+    apply_eager,
+    apply_lazy,
+    shard_of,
+)
 from .merkle import merkle_root
 
 INTERIM = "interim"
@@ -123,18 +132,33 @@ def compute_root_arrays(
             log_leaves[shard_of(sub.sender, n)].append(
                 sha3(encode_fields(sub.parent_id, sub.receiver, encode_uint(sub.value)))
             )
-    account_roots = []
-    for shard in post_state.shards:
-        leaves = [
-            sha3(encode_fields(pk, encode_uint(a.balance), encode_uint(a.nonce)))
-            for pk, a in sorted(shard.accounts.items())
-        ]
-        account_roots.append(merkle_root(leaves))
     return (
         [merkle_root(lv) for lv in tx_leaves],
-        account_roots,
+        [_account_root(shard) for shard in post_state.shards],
         [merkle_root(lv) for lv in log_leaves],
     )
+
+
+def _account_root(shard: ShardState) -> bytes:
+    """Merkle root of a shard's accounts in key order.
+
+    Leaves come from the shard's LeafCache when the account's balance and
+    nonce match the cached ones, and the tree is rebuilt only when the leaf
+    list differs from the last one rooted for this shard.
+    """
+    accounts, cache = shard.accounts, shard.cache
+    known = cache.leaves
+    leaves = []
+    for pk in sorted(accounts):
+        acct = accounts[pk]
+        hit = known.get(pk)
+        if hit is None or hit[0] != acct.balance or hit[1] != acct.nonce:
+            leaf = sha3(encode_fields(pk, encode_uint(acct.balance), encode_uint(acct.nonce)))
+            hit = known[pk] = (acct.balance, acct.nonce, leaf)
+        leaves.append(hit[2])
+    if leaves != cache.leaf_list:
+        cache.leaf_list, cache.root = leaves, merkle_root(leaves)
+    return cache.root
 
 
 class Chain:

@@ -30,7 +30,7 @@ from .chain import (
 )
 from .crypto import KeyRegistry, sha3
 from .dists import sample_dist
-from .errors import InvalidWeight, InvariantViolation
+from .errors import FissionError, InvalidWeight, InvariantViolation
 from .ledger import (
     EAGER,
     LAZY,
@@ -280,7 +280,7 @@ def micro_round(
             continue
         try:
             apply_eager(scratch, sub)
-        except Exception:
+        except FissionError:
             invalid.append(sub)
             continue
         included.append(sub)
@@ -442,7 +442,7 @@ def run_epoch(
         for tx in mempool:
             try:
                 eager, _ = split_transaction(tx, population.registry)
-            except Exception:
+            except FissionError:
                 invalid_count += 1
                 continue
             k = partition_of(shard_of(tx.sender, chain.state.n_shard), n_partition)

@@ -11,6 +11,7 @@ byte contracts.
 from __future__ import annotations
 
 import hashlib
+import struct
 from dataclasses import dataclass
 
 from .errors import VerificationFailure
@@ -28,9 +29,13 @@ def encode_field(data: bytes) -> bytes:
     return len(data).to_bytes(4, "big") + data
 
 
+_LENGTH_PREFIX = struct.Struct(">I").pack
+
+
 def encode_fields(*fields: bytes) -> bytes:
-    """Canonical encoding: fixed-order concatenation of length-prefixed fields."""
-    return b"".join(encode_field(f) for f in fields)
+    """Canonical encoding: fixed-order concatenation of length-prefixed fields
+    (each as ``encode_field`` lays it out)."""
+    return b"".join([_LENGTH_PREFIX(len(f)) + f for f in fields])
 
 
 def encode_uint(value: int, width: int = 8) -> bytes:

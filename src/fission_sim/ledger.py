@@ -2,7 +2,8 @@
 
 Every transfer splits into a debit half and a credit half that are confirmed
 in successive blocks. The debit (eager) withdraws from the sender and records
-a log entry; the credit (lazy) pays the receiver by consuming that entry.
+a pending log entry; the credit (lazy) pays the receiver by consuming that
+entry.
 Accounts live in the shard ``pk mod n_shard`` with the key read as a
 big-endian unsigned integer.
 
@@ -42,14 +43,22 @@ def shard_of(pk: bytes, n_shard: int) -> int:
     return int.from_bytes(pk, "big") % n_shard
 
 
-@dataclass
+@dataclass(slots=True)
 class Account:
     pk: bytes
     balance: int
     nonce: int = 0
 
 
-@dataclass(frozen=True)
+def _signing_bytes(
+    tx_type: str, sender: bytes, receiver: bytes, value: int, nonce: int, data_hash: bytes
+) -> bytes:
+    return encode_fields(
+        tx_type.encode(), sender, receiver, encode_uint(value), encode_uint(nonce), data_hash
+    )
+
+
+@dataclass(frozen=True, slots=True)
 class Transaction:
     tx_type: str
     sender: bytes
@@ -58,20 +67,24 @@ class Transaction:
     nonce: int
     data_hash: bytes
     signature: bytes
+    # memos of signing_bytes() and id, filled on first use
+    _signing: bytes | None = field(default=None, init=False, repr=False, compare=False)
+    _id: bytes | None = field(default=None, init=False, repr=False, compare=False)
 
     def signing_bytes(self) -> bytes:
-        return encode_fields(
-            self.tx_type.encode(),
-            self.sender,
-            self.receiver,
-            encode_uint(self.value),
-            encode_uint(self.nonce),
-            self.data_hash,
-        )
+        if self._signing is None:
+            message = _signing_bytes(
+                self.tx_type, self.sender, self.receiver, self.value, self.nonce, self.data_hash
+            )
+            object.__setattr__(self, "_signing", message)
+        return self._signing
 
     @property
     def id(self) -> bytes:
-        return sha3(encode_fields(self.signing_bytes(), self.signature))
+        if self._id is None:
+            tx_id = sha3(encode_fields(self.signing_bytes(), self.signature))
+            object.__setattr__(self, "_id", tx_id)
+        return self._id
 
 
 def make_transfer(
@@ -84,12 +97,12 @@ def make_transfer(
 ) -> Transaction:
     """Build and sign a transfer from the holder of ``sk``."""
     sender = sha3(sk)
-    unsigned = Transaction(TX_TYPE_TRANSFER, sender, receiver, value, nonce, data_hash, b"")
-    sig = crypto.sign(sk, unsigned.signing_bytes())
+    message = _signing_bytes(TX_TYPE_TRANSFER, sender, receiver, value, nonce, data_hash)
+    sig = crypto.sign(sk, message)
     return Transaction(TX_TYPE_TRANSFER, sender, receiver, value, nonce, data_hash, sig)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SubTransaction:
     kind: str  # EAGER or LAZY
     parent_id: bytes
@@ -97,6 +110,7 @@ class SubTransaction:
     receiver: bytes
     value: int
     nonce: int
+    _id: bytes | None = field(default=None, init=False, repr=False, compare=False)
 
     def encode(self) -> bytes:
         return encode_fields(
@@ -110,7 +124,9 @@ class SubTransaction:
 
     @property
     def id(self) -> bytes:
-        return sha3(self.encode())
+        if self._id is None:
+            object.__setattr__(self, "_id", sha3(self.encode()))
+        return self._id
 
 
 def split_transaction(
@@ -131,7 +147,7 @@ def split_transaction(
     return eager, lazy
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TxLogEntry:
     """Record of a confirmed debit awaiting its credit half."""
 
@@ -151,17 +167,84 @@ class TxLogEntry:
         )
 
 
+class LeafCache:
+    """Account-root memo of one shard, shared by a state and all its clones.
+
+    ``leaves`` maps pk -> (balance, nonce, leaf hash) for the last version of
+    each account that was hashed, so it holds one entry per account; a leaf
+    is reused only when balance and nonce both match. ``leaf_list`` and
+    ``root`` are the last leaf list rooted for the shard and its Merkle root.
+    Both are keyed by the full content they summarise and filled only by
+    ``chain.compute_root_arrays``.
+    """
+
+    __slots__ = ("leaves", "leaf_list", "root")
+
+    def __init__(self):
+        self.leaves: dict[bytes, tuple[int, int, bytes]] = {}
+        self.leaf_list: list[bytes] | None = None
+        self.root = b""
+
+
 @dataclass
 class ShardState:
     accounts: dict[bytes, Account] = field(default_factory=dict)
-    tx_log: list[TxLogEntry] = field(default_factory=list)
+    cache: LeafCache = field(default_factory=LeafCache)
+
+
+class CreditedIds:
+    """Set of credited parent ids that copies share instead of duplicating.
+
+    Ids added since the last copy sit in a private set; older ids sit in
+    frozen layers shared with every copy. A copy freezes the private set
+    into a new layer, first merged into each newest layer that holds at most
+    twice as many ids, so layer sizes more than double from newest to
+    oldest. n ids then occupy O(log n) layers and each id is re-copied
+    O(log n) times over its lifetime; beyond that amortised merge work, a
+    copy's cost does not grow with the number of ids.
+    """
+
+    __slots__ = ("_layers", "_new")
+
+    def __init__(self, layers: tuple[frozenset, ...] = ()):
+        self._layers = layers
+        self._new: set[bytes] = set()
+
+    def copy(self) -> "CreditedIds":
+        if self._new:
+            new = frozenset(self._new)
+            layers = self._layers
+            while layers and len(layers[-1]) <= 2 * len(new):
+                new = layers[-1] | new
+                layers = layers[:-1]
+            self._layers = layers + (new,)
+            self._new = set()
+        return CreditedIds(layers=self._layers)
+
+    def add(self, parent_id: bytes) -> None:
+        self._new.add(parent_id)
+
+    def __contains__(self, parent_id: bytes) -> bool:
+        if parent_id in self._new:
+            return True
+        for layer in self._layers:
+            if parent_id in layer:
+                return True
+        return False
+
+    def __iter__(self):
+        return iter(self._new.union(*self._layers))
 
 
 class LedgerState:
     """Per-shard account tables plus the pool of debits awaiting credits.
 
-    Single-writer: one block pipeline mutates a state at a time; clones are
-    cheap enough for candidate-then-commit application.
+    Single-writer: one block pipeline mutates a state at a time. ``clone()``
+    is copy-on-write: the clone shares ``Account`` objects with its parent,
+    and whichever of the two writes an account first replaces it with a
+    private copy. Write accounts only through this class and ``apply_eager``
+    / ``apply_lazy``; an ``Account`` returned by ``get_account`` may be shared
+    with clones.
     """
 
     def __init__(self, n_shard: int):
@@ -171,26 +254,40 @@ class LedgerState:
         self.shards = [ShardState() for _ in range(n_shard)]
         # parent_id -> log entry, for debits whose credit has not applied yet
         self.pending: dict[bytes, TxLogEntry] = {}
-        self.credited: set[bytes] = set()
+        self.credited = CreditedIds()
+        # keys of the accounts this state may write in place
+        self._owned: set[bytes] = set()
 
     def clone(self) -> "LedgerState":
-        other = LedgerState(self.n_shard)
-        for dst, src in zip(other.shards, self.shards):
-            dst.accounts = {
-                pk: Account(pk, acct.balance, acct.nonce) for pk, acct in src.accounts.items()
-            }
-            dst.tx_log = list(src.tx_log)
+        other = LedgerState.__new__(LedgerState)
+        other.n_shard = self.n_shard
+        other.shards = [ShardState(dict(s.accounts), s.cache) for s in self.shards]
         other.pending = dict(self.pending)
-        other.credited = set(self.credited)
+        other.credited = self.credited.copy()
+        other._owned = set()
+        # every account is shared from now on, so this state copies on write too
+        self._owned = set()
         return other
 
     def create_account(self, pk: bytes, balance: int) -> Account:
         acct = Account(pk, balance)
         self.shards[shard_of(pk, self.n_shard)].accounts[pk] = acct
+        self._owned.add(pk)
         return acct
 
     def get_account(self, pk: bytes) -> Account | None:
         return self.shards[shard_of(pk, self.n_shard)].accounts.get(pk)
+
+    def _private(self, acct: Account) -> Account:
+        """``acct`` if this state may write it in place, else a private copy
+        that replaces it in this state."""
+        pk = acct.pk
+        if pk in self._owned:
+            return acct
+        acct = Account(pk, acct.balance, acct.nonce)
+        self.shards[shard_of(pk, self.n_shard)].accounts[pk] = acct
+        self._owned.add(pk)
+        return acct
 
     def total_balance(self) -> int:
         return sum(a.balance for s in self.shards for a in s.accounts.values())
@@ -220,11 +317,12 @@ def apply_eager(state: LedgerState, sub: SubTransaction) -> None:
         raise BadNonce(f"expected nonce {acct.nonce + 1}, got {sub.nonce}")
     if acct.balance < sub.value:
         raise InsufficientBalance(f"balance {acct.balance} < value {sub.value}")
+    acct = state._private(acct)
     acct.balance -= sub.value
     acct.nonce += 1
-    entry = TxLogEntry(sub.parent_id, sub.sender, sub.receiver, sub.value, sub.nonce)
-    state.shards[shard_of(sub.sender, state.n_shard)].tx_log.append(entry)
-    state.pending[sub.parent_id] = entry
+    state.pending[sub.parent_id] = TxLogEntry(
+        sub.parent_id, sub.sender, sub.receiver, sub.value, sub.nonce
+    )
 
 
 def apply_lazy(state: LedgerState, sub: SubTransaction) -> None:
@@ -240,8 +338,7 @@ def apply_lazy(state: LedgerState, sub: SubTransaction) -> None:
     if entry is None:
         raise MissingEagerLog(f"no debit log for {sub.parent_id.hex()[:16]}")
     acct = state.get_account(sub.receiver)
-    if acct is None:
-        acct = state.create_account(sub.receiver, 0)
+    acct = state.create_account(sub.receiver, 0) if acct is None else state._private(acct)
     acct.balance += entry.value
     del state.pending[sub.parent_id]
     state.credited.add(sub.parent_id)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ledger import LedgerState, shard_of
+from .ledger import LedgerState
 
 DEFAULT_N_E_MAX = 1000
 DEFAULT_DELTA = 0.8
@@ -67,15 +67,12 @@ def reshard_trigger(history: list[tuple[int, int]], n_rs: int) -> bool:
 
 
 def split_shards(state: LedgerState) -> LedgerState:
-    """Double the shard count, re-homing accounts and pending logs by
-    pk mod (2 * n_shard). Balances and nonces carry over exactly."""
+    """Double the shard count, re-homing accounts by pk mod (2 * n_shard).
+    Balances, nonces, pending debit logs and credited ids carry over exactly."""
     new_state = LedgerState(2 * state.n_shard)
     for acct in state.iter_accounts():
         created = new_state.create_account(acct.pk, acct.balance)
         created.nonce = acct.nonce
-    for shard in state.shards:
-        for entry in shard.tx_log:
-            new_state.shards[shard_of(entry.sender, new_state.n_shard)].tx_log.append(entry)
     new_state.pending = dict(state.pending)
-    new_state.credited = set(state.credited)
+    new_state.credited = state.credited.copy()
     return new_state

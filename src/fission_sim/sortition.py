@@ -123,15 +123,22 @@ def select_committee(
     """
     if not 0.0 < p < 1.0:
         raise DomainError(f"selection probability must be in (0, 1), got {p}")
-    members = []
-    for pk in sorted(stakes):
-        stake = stakes[pk]
-        if stake <= 0:
-            continue
-        outcome = draw_outcome(registry.secret_for(pk), pk, seed, ctype, stake, p)
-        if outcome.weight > 0:
-            members.append(outcome)
-    return members
+    pks = [pk for pk in sorted(stakes) if stakes[pk] > 0]
+    draws = [vrf_eval(registry.secret_for(pk), seed, ctype) for pk in pks]
+    # one table lookup per stake group; the weights equal voting_power's
+    by_stake: dict[int, list[int]] = {}
+    for i, pk in enumerate(pks):
+        by_stake.setdefault(stakes[pk], []).append(i)
+    weights = [0] * len(pks)
+    for stake, idx in by_stake.items():
+        xs = np.array([draws[i].uniform for i in idx])
+        for i, w in zip(idx, voting_power_batch(xs, stake, p).tolist()):
+            weights[i] = w
+    return [
+        SortitionOutcome(pk, ctype, w, out)
+        for pk, w, out in zip(pks, weights, draws)
+        if w > 0
+    ]
 
 
 def leader_order(tickets: Iterable[tuple[bytes, bytes | int]]) -> list[bytes]:

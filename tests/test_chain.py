@@ -19,7 +19,7 @@ from fission_sim.errors import (
     InsufficientVotes,
     RootMismatch,
 )
-from fission_sim.ledger import LedgerState, apply_eager, make_transfer, split_transaction
+from fission_sim.ledger import LedgerState, apply_eager, apply_lazy, make_transfer, split_transaction
 
 
 def build_chain(n_shard=4, quorum=10, balances=()):
@@ -101,6 +101,27 @@ def test_root_mismatch_detected():
     block.header.tx_root = [sha3(b"junk")] * chain.state.n_shard
     with pytest.raises(RootMismatch):
         chain.append_block(block)
+
+
+def test_account_root_tracks_nonce_at_equal_balance():
+    # a self-transfer's debit and credit leave the balance as it was and bump
+    # the nonce; the cached leaf of the old (balance, nonce) must not be reused
+    reg = KeyRegistry()
+    sk_a, pk_a = reg.generate(b"a")
+    state = LedgerState(2)
+    state.create_account(pk_a, 100)
+    _, before, _ = compute_root_arrays([], state)
+    eager, lazy = split_transaction(make_transfer(reg, sk_a, pk_a, 5, 1), reg)
+    after = state.clone()
+    apply_eager(after, eager)
+    apply_lazy(after, lazy)
+    assert after.get_account(pk_a).balance == 100
+    _, rooted, _ = compute_root_arrays([], after)
+    fresh = LedgerState(2)
+    fresh.create_account(pk_a, 100)
+    fresh.get_account(pk_a).nonce = 1
+    assert rooted == compute_root_arrays([], fresh)[1] != before
+    assert compute_root_arrays([], state)[1] == before
 
 
 def test_vote_quorum_enforced():

@@ -159,6 +159,27 @@ def test_micro_round_filters_invalid_state_transitions():
     assert invalid == [overdraw]
 
 
+def test_micro_round_propagates_errors_that_are_not_protocol_errors(monkeypatch):
+    # only FissionError marks a sub-transaction invalid; a bug in state
+    # application must surface instead of being counted as invalid traffic
+    import fission_sim.consensus as consensus
+
+    sim = small_sim()
+    reg = sim.population.registry
+    sender = sim.population.nodes[0]
+    eager = split_transaction(make_transfer(reg, sender.sk, sim.population.nodes[1].pk, 1, 1), reg)[0]
+    committee = select_committee(
+        sim.population.online_stakes(), b"s", "partition:0", sim.security.p, reg
+    )
+
+    def broken(state, sub):
+        raise RuntimeError("state bug")
+
+    monkeypatch.setattr(consensus, "apply_eager", broken)
+    with pytest.raises(RuntimeError, match="state bug"):
+        micro_round(0, [eager], committee, sim.epoch_cfg, sim.chain.state, sim.population)
+
+
 # --- run_epoch / pipeline ---
 
 

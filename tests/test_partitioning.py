@@ -3,7 +3,15 @@ import random
 import pytest
 
 from fission_sim.crypto import KeyRegistry
-from fission_sim.ledger import LedgerState, TxLogEntry, shard_of
+from fission_sim.errors import DoubleCredit
+from fission_sim.ledger import (
+    LedgerState,
+    apply_eager,
+    apply_lazy,
+    make_transfer,
+    shard_of,
+    split_transaction,
+)
 from fission_sim.partitioning import (
     PartitionConfig,
     next_partition_count,
@@ -143,12 +151,26 @@ def test_split_shards_per_account_lookup_matches():
             ][0]
 
 
-def test_split_shards_rehomes_tx_logs():
-    state = make_state_with_accounts(2, 10, seed=2)
-    sender = next(iter(state.shards[0].accounts))
-    entry = TxLogEntry(b"\x01" * 32, sender, sender, 5, 1)
-    state.shards[shard_of(sender, 2)].tx_log.append(entry)
-    state.pending[entry.parent_id] = entry
+def test_split_shards_keeps_pending_and_credited():
+    reg = KeyRegistry()
+    keys = [reg.generate(f"split-{i}".encode()) for i in range(10)]
+    state = LedgerState(2)
+    for _, pk in keys:
+        state.create_account(pk, 1000)
+    lazies = []
+    for i, (sk, pk) in enumerate(keys):
+        tx = make_transfer(reg, sk, keys[(i + 3) % len(keys)][1], 5 + i, 1)
+        eager, lazy = split_transaction(tx, reg)
+        apply_eager(state, eager)
+        lazies.append(lazy)
+    for lazy in lazies[:4]:
+        apply_lazy(state, lazy)
     split = split_shards(state)
-    assert entry in split.shards[shard_of(sender, 4)].tx_log
-    assert split.pending == state.pending
+    assert split.pending == state.pending and len(split.pending) == 6
+    assert set(split.credited) == set(state.credited) == {lazy.parent_id for lazy in lazies[:4]}
+    with pytest.raises(DoubleCredit):
+        apply_lazy(split, lazies[0])
+    for lazy in lazies[4:]:
+        apply_lazy(split, lazy)
+    assert not split.pending
+    assert split.total_balance() == 1000 * len(keys)

@@ -93,6 +93,16 @@ def test_voting_power_batch_agrees_with_scalar():
             assert voting_power(float(x), s, p) == w
 
 
+def test_voting_power_batch_matches_scalar_at_zero_weight_boundary():
+    # the scalar path tests x <= F(0) with one betainc call; the batch path
+    # relies on the table's first entry being that same F(0)
+    for s, p in [(1, 0.3), (7, 0.02), (100, 0.001), (2500, 5000 / 1_000_000), (9999, 1e-4)]:
+        f0 = binomial_cdf(0, s, p)
+        xs = np.array([np.nextafter(f0, 0.0), f0, np.nextafter(f0, 1.0)])
+        assert voting_power_batch(xs, s, p).tolist() == [voting_power(float(x), s, p) for x in xs]
+        assert voting_power(f0, s, p) == 0 and voting_power(float(xs[2]), s, p) == 1
+
+
 def test_voting_power_distribution_chi_square_smoke():
     # the full grid runs in the acceptance suite; spot-check three cells here
     gen = split_numpy(13, "vp-chi")
@@ -175,6 +185,23 @@ def test_committee_members_all_positive_weight():
     stakes = {pk: 100 for pk in pks}
     members = select_committee(stakes, b"s", BLOCK_INTERIM, 0.05, reg)
     assert all(m.weight > 0 for m in members)
+
+
+def test_committee_weights_match_per_node_draws():
+    # batched selection gives every node exactly its scalar draw_outcome weight,
+    # across stake groups on both sides of the table limit
+    reg, pks = build_registry(120, seed=5)
+    rng = random.Random(5)
+    stakes = {pk: rng.choice([0, 1, 40, 2500, 2500, 12_000]) for pk in pks}
+    for ctype, p in [(BLOCK_INTERIM, 0.004), ("partition:1", 0.02)]:
+        expected = [
+            draw_outcome(reg.secret_for(pk), pk, b"seed-x", ctype, stakes[pk], p)
+            for pk in sorted(pks)
+            if stakes[pk] > 0
+        ]
+        members = select_committee(stakes, b"seed-x", ctype, p, reg)
+        assert members == [o for o in expected if o.weight > 0]
+        assert all(type(m.weight) is int for m in members)
 
 
 # --- leader ordering ---

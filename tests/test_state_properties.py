@@ -1,0 +1,186 @@
+"""Property tests of copy-on-write ledger clones and cached account roots.
+
+A clone shares accounts, pending-credit bookkeeping and a per-shard leaf
+cache with its parent. These tests drive random debit/credit sequences
+(failing ones included) through parents, clones and siblings, and check the
+results against deep copies and against a root computation that uses no
+cache at all.
+"""
+
+import copy
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fission_sim.chain import compute_root_arrays
+from fission_sim.crypto import encode_fields, encode_uint, sha3
+from fission_sim.errors import FissionError
+from fission_sim.ledger import (
+    EAGER,
+    LAZY,
+    LedgerState,
+    SubTransaction,
+    apply_eager,
+    apply_lazy,
+    shard_of,
+)
+from fission_sim.merkle import merkle_root
+from fission_sim.partitioning import split_shards
+
+KEYS = [sha3(b"prop-key-%d" % i) for i in range(16)]
+FUNDED = 12  # KEYS[FUNDED:] start without an account
+PARENT_IDS = [sha3(b"prop-parent-%d" % i) for i in range(8)]
+
+OPS = st.lists(
+    st.tuples(
+        st.sampled_from([EAGER, LAZY]),
+        st.integers(0, len(KEYS) - 1),  # sender
+        st.integers(0, len(KEYS) - 1),  # receiver
+        st.integers(1, 60),  # value
+        st.integers(-1, 1),  # nonce offset from the valid one
+        st.integers(0, len(PARENT_IDS) - 1),
+    ),
+    max_size=25,
+)
+SHARDS = st.sampled_from([1, 2, 4])
+
+
+def fresh_state(n_shard: int) -> LedgerState:
+    state = LedgerState(n_shard)
+    for i, pk in enumerate(KEYS[:FUNDED]):
+        state.create_account(pk, 40 + 10 * i)
+    return state
+
+
+def apply_ops(state: LedgerState, ops) -> tuple[list[SubTransaction], list[str]]:
+    """Apply each op; returns the sub-transactions that applied and the
+    outcome (error class name or "ok") of every op."""
+    applied, outcomes = [], []
+    for kind, s, r, value, offset, p in ops:
+        parent_id = PARENT_IDS[p]
+        if kind == EAGER:
+            acct = state.get_account(KEYS[s])
+            nonce = (acct.nonce if acct else 0) + 1 + offset
+            sub = SubTransaction(EAGER, parent_id, KEYS[s], KEYS[r], value, nonce)
+            apply = apply_eager
+        else:
+            entry = state.pending.get(parent_id)
+            if entry is None:
+                sub = SubTransaction(LAZY, parent_id, KEYS[s], KEYS[r], value, 1)
+            else:
+                sub = SubTransaction(
+                    LAZY, parent_id, entry.sender, entry.receiver, entry.value, entry.nonce
+                )
+            apply = apply_lazy
+        try:
+            apply(state, sub)
+        except FissionError as exc:
+            outcomes.append(type(exc).__name__)
+            continue
+        applied.append(sub)
+        outcomes.append("ok")
+    return applied, outcomes
+
+
+def snapshot(state: LedgerState):
+    accounts = [
+        sorted((pk, a.balance, a.nonce) for pk, a in shard.accounts.items())
+        for shard in state.shards
+    ]
+    return state.n_shard, accounts, dict(state.pending), set(state.credited)
+
+
+def reference_roots(body, state):
+    """compute_root_arrays written out with no cache and no memoised ids."""
+    n = state.n_shard
+    tx_leaves = [[] for _ in range(n)]
+    log_leaves = [[] for _ in range(n)]
+    for sub in body:
+        key = sub.sender if sub.kind == EAGER else sub.receiver
+        tx_leaves[shard_of(key, n)].append(sha3(sub.encode()))
+        if sub.kind == EAGER:
+            log_leaves[shard_of(sub.sender, n)].append(
+                sha3(encode_fields(sub.parent_id, sub.receiver, encode_uint(sub.value)))
+            )
+    account_roots = [
+        merkle_root([
+            sha3(encode_fields(pk, encode_uint(a.balance), encode_uint(a.nonce)))
+            for pk, a in sorted(shard.accounts.items())
+        ])
+        for shard in state.shards
+    ]
+    return (
+        [merkle_root(lv) for lv in tx_leaves],
+        account_roots,
+        [merkle_root(lv) for lv in log_leaves],
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_shard=SHARDS, history=OPS, ops=OPS, sibling_ops=OPS)
+def test_clone_writes_never_reach_parent_or_sibling(n_shard, history, ops, sibling_ops):
+    parent = fresh_state(n_shard)
+    apply_ops(parent, history)
+    before = snapshot(parent)
+    reference = copy.deepcopy(parent)
+
+    child = parent.clone()
+    sibling = parent.clone()
+    _, child_outcomes = apply_ops(child, ops)
+    apply_ops(sibling, sibling_ops)
+    _, reference_outcomes = apply_ops(reference, ops)
+
+    assert snapshot(parent) == before
+    assert child_outcomes == reference_outcomes
+    assert snapshot(child) == snapshot(reference)
+    # the parent writes after cloning too, and must copy rather than share
+    apply_ops(parent, sibling_ops)
+    assert snapshot(child) == snapshot(reference)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_shard=SHARDS, generations=st.lists(OPS, min_size=1, max_size=6))
+def test_committed_clones_match_deep_copies(n_shard, generations):
+    # the chain pattern: each generation clones the committed state, applies
+    # a block to the clone, and commits it; a discarded scratch clone
+    # applies the same block first, as the proposer does
+    state = fresh_state(n_shard)
+    reference = copy.deepcopy(state)
+    for ops in generations:
+        scratch = state.clone()
+        apply_ops(scratch, ops)
+        committed = state.clone()
+        _, outcomes = apply_ops(committed, ops)
+        _, reference_outcomes = apply_ops(reference, ops)
+        assert outcomes == reference_outcomes
+        assert snapshot(committed) == snapshot(reference) == snapshot(scratch)
+        state = committed
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_shard=SHARDS,
+    blocks=st.lists(st.tuples(OPS, OPS, st.booleans()), min_size=1, max_size=6),
+)
+def test_cached_roots_equal_cache_free_roots(n_shard, blocks):
+    state = fresh_state(n_shard)
+    assert compute_root_arrays([], state) == reference_roots([], state)
+    for ops, rival_ops, split in blocks:
+        if split:
+            state = split_shards(state)
+        # a rival clone shares and rewrites the leaf cache with other balances
+        rival = state.clone()
+        rival_body, _ = apply_ops(rival, rival_ops)
+        assert compute_root_arrays(rival_body, rival) == reference_roots(rival_body, rival)
+
+        proposal = state.clone()
+        body, _ = apply_ops(proposal, ops)
+        expected = reference_roots(body, proposal)
+        assert compute_root_arrays(body, proposal) == expected
+        # the validator's recomputation on its own clone hits the warm cache
+        validator = state.clone()
+        apply_ops(validator, ops)
+        assert compute_root_arrays(body, validator) == expected
+        # the pre-state still roots as it did before any clone wrote
+        assert compute_root_arrays([], state) == reference_roots([], state)
+        state = validator

@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .config import SimConfig, load_config
@@ -42,14 +40,6 @@ CHAIN_COLUMNS = [
 ]
 RELAY_COLUMNS = ["trial", "round", "phi", "expected_delay", "max_ratio", "switches"]
 DRS_COLUMNS = ["round", "phi_kb", "omega", "underloaded_m", "migrations", "relayer_kb"]
-
-
-def worker_count(default: int = 4) -> int:
-    raw = os.environ.get("FISSION_SIM_THREADS", "")
-    try:
-        return max(1, int(raw)) if raw else default
-    except ValueError:
-        return default
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -213,16 +203,22 @@ def _chain_sim_from_config(cfg: SimConfig) -> ChainSimulation:
     )
 
 
+def _require_positive(args, *names: str) -> None:
+    for name in names:
+        if getattr(args, name) < 1:
+            raise ValidationError(f"--{name}", f"must be >= 1, got {getattr(args, name)}")
+
+
 def cmd_relay(args) -> int:
+    _require_positive(args, "nodes", "relayers")
     cfg = SimConfig()
     cap_rng = split(args.seed, "relay-caps")
     capacities = [
         sample_dist(args.cap_dist, cap_rng, integer=True, minimum=2)
         for _ in range(args.relayers)
     ]
-
-    def one_trial(trial: int):
-        return trial, simulate_prs(
+    runs = [
+        simulate_prs(
             args.nodes,
             capacities,
             args.rounds,
@@ -231,13 +227,12 @@ def cmd_relay(args) -> int:
             mu=cfg.relay.mu,
             mean_msg_size=cfg.relay.mean_msg_size,
         )
-
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        runs = sorted(pool.map(one_trial, range(args.trials)), key=lambda r: r[0])
+        for trial in range(args.trials)
+    ]
 
     sink = MetricsSink(args.out, RELAY_COLUMNS)
     converged = 0
-    for trial, run in runs:
+    for trial, run in enumerate(runs):
         for row in run.rows:
             sink.write_row(
                 trial=trial,
@@ -266,6 +261,7 @@ def cmd_relay(args) -> int:
 
 
 def cmd_drs(args) -> int:
+    _require_positive(args, "keys")
     cfg = SimConfig()
     run = simulate_drs(
         args.nodes,

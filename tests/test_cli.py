@@ -123,12 +123,19 @@ def test_drs_trace_schema(tmp_path, capsys):
     assert summary["converged_round"] is not None
 
 
-def test_worker_count_env(monkeypatch):
-    from fission_sim.cli import worker_count
-
-    monkeypatch.setenv("FISSION_SIM_THREADS", "2")
-    assert worker_count() == 2
-    monkeypatch.setenv("FISSION_SIM_THREADS", "bogus")
-    assert worker_count(default=3) == 3
-    monkeypatch.delenv("FISSION_SIM_THREADS")
-    assert worker_count(default=5) == 5
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("relay", "--relayers", "0"), "--relayers"),
+        (("relay", "--nodes", "0"), "--nodes"),
+        (("relay", "--nodes", "-5"), "--nodes"),
+        (("drs", "--keys", "0"), "--keys"),
+    ],
+    ids=["relay-relayers-0", "relay-nodes-0", "relay-nodes-negative", "drs-keys-0"],
+)
+def test_bad_relay_drs_input_exits_2(tmp_path, capsys, argv, message):
+    out = tmp_path / "trace.csv"
+    code, _, err = run_cli(capsys, *argv, "--out", str(out))
+    assert code == 2
+    assert err.startswith("error: ") and message in err and "must be >= 1" in err
+    assert not out.exists()

@@ -1,10 +1,7 @@
 import json
-import math
-import random
 
 import pytest
 
-from fission_sim.churn import JOIN, LEAVE, churn_events
 from fission_sim.config import SimConfig, load_config, validate_config
 from fission_sim.errors import ParseError, ValidationError
 from fission_sim.metrics import MetricsSink, run_fingerprint
@@ -113,35 +110,6 @@ def test_to_dict_round_trips_keys(tmp_path):
     path.write_text(json.dumps(flat))
     again = load_config(path)
     assert again.to_dict() == flat
-
-
-# --- churn schedule ---
-
-
-def test_churn_zero_rates_empty():
-    assert churn_events(random.Random(0), 0.0, 0.0, 100.0) == []
-
-
-def test_churn_replay_identical():
-    a = churn_events(random.Random(9), 0.5, 0.2, 200.0)
-    b = churn_events(random.Random(9), 0.5, 0.2, 200.0)
-    assert a == b
-    assert all(x.time <= y.time for x, y in zip(a, a[1:]))
-
-
-def test_churn_counts_poisson_moments():
-    lam, horizon = 0.8, 500.0
-    events = churn_events(split(4, "churn"), lam, 0.0, horizon)
-    joins = sum(1 for e in events if e.kind == JOIN)
-    assert abs(joins - lam * horizon) <= 3 * math.sqrt(lam * horizon)
-    assert all(e.kind == JOIN for e in events)
-
-
-def test_churn_mixed_kinds_sorted():
-    events = churn_events(split(5, "churn"), 0.3, 0.3, 300.0)
-    kinds = {e.kind for e in events}
-    assert kinds == {JOIN, LEAVE}
-    assert all(x.time <= y.time for x, y in zip(events, events[1:]))
 
 
 # --- metrics sink ---

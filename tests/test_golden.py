@@ -1,16 +1,22 @@
-"""Golden chain digests: output bytes pinned across implementation changes.
+"""Golden digests: output bytes pinned across implementation changes.
 
-Each case runs a ``ChainSimulation`` and compares the SHA3-256 of
+Each chain case runs a ``ChainSimulation`` and compares the SHA3-256 of
 ``Chain.export_jsonl()`` with a digest recorded before the ledger, chain and
-sortition internals were optimised. A mismatch means the output bytes moved,
-which must only ever happen as a deliberate, documented format change.
+sortition internals were optimised. The relay cases do the same for the
+``simulate_prs`` trace rows and the lemma-validator means, recorded before the
+relay round was inlined. A mismatch means the output bytes moved, which must
+only ever happen as a deliberate, documented format change.
 """
+
+import random
 
 import pytest
 
 from fission_sim.consensus import ChainSimulation
 from fission_sim.crypto import sha3
+from fission_sim.dists import sample_dist
 from fission_sim.partitioning import PartitionConfig
+from fission_sim.relay import RelaySystemState, simulate_prs, validate_lemma_expectation
 
 SMALL = dict(h=1.0, alpha=1.0, tau=50.0, theta=0.3, stake_dist="fixed:100")
 
@@ -44,3 +50,32 @@ def test_golden_chain_digest(case):
     if case == "reshard":
         assert sim.chain.state.n_shard >= 4
     assert sha3(sim.chain.export_jsonl().encode()).hex() == expected
+
+
+def _reprs_digest(values) -> str:
+    return sha3("\n".join(repr(v) for v in values).encode()).hex()
+
+
+def test_golden_relay_trace_digest():
+    cap_rng = random.Random(17)
+    caps = [sample_dist("uniform:2:64", cap_rng, integer=True, minimum=2) for _ in range(64)]
+    run = simulate_prs(
+        4096, caps, rounds=24, seed=19, start="worst",
+        join_rate=40.0, leave_rate=0.01, stop_at_steady=False,
+    )
+    assert len(run.rows) == 25
+    rows = [(r.round, r.phi, r.expected_delay, r.max_ratio, r.switches) for r in run.rows]
+    assert _reprs_digest(rows) == (
+        "456b1593f1e9c4f6431a33b1cf0ee266f970adadb9a08b7cd2ba28a807e2666f"
+    )
+
+
+def test_golden_relay_lemma_expectation_digest():
+    state = RelaySystemState([2.0, 3.0, 5.0, 8.0, 13.0])
+    for relayer, load in enumerate([30, 0, 12, 0, 9]):
+        for _ in range(load):
+            state.attach(relayer)
+    report = validate_lemma_expectation(state, trials=300, seed=29)
+    assert _reprs_digest(report.means) == (
+        "7cf9764feaa09cfd4c89476c28839b75fdbc347d9a1a371358c78c0bbb2cb614"
+    )

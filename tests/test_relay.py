@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fission_sim.errors import EmptySpace
 from fission_sim.relay import (
@@ -169,6 +171,112 @@ def test_round_mean_potential_non_increasing_homogeneous():
         synchronous_round(work, split(8, "mc", t))
         total += potential(work)
     assert total / trials <= phi0
+
+
+def reference_round(state, rng):
+    """The per-node round that ``synchronous_round`` inlines: one
+    ``randrange`` candidate and one ``prs_step`` call per node."""
+    ratios = state.ratios()
+    space = state.identifier_space
+    moves = []
+    for node, j in enumerate(state.assignment):
+        k = space[rng.randrange(len(space))]
+        if k == j:
+            continue
+        if prs_step(ratios[j], ratios[k], rng):
+            moves.append((node, j, k))
+    for node, j, k in moves:
+        state.assignment[node] = k
+        state.loads[j] -= 1
+        state.loads[k] += 1
+    return len(moves)
+
+
+# identifier-space sizes at the edges of getrandbits' rejection: 1, 2^k, 2^k + 1
+EDGE_SIZES = [1, 2, 3, 4, 5, 8, 9, 64, 65, 256, 257]
+
+
+@st.composite
+def relay_states(draw):
+    size = draw(st.sampled_from(EDGE_SIZES) | st.integers(1, 400))
+    m = draw(st.integers(1, min(size, 8)))
+    cuts = sorted(draw(st.lists(st.integers(1, size - 1), min_size=m - 1, max_size=m - 1,
+                                unique=True))) if m > 1 else []
+    mults = [b - a for a, b in zip([0] + cuts, cuts + [size])]
+    # mu = 2: floor(u / 2) == mult for u in [2 * mult, 2 * mult + 2)
+    caps = [2.0 * mult + draw(st.floats(0.0, 1.99)) for mult in mults]
+    assignment = draw(st.lists(st.integers(0, m - 1), max_size=300))
+    state = RelaySystemState(caps, mu=2.0)
+    for relayer in assignment:
+        state.attach(relayer)
+    assert len(state.identifier_space) == size
+    return state
+
+
+def test_randrange_is_getrandbits_rejection():
+    # synchronous_round repeats this method inline; if randrange ever draws
+    # differently, the relay stream and output bytes would move
+    assert random.Random._randbelow is random.Random._randbelow_with_getrandbits
+
+
+@settings(max_examples=150, deadline=None)
+@given(state=relay_states(), seed=st.integers(0, 2**64), rounds=st.integers(1, 3))
+def test_synchronous_round_matches_per_node_reference(state, seed, rounds):
+    ref = RelaySystemState(state.capacities, mu=state.mu)
+    for relayer in state.assignment:
+        ref.attach(relayer)
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    for _ in range(rounds):
+        assert synchronous_round(state, rng) == reference_round(ref, ref_rng)
+        assert state.assignment == ref.assignment
+        assert state.loads == ref.loads
+        assert rng.getstate() == ref_rng.getstate()
+
+
+class ScriptedRng(FakeRng):
+    """Plays back preset getrandbits() and random() values."""
+
+    def __init__(self, bits, values):
+        super().__init__(values)
+        self.bits = list(bits)
+
+    def getrandbits(self, k):
+        assert k == 3  # identifier space of size 4
+        return self.bits.pop(0)
+
+
+def test_synchronous_round_scripted_draws_at_switch_threshold():
+    # r_j = 1.5, r_k = 0.5: 1.0 - r_k / r_j is 0.6666666666666667, one ulp above
+    # (r_j - r_k) / r_j, so only the prs_step expression switches on the lower draw
+    state = state_with_loads([2.0, 2.0], [3, 1])
+    threshold = 1.0 - 0.5 / 1.5
+    rng = ScriptedRng(
+        bits=[2, 3, 5, 0, 1],  # node 2 redraws after 5 >= 4; node 3 draws a busier relayer
+        values=[math.nextafter(threshold, 0.0), threshold],
+    )
+    assert synchronous_round(state, rng) == 1
+    assert state.assignment == [1, 0, 0, 1]
+    assert state.loads == [2, 2]
+    assert rng.bits == [] and rng.values == []
+
+
+def test_worst_start_stacks_on_relayer_zero_without_draws():
+    state = RelaySystemState([4.0, 6.0, 8.0])
+    state.attach(2)
+    rng = random.Random(3)
+    before = rng.getstate()
+    state.populate(50, rng, start="worst")
+    assert state.assignment == [2] + [0] * 50
+    assert state.loads == [50, 0, 1]
+    assert rng.getstate() == before
+
+
+def test_lemma_validators_leave_state_untouched():
+    state = state_with_loads([2.0, 4.0, 8.0], [40, 0, 0])
+    assignment, loads = list(state.assignment), list(state.loads)
+    validate_lemma_expectation(state, trials=20, seed=1)
+    validate_lemma_variance(state, trials=20, seed=2)
+    assert state.assignment == assignment and state.loads == loads
 
 
 def test_trace_schema_and_round_zero():

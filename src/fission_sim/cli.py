@@ -261,7 +261,9 @@ def cmd_relay(args) -> int:
 
 
 def cmd_drs(args) -> int:
-    _require_positive(args, "keys")
+    _require_positive(args, "nodes", "keys", "replication")
+    if not args.deadline > 0:
+        raise ValidationError("--deadline", f"must be > 0, got {args.deadline}")
     cfg = SimConfig()
     run = simulate_drs(
         args.nodes,

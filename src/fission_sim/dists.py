@@ -7,6 +7,7 @@ driven by a caller-owned random.Random so every draw is reproducible.
 from __future__ import annotations
 
 import random
+from typing import Callable
 
 from .errors import ParseError
 
@@ -46,3 +47,37 @@ def sample_dist(spec: str, rng: random.Random, integer: bool = True, minimum: fl
     if minimum is not None:
         value = max(minimum, value)
     return int(round(value)) if integer else value
+
+
+def dist_sampler(
+    spec: str, integer: bool = True, minimum: float | None = None
+) -> Callable[[random.Random, int], list]:
+    """Parse a spec once; the returned ``draw(rng, n)`` gives the values of n
+    ``sample_dist(spec, rng, integer, minimum)`` calls, from the same draws."""
+    name, params = parse_dist(spec)
+    if name == "fixed":
+        value = params[0] if minimum is None else max(minimum, params[0])
+        value = int(round(value)) if integer else value
+        return lambda rng, n: [value] * n
+    if name == "uniform":
+        lo, hi = params
+
+        def raw(rng: random.Random, n: int) -> list[float]:
+            # rng.uniform(lo, hi) is lo + (hi - lo) * rng.random()
+            unit = rng.random
+            return [lo + (hi - lo) * unit() for _ in range(n)]
+    else:  # pareto
+        base = minimum if minimum is not None else 1.0
+        shape = params[0]
+
+        def raw(rng: random.Random, n: int) -> list[float]:
+            pareto = rng.paretovariate
+            return [base * pareto(shape) for _ in range(n)]
+
+    def draw(rng: random.Random, n: int) -> list:
+        values = raw(rng, n)
+        if minimum is not None:
+            values = [max(minimum, v) for v in values]
+        return [int(round(v)) for v in values] if integer else values
+
+    return draw

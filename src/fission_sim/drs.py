@@ -8,6 +8,11 @@ jump rule), probing one underloaded provider per round, all against the
 round-start snapshot. That rule makes the total overflow non-increasing and
 drives the game to an approximate equilibrium in a logarithmic number of
 rounds.
+
+Each round's state is read in one scan (``scan_round``): a single walk of every
+provider queue finds the hunting requests, and each distinct (key, remaining
+time) pair gets its probe set once; the round and the trace row that follows
+it share that scan.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .dists import sample_dist
+from .dists import dist_sampler
 from .errors import InvariantViolation
 from .seeding import split
 
@@ -28,7 +33,7 @@ class DataItem:
     providers: list[int]
 
 
-@dataclass
+@dataclass(slots=True)
 class RetrievalRequest:
     rid: int
     requester: int
@@ -39,7 +44,7 @@ class RetrievalRequest:
     at_relayer: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class ProviderNode:
     id: int
     capacity: float  # KB/s upload
@@ -108,13 +113,18 @@ class DrsState:
         ]
 
     def total_weight(self) -> float:
-        return sum(r.weight for r in self.requests)
+        return sum([r.weight for r in self.requests])
+
+    def unplaced(self) -> list[RetrievalRequest]:
+        """Requests with no provider that have not gone to the relay network."""
+        return [r for r in self.requests if r.provider is None and not r.at_relayer]
 
 
 def drs_potential(providers: list[ProviderNode], deadline: float) -> float:
     """Total relayer-bound overflow: sum over providers of
     max(load - deadline * capacity, 0)."""
-    return sum(max(p.load - deadline * p.capacity, 0.0) for p in providers)
+    # zero terms add nothing to a float sum, so only the overflowing ones are summed
+    return sum([x for p in providers if (x := p.load - deadline * p.capacity) > 0.0], 0.0)
 
 
 def bounded_jump_eligible(state: DrsState, req: RetrievalRequest, t: float, heights: dict[int, float]) -> bool:
@@ -137,66 +147,130 @@ class DrsRoundReport:
     probes: int = 0
 
 
-def drs_round(state: DrsState, rng: random.Random, t: float, timeout_prob: float = 0.0) -> DrsRoundReport:
+@dataclass
+class RoundScan:
+    """One read of the state at time t. ``probe_sets`` maps each (key,
+    remaining time) of a hunting (bounded-jump eligible) request to the
+    underloaded providers of that key; ``acting`` holds the ids, in request
+    order, of the hunting requests that probe or expire at t (the others have
+    nothing to probe); ``unplaced`` lists the requests with no provider."""
+
+    t: float
+    probe_sets: dict[tuple[int, float], list[int]]
+    acting: list[int]
+    unplaced: list[RetrievalRequest]
+
+
+def scan_round(state: DrsState, t: float) -> RoundScan:
+    """Walk every provider queue once, keeping the requests whose cost equals
+    their weight (``bounded_jump_eligible``: FIFO height minus remaining time
+    times capacity at least the weight, or a weight of zero), add the unplaced
+    ones, and build one probe set per distinct (key, remaining time)."""
+    requests = state.requests
+    deadline = state.deadline
+    rem = deadline - t
+    hunting: list[int] = []
+    append = hunting.append
+    queued = 0
+    for node in state.providers:
+        queue = node.queue
+        if not queue:
+            continue
+        queued += len(queue)
+        capacity = node.capacity
+        height = 0.0
+        for rid in queue:
+            req = requests[rid]
+            weight = req.weight
+            height += weight
+            unservable = height - (rem + req.born) * capacity >= weight or weight <= 0.0
+            if unservable and not req.at_relayer:
+                append(rid)
+    # when every request sits in a queue none is unplaced or at the relayer
+    unplaced = state.unplaced() if queued < len(requests) else []
+    hunting += [r.rid for r in unplaced]
+    probe_sets: dict[tuple[int, float], list[int]] = {}
+    acting = []
+    for rid in hunting:
+        req = requests[rid]
+        pair = (req.key, rem + req.born)
+        probes = probe_sets.get(pair)
+        if probes is None:
+            probes = probe_sets[pair] = state.underloaded_providers(*pair)
+        if probes or t > req.born + deadline:
+            acting.append(rid)
+    acting.sort()
+    return RoundScan(t, probe_sets, acting, unplaced)
+
+
+def drs_round(
+    state: DrsState,
+    rng: random.Random,
+    t: float,
+    timeout_prob: float = 0.0,
+    scan: RoundScan | None = None,
+) -> DrsRoundReport:
     """One synchronous probing round against the round-start snapshot.
 
     Every eligible request contacts one uniformly random underloaded provider
-    of its key (if any) and migrates when the snapshot load fits within the
-    remaining time budget. Requests past their deadline that are still
-    unservable go to the relay network in full.
+    of its key (if any) and migrates unless the probe times out: a probe set
+    holds only providers whose snapshot load is under the remaining time
+    budget, so the contacted one always fits. Requests past their deadline
+    that are still unservable go to the relay network in full. ``scan`` must
+    be ``scan_round(state, t)`` of the current state; it is computed when absent.
+
+    The candidate draw repeats ``random.Random._randbelow_with_getrandbits``
+    (what ``randrange`` runs), rejections included, so the random stream is
+    that of ``candidates[rng.randrange(len(candidates))]``.
     """
-    heights = state.heights()
-    snapshot_loads = [p.load for p in state.providers]
-    report = DrsRoundReport()
-    for req in state.requests:
-        if req.at_relayer:
-            continue
-        if not bounded_jump_eligible(state, req, t, heights):
-            continue
-        d_rem = state.remaining(req, t)
-        if t > req.born + state.deadline:
+    if scan is None:
+        scan = scan_round(state, t)
+    requests = state.requests
+    providers = state.providers
+    deadline = state.deadline
+    rem = deadline - t
+    probe_sets = scan.probe_sets
+    getrandbits = rng.getrandbits
+    migrations = to_relayer = probes = 0
+    for rid in scan.acting:
+        req = requests[rid]
+        if t > req.born + deadline:
             if req.provider is not None:
                 state.dequeue(req)
             req.at_relayer = True
             state.relayer_direct += req.weight
-            report.to_relayer += 1
+            to_relayer += 1
             continue
-        candidates = [
-            i
-            for i in state.items[req.key].providers
-            if snapshot_loads[i] < d_rem * state.providers[i].capacity
-        ]
-        if not candidates:
-            continue  # stays put, retries next round
-        target = candidates[rng.randrange(len(candidates))]
-        report.probes += 1
+        candidates = probe_sets[(req.key, rem + req.born)]
+        n = len(candidates)
+        bits = n.bit_length()
+        r = getrandbits(bits)
+        while r >= n:
+            r = getrandbits(bits)
+        probes += 1
         if timeout_prob > 0 and rng.random() < timeout_prob:
             continue  # probe timed out, retry next round
-        if snapshot_loads[target] <= d_rem * state.providers[target].capacity:
-            if req.provider is not None:
-                state.dequeue(req)
-            state.enqueue(req, target)
-            report.migrations += 1
-    return report
+        weight = req.weight
+        if req.provider is not None:
+            old = providers[req.provider]
+            old.queue.remove(rid)
+            old.load -= weight
+        target = candidates[r]
+        new = providers[target]
+        new.queue.append(rid)
+        new.load += weight
+        req.provider = target
+        migrations += 1
+    return DrsRoundReport(migrations=migrations, to_relayer=to_relayer, probes=probes)
 
 
-def active_eligible(state: DrsState, t: float) -> list[RetrievalRequest]:
-    heights = state.heights()
-    return [
-        r
-        for r in state.requests
-        if not r.at_relayer and bounded_jump_eligible(state, r, t, heights)
-    ]
-
-
-def underloaded_count(state: DrsState, t: float) -> int:
+def underloaded_count(state: DrsState, t: float, scan: RoundScan | None = None) -> int:
     """Number of distinct underloaded providers across the keys of requests
-    still hunting (the m_t in the contraction argument)."""
-    providers: set[int] = set()
-    for req in active_eligible(state, t):
-        d_rem = state.remaining(req, t)
-        providers.update(state.underloaded_providers(req.key, d_rem))
-    return len(providers)
+    still hunting (the m_t in the contraction argument). ``scan`` must be
+    ``scan_round(state, t)`` of the current state; it is computed when absent."""
+    if scan is None:
+        scan = scan_round(state, t)
+    return len(set().union(*scan.probe_sets.values()))
 
 
 def omega(state: DrsState, t: float) -> float:
@@ -208,13 +282,13 @@ def omega(state: DrsState, t: float) -> float:
 def accounting(state: DrsState) -> tuple[float, float, float]:
     """(bytes nodes can serve, relayer-bound bytes, total requested). The first
     two always sum to the third."""
-    served = sum(min(p.load, state.deadline * p.capacity) for p in state.providers)
-    unplaced = sum(
-        r.weight for r in state.requests if r.provider is None and not r.at_relayer
+    deadline = state.deadline
+    # min(load, budget) per provider, spelled out to save a call each
+    served = sum(
+        [b if (b := deadline * p.capacity) < (load := p.load) else load for p in state.providers]
     )
-    relayer = (
-        drs_potential(state.providers, state.deadline) + state.relayer_direct + unplaced
-    )
+    unplaced = sum([r.weight for r in state.unplaced()])
+    relayer = drs_potential(state.providers, deadline) + state.relayer_direct + unplaced
     return served, relayer, state.total_weight()
 
 
@@ -271,35 +345,46 @@ def build_instance(
     uniform key. start='concentrated' stacks every request on its key's first
     provider (the adversarial worst case)."""
     rng = split(seed, "drs-setup")
-    providers = [
-        ProviderNode(id=i, capacity=sample_dist(cap_dist, rng, integer=True, minimum=1))
-        for i in range(n_nodes)
-    ]
+    capacities = dist_sampler(cap_dist, integer=True, minimum=1)(rng, n_nodes)
+    providers = [ProviderNode(i, capacity) for i, capacity in enumerate(capacities)]
+    draw_sizes = dist_sampler(size_dist, integer=True, minimum=1)
     items = []
     for k in range(n_keys):
         holders = rng.sample(range(n_nodes), min(replication, n_nodes))
-        items.append(
-            DataItem(key=k, size=sample_dist(size_dist, rng, integer=True, minimum=1), providers=holders)
-        )
+        items.append(DataItem(key=k, size=draw_sizes(rng, 1)[0], providers=holders))
     state = DrsState(providers, items, deadline)
+    if n_nodes > 0 and requests_per_node > 0 and n_keys < 1:
+        # randrange(n_keys) raised here; the inlined draw below would never end
+        raise ValueError(f"no key to request: n_keys={n_keys}")
+    # keys come from rng.randrange(n_keys) inlined (see drs_round); placement
+    # draws come from their own stream, so each request is placed as it is made
+    place_rng = split(seed, "drs-place")
+    getrandbits = rng.getrandbits
+    bits = n_keys.bit_length()
+    concentrated = start == "concentrated"
+    requests = state.requests
     for node in range(n_nodes):
         for _ in range(requests_per_node):
-            state.add_request(node, rng.randrange(n_keys))
-    place_rng = split(seed, "drs-place")
-    for req in state.requests:
-        holders = state.items[req.key].providers
-        if not holders:
-            req.at_relayer = True
-            state.relayer_direct += req.weight
-            continue
-        if start == "concentrated":
-            state.enqueue(req, holders[0])
-            continue
-        # contact an underloaded provider when one exists, else queue anywhere
-        # and let the bounded jump rule hunt from round 1 on
-        open_now = state.underloaded_providers(req.key, deadline)
-        pool = open_now if open_now else holders
-        state.enqueue(req, pool[place_rng.randrange(len(pool))])
+            key = getrandbits(bits)
+            while key >= n_keys:
+                key = getrandbits(bits)
+            item = items[key]
+            rid, weight, holders = len(requests), item.size, item.providers
+            if not holders:
+                requests.append(RetrievalRequest(rid, node, key, weight, 0.0, None, True))
+                state.relayer_direct += weight
+                continue
+            if concentrated:
+                target = holders[0]
+            else:
+                # contact an underloaded provider when one exists, else queue
+                # anywhere and let the bounded jump rule hunt from round 1 on
+                pool = state.underloaded_providers(key, deadline) or holders
+                target = pool[place_rng.randrange(len(pool))]
+            requests.append(RetrievalRequest(rid, node, key, weight, 0.0, target))
+            provider = providers[target]
+            provider.queue.append(rid)
+            provider.load += weight
     return state
 
 
@@ -333,14 +418,19 @@ def simulate_drs(
     rng = split(seed, "drs-rounds")
     threshold = equilibrium_threshold(state)
     total = state.total_weight()
-    rows = [_trace_row(state, 0, 0.0)]
+    scan = scan_round(state, 0.0)
+    rows = [_trace_row(state, 0, scan)]
     _check_identity(state, total)
     t = 0.0
     for rnd in range(1, rounds + 1):
         if rows[-1].omega <= threshold:
             break
-        report = drs_round(state, rng, t, timeout_prob=timeout_prob)
-        row = _trace_row(state, rnd, t, report.migrations)
+        if scan.t != t:
+            scan = scan_round(state, t)
+        report = drs_round(state, rng, t, timeout_prob=timeout_prob, scan=scan)
+        # the post-round scan serves this row and, at an unchanged t, the next round
+        scan = scan_round(state, t)
+        row = _trace_row(state, rnd, scan, report.migrations)
         if round_duration == 0.0 and row.phi > rows[-1].phi + 1e-9:
             raise InvariantViolation(
                 "p2p-drs", "monotone-potential", f"{rows[-1].phi} -> {row.phi} at round {rnd}"
@@ -352,18 +442,16 @@ def simulate_drs(
     return DrsRun(rows=rows, state=state, rounds_budget=rounds)
 
 
-def _trace_row(state: DrsState, rnd: int, t: float, migrations: int = 0) -> DrsTraceRow:
+def _trace_row(state: DrsState, rnd: int, scan: RoundScan, migrations: int = 0) -> DrsTraceRow:
     phi = drs_potential(state.providers, state.deadline)
-    m_t = underloaded_count(state, t)
+    m_t = underloaded_count(state, scan.t, scan)
     return DrsTraceRow(
         round=rnd,
         phi=phi,
         omega=m_t * phi,
         underloaded_m=m_t,
         migrations=migrations,
-        relayer_kb=phi
-        + state.relayer_direct
-        + sum(r.weight for r in state.requests if r.provider is None and not r.at_relayer),
+        relayer_kb=phi + state.relayer_direct + sum([r.weight for r in scan.unplaced]),
     )
 
 

@@ -73,10 +73,6 @@ class ApproximationUnsound(FissionError):
 
 # --- consensus voting ---
 
-class DuplicateVote(FissionError):
-    pass
-
-
 class InvalidWeight(FissionError):
     pass
 

@@ -130,12 +130,26 @@ def test_drs_trace_schema(tmp_path, capsys):
         (("relay", "--nodes", "0"), "--nodes"),
         (("relay", "--nodes", "-5"), "--nodes"),
         (("drs", "--keys", "0"), "--keys"),
+        (("drs", "--nodes", "0"), "--nodes"),
+        (("drs", "--replication", "0"), "--replication"),
     ],
-    ids=["relay-relayers-0", "relay-nodes-0", "relay-nodes-negative", "drs-keys-0"],
+    ids=[
+        "relay-relayers-0", "relay-nodes-0", "relay-nodes-negative", "drs-keys-0",
+        "drs-nodes-0", "drs-replication-0",
+    ],
 )
 def test_bad_relay_drs_input_exits_2(tmp_path, capsys, argv, message):
     out = tmp_path / "trace.csv"
     code, _, err = run_cli(capsys, *argv, "--out", str(out))
     assert code == 2
     assert err.startswith("error: ") and message in err and "must be >= 1" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("deadline", ["0", "-2.5", "nan"])
+def test_bad_drs_deadline_exits_2(tmp_path, capsys, deadline):
+    out = tmp_path / "trace.csv"
+    code, _, err = run_cli(capsys, "drs", "--deadline", deadline, "--out", str(out))
+    assert code == 2
+    assert err.startswith("error: ") and "--deadline" in err and "must be > 0" in err
     assert not out.exists()

@@ -1,9 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fission_sim.dists import sample_dist
 from fission_sim.drs import (
     DataItem,
+    DrsRoundReport,
     DrsState,
     ProviderNode,
     accounting,
@@ -14,6 +18,7 @@ from fission_sim.drs import (
     equilibrium_threshold,
     omega,
     request_cost,
+    scan_round,
     simulate_drs,
     underloaded_count,
 )
@@ -209,3 +214,265 @@ def test_fifo_heights_are_prefix_sums():
     state = single_provider_state(capacity=5, deadline=4, weights=[10, 20, 30])
     heights = state.heights()
     assert [heights[r.rid] for r in state.requests] == [10, 30, 60]
+
+
+# --- per-request reference: the round, count and sums that scan_round,
+# drs_round, underloaded_count, drs_potential and accounting replace. Each
+# reads only state data, so a fault in the module cannot reach it.
+
+
+def ref_heights(state):
+    hs = {}
+    for node in state.providers:
+        acc = 0.0
+        for rid in node.queue:
+            acc += state.requests[rid].weight
+            hs[rid] = acc
+    return hs
+
+
+def ref_eligible(state, req, t, heights):
+    if req.at_relayer:
+        return False
+    if req.provider is None:
+        return True
+    node = state.providers[req.provider]
+    d_rem = state.deadline - t + req.born
+    return min(max(heights[req.rid] - d_rem * node.capacity, 0.0), req.weight) >= req.weight
+
+
+def ref_move(state, req, target):
+    if req.provider is not None:
+        old = state.providers[req.provider]
+        old.queue.remove(req.rid)
+        old.load -= req.weight
+        req.provider = None
+    if target is not None:
+        new = state.providers[target]
+        new.queue.append(req.rid)
+        new.load += req.weight
+        req.provider = target
+
+
+def ref_drs_round(state, rng, t, timeout_prob=0.0):
+    heights = ref_heights(state)
+    snapshot_loads = [p.load for p in state.providers]
+    report = DrsRoundReport()
+    for req in state.requests:
+        if req.at_relayer:
+            continue
+        if not ref_eligible(state, req, t, heights):
+            continue
+        d_rem = state.deadline - t + req.born
+        if t > req.born + state.deadline:
+            ref_move(state, req, None)
+            req.at_relayer = True
+            state.relayer_direct += req.weight
+            report.to_relayer += 1
+            continue
+        candidates = [
+            i
+            for i in state.items[req.key].providers
+            if snapshot_loads[i] < d_rem * state.providers[i].capacity
+        ]
+        if not candidates:
+            continue
+        target = candidates[rng.randrange(len(candidates))]
+        report.probes += 1
+        if timeout_prob > 0 and rng.random() < timeout_prob:
+            continue
+        if snapshot_loads[target] <= d_rem * state.providers[target].capacity:
+            ref_move(state, req, target)
+            report.migrations += 1
+    return report
+
+
+def ref_underloaded_count(state, t):
+    heights = ref_heights(state)
+    providers = set()
+    for req in state.requests:
+        if not ref_eligible(state, req, t, heights):
+            continue
+        d_rem = state.deadline - t + req.born
+        providers.update(
+            i
+            for i in state.items[req.key].providers
+            if state.providers[i].load < d_rem * state.providers[i].capacity
+        )
+    return len(providers)
+
+
+def ref_potential(providers, deadline):
+    return sum(max(p.load - deadline * p.capacity, 0.0) for p in providers)
+
+
+def ref_accounting(state):
+    served = sum(min(p.load, state.deadline * p.capacity) for p in state.providers)
+    unplaced = sum(r.weight for r in state.requests if r.provider is None and not r.at_relayer)
+    relayer = ref_potential(state.providers, state.deadline) + state.relayer_direct + unplaced
+    return served, relayer, sum(r.weight for r in state.requests)
+
+
+def ref_build_instance(n_nodes, n_keys, size_dist, cap_dist, replication, deadline, seed,
+                       requests_per_node, start):
+    rng = split(seed, "drs-setup")
+    providers = [
+        ProviderNode(id=i, capacity=sample_dist(cap_dist, rng, integer=True, minimum=1))
+        for i in range(n_nodes)
+    ]
+    items = []
+    for k in range(n_keys):
+        holders = rng.sample(range(n_nodes), min(replication, n_nodes))
+        items.append(
+            DataItem(k, sample_dist(size_dist, rng, integer=True, minimum=1), holders)
+        )
+    state = DrsState(providers, items, deadline)
+    for node in range(n_nodes):
+        for _ in range(requests_per_node):
+            state.add_request(node, rng.randrange(n_keys))
+    place_rng = split(seed, "drs-place")
+    for req in state.requests:
+        holders = state.items[req.key].providers
+        if not holders:
+            req.at_relayer = True
+            state.relayer_direct += req.weight
+            continue
+        if start == "concentrated":
+            ref_move(state, req, holders[0])
+            continue
+        open_now = [
+            i for i in holders if state.providers[i].load < deadline * state.providers[i].capacity
+        ]
+        pool = open_now if open_now else holders
+        ref_move(state, req, pool[place_rng.randrange(len(pool))])
+    return state
+
+
+def state_view(state):
+    """Everything a round can change, floats as repr so -0.0 and ulps count."""
+    return (
+        [(p.id, repr(p.capacity), list(p.queue), repr(p.load)) for p in state.providers],
+        [
+            (r.rid, r.requester, r.key, repr(r.weight), repr(r.born), r.provider, r.at_relayer)
+            for r in state.requests
+        ],
+        repr(state.relayer_direct),
+    )
+
+
+def sums_view(state):
+    return repr(drs_potential(state.providers, state.deadline)), repr(accounting(state))
+
+
+def ref_sums_view(state):
+    return repr(ref_potential(state.providers, state.deadline)), repr(ref_accounting(state))
+
+
+amounts = st.integers(1, 40) | st.floats(0.25, 40.0)
+sizes = amounts | st.sampled_from([0, 0.0])
+
+
+@st.composite
+def drs_specs(draw):
+    """A small instance as plain data: float or integer capacities and sizes,
+    zero sizes, keys without holders, several requests per requester, mixed birth times,
+    and requests queued, unplaced or already at the relayer."""
+    n = draw(st.integers(1, 6))
+    caps = [draw(amounts) for _ in range(n)]
+    n_keys = draw(st.integers(1, 5))
+    items = [
+        (draw(sizes), draw(st.lists(st.integers(0, n - 1), unique=True, max_size=min(n, 4))))
+        for _ in range(n_keys)
+    ]
+    deadline = draw(st.sampled_from([1.0, 2.5, 8.0]) | st.floats(0.5, 10.0))
+    requests = []
+    for _ in range(draw(st.integers(0, 24))):
+        key = draw(st.integers(0, n_keys - 1))
+        born = draw(st.sampled_from([0.0, 0.5, -1.0, 2.0]) | st.floats(-3.0, 3.0))
+        holders = items[key][1]
+        where = draw(st.sampled_from(["queued", "queued", "unplaced", "relayer"]))
+        if where == "queued":
+            where = draw(st.sampled_from(holders)) if holders else "unplaced"
+        requests.append((draw(st.integers(0, 5)), key, born, where))
+    return caps, items, deadline, requests
+
+
+def make_state(spec):
+    caps, items, deadline, requests = spec
+    state = DrsState(
+        [ProviderNode(i, c) for i, c in enumerate(caps)],
+        [DataItem(k, size, list(holders)) for k, (size, holders) in enumerate(items)],
+        deadline,
+    )
+    for requester, key, born, where in requests:
+        req = state.add_request(requester, key, born)
+        if where == "relayer":
+            req.at_relayer = True
+            state.relayer_direct += req.weight
+        elif where != "unplaced":
+            state.enqueue(req, where)
+    return state
+
+
+def assert_rounds_match(state, ref, seed, times, timeout_prob, share_scan):
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    assert sums_view(state) == ref_sums_view(ref)
+    for t in times:
+        scan = scan_round(state, t) if share_scan else None
+        assert underloaded_count(state, t, scan) == ref_underloaded_count(ref, t)
+        report = drs_round(state, rng, t, timeout_prob=timeout_prob, scan=scan)
+        assert report == ref_drs_round(ref, ref_rng, t, timeout_prob=timeout_prob)
+        assert state_view(state) == state_view(ref)
+        assert sums_view(state) == ref_sums_view(ref)
+        assert underloaded_count(state, t) == ref_underloaded_count(ref, t)
+        assert rng.getstate() == ref_rng.getstate()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    spec=drs_specs(),
+    seed=st.integers(0, 2**64),
+    times=st.lists(st.sampled_from([0.0, 0.75, 3.0, 12.0]) | st.floats(0.0, 15.0),
+                   min_size=1, max_size=3),
+    timeout_prob=st.sampled_from([0.0, 0.0, 0.3, 0.9]),
+    share_scan=st.booleans(),
+)
+def test_round_matches_per_request_reference(spec, seed, times, timeout_prob, share_scan):
+    state, ref = make_state(spec), make_state(spec)
+    assert state_view(state) == state_view(ref)
+    assert_rounds_match(state, ref, seed, times, timeout_prob, share_scan)
+
+
+DIST_SPECS = ["fixed:64", "fixed:0.4", "uniform:2:64", "uniform:0.2:3.7", "pareto:1.3"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n_nodes=st.integers(1, 24),
+    n_keys=st.integers(1, 6),
+    size_dist=st.sampled_from(DIST_SPECS),
+    cap_dist=st.sampled_from(DIST_SPECS),
+    replication=st.integers(0, 5),
+    deadline=st.sampled_from([2.0, 7.3]),
+    seed=st.integers(0, 2**32),
+    requests_per_node=st.integers(1, 3),
+    start=st.sampled_from(["uniform", "concentrated"]),
+    timeout_prob=st.sampled_from([0.0, 0.3]),
+)
+def test_build_and_rounds_match_reference(
+    n_nodes, n_keys, size_dist, cap_dist, replication, deadline, seed, requests_per_node, start,
+    timeout_prob,
+):
+    args = (n_nodes, n_keys, size_dist, cap_dist, replication, deadline, seed)
+    state = build_instance(*args, requests_per_node=requests_per_node, start=start)
+    ref = ref_build_instance(*args, requests_per_node, start)
+    assert state_view(state) == state_view(ref)
+    assert [(i.key, repr(i.size), i.providers) for i in state.items] == [
+        (i.key, repr(i.size), i.providers) for i in ref.items
+    ]
+    assert_rounds_match(state, ref, seed, [0.0, 0.0, 1.5], timeout_prob, share_scan=True)
+
+
+def test_build_instance_rejects_keyless_requests():
+    with pytest.raises(ValueError):
+        build_instance(4, 0, "fixed:8", "fixed:2", 1, 8.0, seed=1)

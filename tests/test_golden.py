@@ -4,8 +4,10 @@ Each chain case runs a ``ChainSimulation`` and compares the SHA3-256 of
 ``Chain.export_jsonl()`` with a digest recorded before the ledger, chain and
 sortition internals were optimised. The relay cases do the same for the
 ``simulate_prs`` trace rows and the lemma-validator means, recorded before the
-relay round was inlined. A mismatch means the output bytes moved, which must
-only ever happen as a deliberate, documented format change.
+relay round was inlined, and the retrieval cases for the ``simulate_drs`` trace
+rows, recorded before the retrieval round was rewritten as one scan. A mismatch
+means the output bytes moved, which must only ever happen as a deliberate,
+documented format change.
 """
 
 import random
@@ -15,6 +17,7 @@ import pytest
 from fission_sim.consensus import ChainSimulation
 from fission_sim.crypto import sha3
 from fission_sim.dists import sample_dist
+from fission_sim.drs import simulate_drs
 from fission_sim.partitioning import PartitionConfig
 from fission_sim.relay import RelaySystemState, simulate_prs, validate_lemma_expectation
 
@@ -79,3 +82,43 @@ def test_golden_relay_lemma_expectation_digest():
     assert _reprs_digest(report.means) == (
         "7cf9764feaa09cfd4c89476c28839b75fdbc347d9a1a371358c78c0bbb2cb614"
     )
+
+
+# (n_nodes, n_keys, size_dist, cap_dist, replication, deadline), options, digest
+# over seeds 1-3; the non-integer deadline makes the float sums order-sensitive
+DRS_CASES = {
+    "concentrated": (
+        (1024, 32, "uniform:16:96", "uniform:2:32", 6, 7.3),
+        dict(start="concentrated"),
+        "b15354b1154de84edc298f78d7f21b446977c3bd1c7219519749e3f3df7bcda9",
+    ),
+    "uniform-pareto": (
+        (2048, 64, "pareto:1.3", "uniform:2:32", 3, 7.3),
+        dict(start="uniform"),
+        "1ba51b7394da0f8a6efee147cb70694dbbcccc3cb4860638a72881e8d50fea5c",
+    ),
+    "timeouts": (
+        (512, 8, "pareto:1.3", "uniform:1:8", 12, 7.3),
+        dict(start="concentrated", timeout_prob=0.3),
+        "ab4c3b9424011e868297d53524be4bb613e46f5cbf4586f8adf686c4345bde98",
+    ),
+    "expiry": (
+        (512, 8, "pareto:1.3", "uniform:1:8", 12, 7.3),
+        dict(start="concentrated", round_duration=2.5),
+        "0f715df296a5680ab792a31c88a4bcba26879b2bd48dc2d1a96907b953a240a0",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DRS_CASES))
+def test_golden_drs_trace_digest(case):
+    args, options, expected = DRS_CASES[case]
+    rows = []
+    for seed in (1, 2, 3):
+        run = simulate_drs(*args, seed, **options)
+        if case == "expiry":
+            assert run.state.relayer_direct > 0  # some requests expired to the relay network
+        rows += [
+            (r.round, r.phi, r.omega, r.underloaded_m, r.migrations, r.relayer_kb) for r in run.rows
+        ]
+    assert _reprs_digest(rows) == expected

@@ -45,7 +45,7 @@ def kind_for_epoch(epoch: int) -> str:
     return MAIN if epoch % 2 == 0 else INTERIM
 
 
-@dataclass
+@dataclass(slots=True)
 class Vote:
     voter: bytes
     block_hash: bytes

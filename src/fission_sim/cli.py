@@ -169,7 +169,7 @@ def cmd_chain(args) -> int:
             n_shard=r.n_shard,
         )
     Path(args.out).write_text(sim.chain.export_jsonl())
-    sink.close(cfg.to_dict(), {"epochs": args.epochs, "final_clock": sim.clock.now})
+    sink.close(cfg.to_dict(), {"epochs": args.epochs, "final_clock": sim.clock})
     print(f"wrote {args.out} and {args.metrics} ({len(results)} epochs)")
     return EXIT_OK
 

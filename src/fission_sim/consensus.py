@@ -51,7 +51,6 @@ from .sortition import (
     BLOCK_MAIN,
     SecurityParams,
     SortitionOutcome,
-    leader_order,
     leader_ticket,
     partition_committee,
     select_committee,
@@ -89,14 +88,6 @@ class EpochConfig:
     @property
     def main_budget(self) -> float:
         return self.delta_leader + self.delta_main
-
-
-class SimClock:
-    def __init__(self, now: float = 0.0):
-        self.now = now
-
-    def advance(self, dt: float) -> None:
-        self.now += dt
 
 
 @dataclass
@@ -223,20 +214,21 @@ def collect_votes(
 ) -> tuple[list[Vote], list[Vote]]:
     """Votes cast on a proposal hash: honest members vote for it, Byzantine
     members act out their strategy. Returns (proposal votes, conflicting votes)."""
+    by_pk, sign = population.by_pk, crypto.sign
     votes, conflicting = [], []
     for m in members:
         if m.pk in offline:
             continue
-        node = population.by_pk[m.pk]
+        node = by_pk[m.pk]
         if not node.byzantine:
-            votes.append(Vote(m.pk, proposal, m.weight, crypto.sign(node.sk, proposal)))
+            votes.append(Vote(m.pk, proposal, m.weight, sign(node.sk, proposal)))
             continue
         if node.strategy == WITHHOLD:
             continue
         other = _conflict_hash(proposal)
-        conflicting.append(Vote(m.pk, other, m.weight, crypto.sign(node.sk, other)))
+        conflicting.append(Vote(m.pk, other, m.weight, sign(node.sk, other)))
         if node.strategy == EQUIVOCATE:
-            votes.append(Vote(m.pk, proposal, m.weight, crypto.sign(node.sk, proposal)))
+            votes.append(Vote(m.pk, proposal, m.weight, sign(node.sk, proposal)))
     return votes, conflicting
 
 
@@ -412,7 +404,6 @@ def run_epoch(
     chain: Chain,
     mempool: list[Transaction],
     cfg: EpochConfig,
-    clock: SimClock,
     population: Population,
     partition_cfg: PartitionConfig,
     offline: set[bytes] | None = None,
@@ -431,7 +422,7 @@ def run_epoch(
 
     block_type = BLOCK_INTERIM if kind == INTERIM else BLOCK_MAIN
     committee = select_committee(stakes, seed, block_type, p, population.registry)
-    _assert_adversary_below_quorum(committee, population, cfg, f"{block_type} committee")
+    adversary = _assert_adversary_below_quorum(committee, population, cfg, f"{block_type} committee")
 
     proposer = _elect_proposer(committee, population, seed, offline)
 
@@ -475,14 +466,12 @@ def run_epoch(
         confirmed = len(block.body)
         # deferred transactions keep their arrival order for the next round
         mempool[:] = [tx for tx in list(mempool) if tx.id in kept_parents]
-        clock.advance(cfg.interim_budget)
     else:
         block, result, conflicting = assemble_main(
             chain, committee, cfg, seed, population, n_partition, offline
         )
         _assert_no_conflicting_quorum(conflicting, cfg)
         confirmed = len(block.body)
-        clock.advance(cfg.main_budget)
 
     chain.append_block(block)
     return EpochResult(
@@ -491,7 +480,7 @@ def run_epoch(
         block=block,
         confirmed_subtx=confirmed,
         committee_weight=sum(m.weight for m in committee),
-        adversary_weight=adversary_weight(committee, population),
+        adversary_weight=adversary,
         empty=not block.body,
         n_partition=n_partition,
         n_shard=chain.state.n_shard,
@@ -507,25 +496,32 @@ def _elect_proposer(
     seed: bytes,
     offline: set[bytes],
 ) -> bytes | None:
-    if not committee:
-        return None
-    tickets = [
-        (m.pk, leader_ticket(population.by_pk[m.pk].sk, seed).hash) for m in committee
-    ]
-    for pk in leader_order(tickets):
-        if pk not in offline:
-            return pk
-    return None
+    """The first online entry of ``leader_order`` over the members' tickets:
+    the smallest (ticket, pk) among online members, or None if all are dark.
+
+    Every member draws its ticket, offline ones included; an offline member
+    goes dark after the draw and cannot win. Tickets are 32-byte big-endian
+    hashes, so comparing the bytes orders them as ``leader_order`` does.
+    """
+    by_pk = population.by_pk
+    best = None
+    for m in committee:
+        entry = (leader_ticket(by_pk[m.pk].sk, seed).hash, m.pk)
+        if m.pk not in offline and (best is None or entry < best):
+            best = entry
+    return None if best is None else best[1]
 
 
 def _assert_adversary_below_quorum(
     committee: list[SortitionOutcome], population: Population, cfg: EpochConfig, label: str
-) -> None:
+) -> int:
+    """The committee's adversary weight, checked to stay below the quorum."""
     weight = adversary_weight(committee, population)
     if weight >= cfg.security.quorum:
         raise InvariantViolation(
             "consensus-engine", "adversary-quorum", f"{label} adversary weight {weight}"
         )
+    return weight
 
 
 def _assert_no_conflicting_quorum(conflicting: list[Vote], cfg: EpochConfig) -> None:
@@ -601,7 +597,7 @@ class ChainSimulation:
         self.k_total = security.k_total
         self.chain = Chain(state, security.quorum, self.partition_cfg.n_partition)
         self.mempool: list[Transaction] = []
-        self.clock = SimClock()
+        self.clock = 0.0  # simulated seconds: the sum of the epoch budgets so far
         self.main_history: list[tuple[int, int]] = []
         self.results: list[EpochResult] = []
 
@@ -667,11 +663,12 @@ class ChainSimulation:
             self.chain,
             self.mempool,
             self.epoch_cfg,
-            self.clock,
             self.population,
             self.partition_cfg,
             self._draw_offline(),
         )
+        cfg = self.epoch_cfg
+        self.clock += cfg.interim_budget if result.kind == INTERIM else cfg.main_budget
         self._post_block_update(result)
         self._check_invariants(result)
         self.results.append(result)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass
 
 from .errors import VerificationFailure
 
@@ -80,7 +79,8 @@ class KeyRegistry:
 
 
 def sign(sk: bytes, message: bytes) -> bytes:
-    return sha3(b"sig" + encode_fields(sk, message))
+    """Keyed-hash signature: ``sha3(b"sig" + encode_fields(sk, message))``."""
+    return sha3(b"".join((b"sig", _LENGTH_PREFIX(len(sk)), sk, _LENGTH_PREFIX(len(message)), message)))
 
 
 def verify(registry: KeyRegistry, pk: bytes, message: bytes, signature: bytes) -> bool:
@@ -93,23 +93,64 @@ def verify(registry: KeyRegistry, pk: bytes, message: bytes, signature: bytes) -
 # verifiable random function (deterministic test scheme)
 
 
-@dataclass(frozen=True)
 class VrfOutput:
-    """A 256-bit pseudorandom value plus the proof that binds it to (pk, seed, type)."""
+    """A 256-bit pseudorandom value plus the proof that binds it to (pk, seed, type).
 
-    hash: bytes
-    proof: bytes
+    Only verifiers read the proof, so an output from ``vrf_eval`` keeps its
+    evaluation input and hashes the proof the first time ``proof`` is read.
+    Outputs compare and hash by ``(hash, proof)``.
+    """
+
+    __slots__ = ("hash", "_proof", "_material")
+
+    def __init__(self, hash: bytes, proof: bytes):
+        self.hash = hash
+        self._proof = proof
+        self._material = None
+
+    @property
+    def proof(self) -> bytes:
+        proof = self._proof
+        if proof is None:
+            proof = self._proof = sha3(b"prf" + self._material)
+            self._material = None
+        return proof
 
     @property
     def uniform(self) -> float:
         """The hash mapped into [0, 1)."""
         return int.from_bytes(self.hash, "big") / TWO_256
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, VrfOutput):
+            return NotImplemented
+        return self.hash == other.hash and self.proof == other.proof
+
+    def __hash__(self) -> int:
+        return hash((self.hash, self.proof))
+
+    def __repr__(self) -> str:
+        return f"VrfOutput(hash={self.hash!r}, proof={self.proof!r})"
+
+
+_new_output = object.__new__
+
 
 def vrf_eval(sk: bytes, seed: bytes, ctype: str) -> VrfOutput:
-    """Deterministic pseudorandom draw for one (secret key, epoch seed, committee type)."""
-    material = encode_fields(sk, seed, ctype.encode())
-    return VrfOutput(hash=sha3(material), proof=sha3(b"prf" + material))
+    """Deterministic pseudorandom draw for one (secret key, epoch seed, committee type).
+
+    The hash is ``sha3(encode_fields(sk, seed, ctype.encode()))`` and the proof
+    ``sha3(b"prf" + encode_fields(...))`` of the same fields.
+    """
+    tag = ctype.encode()
+    material = b"".join(
+        (_LENGTH_PREFIX(len(sk)), sk, _LENGTH_PREFIX(len(seed)), seed, _LENGTH_PREFIX(len(tag)), tag)
+    )
+    out = _new_output(VrfOutput)  # no __init__: the proof waits for its first read
+    out.hash = sha3(material)
+    out._proof = None
+    out._material = material
+    return out
 
 
 def vrf_verify(

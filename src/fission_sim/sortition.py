@@ -87,12 +87,25 @@ def voting_power_batch(xs: np.ndarray, s: int, p: float) -> np.ndarray:
     return np.searchsorted(_cdf_table(s, float(p)), xs, side="left")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SortitionOutcome:
     pk: bytes
     committee_type: str
     weight: int
     vrf: VrfOutput
+
+
+_TWO_NEG_256 = 2.0**-256
+
+
+def uniforms(hashes: list[bytes]) -> np.ndarray:
+    """``VrfOutput.uniform`` of many hashes in one conversion.
+
+    NumPy rounds each 256-bit integer to the nearest float, as int / 2**256
+    does, and scaling by a power of two is exact, so the floats are the same.
+    """
+    from_bytes = int.from_bytes
+    return np.array([from_bytes(h, "big") for h in hashes], dtype=np.float64) * _TWO_NEG_256
 
 
 def draw_outcome(sk: bytes, pk: bytes, seed: bytes, ctype: str, stake: int, p: float) -> SortitionOutcome:
@@ -124,14 +137,15 @@ def select_committee(
     if not 0.0 < p < 1.0:
         raise DomainError(f"selection probability must be in (0, 1), got {p}")
     pks = [pk for pk in sorted(stakes) if stakes[pk] > 0]
-    draws = [vrf_eval(registry.secret_for(pk), seed, ctype) for pk in pks]
+    secret_for = registry.secret_for
+    draws = [vrf_eval(secret_for(pk), seed, ctype) for pk in pks]
     # one table lookup per stake group; the weights equal voting_power's
     by_stake: dict[int, list[int]] = {}
     for i, pk in enumerate(pks):
         by_stake.setdefault(stakes[pk], []).append(i)
     weights = [0] * len(pks)
     for stake, idx in by_stake.items():
-        xs = np.array([draws[i].uniform for i in idx])
+        xs = uniforms([draws[i].hash for i in idx])
         for i, w in zip(idx, voting_power_batch(xs, stake, p).tolist()):
             weights[i] = w
     return [

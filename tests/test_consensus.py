@@ -1,18 +1,24 @@
-import pytest
+from functools import lru_cache
+from unittest.mock import patch
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fission_sim import consensus
 from fission_sim.chain import INTERIM, MAIN, Vote
 from fission_sim.consensus import (
     ChainSimulation,
     EpochConfig,
     Population,
-    SimClock,
     Timeout,
+    _elect_proposer,
     micro_round,
     next_seed,
     run_epoch,
     tally,
 )
-from fission_sim.crypto import sha3, sign
+from fission_sim.crypto import VrfOutput, sha3, sign
 from fission_sim.errors import InvalidWeight
 from fission_sim.ledger import make_transfer, split_transaction
 from fission_sim.partitioning import PartitionConfig
@@ -162,8 +168,6 @@ def test_micro_round_filters_invalid_state_transitions():
 def test_micro_round_propagates_errors_that_are_not_protocol_errors(monkeypatch):
     # only FissionError marks a sub-transaction invalid; a bug in state
     # application must surface instead of being counted as invalid traffic
-    import fission_sim.consensus as consensus
-
     sim = small_sim()
     reg = sim.population.registry
     sender = sim.population.nodes[0]
@@ -221,9 +225,9 @@ def test_clock_advances_by_epoch_budget():
     sim = small_sim()
     cfg = sim.epoch_cfg
     sim.step()
-    assert sim.clock.now == pytest.approx(cfg.interim_budget)
+    assert sim.clock == pytest.approx(cfg.interim_budget)
     sim.step()
-    assert sim.clock.now == pytest.approx(cfg.interim_budget + cfg.main_budget)
+    assert sim.clock == pytest.approx(cfg.interim_budget + cfg.main_budget)
 
 
 def test_leader_fallback_skips_offline_proposer():
@@ -236,17 +240,49 @@ def test_leader_fallback_skips_offline_proposer():
     ]
     order = leader_order(tickets)
     result = run_epoch(
-        sim.chain, [], sim.epoch_cfg, SimClock(), sim.population, sim.partition_cfg,
+        sim.chain, [], sim.epoch_cfg, sim.population, sim.partition_cfg,
         offline={order[0]},
     )
     assert result.proposer == order[1]
+
+
+@lru_cache(maxsize=1)
+def proposer_world():
+    """A 40-node population and its block committee at the first epoch seed."""
+    sim = ChainSimulation(n_nodes=40, tx_per_epoch=0, seed=4)
+    seed = next_seed(sim.chain.tip.header.seed, sim.chain.tip.hash)
+    committee = select_committee(
+        sim.population.online_stakes(), seed, BLOCK_INTERIM, sim.security.p, sim.population.registry
+    )
+    return sim.population, committee
+
+
+def coarse_ticket(sk, seed):
+    """A leader ticket with three possible values, so that pks break ties."""
+    return VrfOutput(hash=bytes([leader_ticket(sk, seed).hash[0] % 3]) * 32, proof=b"")
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), seed=st.binary(max_size=40), coarse=st.booleans())
+def test_elect_proposer_is_first_online_entry_of_leader_order(data, seed, coarse):
+    population, committee = proposer_world()
+    members = data.draw(st.lists(st.sampled_from(committee), max_size=len(committee), unique_by=lambda m: m.pk))
+    offline = data.draw(st.sets(st.sampled_from([m.pk for m in committee] + [b"\x00" * 32])))
+    ticket = coarse_ticket if coarse else leader_ticket
+    order = leader_order(
+        [(m.pk, ticket(population.by_pk[m.pk].sk, seed).hash) for m in members]
+    ) if members else []
+    expected = next((pk for pk in order if pk not in offline), None)
+    with patch.object(consensus, "leader_ticket", ticket):
+        assert _elect_proposer(members, population, seed, offline) == expected
+        assert _elect_proposer(members, population, seed, {m.pk for m in members}) is None
 
 
 def test_offline_committee_yields_empty_block_not_stall():
     sim = small_sim()
     all_pks = {n.pk for n in sim.population.nodes}
     result = run_epoch(
-        sim.chain, [], sim.epoch_cfg, SimClock(), sim.population, sim.partition_cfg,
+        sim.chain, [], sim.epoch_cfg, sim.population, sim.partition_cfg,
         offline=all_pks,
     )
     assert result.empty and result.block.is_timeout_block
@@ -260,7 +296,7 @@ def test_interim_timeout_requeues_transactions():
     assert len(sim.mempool) == 5
     all_pks = {n.pk for n in sim.population.nodes}
     result = run_epoch(
-        sim.chain, sim.mempool, sim.epoch_cfg, SimClock(), sim.population, sim.partition_cfg,
+        sim.chain, sim.mempool, sim.epoch_cfg, sim.population, sim.partition_cfg,
         offline=all_pks,
     )
     assert result.empty

@@ -1,8 +1,11 @@
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from fission_sim.crypto import (
     KeyRegistry,
+    VrfOutput,
     encode_field,
     encode_fields,
     sha3,
@@ -11,6 +14,14 @@ from fission_sim.crypto import (
     vrf_eval,
     vrf_verify,
 )
+from fission_sim.sortition import uniforms
+
+# byte strings around the 32-byte key/hash size and past one length byte
+FIELDS = st.one_of(
+    st.sampled_from((0, 31, 32, 33, 256, 300)).flatmap(lambda n: st.binary(min_size=n, max_size=n)),
+    st.binary(max_size=300),
+)
+CTYPES = st.one_of(st.sampled_from(("leader", "block_main", "partition:0")), st.text(max_size=40))
 
 
 def test_sha3_known_value():
@@ -74,3 +85,61 @@ def test_vrf_uniformity_ks():
     )
     stat = stats.kstest(draws, "uniform")
     assert stat.pvalue > 0.01, f"KS p-value {stat.pvalue}"
+
+
+def eager_vrf(sk: bytes, seed: bytes, ctype: str) -> VrfOutput:
+    """The spelled-out VRF: both hashes of the length-prefixed fields, at once."""
+    material = encode_fields(sk, seed, ctype.encode())
+    return VrfOutput(hash=sha3(material), proof=sha3(b"prf" + material))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sk=FIELDS, seed=FIELDS, ctype=CTYPES, message=FIELDS)
+def test_inline_encodings_match_encode_fields(sk, seed, ctype, message):
+    out = vrf_eval(sk, seed, ctype)
+    material = encode_fields(sk, seed, ctype.encode())
+    assert out.hash == sha3(material)
+    assert out.proof == sha3(b"prf" + material)
+    assert sign(sk, message) == sha3(b"sig" + encode_fields(sk, message))
+
+
+@settings(max_examples=100, deadline=None)
+@given(inputs=st.lists(st.tuples(FIELDS, FIELDS, CTYPES), min_size=1, max_size=6))
+def test_proof_read_late_equals_eager_proof(inputs):
+    # evaluate everything first, read the hashes, then the proofs in reverse
+    outs = [vrf_eval(*args) for args in inputs]
+    assert [o.uniform for o in outs] == [eager_vrf(*args).uniform for args in inputs]
+    for out, args in reversed(list(zip(outs, inputs))):
+        eager = eager_vrf(*args)
+        assert out.proof == eager.proof
+        assert out == eager and hash(out) == hash(eager) and repr(out) == repr(eager)
+        assert out.proof == eager.proof  # a second read gives the same bytes
+
+
+def test_vrf_repr_hides_the_secret_key():
+    sk = b"\x07" * 32
+    out = vrf_eval(sk, b"seed", "leader")
+    assert sk.hex() not in repr(out) and repr(sk) not in repr(out)
+    assert not hasattr(out, "__dict__")
+
+
+def _ties(m: int, shift: int, bump: int) -> bytes:
+    # (m, 1) followed by zeros is exactly halfway between two floats; bump
+    # moves it just above
+    return ((((m << 1) | 1) << shift) + bump).to_bytes(32, "big")
+
+
+HASHES = st.one_of(
+    st.binary(min_size=32, max_size=32),
+    st.integers(0, 2**256 - 1).map(lambda v: v.to_bytes(32, "big")),
+    st.builds(_ties, st.integers(2**52, 2**53 - 1), st.integers(0, 202), st.integers(0, 1)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(hashes=st.lists(HASHES, max_size=40))
+def test_vectorised_uniforms_equal_vrf_uniform_bit_for_bit(hashes):
+    xs = uniforms(hashes)
+    assert xs.dtype == np.float64 and len(xs) == len(hashes)
+    expected = [VrfOutput(hash=h, proof=b"").uniform for h in hashes]
+    assert [x.hex() for x in xs.tolist()] == [x.hex() for x in expected]

@@ -5,21 +5,26 @@ Each chain case runs a ``ChainSimulation`` and compares the SHA3-256 of
 sortition internals were optimised. The relay cases do the same for the
 ``simulate_prs`` trace rows and the lemma-validator means, recorded before the
 relay round was inlined, and the retrieval cases for the ``simulate_drs`` trace
-rows, recorded before the retrieval round was rewritten as one scan. A mismatch
-means the output bytes moved, which must only ever happen as a deliberate,
-documented format change.
+rows, recorded before the retrieval round was rewritten as one scan. The
+epoch-metadata cases pin what the chain export leaves out (proposer, committee
+and adversary weight, micro timeouts, invalid transactions, emptiness), recorded
+before the committee draws, leader pick and vote signing were optimised. A
+mismatch means the output bytes moved, which must only ever happen as a
+deliberate, documented format change.
 """
 
 import random
 
 import pytest
 
-from fission_sim.consensus import ChainSimulation
+from fission_sim.chain import INTERIM
+from fission_sim.consensus import STRATEGIES, ChainSimulation
 from fission_sim.crypto import sha3
 from fission_sim.dists import sample_dist
 from fission_sim.drs import simulate_drs
 from fission_sim.partitioning import PartitionConfig
 from fission_sim.relay import RelaySystemState, simulate_prs, validate_lemma_expectation
+from fission_sim.sortition import BLOCK_INTERIM, BLOCK_MAIN, leader_order, leader_ticket, select_committee
 
 SMALL = dict(h=1.0, alpha=1.0, tau=50.0, theta=0.3, stake_dist="fixed:100")
 
@@ -57,6 +62,53 @@ def test_golden_chain_digest(case):
 
 def _reprs_digest(values) -> str:
     return sha3("\n".join(repr(v) for v in values).encode()).hex()
+
+
+# params, epochs, digest of every EpochResult's metadata
+EPOCH_META_CASES = {
+    # 30% of online nodes drop out each epoch, so the leader falls back and
+    # quorums fail; theta 0.4 makes some fail outright
+    "offline": (
+        dict(n_nodes=60, tx_per_epoch=40, offline_rate=0.3, invalid_fraction=0.1, theta=0.4, seed=21),
+        12,
+        "248a92bb706e14a14e5d27b06a327a08bf8e71423eba3a94adbe9c58eedb758a",
+    ),
+    "byzantine": (
+        dict(n_nodes=100, stake_dist="fixed:2500", tx_per_epoch=30, seed=13),
+        10,
+        "938373323c5a80331a3c59e8c381e92fe3aa0596f874ab8be9e78ec156ba064c",
+    ),
+}
+
+
+def _leader_fallbacks(sim) -> int:
+    """Epochs whose proposer is not the head of the full leader order."""
+    stakes = sim.population.online_stakes()
+    count = 0
+    for r in sim.results:
+        seed = sim.chain.blocks[r.epoch].header.seed
+        ctype = BLOCK_INTERIM if r.kind == INTERIM else BLOCK_MAIN
+        committee = select_committee(stakes, seed, ctype, sim.security.p, sim.population.registry)
+        tickets = [(m.pk, leader_ticket(sim.population.by_pk[m.pk].sk, seed).hash) for m in committee]
+        count += r.proposer != leader_order(tickets)[0]
+    return count
+
+
+@pytest.mark.parametrize("case", sorted(EPOCH_META_CASES))
+def test_golden_epoch_metadata_digest(case):
+    params, epochs, expected = EPOCH_META_CASES[case]
+    sim = ChainSimulation(**params)
+    sim.run(epochs)
+    if case == "offline":
+        assert _leader_fallbacks(sim) > 0
+        assert any(r.micro_timeouts for r in sim.results) and any(r.empty for r in sim.results)
+    else:
+        assert {n.strategy for n in sim.population.nodes if n.byzantine} == set(STRATEGIES)
+    rows = [
+        (r.proposer, r.committee_weight, r.adversary_weight, r.micro_timeouts, r.invalid_txs, r.empty)
+        for r in sim.results
+    ]
+    assert _reprs_digest(rows) == expected
 
 
 def test_golden_relay_trace_digest():

@@ -107,7 +107,6 @@ class MicroBlock:
 
     partition_index: int
     sub_txs: list[SubTransaction]
-    partition_votes: list[Vote] = field(default_factory=list)
 
 
 def body_shard(sub: SubTransaction, n_shard: int) -> int:

@@ -1,8 +1,10 @@
 """Command-line surface: security calculator, sortition draws, chain runs,
 and the two congestion-game experiments.
 
-Every subcommand is deterministic per (config, seed). Exit codes: 0 success,
-2 configuration/validation problem, 3 invariant violation detected mid-run.
+Every subcommand is deterministic per (config, seed). ``chain``, ``relay`` and
+``drs`` read one ``SimConfig``: the ``--config`` file, then each key flag given
+set over it, validated once. Exit codes: 0 success, 2 configuration/validation
+problem, 3 invariant violation detected mid-run.
 """
 
 from __future__ import annotations
@@ -65,31 +67,41 @@ def build_parser() -> argparse.ArgumentParser:
 
     chain = sub.add_parser("chain", help="run the epoch pipeline")
     chain.add_argument("--epochs", type=int, default=20)
-    chain.add_argument("--config", default=None)
-    chain.add_argument("--seed", type=int, default=None)
+    _add_key_options(chain)
     chain.add_argument("--out", default="chain.jsonl")
     chain.add_argument("--metrics", default="metrics.csv")
 
     relay = sub.add_parser("relay", help="run relay-selection convergence trials")
-    relay.add_argument("--nodes", type=int, default=4096)
-    relay.add_argument("--relayers", type=int, default=64)
-    relay.add_argument("--cap-dist", default="uniform:2:64")
-    relay.add_argument("--rounds", type=int, default=64)
-    relay.add_argument("--trials", type=int, default=1)
-    relay.add_argument("--seed", type=int, default=0)
-    relay.add_argument("--start", choices=("worst", "random"), default="worst")
+    _add_key_options(relay, "relay", "nodes", "relayers", "cap_dist", "rounds", "trials", "start")
     relay.add_argument("--out", default="trace.csv")
 
     drs = sub.add_parser("drs", help="run the data-retrieval game")
-    drs.add_argument("--nodes", type=int, default=1024)
-    drs.add_argument("--keys", type=int, default=64)
-    drs.add_argument("--size-dist", default="fixed:64")
-    drs.add_argument("--replication", type=int, default=3)
-    drs.add_argument("--deadline", type=float, default=8.0)
-    drs.add_argument("--seed", type=int, default=0)
-    drs.add_argument("--start", choices=("uniform", "concentrated"), default="uniform")
+    _add_key_options(drs, "drs", "nodes", "keys", "size_dist", "replication", "deadline", "start")
     drs.add_argument("--out", default="trace.csv")
     return parser
+
+
+def _add_key_options(parser: argparse.ArgumentParser, section: str = "", *names: str) -> None:
+    """``--config`` plus one flag per config key: ``--seed`` for ``seed`` and
+    ``--cap-dist`` for ``<section>.cap_dist``. A flag left out stays off the
+    namespace, so the file or the ``SimConfig`` default holds."""
+    parser.add_argument("--config", default=None)
+    parser.add_argument("--seed", default=argparse.SUPPRESS)
+    for name in names:
+        parser.add_argument(_flag(name), dest=f"{section}.{name}", default=argparse.SUPPRESS)
+
+
+def _flag(key: str) -> str:
+    return "--" + key.rpartition(".")[2].replace("_", "-")
+
+
+def _load_config(args) -> SimConfig:
+    """The --config file with every key flag given set over it, validated once."""
+    keys = {k: v for k, v in vars(args).items() if k == "seed" or "." in k}
+    cfg = load_config(args.config, keys)
+    for warning in cfg.warnings:
+        print(f"warning: {warning}", file=sys.stderr)
+    return cfg
 
 
 def cmd_security(args) -> int:
@@ -149,14 +161,10 @@ def cmd_sortition(args) -> int:
 
 
 def cmd_chain(args) -> int:
-    cfg = load_config(args.config)
-    for warning in cfg.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
-    if args.seed is not None:
-        cfg.seed = args.seed
+    cfg = _load_config(args)
     sim = _chain_sim_from_config(cfg)
-    sink = MetricsSink(args.metrics, CHAIN_COLUMNS)
     results = sim.run(args.epochs)
+    sink = MetricsSink(args.metrics, CHAIN_COLUMNS)
     for r in results:
         sink.write_row(
             epoch=r.epoch,
@@ -203,31 +211,27 @@ def _chain_sim_from_config(cfg: SimConfig) -> ChainSimulation:
     )
 
 
-def _require_positive(args, *names: str) -> None:
-    for name in names:
-        if getattr(args, name) < 1:
-            raise ValidationError(f"--{name}", f"must be >= 1, got {getattr(args, name)}")
-
-
 def cmd_relay(args) -> int:
-    _require_positive(args, "nodes", "relayers")
-    cfg = SimConfig()
-    cap_rng = split(args.seed, "relay-caps")
+    cfg = _load_config(args)
+    relay = cfg.relay
+    cap_rng = split(cfg.seed, "relay-caps")
     capacities = [
-        sample_dist(args.cap_dist, cap_rng, integer=True, minimum=2)
-        for _ in range(args.relayers)
+        sample_dist(relay.cap_dist, cap_rng, integer=True, minimum=2)
+        for _ in range(relay.relayers)
     ]
     runs = [
         simulate_prs(
-            args.nodes,
+            relay.nodes,
             capacities,
-            args.rounds,
-            child_seed(args.seed, "relay-trial", trial),
-            start=args.start,
-            mu=cfg.relay.mu,
-            mean_msg_size=cfg.relay.mean_msg_size,
+            relay.rounds,
+            child_seed(cfg.seed, "relay-trial", trial),
+            start=relay.start,
+            mu=relay.mu,
+            mean_msg_size=relay.mean_msg_size,
+            join_rate=relay.join_rate,
+            leave_rate=relay.leave_rate,
         )
-        for trial in range(args.trials)
+        for trial in range(relay.trials)
     ]
 
     sink = MetricsSink(args.out, RELAY_COLUMNS)
@@ -244,36 +248,23 @@ def cmd_relay(args) -> int:
             )
         if run.converged_round is not None:
             converged += 1
-    sink.close(
-        {
-            "nodes": args.nodes,
-            "relayers": args.relayers,
-            "cap_dist": args.cap_dist,
-            "rounds": args.rounds,
-            "trials": args.trials,
-            "seed": args.seed,
-            "start": args.start,
-        },
-        {"converged_trials": converged},
-    )
-    print(f"wrote {args.out}: {converged}/{args.trials} trials reached phi <= 4m")
+    sink.close(cfg.to_dict(), {"converged_trials": converged})
+    print(f"wrote {args.out}: {converged}/{relay.trials} trials reached phi <= 4m")
     return EXIT_OK
 
 
 def cmd_drs(args) -> int:
-    _require_positive(args, "nodes", "keys", "replication")
-    if not args.deadline > 0:
-        raise ValidationError("--deadline", f"must be > 0, got {args.deadline}")
-    cfg = SimConfig()
+    cfg = _load_config(args)
+    drs = cfg.drs
     run = simulate_drs(
-        args.nodes,
-        args.keys,
-        args.size_dist,
-        cfg.drs.cap_dist,
-        args.replication,
-        args.deadline,
-        args.seed,
-        start=args.start,
+        drs.nodes,
+        drs.keys,
+        drs.size_dist,
+        drs.cap_dist,
+        drs.replication,
+        drs.deadline,
+        cfg.seed,
+        start=drs.start,
     )
     sink = MetricsSink(args.out, DRS_COLUMNS)
     for row in run.rows:
@@ -286,15 +277,7 @@ def cmd_drs(args) -> int:
             relayer_kb=row.relayer_kb,
         )
     sink.close(
-        {
-            "nodes": args.nodes,
-            "keys": args.keys,
-            "size_dist": args.size_dist,
-            "replication": args.replication,
-            "deadline": args.deadline,
-            "seed": args.seed,
-            "start": args.start,
-        },
+        cfg.to_dict(),
         {
             "converged_round": run.converged_round,
             "relayer_bytes": run.relayer_bytes,
@@ -323,7 +306,12 @@ def main(argv: list[str] | None = None) -> int:
     except InvariantViolation as e:
         print(f"invariant violation: {e}", file=sys.stderr)
         return EXIT_INVARIANT
-    except (ParseError, ValidationError, DomainError, FileNotFoundError) as e:
+    except ValidationError as e:
+        # name the flag too when the bad value came from one
+        flag = f" ({_flag(e.field)})" if e.field in vars(args) else ""
+        print(f"error: {e.field}{flag}: {e.message}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except (ParseError, DomainError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
 

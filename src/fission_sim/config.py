@@ -9,6 +9,7 @@ rejected by name so typos cannot silently fall back to defaults.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields as dc_fields
 from pathlib import Path
 
@@ -67,6 +68,7 @@ class RelaySettings:
     trials: int = 1
     join_rate: float = 0.0
     leave_rate: float = 0.0
+    start: str = "worst"
 
 
 @dataclass
@@ -77,6 +79,7 @@ class DrsSettings:
     cap_dist: str = "uniform:2:64"
     replication: int = 3
     deadline: float = 8.0
+    start: str = "uniform"
 
 
 _SECTIONS = {
@@ -151,11 +154,17 @@ def _parse_scalar(text: str) -> object:
         return text  # bare strings like uniform:2:64
 
 
-def load_config(path: str | Path | None = None) -> SimConfig:
-    """Load and validate a config; None gives pure defaults."""
+def load_config(path: str | Path | None = None, overrides: dict | None = None) -> SimConfig:
+    """Load a config, set each ``key: value`` of ``overrides`` over it, and
+    validate the result; with neither, the defaults."""
     cfg = SimConfig()
     if path is not None:
-        text = Path(path).read_text()
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except OSError as e:
+            raise ParseError(f"cannot read config {path}: {e.strerror}") from None
+        except UnicodeDecodeError as e:
+            raise ParseError(f"cannot read config {path}: {e}") from None
         stripped = text.lstrip()
         if stripped.startswith("{"):
             try:
@@ -175,12 +184,63 @@ def load_config(path: str | Path | None = None) -> SimConfig:
                     raise ParseError(f"line {lineno}: expected 'key = value', got {line!r}")
                 key, _, value = line.partition("=")
                 _set_key(cfg, key.strip(), _parse_scalar(value.strip()))
+    for key, value in (overrides or {}).items():
+        _set_key(cfg, key, value)
     validate_config(cfg)
     return cfg
 
 
+_FINITE = ("finite", lambda v: True)
+_POSITIVE = ("> 0", lambda v: v > 0)
+_AT_LEAST_0 = (">= 0", lambda v: v >= 0)
+_AT_LEAST_1 = (">= 1", lambda v: v >= 1)
+_UNIT = ("in [0, 1]", lambda v: 0 <= v <= 1)
+
+# key -> (rule, test); a float key must also be finite, so NaN and +-inf fail
+# every rule. check_domain holds the other security ranges.
+_RULES = {
+    "population.nodes": _AT_LEAST_1,
+    "security.h": _FINITE,
+    "security.alpha": _FINITE,
+    "security.tau": _POSITIVE,
+    "security.theta": _FINITE,
+    "epochs.delta_micro": _POSITIVE,
+    "epochs.delta_interim": _POSITIVE,
+    "epochs.delta_main": _POSITIVE,
+    "epochs.delta_leader": _POSITIVE,
+    "epochs.micro_throughput": _POSITIVE,
+    "chain.tx_per_epoch": _AT_LEAST_0,
+    "chain.invalid_fraction": _UNIT,
+    "chain.offline_rate": ("in [0, 1)", lambda v: 0 <= v < 1),
+    "partition.n_shard": _AT_LEAST_1,
+    "partition.n_e_max": _AT_LEAST_1,
+    "partition.delta": ("in (0, 1)", lambda v: 0 < v < 1),
+    "partition.n_rs": _AT_LEAST_1,
+    "relay.relayers": _AT_LEAST_1,
+    "relay.nodes": _AT_LEAST_1,
+    "relay.mu": _POSITIVE,
+    "relay.mean_msg_size": _POSITIVE,
+    "relay.rounds": _AT_LEAST_0,
+    "relay.trials": _AT_LEAST_1,
+    "relay.join_rate": _AT_LEAST_0,
+    "relay.leave_rate": _UNIT,
+    "relay.start": ("one of 'worst', 'random'", lambda v: v in ("worst", "random")),
+    "drs.nodes": _AT_LEAST_1,
+    "drs.keys": _AT_LEAST_1,
+    "drs.replication": _AT_LEAST_1,
+    "drs.deadline": _POSITIVE,
+    "drs.start": ("one of 'uniform', 'concentrated'", lambda v: v in ("uniform", "concentrated")),
+}
+
+
 def validate_config(cfg: SimConfig) -> None:
     """Hard errors for unusable values, warnings for jointly infeasible ones."""
+    for key, (rule, test) in _RULES.items():
+        section, _, name = key.partition(".")
+        value = getattr(getattr(cfg, section), name)
+        if (isinstance(value, float) and not math.isfinite(value)) or not test(value):
+            raise ValidationError(key, f"must be {rule}, got {value!r}")
+
     sec = cfg.security
     try:
         # population K is only known after the stake draw; domain-check with a
@@ -205,38 +265,11 @@ def validate_config(cfg: SimConfig) -> None:
         )
 
     part = cfg.partition
-    if part.n_shard < 1 or not 1 <= part.n_partition <= part.n_shard:
-        raise ValidationError("partition.n_partition", "need 1 <= n_partition <= n_shard")
-    if not 0.0 < part.delta < 1.0:
-        raise ValidationError("partition.delta", "must be in (0, 1)")
-    if part.n_e_max < 1 or part.n_rs < 1:
-        raise ValidationError("partition.n_e_max", "n_e_max and n_rs must be positive")
-
-    for name in ("delta_micro", "delta_interim", "delta_main", "delta_leader"):
-        if getattr(cfg.epochs, name) <= 0:
-            raise ValidationError(f"epochs.{name}", "must be positive")
-    if cfg.epochs.micro_throughput <= 0:
-        raise ValidationError("epochs.micro_throughput", "must be positive")
-
-    if not 0.0 <= cfg.chain.invalid_fraction <= 1.0:
-        raise ValidationError("chain.invalid_fraction", "must be in [0, 1]")
-    if not 0.0 <= cfg.chain.offline_rate < 1.0:
-        raise ValidationError("chain.offline_rate", "must be in [0, 1)")
-    if cfg.chain.tx_per_epoch < 0:
-        raise ValidationError("chain.tx_per_epoch", "must be >= 0")
-    if cfg.population.nodes < 1:
-        raise ValidationError("population.nodes", "must be >= 1")
-
-    if cfg.relay.relayers < 1 or cfg.relay.nodes < 1:
-        raise ValidationError("relay.relayers", "relayers and nodes must be >= 1")
-    if cfg.relay.mu <= 0:
-        raise ValidationError("relay.mu", "must be positive")
-    if cfg.relay.join_rate < 0 or cfg.relay.leave_rate < 0:
-        raise ValidationError("relay.join_rate", "churn rates must be >= 0")
-    if cfg.drs.nodes < 1 or cfg.drs.keys < 1 or cfg.drs.replication < 1:
-        raise ValidationError("drs.nodes", "nodes, keys, replication must be >= 1")
-    if cfg.drs.deadline <= 0:
-        raise ValidationError("drs.deadline", "must be positive")
+    if not 1 <= part.n_partition <= part.n_shard:
+        raise ValidationError(
+            "partition.n_partition",
+            f"must be in [1, partition.n_shard = {part.n_shard}], got {part.n_partition!r}",
+        )
 
     for key, spec in (
         ("population.stake_dist", cfg.population.stake_dist),

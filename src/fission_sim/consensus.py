@@ -30,7 +30,7 @@ from .chain import (
 )
 from .crypto import KeyRegistry, sha3
 from .dists import sample_dist
-from .errors import FissionError, InvalidWeight, InvariantViolation
+from .errors import FissionError, InvalidWeight, InvariantViolation, ValidationError
 from .ledger import (
     EAGER,
     LAZY,
@@ -151,6 +151,9 @@ class Population:
         self.nodes = nodes
         self.registry = registry
         self.by_pk = {n.pk: n for n in nodes}
+        # the online set is fixed once the population is built; pk order makes
+        # select_committee's sort of the keys a single pass
+        self._online_stakes = {n.pk: n.stake for n in sorted(nodes, key=lambda n: n.pk) if n.online}
 
     @classmethod
     def build(
@@ -195,7 +198,8 @@ class Population:
         return sum(n.stake for n in self.nodes)
 
     def online_stakes(self) -> dict[bytes, int]:
-        return {n.pk: n.stake for n in self.nodes if n.online}
+        """Stake per online pk; one shared dict, so callers must not mutate it."""
+        return self._online_stakes
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +289,7 @@ def micro_round(
     result = tally(votes, cfg.security.quorum, expected)
     if not result.confirmed:
         return Timeout(f"partition {partition_index} vote weight {result.weight}"), list(sub_txs), []
-    return MicroBlock(partition_index, included, votes), deferred, invalid
+    return MicroBlock(partition_index, included), deferred, invalid
 
 
 def _build_block(
@@ -499,15 +503,17 @@ def _elect_proposer(
     """The first online entry of ``leader_order`` over the members' tickets:
     the smallest (ticket, pk) among online members, or None if all are dark.
 
-    Every member draws its ticket, offline ones included; an offline member
-    goes dark after the draw and cannot win. Tickets are 32-byte big-endian
-    hashes, so comparing the bytes orders them as ``leader_order`` does.
+    An offline member cannot win, so it draws no ticket. Tickets are 32-byte
+    big-endian hashes, so comparing the bytes orders them as ``leader_order``
+    does.
     """
     by_pk = population.by_pk
     best = None
     for m in committee:
+        if m.pk in offline:
+            continue
         entry = (leader_ticket(by_pk[m.pk].sk, seed).hash, m.pk)
-        if m.pk not in offline and (best is None or entry < best):
+        if best is None or entry < best:
             best = entry
     return None if best is None else best[1]
 
@@ -675,6 +681,8 @@ class ChainSimulation:
         return result
 
     def run(self, epochs: int) -> list[EpochResult]:
+        if epochs < 0:
+            raise ValidationError("epochs", f"must be >= 0, got {epochs}")
         for _ in range(epochs):
             self.step()
         return self.results

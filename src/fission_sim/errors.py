@@ -93,6 +93,7 @@ class ValidationError(FissionError):
     def __init__(self, field: str, message: str):
         super().__init__(f"{field}: {message}")
         self.field = field
+        self.message = message
 
 
 class InvariantViolation(FissionError):

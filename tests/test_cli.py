@@ -3,6 +3,10 @@ import json
 import pytest
 
 from fission_sim.cli import main
+from fission_sim.dists import sample_dist
+from fission_sim.drs import simulate_drs
+from fission_sim.relay import simulate_prs
+from fission_sim.seeding import child_seed, split
 
 
 def run_cli(capsys, *argv):
@@ -152,4 +156,103 @@ def test_bad_drs_deadline_exits_2(tmp_path, capsys, deadline):
     code, _, err = run_cli(capsys, "drs", "--deadline", deadline, "--out", str(out))
     assert code == 2
     assert err.startswith("error: ") and "--deadline" in err and "must be > 0" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("relay", "--trials", "0"), "relay.trials (--trials): must be >= 1, got 0"),
+        (("relay", "--trials", "-2"), "relay.trials (--trials): must be >= 1, got -2"),
+        (("relay", "--rounds", "-1"), "relay.rounds (--rounds): must be >= 0, got -1"),
+        (("chain", "--epochs", "-3"), "(--epochs): must be >= 0, got -3"),
+    ],
+    ids=["relay-trials-0", "relay-trials-negative", "relay-rounds-negative", "chain-epochs-negative"],
+)
+def test_bad_count_exits_2(tmp_path, capsys, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ") and message in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["chain", "relay", "drs"])
+@pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+def test_unreadable_config_exits_2(tmp_path, capsys, monkeypatch, command, kind):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "run.cfg"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"seed = 1 \xff\xfe\n")
+    code, _, err = run_cli(capsys, command, "--config", str(path))
+    assert code == 2
+    assert err.startswith("error: cannot read config ") and str(path) in err
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+
+def _csv_lines(rows) -> list[str]:
+    """Trace rows as the metrics sink writes them: floats by repr."""
+    return [",".join(repr(v) if isinstance(v, float) else str(v) for v in row) for row in rows]
+
+
+def test_relay_config_churn_reaches_simulate_prs(tmp_path, capsys):
+    cfg = tmp_path / "churn.cfg"
+    cfg.write_text(
+        "seed = 4\nrelay.nodes = 300\nrelay.relayers = 12\nrelay.rounds = 6\n"
+        "relay.join_rate = 3.5\nrelay.leave_rate = 0.02\n"
+    )
+    out = tmp_path / "trace.csv"
+    code, _, _ = run_cli(capsys, "relay", "--config", str(cfg), "--out", str(out))
+    assert code == 0
+    cap_rng = split(4, "relay-caps")
+    caps = [sample_dist("uniform:2:64", cap_rng, integer=True, minimum=2) for _ in range(12)]
+    trial_seed = child_seed(4, "relay-trial", 0)
+    run = simulate_prs(300, caps, 6, trial_seed, join_rate=3.5, leave_rate=0.02)
+    calm = simulate_prs(300, caps, 6, trial_seed)
+    rows = [(0, r.round, r.phi, r.expected_delay, r.max_ratio, r.switches) for r in run.rows]
+    assert len(rows) > 1 and out.read_text().splitlines()[1:] == _csv_lines(rows)
+    assert [r.phi for r in run.rows] != [r.phi for r in calm.rows]
+    assert run.state.n_nodes != 300  # nodes joined or left
+
+
+def test_drs_config_cap_dist_changes_trace(tmp_path, capsys):
+    traces = {}
+    for cap_dist in ("uniform:2:64", "uniform:1:4"):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            f"drs.nodes = 128\ndrs.keys = 16\ndrs.start = concentrated\ndrs.cap_dist = {cap_dist}\n"
+        )
+        out = tmp_path / "trace.csv"
+        code, _, _ = run_cli(capsys, "drs", "--config", str(cfg), "--seed", "2", "--out", str(out))
+        assert code == 0
+        traces[cap_dist] = out.read_text().splitlines()[1:]
+        summary = json.loads((tmp_path / "trace.summary.json").read_text())
+        assert summary["config"]["drs.cap_dist"] == cap_dist
+    assert traces["uniform:2:64"] != traces["uniform:1:4"]
+    run = simulate_drs(128, 16, "fixed:64", "uniform:1:4", 3, 8.0, 2, start="concentrated")
+    rows = [(r.round, r.phi, r.omega, r.underloaded_m, r.migrations, r.relayer_kb) for r in run.rows]
+    assert traces["uniform:1:4"] == _csv_lines(rows)
+
+
+def test_flag_beats_config_file(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("relay.nodes = 0\nrelay.relayers = 8\nrelay.rounds = 10\nrelay.trials = 5\n")
+    out = tmp_path / "trace.csv"
+    code, stdout, _ = run_cli(
+        capsys, "relay", "--config", str(cfg), "--nodes", "64", "--trials", "2", "--out", str(out)
+    )
+    assert code == 0 and "/2 trials" in stdout
+    summary = json.loads((tmp_path / "trace.summary.json").read_text())
+    assert summary["config"]["relay.nodes"] == 64 and summary["config"]["relay.relayers"] == 8
+    assert summary["config"]["relay.trials"] == 2
+
+
+def test_unknown_relay_key_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("relay.node = 64\n")
+    out = tmp_path / "trace.csv"
+    code, _, err = run_cli(capsys, "relay", "--config", str(cfg), "--out", str(out))
+    assert code == 2 and "relay.node" in err
     assert not out.exists()

@@ -145,3 +145,17 @@ def test_child_seed_streams_independent():
     assert child_seed(1, "a") != child_seed(1, "b")
     assert child_seed(1, "a") != child_seed(2, "a")
     assert split(1, "a").random() == split(1, "a").random()
+
+
+FLOAT_KEYS = [key for key, value in SimConfig().to_dict().items() if isinstance(value, float)]
+
+
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_non_finite_float_rejected_by_name(tmp_path, key):
+    for text in ("NaN", "Infinity", "-Infinity"):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"{key} = {text}\n")
+        with pytest.raises(ValidationError, match=f"^{key}: must be "):
+            load_config(path)
+    with pytest.raises(ValidationError, match=f"^{key}: must be "):
+        load_config(None, {key: "nan"})

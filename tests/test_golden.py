@@ -18,6 +18,7 @@ import random
 import pytest
 
 from fission_sim.chain import INTERIM
+from fission_sim.cli import main
 from fission_sim.consensus import STRATEGIES, ChainSimulation
 from fission_sim.crypto import sha3
 from fission_sim.dists import sample_dist
@@ -174,3 +175,47 @@ def test_golden_drs_trace_digest(case):
             (r.round, r.phi, r.omega, r.underloaded_m, r.migrations, r.relayer_kb) for r in run.rows
         ]
     assert _reprs_digest(rows) == expected
+
+
+SMALL_CHAIN_CFG = (
+    "population.nodes = 24\npopulation.stake_dist = fixed:100\n"
+    "security.h = 1.0\nsecurity.alpha = 1.0\nsecurity.tau = 50\n"
+    "chain.tx_per_epoch = 15\nchain.invalid_fraction = 0.1\nchain.offline_rate = 0.1\n"
+)
+
+# argv, digest of the CSV, JSONL and stdout bytes; recorded before relay, drs
+# and chain were moved onto one config path
+CLI_CASES = {
+    "relay-defaults": (
+        ("relay", "--trials", "3", "--seed", "9"),
+        "a7a09d097a35044349dfc86012074679d17a190d4d2762d2d61ddcebba07b08d",
+    ),
+    "relay-random": (
+        ("relay", "--nodes", "256", "--relayers", "16", "--rounds", "30", "--trials", "2",
+         "--start", "random", "--seed", "5"),
+        "9ef6d200bea34c5775b4bdd59fd6cfd3e1a4d945d958ee179c590fb55bf5c845",
+    ),
+    "drs-uniform": (
+        ("drs", "--seed", "3"),
+        "cdb90dbef634707e00061ceeec3d31f1017ceaa0fdb57236c07b9c44a178e77b",
+    ),
+    "drs-concentrated": (
+        ("drs", "--start", "concentrated", "--seed", "3"),
+        "5aed9ef2e12efb2b30efd85a3f2b54ae3289db61358b75110512bf61a260a1ef",
+    ),
+    "chain-small": (
+        ("chain", "--epochs", "6", "--seed", "5", "--config", "small.cfg"),
+        "7856f7a4747da39f9a6c71a159c90a5e2645ccb51b163112891309ddefd05706",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLI_CASES))
+def test_golden_cli_output_digest(case, tmp_path, monkeypatch, capsys):
+    argv, expected = CLI_CASES[case]
+    monkeypatch.chdir(tmp_path)  # default output names, so stdout names no tmp path
+    (tmp_path / "small.cfg").write_text(SMALL_CHAIN_CFG)
+    assert main(list(argv)) == 0
+    outputs = [path.read_bytes() for path in sorted([*tmp_path.glob("*.csv"), *tmp_path.glob("*.jsonl")])]
+    outputs.append(capsys.readouterr().out.encode())
+    assert _reprs_digest(outputs) == expected

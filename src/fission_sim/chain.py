@@ -25,6 +25,9 @@ from .errors import (
 from .ledger import (
     EAGER,
     LAZY,
+    Account,
+    AccountTree,
+    LeafCache,
     LedgerState,
     ShardState,
     SubTransaction,
@@ -32,7 +35,7 @@ from .ledger import (
     apply_lazy,
     shard_of,
 )
-from .merkle import merkle_root
+from .merkle import merkle_levels, merkle_root, merkle_update
 
 INTERIM = "interim"
 MAIN = "main"
@@ -120,44 +123,77 @@ def compute_root_arrays(
     body: list[SubTransaction], post_state: LedgerState
 ) -> tuple[list[bytes], list[bytes], list[bytes]]:
     """Per-shard Merkle roots of the block body, the post-state account tables,
-    and the log entries this block created (credits create none)."""
-    n = post_state.n_shard
-    tx_leaves: list[list[bytes]] = [[] for _ in range(n)]
-    log_leaves: list[list[bytes]] = [[] for _ in range(n)]
-    for sub in body:
-        s = body_shard(sub, n)
-        tx_leaves[s].append(sub.id)
-        if sub.kind == EAGER:
-            log_leaves[shard_of(sub.sender, n)].append(
-                sha3(encode_fields(sub.parent_id, sub.receiver, encode_uint(sub.value)))
-            )
-    return (
-        [merkle_root(lv) for lv in tx_leaves],
-        [_account_root(shard) for shard in post_state.shards],
-        [merkle_root(lv) for lv in log_leaves],
-    )
+    and the log entries this block created (credits create none).
 
-
-def _account_root(shard: ShardState) -> bytes:
-    """Merkle root of a shard's accounts in key order.
-
-    Leaves come from the shard's LeafCache when the account's balance and
-    nonce match the cached ones, and the tree is rebuilt only when the leaf
-    list differs from the last one rooted for this shard.
+    Roots ``post_state``: each shard's tree becomes current and ``written``
+    is emptied. Only written accounts are rehashed, and work whose content
+    matches a shard's memos (see ``LeafCache``) is not repeated.
     """
-    accounts, cache = shard.accounts, shard.cache
+    n = post_state.n_shard
+    subs: list[list[SubTransaction]] = [[] for _ in range(n)]
+    for sub in body:
+        subs[body_shard(sub, n)].append(sub)
+    written: list[list[bytes]] = [[] for _ in range(n)]
+    for pk in post_state.written:
+        written[shard_of(pk, n)].append(pk)
+    tx_roots, account_roots, log_roots = [], [], []
+    for shard, shard_subs, keys in zip(post_state.shards, subs, written):
+        tx_root, log_root = _body_roots(shard_subs, shard.cache)
+        tx_roots.append(tx_root)
+        log_roots.append(log_root)
+        if keys or shard.tree is None:
+            shard.tree = _derive_tree(shard, keys)
+        account_roots.append(shard.tree.root)
+    post_state.written.clear()
+    return tx_roots, account_roots, log_roots
+
+
+def _body_roots(subs: list[SubTransaction], cache: LeafCache) -> tuple[bytes, bytes]:
+    """(tx root, log root) of one shard's part of a body, in body order."""
+    ids = [sub.id for sub in subs]
+    key = b"".join(ids)
+    memo = cache.body
+    if memo is None or memo[0] != key:
+        logs = [
+            sha3(encode_fields(sub.parent_id, sub.receiver, encode_uint(sub.value)))
+            for sub in subs
+            if sub.kind == EAGER
+        ]
+        memo = cache.body = (key, (merkle_root(ids), merkle_root(logs)))
+    return memo[1]
+
+
+def _leaf(known: dict[bytes, tuple[int, int, bytes]], acct: Account) -> bytes:
+    hit = known.get(acct.pk)
+    if hit is None or hit[0] != acct.balance or hit[1] != acct.nonce:
+        leaf = sha3(encode_fields(acct.pk, encode_uint(acct.balance), encode_uint(acct.nonce)))
+        hit = known[acct.pk] = (acct.balance, acct.nonce, leaf)
+    return hit[2]
+
+
+def _derive_tree(shard: ShardState, keys: list[bytes]) -> AccountTree:
+    """The tree of the shard's accounts, given that only ``keys`` changed
+    since ``shard.tree`` (all of them when that is None).
+
+    Recomputes the paths above the changed leaves when every key is already
+    in the tree; a new key shifts positions, so it rebuilds the tree.
+    """
+    accounts, cache, base = shard.accounts, shard.cache, shard.tree
     known = cache.leaves
-    leaves = []
-    for pk in sorted(accounts):
-        acct = accounts[pk]
-        hit = known.get(pk)
-        if hit is None or hit[0] != acct.balance or hit[1] != acct.nonce:
-            leaf = sha3(encode_fields(pk, encode_uint(acct.balance), encode_uint(acct.nonce)))
-            hit = known[pk] = (acct.balance, acct.nonce, leaf)
-        leaves.append(hit[2])
-    if leaves != cache.leaf_list:
-        cache.leaf_list, cache.root = leaves, merkle_root(leaves)
-    return cache.root
+    changes = tuple((pk, _leaf(known, accounts[pk])) for pk in sorted(keys))
+    memo = cache.derived
+    if memo is not None and memo[0] is base and memo[1] == changes:
+        return memo[2]
+    if base is not None and all(pk in base.index for pk in keys):
+        index = base.index
+        levels = merkle_update(base.levels, {index[pk]: leaf for pk, leaf in changes})
+        tree = AccountTree(index, levels)
+    else:
+        order = sorted(accounts)
+        levels = merkle_levels([_leaf(known, accounts[pk]) for pk in order])
+        tree = AccountTree({pk: i for i, pk in enumerate(order)}, levels)
+    cache.derived = (base, changes, tree)
+    return tree
 
 
 class Chain:

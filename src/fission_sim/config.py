@@ -243,9 +243,9 @@ def validate_config(cfg: SimConfig) -> None:
 
     sec = cfg.security
     try:
-        # population K is only known after the stake draw; domain-check with a
-        # placeholder supply that keeps p in range
-        SecurityParams(sec.h, sec.alpha, sec.tau, sec.theta, int(sec.tau * 100)).check_domain()
+        # population K is only known after the stake draw, and tau > 0 is
+        # checked above; domain-check h, alpha and theta with p = 1/2
+        SecurityParams(sec.h, sec.alpha, 1.0, sec.theta, 2).check_domain()
     except DomainError as e:
         raise ValidationError("security", str(e)) from None
 

@@ -578,7 +578,12 @@ class ChainSimulation:
         seed: int = 0,
     ):
         self.population = Population.build(n_nodes, stake_dist, alpha, h, seed)
-        security = SecurityParams(h, alpha, tau, theta, self.population.total_stake)
+        k_total = self.population.total_stake
+        if not tau < k_total:
+            raise ValidationError(
+                "security.tau", f"must be below the total stake K = {k_total} (p = tau/K < 1), got {tau!r}"
+            )
+        security = SecurityParams(h, alpha, tau, theta, k_total)
         security.check_domain()
         self.security = security
         self.epoch_cfg = EpochConfig(

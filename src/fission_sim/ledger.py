@@ -28,6 +28,7 @@ from .errors import (
     NonPositiveValue,
     UnknownAccount,
 )
+from .merkle import EMPTY_ROOT
 
 TX_TYPE_TRANSFER = "transfer"
 ZERO_HASH = bytes(32)
@@ -167,29 +168,57 @@ class TxLogEntry:
         )
 
 
-class LeafCache:
-    """Account-root memo of one shard, shared by a state and all its clones.
+class AccountTree:
+    """Merkle tree of one shard's accounts at one point in time: each key's
+    leaf position (keys in sorted order) and every layer of the tree
+    (``merkle.merkle_levels``). Never changed after it is built, so states
+    and memos share it freely."""
 
-    ``leaves`` maps pk -> (balance, nonce, leaf hash) for the last version of
-    each account that was hashed, so it holds one entry per account; a leaf
-    is reused only when balance and nonce both match. ``leaf_list`` and
-    ``root`` are the last leaf list rooted for the shard and its Merkle root.
-    Both are keyed by the full content they summarise and filled only by
-    ``chain.compute_root_arrays``.
+    __slots__ = ("index", "levels")
+
+    def __init__(self, index: dict[bytes, int], levels: list[list[bytes]]):
+        self.index = index
+        self.levels = levels
+
+    @property
+    def root(self) -> bytes:
+        return self.levels[-1][0] if self.index else EMPTY_ROOT
+
+
+class LeafCache:
+    """Root memos of one shard, shared by a state and all its clones.
+
+    Every entry is keyed by the full content it summarises, so whichever
+    clone fills it, the proposer's and the validator's identical work is done
+    once. All are filled only by ``chain.compute_root_arrays``:
+
+    - ``leaves`` maps pk -> (balance, nonce, leaf hash) for the last version
+      of each account that was hashed; a leaf is reused only when balance
+      and nonce both match.
+    - ``derived`` is the last tree derivation: (base tree, the sorted
+      (pk, leaf) pairs of the written accounts, the tree they give). The
+      base tree is compared by identity; it is None for a state never
+      rooted, whose written accounts are all its accounts.
+    - ``body`` is the last body rooted in the shard: (joined ids of its
+      sub-transactions, (tx root, log root)). The ids fix the log entries,
+      so they key the log root too.
     """
 
-    __slots__ = ("leaves", "leaf_list", "root")
+    __slots__ = ("leaves", "derived", "body")
 
     def __init__(self):
         self.leaves: dict[bytes, tuple[int, int, bytes]] = {}
-        self.leaf_list: list[bytes] | None = None
-        self.root = b""
+        self.derived: tuple[AccountTree | None, tuple, AccountTree] | None = None
+        self.body: tuple[bytes, tuple[bytes, bytes]] | None = None
 
 
 @dataclass
 class ShardState:
     accounts: dict[bytes, Account] = field(default_factory=dict)
     cache: LeafCache = field(default_factory=LeafCache)
+    # the tree of the accounts as they were when this shard was last rooted;
+    # None until the first rooting of a fresh state
+    tree: AccountTree | None = None
 
 
 class CreditedIds:
@@ -245,6 +274,11 @@ class LedgerState:
     private copy. Write accounts only through this class and ``apply_eager``
     / ``apply_lazy``; an ``Account`` returned by ``get_account`` may be shared
     with clones.
+
+    ``written`` holds the key of every account written since each shard's
+    ``tree`` was rooted, so that rooting rehashes only those. It is complete
+    only because ``_private`` and ``create_account`` are the only writers:
+    an account changed any other way keeps its old leaf in the next root.
     """
 
     def __init__(self, n_shard: int):
@@ -257,22 +291,25 @@ class LedgerState:
         self.credited = CreditedIds()
         # keys of the accounts this state may write in place
         self._owned: set[bytes] = set()
+        self.written: set[bytes] = set()
 
     def clone(self) -> "LedgerState":
         other = LedgerState.__new__(LedgerState)
         other.n_shard = self.n_shard
-        other.shards = [ShardState(dict(s.accounts), s.cache) for s in self.shards]
+        other.shards = [ShardState(dict(s.accounts), s.cache, s.tree) for s in self.shards]
         other.pending = dict(self.pending)
         other.credited = self.credited.copy()
         other._owned = set()
+        other.written = set(self.written)
         # every account is shared from now on, so this state copies on write too
         self._owned = set()
         return other
 
-    def create_account(self, pk: bytes, balance: int) -> Account:
-        acct = Account(pk, balance)
+    def create_account(self, pk: bytes, balance: int, nonce: int = 0) -> Account:
+        acct = Account(pk, balance, nonce)
         self.shards[shard_of(pk, self.n_shard)].accounts[pk] = acct
         self._owned.add(pk)
+        self.written.add(pk)
         return acct
 
     def get_account(self, pk: bytes) -> Account | None:
@@ -282,6 +319,7 @@ class LedgerState:
         """``acct`` if this state may write it in place, else a private copy
         that replaces it in this state."""
         pk = acct.pk
+        self.written.add(pk)
         if pk in self._owned:
             return acct
         acct = Account(pk, acct.balance, acct.nonce)

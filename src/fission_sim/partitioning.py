@@ -71,8 +71,7 @@ def split_shards(state: LedgerState) -> LedgerState:
     Balances, nonces, pending debit logs and credited ids carry over exactly."""
     new_state = LedgerState(2 * state.n_shard)
     for acct in state.iter_accounts():
-        created = new_state.create_account(acct.pk, acct.balance)
-        created.nonce = acct.nonce
+        new_state.create_account(acct.pk, acct.balance, acct.nonce)
     new_state.pending = dict(state.pending)
     new_state.credited = state.credited.copy()
     return new_state

@@ -82,6 +82,16 @@ def test_chain_rejects_invalid_config(tmp_path, capsys):
     assert "security.theta" in err
 
 
+@pytest.mark.parametrize("tau", ["1e307", "1.7e308"])
+def test_chain_huge_tau_exits_2_naming_the_key(tmp_path, capsys, monkeypatch, tau):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text(f"security.tau = {tau}\n")
+    code, _, err = run_cli(capsys, "chain", "--config", "run.cfg", "--epochs", "2")
+    assert code == 2
+    assert err.startswith("error: security.tau: ") and "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+
 def test_chain_missing_config_file(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "chain", "--config", str(tmp_path / "nope.cfg"))
     assert code == 2

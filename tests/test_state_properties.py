@@ -1,14 +1,15 @@
 """Property tests of copy-on-write ledger clones and cached account roots.
 
-A clone shares accounts, pending-credit bookkeeping and a per-shard leaf
-cache with its parent. These tests drive random debit/credit sequences
-(failing ones included) through parents, clones and siblings, and check the
-results against deep copies and against a root computation that uses no
-cache at all.
+A clone shares accounts, pending-credit bookkeeping, per-shard account trees
+and per-shard root memos with its parent. These tests drive random
+debit/credit sequences (failing ones included) through parents, clones and
+siblings, and check the results against deep copies and against a root
+computation that uses no cache at all.
 """
 
 import copy
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -52,21 +53,21 @@ def fresh_state(n_shard: int) -> LedgerState:
     return state
 
 
-def apply_ops(state: LedgerState, ops) -> tuple[list[SubTransaction], list[str]]:
+def apply_ops(state: LedgerState, ops, keys=KEYS) -> tuple[list[SubTransaction], list[str]]:
     """Apply each op; returns the sub-transactions that applied and the
     outcome (error class name or "ok") of every op."""
     applied, outcomes = [], []
     for kind, s, r, value, offset, p in ops:
         parent_id = PARENT_IDS[p]
         if kind == EAGER:
-            acct = state.get_account(KEYS[s])
+            acct = state.get_account(keys[s])
             nonce = (acct.nonce if acct else 0) + 1 + offset
-            sub = SubTransaction(EAGER, parent_id, KEYS[s], KEYS[r], value, nonce)
+            sub = SubTransaction(EAGER, parent_id, keys[s], keys[r], value, nonce)
             apply = apply_eager
         else:
             entry = state.pending.get(parent_id)
             if entry is None:
-                sub = SubTransaction(LAZY, parent_id, KEYS[s], KEYS[r], value, 1)
+                sub = SubTransaction(LAZY, parent_id, keys[s], keys[r], value, 1)
             else:
                 sub = SubTransaction(
                     LAZY, parent_id, entry.sender, entry.receiver, entry.value, entry.nonce
@@ -184,3 +185,119 @@ def test_cached_roots_equal_cache_free_roots(n_shard, blocks):
         # the pre-state still roots as it did before any clone wrote
         assert compute_root_arrays([], state) == reference_roots([], state)
         state = validator
+
+
+# Shards of 0-70 accounts for the tree tests; keys past a state's funded
+# ones have no account until a credit creates it.
+TREE_KEYS = [sha3(b"tree-key-%d" % i) for i in range(76)]
+TREE_SIZES = st.sampled_from([0, 1, 2, 3, 4, 5, 8, 9, 16, 17, 32, 33, 64, 65]) | st.integers(0, 70)
+
+
+@st.composite
+def tree_ops(draw, n_accounts):
+    """Sparse mixed-kind ops, mostly valid, over the funded keys and a few
+    new ones; or a dense sweep that debits every funded account of a prefix
+    and credits some of those debits, new keys included."""
+    if draw(st.booleans()):
+        key = st.integers(0, n_accounts + 5)
+        op = st.tuples(
+            st.sampled_from([EAGER, LAZY]),
+            key,  # sender
+            key,  # receiver
+            st.integers(1, 60),  # value
+            st.sampled_from([0, 0, 0, -1, 1]),  # nonce offset from the valid one
+            st.integers(0, len(PARENT_IDS) - 1),
+        )
+        return draw(st.lists(op, max_size=12))
+    width = draw(st.integers(0, n_accounts))
+    debits = [(EAGER, i, n_accounts + i % 6, 1, 0, i % len(PARENT_IDS)) for i in range(width)]
+    credits = [(LAZY, 0, 0, 1, 0, p) for p in draw(st.sets(st.integers(0, len(PARENT_IDS) - 1)))]
+    return debits + credits
+
+
+def tree_state(n_shard: int, n_accounts: int) -> LedgerState:
+    state = LedgerState(n_shard)
+    for i, pk in enumerate(TREE_KEYS[:n_accounts]):
+        state.create_account(pk, 100 + i)
+    return state
+
+
+def check_roots(body, state):
+    expected = reference_roots(body, state)
+    assert compute_root_arrays(body, state) == expected
+    assert not state.written
+    return expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(n_shard=st.sampled_from([1, 2, 3]), n_accounts=TREE_SIZES, data=st.data())
+def test_dirty_shard_trees_equal_cache_free_roots(n_shard, n_accounts, data):
+    ops_of = tree_ops(n_accounts)
+    state = tree_state(n_shard, n_accounts)
+    check_roots([], state)
+    for _ in range(data.draw(st.integers(1, 4))):
+        if data.draw(st.booleans()):
+            state = split_shards(state)
+        ops = data.draw(ops_of)
+        proposal = state.clone()
+        body, _ = apply_ops(proposal, ops, TREE_KEYS)
+        expected = check_roots(body, proposal)
+        # a rival sibling roots other content between proposer and validator
+        rival = state.clone()
+        check_roots(apply_ops(rival, data.draw(ops_of), TREE_KEYS)[0], rival)
+        validator = state.clone()
+        apply_ops(validator, ops, TREE_KEYS)
+        assert compute_root_arrays(body, validator) == expected
+        # the rival's fork replays the proposal: the same written leaves over
+        # another base tree
+        replay = rival.clone()
+        check_roots(apply_ops(replay, ops, TREE_KEYS)[0], replay)
+        state = rival if data.draw(st.booleans()) else validator
+
+        if data.draw(st.booleans()):
+            # the committed state is written and rooted again, and a clone
+            # taken while its writes were unrooted roots them as well
+            extra, _ = apply_ops(state, data.draw(ops_of), TREE_KEYS)
+            pending_clone = state.clone()
+            check_roots(extra, state)
+            more, _ = apply_ops(pending_clone, data.draw(ops_of), TREE_KEYS)
+            check_roots(extra + more, pending_clone)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_accounts=TREE_SIZES.filter(bool), data=st.data())
+def test_rooting_hashes_only_the_paths_above_written_leaves(n_accounts, data):
+    state = tree_state(1, n_accounts)
+    compute_root_arrays([], state)
+    tree = state.shards[0].tree
+    dirty = data.draw(st.sets(st.integers(0, n_accounts - 1)) | st.just(set(range(n_accounts))))
+    child = state.clone()
+    for i in dirty:
+        apply_eager(child, SubTransaction(EAGER, PARENT_IDS[0], TREE_KEYS[i], TREE_KEYS[i], 1, 1))
+    # one leaf per written account, then each distinct ancestor once
+    order = sorted(TREE_KEYS[:n_accounts])
+    level = {order.index(TREE_KEYS[i]) for i in dirty}
+    expected, width = len(dirty), n_accounts
+    while True:
+        level, width = {i >> 1 for i in level}, (width + 1) >> 1
+        expected += len(level)
+        if width == 1:
+            break
+
+    hashed = []
+
+    def counting_sha3(data):
+        hashed.append(data)
+        return sha3(data)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("fission_sim.chain.sha3", counting_sha3)
+        patch.setattr("fission_sim.merkle.sha3", counting_sha3)
+        roots = compute_root_arrays([], child)
+        assert len(hashed) == expected
+        # nothing written since: the same tree, nothing hashed
+        rooted = child.shards[0].tree
+        assert compute_root_arrays([], child) == roots
+        assert child.shards[0].tree is rooted and len(hashed) == expected
+    assert roots == reference_roots([], child)
+    assert state.shards[0].tree is tree

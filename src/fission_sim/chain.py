@@ -3,7 +3,8 @@
 Blocks alternate: even epochs carry credit (main) blocks, odd epochs carry
 debit (interim) blocks. The chain owns the ledger state and re-executes every
 appended body, so header root arrays are verified against an independent
-recomputation rather than trusted.
+recomputation rather than trusted. It also applies the partition scaler and
+re-sharding, and checks each header's counts against them.
 
 Block hash = SHA3-256 of the core header encoding (everything except votes);
 votes sign that hash, so they cannot be part of it.
@@ -12,14 +13,16 @@ votes sign that hash, so they cannot be part of it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .crypto import encode_fields, encode_uint, sha3
 from .errors import (
     AlternationViolation,
     BadInterimLink,
     InsufficientVotes,
+    InvalidWeight,
     InvariantViolation,
+    PartitionMismatch,
     RootMismatch,
 )
 from .ledger import (
@@ -36,6 +39,7 @@ from .ledger import (
     shard_of,
 )
 from .merkle import merkle_levels, merkle_root, merkle_update
+from .partitioning import PartitionConfig, next_partition_count, reshard_trigger, split_shards
 
 INTERIM = "interim"
 MAIN = "main"
@@ -54,6 +58,36 @@ class Vote:
     block_hash: bytes
     weight: int
     signature: bytes
+
+
+@dataclass
+class TallyResult:
+    confirmed: bool
+    weight: int
+    duplicates: list[bytes] = field(default_factory=list)
+
+
+def tally(votes: list[Vote], quorum: int, expected_weights: dict[bytes, int] | None = None) -> TallyResult:
+    """Sum distinct-voter weights against the quorum.
+
+    Duplicate voters are flagged and counted once; a weight that contradicts
+    the voter's sortition outcome raises InvalidWeight.
+    """
+    seen: dict[bytes, int] = {}
+    duplicates = []
+    for vote in votes:
+        if expected_weights is not None:
+            expected = expected_weights.get(vote.voter)
+            if expected is None or expected != vote.weight:
+                raise InvalidWeight(
+                    f"vote weight {vote.weight} does not match sortition for {vote.voter.hex()[:12]}"
+                )
+        if vote.voter in seen:
+            duplicates.append(vote.voter)
+            continue
+        seen[vote.voter] = vote.weight
+    weight = sum(seen.values())
+    return TallyResult(confirmed=weight >= quorum, weight=weight, duplicates=duplicates)
 
 
 @dataclass
@@ -197,16 +231,26 @@ def _derive_tree(shard: ShardState, keys: list[bytes]) -> AccountTree:
 
 
 class Chain:
-    """Validating chain: holds blocks plus the ledger state they produce."""
+    """Validating chain: holds blocks plus the ledger state they produce.
 
-    def __init__(self, state: LedgerState, quorum: int, n_partition: int = 1):
+    ``partition`` (one partition if omitted) is copied, never written; the
+    shard count is ``state``'s.
+    """
+
+    def __init__(self, state: LedgerState, quorum: int, partition: PartitionConfig | None = None):
         self.state = state
         self.quorum = quorum
-        self.blocks: list[Block] = []
-        genesis = self._make_genesis(n_partition)
-        self.blocks.append(genesis)
+        self._partition = replace(partition or PartitionConfig(1, state.n_shard), n_shard=state.n_shard)
+        # (n_partition, n_shard) of each main block since the last re-shard
+        self._main_window: list[tuple[int, int]] = []
+        self.blocks: list[Block] = [self._make_genesis()]
 
-    def _make_genesis(self, n_partition: int) -> Block:
+    @property
+    def n_partition(self) -> int:
+        """The partition count the next block's header must carry."""
+        return self._partition.n_partition
+
+    def _make_genesis(self) -> Block:
         tx_root, account_root, log_root = compute_root_arrays([], self.state)
         header = BlockHeader(
             epoch=0,
@@ -218,7 +262,7 @@ class Chain:
             tx_log_root=log_root,
             seed=GENESIS_SEED,
             n_shard=self.state.n_shard,
-            n_partition=n_partition,
+            n_partition=self.n_partition,
         )
         return Block(header=header, body=[])
 
@@ -227,7 +271,10 @@ class Chain:
         return self.blocks[-1]
 
     def append_block(self, block: Block) -> None:
-        """Validate and execute a block, extending the chain by one epoch.
+        """Validate and execute a block, extending the chain by one epoch, then
+        apply the epoch rules: an interim block's confirmed debits scale the
+        partition count, and a main block can complete a saturated re-shard
+        window.
 
         Execution happens on a scratch copy; the chain state only advances if
         every check passes.
@@ -252,6 +299,11 @@ class Chain:
         if header.seed != sha3(tip.header.seed + tip.hash):
             raise InvariantViolation(
                 "consensus-engine", "seed-evolution", f"epoch {header.epoch} seed not derived from tip"
+            )
+        if header.n_partition != self.n_partition or header.n_shard != self.state.n_shard:
+            raise PartitionMismatch(
+                f"header counts (n_partition {header.n_partition}, n_shard {header.n_shard}) differ "
+                f"from the chain's ({self.n_partition}, {self.state.n_shard})"
             )
 
         expected_kind = EAGER if header.kind == INTERIM else LAZY
@@ -282,18 +334,20 @@ class Chain:
             raise RootMismatch("recomputed root arrays do not match the header")
 
         if not block.is_timeout_block:
-            weight = 0
-            seen: set[bytes] = set()
-            for vote in header.votes:
-                if vote.voter in seen:
-                    continue
-                seen.add(vote.voter)
-                weight += vote.weight
-            if weight < self.quorum:
-                raise InsufficientVotes(f"vote weight {weight} below quorum {self.quorum}")
+            result = tally(header.votes, self.quorum)
+            if not result.confirmed:
+                raise InsufficientVotes(f"vote weight {result.weight} below quorum {self.quorum}")
 
         self.state = scratch
         self.blocks.append(block)
+        if header.kind == INTERIM:
+            self._partition.n_partition = next_partition_count(len(block.body), self._partition)
+            return
+        self._main_window.append((header.n_partition, header.n_shard))
+        if reshard_trigger(self._main_window, self._partition.n_rs):
+            self.state = split_shards(self.state)
+            self._partition.n_shard = self.state.n_shard
+            self._main_window.clear()
 
     # --- export ---
 

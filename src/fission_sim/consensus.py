@@ -13,7 +13,7 @@ is a pure function of (config, seed).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import crypto
 from .chain import (
@@ -27,10 +27,11 @@ from .chain import (
     Vote,
     compute_root_arrays,
     kind_for_epoch,
+    tally,
 )
 from .crypto import KeyRegistry, sha3
 from .dists import sample_dist
-from .errors import FissionError, InvalidWeight, InvariantViolation, ValidationError
+from .errors import FissionError, InvariantViolation, ValidationError
 from .ledger import (
     EAGER,
     LAZY,
@@ -44,7 +45,7 @@ from .ledger import (
     split_transaction,
 )
 from .merkle import merkle_root
-from .partitioning import PartitionConfig, next_partition_count, partition_of, reshard_trigger, split_shards
+from .partitioning import PartitionConfig, partition_of
 from .seeding import child_bytes, split
 from .sortition import (
     BLOCK_INTERIM,
@@ -93,36 +94,6 @@ class EpochConfig:
 @dataclass
 class Timeout:
     reason: str
-
-
-@dataclass
-class TallyResult:
-    confirmed: bool
-    weight: int
-    duplicates: list[bytes] = field(default_factory=list)
-
-
-def tally(votes: list[Vote], quorum: int, expected_weights: dict[bytes, int] | None = None) -> TallyResult:
-    """Sum distinct-voter weights against the quorum.
-
-    Duplicate voters are flagged and counted once; a weight that contradicts
-    the voter's sortition outcome raises InvalidWeight.
-    """
-    seen: dict[bytes, int] = {}
-    duplicates = []
-    for vote in votes:
-        if expected_weights is not None:
-            expected = expected_weights.get(vote.voter)
-            if expected is None or expected != vote.weight:
-                raise InvalidWeight(
-                    f"vote weight {vote.weight} does not match sortition for {vote.voter.hex()[:12]}"
-                )
-        if vote.voter in seen:
-            duplicates.append(vote.voter)
-            continue
-        seen[vote.voter] = vote.weight
-    weight = sum(seen.values())
-    return TallyResult(confirmed=weight >= quorum, weight=weight, duplicates=duplicates)
 
 
 # ---------------------------------------------------------------------------
@@ -292,13 +263,7 @@ def micro_round(
     return MicroBlock(partition_index, included), deferred, invalid
 
 
-def _build_block(
-    chain: Chain,
-    kind: str,
-    seed: bytes,
-    body: list[SubTransaction],
-    n_partition: int,
-) -> Block:
+def _build_block(chain: Chain, kind: str, seed: bytes, body: list[SubTransaction]) -> Block:
     tip = chain.tip
     scratch = chain.state.clone()
     for sub in body:
@@ -317,13 +282,31 @@ def _build_block(
         tx_log_root=log_root,
         seed=seed,
         n_shard=chain.state.n_shard,
-        n_partition=n_partition,
+        n_partition=chain.n_partition,
     )
     return Block(header=header, body=body)
 
 
-def _empty_block(chain: Chain, kind: str, seed: bytes, n_partition: int) -> Block:
-    return _build_block(chain, kind, seed, [], n_partition)
+def _put_to_vote(
+    chain: Chain,
+    kind: str,
+    body: list[SubTransaction],
+    committee: list[SortitionOutcome],
+    cfg: EpochConfig,
+    seed: bytes,
+    population: Population,
+    offline: set[bytes] | None,
+) -> Block:
+    """The block of ``body`` with its committee votes, or the designated empty
+    block if they miss the quorum. No conflicting block may reach it."""
+    candidate = _build_block(chain, kind, seed, body)
+    votes, conflicting = collect_votes(committee, population, candidate.hash, offline or set())
+    _assert_no_conflicting_quorum(conflicting, cfg)
+    expected = {m.pk: m.weight for m in committee}
+    if not tally(votes, cfg.security.quorum, expected).confirmed:
+        return _build_block(chain, kind, seed, [])
+    candidate.header.votes = votes
+    return candidate
 
 
 def assemble_interim(
@@ -333,18 +316,16 @@ def assemble_interim(
     cfg: EpochConfig,
     seed: bytes,
     population: Population,
-    n_partition: int,
     offline: set[bytes] | None = None,
-) -> tuple[Block, TallyResult, list[Vote]]:
+) -> Block:
     """Merge micro blocks into a debit block and put it to the committee vote.
 
     A failed quorum yields the designated empty block; the caller re-queues
     the micro bodies.
     """
-    offline = offline or set()
     for micro in micros:
         for sub in micro.sub_txs:
-            home = partition_of(shard_of(sub.sender, chain.state.n_shard), n_partition)
+            home = partition_of(shard_of(sub.sender, chain.state.n_shard), chain.n_partition)
             if home != micro.partition_index:
                 raise InvariantViolation(
                     "consensus-engine",
@@ -352,14 +333,7 @@ def assemble_interim(
                     f"sub-transaction of partition {home} inside micro block {micro.partition_index}",
                 )
     body = [sub for micro in sorted(micros, key=lambda m: m.partition_index) for sub in micro.sub_txs]
-    candidate = _build_block(chain, INTERIM, seed, body, n_partition)
-    votes, conflicting = collect_votes(committee, population, candidate.hash, offline)
-    expected = {m.pk: m.weight for m in committee}
-    result = tally(votes, cfg.security.quorum, expected)
-    if not result.confirmed:
-        return _empty_block(chain, INTERIM, seed, n_partition), result, conflicting
-    candidate.header.votes = votes
-    return candidate, result, conflicting
+    return _put_to_vote(chain, INTERIM, body, committee, cfg, seed, population, offline)
 
 
 def assemble_main(
@@ -368,24 +342,15 @@ def assemble_main(
     cfg: EpochConfig,
     seed: bytes,
     population: Population,
-    n_partition: int,
     offline: set[bytes] | None = None,
-) -> tuple[Block, TallyResult, list[Vote]]:
+) -> Block:
     """Credit every outstanding debit log (including rolled-forward ones) in a
     credit block, or fall back to the designated empty block."""
-    offline = offline or set()
     body = [
         SubTransaction(LAZY, entry.parent_id, entry.sender, entry.receiver, entry.value, entry.nonce)
         for entry in (chain.state.pending[pid] for pid in sorted(chain.state.pending))
     ]
-    candidate = _build_block(chain, MAIN, seed, body, n_partition)
-    votes, conflicting = collect_votes(committee, population, candidate.hash, offline)
-    expected = {m.pk: m.weight for m in committee}
-    result = tally(votes, cfg.security.quorum, expected)
-    if not result.confirmed:
-        return _empty_block(chain, MAIN, seed, n_partition), result, conflicting
-    candidate.header.votes = votes
-    return candidate, result, conflicting
+    return _put_to_vote(chain, MAIN, body, committee, cfg, seed, population, offline)
 
 
 @dataclass
@@ -409,7 +374,6 @@ def run_epoch(
     mempool: list[Transaction],
     cfg: EpochConfig,
     population: Population,
-    partition_cfg: PartitionConfig,
     offline: set[bytes] | None = None,
 ) -> EpochResult:
     """Drive one full epoch: committee draws, micro rounds or credit assembly,
@@ -422,7 +386,7 @@ def run_epoch(
     seed = next_seed(tip.header.seed, tip.hash)
     stakes = population.online_stakes()
     p = cfg.security.p
-    n_partition = partition_cfg.n_partition
+    n_partition = chain.n_partition
 
     block_type = BLOCK_INTERIM if kind == INTERIM else BLOCK_MAIN
     committee = select_committee(stakes, seed, block_type, p, population.registry)
@@ -459,35 +423,28 @@ def run_epoch(
             else:
                 micros.append(outcome)
 
-        block, result, conflicting = assemble_interim(
-            chain, micros, committee, cfg, seed, population, n_partition, offline
-        )
-        _assert_no_conflicting_quorum(conflicting, cfg)
+        block = assemble_interim(chain, micros, committee, cfg, seed, population, offline)
         if block.is_timeout_block:
             for micro in micros:
                 for sub in micro.sub_txs:
                     kept_parents.add(sub.parent_id)
-        confirmed = len(block.body)
         # deferred transactions keep their arrival order for the next round
         mempool[:] = [tx for tx in list(mempool) if tx.id in kept_parents]
     else:
-        block, result, conflicting = assemble_main(
-            chain, committee, cfg, seed, population, n_partition, offline
-        )
-        _assert_no_conflicting_quorum(conflicting, cfg)
-        confirmed = len(block.body)
+        block = assemble_main(chain, committee, cfg, seed, population, offline)
 
     chain.append_block(block)
+    # the header's counts: appending a main block may re-shard chain.state
     return EpochResult(
         epoch=epoch,
         kind=kind,
         block=block,
-        confirmed_subtx=confirmed,
+        confirmed_subtx=len(block.body),
         committee_weight=sum(m.weight for m in committee),
         adversary_weight=adversary,
         empty=not block.body,
-        n_partition=n_partition,
-        n_shard=chain.state.n_shard,
+        n_partition=block.header.n_partition,
+        n_shard=block.header.n_shard,
         proposer=proposer,
         micro_timeouts=micro_timeouts,
         invalid_txs=invalid_count,
@@ -594,7 +551,7 @@ class ChainSimulation:
             delta_leader=delta_leader,
             micro_throughput=micro_throughput,
         )
-        self.partition_cfg = partition_cfg or PartitionConfig(n_partition=2, n_shard=8)
+        partition_cfg = partition_cfg or PartitionConfig(n_partition=2, n_shard=8)
         self.tx_per_epoch = tx_per_epoch
         self.invalid_fraction = invalid_fraction
         self.offline_rate = offline_rate
@@ -602,14 +559,13 @@ class ChainSimulation:
         self.txgen_rng = split(seed, "txgen")
         self.offline_rng = split(seed, "offline")
 
-        state = LedgerState(self.partition_cfg.n_shard)
+        state = LedgerState(partition_cfg.n_shard)
         for node in self.population.nodes:
             state.create_account(node.pk, node.stake)
         self.k_total = security.k_total
-        self.chain = Chain(state, security.quorum, self.partition_cfg.n_partition)
+        self.chain = Chain(state, security.quorum, partition_cfg)
         self.mempool: list[Transaction] = []
         self.clock = 0.0  # simulated seconds: the sum of the epoch budgets so far
-        self.main_history: list[tuple[int, int]] = []
         self.results: list[EpochResult] = []
 
     # -- traffic generation --
@@ -675,13 +631,11 @@ class ChainSimulation:
             self.mempool,
             self.epoch_cfg,
             self.population,
-            self.partition_cfg,
             self._draw_offline(),
         )
         cfg = self.epoch_cfg
         self.clock += cfg.interim_budget if result.kind == INTERIM else cfg.main_budget
-        self._post_block_update(result)
-        self._check_invariants(result)
+        self._check_conservation()
         self.results.append(result)
         return result
 
@@ -692,25 +646,10 @@ class ChainSimulation:
             self.step()
         return self.results
 
-    def _post_block_update(self, result: EpochResult) -> None:
-        cfg = self.partition_cfg
-        if result.kind == INTERIM:
-            cfg.n_partition = next_partition_count(result.confirmed_subtx, cfg)
-        else:
-            self.main_history.append((result.n_partition, result.n_shard))
-            if reshard_trigger(self.main_history, cfg.n_rs):
-                self.chain.state = split_shards(self.chain.state)
-                cfg.n_shard = self.chain.state.n_shard
-                self.main_history.clear()
-
-    def _check_invariants(self, result: EpochResult) -> None:
+    def _check_conservation(self) -> None:
         state = self.chain.state
         supply = state.total_balance() + state.pending_value()
         if supply != self.k_total:
             raise InvariantViolation(
                 "core-ledger", "conservation", f"supply {supply} != K {self.k_total}"
-            )
-        if result.kind == MAIN and result.block.body and state.pending:
-            raise InvariantViolation(
-                "core-ledger", "lazy-completeness", f"{len(state.pending)} credits unapplied"
             )

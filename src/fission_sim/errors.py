@@ -53,6 +53,10 @@ class InsufficientVotes(FissionError):
     pass
 
 
+class PartitionMismatch(FissionError):
+    pass
+
+
 # --- sortition / crypto ---
 
 class DomainError(FissionError):

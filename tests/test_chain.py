@@ -12,21 +12,26 @@ from fission_sim.chain import (
     compute_root_arrays,
     kind_for_epoch,
 )
+from fission_sim.consensus import ChainSimulation
 from fission_sim.crypto import KeyRegistry, sha3, sign
 from fission_sim.errors import (
     AlternationViolation,
     BadInterimLink,
     InsufficientVotes,
+    InvariantViolation,
+    PartitionMismatch,
     RootMismatch,
 )
 from fission_sim.ledger import LedgerState, apply_eager, apply_lazy, make_transfer, split_transaction
+from fission_sim.partitioning import PartitionConfig
+from test_golden import CASES
 
 
-def build_chain(n_shard=4, quorum=10, balances=()):
+def build_chain(n_shard=4, quorum=10, balances=(), partition=None):
     state = LedgerState(n_shard)
     for pk, bal in balances:
         state.create_account(pk, bal)
-    return Chain(state, quorum=quorum)
+    return Chain(state, quorum=quorum, partition=partition)
 
 
 def make_block(chain, body, kind=None, votes=None, seed=None):
@@ -172,6 +177,67 @@ def test_seed_must_derive_from_tip():
     block = make_block(chain, [], seed=sha3(b"rogue seed"))
     with pytest.raises(InvariantViolation):
         chain.append_block(block)
+
+
+@pytest.mark.parametrize(
+    "field, wrong",
+    [
+        ("n_partition", lambda n: n + 1),
+        ("n_partition", lambda n: n - 1),
+        ("n_shard", lambda n: n * 2),
+        ("n_shard", lambda n: n // 2),
+    ],
+    ids=["partitions+1", "partitions-1", "shards*2", "shards//2"],
+)
+def test_header_counts_must_match_the_epoch_rules(field, wrong):
+    chain = build_chain(n_shard=4, partition=PartitionConfig(n_partition=2, n_shard=4))
+    tip, state = chain.tip, chain.state
+    block = make_block(chain, [])
+    setattr(block.header, field, wrong(getattr(block.header, field)))
+    with pytest.raises(PartitionMismatch):
+        chain.append_block(block)
+    assert chain.tip is tip and chain.state is state
+    assert (chain.n_partition, chain.state.n_shard) == (2, 4)
+    chain.append_block(make_block(chain, []))
+
+
+@pytest.mark.parametrize("case", ["offline", "reshard"])
+def test_fresh_chain_replays_a_simulated_run(case):
+    # a validator that knows only the genesis accounts and the partition rules
+    # re-derives every header's counts, re-shards included
+    params, epochs, _ = CASES[case]
+    sim = ChainSimulation(**params)
+    sim.run(epochs)
+    partition = params.get("partition_cfg", PartitionConfig(n_partition=2, n_shard=8))
+    state = LedgerState(partition.n_shard)
+    for node in sim.population.nodes:
+        state.create_account(node.pk, node.stake)
+    replica = Chain(state, sim.security.quorum, partition)
+    assert replica.tip.hash == sim.chain.blocks[0].hash
+    for block in sim.chain.blocks[1:]:
+        replica.append_block(block)
+    assert replica.state.n_shard == sim.chain.state.n_shard
+    if case == "reshard":
+        assert replica.state.n_shard > partition.n_shard
+    assert compute_root_arrays([], replica.state)[1] == compute_root_arrays([], sim.chain.state)[1]
+
+
+def test_main_block_leaving_credits_pending_is_rejected():
+    reg = KeyRegistry()
+    sk_a, pk_a = reg.generate(b"a")
+    _, pk_b = reg.generate(b"b")
+    chain = build_chain(quorum=10, balances=[(pk_a, 100), (pk_b, 0)])
+    first, second = (split_transaction(make_transfer(reg, sk_a, pk_b, 5, n), reg) for n in (1, 2))
+    interim = make_block(chain, [first[0], second[0]])
+    interim.header.votes = [Vote(pk_a, interim.hash, 10, sign(sk_a, interim.hash))]
+    chain.append_block(interim)
+    tip, state = chain.tip, chain.state
+    main = make_block(chain, [])
+    main.body = [first[1]]  # the second debit's credit is missing
+    with pytest.raises(InvariantViolation) as err:
+        chain.append_block(main)
+    assert err.value.invariant == "lazy-completeness"
+    assert chain.tip is tip and chain.state is state and len(state.pending) == 2
 
 
 def test_export_jsonl_deterministic_and_one_line_per_block():

@@ -135,6 +135,7 @@ def test_metrics_sink_rejects_schema_drift(tmp_path):
         sink.write_row(a=1, z=2)
     with pytest.raises(ValueError):
         sink.write_row()
+    sink.close({})
 
 
 def test_fingerprint_sensitive_to_config():

@@ -240,7 +240,7 @@ def test_leader_fallback_skips_offline_proposer():
     ]
     order = leader_order(tickets)
     result = run_epoch(
-        sim.chain, [], sim.epoch_cfg, sim.population, sim.partition_cfg,
+        sim.chain, [], sim.epoch_cfg, sim.population,
         offline={order[0]},
     )
     assert result.proposer == order[1]
@@ -282,7 +282,7 @@ def test_offline_committee_yields_empty_block_not_stall():
     sim = small_sim()
     all_pks = {n.pk for n in sim.population.nodes}
     result = run_epoch(
-        sim.chain, [], sim.epoch_cfg, sim.population, sim.partition_cfg,
+        sim.chain, [], sim.epoch_cfg, sim.population,
         offline=all_pks,
     )
     assert result.empty and result.block.is_timeout_block
@@ -296,7 +296,7 @@ def test_interim_timeout_requeues_transactions():
     assert len(sim.mempool) == 5
     all_pks = {n.pk for n in sim.population.nodes}
     result = run_epoch(
-        sim.chain, sim.mempool, sim.epoch_cfg, sim.population, sim.partition_cfg,
+        sim.chain, sim.mempool, sim.epoch_cfg, sim.population,
         offline=all_pks,
     )
     assert result.empty
@@ -363,7 +363,6 @@ def test_assemble_interim_rejects_misrouted_micro_block():
     from fission_sim.ledger import shard_of
 
     sim = small_sim(n_nodes=12)
-    sim.partition_cfg.n_partition = 2
     reg = sim.population.registry
     sender = sim.population.nodes[0]
     eager = split_transaction(make_transfer(reg, sender.sk, sim.population.nodes[1].pk, 1, 1), reg)[0]
@@ -376,7 +375,7 @@ def test_assemble_interim_rejects_misrouted_micro_block():
     with pytest.raises(InvariantViolation):
         assemble_interim(
             sim.chain, [MicroBlock(wrong, [eager])], committee, sim.epoch_cfg,
-            seed, sim.population, 2,
+            seed, sim.population,
         )
 
 
@@ -397,3 +396,16 @@ def test_partition_count_scales_and_resharding_doubles_shards():
     # re-homed accounts keep their balances through the split
     for node in sim.population.nodes:
         assert sim.chain.state.get_account(node.pk) is not None
+
+
+def test_reshard_window_restarts_after_a_split():
+    # from one shard the first main block after a split is already saturated,
+    # so only a window cleared at the split keeps the saturated main blocks
+    # before it from splitting the shards again at once
+    sim = ChainSimulation(
+        **SMALL, tx_per_epoch=40, seed=3,
+        partition_cfg=PartitionConfig(n_partition=1, n_shard=1, n_e_max=4, delta=0.8, n_rs=1),
+    )
+    results = sim.run(10)
+    assert [r.n_partition for r in results] == [1, 1, 1, 1, 1, 2, 2, 2, 2, 3]
+    assert [r.n_shard for r in results] == [1, 1, 1, 1, 2, 2, 2, 2, 4, 4]

@@ -14,6 +14,7 @@ deliberate, documented format change.
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -59,6 +60,18 @@ def test_golden_chain_digest(case):
     if case == "reshard":
         assert sim.chain.state.n_shard >= 4
     assert sha3(sim.chain.export_jsonl().encode()).hex() == expected
+
+
+def test_partition_config_is_read_never_written():
+    # one config object drives two runs: both give the golden chain and the
+    # config is left as it was
+    params, epochs, expected = CASES["reshard"]
+    before = replace(params["partition_cfg"])
+    for _ in range(2):
+        sim = ChainSimulation(**params)
+        sim.run(epochs)
+        assert sha3(sim.chain.export_jsonl().encode()).hex() == expected
+    assert params["partition_cfg"] == before
 
 
 def _reprs_digest(values) -> str:
@@ -182,9 +195,18 @@ SMALL_CHAIN_CFG = (
     "security.h = 1.0\nsecurity.alpha = 1.0\nsecurity.tau = 50\n"
     "chain.tx_per_epoch = 15\nchain.invalid_fraction = 0.1\nchain.offline_rate = 0.1\n"
 )
+# the golden "reshard" chain case as a config file: the shards double twice in
+# 16 epochs, so the CSV pins the shard count each re-shard epoch reports
+RESHARD_CHAIN_CFG = (
+    "population.nodes = 12\npopulation.stake_dist = fixed:100\n"
+    "security.h = 1.0\nsecurity.alpha = 1.0\nsecurity.tau = 50\n"
+    "chain.tx_per_epoch = 40\nchain.invalid_fraction = 0.05\n"
+    "partition.n_shard = 2\npartition.n_partition = 1\npartition.n_e_max = 4\npartition.n_rs = 2\n"
+)
 
 # argv, digest of the CSV, JSONL and stdout bytes; recorded before relay, drs
-# and chain were moved onto one config path
+# and chain were moved onto one config path, and chain-reshard before the
+# partition scaler and re-sharding moved into Chain
 CLI_CASES = {
     "relay-defaults": (
         ("relay", "--trials", "3", "--seed", "9"),
@@ -207,6 +229,10 @@ CLI_CASES = {
         ("chain", "--epochs", "6", "--seed", "5", "--config", "small.cfg"),
         "7856f7a4747da39f9a6c71a159c90a5e2645ccb51b163112891309ddefd05706",
     ),
+    "chain-reshard": (
+        ("chain", "--epochs", "16", "--seed", "3", "--config", "reshard.cfg"),
+        "b9e1cedfba34ace7d79e589e4fdae197c94dad524065c072599d2bb8a89c69ab",
+    ),
 }
 
 
@@ -215,6 +241,7 @@ def test_golden_cli_output_digest(case, tmp_path, monkeypatch, capsys):
     argv, expected = CLI_CASES[case]
     monkeypatch.chdir(tmp_path)  # default output names, so stdout names no tmp path
     (tmp_path / "small.cfg").write_text(SMALL_CHAIN_CFG)
+    (tmp_path / "reshard.cfg").write_text(RESHARD_CHAIN_CFG)
     assert main(list(argv)) == 0
     outputs = [path.read_bytes() for path in sorted([*tmp_path.glob("*.csv"), *tmp_path.glob("*.jsonl")])]
     outputs.append(capsys.readouterr().out.encode())

@@ -4,7 +4,8 @@ Blocks alternate: even epochs carry credit (main) blocks, odd epochs carry
 debit (interim) blocks. The chain owns the ledger state and re-executes every
 appended body, so header root arrays are verified against an independent
 recomputation rather than trusted. It also applies the partition scaler and
-re-sharding, and checks each header's counts against them.
+re-sharding. One derivation gives every other header field: ``propose``
+fills a new block's header from it and ``append_block`` checks against it.
 
 Block hash = SHA3-256 of the core header encoding (everything except votes);
 votes sign that hash, so they cannot be part of it.
@@ -50,6 +51,11 @@ GENESIS_SEED = sha3(b"fission-genesis")
 
 def kind_for_epoch(epoch: int) -> str:
     return MAIN if epoch % 2 == 0 else INTERIM
+
+
+def next_seed(seed: bytes, block_hash: bytes) -> bytes:
+    """Epoch seed evolution: fold the confirmed block hash into the old seed."""
+    return sha3(seed + block_hash)
 
 
 @dataclass(slots=True)
@@ -243,32 +249,63 @@ class Chain:
         self._partition = replace(partition or PartitionConfig(1, state.n_shard), n_shard=state.n_shard)
         # (n_partition, n_shard) of each main block since the last re-shard
         self._main_window: list[tuple[int, int]] = []
-        self.blocks: list[Block] = [self._make_genesis()]
+        self.blocks: list[Block] = []
+        self.blocks.append(self._seal([], state))
 
     @property
     def n_partition(self) -> int:
         """The partition count the next block's header must carry."""
         return self._partition.n_partition
 
-    def _make_genesis(self) -> Block:
-        tx_root, account_root, log_root = compute_root_arrays([], self.state)
-        header = BlockHeader(
-            epoch=0,
-            kind=MAIN,
-            parent_hash=ZERO_HASH,
-            interim_hash=ZERO_HASH,
-            tx_root=tx_root,
-            account_root=account_root,
-            tx_log_root=log_root,
-            seed=GENESIS_SEED,
-            n_shard=self.state.n_shard,
-            n_partition=self.n_partition,
-        )
-        return Block(header=header, body=[])
-
     @property
     def tip(self) -> Block:
         return self.blocks[-1]
+
+    def next_header(self) -> BlockHeader:
+        """The header the next block must carry, root arrays still empty:
+        the one derivation of its fields, for ``propose`` and
+        ``append_block``. With no blocks yet it is the genesis header."""
+        if self.blocks:
+            tip = self.tip
+            parent = tip.hash
+            epoch, seed = tip.epoch + 1, next_seed(tip.header.seed, parent)
+        else:
+            epoch, parent, seed = 0, ZERO_HASH, GENESIS_SEED
+        kind = kind_for_epoch(epoch)
+        return BlockHeader(
+            epoch=epoch,
+            kind=kind,
+            parent_hash=parent,
+            interim_hash=parent if kind == MAIN else ZERO_HASH,
+            tx_root=[],
+            account_root=[],
+            tx_log_root=[],
+            seed=seed,
+            n_shard=self.state.n_shard,
+            n_partition=self.n_partition,
+        )
+
+    def propose(self, body: list[SubTransaction]) -> Block:
+        """The next block holding ``body``, unvoted, with every header field
+        derived as ``append_block`` checks it."""
+        return self._seal(body, self._execute(body))
+
+    def _seal(self, body: list[SubTransaction], post_state: LedgerState) -> Block:
+        """The next block of ``body``, whose execution left ``post_state``;
+        roots ``post_state``."""
+        header = self.next_header()
+        header.tx_root, header.account_root, header.tx_log_root = compute_root_arrays(body, post_state)
+        return Block(header=header, body=body)
+
+    def _execute(self, body: list[SubTransaction]) -> LedgerState:
+        """A clone of the chain state with ``body`` applied."""
+        scratch = self.state.clone()
+        for sub in body:
+            if sub.kind == EAGER:
+                apply_eager(scratch, sub)
+            else:
+                apply_lazy(scratch, sub)
+        return scratch
 
     def append_block(self, block: Block) -> None:
         """Validate and execute a block, extending the chain by one epoch, then
@@ -276,34 +313,36 @@ class Chain:
         partition count, and a main block can complete a saturated re-shard
         window.
 
-        Execution happens on a scratch copy; the chain state only advances if
-        every check passes.
+        Every header field is checked against ``next_header`` before the body
+        runs. Execution happens on a scratch copy; the chain state only
+        advances if every check passes.
         """
-        tip = self.tip
         header = block.header
-        if header.epoch != tip.epoch + 1:
+        expected = self.next_header()
+        if header.epoch != expected.epoch:
             raise AlternationViolation(
-                f"epoch {header.epoch} does not follow tip epoch {tip.epoch}"
+                f"epoch {header.epoch} does not follow tip epoch {self.tip.epoch}"
             )
-        if header.kind != kind_for_epoch(header.epoch):
+        if header.kind != expected.kind:
             raise AlternationViolation(
-                f"epoch {header.epoch} must be {kind_for_epoch(header.epoch)}, got {header.kind}"
+                f"epoch {header.epoch} must be {expected.kind}, got {header.kind}"
             )
-        if header.parent_hash != tip.hash:
+        if header.parent_hash != expected.parent_hash:
             raise BadInterimLink("parent hash does not match chain tip")
-        if header.kind == MAIN:
-            if header.interim_hash != tip.hash:
-                raise BadInterimLink("main block must reference the preceding block's hash")
-        elif header.interim_hash != ZERO_HASH:
-            raise BadInterimLink("non-main block carries an interim reference")
-        if header.seed != sha3(tip.header.seed + tip.hash):
+        if header.interim_hash != expected.interim_hash:
+            raise BadInterimLink(
+                "main block must reference the preceding block's hash"
+                if header.kind == MAIN
+                else "non-main block carries an interim reference"
+            )
+        if header.seed != expected.seed:
             raise InvariantViolation(
                 "consensus-engine", "seed-evolution", f"epoch {header.epoch} seed not derived from tip"
             )
-        if header.n_partition != self.n_partition or header.n_shard != self.state.n_shard:
+        if header.n_partition != expected.n_partition or header.n_shard != expected.n_shard:
             raise PartitionMismatch(
                 f"header counts (n_partition {header.n_partition}, n_shard {header.n_shard}) differ "
-                f"from the chain's ({self.n_partition}, {self.state.n_shard})"
+                f"from the chain's ({expected.n_partition}, {expected.n_shard})"
             )
 
         expected_kind = EAGER if header.kind == INTERIM else LAZY
@@ -312,12 +351,7 @@ class Chain:
                 "core-ledger", "body-kind", f"{header.kind} block holds foreign sub-transactions"
             )
 
-        scratch = self.state.clone()
-        for sub in block.body:
-            if sub.kind == EAGER:
-                apply_eager(scratch, sub)
-            else:
-                apply_lazy(scratch, sub)
+        scratch = self._execute(block.body)
         if header.kind == MAIN and block.body and scratch.pending:
             raise InvariantViolation(
                 "core-ledger",

@@ -16,30 +16,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import crypto
-from .chain import (
-    INTERIM,
-    MAIN,
-    ZERO_HASH,
-    Block,
-    BlockHeader,
-    Chain,
-    MicroBlock,
-    Vote,
-    compute_root_arrays,
-    kind_for_epoch,
-    tally,
-)
+from .chain import INTERIM, Block, Chain, MicroBlock, Vote, tally
 from .crypto import KeyRegistry, sha3
 from .dists import sample_dist
 from .errors import FissionError, InvariantViolation, ValidationError
 from .ledger import (
-    EAGER,
     LAZY,
     LedgerState,
     SubTransaction,
     Transaction,
     apply_eager,
-    apply_lazy,
     make_transfer,
     shard_of,
     split_transaction,
@@ -61,11 +47,6 @@ WITHHOLD = "withhold"
 VOTE_CONFLICTING = "vote-conflicting"
 EQUIVOCATE = "equivocate"
 STRATEGIES = (WITHHOLD, VOTE_CONFLICTING, EQUIVOCATE)
-
-
-def next_seed(seed: bytes, block_hash: bytes) -> bytes:
-    """Epoch seed evolution: fold the confirmed block hash into the old seed."""
-    return sha3(seed + block_hash)
 
 
 @dataclass
@@ -263,48 +244,22 @@ def micro_round(
     return MicroBlock(partition_index, included), deferred, invalid
 
 
-def _build_block(chain: Chain, kind: str, seed: bytes, body: list[SubTransaction]) -> Block:
-    tip = chain.tip
-    scratch = chain.state.clone()
-    for sub in body:
-        if sub.kind == EAGER:
-            apply_eager(scratch, sub)
-        else:
-            apply_lazy(scratch, sub)
-    tx_root, account_root, log_root = compute_root_arrays(body, scratch)
-    header = BlockHeader(
-        epoch=tip.epoch + 1,
-        kind=kind,
-        parent_hash=tip.hash,
-        interim_hash=tip.hash if kind == MAIN else ZERO_HASH,
-        tx_root=tx_root,
-        account_root=account_root,
-        tx_log_root=log_root,
-        seed=seed,
-        n_shard=chain.state.n_shard,
-        n_partition=chain.n_partition,
-    )
-    return Block(header=header, body=body)
-
-
 def _put_to_vote(
     chain: Chain,
-    kind: str,
     body: list[SubTransaction],
     committee: list[SortitionOutcome],
     cfg: EpochConfig,
-    seed: bytes,
     population: Population,
     offline: set[bytes] | None,
 ) -> Block:
     """The block of ``body`` with its committee votes, or the designated empty
     block if they miss the quorum. No conflicting block may reach it."""
-    candidate = _build_block(chain, kind, seed, body)
+    candidate = chain.propose(body)
     votes, conflicting = collect_votes(committee, population, candidate.hash, offline or set())
     _assert_no_conflicting_quorum(conflicting, cfg)
     expected = {m.pk: m.weight for m in committee}
     if not tally(votes, cfg.security.quorum, expected).confirmed:
-        return _build_block(chain, kind, seed, [])
+        return chain.propose([])
     candidate.header.votes = votes
     return candidate
 
@@ -314,7 +269,6 @@ def assemble_interim(
     micros: list[MicroBlock],
     committee: list[SortitionOutcome],
     cfg: EpochConfig,
-    seed: bytes,
     population: Population,
     offline: set[bytes] | None = None,
 ) -> Block:
@@ -333,14 +287,13 @@ def assemble_interim(
                     f"sub-transaction of partition {home} inside micro block {micro.partition_index}",
                 )
     body = [sub for micro in sorted(micros, key=lambda m: m.partition_index) for sub in micro.sub_txs]
-    return _put_to_vote(chain, INTERIM, body, committee, cfg, seed, population, offline)
+    return _put_to_vote(chain, body, committee, cfg, population, offline)
 
 
 def assemble_main(
     chain: Chain,
     committee: list[SortitionOutcome],
     cfg: EpochConfig,
-    seed: bytes,
     population: Population,
     offline: set[bytes] | None = None,
 ) -> Block:
@@ -350,7 +303,7 @@ def assemble_main(
         SubTransaction(LAZY, entry.parent_id, entry.sender, entry.receiver, entry.value, entry.nonce)
         for entry in (chain.state.pending[pid] for pid in sorted(chain.state.pending))
     ]
-    return _put_to_vote(chain, MAIN, body, committee, cfg, seed, population, offline)
+    return _put_to_vote(chain, body, committee, cfg, population, offline)
 
 
 @dataclass
@@ -380,10 +333,8 @@ def run_epoch(
     block vote, and append. Exactly one block lands (possibly empty); the
     mempool is mutated to the still-pending transaction set."""
     offline = offline or set()
-    tip = chain.tip
-    epoch = tip.epoch + 1
-    kind = kind_for_epoch(epoch)
-    seed = next_seed(tip.header.seed, tip.hash)
+    upcoming = chain.next_header()
+    epoch, kind, seed = upcoming.epoch, upcoming.kind, upcoming.seed
     stakes = population.online_stakes()
     p = cfg.security.p
     n_partition = chain.n_partition
@@ -423,7 +374,7 @@ def run_epoch(
             else:
                 micros.append(outcome)
 
-        block = assemble_interim(chain, micros, committee, cfg, seed, population, offline)
+        block = assemble_interim(chain, micros, committee, cfg, population, offline)
         if block.is_timeout_block:
             for micro in micros:
                 for sub in micro.sub_txs:
@@ -431,7 +382,7 @@ def run_epoch(
         # deferred transactions keep their arrival order for the next round
         mempool[:] = [tx for tx in list(mempool) if tx.id in kept_parents]
     else:
-        block = assemble_main(chain, committee, cfg, seed, population, offline)
+        block = assemble_main(chain, committee, cfg, population, offline)
 
     chain.append_block(block)
     # the header's counts: appending a main block may re-shard chain.state
@@ -488,18 +439,13 @@ def _assert_adversary_below_quorum(
 
 
 def _assert_no_conflicting_quorum(conflicting: list[Vote], cfg: EpochConfig) -> None:
-    by_hash: dict[bytes, int] = {}
-    seen: set[bytes] = set()
-    for vote in conflicting:
-        if vote.voter in seen:
-            continue
-        seen.add(vote.voter)
-        by_hash[vote.block_hash] = by_hash.get(vote.block_hash, 0) + vote.weight
-    for h, weight in by_hash.items():
-        if weight >= cfg.security.quorum:
-            raise InvariantViolation(
-                "consensus-engine", "conflicting-block", f"conflicting vote weight {weight}"
-            )
+    """The conflicting votes of one ``collect_votes`` call all name the same
+    ``_conflict_hash``, so one tally decides whether that block could land."""
+    result = tally(conflicting, cfg.security.quorum)
+    if result.confirmed:
+        raise InvariantViolation(
+            "consensus-engine", "conflicting-block", f"conflicting vote weight {result.weight}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +501,6 @@ class ChainSimulation:
         self.tx_per_epoch = tx_per_epoch
         self.invalid_fraction = invalid_fraction
         self.offline_rate = offline_rate
-        self.seed = seed
         self.txgen_rng = split(seed, "txgen")
         self.offline_rng = split(seed, "offline")
 
@@ -623,8 +568,7 @@ class ChainSimulation:
     # -- epoch loop --
 
     def step(self) -> EpochResult:
-        epoch = self.chain.tip.epoch + 1
-        if kind_for_epoch(epoch) == INTERIM:
+        if self.chain.next_header().kind == INTERIM:
             self.generate_transactions()
         result = run_epoch(
             self.chain,

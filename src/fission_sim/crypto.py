@@ -63,11 +63,6 @@ class KeyRegistry:
         self._sk_by_pk[pk] = sk
         return sk, pk
 
-    def register(self, sk: bytes) -> bytes:
-        pk = sha3(sk)
-        self._sk_by_pk[pk] = sk
-        return pk
-
     def secret_for(self, pk: bytes) -> bytes:
         try:
             return self._sk_by_pk[pk]

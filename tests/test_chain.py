@@ -1,4 +1,9 @@
+from dataclasses import replace
+from functools import lru_cache
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fission_sim.chain import (
     GENESIS_SEED,
@@ -17,12 +22,15 @@ from fission_sim.crypto import KeyRegistry, sha3, sign
 from fission_sim.errors import (
     AlternationViolation,
     BadInterimLink,
+    BadNonce,
+    DoubleCredit,
+    FissionError,
     InsufficientVotes,
     InvariantViolation,
     PartitionMismatch,
     RootMismatch,
 )
-from fission_sim.ledger import LedgerState, apply_eager, apply_lazy, make_transfer, split_transaction
+from fission_sim.ledger import EAGER, LedgerState, apply_eager, apply_lazy, make_transfer, split_transaction
 from fission_sim.partitioning import PartitionConfig
 from test_golden import CASES
 
@@ -35,12 +43,14 @@ def build_chain(n_shard=4, quorum=10, balances=(), partition=None):
 
 
 def make_block(chain, body, kind=None, votes=None, seed=None):
+    """The next block for ``body``, derived here independently of
+    ``Chain.propose``."""
     tip = chain.tip
     epoch = tip.epoch + 1
     kind = kind or kind_for_epoch(epoch)
     scratch = chain.state.clone()
     for sub in body:
-        apply_eager(scratch, sub)
+        (apply_eager if sub.kind == EAGER else apply_lazy)(scratch, sub)
     tx_root, account_root, log_root = compute_root_arrays(body, scratch)
     header = BlockHeader(
         epoch=epoch,
@@ -201,25 +211,125 @@ def test_header_counts_must_match_the_epoch_rules(field, wrong):
     chain.append_block(make_block(chain, []))
 
 
-@pytest.mark.parametrize("case", ["offline", "reshard"])
-def test_fresh_chain_replays_a_simulated_run(case):
-    # a validator that knows only the genesis accounts and the partition rules
-    # re-derives every header's counts, re-shards included
+@lru_cache(maxsize=None)
+def simulated_run(case):
+    """A golden run and its partition config; callers must not change it."""
     params, epochs, _ = CASES[case]
     sim = ChainSimulation(**params)
     sim.run(epochs)
-    partition = params.get("partition_cfg", PartitionConfig(n_partition=2, n_shard=8))
+    return sim, params.get("partition_cfg", PartitionConfig(n_partition=2, n_shard=8))
+
+
+def fresh_replica(sim, partition):
+    """A chain that knows only the run's genesis accounts and partition rules."""
     state = LedgerState(partition.n_shard)
     for node in sim.population.nodes:
         state.create_account(node.pk, node.stake)
-    replica = Chain(state, sim.security.quorum, partition)
+    return Chain(state, sim.security.quorum, partition)
+
+
+@pytest.mark.parametrize("case", ["offline", "reshard"])
+def test_fresh_chain_replays_a_simulated_run(case):
+    # a validator that knows only the genesis accounts and the partition rules
+    # re-derives every header, re-shards included, and proposes the same blocks
+    sim, partition = simulated_run(case)
+    replica = fresh_replica(sim, partition)
     assert replica.tip.hash == sim.chain.blocks[0].hash
     for block in sim.chain.blocks[1:]:
+        assert replica.propose(block.body).hash == block.hash
         replica.append_block(block)
     assert replica.state.n_shard == sim.chain.state.n_shard
     if case == "reshard":
         assert replica.state.n_shard > partition.n_shard
     assert compute_root_arrays([], replica.state)[1] == compute_root_arrays([], sim.chain.state)[1]
+
+
+def test_propose_matches_the_reference_header():
+    reg = KeyRegistry()
+    sk_a, pk_a = reg.generate(b"a")
+    _, pk_b = reg.generate(b"b")
+    chain = build_chain(quorum=10, balances=[(pk_a, 100), (pk_b, 0)])
+    eager, lazy = split_transaction(make_transfer(reg, sk_a, pk_b, 5, 1), reg)
+    for body in ([eager], [lazy], []):
+        block = chain.propose(body)
+        assert block.body is body and block.header.votes == []
+        assert block.header == make_block(chain, body).header
+        block.header.votes = [Vote(pk_a, block.hash, 10, sign(sk_a, block.hash))]
+        chain.append_block(block)
+    assert [b.header.kind for b in chain.blocks] == [MAIN, INTERIM, MAIN, INTERIM]
+
+
+HEADER_FIELDS = ("epoch", "kind", "parent_hash", "interim_hash", "seed", "n_shard", "n_partition")
+ROOT_FIELDS = ("tx_root", "account_root", "tx_log_root")
+
+
+def other_hash(data, old):
+    return data.draw(st.binary(min_size=32, max_size=32).filter(lambda h: h != old))
+
+
+def mutate(block, what, data):
+    """A copy of ``block`` with one mutation, and the error class (and
+    invariant, for an ``InvariantViolation``) the chain must raise for it."""
+    header = replace(block.header, **{f: list(getattr(block.header, f)) for f in ROOT_FIELDS})
+    body = list(block.body)
+    old = getattr(header, what, None)
+    if what == "epoch":
+        header.epoch += data.draw(st.integers(-3, 3).filter(bool))
+        expected = AlternationViolation
+    elif what == "kind":
+        header.kind = INTERIM if old == MAIN else MAIN
+        expected = AlternationViolation
+    elif what in ("parent_hash", "interim_hash"):
+        setattr(header, what, other_hash(data, old))
+        expected = BadInterimLink
+    elif what == "seed":
+        header.seed = other_hash(data, old)
+        expected = (InvariantViolation, "seed-evolution")
+    elif what in ("n_shard", "n_partition"):
+        setattr(header, what, data.draw(st.integers(1, 64).filter(lambda n: n != old)))
+        expected = PartitionMismatch
+    elif what in ROOT_FIELDS:
+        i = data.draw(st.integers(0, len(old) - 1))
+        old[i] = other_hash(data, old[i])
+        expected = RootMismatch
+    elif what == "drop":
+        i = data.draw(st.integers(0, len(body) - 1))
+        dropped = body.pop(i)
+        if header.kind == MAIN:
+            # the dropped credit's debit stays pending, unless nothing is left
+            expected = (InvariantViolation, "lazy-completeness") if body else RootMismatch
+        else:
+            # the sender's later debits lose their nonce predecessor
+            later = any(sub.sender == dropped.sender for sub in body[i:])
+            expected = BadNonce if later else RootMismatch
+    else:
+        i = data.draw(st.integers(0, len(body) - 1))
+        body.insert(data.draw(st.integers(0, len(body))), body[i])
+        expected = DoubleCredit if header.kind == MAIN else BadNonce
+    return Block(header=header, body=body), expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_every_single_header_or_body_mutation_is_rejected_and_changes_nothing(data):
+    sim, partition = simulated_run("reshard")
+    blocks = sim.chain.blocks[1:]
+    index = data.draw(st.integers(0, len(blocks) - 1))
+    chain = fresh_replica(sim, partition)
+    for block in blocks[:index]:
+        chain.append_block(block)
+    block = blocks[index]
+    mutations = HEADER_FIELDS + ROOT_FIELDS + (("drop", "duplicate") if block.body else ())
+    bad, expected = mutate(block, data.draw(st.sampled_from(mutations)), data)
+    expected_type, invariant = expected if isinstance(expected, tuple) else (expected, None)
+    tip, state, n_partition = chain.tip, chain.state, chain.n_partition
+    with pytest.raises(FissionError) as err:
+        chain.append_block(bad)
+    assert type(err.value) is expected_type
+    assert getattr(err.value, "invariant", None) == invariant
+    assert chain.tip is tip and chain.state is state and chain.n_partition == n_partition
+    chain.append_block(block)
+    assert chain.tip is block
 
 
 def test_main_block_leaving_credits_pending_is_rejected():

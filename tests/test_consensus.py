@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fission_sim import consensus
-from fission_sim.chain import INTERIM, MAIN, Vote
+from fission_sim.chain import INTERIM, MAIN, Vote, next_seed
 from fission_sim.consensus import (
     ChainSimulation,
     EpochConfig,
@@ -14,16 +14,16 @@ from fission_sim.consensus import (
     Timeout,
     _elect_proposer,
     micro_round,
-    next_seed,
     run_epoch,
     tally,
 )
 from fission_sim.crypto import VrfOutput, sha3, sign
-from fission_sim.errors import InvalidWeight
+from fission_sim.errors import InvalidWeight, InvariantViolation
 from fission_sim.ledger import make_transfer, split_transaction
 from fission_sim.partitioning import PartitionConfig
 from fission_sim.sortition import (
     BLOCK_INTERIM,
+    BLOCK_MAIN,
     SecurityParams,
     leader_order,
     leader_ticket,
@@ -358,7 +358,7 @@ def test_epoch_config_rejects_non_positive_durations():
 def test_assemble_interim_rejects_misrouted_micro_block():
     from fission_sim.chain import MicroBlock
     from fission_sim.errors import InvariantViolation
-    from fission_sim.consensus import assemble_interim, next_seed
+    from fission_sim.consensus import assemble_interim
     from fission_sim.partitioning import partition_of
     from fission_sim.ledger import shard_of
 
@@ -375,8 +375,26 @@ def test_assemble_interim_rejects_misrouted_micro_block():
     with pytest.raises(InvariantViolation):
         assemble_interim(
             sim.chain, [MicroBlock(wrong, [eager])], committee, sim.epoch_cfg,
-            seed, sim.population,
+            sim.population,
         )
+
+
+def test_conflicting_quorum_is_caught_at_assembly():
+    # run_epoch's adversary-quorum check fires first on such a committee, so
+    # only a direct call reaches this invariant
+    sim = small_sim()
+    for node in sim.population.nodes:
+        node.byzantine, node.strategy = True, consensus.VOTE_CONFLICTING
+    committee = select_committee(
+        sim.population.online_stakes(), sim.chain.next_header().seed, BLOCK_MAIN,
+        sim.security.p, sim.population.registry,
+    )
+    assert sum(m.weight for m in committee) >= sim.security.quorum
+    tip = sim.chain.tip
+    with pytest.raises(InvariantViolation) as err:
+        consensus.assemble_main(sim.chain, committee, sim.epoch_cfg, sim.population)
+    assert err.value.invariant == "conflicting-block"
+    assert sim.chain.tip is tip
 
 
 def test_partition_count_scales_and_resharding_doubles_shards():

@@ -152,8 +152,8 @@ def cmd_sortition(args) -> int:
         "nodes": args.nodes,
         "k_total": k_total,
         "p": p,
-        "members": [{"pk": m.pk.hex()[:16], "weight": m.weight} for m in members],
-        "total_weight": sum(m.weight for m in members),
+        "members": [{"pk": pk.hex()[:16], "weight": w} for pk, w in zip(members.pks, members.weights)],
+        "total_weight": sum(members.weights),
         "expected_total_weight": p * k_total,
     }
     print(json.dumps(out, sort_keys=True))

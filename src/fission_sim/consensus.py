@@ -14,10 +14,10 @@ is a pure function of (config, seed).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
-from . import crypto
 from .chain import INTERIM, Block, Chain, MicroBlock, Vote, tally
-from .crypto import KeyRegistry, sha3
+from .crypto import KeyRegistry, sha3, sign_each
 from .dists import sample_dist
 from .errors import FissionError, InvariantViolation, ValidationError
 from .ledger import (
@@ -36,9 +36,9 @@ from .seeding import child_bytes, split
 from .sortition import (
     BLOCK_INTERIM,
     BLOCK_MAIN,
+    Committee,
     SecurityParams,
-    SortitionOutcome,
-    leader_ticket,
+    leader_tickets,
     partition_committee,
     select_committee,
 )
@@ -163,33 +163,42 @@ def _conflict_hash(proposal: bytes) -> bytes:
 
 
 def collect_votes(
-    members: list[SortitionOutcome],
+    committee: Committee,
     population: Population,
     proposal: bytes,
     offline: set[bytes],
 ) -> tuple[list[Vote], list[Vote]]:
     """Votes cast on a proposal hash: honest members vote for it, Byzantine
-    members act out their strategy. Returns (proposal votes, conflicting votes)."""
-    by_pk, sign = population.by_pk, crypto.sign
-    votes, conflicting = [], []
-    for m in members:
-        if m.pk in offline:
+    members act out their strategy. Returns (proposal votes, conflicting votes),
+    each in member order and signed in one batch."""
+    by_pk = population.by_pk
+    yes_pks, yes_weights, no_pks, no_weights = [], [], [], []
+    other = None
+    for pk, weight in zip(committee.pks, committee.weights):
+        if pk in offline:
             continue
-        node = by_pk[m.pk]
-        if not node.byzantine:
-            votes.append(Vote(m.pk, proposal, m.weight, sign(node.sk, proposal)))
-            continue
-        if node.strategy == WITHHOLD:
-            continue
-        other = _conflict_hash(proposal)
-        conflicting.append(Vote(m.pk, other, m.weight, sign(node.sk, other)))
-        if node.strategy == EQUIVOCATE:
-            votes.append(Vote(m.pk, proposal, m.weight, sign(node.sk, proposal)))
+        node = by_pk[pk]
+        if node.byzantine:
+            if node.strategy == WITHHOLD:
+                continue
+            other = _conflict_hash(proposal)  # each conflicting member derives it
+            no_pks.append(pk)
+            no_weights.append(weight)
+            if node.strategy != EQUIVOCATE:
+                continue
+        yes_pks.append(pk)
+        yes_weights.append(weight)
+    framed = population.registry.framed_secrets
+    votes = list(map(Vote, yes_pks, repeat(proposal), yes_weights, sign_each(framed(yes_pks), proposal)))
+    if other is None:
+        return votes, []
+    conflicting = list(map(Vote, no_pks, repeat(other), no_weights, sign_each(framed(no_pks), other)))
     return votes, conflicting
 
 
-def adversary_weight(members: list[SortitionOutcome], population: Population) -> int:
-    return sum(m.weight for m in members if population.by_pk[m.pk].byzantine)
+def adversary_weight(committee: Committee, population: Population) -> int:
+    by_pk = population.by_pk
+    return sum(w for pk, w in zip(committee.pks, committee.weights) if by_pk[pk].byzantine)
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +208,7 @@ def adversary_weight(members: list[SortitionOutcome], population: Population) ->
 def micro_round(
     partition_index: int,
     sub_txs: list[SubTransaction],
-    committee: list[SortitionOutcome],
+    committee: Committee,
     cfg: EpochConfig,
     base_state: LedgerState,
     population: Population,
@@ -213,11 +222,11 @@ def micro_round(
     everything.
     """
     offline = offline or set()
-    online_members = [m for m in committee if m.pk not in offline]
-    if not online_members:
+    n_online = sum(pk not in offline for pk in committee.pks)
+    if not n_online:
         return Timeout("no online committee weight"), list(sub_txs), []
 
-    capacity = int(cfg.delta_micro * cfg.micro_throughput * len(online_members))
+    capacity = int(cfg.delta_micro * cfg.micro_throughput * n_online)
     scratch = base_state.clone()
     included: list[SubTransaction] = []
     deferred: list[SubTransaction] = []
@@ -236,8 +245,8 @@ def micro_round(
     content = sha3(
         str(partition_index).encode() + merkle_root([s.id for s in included])
     )
-    votes, _ = collect_votes(online_members, population, content, offline)
-    expected = {m.pk: m.weight for m in committee}
+    votes, _ = collect_votes(committee, population, content, offline)
+    expected = dict(zip(committee.pks, committee.weights))
     result = tally(votes, cfg.security.quorum, expected)
     if not result.confirmed:
         return Timeout(f"partition {partition_index} vote weight {result.weight}"), list(sub_txs), []
@@ -247,7 +256,7 @@ def micro_round(
 def _put_to_vote(
     chain: Chain,
     body: list[SubTransaction],
-    committee: list[SortitionOutcome],
+    committee: Committee,
     cfg: EpochConfig,
     population: Population,
     offline: set[bytes] | None,
@@ -257,7 +266,7 @@ def _put_to_vote(
     candidate = chain.propose(body)
     votes, conflicting = collect_votes(committee, population, candidate.hash, offline or set())
     _assert_no_conflicting_quorum(conflicting, cfg)
-    expected = {m.pk: m.weight for m in committee}
+    expected = dict(zip(committee.pks, committee.weights))
     if not tally(votes, cfg.security.quorum, expected).confirmed:
         return chain.propose([])
     candidate.header.votes = votes
@@ -267,7 +276,7 @@ def _put_to_vote(
 def assemble_interim(
     chain: Chain,
     micros: list[MicroBlock],
-    committee: list[SortitionOutcome],
+    committee: Committee,
     cfg: EpochConfig,
     population: Population,
     offline: set[bytes] | None = None,
@@ -292,7 +301,7 @@ def assemble_interim(
 
 def assemble_main(
     chain: Chain,
-    committee: list[SortitionOutcome],
+    committee: Committee,
     cfg: EpochConfig,
     population: Population,
     offline: set[bytes] | None = None,
@@ -391,7 +400,7 @@ def run_epoch(
         kind=kind,
         block=block,
         confirmed_subtx=len(block.body),
-        committee_weight=sum(m.weight for m in committee),
+        committee_weight=sum(committee.weights),
         adversary_weight=adversary,
         empty=not block.body,
         n_partition=block.header.n_partition,
@@ -403,7 +412,7 @@ def run_epoch(
 
 
 def _elect_proposer(
-    committee: list[SortitionOutcome],
+    committee: Committee,
     population: Population,
     seed: bytes,
     offline: set[bytes],
@@ -415,19 +424,15 @@ def _elect_proposer(
     big-endian hashes, so comparing the bytes orders them as ``leader_order``
     does.
     """
-    by_pk = population.by_pk
-    best = None
-    for m in committee:
-        if m.pk in offline:
-            continue
-        entry = (leader_ticket(by_pk[m.pk].sk, seed).hash, m.pk)
-        if best is None or entry < best:
-            best = entry
-    return None if best is None else best[1]
+    online = [pk for pk in committee.pks if pk not in offline]
+    if not online:
+        return None
+    tickets = leader_tickets(population.registry.framed_secrets(online), seed)
+    return min(zip(tickets, online))[1]
 
 
 def _assert_adversary_below_quorum(
-    committee: list[SortitionOutcome], population: Population, cfg: EpochConfig, label: str
+    committee: Committee, population: Population, cfg: EpochConfig, label: str
 ) -> int:
     """The committee's adversary weight, checked to stay below the quorum."""
     weight = adversary_weight(committee, population)

@@ -4,8 +4,8 @@ SHA3-256 is the single hash primitive. The deterministic test schemes below
 stand in for curve-based signatures and verifiable random functions: a keyed
 hash plays both roles, with public keys derived as ``pk = H(sk)`` and
 verification backed by a key registry held by the harness. Swapping in a real
-scheme only requires implementing the same four functions against the same
-byte contracts.
+scheme only requires implementing the same four functions, and their batch
+forms ``sign_each`` and ``vrf_hashes``, against the same byte contracts.
 """
 
 from __future__ import annotations
@@ -55,12 +55,16 @@ class KeyRegistry:
 
     def __init__(self):
         self._sk_by_pk: dict[bytes, bytes] = {}
+        # each secret key as its first encode_fields field, framed once here
+        # instead of once per draw and signature
+        self._framed_by_pk: dict[bytes, bytes] = {}
 
     def generate(self, seed_material: bytes) -> tuple[bytes, bytes]:
         """Derive an (sk, pk) pair deterministically from seed material."""
         sk = sha3(b"sk" + seed_material)
         pk = sha3(sk)
         self._sk_by_pk[pk] = sk
+        self._framed_by_pk[pk] = _LENGTH_PREFIX(len(sk)) + sk
         return sk, pk
 
     def secret_for(self, pk: bytes) -> bytes:
@@ -69,6 +73,15 @@ class KeyRegistry:
         except KeyError:
             raise VerificationFailure(f"unknown public key {pk.hex()[:16]}") from None
 
+    def framed_secrets(self, pks: list[bytes]) -> list[bytes]:
+        """``encode_field(sk)`` of each pk's secret key, the input of
+        ``vrf_hashes`` and ``sign_each``."""
+        framed = self._framed_by_pk
+        try:
+            return [framed[pk] for pk in pks]
+        except KeyError as err:
+            raise VerificationFailure(f"unknown public key {err.args[0].hex()[:16]}") from None
+
     def __contains__(self, pk: bytes) -> bool:
         return pk in self._sk_by_pk
 
@@ -76,6 +89,13 @@ class KeyRegistry:
 def sign(sk: bytes, message: bytes) -> bytes:
     """Keyed-hash signature: ``sha3(b"sig" + encode_fields(sk, message))``."""
     return sha3(b"".join((b"sig", _LENGTH_PREFIX(len(sk)), sk, _LENGTH_PREFIX(len(message)), message)))
+
+
+def sign_each(framed_sks: list[bytes], message: bytes) -> list[bytes]:
+    """``[sign(sk, message) for sk in sks]`` from each key framed as
+    ``encode_field(sk)``: one ``sha3`` per key, the message framed once."""
+    tail = _LENGTH_PREFIX(len(message)) + message
+    return [sha3(b"sig" + framed + tail) for framed in framed_sks]
 
 
 def verify(registry: KeyRegistry, pk: bytes, message: bytes, signature: bytes) -> bool:
@@ -146,6 +166,14 @@ def vrf_eval(sk: bytes, seed: bytes, ctype: str) -> VrfOutput:
     out._proof = None
     out._material = material
     return out
+
+
+def vrf_hashes(framed_sks: list[bytes], seed: bytes, ctype: str) -> list[bytes]:
+    """``[vrf_eval(sk, seed, ctype).hash for sk in sks]`` from each key framed
+    as ``encode_field(sk)``: one ``sha3`` per key, no proof material kept."""
+    tag = ctype.encode()
+    tail = b"".join((_LENGTH_PREFIX(len(seed)), seed, _LENGTH_PREFIX(len(tag)), tag))
+    return [sha3(framed + tail) for framed in framed_sks]
 
 
 def vrf_verify(

@@ -12,14 +12,10 @@ class MetricsSink:
     """Writes rows in event order against a fixed column schema; closing emits
     a JSON summary echoing the config and a fingerprint of (config, seed)."""
 
-    def __init__(self, csv_path: str | Path, columns: list[str], summary_path: str | Path | None = None):
+    def __init__(self, csv_path: str | Path, columns: list[str]):
         self.csv_path = Path(csv_path)
         self.columns = list(columns)
-        self.summary_path = (
-            Path(summary_path)
-            if summary_path is not None
-            else self.csv_path.with_suffix(".summary.json")
-        )
+        self.summary_path = self.csv_path.with_suffix(".summary.json")
         self.rows_written = 0
         self._fh = self.csv_path.open("w")
         self._fh.write(",".join(self.columns) + "\n")

@@ -20,7 +20,7 @@ from typing import Iterable, Mapping
 import numpy as np
 from scipy.special import betainc
 
-from .crypto import KeyRegistry, VrfOutput, vrf_eval, vrf_verify
+from .crypto import KeyRegistry, VrfOutput, vrf_eval, vrf_hashes, vrf_verify
 from .errors import ApproximationUnsound, DomainError, EmptyCommittee
 
 # committee type labels fed into the VRF
@@ -122,37 +122,49 @@ def verify_outcome(
     return voting_power(outcome.vrf.uniform, stake, p) == outcome.weight
 
 
+class Committee:
+    """One committee as parallel columns over its members only (positive
+    weight), in pk order: public key, voting weight and VRF hash."""
+
+    __slots__ = ("pks", "weights", "hashes")
+
+    def __init__(self, pks: list[bytes], weights: list[int], hashes: list[bytes]):
+        self.pks = pks
+        self.weights = weights
+        self.hashes = hashes
+
+    def __len__(self) -> int:
+        return len(self.pks)
+
+
 def select_committee(
     stakes: Mapping[bytes, int],
     seed: bytes,
     ctype: str,
     p: float,
     registry: KeyRegistry,
-) -> list[SortitionOutcome]:
+) -> Committee:
     """Every node draws independently; members are those with positive weight.
 
     The registry stands in for each node evaluating its own secret key. The
-    expected total weight over online stake S is p * S.
+    expected total weight over online stake S is p * S. Each member's hash
+    and weight equal its ``draw_outcome``.
     """
     if not 0.0 < p < 1.0:
         raise DomainError(f"selection probability must be in (0, 1), got {p}")
     pks = [pk for pk in sorted(stakes) if stakes[pk] > 0]
-    secret_for = registry.secret_for
-    draws = [vrf_eval(secret_for(pk), seed, ctype) for pk in pks]
+    hashes = vrf_hashes(registry.framed_secrets(pks), seed, ctype)
+    xs = uniforms(hashes)
     # one table lookup per stake group; the weights equal voting_power's
     by_stake: dict[int, list[int]] = {}
     for i, pk in enumerate(pks):
         by_stake.setdefault(stakes[pk], []).append(i)
     weights = [0] * len(pks)
     for stake, idx in by_stake.items():
-        xs = uniforms([draws[i].hash for i in idx])
-        for i, w in zip(idx, voting_power_batch(xs, stake, p).tolist()):
+        for i, w in zip(idx, voting_power_batch(xs[idx], stake, p).tolist()):
             weights[i] = w
-    return [
-        SortitionOutcome(pk, ctype, w, out)
-        for pk, w, out in zip(pks, weights, draws)
-        if w > 0
-    ]
+    keep = [i for i, w in enumerate(weights) if w > 0]
+    return Committee([pks[i] for i in keep], [weights[i] for i in keep], [hashes[i] for i in keep])
 
 
 def leader_order(tickets: Iterable[tuple[bytes, bytes | int]]) -> list[bytes]:
@@ -171,6 +183,12 @@ def leader_order(tickets: Iterable[tuple[bytes, bytes | int]]) -> list[bytes]:
 
 def leader_ticket(sk: bytes, seed: bytes) -> VrfOutput:
     return vrf_eval(sk, seed, LEADER)
+
+
+def leader_tickets(framed_sks: list[bytes], seed: bytes) -> list[bytes]:
+    """``leader_ticket(sk, seed).hash`` for many keys framed as
+    ``encode_field(sk)``."""
+    return vrf_hashes(framed_sks, seed, LEADER)
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from fission_sim.relay import (
     validate_lemma_variance,
 )
 from fission_sim.seeding import child_bytes, child_seed, split, split_numpy
-from fission_sim.sortition import quorum, tau_lower_bound, theta_bounds, voting_power_batch
+from fission_sim.sortition import quorum, tau_lower_bound, theta_bounds, uniforms, voting_power_batch
 
 SEED = 2  # frozen master seed for every statistical criterion
 
@@ -96,14 +96,10 @@ def test_criterion_3_safety_monte_carlo():
     draws = 10_000
     adversary = np.zeros(draws, dtype=np.int64)
     honest = np.zeros(draws, dtype=np.int64)
+    seeds = [child_bytes(SEED, "acc3-epoch", e) for e in range(draws)]
     for node in online:
-        uniforms = np.array(
-            [
-                vrf_eval(node.sk, child_bytes(SEED, "acc3-epoch", e), "block_interim").uniform
-                for e in range(draws)
-            ]
-        )
-        weights = voting_power_batch(uniforms, node.stake, p)
+        xs = uniforms([vrf_eval(node.sk, seed, "block_interim").hash for seed in seeds])
+        weights = voting_power_batch(xs, node.stake, p)
         if node.byzantine:
             adversary += weights
         else:

@@ -3,10 +3,12 @@ import json
 import pytest
 
 from fission_sim.cli import main
+from fission_sim.crypto import KeyRegistry, sha3
 from fission_sim.dists import sample_dist
 from fission_sim.drs import simulate_drs
 from fission_sim.relay import simulate_prs
 from fission_sim.seeding import child_seed, split
+from fission_sim.sortition import BLOCK_INTERIM, draw_outcome
 
 
 def run_cli(capsys, *argv):
@@ -48,6 +50,16 @@ def test_sortition_output_shape(capsys):
     assert all(m["weight"] > 0 for m in data["members"])
     total = sum(m["weight"] for m in data["members"])
     assert data["total_weight"] == total
+    # members are the nodes whose scalar draw has positive weight, in pk order
+    registry, expected = KeyRegistry(), []
+    seed = child_seed(3, "sortition-seed").to_bytes(32, "big")
+    for i in range(20):
+        sk, pk = registry.generate(f"3/sortition/{i}".encode())
+        expected.append(draw_outcome(sk, pk, seed, BLOCK_INTERIM, 1000, data["p"]))
+    expected = sorted((o for o in expected if o.weight > 0), key=lambda o: o.pk)
+    assert data["members"] == [{"pk": o.pk.hex()[:16], "weight": o.weight} for o in expected]
+    # the bytes printed before committees became columns
+    assert sha3(out.encode()).hex() == "df708075e6838eb3319846e4e999ce84150cd4a2c9e74f1eb002511938975ee2"
 
 
 def test_chain_outputs_deterministic(tmp_path, capsys):

@@ -25,8 +25,10 @@ from fission_sim.sortition import (
     BLOCK_INTERIM,
     BLOCK_MAIN,
     SecurityParams,
+    Committee,
     leader_order,
     leader_ticket,
+    leader_tickets,
     select_committee,
 )
 
@@ -107,6 +109,47 @@ def test_seed_sequence_uniformity():
     assert stats.kstest(draws, "uniform").pvalue > 0.01
 
 
+# --- vote collection ---
+
+
+def reference_votes(committee, population, proposal, offline):
+    """``collect_votes`` spelled out per member with ``crypto.sign``."""
+    other = sha3(b"conflict" + proposal)
+    votes, conflicting = [], []
+    for pk, weight in zip(committee.pks, committee.weights):
+        node = population.by_pk[pk]
+        if pk in offline:
+            continue
+        if not node.byzantine or node.strategy == consensus.EQUIVOCATE:
+            votes.append(Vote(pk, proposal, weight, sign(node.sk, proposal)))
+        if node.byzantine and node.strategy in (consensus.VOTE_CONFLICTING, consensus.EQUIVOCATE):
+            conflicting.append(Vote(pk, other, weight, sign(node.sk, other)))
+    return votes, conflicting
+
+
+ROLES = st.sampled_from((None,) + consensus.STRATEGIES)  # None: honest
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    roles=st.lists(ROLES, min_size=16, max_size=16),
+    offline_mask=st.lists(st.booleans(), min_size=16, max_size=16),
+    proposal=st.binary(min_size=32, max_size=32),
+    world=st.integers(0, 3),
+)
+def test_collect_votes_equals_per_member_signatures(roles, offline_mask, proposal, world):
+    population = Population.build(16, "fixed:100", alpha=1.0, h=1.0, master_seed=world)
+    for node, role in zip(population.nodes, roles):
+        node.byzantine, node.strategy = role is not None, role or consensus.WITHHOLD
+    offline = {n.pk for n, dark in zip(population.nodes, offline_mask) if dark}
+    committee = select_committee(
+        population.online_stakes(), proposal, BLOCK_MAIN, 0.05, population.registry
+    )
+    assert consensus.collect_votes(committee, population, proposal, offline) == reference_votes(
+        committee, population, proposal, offline
+    )
+
+
 # --- micro rounds ---
 
 
@@ -115,7 +158,7 @@ def test_micro_round_zero_online_weight_times_out():
     committee = select_committee(
         sim.population.online_stakes(), b"s", "partition:0", sim.security.p, sim.population.registry
     )
-    offline = {m.pk for m in committee}
+    offline = set(committee.pks)
     outcome, deferred, invalid = micro_round(
         0, [], committee, sim.epoch_cfg, sim.chain.state, sim.population, offline
     )
@@ -236,7 +279,7 @@ def test_leader_fallback_skips_offline_proposer():
     stakes = sim.population.online_stakes()
     committee = select_committee(stakes, seed, BLOCK_INTERIM, sim.security.p, sim.population.registry)
     tickets = [
-        (m.pk, leader_ticket(sim.population.by_pk[m.pk].sk, seed).hash) for m in committee
+        (pk, leader_ticket(sim.population.by_pk[pk].sk, seed).hash) for pk in committee.pks
     ]
     order = leader_order(tickets)
     result = run_epoch(
@@ -262,20 +305,30 @@ def coarse_ticket(sk, seed):
     return VrfOutput(hash=bytes([leader_ticket(sk, seed).hash[0] % 3]) * 32, proof=b"")
 
 
+def coarse_tickets(framed_sks, seed):
+    """``coarse_ticket`` on the batched ticket path."""
+    return [bytes([t[0] % 3]) * 32 for t in leader_tickets(framed_sks, seed)]
+
+
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), seed=st.binary(max_size=40), coarse=st.booleans())
 def test_elect_proposer_is_first_online_entry_of_leader_order(data, seed, coarse):
     population, committee = proposer_world()
-    members = data.draw(st.lists(st.sampled_from(committee), max_size=len(committee), unique_by=lambda m: m.pk))
-    offline = data.draw(st.sets(st.sampled_from([m.pk for m in committee] + [b"\x00" * 32])))
+    picked = sorted(data.draw(st.sets(st.sampled_from(range(len(committee))))))
+    members = Committee(
+        [committee.pks[i] for i in picked],
+        [committee.weights[i] for i in picked],
+        [committee.hashes[i] for i in picked],
+    )
+    offline = data.draw(st.sets(st.sampled_from(committee.pks + [b"\x00" * 32])))
     ticket = coarse_ticket if coarse else leader_ticket
     order = leader_order(
-        [(m.pk, ticket(population.by_pk[m.pk].sk, seed).hash) for m in members]
+        [(pk, ticket(population.by_pk[pk].sk, seed).hash) for pk in members.pks]
     ) if members else []
     expected = next((pk for pk in order if pk not in offline), None)
-    with patch.object(consensus, "leader_ticket", ticket):
+    with patch.object(consensus, "leader_tickets", coarse_tickets if coarse else leader_tickets):
         assert _elect_proposer(members, population, seed, offline) == expected
-        assert _elect_proposer(members, population, seed, {m.pk for m in members}) is None
+        assert _elect_proposer(members, population, seed, set(members.pks)) is None
 
 
 def test_offline_committee_yields_empty_block_not_stall():
@@ -389,7 +442,7 @@ def test_conflicting_quorum_is_caught_at_assembly():
         sim.population.online_stakes(), sim.chain.next_header().seed, BLOCK_MAIN,
         sim.security.p, sim.population.registry,
     )
-    assert sum(m.weight for m in committee) >= sim.security.quorum
+    assert sum(committee.weights) >= sim.security.quorum
     tip = sim.chain.tip
     with pytest.raises(InvariantViolation) as err:
         consensus.assemble_main(sim.chain, committee, sim.epoch_cfg, sim.population)

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
@@ -10,10 +11,13 @@ from fission_sim.crypto import (
     encode_fields,
     sha3,
     sign,
+    sign_each,
     verify,
     vrf_eval,
+    vrf_hashes,
     vrf_verify,
 )
+from fission_sim.errors import VerificationFailure
 from fission_sim.sortition import uniforms
 
 # byte strings around the 32-byte key/hash size and past one length byte
@@ -114,6 +118,32 @@ def test_proof_read_late_equals_eager_proof(inputs):
         assert out.proof == eager.proof
         assert out == eager and hash(out) == hash(eager) and repr(out) == repr(eager)
         assert out.proof == eager.proof  # a second read gives the same bytes
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    materials=st.lists(st.binary(max_size=40), max_size=8, unique=True),
+    others=st.lists(FIELDS, max_size=4),
+    seed=FIELDS,
+    ctype=CTYPES,
+    message=FIELDS,
+)
+def test_batch_helpers_equal_scalar_vrf_and_sign(materials, others, seed, ctype, message):
+    # registry keys framed at generation, plus keys of any length framed here
+    reg = KeyRegistry()
+    pairs = [reg.generate(m) for m in materials]
+    sks = [sk for sk, _ in pairs] + others
+    framed = reg.framed_secrets([pk for _, pk in pairs]) + [encode_field(sk) for sk in others]
+    assert framed == [encode_field(sk) for sk in sks]
+    assert vrf_hashes(framed, seed, ctype) == [vrf_eval(sk, seed, ctype).hash for sk in sks]
+    assert sign_each(framed, message) == [sign(sk, message) for sk in sks]
+
+
+def test_framed_secrets_rejects_unknown_keys():
+    reg = KeyRegistry()
+    _, pk = reg.generate(b"a")
+    with pytest.raises(VerificationFailure):
+        reg.framed_secrets([pk, sha3(b"nobody")])
 
 
 def test_vrf_repr_hides_the_secret_key():

@@ -137,7 +137,9 @@ def build_registry(n, seed=0):
 def test_zero_stake_never_selected():
     reg, pks = build_registry(10)
     stakes = {pk: 0 for pk in pks}
-    assert select_committee(stakes, b"seed", BLOCK_INTERIM, 0.5, reg) == []
+    committee = select_committee(stakes, b"seed", BLOCK_INTERIM, 0.5, reg)
+    assert len(committee) == 0
+    assert committee.pks == committee.weights == committee.hashes == []
 
 
 def test_expected_weight_proportional_to_stake():
@@ -164,7 +166,7 @@ def test_committee_total_weight_moments():
     totals = []
     for i in range(200):
         members = select_committee(stakes, b"epoch%d" % i, BLOCK_INTERIM, p, reg)
-        totals.append(sum(m.weight for m in members))
+        totals.append(sum(members.weights))
     mean = sum(totals) / len(totals)
     sigma = math.sqrt(s_total * p * (1 - p) / len(totals))
     assert abs(mean - p * s_total) <= 3 * sigma
@@ -184,7 +186,8 @@ def test_committee_members_all_positive_weight():
     reg, pks = build_registry(30, seed=3)
     stakes = {pk: 100 for pk in pks}
     members = select_committee(stakes, b"s", BLOCK_INTERIM, 0.05, reg)
-    assert all(m.weight > 0 for m in members)
+    assert len(members) > 0
+    assert all(w > 0 for w in members.weights)
 
 
 def test_committee_weights_match_per_node_draws():
@@ -200,8 +203,12 @@ def test_committee_weights_match_per_node_draws():
             if stakes[pk] > 0
         ]
         members = select_committee(stakes, b"seed-x", ctype, p, reg)
-        assert members == [o for o in expected if o.weight > 0]
-        assert all(type(m.weight) is int for m in members)
+        expected = [o for o in expected if o.weight > 0]
+        assert len(members) == len(expected)
+        assert members.pks == [o.pk for o in expected]
+        assert members.weights == [o.weight for o in expected]
+        assert members.hashes == [o.vrf.hash for o in expected]
+        assert all(type(w) is int for w in members.weights)
 
 
 # --- leader ordering ---

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 
-from .crypto import encode_fields, encode_uint, sha3
+from .crypto import UINT_PREFIX, encode_fields, encode_uint, length_prefix, sha3
 from .errors import (
     AlternationViolation,
     BadInterimLink,
@@ -194,8 +194,13 @@ def _body_roots(subs: list[SubTransaction], cache: LeafCache) -> tuple[bytes, by
     key = b"".join(ids)
     memo = cache.body
     if memo is None or memo[0] != key:
+        # each log leaf is sha3(encode_fields(parent_id, receiver, encode_uint(value)))
         logs = [
-            sha3(encode_fields(sub.parent_id, sub.receiver, encode_uint(sub.value)))
+            sha3(b"".join((
+                length_prefix(len(sub.parent_id)), sub.parent_id,
+                length_prefix(len(sub.receiver)), sub.receiver,
+                UINT_PREFIX, int(sub.value).to_bytes(8, "big"),
+            )))
             for sub in subs
             if sub.kind == EAGER
         ]
@@ -204,10 +209,17 @@ def _body_roots(subs: list[SubTransaction], cache: LeafCache) -> tuple[bytes, by
 
 
 def _leaf(known: dict[bytes, tuple[int, int, bytes]], acct: Account) -> bytes:
-    hit = known.get(acct.pk)
-    if hit is None or hit[0] != acct.balance or hit[1] != acct.nonce:
-        leaf = sha3(encode_fields(acct.pk, encode_uint(acct.balance), encode_uint(acct.nonce)))
-        hit = known[acct.pk] = (acct.balance, acct.nonce, leaf)
+    """The account's leaf, ``sha3(encode_fields(pk, encode_uint(balance),
+    encode_uint(nonce)))``, reused from ``known`` when balance and nonce match."""
+    pk, balance, nonce = acct.pk, acct.balance, acct.nonce
+    hit = known.get(pk)
+    if hit is None or hit[0] != balance or hit[1] != nonce:
+        leaf = sha3(b"".join((
+            length_prefix(len(pk)), pk,
+            UINT_PREFIX, int(balance).to_bytes(8, "big"),
+            UINT_PREFIX, int(nonce).to_bytes(8, "big"),
+        )))
+        hit = known[pk] = (balance, nonce, leaf)
     return hit[2]
 
 

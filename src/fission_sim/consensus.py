@@ -181,7 +181,8 @@ def collect_votes(
         if node.byzantine:
             if node.strategy == WITHHOLD:
                 continue
-            other = _conflict_hash(proposal)  # each conflicting member derives it
+            if other is None:  # the first conflicting member derives it for all
+                other = _conflict_hash(proposal)
             no_pks.append(pk)
             no_weights.append(weight)
             if node.strategy != EQUIVOCATE:
@@ -306,11 +307,11 @@ def assemble_main(
     population: Population,
     offline: set[bytes] | None = None,
 ) -> Block:
-    """Credit every outstanding debit log (including rolled-forward ones) in a
+    """Credit every pending debit (including rolled-forward ones) in a
     credit block, or fall back to the designated empty block."""
     body = [
-        SubTransaction(LAZY, entry.parent_id, entry.sender, entry.receiver, entry.value, entry.nonce)
-        for entry in (chain.state.pending[pid] for pid in sorted(chain.state.pending))
+        SubTransaction(LAZY, debit.parent_id, debit.sender, debit.receiver, debit.value, debit.nonce)
+        for debit in (chain.state.pending[pid] for pid in sorted(chain.state.pending))
     ]
     return _put_to_vote(chain, body, committee, cfg, population, offline)
 
@@ -487,6 +488,12 @@ class ChainSimulation:
     ):
         self.population = Population.build(n_nodes, stake_dist, alpha, h, seed)
         k_total = self.population.total_stake
+        top = max((node.stake for node in self.population.nodes), default=0)
+        if top >= 1 << 64:
+            # a stake is an account balance, which blocks encode in 8 bytes
+            raise ValidationError(
+                "population.stake_dist", f"every stake must be below 2^64, drew {top}"
+            )
         if not tau < k_total:
             raise ValidationError(
                 "security.tau", f"must be below the total stake K = {k_total} (p = tau/K < 1), got {tau!r}"

@@ -28,13 +28,17 @@ def encode_field(data: bytes) -> bytes:
     return len(data).to_bytes(4, "big") + data
 
 
-_LENGTH_PREFIX = struct.Struct(">I").pack
+# ``length_prefix(n)`` is the 4-byte big-endian length that ``encode_field``
+# puts before n bytes. The hot records frame their fields with it in one
+# ``b"".join``; ``UINT_PREFIX`` is the prefix of every ``encode_uint`` field.
+length_prefix = struct.Struct(">I").pack
+UINT_PREFIX = length_prefix(8)
 
 
 def encode_fields(*fields: bytes) -> bytes:
     """Canonical encoding: fixed-order concatenation of length-prefixed fields
     (each as ``encode_field`` lays it out)."""
-    return b"".join([_LENGTH_PREFIX(len(f)) + f for f in fields])
+    return b"".join([length_prefix(len(f)) + f for f in fields])
 
 
 def encode_uint(value: int, width: int = 8) -> bytes:
@@ -64,7 +68,7 @@ class KeyRegistry:
         sk = sha3(b"sk" + seed_material)
         pk = sha3(sk)
         self._sk_by_pk[pk] = sk
-        self._framed_by_pk[pk] = _LENGTH_PREFIX(len(sk)) + sk
+        self._framed_by_pk[pk] = length_prefix(len(sk)) + sk
         return sk, pk
 
     def secret_for(self, pk: bytes) -> bytes:
@@ -88,13 +92,13 @@ class KeyRegistry:
 
 def sign(sk: bytes, message: bytes) -> bytes:
     """Keyed-hash signature: ``sha3(b"sig" + encode_fields(sk, message))``."""
-    return sha3(b"".join((b"sig", _LENGTH_PREFIX(len(sk)), sk, _LENGTH_PREFIX(len(message)), message)))
+    return sha3(b"".join((b"sig", length_prefix(len(sk)), sk, length_prefix(len(message)), message)))
 
 
 def sign_each(framed_sks: list[bytes], message: bytes) -> list[bytes]:
     """``[sign(sk, message) for sk in sks]`` from each key framed as
     ``encode_field(sk)``: one ``sha3`` per key, the message framed once."""
-    tail = _LENGTH_PREFIX(len(message)) + message
+    tail = length_prefix(len(message)) + message
     return [sha3(b"sig" + framed + tail) for framed in framed_sks]
 
 
@@ -159,7 +163,7 @@ def vrf_eval(sk: bytes, seed: bytes, ctype: str) -> VrfOutput:
     """
     tag = ctype.encode()
     material = b"".join(
-        (_LENGTH_PREFIX(len(sk)), sk, _LENGTH_PREFIX(len(seed)), seed, _LENGTH_PREFIX(len(tag)), tag)
+        (length_prefix(len(sk)), sk, length_prefix(len(seed)), seed, length_prefix(len(tag)), tag)
     )
     out = _new_output(VrfOutput)  # no __init__: the proof waits for its first read
     out.hash = sha3(material)
@@ -172,7 +176,7 @@ def vrf_hashes(framed_sks: list[bytes], seed: bytes, ctype: str) -> list[bytes]:
     """``[vrf_eval(sk, seed, ctype).hash for sk in sks]`` from each key framed
     as ``encode_field(sk)``: one ``sha3`` per key, no proof material kept."""
     tag = ctype.encode()
-    tail = b"".join((_LENGTH_PREFIX(len(seed)), seed, _LENGTH_PREFIX(len(tag)), tag))
+    tail = b"".join((length_prefix(len(seed)), seed, length_prefix(len(tag)), tag))
     return [sha3(framed + tail) for framed in framed_sks]
 
 

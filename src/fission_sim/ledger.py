@@ -1,9 +1,8 @@
 """Accounts, two-phase transfers, and the sharded ledger state machine.
 
 Every transfer splits into a debit half and a credit half that are confirmed
-in successive blocks. The debit (eager) withdraws from the sender and records
-a pending log entry; the credit (lazy) pays the receiver by consuming that
-entry.
+in successive blocks. The debit (eager) withdraws from the sender and stays in
+the pending log; the credit (lazy) pays the receiver by consuming that debit.
 Accounts live in the shard ``pk mod n_shard`` with the key read as a
 big-endian unsigned integer.
 
@@ -11,6 +10,10 @@ Canonical transaction byte layout (all fields length-prefixed, fixed order):
 ``tx_type, sender, receiver, value(8B BE), nonce(8B BE), data_hash`` is the
 signed portion; the transaction id is SHA3-256 over that portion plus the
 signature field.
+
+Each record's bytes are written out flat, in one ``b"".join`` of length
+prefixes and fields; the layout is ``crypto.encode_fields`` of the same
+fields, with integers as ``crypto.encode_uint``.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import crypto
-from .crypto import KeyRegistry, encode_fields, encode_uint, sha3
+from .crypto import UINT_PREFIX, KeyRegistry, length_prefix, sha3
 from .errors import (
     BadNonce,
     DoubleCredit,
@@ -54,9 +57,15 @@ class Account:
 def _signing_bytes(
     tx_type: str, sender: bytes, receiver: bytes, value: int, nonce: int, data_hash: bytes
 ) -> bytes:
-    return encode_fields(
-        tx_type.encode(), sender, receiver, encode_uint(value), encode_uint(nonce), data_hash
-    )
+    tag = tx_type.encode()
+    return b"".join((
+        length_prefix(len(tag)), tag,
+        length_prefix(len(sender)), sender,
+        length_prefix(len(receiver)), receiver,
+        UINT_PREFIX, int(value).to_bytes(8, "big"),
+        UINT_PREFIX, int(nonce).to_bytes(8, "big"),
+        length_prefix(len(data_hash)), data_hash,
+    ))
 
 
 @dataclass(frozen=True, slots=True)
@@ -68,7 +77,8 @@ class Transaction:
     nonce: int
     data_hash: bytes
     signature: bytes
-    # memos of signing_bytes() and id, filled on first use
+    # memos of signing_bytes() and id, filled on first use (make_transfer
+    # fills the first with the message it signed)
     _signing: bytes | None = field(default=None, init=False, repr=False, compare=False)
     _id: bytes | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -83,7 +93,8 @@ class Transaction:
     @property
     def id(self) -> bytes:
         if self._id is None:
-            tx_id = sha3(encode_fields(self.signing_bytes(), self.signature))
+            message, sig = self.signing_bytes(), self.signature
+            tx_id = sha3(b"".join((length_prefix(len(message)), message, length_prefix(len(sig)), sig)))
             object.__setattr__(self, "_id", tx_id)
         return self._id
 
@@ -96,11 +107,14 @@ def make_transfer(
     nonce: int,
     data_hash: bytes = ZERO_HASH,
 ) -> Transaction:
-    """Build and sign a transfer from the holder of ``sk``."""
+    """Build and sign a transfer from the holder of ``sk``; the signed message
+    is kept as the transaction's ``signing_bytes()``."""
     sender = sha3(sk)
     message = _signing_bytes(TX_TYPE_TRANSFER, sender, receiver, value, nonce, data_hash)
     sig = crypto.sign(sk, message)
-    return Transaction(TX_TYPE_TRANSFER, sender, receiver, value, nonce, data_hash, sig)
+    tx = Transaction(TX_TYPE_TRANSFER, sender, receiver, value, nonce, data_hash, sig)
+    object.__setattr__(tx, "_signing", message)
+    return tx
 
 
 @dataclass(frozen=True, slots=True)
@@ -114,14 +128,15 @@ class SubTransaction:
     _id: bytes | None = field(default=None, init=False, repr=False, compare=False)
 
     def encode(self) -> bytes:
-        return encode_fields(
-            self.kind.encode(),
-            self.parent_id,
-            self.sender,
-            self.receiver,
-            encode_uint(self.value),
-            encode_uint(self.nonce),
-        )
+        kind = self.kind.encode()
+        return b"".join((
+            length_prefix(len(kind)), kind,
+            length_prefix(len(self.parent_id)), self.parent_id,
+            length_prefix(len(self.sender)), self.sender,
+            length_prefix(len(self.receiver)), self.receiver,
+            UINT_PREFIX, int(self.value).to_bytes(8, "big"),
+            UINT_PREFIX, int(self.nonce).to_bytes(8, "big"),
+        ))
 
     @property
     def id(self) -> bytes:
@@ -146,26 +161,6 @@ def split_transaction(
     eager = SubTransaction(EAGER, parent, tx.sender, tx.receiver, tx.value, tx.nonce)
     lazy = SubTransaction(LAZY, parent, tx.sender, tx.receiver, tx.value, tx.nonce)
     return eager, lazy
-
-
-@dataclass(frozen=True, slots=True)
-class TxLogEntry:
-    """Record of a confirmed debit awaiting its credit half."""
-
-    parent_id: bytes
-    sender: bytes
-    receiver: bytes
-    value: int
-    nonce: int
-
-    def encode(self) -> bytes:
-        return encode_fields(
-            self.parent_id,
-            self.sender,
-            self.receiver,
-            encode_uint(self.value),
-            encode_uint(self.nonce),
-        )
 
 
 class AccountTree:
@@ -286,8 +281,9 @@ class LedgerState:
             raise ValueError("n_shard must be >= 1")
         self.n_shard = n_shard
         self.shards = [ShardState() for _ in range(n_shard)]
-        # parent_id -> log entry, for debits whose credit has not applied yet
-        self.pending: dict[bytes, TxLogEntry] = {}
+        # parent_id -> the confirmed debit, while its credit has not applied;
+        # debits are immutable, so states and clones share them
+        self.pending: dict[bytes, SubTransaction] = {}
         self.credited = CreditedIds()
         # keys of the accounts this state may write in place
         self._owned: set[bytes] = set()
@@ -331,7 +327,7 @@ class LedgerState:
         return sum(a.balance for s in self.shards for a in s.accounts.values())
 
     def pending_value(self) -> int:
-        return sum(entry.value for entry in self.pending.values())
+        return sum(debit.value for debit in self.pending.values())
 
     def account_count(self) -> int:
         return sum(len(s.accounts) for s in self.shards)
@@ -342,7 +338,7 @@ class LedgerState:
 
 
 def apply_eager(state: LedgerState, sub: SubTransaction) -> None:
-    """Apply a debit: withdraw from the sender and log the pending credit.
+    """Apply a debit: withdraw from the sender and log the debit as pending.
 
     Raises without touching state if the sender is unknown, short on balance,
     or the nonce is not exactly one past the account's.
@@ -358,25 +354,23 @@ def apply_eager(state: LedgerState, sub: SubTransaction) -> None:
     acct = state._private(acct)
     acct.balance -= sub.value
     acct.nonce += 1
-    state.pending[sub.parent_id] = TxLogEntry(
-        sub.parent_id, sub.sender, sub.receiver, sub.value, sub.nonce
-    )
+    state.pending[sub.parent_id] = sub
 
 
 def apply_lazy(state: LedgerState, sub: SubTransaction) -> None:
-    """Apply a credit: pay the receiver and consume the matching debit log.
+    """Apply a credit: pay the receiver and consume the matching pending debit.
 
-    Each log entry is consumable exactly once; an unknown receiver account is
+    Each pending debit is consumable exactly once; an unknown receiver account is
     created with zero starting balance.
     """
     assert sub.kind == LAZY
     if sub.parent_id in state.credited:
         raise DoubleCredit(f"credit already applied for {sub.parent_id.hex()[:16]}")
-    entry = state.pending.get(sub.parent_id)
-    if entry is None:
+    debit = state.pending.get(sub.parent_id)
+    if debit is None:
         raise MissingEagerLog(f"no debit log for {sub.parent_id.hex()[:16]}")
     acct = state.get_account(sub.receiver)
     acct = state.create_account(sub.receiver, 0) if acct is None else state._private(acct)
-    acct.balance += entry.value
+    acct.balance += debit.value
     del state.pending[sub.parent_id]
     state.credited.add(sub.parent_id)

@@ -104,6 +104,28 @@ def test_chain_huge_tau_exits_2_naming_the_key(tmp_path, capsys, monkeypatch, ta
     assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
 
+def test_chain_stake_past_eight_bytes_exits_2_naming_the_key(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text(
+        "population.nodes = 40\npopulation.stake_dist = fixed:100000000000000000000\n"
+    )
+    code, _, err = run_cli(capsys, "chain", "--config", "run.cfg", "--epochs", "2")
+    assert code == 2
+    assert err.startswith("error: population.stake_dist: ") and "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+
+def test_chain_total_stake_past_eight_bytes_runs(tmp_path, capsys, monkeypatch):
+    # 40 stakes of 6e18 each fit 8 bytes; only their total K does not
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text(
+        "population.nodes = 40\npopulation.stake_dist = fixed:6000000000000000000\n"
+    )
+    code, _, _ = run_cli(capsys, "chain", "--config", "run.cfg", "--epochs", "4")
+    assert code == 0
+    assert len((tmp_path / "chain.jsonl").read_text().splitlines()) == 5  # genesis + 4 epochs
+
+
 def test_chain_missing_config_file(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "chain", "--config", str(tmp_path / "nope.cfg"))
     assert code == 2

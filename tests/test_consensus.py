@@ -18,7 +18,7 @@ from fission_sim.consensus import (
     tally,
 )
 from fission_sim.crypto import VrfOutput, sha3, sign
-from fission_sim.errors import InvalidWeight, InvariantViolation
+from fission_sim.errors import InvalidWeight, InvariantViolation, ValidationError
 from fission_sim.ledger import make_transfer, split_transaction
 from fission_sim.partitioning import PartitionConfig
 from fission_sim.sortition import (
@@ -145,9 +145,11 @@ def test_collect_votes_equals_per_member_signatures(roles, offline_mask, proposa
     committee = select_committee(
         population.online_stakes(), proposal, BLOCK_MAIN, 0.05, population.registry
     )
-    assert consensus.collect_votes(committee, population, proposal, offline) == reference_votes(
-        committee, population, proposal, offline
-    )
+    with patch.object(consensus, "_conflict_hash", wraps=consensus._conflict_hash) as derive:
+        votes, conflicting = consensus.collect_votes(committee, population, proposal, offline)
+    assert (votes, conflicting) == reference_votes(committee, population, proposal, offline)
+    # the conflicting hash is derived once per call, and only when some member conflicts
+    assert derive.call_count == (1 if conflicting else 0)
 
 
 # --- micro rounds ---
@@ -400,6 +402,15 @@ def test_population_stake_partitioning():
     assert abs(online - 0.7 * total) <= 200  # within stake granularity
     assert byz <= 0.25 * online
     assert all(n.online for n in pop.nodes if n.byzantine)
+
+
+def test_every_stake_must_fit_the_eight_byte_balance():
+    # 2^64 - 2048 is the largest float-parsed stake below 2^64
+    sim = ChainSimulation(n_nodes=2, stake_dist=f"fixed:{2**64 - 2048}")
+    assert [n.stake for n in sim.population.nodes] == [2**64 - 2048] * 2
+    with pytest.raises(ValidationError) as err:
+        ChainSimulation(n_nodes=2, stake_dist=f"fixed:{2**64}")
+    assert err.value.field == "population.stake_dist"
 
 
 def test_epoch_config_rejects_non_positive_durations():

@@ -1,9 +1,14 @@
 import math
 import random
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fission_sim.crypto import KeyRegistry, sha3
+from fission_sim import chain
+from fission_sim import ledger as ledger_module
+from fission_sim.crypto import KeyRegistry, encode_fields, encode_uint, sha3
 from fission_sim.errors import (
     BadNonce,
     DoubleCredit,
@@ -16,7 +21,12 @@ from fission_sim.errors import (
 from fission_sim.ledger import (
     EAGER,
     LAZY,
+    TX_TYPE_TRANSFER,
+    ZERO_HASH,
+    Account,
+    LeafCache,
     LedgerState,
+    SubTransaction,
     Transaction,
     apply_eager,
     apply_lazy,
@@ -24,6 +34,8 @@ from fission_sim.ledger import (
     shard_of,
     split_transaction,
 )
+from fission_sim.merkle import merkle_root
+from fission_sim.partitioning import split_shards
 
 
 @pytest.fixture
@@ -103,6 +115,85 @@ def test_transaction_id_is_stable_and_tamper_evident(reg):
     assert tx.id != other.id
 
 
+def test_make_transfer_equals_the_transaction_built_by_hand(reg):
+    sk_a, pk_a = new_key(reg, "a")
+    _, pk_b = new_key(reg, "b")
+    tx = make_transfer(reg, sk_a, pk_b, 10, 1)
+    by_hand = Transaction(TX_TYPE_TRANSFER, pk_a, pk_b, 10, 1, ZERO_HASH, tx.signature)
+    assert by_hand == tx
+    assert by_hand.signing_bytes() == tx.signing_bytes()
+    assert by_hand.id == tx.id
+
+
+# --- record encodings ---
+
+# byte strings of any length: empty, around the 32-byte key/hash size, and
+# past one length byte
+FIELDS = st.one_of(
+    st.sampled_from((0, 1, 31, 32, 33, 300)).flatmap(lambda n: st.binary(min_size=n, max_size=n)),
+    st.binary(max_size=300),
+)
+UINTS = st.one_of(st.sampled_from((0, 2**64 - 1)), st.integers(0, 2**64 - 1))
+OUT_OF_RANGE = st.one_of(
+    st.sampled_from((-1, 2**64)), st.integers(max_value=-1), st.integers(min_value=2**64)
+)
+KINDS = st.sampled_from((EAGER, LAZY))
+TX_TYPES = st.one_of(st.just(TX_TYPE_TRANSFER), st.text(max_size=20))
+
+
+def raw_sha3(data: bytes) -> bytes:
+    """Stands in for ``sha3`` so a record's hash input can be compared byte for byte."""
+    return data
+
+
+def log_root(sub: SubTransaction) -> bytes:
+    """The log root ``chain._body_roots`` gives a body of just ``sub``."""
+    return chain._body_roots([sub], LeafCache())[1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=KINDS, tx_type=TX_TYPES, fields=st.tuples(FIELDS, FIELDS, FIELDS, FIELDS, FIELDS),
+    value=UINTS, nonce=UINTS,
+)
+def test_inline_record_encodings_equal_encode_fields(kind, tx_type, fields, value, nonce):
+    parent, sender, receiver, data_hash, signature = fields
+    sub = SubTransaction(kind, parent, sender, receiver, value, nonce)
+    assert sub.encode() == encode_fields(
+        kind.encode(), parent, sender, receiver, encode_uint(value), encode_uint(nonce)
+    )
+    signing = encode_fields(
+        tx_type.encode(), sender, receiver, encode_uint(value), encode_uint(nonce), data_hash
+    )
+    tx = Transaction(tx_type, sender, receiver, value, nonce, data_hash, signature)
+    assert tx.signing_bytes() == signing
+    with patch.object(ledger_module, "sha3", raw_sha3):
+        assert tx.id == encode_fields(signing, signature)
+    with patch.object(chain, "sha3", raw_sha3):
+        leaf = chain._leaf({}, Account(sender, value, nonce))
+        log = log_root(SubTransaction(EAGER, parent, sender, receiver, value, nonce))
+    assert leaf == encode_fields(sender, encode_uint(value), encode_uint(nonce))
+    assert log == merkle_root([encode_fields(parent, receiver, encode_uint(value))])
+
+
+@settings(max_examples=100, deadline=None)
+@given(bad=OUT_OF_RANGE, kind=KINDS, key=FIELDS)
+def test_inline_record_encodings_reject_integers_outside_eight_bytes(bad, kind, key):
+    with pytest.raises(OverflowError):
+        encode_uint(bad)
+    for value, nonce in ((bad, 0), (0, bad)):
+        with pytest.raises(OverflowError):
+            SubTransaction(kind, key, key, key, value, nonce).encode()
+        with pytest.raises(OverflowError):
+            Transaction(TX_TYPE_TRANSFER, key, key, value, nonce, key, key).signing_bytes()
+        with pytest.raises(OverflowError):
+            chain._leaf({}, Account(key, value, nonce))
+    debit = SubTransaction(EAGER, key, key, key, bad, 1)
+    object.__setattr__(debit, "_id", ZERO_HASH)  # reach the log leaf past the id
+    with pytest.raises(OverflowError):
+        log_root(debit)
+
+
 # --- eager application ---
 
 
@@ -122,6 +213,25 @@ def test_apply_eager_exact_balance_boundary(reg):
     assert list(state.pending) == [eager.parent_id]
     entry = state.pending[eager.parent_id]
     assert (entry.sender, entry.receiver, entry.value, entry.nonce) == (pk_a, pk_b, 10, 1)
+
+
+def test_pending_log_holds_the_debit_that_clones_and_splits_share(reg):
+    sk_a, pk_a = new_key(reg, "a")
+    _, pk_b = new_key(reg, "b")
+    state = LedgerState(2)
+    state.create_account(pk_a, 100)
+    eager, lazy = eager_for(reg, sk_a, pk_b, 10, 1)
+    apply_eager(state, eager)
+    assert state.pending[eager.parent_id] is eager
+    clone, split = state.clone(), split_shards(state)
+    assert clone.pending[eager.parent_id] is eager
+    assert split.pending[eager.parent_id] is eager
+    for copy in (clone, split):
+        apply_lazy(copy, lazy)
+        assert not copy.pending
+        assert copy.get_account(pk_b).balance == 10
+    # the credits consumed the copies' entries, not the original's
+    assert state.pending[eager.parent_id] is eager and state.get_account(pk_b) is None
 
 
 def test_apply_eager_insufficient_balance_leaves_state_unchanged(reg):

@@ -162,8 +162,8 @@ def body_shard(sub: SubTransaction, n_shard: int) -> int:
 def compute_root_arrays(
     body: list[SubTransaction], post_state: LedgerState
 ) -> tuple[list[bytes], list[bytes], list[bytes]]:
-    """Per-shard Merkle roots of the block body, the post-state account tables,
-    and the log entries this block created (credits create none).
+    """Per-shard Merkle roots of the block body, the post-state accounts of
+    each shard, and the log entries this block created (credits create none).
 
     Roots ``post_state``: each shard's tree becomes current and ``written``
     is emptied. Only written accounts are rehashed, and work whose content
@@ -177,12 +177,13 @@ def compute_root_arrays(
     for pk in post_state.written:
         written[shard_of(pk, n)].append(pk)
     tx_roots, account_roots, log_roots = [], [], []
+    accounts = post_state.accounts
     for shard, shard_subs, keys in zip(post_state.shards, subs, written):
         tx_root, log_root = _body_roots(shard_subs, shard.cache)
         tx_roots.append(tx_root)
         log_roots.append(log_root)
         if keys or shard.tree is None:
-            shard.tree = _derive_tree(shard, keys)
+            shard.tree = _derive_tree(shard, keys, accounts)
         account_roots.append(shard.tree.root)
     post_state.written.clear()
     return tx_roots, account_roots, log_roots
@@ -223,14 +224,16 @@ def _leaf(known: dict[bytes, tuple[int, int, bytes]], acct: Account) -> bytes:
     return hit[2]
 
 
-def _derive_tree(shard: ShardState, keys: list[bytes]) -> AccountTree:
-    """The tree of the shard's accounts, given that only ``keys`` changed
-    since ``shard.tree`` (all of them when that is None).
+def _derive_tree(shard: ShardState, keys: list[bytes], accounts: dict[bytes, Account]) -> AccountTree:
+    """The tree of the shard's accounts in ``accounts`` (the state's table),
+    given that only ``keys`` changed since ``shard.tree``.
 
     Recomputes the paths above the changed leaves when every key is already
-    in the tree; a new key shifts positions, so it rebuilds the tree.
+    in the tree; a new key shifts positions, so it rebuilds the tree over the
+    tree's keys and the written ones. A shard never rooted has no tree, and
+    its written keys are all its accounts.
     """
-    accounts, cache, base = shard.accounts, shard.cache, shard.tree
+    cache, base = shard.cache, shard.tree
     known = cache.leaves
     changes = tuple((pk, _leaf(known, accounts[pk])) for pk in sorted(keys))
     memo = cache.derived
@@ -241,7 +244,7 @@ def _derive_tree(shard: ShardState, keys: list[bytes]) -> AccountTree:
         levels = merkle_update(base.levels, {index[pk]: leaf for pk, leaf in changes})
         tree = AccountTree(index, levels)
     else:
-        order = sorted(accounts)
+        order = sorted(base.index.keys() | keys) if base is not None else [pk for pk, _ in changes]
         levels = merkle_levels([_leaf(known, accounts[pk]) for pk in order])
         tree = AccountTree({pk: i for i, pk in enumerate(order)}, levels)
     cache.derived = (base, changes, tree)

@@ -59,6 +59,7 @@ class KeyRegistry:
 
     def __init__(self):
         self._sk_by_pk: dict[bytes, bytes] = {}
+        self._pk_by_sk: dict[bytes, bytes] = {}
         # each secret key as its first encode_fields field, framed once here
         # instead of once per draw and signature
         self._framed_by_pk: dict[bytes, bytes] = {}
@@ -68,6 +69,7 @@ class KeyRegistry:
         sk = sha3(b"sk" + seed_material)
         pk = sha3(sk)
         self._sk_by_pk[pk] = sk
+        self._pk_by_sk[sk] = pk
         self._framed_by_pk[pk] = length_prefix(len(sk)) + sk
         return sk, pk
 
@@ -76,6 +78,13 @@ class KeyRegistry:
             return self._sk_by_pk[pk]
         except KeyError:
             raise VerificationFailure(f"unknown public key {pk.hex()[:16]}") from None
+
+    def public_key(self, sk: bytes) -> bytes:
+        """``sha3(sk)`` of a key this registry generated, without hashing."""
+        try:
+            return self._pk_by_sk[sk]
+        except KeyError:
+            raise VerificationFailure("unknown secret key") from None
 
     def framed_secrets(self, pks: list[bytes]) -> list[bytes]:
         """``encode_field(sk)`` of each pk's secret key, the input of

@@ -6,32 +6,35 @@ driven by a caller-owned random.Random so every draw is reproducible.
 
 from __future__ import annotations
 
+import math
 import random
 from typing import Callable
 
 from .errors import ParseError
 
 
+# parameter count of each distribution
+_ARITY = {"fixed": 1, "uniform": 2, "pareto": 1}
+
+
 def parse_dist(spec: str):
-    """Return (name, params) after validating the spec string."""
+    """Return (name, params) after validating the spec string; every
+    parameter must be a finite number."""
     parts = spec.split(":")
     name = parts[0]
+    if _ARITY.get(name) != len(parts) - 1:
+        raise ParseError(f"unknown distribution spec {spec!r}")
     try:
-        if name == "fixed" and len(parts) == 2:
-            return name, (float(parts[1]),)
-        if name == "uniform" and len(parts) == 3:
-            lo, hi = float(parts[1]), float(parts[2])
-            if lo > hi:
-                raise ParseError(f"uniform bounds out of order in {spec!r}")
-            return name, (lo, hi)
-        if name == "pareto" and len(parts) == 2:
-            shape = float(parts[1])
-            if shape <= 0:
-                raise ParseError(f"pareto shape must be positive in {spec!r}")
-            return name, (shape,)
+        params = tuple(float(part) for part in parts[1:])
     except ValueError:
         raise ParseError(f"non-numeric parameter in distribution spec {spec!r}") from None
-    raise ParseError(f"unknown distribution spec {spec!r}")
+    if not all(math.isfinite(x) for x in params):
+        raise ParseError(f"non-finite parameter in distribution spec {spec!r}")
+    if name == "uniform" and params[0] > params[1]:
+        raise ParseError(f"uniform bounds out of order in {spec!r}")
+    if name == "pareto" and params[0] <= 0:
+        raise ParseError(f"pareto shape must be positive in {spec!r}")
+    return name, params
 
 
 def sample_dist(spec: str, rng: random.Random, integer: bool = True, minimum: float | None = None):

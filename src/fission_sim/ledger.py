@@ -68,8 +68,12 @@ def _signing_bytes(
     ))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Transaction:
+    """A signed transfer. Plain (not frozen) so that it is cheap to build,
+    but treated as immutable: no code writes a field after construction.
+    Only the two memos below are filled, each once."""
+
     tx_type: str
     sender: bytes
     receiver: bytes
@@ -84,18 +88,16 @@ class Transaction:
 
     def signing_bytes(self) -> bytes:
         if self._signing is None:
-            message = _signing_bytes(
+            self._signing = _signing_bytes(
                 self.tx_type, self.sender, self.receiver, self.value, self.nonce, self.data_hash
             )
-            object.__setattr__(self, "_signing", message)
         return self._signing
 
     @property
     def id(self) -> bytes:
         if self._id is None:
             message, sig = self.signing_bytes(), self.signature
-            tx_id = sha3(b"".join((length_prefix(len(message)), message, length_prefix(len(sig)), sig)))
-            object.__setattr__(self, "_id", tx_id)
+            self._id = sha3(b"".join((length_prefix(len(message)), message, length_prefix(len(sig)), sig)))
         return self._id
 
 
@@ -107,18 +109,23 @@ def make_transfer(
     nonce: int,
     data_hash: bytes = ZERO_HASH,
 ) -> Transaction:
-    """Build and sign a transfer from the holder of ``sk``; the signed message
-    is kept as the transaction's ``signing_bytes()``."""
-    sender = sha3(sk)
+    """Build and sign a transfer from the holder of ``sk``, a key that
+    ``registry`` generated; the signed message is kept as the transaction's
+    ``signing_bytes()``."""
+    sender = registry.public_key(sk)
     message = _signing_bytes(TX_TYPE_TRANSFER, sender, receiver, value, nonce, data_hash)
     sig = crypto.sign(sk, message)
     tx = Transaction(TX_TYPE_TRANSFER, sender, receiver, value, nonce, data_hash, sig)
-    object.__setattr__(tx, "_signing", message)
+    tx._signing = message
     return tx
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class SubTransaction:
+    """One half of a transfer: the debit (EAGER) or the credit (LAZY).
+    Treated as immutable like ``Transaction``: only the ``_id`` memo is
+    filled after construction, once."""
+
     kind: str  # EAGER or LAZY
     parent_id: bytes
     sender: bytes
@@ -141,7 +148,7 @@ class SubTransaction:
     @property
     def id(self) -> bytes:
         if self._id is None:
-            object.__setattr__(self, "_id", sha3(self.encode()))
+            self._id = sha3(self.encode())
         return self._id
 
 
@@ -209,9 +216,8 @@ class LeafCache:
 
 @dataclass
 class ShardState:
-    accounts: dict[bytes, Account] = field(default_factory=dict)
     cache: LeafCache = field(default_factory=LeafCache)
-    # the tree of the accounts as they were when this shard was last rooted;
+    # the tree of the shard's accounts as they were when it was last rooted;
     # None until the first rooting of a fresh state
     tree: AccountTree | None = None
 
@@ -261,7 +267,13 @@ class CreditedIds:
 
 
 class LedgerState:
-    """Per-shard account tables plus the pool of debits awaiting credits.
+    """One account table for every shard, the per-shard trees and root memos,
+    and the pool of debits awaiting credits.
+
+    ``accounts`` maps pk -> ``Account`` across all shards; an account's shard
+    (``shard_of(pk, n_shard)``) matters only when the state is rooted, so
+    lookups and writes never compute it. Its order is insertion order:
+    readers that need an order sort.
 
     Single-writer: one block pipeline mutates a state at a time. ``clone()``
     is copy-on-write: the clone shares ``Account`` objects with its parent,
@@ -280,9 +292,11 @@ class LedgerState:
         if n_shard < 1:
             raise ValueError("n_shard must be >= 1")
         self.n_shard = n_shard
+        self.accounts: dict[bytes, Account] = {}
         self.shards = [ShardState() for _ in range(n_shard)]
         # parent_id -> the confirmed debit, while its credit has not applied;
-        # debits are immutable, so states and clones share them
+        # no code writes a debit after it is built, so states and clones
+        # share them
         self.pending: dict[bytes, SubTransaction] = {}
         self.credited = CreditedIds()
         # keys of the accounts this state may write in place
@@ -292,7 +306,8 @@ class LedgerState:
     def clone(self) -> "LedgerState":
         other = LedgerState.__new__(LedgerState)
         other.n_shard = self.n_shard
-        other.shards = [ShardState(dict(s.accounts), s.cache, s.tree) for s in self.shards]
+        other.accounts = dict(self.accounts)
+        other.shards = [ShardState(s.cache, s.tree) for s in self.shards]
         other.pending = dict(self.pending)
         other.credited = self.credited.copy()
         other._owned = set()
@@ -302,14 +317,13 @@ class LedgerState:
         return other
 
     def create_account(self, pk: bytes, balance: int, nonce: int = 0) -> Account:
-        acct = Account(pk, balance, nonce)
-        self.shards[shard_of(pk, self.n_shard)].accounts[pk] = acct
+        acct = self.accounts[pk] = Account(pk, balance, nonce)
         self._owned.add(pk)
         self.written.add(pk)
         return acct
 
     def get_account(self, pk: bytes) -> Account | None:
-        return self.shards[shard_of(pk, self.n_shard)].accounts.get(pk)
+        return self.accounts.get(pk)
 
     def _private(self, acct: Account) -> Account:
         """``acct`` if this state may write it in place, else a private copy
@@ -318,23 +332,21 @@ class LedgerState:
         self.written.add(pk)
         if pk in self._owned:
             return acct
-        acct = Account(pk, acct.balance, acct.nonce)
-        self.shards[shard_of(pk, self.n_shard)].accounts[pk] = acct
+        acct = self.accounts[pk] = Account(pk, acct.balance, acct.nonce)
         self._owned.add(pk)
         return acct
 
     def total_balance(self) -> int:
-        return sum(a.balance for s in self.shards for a in s.accounts.values())
+        return sum(a.balance for a in self.accounts.values())
 
     def pending_value(self) -> int:
         return sum(debit.value for debit in self.pending.values())
 
     def account_count(self) -> int:
-        return sum(len(s.accounts) for s in self.shards)
+        return len(self.accounts)
 
     def iter_accounts(self):
-        for shard in self.shards:
-            yield from shard.accounts.values()
+        return iter(self.accounts.values())
 
 
 def apply_eager(state: LedgerState, sub: SubTransaction) -> None:

@@ -67,7 +67,8 @@ def reshard_trigger(history: list[tuple[int, int]], n_rs: int) -> bool:
 
 
 def split_shards(state: LedgerState) -> LedgerState:
-    """Double the shard count, re-homing accounts by pk mod (2 * n_shard).
+    """Double the shard count, so each account's home becomes pk mod
+    (2 * n_shard); the new state's trees are built at its first rooting.
     Balances, nonces, pending debit logs and credited ids carry over exactly."""
     new_state = LedgerState(2 * state.n_shard)
     for acct in state.iter_accounts():

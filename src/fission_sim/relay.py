@@ -234,7 +234,11 @@ def simulate_prs(
 ) -> PrsRun:
     """Run synchronous selection rounds from a seeded start; the trace records
     (round, phi, expected delay, max ratio, switches) with round 0 being the
-    initial state. Stops early once phi <= 4m unless told otherwise."""
+    initial state. Without churn it stops early once phi <= 4m unless told
+    otherwise; with churn it runs every round, since churn keeps moving the
+    system after it first reaches steady state."""
+    churn = bool(join_rate or leave_rate)
+    stop_at_steady = stop_at_steady and not churn
     rng = split(seed, "prs")
     state = RelaySystemState(capacities, mu=mu, mean_msg_size=mean_msg_size)
     state.populate(n_nodes, rng, start=start)
@@ -243,7 +247,7 @@ def simulate_prs(
     for rnd in range(1, rounds + 1):
         if stop_at_steady and rows[-1].phi <= threshold:
             break
-        if join_rate or leave_rate:
+        if churn:
             apply_churn(state, rng, join_rate, leave_rate)
         switches = synchronous_round(state, rng)
         _assert_load_conservation(state)

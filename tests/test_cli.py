@@ -126,6 +126,32 @@ def test_chain_total_stake_past_eight_bytes_runs(tmp_path, capsys, monkeypatch):
     assert len((tmp_path / "chain.jsonl").read_text().splitlines()) == 5  # genesis + 4 epochs
 
 
+NON_FINITE_SPECS = [
+    "fixed:inf", "fixed:-inf", "fixed:nan", "uniform:2:inf", "uniform:-inf:2", "uniform:nan:2",
+    "pareto:inf", "pareto:nan",
+]
+
+
+@pytest.mark.parametrize("spec", NON_FINITE_SPECS)
+def test_chain_non_finite_stake_dist_exits_2_naming_the_key(tmp_path, capsys, monkeypatch, spec):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text(f"population.nodes = 20\npopulation.stake_dist = {spec}\n")
+    code, _, err = run_cli(capsys, "chain", "--config", "run.cfg", "--epochs", "2")
+    assert code == 2
+    assert err.startswith("error: population.stake_dist: non-finite parameter")
+    assert "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+
+@pytest.mark.parametrize("spec", NON_FINITE_SPECS)
+def test_relay_non_finite_cap_dist_exits_2_naming_the_key(tmp_path, capsys, monkeypatch, spec):
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(capsys, "relay", "--nodes", "50", "--relayers", "4", "--cap-dist", spec)
+    assert code == 2
+    assert err.startswith("error: relay.cap_dist (--cap-dist): non-finite parameter")
+    assert "Traceback" not in err and list(tmp_path.iterdir()) == []
+
+
 def test_chain_missing_config_file(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "chain", "--config", str(tmp_path / "nope.cfg"))
     assert code == 2
@@ -259,6 +285,23 @@ def test_relay_config_churn_reaches_simulate_prs(tmp_path, capsys):
     assert len(rows) > 1 and out.read_text().splitlines()[1:] == _csv_lines(rows)
     assert [r.phi for r in run.rows] != [r.phi for r in calm.rows]
     assert run.state.n_nodes != 300  # nodes joined or left
+
+
+@pytest.mark.parametrize("churn", [True, False], ids=["churn", "calm"])
+def test_relay_churn_runs_every_round(tmp_path, capsys, churn):
+    # a trial with churn runs all relay.rounds rounds; one without stops at
+    # steady state, which from the worst start comes after round 1
+    cfg = tmp_path / "run.cfg"
+    rates = "relay.join_rate = 3.5\nrelay.leave_rate = 0.02\n" if churn else ""
+    cfg.write_text(
+        "seed = 4\nrelay.nodes = 300\nrelay.relayers = 12\nrelay.rounds = 6\n"
+        "relay.trials = 2\n" + rates
+    )
+    out = tmp_path / "trace.csv"
+    code, _, _ = run_cli(capsys, "relay", "--config", str(cfg), "--out", str(out))
+    assert code == 0
+    trials = [line.split(",", 1)[0] for line in out.read_text().splitlines()[1:]]
+    assert trials.count("0") == trials.count("1") == (6 + 1 if churn else 2)
 
 
 def test_drs_config_cap_dist_changes_trace(tmp_path, capsys):

@@ -146,6 +146,22 @@ def test_framed_secrets_rejects_unknown_keys():
         reg.framed_secrets([pk, sha3(b"nobody")])
 
 
+def test_public_key_is_the_hash_of_each_generated_secret_key():
+    reg = KeyRegistry()
+    for i in range(50):
+        sk, pk = reg.generate(b"pk-%d" % i)
+        assert reg.public_key(sk) == pk == sha3(sk)
+
+
+def test_public_key_rejects_unknown_secret_keys():
+    reg = KeyRegistry()
+    _, pk = reg.generate(b"a")
+    with pytest.raises(VerificationFailure):
+        reg.public_key(pk)  # a public key is no secret key the registry made
+    with pytest.raises(VerificationFailure):
+        reg.public_key(sha3(b"never generated"))
+
+
 def test_vrf_repr_hides_the_secret_key():
     sk = b"\x07" * 32
     out = vrf_eval(sk, b"seed", "leader")

@@ -17,6 +17,7 @@ from fission_sim.errors import (
     MissingEagerLog,
     NonPositiveValue,
     UnknownAccount,
+    VerificationFailure,
 )
 from fission_sim.ledger import (
     EAGER,
@@ -123,6 +124,45 @@ def test_make_transfer_equals_the_transaction_built_by_hand(reg):
     assert by_hand == tx
     assert by_hand.signing_bytes() == tx.signing_bytes()
     assert by_hand.id == tx.id
+
+
+def test_make_transfer_rejects_a_key_the_registry_did_not_generate(reg):
+    _, pk_b = new_key(reg, "b")
+    with pytest.raises(VerificationFailure):
+        make_transfer(reg, sha3(b"stranger"), pk_b, 10, 1)
+
+
+def test_make_transfer_hashes_once(reg, monkeypatch):
+    # the signature is the one hash; the sender key comes from the registry
+    sk_a, _ = new_key(reg, "a")
+    _, pk_b = new_key(reg, "b")
+    calls = []
+
+    def counting_sha3(data):
+        calls.append(data)
+        return sha3(data)
+
+    monkeypatch.setattr("fission_sim.crypto.sha3", counting_sha3)
+    monkeypatch.setattr("fission_sim.ledger.sha3", counting_sha3)
+    make_transfer(reg, sk_a, pk_b, 10, 1)
+    assert len(calls) == 1
+
+
+def test_records_are_slotted_and_compare_by_value(reg):
+    sk_a, _ = new_key(reg, "a")
+    _, pk_b = new_key(reg, "b")
+    tx = make_transfer(reg, sk_a, pk_b, 10, 1)
+    eager, lazy = split_transaction(tx, reg)
+    for record in (tx, eager, lazy):
+        assert not hasattr(record, "__dict__")
+    # built anew, with no memo filled yet, each still equals the original
+    same_tx = Transaction(
+        tx.tx_type, tx.sender, tx.receiver, tx.value, tx.nonce, tx.data_hash, tx.signature
+    )
+    assert same_tx == tx and same_tx._id is None and tx._id is not None
+    same_eager = SubTransaction(EAGER, eager.parent_id, eager.sender, eager.receiver, 10, 1)
+    assert same_eager == eager and same_eager != lazy
+    assert same_eager != SubTransaction(EAGER, eager.parent_id, eager.sender, eager.receiver, 11, 1)
 
 
 # --- record encodings ---

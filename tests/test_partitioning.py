@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from fission_sim.crypto import KeyRegistry
+from fission_sim.chain import compute_root_arrays
+from fission_sim.crypto import KeyRegistry, encode_fields, encode_uint, sha3
 from fission_sim.errors import DoubleCredit
 from fission_sim.ledger import (
     LedgerState,
@@ -12,6 +13,7 @@ from fission_sim.ledger import (
     shard_of,
     split_transaction,
 )
+from fission_sim.merkle import merkle_root
 from fission_sim.partitioning import (
     PartitionConfig,
     next_partition_count,
@@ -118,6 +120,16 @@ def make_state_with_accounts(n_shard, count, seed=0):
     return state
 
 
+def reference_account_roots(state):
+    """Each shard's account root from no cache: the accounts of the state's
+    one table grouped by ``shard_of``, in key order."""
+    leaves = [[] for _ in range(state.n_shard)]
+    for pk, a in sorted(state.accounts.items()):
+        leaf = sha3(encode_fields(pk, encode_uint(a.balance), encode_uint(a.nonce)))
+        leaves[shard_of(pk, state.n_shard)].append(leaf)
+    return [merkle_root(lv) for lv in leaves]
+
+
 def test_split_shards_parity():
     state = LedgerState(1)
     pks = [(i).to_bytes(32, "big") for i in range(4)]
@@ -125,8 +137,10 @@ def test_split_shards_parity():
         state.create_account(pk, 1)
     split = split_shards(state)
     assert split.n_shard == 2
-    assert sorted(int.from_bytes(a.pk, "big") for a in split.shards[0].accounts.values()) == [0, 2]
-    assert sorted(int.from_bytes(a.pk, "big") for a in split.shards[1].accounts.values()) == [1, 3]
+    _, roots, _ = compute_root_arrays([], split)
+    assert sorted(int.from_bytes(pk, "big") for pk in split.shards[0].tree.index) == [0, 2]
+    assert sorted(int.from_bytes(pk, "big") for pk in split.shards[1].tree.index) == [1, 3]
+    assert roots == reference_account_roots(split)
 
 
 def test_split_shards_conserves_balance_and_accounts():
@@ -142,13 +156,15 @@ def test_split_shards_per_account_lookup_matches():
     for seed in range(5):
         state = make_state_with_accounts(4, 100, seed=seed)
         split = split_shards(state)
+        _, roots, _ = compute_root_arrays([], split)
         for acct in state.iter_accounts():
             moved = split.get_account(acct.pk)
             assert moved is not None
             assert moved.balance == acct.balance and moved.nonce == acct.nonce
-            assert shard_of(acct.pk, 8) == [
-                i for i, s in enumerate(split.shards) if acct.pk in s.accounts
-            ][0]
+            assert [i for i, s in enumerate(split.shards) if acct.pk in s.tree.index] == [
+                shard_of(acct.pk, 8)
+            ]
+        assert roots == reference_account_roots(split)
 
 
 def test_split_shards_keeps_pending_and_credited():

@@ -25,7 +25,7 @@ from fission_sim.ledger import (
     apply_lazy,
     shard_of,
 )
-from fission_sim.merkle import merkle_root
+from fission_sim.merkle import merkle_levels, merkle_root
 from fission_sim.partitioning import split_shards
 
 KEYS = [sha3(b"prop-key-%d" % i) for i in range(16)]
@@ -83,10 +83,19 @@ def apply_ops(state: LedgerState, ops, keys=KEYS) -> tuple[list[SubTransaction],
     return applied, outcomes
 
 
+def shard_accounts(state: LedgerState) -> list[list[tuple[bytes, object]]]:
+    """Each shard's (pk, account) pairs in key order, grouped by
+    ``shard_of`` over the state's one account table."""
+    shards = [[] for _ in range(state.n_shard)]
+    for pk, acct in sorted(state.accounts.items()):
+        shards[shard_of(pk, state.n_shard)].append((pk, acct))
+    return shards
+
+
 def snapshot(state: LedgerState):
     accounts = [
-        sorted((pk, a.balance, a.nonce) for pk, a in shard.accounts.items())
-        for shard in state.shards
+        [(pk, a.balance, a.nonce) for pk, a in shard]
+        for shard in shard_accounts(state)
     ]
     return state.n_shard, accounts, dict(state.pending), set(state.credited)
 
@@ -106,9 +115,9 @@ def reference_roots(body, state):
     account_roots = [
         merkle_root([
             sha3(encode_fields(pk, encode_uint(a.balance), encode_uint(a.nonce)))
-            for pk, a in sorted(shard.accounts.items())
+            for pk, a in shard
         ])
-        for shard in state.shards
+        for shard in shard_accounts(state)
     ]
     return (
         [merkle_root(lv) for lv in tx_leaves],
@@ -301,3 +310,35 @@ def test_rooting_hashes_only_the_paths_above_written_leaves(n_accounts, data):
         assert child.shards[0].tree is rooted and len(hashed) == expected
     assert roots == reference_roots([], child)
     assert state.shards[0].tree is tree
+
+
+def check_trees(state: LedgerState) -> None:
+    """Each shard's tree is ``merkle_levels`` over that shard's accounts of
+    the one table, in key order, with each key at its leaf position."""
+    for shard, accounts in zip(state.shards, shard_accounts(state)):
+        leaves = [
+            sha3(encode_fields(pk, encode_uint(a.balance), encode_uint(a.nonce)))
+            for pk, a in accounts
+        ]
+        assert shard.tree.levels == merkle_levels(leaves)
+        assert shard.tree.index == {pk: i for i, (pk, _) in enumerate(accounts)}
+
+
+@settings(max_examples=100, deadline=None)
+@given(n_shard=st.sampled_from([1, 2, 3]), n_accounts=TREE_SIZES, data=st.data())
+def test_flat_table_trees_equal_per_shard_merkle_levels(n_shard, n_accounts, data):
+    ops_of = tree_ops(n_accounts)
+    state = tree_state(n_shard, n_accounts)
+    compute_root_arrays([], state)
+    check_trees(state)
+    for _ in range(data.draw(st.integers(1, 5))):
+        if data.draw(st.booleans()):
+            state = split_shards(state)
+        child = state.clone()
+        body, _ = apply_ops(child, data.draw(ops_of), TREE_KEYS)
+        # the parent writes after the clone too, and roots on its own
+        parent_body, _ = apply_ops(state, data.draw(ops_of), TREE_KEYS)
+        for rooted, rooted_body in ((child, body), (state, parent_body)):
+            compute_root_arrays(rooted_body, rooted)
+            check_trees(rooted)
+        state = child if data.draw(st.booleans()) else state

@@ -59,41 +59,47 @@ def next_seed(seed: bytes, block_hash: bytes) -> bytes:
 
 
 @dataclass(slots=True)
-class Vote:
-    voter: bytes
-    block_hash: bytes
-    weight: int
-    signature: bytes
+class Votes:
+    """The votes on one block hash as parallel columns in casting order:
+    each voter's key, its claimed weight and its signature."""
+
+    block_hash: bytes = b""
+    voters: list[bytes] = field(default_factory=list)
+    weights: list[int] = field(default_factory=list)
+    signatures: list[bytes] = field(default_factory=list)
+
+    def __len__(self) -> int:
+        return len(self.voters)
 
 
 @dataclass
 class TallyResult:
     confirmed: bool
     weight: int
-    duplicates: list[bytes] = field(default_factory=list)
 
 
-def tally(votes: list[Vote], quorum: int, expected_weights: dict[bytes, int] | None = None) -> TallyResult:
+def tally(votes: Votes, quorum: int, expected_weights: dict[bytes, int] | None = None) -> TallyResult:
     """Sum distinct-voter weights against the quorum.
 
-    Duplicate voters are flagged and counted once; a weight that contradicts
-    the voter's sortition outcome raises InvalidWeight.
+    A voter that votes again counts once, with its first weight; a weight
+    that contradicts the voter's sortition outcome raises InvalidWeight.
     """
-    seen: dict[bytes, int] = {}
-    duplicates = []
-    for vote in votes:
-        if expected_weights is not None:
-            expected = expected_weights.get(vote.voter)
-            if expected is None or expected != vote.weight:
-                raise InvalidWeight(
-                    f"vote weight {vote.weight} does not match sortition for {vote.voter.hex()[:12]}"
-                )
-        if vote.voter in seen:
-            duplicates.append(vote.voter)
-            continue
-        seen[vote.voter] = vote.weight
-    weight = sum(seen.values())
-    return TallyResult(confirmed=weight >= quorum, weight=weight, duplicates=duplicates)
+    voters, weights = votes.voters, votes.weights
+    if expected_weights is not None:
+        expected = list(map(expected_weights.get, voters))
+        if expected != weights:
+            voter, claimed = next((v, w) for v, w, e in zip(voters, weights, expected) if w != e)
+            raise InvalidWeight(
+                f"vote weight {claimed} does not match sortition for {voter.hex()[:12]}"
+            )
+    if len(set(voters)) == len(voters):
+        weight = sum(weights)
+    else:
+        first: dict[bytes, int] = {}
+        for voter, w in zip(voters, weights):
+            first.setdefault(voter, w)
+        weight = sum(first.values())
+    return TallyResult(confirmed=weight >= quorum, weight=weight)
 
 
 @dataclass
@@ -108,7 +114,7 @@ class BlockHeader:
     seed: bytes
     n_shard: int
     n_partition: int
-    votes: list[Vote] = field(default_factory=list)
+    votes: Votes = field(default_factory=Votes)
 
     def core_bytes(self) -> bytes:
         return encode_fields(
@@ -421,7 +427,10 @@ def block_to_dict(block: Block) -> dict:
         "tx_root": [r.hex() for r in h.tx_root],
         "account_root": [r.hex() for r in h.account_root],
         "tx_log_root": [r.hex() for r in h.tx_log_root],
-        "votes": [[v.voter.hex(), v.weight, v.signature.hex()] for v in h.votes],
+        "votes": [
+            [voter.hex(), weight, signature.hex()]
+            for voter, weight, signature in zip(h.votes.voters, h.votes.weights, h.votes.signatures)
+        ],
         "body": [
             {
                 "kind": s.kind,

@@ -14,9 +14,9 @@ is a pure function of (config, seed).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import compress
 
-from .chain import INTERIM, Block, Chain, MicroBlock, Vote, tally
+from .chain import INTERIM, Block, Chain, MicroBlock, Votes, tally
 from .crypto import KeyRegistry, sha3, sign_each
 from .dists import sample_dist
 from .errors import FissionError, InvariantViolation, ValidationError
@@ -37,6 +37,7 @@ from .sortition import (
     BLOCK_INTERIM,
     BLOCK_MAIN,
     Committee,
+    Electorate,
     SecurityParams,
     leader_tickets,
     partition_committee,
@@ -103,9 +104,11 @@ class Population:
         self.nodes = nodes
         self.registry = registry
         self.by_pk = {n.pk: n for n in nodes}
-        # the online set is fixed once the population is built; pk order makes
-        # select_committee's sort of the keys a single pass
-        self._online_stakes = {n.pk: n.stake for n in sorted(nodes, key=lambda n: n.pk) if n.online}
+        # roles and the online set are fixed once the population is built:
+        # each Byzantine member's strategy by key, and the online electorate
+        self.strategies = {n.pk: n.strategy for n in nodes if n.byzantine}
+        self._online_stakes = {n.pk: n.stake for n in nodes if n.online}
+        self.electorate = Electorate(self._online_stakes)
 
     @classmethod
     def build(
@@ -167,39 +170,39 @@ def collect_votes(
     population: Population,
     proposal: bytes,
     offline: set[bytes],
-) -> tuple[list[Vote], list[Vote]]:
+) -> tuple[Votes, Votes]:
     """Votes cast on a proposal hash: honest members vote for it, Byzantine
     members act out their strategy. Returns (proposal votes, conflicting votes),
-    each in member order and signed in one batch."""
-    by_pk = population.by_pk
-    yes_pks, yes_weights, no_pks, no_weights = [], [], [], []
-    other = None
-    for pk, weight in zip(committee.pks, committee.weights):
-        if pk in offline:
-            continue
-        node = by_pk[pk]
-        if node.byzantine:
-            if node.strategy == WITHHOLD:
-                continue
-            if other is None:  # the first conflicting member derives it for all
-                other = _conflict_hash(proposal)
-            no_pks.append(pk)
-            no_weights.append(weight)
-            if node.strategy != EQUIVOCATE:
-                continue
-        yes_pks.append(pk)
-        yes_weights.append(weight)
-    framed = population.registry.framed_secrets
-    votes = list(map(Vote, yes_pks, repeat(proposal), yes_weights, sign_each(framed(yes_pks), proposal)))
-    if other is None:
-        return votes, []
-    conflicting = list(map(Vote, no_pks, repeat(other), no_weights, sign_each(framed(no_pks), other)))
-    return votes, conflicting
+    each in member order and signed in one batch. With no conflicting member
+    the second is an empty ``Votes()``.
+
+    The votes may share the committee's columns; neither is written once built.
+    """
+    pks, weights = committee.pks, committee.weights
+    if offline and not offline.isdisjoint(pks):
+        online = [pk not in offline for pk in pks]
+        pks, weights = list(compress(pks, online)), list(compress(weights, online))
+    strategies = population.strategies
+    registry = population.registry
+    if strategies.keys().isdisjoint(pks):
+        return _signed(proposal, pks, weights, registry), Votes()
+    roles = list(map(strategies.get, pks))  # None for an honest member
+    yes = [role is None or role == EQUIVOCATE for role in roles]
+    votes = _signed(proposal, list(compress(pks, yes)), list(compress(weights, yes)), registry)
+    no = [role is not None and role != WITHHOLD for role in roles]
+    if not any(no):
+        return votes, Votes()
+    other = _conflict_hash(proposal)
+    return votes, _signed(other, list(compress(pks, no)), list(compress(weights, no)), registry)
+
+
+def _signed(block_hash: bytes, voters: list[bytes], weights: list[int], registry: KeyRegistry) -> Votes:
+    return Votes(block_hash, voters, weights, sign_each(registry.framed_secrets(voters), block_hash))
 
 
 def adversary_weight(committee: Committee, population: Population) -> int:
-    by_pk = population.by_pk
-    return sum(w for pk, w in zip(committee.pks, committee.weights) if by_pk[pk].byzantine)
+    byzantine = map(population.strategies.__contains__, committee.pks)
+    return sum(compress(committee.weights, byzantine))
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +226,7 @@ def micro_round(
     everything.
     """
     offline = offline or set()
-    n_online = sum(pk not in offline for pk in committee.pks)
+    n_online = len(committee) - len(offline.intersection(committee.pks))
     if not n_online:
         return Timeout("no online committee weight"), list(sub_txs), []
 
@@ -345,12 +348,12 @@ def run_epoch(
     offline = offline or set()
     upcoming = chain.next_header()
     epoch, kind, seed = upcoming.epoch, upcoming.kind, upcoming.seed
-    stakes = population.online_stakes()
+    electorate = population.electorate
     p = cfg.security.p
     n_partition = chain.n_partition
 
     block_type = BLOCK_INTERIM if kind == INTERIM else BLOCK_MAIN
-    committee = select_committee(stakes, seed, block_type, p, population.registry)
+    committee = select_committee(electorate, seed, block_type, p, population.registry)
     adversary = _assert_adversary_below_quorum(committee, population, cfg, f"{block_type} committee")
 
     proposer = _elect_proposer(committee, population, seed, offline)
@@ -371,7 +374,7 @@ def run_epoch(
         micros: list[MicroBlock] = []
         kept_parents: set[bytes] = set()
         for k in range(n_partition):
-            pc = select_committee(stakes, seed, partition_committee(k), p, population.registry)
+            pc = select_committee(electorate, seed, partition_committee(k), p, population.registry)
             _assert_adversary_below_quorum(pc, population, cfg, f"partition {k} committee")
             outcome, deferred, invalid = micro_round(
                 k, routed[k], pc, cfg, chain.state, population, offline
@@ -444,7 +447,7 @@ def _assert_adversary_below_quorum(
     return weight
 
 
-def _assert_no_conflicting_quorum(conflicting: list[Vote], cfg: EpochConfig) -> None:
+def _assert_no_conflicting_quorum(conflicting: Votes, cfg: EpochConfig) -> None:
     """The conflicting votes of one ``collect_votes`` call all name the same
     ``_conflict_hash``, so one tally decides whether that block could land."""
     result = tally(conflicting, cfg.security.quorum)

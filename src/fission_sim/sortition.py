@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -137,8 +138,23 @@ class Committee:
         return len(self.pks)
 
 
+class Electorate:
+    """The keys that draw in ``select_committee``, built once per stake
+    mapping: the keys of positive stake in key order, and each stake with
+    the indices of its keys (one entry per distinct stake)."""
+
+    __slots__ = ("pks", "groups")
+
+    def __init__(self, stakes: Mapping[bytes, int]):
+        self.pks = sorted(pk for pk, stake in stakes.items() if stake > 0)
+        groups: dict[int, list[int]] = {}
+        for i, pk in enumerate(self.pks):
+            groups.setdefault(stakes[pk], []).append(i)
+        self.groups = list(groups.items())
+
+
 def select_committee(
-    stakes: Mapping[bytes, int],
+    stakes: Mapping[bytes, int] | Electorate,
     seed: bytes,
     ctype: str,
     p: float,
@@ -148,23 +164,27 @@ def select_committee(
 
     The registry stands in for each node evaluating its own secret key. The
     expected total weight over online stake S is p * S. Each member's hash
-    and weight equal its ``draw_outcome``.
+    and weight equal its ``draw_outcome``. A plain stake mapping is turned
+    into an ``Electorate`` first; a caller that draws often keeps one.
     """
     if not 0.0 < p < 1.0:
         raise DomainError(f"selection probability must be in (0, 1), got {p}")
-    pks = [pk for pk in sorted(stakes) if stakes[pk] > 0]
+    electorate = stakes if isinstance(stakes, Electorate) else Electorate(stakes)
+    pks = electorate.pks
     hashes = vrf_hashes(registry.framed_secrets(pks), seed, ctype)
     xs = uniforms(hashes)
     # one table lookup per stake group; the weights equal voting_power's
-    by_stake: dict[int, list[int]] = {}
-    for i, pk in enumerate(pks):
-        by_stake.setdefault(stakes[pk], []).append(i)
-    weights = [0] * len(pks)
-    for stake, idx in by_stake.items():
-        for i, w in zip(idx, voting_power_batch(xs[idx], stake, p).tolist()):
-            weights[i] = w
-    keep = [i for i, w in enumerate(weights) if w > 0]
-    return Committee([pks[i] for i in keep], [weights[i] for i in keep], [hashes[i] for i in keep])
+    if len(electorate.groups) == 1:
+        weights = voting_power_batch(xs, electorate.groups[0][0], p).tolist()
+    else:
+        weights = [0] * len(pks)
+        for stake, idx in electorate.groups:
+            for i, w in zip(idx, voting_power_batch(xs[idx], stake, p).tolist()):
+                weights[i] = w
+    member = list(map(bool, weights))  # weights are never negative
+    return Committee(
+        list(compress(pks, member)), list(compress(weights, member)), list(compress(hashes, member))
+    )
 
 
 def leader_order(tickets: Iterable[tuple[bytes, bytes | int]]) -> list[bytes]:

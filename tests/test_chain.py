@@ -13,7 +13,8 @@ from fission_sim.chain import (
     Block,
     BlockHeader,
     Chain,
-    Vote,
+    Votes,
+    block_to_dict,
     compute_root_arrays,
     kind_for_epoch,
 )
@@ -63,9 +64,15 @@ def make_block(chain, body, kind=None, votes=None, seed=None):
         seed=seed if seed is not None else sha3(tip.header.seed + tip.hash),
         n_shard=chain.state.n_shard,
         n_partition=tip.header.n_partition,
-        votes=votes or [],
+        votes=votes or Votes(),
     )
     return Block(header=header, body=body)
+
+
+def signed_votes(block, sk, *cast):
+    """``Votes`` on ``block``'s hash from (voter, weight) pairs, each signed with ``sk``."""
+    h = block.hash
+    return Votes(h, [pk for pk, _ in cast], [w for _, w in cast], [sign(sk, h) for _ in cast])
 
 
 def test_genesis_is_main_at_epoch_zero():
@@ -147,15 +154,12 @@ def test_vote_quorum_enforced():
     eager, _ = split_transaction(make_transfer(reg, sk_a, pk_b, 5, 1), reg)
 
     underweight = make_block(chain, [eager])
-    underweight.header.votes = [Vote(pk_a, underweight.hash, 9, sign(sk_a, underweight.hash))]
+    underweight.header.votes = signed_votes(underweight, sk_a, (pk_a, 9))
     with pytest.raises(InsufficientVotes):
         chain.append_block(underweight)
 
     enough = make_block(chain, [eager])
-    enough.header.votes = [
-        Vote(pk_a, enough.hash, 6, sign(sk_a, enough.hash)),
-        Vote(pk_b, enough.hash, 4, sign(sk_a, enough.hash)),
-    ]
+    enough.header.votes = signed_votes(enough, sk_a, (pk_a, 6), (pk_b, 4))
     chain.append_block(enough)
     assert chain.tip is enough
 
@@ -165,12 +169,31 @@ def test_duplicate_voters_counted_once_at_append():
     sk_a, pk_a = reg.generate(b"a")
     chain = build_chain(quorum=10, balances=[(pk_a, 100)])
     block = make_block(chain, [])
-    block.header.votes = [
-        Vote(pk_a, block.hash, 6, sign(sk_a, block.hash)),
-        Vote(pk_a, block.hash, 6, sign(sk_a, block.hash)),
-    ]
+    block.header.votes = signed_votes(block, sk_a, (pk_a, 6), (pk_a, 6))
     with pytest.raises(InsufficientVotes):
         chain.append_block(block)
+
+
+def test_block_to_dict_writes_each_vote_as_voter_weight_signature():
+    reg = KeyRegistry()
+    sk_a, pk_a = reg.generate(b"a")
+    _, pk_b = reg.generate(b"b")
+    chain = build_chain(quorum=10, balances=[(pk_a, 100)])
+    block = make_block(chain, [])
+    assert block_to_dict(block)["votes"] == []
+    block.header.votes = Votes(block.hash, [pk_a, pk_b], [6, 4], [b"\x01" * 32, b"\x02" * 32])
+    assert block_to_dict(block)["votes"] == [
+        [pk_a.hex(), 6, "01" * 32],
+        [pk_b.hex(), 4, "02" * 32],
+    ]
+
+
+def test_votes_are_slotted_columns():
+    votes = Votes(b"h" * 32, [b"a", b"b"], [1, 2], [b"s", b"t"])
+    assert not hasattr(votes, "__dict__")
+    with pytest.raises(AttributeError):
+        votes.extra = 1
+    assert len(votes) == 2 and len(Votes()) == 0 and not Votes()
 
 
 def test_timeout_block_accepted_without_votes():
@@ -252,9 +275,9 @@ def test_propose_matches_the_reference_header():
     eager, lazy = split_transaction(make_transfer(reg, sk_a, pk_b, 5, 1), reg)
     for body in ([eager], [lazy], []):
         block = chain.propose(body)
-        assert block.body is body and block.header.votes == []
+        assert block.body is body and len(block.header.votes) == 0
         assert block.header == make_block(chain, body).header
-        block.header.votes = [Vote(pk_a, block.hash, 10, sign(sk_a, block.hash))]
+        block.header.votes = signed_votes(block, sk_a, (pk_a, 10))
         chain.append_block(block)
     assert [b.header.kind for b in chain.blocks] == [MAIN, INTERIM, MAIN, INTERIM]
 
@@ -339,7 +362,7 @@ def test_main_block_leaving_credits_pending_is_rejected():
     chain = build_chain(quorum=10, balances=[(pk_a, 100), (pk_b, 0)])
     first, second = (split_transaction(make_transfer(reg, sk_a, pk_b, 5, n), reg) for n in (1, 2))
     interim = make_block(chain, [first[0], second[0]])
-    interim.header.votes = [Vote(pk_a, interim.hash, 10, sign(sk_a, interim.hash))]
+    interim.header.votes = signed_votes(interim, sk_a, (pk_a, 10))
     chain.append_block(interim)
     tip, state = chain.tip, chain.state
     main = make_block(chain, [])

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fission_sim import consensus
-from fission_sim.chain import INTERIM, MAIN, Vote, next_seed
+from fission_sim.chain import INTERIM, MAIN, Votes, next_seed
 from fission_sim.consensus import (
     ChainSimulation,
     EpochConfig,
@@ -45,46 +45,52 @@ def small_sim(**overrides):
 # --- tally ---
 
 
-def vote(pk, h, w):
-    return Vote(pk, h, w, sign(b"sk" + pk, h))
+def votes(h, *cast):
+    """``Votes`` on ``h`` from (voter, weight) pairs, in casting order."""
+    voters = [pk for pk, _ in cast]
+    return Votes(h, voters, [w for _, w in cast], [sign(b"sk" + pk, h) for pk in voters])
 
 
 def test_tally_boundary():
     h = sha3(b"block")
     a, b = b"\x01" * 32, b"\x02" * 32
-    assert tally([vote(a, h, 800), vote(b, h, 700)], 1500).confirmed
-    assert not tally([vote(a, h, 800), vote(b, h, 699)], 1500).confirmed
+    assert tally(votes(h, (a, 800), (b, 700)), 1500).confirmed
+    assert not tally(votes(h, (a, 800), (b, 699)), 1500).confirmed
 
 
-def test_tally_flags_duplicates_and_counts_once():
+def test_tally_counts_duplicate_voters_once():
     h = sha3(b"block")
     a, b = b"\x01" * 32, b"\x02" * 32
-    result = tally([vote(a, h, 800), vote(a, h, 800), vote(b, h, 700)], 1500)
+    result = tally(votes(h, (a, 800), (a, 800), (b, 700)), 1500)
     assert result.confirmed and result.weight == 1500
-    assert result.duplicates == [a]
 
 
 def test_tally_matches_bruteforce_dedup_sum():
+    # duplicate voters carry their own weights; the first vote of each counts
     import random
 
     rng = random.Random(8)
     h = sha3(b"b")
     pks = [bytes([i]) * 32 for i in range(6)]
+    repeated = 0
     for _ in range(300):
-        votes = [vote(rng.choice(pks), h, rng.randint(1, 50)) for _ in range(rng.randint(0, 12))]
+        cast = [(rng.choice(pks), rng.randint(1, 50)) for _ in range(rng.randint(0, 12))]
         quorum = rng.randint(1, 200)
         seen = {}
-        for v in votes:
-            seen.setdefault(v.voter, v.weight)
-        oracle = sum(seen.values()) >= quorum
-        assert tally(votes, quorum).confirmed == oracle
+        for voter, weight in cast:
+            seen.setdefault(voter, weight)
+        repeated += len(seen) < len(cast)
+        result = tally(votes(h, *cast), quorum)
+        assert result.weight == sum(seen.values())
+        assert result.confirmed == (sum(seen.values()) >= quorum)
+    assert repeated > 100  # the duplicate path is exercised, not only the distinct one
 
 
 def test_tally_rejects_mismatched_weight():
     h = sha3(b"block")
     a = b"\x01" * 32
     with pytest.raises(InvalidWeight):
-        tally([vote(a, h, 10)], 5, expected_weights={a: 9})
+        tally(votes(h, (a, 10)), 5, expected_weights={a: 9})
 
 
 # --- next_seed ---
@@ -114,17 +120,24 @@ def test_seed_sequence_uniformity():
 
 def reference_votes(committee, population, proposal, offline):
     """``collect_votes`` spelled out per member with ``crypto.sign``."""
+
+    def cast(column, pk, weight, sk):
+        column.voters.append(pk)
+        column.weights.append(weight)
+        column.signatures.append(sign(sk, column.block_hash))
+
     other = sha3(b"conflict" + proposal)
-    votes, conflicting = [], []
+    votes, conflicting = Votes(proposal), Votes(other)
     for pk, weight in zip(committee.pks, committee.weights):
         node = population.by_pk[pk]
         if pk in offline:
             continue
         if not node.byzantine or node.strategy == consensus.EQUIVOCATE:
-            votes.append(Vote(pk, proposal, weight, sign(node.sk, proposal)))
+            cast(votes, pk, weight, node.sk)
         if node.byzantine and node.strategy in (consensus.VOTE_CONFLICTING, consensus.EQUIVOCATE):
-            conflicting.append(Vote(pk, other, weight, sign(node.sk, other)))
-    return votes, conflicting
+            cast(conflicting, pk, weight, node.sk)
+    # with no conflicting member, no conflict hash is derived
+    return votes, conflicting if conflicting else Votes()
 
 
 ROLES = st.sampled_from((None,) + consensus.STRATEGIES)  # None: honest
@@ -141,6 +154,7 @@ def test_collect_votes_equals_per_member_signatures(roles, offline_mask, proposa
     population = Population.build(16, "fixed:100", alpha=1.0, h=1.0, master_seed=world)
     for node, role in zip(population.nodes, roles):
         node.byzantine, node.strategy = role is not None, role or consensus.WITHHOLD
+    population = Population(population.nodes, population.registry)  # roles are read at build
     offline = {n.pk for n, dark in zip(population.nodes, offline_mask) if dark}
     committee = select_committee(
         population.online_stakes(), proposal, BLOCK_MAIN, 0.05, population.registry
@@ -148,6 +162,8 @@ def test_collect_votes_equals_per_member_signatures(roles, offline_mask, proposa
     with patch.object(consensus, "_conflict_hash", wraps=consensus._conflict_hash) as derive:
         votes, conflicting = consensus.collect_votes(committee, population, proposal, offline)
     assert (votes, conflicting) == reference_votes(committee, population, proposal, offline)
+    byzantine = [w for pk, w in zip(committee.pks, committee.weights) if population.by_pk[pk].byzantine]
+    assert consensus.adversary_weight(committee, population) == sum(byzantine)
     # the conflicting hash is derived once per call, and only when some member conflicts
     assert derive.call_count == (1 if conflicting else 0)
 
@@ -190,6 +206,29 @@ def test_micro_round_defers_overflow_prefix_by_arrival():
     assert [s.nonce for s in outcome.sub_txs] == [1, 2, 3]  # arrival-order prefix
     assert [s.nonce for s in deferred] == [4, 5, 6]
     assert invalid == []
+
+
+def test_micro_round_capacity_counts_online_members_only():
+    # one sub-transaction per online member; offline keys outside the
+    # committee do not count against it
+    sim = small_sim()
+    reg = sim.population.registry
+    committee = select_committee(
+        sim.population.online_stakes(), b"s", "partition:0", sim.security.p, reg
+    )
+    offline = {committee.pks[0], b"\x00" * 32}
+    cfg = EpochConfig(security=sim.security, delta_micro=1.0, micro_throughput=1.0)
+    sender, receiver = sim.population.nodes[0], sim.population.nodes[1]
+    subs = [
+        split_transaction(make_transfer(reg, sender.sk, receiver.pk, 1, n), reg)[0]
+        for n in range(1, len(committee) + 1)
+    ]
+    outcome, deferred, invalid = micro_round(
+        0, subs, committee, cfg, sim.chain.state, sim.population, offline
+    )
+    assert len(committee) > 1
+    assert len(outcome.sub_txs) == len(committee) - 1
+    assert deferred == subs[len(committee) - 1:] and invalid == []
 
 
 def test_micro_round_filters_invalid_state_transitions():
@@ -449,6 +488,7 @@ def test_conflicting_quorum_is_caught_at_assembly():
     sim = small_sim()
     for node in sim.population.nodes:
         node.byzantine, node.strategy = True, consensus.VOTE_CONFLICTING
+    sim.population = Population(sim.population.nodes, sim.population.registry)  # roles are read at build
     committee = select_committee(
         sim.population.online_stakes(), sim.chain.next_header().seed, BLOCK_MAIN,
         sim.security.p, sim.population.registry,

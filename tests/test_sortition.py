@@ -1,8 +1,11 @@
 import math
 import random
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from fission_sim.crypto import KeyRegistry
@@ -10,6 +13,7 @@ from fission_sim.errors import ApproximationUnsound, DomainError, EmptyCommittee
 from fission_sim.seeding import split_numpy
 from fission_sim.sortition import (
     BLOCK_INTERIM,
+    Electorate,
     SecurityParams,
     binomial_cdf,
     draw_outcome,
@@ -209,6 +213,41 @@ def test_committee_weights_match_per_node_draws():
         assert members.weights == [o.weight for o in expected]
         assert members.hashes == [o.vrf.hash for o in expected]
         assert all(type(w) is int for w in members.weights)
+
+
+@lru_cache(maxsize=1)
+def electorate_registry():
+    return build_registry(24, seed=9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    big=st.one_of(st.none(), st.integers(2**63, 2**64 - 1)),
+    p=st.sampled_from([0.004, 0.05, 0.3]),
+    seed=st.binary(max_size=16),
+)
+def test_electorate_draw_equals_mapping_and_per_node_draws(data, big, p, seed):
+    # stake groups on both sides of the table limit, zero stakes, and at most
+    # one stake too large for an int64
+    reg, pks = electorate_registry()
+    levels = data.draw(st.lists(st.sampled_from([1, 40, 2500, 12_000]), min_size=1, max_size=3, unique=True))
+    column = data.draw(st.lists(st.sampled_from([0] + levels), min_size=len(pks), max_size=len(pks)))
+    if big is not None:
+        column[data.draw(st.integers(0, len(pks) - 1))] = big
+    stakes = dict(zip(pks, column))
+    drawn = select_committee(Electorate(stakes), seed, BLOCK_INTERIM, p, reg)
+    plain = select_committee(stakes, seed, BLOCK_INTERIM, p, reg)
+    outcomes = [
+        draw_outcome(reg.secret_for(pk), pk, seed, BLOCK_INTERIM, stakes[pk], p)
+        for pk in sorted(pks)
+        if stakes[pk] > 0
+    ]
+    expected = [o for o in outcomes if o.weight > 0]
+    columns = (drawn.pks, drawn.weights, drawn.hashes)
+    assert columns == (plain.pks, plain.weights, plain.hashes)
+    assert columns == ([o.pk for o in expected], [o.weight for o in expected], [o.vrf.hash for o in expected])
+    assert all(type(w) is int for w in drawn.weights)
 
 
 # --- leader ordering ---

@@ -92,13 +92,8 @@ def tally(votes: Votes, quorum: int, expected_weights: dict[bytes, int] | None =
             raise InvalidWeight(
                 f"vote weight {claimed} does not match sortition for {voter.hex()[:12]}"
             )
-    if len(set(voters)) == len(voters):
-        weight = sum(weights)
-    else:
-        first: dict[bytes, int] = {}
-        for voter, w in zip(voters, weights):
-            first.setdefault(voter, w)
-        weight = sum(first.values())
+    # built back to front, so each voter keeps its first weight
+    weight = sum(dict(zip(reversed(voters), reversed(weights))).values())
     return TallyResult(confirmed=weight >= quorum, weight=weight)
 
 

@@ -84,6 +84,10 @@ class Timeout:
 
 @dataclass
 class SimNode:
+    """One simulated node. ``Population`` reads ``online``, ``byzantine`` and
+    ``strategy`` when it is built; editing them afterwards changes nothing
+    until a new ``Population(nodes, registry)`` is built."""
+
     sk: bytes
     pk: bytes
     stake: int
@@ -98,14 +102,15 @@ class Population:
     Online stake approximates alpha * K and adversarial stake approximates
     (1 - h) of the online stake, both as closely as the stake granularity
     allows.
+
+    Roles and the online set are read once, here: ``strategies`` (each
+    Byzantine key's strategy) and the online ``electorate`` are the only
+    sources the voting and drawing code reads, not the nodes' fields.
     """
 
     def __init__(self, nodes: list[SimNode], registry: KeyRegistry):
         self.nodes = nodes
         self.registry = registry
-        self.by_pk = {n.pk: n for n in nodes}
-        # roles and the online set are fixed once the population is built:
-        # each Byzantine member's strategy by key, and the online electorate
         self.strategies = {n.pk: n.strategy for n in nodes if n.byzantine}
         self._online_stakes = {n.pk: n.stake for n in nodes if n.online}
         self.electorate = Electorate(self._online_stakes)
@@ -175,18 +180,13 @@ def collect_votes(
     members act out their strategy. Returns (proposal votes, conflicting votes),
     each in member order and signed in one batch. With no conflicting member
     the second is an empty ``Votes()``.
-
-    The votes may share the committee's columns; neither is written once built.
     """
     pks, weights = committee.pks, committee.weights
     if offline and not offline.isdisjoint(pks):
         online = [pk not in offline for pk in pks]
         pks, weights = list(compress(pks, online)), list(compress(weights, online))
-    strategies = population.strategies
     registry = population.registry
-    if strategies.keys().isdisjoint(pks):
-        return _signed(proposal, pks, weights, registry), Votes()
-    roles = list(map(strategies.get, pks))  # None for an honest member
+    roles = list(map(population.strategies.get, pks))  # None for an honest member
     yes = [role is None or role == EQUIVOCATE for role in roles]
     votes = _signed(proposal, list(compress(pks, yes)), list(compress(weights, yes)), registry)
     no = [role is not None and role != WITHHOLD for role in roles]

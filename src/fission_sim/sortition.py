@@ -174,13 +174,10 @@ def select_committee(
     hashes = vrf_hashes(registry.framed_secrets(pks), seed, ctype)
     xs = uniforms(hashes)
     # one table lookup per stake group; the weights equal voting_power's
-    if len(electorate.groups) == 1:
-        weights = voting_power_batch(xs, electorate.groups[0][0], p).tolist()
-    else:
-        weights = [0] * len(pks)
-        for stake, idx in electorate.groups:
-            for i, w in zip(idx, voting_power_batch(xs[idx], stake, p).tolist()):
-                weights[i] = w
+    weights = [0] * len(pks)
+    for stake, idx in electorate.groups:
+        for i, w in zip(idx, voting_power_batch(xs[idx], stake, p).tolist()):
+            weights[i] = w
     member = list(map(bool, weights))  # weights are never negative
     return Committee(
         list(compress(pks, member)), list(compress(weights, member)), list(compress(hashes, member))

@@ -128,8 +128,9 @@ def reference_votes(committee, population, proposal, offline):
 
     other = sha3(b"conflict" + proposal)
     votes, conflicting = Votes(proposal), Votes(other)
+    nodes = {n.pk: n for n in population.nodes}
     for pk, weight in zip(committee.pks, committee.weights):
-        node = population.by_pk[pk]
+        node = nodes[pk]
         if pk in offline:
             continue
         if not node.byzantine or node.strategy == consensus.EQUIVOCATE:
@@ -162,7 +163,8 @@ def test_collect_votes_equals_per_member_signatures(roles, offline_mask, proposa
     with patch.object(consensus, "_conflict_hash", wraps=consensus._conflict_hash) as derive:
         votes, conflicting = consensus.collect_votes(committee, population, proposal, offline)
     assert (votes, conflicting) == reference_votes(committee, population, proposal, offline)
-    byzantine = [w for pk, w in zip(committee.pks, committee.weights) if population.by_pk[pk].byzantine]
+    nodes = {n.pk: n for n in population.nodes}
+    byzantine = [w for pk, w in zip(committee.pks, committee.weights) if nodes[pk].byzantine]
     assert consensus.adversary_weight(committee, population) == sum(byzantine)
     # the conflicting hash is derived once per call, and only when some member conflicts
     assert derive.call_count == (1 if conflicting else 0)
@@ -320,7 +322,7 @@ def test_leader_fallback_skips_offline_proposer():
     stakes = sim.population.online_stakes()
     committee = select_committee(stakes, seed, BLOCK_INTERIM, sim.security.p, sim.population.registry)
     tickets = [
-        (pk, leader_ticket(sim.population.by_pk[pk].sk, seed).hash) for pk in committee.pks
+        (pk, leader_ticket(sim.population.registry.secret_for(pk), seed).hash) for pk in committee.pks
     ]
     order = leader_order(tickets)
     result = run_epoch(
@@ -364,7 +366,7 @@ def test_elect_proposer_is_first_online_entry_of_leader_order(data, seed, coarse
     offline = data.draw(st.sets(st.sampled_from(committee.pks + [b"\x00" * 32])))
     ticket = coarse_ticket if coarse else leader_ticket
     order = leader_order(
-        [(pk, ticket(population.by_pk[pk].sk, seed).hash) for pk in members.pks]
+        [(pk, ticket(population.registry.secret_for(pk), seed).hash) for pk in members.pks]
     ) if members else []
     expected = next((pk for pk in order if pk not in offline), None)
     with patch.object(consensus, "leader_tickets", coarse_tickets if coarse else leader_tickets):

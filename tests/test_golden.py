@@ -103,7 +103,7 @@ def _leader_fallbacks(sim) -> int:
         seed = sim.chain.blocks[r.epoch].header.seed
         ctype = BLOCK_INTERIM if r.kind == INTERIM else BLOCK_MAIN
         committee = select_committee(stakes, seed, ctype, sim.security.p, sim.population.registry)
-        tickets = [(pk, leader_ticket(sim.population.by_pk[pk].sk, seed).hash) for pk in committee.pks]
+        tickets = [(pk, leader_ticket(sim.population.registry.secret_for(pk), seed).hash) for pk in committee.pks]
         count += r.proposer != leader_order(tickets)[0]
     return count
 

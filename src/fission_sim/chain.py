@@ -21,7 +21,6 @@ from .errors import (
     AlternationViolation,
     BadInterimLink,
     InsufficientVotes,
-    InvalidWeight,
     InvariantViolation,
     PartitionMismatch,
     RootMismatch,
@@ -78,22 +77,11 @@ class TallyResult:
     weight: int
 
 
-def tally(votes: Votes, quorum: int, expected_weights: dict[bytes, int] | None = None) -> TallyResult:
-    """Sum distinct-voter weights against the quorum.
-
-    A voter that votes again counts once, with its first weight; a weight
-    that contradicts the voter's sortition outcome raises InvalidWeight.
-    """
-    voters, weights = votes.voters, votes.weights
-    if expected_weights is not None:
-        expected = list(map(expected_weights.get, voters))
-        if expected != weights:
-            voter, claimed = next((v, w) for v, w, e in zip(voters, weights, expected) if w != e)
-            raise InvalidWeight(
-                f"vote weight {claimed} does not match sortition for {voter.hex()[:12]}"
-            )
+def tally(votes: Votes, quorum: int) -> TallyResult:
+    """Sum distinct-voter weights against the quorum; a voter that votes
+    again counts once, with its first weight."""
     # built back to front, so each voter keeps its first weight
-    weight = sum(dict(zip(reversed(voters), reversed(weights))).values())
+    weight = sum(dict(zip(reversed(votes.voters), reversed(votes.weights))).values())
     return TallyResult(confirmed=weight >= quorum, weight=weight)
 
 

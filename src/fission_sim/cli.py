@@ -30,7 +30,7 @@ from .sortition import (
     theta_bounds,
 )
 from .crypto import KeyRegistry
-from .dists import sample_dist
+from .dists import dist_sampler
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -138,9 +138,10 @@ def cmd_sortition(args) -> int:
     rng = split(args.seed, "sortition-cli")
     registry = KeyRegistry()
     stakes = {}
-    for i in range(args.nodes):
+    draw = dist_sampler(args.stake_dist, integer=True, minimum=1)
+    for i, stake in enumerate(draw(rng, args.nodes)):
         _, pk = registry.generate(f"{args.seed}/sortition/{i}".encode())
-        stakes[pk] = sample_dist(args.stake_dist, rng, integer=True, minimum=1)
+        stakes[pk] = stake
     k_total = sum(stakes.values())
     if args.tau >= k_total:
         raise ValidationError("tau", f"tau {args.tau} must be below total stake {k_total}")
@@ -215,10 +216,7 @@ def cmd_relay(args) -> int:
     cfg = _load_config(args)
     relay = cfg.relay
     cap_rng = split(cfg.seed, "relay-caps")
-    capacities = [
-        sample_dist(relay.cap_dist, cap_rng, integer=True, minimum=2)
-        for _ in range(relay.relayers)
-    ]
+    capacities = dist_sampler(relay.cap_dist, integer=True, minimum=2)(cap_rng, relay.relayers)
     runs = [
         simulate_prs(
             relay.nodes,

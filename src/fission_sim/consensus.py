@@ -18,14 +18,14 @@ from itertools import compress
 
 from .chain import INTERIM, Block, Chain, MicroBlock, Votes, tally
 from .crypto import KeyRegistry, sha3, sign_each
-from .dists import sample_dist
+from .dists import dist_sampler
 from .errors import FissionError, InvariantViolation, ValidationError
 from .ledger import (
-    LAZY,
     LedgerState,
     SubTransaction,
     Transaction,
     apply_eager,
+    credit_of,
     make_transfer,
     shard_of,
     split_transaction,
@@ -126,10 +126,10 @@ class Population:
     ) -> "Population":
         rng = split(master_seed, "population")
         registry = KeyRegistry()
+        stakes = dist_sampler(stake_dist, integer=True, minimum=1)(rng, n_nodes)
         nodes = []
-        for i in range(n_nodes):
+        for i, stake in enumerate(stakes):
             sk, pk = registry.generate(child_bytes(master_seed, "node", i))
-            stake = sample_dist(stake_dist, rng, integer=True, minimum=1)
             nodes.append(SimNode(sk=sk, pk=pk, stake=stake))
 
         total = sum(n.stake for n in nodes)
@@ -250,8 +250,7 @@ def micro_round(
         str(partition_index).encode() + merkle_root([s.id for s in included])
     )
     votes, _ = collect_votes(committee, population, content, offline)
-    expected = dict(zip(committee.pks, committee.weights))
-    result = tally(votes, cfg.security.quorum, expected)
+    result = tally(votes, cfg.security.quorum)
     if not result.confirmed:
         return Timeout(f"partition {partition_index} vote weight {result.weight}"), list(sub_txs), []
     return MicroBlock(partition_index, included), deferred, invalid
@@ -270,8 +269,7 @@ def _put_to_vote(
     candidate = chain.propose(body)
     votes, conflicting = collect_votes(committee, population, candidate.hash, offline or set())
     _assert_no_conflicting_quorum(conflicting, cfg)
-    expected = dict(zip(committee.pks, committee.weights))
-    if not tally(votes, cfg.security.quorum, expected).confirmed:
+    if not tally(votes, cfg.security.quorum).confirmed:
         return chain.propose([])
     candidate.header.votes = votes
     return candidate
@@ -312,10 +310,8 @@ def assemble_main(
 ) -> Block:
     """Credit every pending debit (including rolled-forward ones) in a
     credit block, or fall back to the designated empty block."""
-    body = [
-        SubTransaction(LAZY, debit.parent_id, debit.sender, debit.receiver, debit.value, debit.nonce)
-        for debit in (chain.state.pending[pid] for pid in sorted(chain.state.pending))
-    ]
+    pending = chain.state.pending
+    body = [credit_of(pending[pid]) for pid in sorted(pending)]
     return _put_to_vote(chain, body, committee, cfg, population, offline)
 
 
@@ -364,12 +360,12 @@ def run_epoch(
         routed: dict[int, list[SubTransaction]] = {k: [] for k in range(n_partition)}
         for tx in mempool:
             try:
-                eager, _ = split_transaction(tx, population.registry)
+                debit = split_transaction(tx, population.registry)
             except FissionError:
                 invalid_count += 1
                 continue
             k = partition_of(shard_of(tx.sender, chain.state.n_shard), n_partition)
-            routed[k].append(eager)
+            routed[k].append(debit)
 
         micros: list[MicroBlock] = []
         kept_parents: set[bytes] = set()

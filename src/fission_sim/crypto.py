@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
+from dataclasses import dataclass
 
 from .errors import VerificationFailure
 
@@ -121,47 +122,17 @@ def verify(registry: KeyRegistry, pk: bytes, message: bytes, signature: bytes) -
 # verifiable random function (deterministic test scheme)
 
 
+@dataclass(frozen=True, slots=True)
 class VrfOutput:
-    """A 256-bit pseudorandom value plus the proof that binds it to (pk, seed, type).
+    """A 256-bit pseudorandom value plus the proof that binds it to (pk, seed, type)."""
 
-    Only verifiers read the proof, so an output from ``vrf_eval`` keeps its
-    evaluation input and hashes the proof the first time ``proof`` is read.
-    Outputs compare and hash by ``(hash, proof)``.
-    """
-
-    __slots__ = ("hash", "_proof", "_material")
-
-    def __init__(self, hash: bytes, proof: bytes):
-        self.hash = hash
-        self._proof = proof
-        self._material = None
-
-    @property
-    def proof(self) -> bytes:
-        proof = self._proof
-        if proof is None:
-            proof = self._proof = sha3(b"prf" + self._material)
-            self._material = None
-        return proof
+    hash: bytes
+    proof: bytes
 
     @property
     def uniform(self) -> float:
         """The hash mapped into [0, 1)."""
         return int.from_bytes(self.hash, "big") / TWO_256
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, VrfOutput):
-            return NotImplemented
-        return self.hash == other.hash and self.proof == other.proof
-
-    def __hash__(self) -> int:
-        return hash((self.hash, self.proof))
-
-    def __repr__(self) -> str:
-        return f"VrfOutput(hash={self.hash!r}, proof={self.proof!r})"
-
-
-_new_output = object.__new__
 
 
 def vrf_eval(sk: bytes, seed: bytes, ctype: str) -> VrfOutput:
@@ -174,11 +145,7 @@ def vrf_eval(sk: bytes, seed: bytes, ctype: str) -> VrfOutput:
     material = b"".join(
         (length_prefix(len(sk)), sk, length_prefix(len(seed)), seed, length_prefix(len(tag)), tag)
     )
-    out = _new_output(VrfOutput)  # no __init__: the proof waits for its first read
-    out.hash = sha3(material)
-    out._proof = None
-    out._material = material
-    return out
+    return VrfOutput(sha3(material), sha3(b"prf" + material))
 
 
 def vrf_hashes(framed_sks: list[bytes], seed: bytes, ctype: str) -> list[bytes]:

@@ -39,24 +39,14 @@ def parse_dist(spec: str):
 
 def sample_dist(spec: str, rng: random.Random, integer: bool = True, minimum: float | None = None):
     """Draw one value from a spec string; pareto draws are scaled by the minimum."""
-    name, params = parse_dist(spec)
-    if name == "fixed":
-        value = params[0]
-    elif name == "uniform":
-        value = rng.uniform(params[0], params[1])
-    else:  # pareto
-        base = minimum if minimum is not None else 1.0
-        value = base * rng.paretovariate(params[0])
-    if minimum is not None:
-        value = max(minimum, value)
-    return int(round(value)) if integer else value
+    return dist_sampler(spec, integer, minimum)(rng, 1)[0]
 
 
 def dist_sampler(
     spec: str, integer: bool = True, minimum: float | None = None
 ) -> Callable[[random.Random, int], list]:
-    """Parse a spec once; the returned ``draw(rng, n)`` gives the values of n
-    ``sample_dist(spec, rng, integer, minimum)`` calls, from the same draws."""
+    """Parse a spec once; the returned ``draw(rng, n)`` gives n draws, each at
+    least ``minimum`` when one is given; pareto draws are scaled by it."""
     name, params = parse_dist(spec)
     if name == "fixed":
         value = params[0] if minimum is None else max(minimum, params[0])

@@ -35,6 +35,10 @@ class DoubleCredit(FissionError):
     pass
 
 
+class DuplicateDebit(FissionError):
+    pass
+
+
 # --- chain structure ---
 
 class AlternationViolation(FissionError):
@@ -72,12 +76,6 @@ class EmptyCommittee(FissionError):
 
 
 class ApproximationUnsound(FissionError):
-    pass
-
-
-# --- consensus voting ---
-
-class InvalidWeight(FissionError):
     pass
 
 

@@ -25,6 +25,7 @@ from .crypto import UINT_PREFIX, KeyRegistry, length_prefix, sha3
 from .errors import (
     BadNonce,
     DoubleCredit,
+    DuplicateDebit,
     InsufficientBalance,
     InvalidSignature,
     MissingEagerLog,
@@ -152,22 +153,20 @@ class SubTransaction:
         return self._id
 
 
-def split_transaction(
-    tx: Transaction, registry: KeyRegistry
-) -> tuple[SubTransaction, SubTransaction]:
-    """Split an atomic transfer into its (debit, credit) halves.
-
-    The debit withdraws ``value`` from the sender; the credit deposits the
-    same amount to the receiver once the debit is confirmed.
-    """
+def split_transaction(tx: Transaction, registry: KeyRegistry) -> SubTransaction:
+    """The debit half of an atomic transfer: it withdraws ``value`` from the
+    sender, and ``credit_of`` gives the credit that pays it out once it is
+    confirmed."""
     if tx.value <= 0:
         raise NonPositiveValue(f"transfer value must be positive, got {tx.value}")
     if not crypto.verify(registry, tx.sender, tx.signing_bytes(), tx.signature):
         raise InvalidSignature("transaction signature does not verify against sender key")
-    parent = tx.id
-    eager = SubTransaction(EAGER, parent, tx.sender, tx.receiver, tx.value, tx.nonce)
-    lazy = SubTransaction(LAZY, parent, tx.sender, tx.receiver, tx.value, tx.nonce)
-    return eager, lazy
+    return SubTransaction(EAGER, tx.id, tx.sender, tx.receiver, tx.value, tx.nonce)
+
+
+def credit_of(debit: SubTransaction) -> SubTransaction:
+    """The credit half of a debit: it deposits the same amount to the receiver."""
+    return SubTransaction(LAZY, debit.parent_id, debit.sender, debit.receiver, debit.value, debit.nonce)
 
 
 class AccountTree:
@@ -353,7 +352,8 @@ def apply_eager(state: LedgerState, sub: SubTransaction) -> None:
     """Apply a debit: withdraw from the sender and log the debit as pending.
 
     Raises without touching state if the sender is unknown, short on balance,
-    or the nonce is not exactly one past the account's.
+    or the nonce is not exactly one past the account's, or if the parent id
+    is already pending or credited.
     """
     assert sub.kind == EAGER
     acct = state.get_account(sub.sender)
@@ -363,6 +363,8 @@ def apply_eager(state: LedgerState, sub: SubTransaction) -> None:
         raise BadNonce(f"expected nonce {acct.nonce + 1}, got {sub.nonce}")
     if acct.balance < sub.value:
         raise InsufficientBalance(f"balance {acct.balance} < value {sub.value}")
+    if sub.parent_id in state.pending or sub.parent_id in state.credited:
+        raise DuplicateDebit(f"parent id {sub.parent_id.hex()[:16]} already has a debit")
     acct = state._private(acct)
     acct.balance -= sub.value
     acct.nonce += 1

@@ -167,8 +167,9 @@ def select_committee(
     and weight equal its ``draw_outcome``. A plain stake mapping is turned
     into an ``Electorate`` first; a caller that draws often keeps one.
     """
-    if not 0.0 < p < 1.0:
-        raise DomainError(f"selection probability must be in (0, 1), got {p}")
+    if not 0.0 < 1.0 - p < 1.0:
+        # a p too small to change 1 - p would make every weight 0
+        raise DomainError(f"selection probability must be in (0, 1) with 1 - p below 1, got {p}")
     electorate = stakes if isinstance(stakes, Electorate) else Electorate(stakes)
     pks = electorate.pks
     hashes = vrf_hashes(registry.framed_secrets(pks), seed, ctype)
@@ -315,7 +316,7 @@ class SecurityParams:
             raise DomainError(f"h must be in (2/3, 1], got {self.h}")
         if not (0.0 < self.alpha <= 1.0):
             raise DomainError(f"alpha must be in (0, 1], got {self.alpha}")
-        if not (0.0 < self.p < 1.0):
-            raise DomainError(f"p = tau/K must be in (0, 1), got {self.p}")
+        if not (0.0 < 1.0 - self.p < 1.0):
+            raise DomainError(f"p = tau/K must be in (0, 1) with 1 - p below 1, got {self.p}")
         if not (0.0 < self.theta < 1.0):
             raise DomainError(f"theta must be in (0, 1), got {self.theta}")

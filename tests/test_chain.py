@@ -25,13 +25,22 @@ from fission_sim.errors import (
     BadInterimLink,
     BadNonce,
     DoubleCredit,
+    DuplicateDebit,
     FissionError,
     InsufficientVotes,
     InvariantViolation,
     PartitionMismatch,
     RootMismatch,
 )
-from fission_sim.ledger import EAGER, LedgerState, apply_eager, apply_lazy, make_transfer, split_transaction
+from fission_sim.ledger import (
+    EAGER,
+    LedgerState,
+    apply_eager,
+    apply_lazy,
+    credit_of,
+    make_transfer,
+    split_transaction,
+)
 from fission_sim.partitioning import PartitionConfig
 from test_golden import CASES
 
@@ -118,7 +127,7 @@ def test_root_mismatch_detected():
     sk_a, pk_a = reg.generate(b"a")
     _, pk_b = reg.generate(b"b")
     chain = build_chain(balances=[(pk_a, 100), (pk_b, 0)])
-    eager, _ = split_transaction(make_transfer(reg, sk_a, pk_b, 5, 1), reg)
+    eager = split_transaction(make_transfer(reg, sk_a, pk_b, 5, 1), reg)
     block = make_block(chain, [eager])
     block.header.tx_root = [sha3(b"junk")] * chain.state.n_shard
     with pytest.raises(RootMismatch):
@@ -133,7 +142,8 @@ def test_account_root_tracks_nonce_at_equal_balance():
     state = LedgerState(2)
     state.create_account(pk_a, 100)
     _, before, _ = compute_root_arrays([], state)
-    eager, lazy = split_transaction(make_transfer(reg, sk_a, pk_a, 5, 1), reg)
+    eager = split_transaction(make_transfer(reg, sk_a, pk_a, 5, 1), reg)
+    lazy = credit_of(eager)
     after = state.clone()
     apply_eager(after, eager)
     apply_lazy(after, lazy)
@@ -151,7 +161,7 @@ def test_vote_quorum_enforced():
     sk_a, pk_a = reg.generate(b"a")
     _, pk_b = reg.generate(b"b")
     chain = build_chain(quorum=10, balances=[(pk_a, 100), (pk_b, 0)])
-    eager, _ = split_transaction(make_transfer(reg, sk_a, pk_b, 5, 1), reg)
+    eager = split_transaction(make_transfer(reg, sk_a, pk_b, 5, 1), reg)
 
     underweight = make_block(chain, [eager])
     underweight.header.votes = signed_votes(underweight, sk_a, (pk_a, 9))
@@ -272,7 +282,8 @@ def test_propose_matches_the_reference_header():
     sk_a, pk_a = reg.generate(b"a")
     _, pk_b = reg.generate(b"b")
     chain = build_chain(quorum=10, balances=[(pk_a, 100), (pk_b, 0)])
-    eager, lazy = split_transaction(make_transfer(reg, sk_a, pk_b, 5, 1), reg)
+    eager = split_transaction(make_transfer(reg, sk_a, pk_b, 5, 1), reg)
+    lazy = credit_of(eager)
     for body in ([eager], [lazy], []):
         block = chain.propose(body)
         assert block.body is body and len(block.header.votes) == 0
@@ -325,6 +336,12 @@ def mutate(block, what, data):
             # the sender's later debits lose their nonce predecessor
             later = any(sub.sender == dropped.sender for sub in body[i:])
             expected = BadNonce if later else RootMismatch
+    elif what == "reparent":
+        # a later debit, valid on its own, takes an earlier one's parent id
+        i = data.draw(st.integers(0, len(body) - 2))
+        j = data.draw(st.integers(i + 1, len(body) - 1))
+        body[j] = replace(body[j], parent_id=body[i].parent_id)
+        expected = DuplicateDebit
     else:
         i = data.draw(st.integers(0, len(body) - 1))
         body.insert(data.draw(st.integers(0, len(body))), body[i])
@@ -343,6 +360,8 @@ def test_every_single_header_or_body_mutation_is_rejected_and_changes_nothing(da
         chain.append_block(block)
     block = blocks[index]
     mutations = HEADER_FIELDS + ROOT_FIELDS + (("drop", "duplicate") if block.body else ())
+    if block.header.kind == INTERIM and len(block.body) > 1:
+        mutations += ("reparent",)
     bad, expected = mutate(block, data.draw(st.sampled_from(mutations)), data)
     expected_type, invariant = expected if isinstance(expected, tuple) else (expected, None)
     tip, state, n_partition = chain.tip, chain.state, chain.n_partition
@@ -355,18 +374,36 @@ def test_every_single_header_or_body_mutation_is_rejected_and_changes_nothing(da
     assert chain.tip is block
 
 
+def test_debit_reusing_a_pending_parent_id_is_rejected_keeping_supply():
+    reg = KeyRegistry()
+    (sk_a, pk_a), (sk_b, pk_b), (_, pk_c) = (reg.generate(label) for label in (b"a", b"b", b"c"))
+    chain = build_chain(quorum=1, balances=[(pk_a, 100), (pk_b, 100), (pk_c, 100)])
+    d1 = split_transaction(make_transfer(reg, sk_a, pk_c, 40, 1), reg)
+    d2 = replace(split_transaction(make_transfer(reg, sk_b, pk_c, 40, 1), reg), parent_id=d1.parent_id)
+    with pytest.raises(DuplicateDebit):
+        chain.propose([d1, d2])
+    block = chain.propose([d1])
+    block.body = [d1, d2]
+    block.header.votes = signed_votes(block, sk_a, (pk_a, 1))
+    tip, state = chain.tip, chain.state
+    with pytest.raises(DuplicateDebit):
+        chain.append_block(block)
+    assert chain.tip is tip and chain.state is state
+    assert state.total_balance() + state.pending_value() == 300
+
+
 def test_main_block_leaving_credits_pending_is_rejected():
     reg = KeyRegistry()
     sk_a, pk_a = reg.generate(b"a")
     _, pk_b = reg.generate(b"b")
     chain = build_chain(quorum=10, balances=[(pk_a, 100), (pk_b, 0)])
     first, second = (split_transaction(make_transfer(reg, sk_a, pk_b, 5, n), reg) for n in (1, 2))
-    interim = make_block(chain, [first[0], second[0]])
+    interim = make_block(chain, [first, second])
     interim.header.votes = signed_votes(interim, sk_a, (pk_a, 10))
     chain.append_block(interim)
     tip, state = chain.tip, chain.state
     main = make_block(chain, [])
-    main.body = [first[1]]  # the second debit's credit is missing
+    main.body = [credit_of(first)]  # the second debit's credit is missing
     with pytest.raises(InvariantViolation) as err:
         chain.append_block(main)
     assert err.value.invariant == "lazy-completeness"

@@ -115,15 +115,30 @@ def test_chain_stake_past_eight_bytes_exits_2_naming_the_key(tmp_path, capsys, m
     assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
 
+BIG_STAKES = "population.nodes = 40\npopulation.stake_dist = fixed:6000000000000000000\n"
+
+
 def test_chain_total_stake_past_eight_bytes_runs(tmp_path, capsys, monkeypatch):
-    # 40 stakes of 6e18 each fit 8 bytes; only their total K does not
+    # 40 stakes of 6e18 each fit 8 bytes; only their total K does not. A tau
+    # of 1e5 keeps p = tau/K large enough that 1 - p is below 1
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "run.cfg").write_text(
-        "population.nodes = 40\npopulation.stake_dist = fixed:6000000000000000000\n"
-    )
+    (tmp_path / "run.cfg").write_text(BIG_STAKES + "security.tau = 100000\n")
     code, _, _ = run_cli(capsys, "chain", "--config", "run.cfg", "--epochs", "4")
     assert code == 0
-    assert len((tmp_path / "chain.jsonl").read_text().splitlines()) == 5  # genesis + 4 epochs
+    blocks = [json.loads(line) for line in (tmp_path / "chain.jsonl").read_text().splitlines()]
+    assert len(blocks) == 5  # genesis + 4 epochs
+    assert all(block["body"] for block in blocks[1:])
+
+
+def test_chain_p_too_small_to_draw_exits_2_writing_nothing(tmp_path, capsys, monkeypatch):
+    # at the default tau, p = 5000 / 2.4e20 leaves 1 - p == 1.0, so every
+    # sortition weight would be 0 and every block empty
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text(BIG_STAKES)
+    code, _, err = run_cli(capsys, "chain", "--config", "run.cfg", "--epochs", "4")
+    assert code == 2
+    assert err.startswith("error: p = tau/K must be in (0, 1) with 1 - p below 1")
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
 
 NON_FINITE_SPECS = [

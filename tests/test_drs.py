@@ -10,6 +10,7 @@ from fission_sim.drs import (
     DrsRoundReport,
     DrsState,
     ProviderNode,
+    _check_loads,
     accounting,
     bounded_jump_eligible,
     build_instance,
@@ -22,6 +23,7 @@ from fission_sim.drs import (
     simulate_drs,
     underloaded_count,
 )
+from fission_sim.errors import InvariantViolation
 from fission_sim.seeding import split
 
 
@@ -476,3 +478,13 @@ def test_build_and_rounds_match_reference(
 def test_build_instance_rejects_keyless_requests():
     with pytest.raises(ValueError):
         build_instance(4, 0, "fixed:8", "fixed:2", 1, 8.0, seed=1)
+
+
+def test_load_check_fails_when_a_load_drifts_from_its_queue():
+    state = build_instance(64, 8, "fixed:64", "uniform:2:64", 3, 8.0, 1, start="concentrated")
+    drs_round(state, random.Random(1), 0.0)
+    _check_loads(state)
+    state.providers[state.requests[0].provider].load += 1.0
+    with pytest.raises(InvariantViolation) as err:
+        _check_loads(state)
+    assert err.value.invariant == "load-sum"

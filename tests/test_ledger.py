@@ -12,6 +12,7 @@ from fission_sim.crypto import KeyRegistry, encode_fields, encode_uint, sha3
 from fission_sim.errors import (
     BadNonce,
     DoubleCredit,
+    DuplicateDebit,
     InsufficientBalance,
     InvalidSignature,
     MissingEagerLog,
@@ -31,6 +32,7 @@ from fission_sim.ledger import (
     Transaction,
     apply_eager,
     apply_lazy,
+    credit_of,
     make_transfer,
     shard_of,
     split_transaction,
@@ -52,7 +54,8 @@ def test_split_produces_debit_and_credit(reg):
     sk_a, pk_a = new_key(reg, "a")
     _, pk_b = new_key(reg, "b")
     tx = make_transfer(reg, sk_a, pk_b, 10, 1)
-    eager, lazy = split_transaction(tx, reg)
+    eager = split_transaction(tx, reg)
+    lazy = credit_of(eager)
     assert eager.kind == EAGER and lazy.kind == LAZY
     assert eager.parent_id == lazy.parent_id == tx.id
     assert eager.sender == pk_a and lazy.receiver == pk_b
@@ -62,7 +65,8 @@ def test_split_produces_debit_and_credit(reg):
 def test_split_self_transfer_nets_to_zero(reg):
     sk_a, pk_a = new_key(reg, "a")
     tx = make_transfer(reg, sk_a, pk_a, 5, 1)
-    eager, lazy = split_transaction(tx, reg)
+    eager = split_transaction(tx, reg)
+    lazy = credit_of(eager)
     state = LedgerState(4)
     state.create_account(pk_a, 50)
     apply_eager(state, eager)
@@ -100,7 +104,8 @@ def test_split_roundtrip_over_random_batch(reg):
         value = rng.randint(1, 10_000)
         nonce = rng.randint(1, 50)
         tx = make_transfer(reg, sk_s, pk_r, value, nonce)
-        eager, lazy = split_transaction(tx, reg)
+        eager = split_transaction(tx, reg)
+        lazy = credit_of(eager)
         merged = (eager.sender, lazy.receiver, eager.value, eager.nonce)
         assert merged == (tx.sender, tx.receiver, tx.value, tx.nonce)
         assert lazy.value == eager.value and lazy.nonce == eager.nonce
@@ -152,7 +157,8 @@ def test_records_are_slotted_and_compare_by_value(reg):
     sk_a, _ = new_key(reg, "a")
     _, pk_b = new_key(reg, "b")
     tx = make_transfer(reg, sk_a, pk_b, 10, 1)
-    eager, lazy = split_transaction(tx, reg)
+    eager = split_transaction(tx, reg)
+    lazy = credit_of(eager)
     for record in (tx, eager, lazy):
         assert not hasattr(record, "__dict__")
     # built anew, with no memo filled yet, each still equals the original
@@ -247,7 +253,7 @@ def test_apply_eager_exact_balance_boundary(reg):
     _, pk_b = new_key(reg, "b")
     state = LedgerState(4)
     state.create_account(pk_a, 10)
-    eager, _ = eager_for(reg, sk_a, pk_b, 10, 1)
+    eager = eager_for(reg, sk_a, pk_b, 10, 1)
     apply_eager(state, eager)
     assert state.get_account(pk_a).balance == 0
     assert list(state.pending) == [eager.parent_id]
@@ -260,7 +266,8 @@ def test_pending_log_holds_the_debit_that_clones_and_splits_share(reg):
     _, pk_b = new_key(reg, "b")
     state = LedgerState(2)
     state.create_account(pk_a, 100)
-    eager, lazy = eager_for(reg, sk_a, pk_b, 10, 1)
+    eager = eager_for(reg, sk_a, pk_b, 10, 1)
+    lazy = credit_of(eager)
     apply_eager(state, eager)
     assert state.pending[eager.parent_id] is eager
     clone, split = state.clone(), split_shards(state)
@@ -279,7 +286,7 @@ def test_apply_eager_insufficient_balance_leaves_state_unchanged(reg):
     _, pk_b = new_key(reg, "b")
     state = LedgerState(4)
     state.create_account(pk_a, 5)
-    eager, _ = eager_for(reg, sk_a, pk_b, 10, 1)
+    eager = eager_for(reg, sk_a, pk_b, 10, 1)
     with pytest.raises(InsufficientBalance):
         apply_eager(state, eager)
     acct = state.get_account(pk_a)
@@ -292,13 +299,33 @@ def test_apply_eager_guards(reg):
     _, pk_b = new_key(reg, "b")
     state = LedgerState(4)
     state.create_account(pk_a, 100)
-    bad_nonce, _ = eager_for(reg, sk_a, pk_b, 1, 3)
+    bad_nonce = eager_for(reg, sk_a, pk_b, 1, 3)
     with pytest.raises(BadNonce):
         apply_eager(state, bad_nonce)
     sk_c, _ = new_key(reg, "c")  # no account in state
-    ghost, _ = eager_for(reg, sk_c, pk_b, 1, 1)
+    ghost = eager_for(reg, sk_c, pk_b, 1, 1)
     with pytest.raises(UnknownAccount):
         apply_eager(state, ghost)
+
+
+def test_apply_eager_rejects_a_parent_id_already_pending_or_credited(reg):
+    sk_a, pk_a = new_key(reg, "a")
+    sk_b, pk_b = new_key(reg, "b")
+    state = LedgerState(4)
+    state.create_account(pk_a, 100)
+    state.create_account(pk_b, 100)
+    debit = eager_for(reg, sk_a, pk_b, 40, 1)
+    apply_eager(state, debit)
+    # a valid debit of B's that names A's transfer as its parent
+    forged = SubTransaction(EAGER, debit.parent_id, pk_b, pk_a, 40, 1)
+    with pytest.raises(DuplicateDebit):
+        apply_eager(state, forged)
+    assert state.pending == {debit.parent_id: debit}
+    apply_lazy(state, credit_of(debit))
+    with pytest.raises(DuplicateDebit):
+        apply_eager(state, forged)  # a credited id stays spent
+    assert not state.pending and state.total_balance() == 200
+    assert state.get_account(pk_b).balance == 140 and state.get_account(pk_b).nonce == 0
 
 
 def test_eager_conservation_over_random_batch(reg):
@@ -317,7 +344,7 @@ def test_eager_conservation_over_random_batch(reg):
         _, pk_r = keys[rng.randrange(n_accounts)]
         value = rng.randint(1, 500)
         nonces[pk_s] += 1
-        eager, _ = eager_for(reg, sk_s, pk_r, value, nonces[pk_s])
+        eager = eager_for(reg, sk_s, pk_r, value, nonces[pk_s])
         apply_eager(state, eager)
         total_moved += value
     assert state.total_balance() == before - total_moved
@@ -334,7 +361,8 @@ def test_apply_lazy_completes_transfer(reg):
     state = LedgerState(4)
     state.create_account(pk_a, 100)
     state.create_account(pk_b, 0)
-    eager, lazy = eager_for(reg, sk_a, pk_b, 10, 1)
+    eager = eager_for(reg, sk_a, pk_b, 10, 1)
+    lazy = credit_of(eager)
     apply_eager(state, eager)
     apply_lazy(state, lazy)
     assert state.get_account(pk_b).balance == 10
@@ -345,7 +373,7 @@ def test_apply_lazy_requires_matching_log(reg):
     sk_a, _ = new_key(reg, "a")
     _, pk_b = new_key(reg, "b")
     state = LedgerState(4)
-    _, lazy = eager_for(reg, sk_a, pk_b, 10, 1)
+    lazy = credit_of(eager_for(reg, sk_a, pk_b, 10, 1))
     with pytest.raises(MissingEagerLog):
         apply_lazy(state, lazy)
 
@@ -355,7 +383,8 @@ def test_apply_lazy_rejects_double_credit(reg):
     _, pk_b = new_key(reg, "b")
     state = LedgerState(4)
     state.create_account(pk_a, 100)
-    eager, lazy = eager_for(reg, sk_a, pk_b, 10, 1)
+    eager = eager_for(reg, sk_a, pk_b, 10, 1)
+    lazy = credit_of(eager)
     apply_eager(state, eager)
     apply_lazy(state, lazy)
     with pytest.raises(DoubleCredit):
@@ -376,7 +405,8 @@ def test_full_phase_pair_restores_supply(reg):
         sk_s, pk_s = keys[rng.randrange(25)]
         _, pk_r = keys[rng.randrange(25)]
         nonces[pk_s] += 1
-        eager, lazy = eager_for(reg, sk_s, pk_r, rng.randint(1, 100), nonces[pk_s])
+        eager = eager_for(reg, sk_s, pk_r, rng.randint(1, 100), nonces[pk_s])
+        lazy = credit_of(eager)
         apply_eager(state, eager)
         lazies.append(lazy)
     assert state.total_balance() < supply
@@ -392,7 +422,7 @@ def test_nonce_monotonicity(reg):
     state = LedgerState(2)
     state.create_account(pk_a, 1000)
     for n in range(1, 11):
-        eager, _ = eager_for(reg, sk_a, pk_b, 1, n)
+        eager = eager_for(reg, sk_a, pk_b, 1, n)
         apply_eager(state, eager)
     assert state.get_account(pk_a).nonce == 10
     applied = [e.nonce for e in state.pending.values() if e.sender == pk_a]

@@ -9,6 +9,7 @@ from fission_sim.ledger import (
     LedgerState,
     apply_eager,
     apply_lazy,
+    credit_of,
     make_transfer,
     shard_of,
     split_transaction,
@@ -176,7 +177,8 @@ def test_split_shards_keeps_pending_and_credited():
     lazies = []
     for i, (sk, pk) in enumerate(keys):
         tx = make_transfer(reg, sk, keys[(i + 3) % len(keys)][1], 5 + i, 1)
-        eager, lazy = split_transaction(tx, reg)
+        eager = split_transaction(tx, reg)
+        lazy = credit_of(eager)
         apply_eager(state, eager)
         lazies.append(lazy)
     for lazy in lazies[:4]:

@@ -402,3 +402,24 @@ def test_security_params_domain_check():
         SecurityParams(0.6, 0.7, 5000, 0.3, 1_000_000).check_domain()
     with pytest.raises(DomainError):
         SecurityParams(0.75, 0.7, 5000, 0.3, 4000).check_domain()  # p > 1
+
+
+@pytest.mark.parametrize("p", [1e-17, 2.0**-54, 0.0, 1.0, float("nan")])
+def test_p_that_leaves_one_minus_p_at_one_or_zero_is_rejected(p):
+    # 1 - p == 1.0 would make every binomial weight 0: no committee, no block
+    reg = KeyRegistry()
+    stakes = {reg.generate(b"n%d" % i)[1]: 100 for i in range(4)}
+    with pytest.raises(DomainError):
+        select_committee(stakes, b"seed", BLOCK_INTERIM, p, reg)
+    k_total = 10**20
+    with pytest.raises(DomainError):
+        SecurityParams(0.75, 0.7, p * k_total, 0.3, k_total).check_domain()
+
+
+def test_smallest_p_with_one_minus_p_below_one_draws():
+    p = 2.0**-53  # 1 - p is the float just below 1
+    assert 1.0 - p < 1.0
+    SecurityParams(0.75, 0.7, p * 2.0**60, 0.3, 2**60).check_domain()
+    reg = KeyRegistry()
+    stakes = {reg.generate(b"n%d" % i)[1]: 2**60 for i in range(4)}
+    assert len(select_committee(stakes, b"seed", BLOCK_INTERIM, p, reg)) > 0

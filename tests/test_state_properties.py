@@ -30,7 +30,10 @@ from fission_sim.partitioning import split_shards
 
 KEYS = [sha3(b"prop-key-%d" % i) for i in range(16)]
 FUNDED = 12  # KEYS[FUNDED:] start without an account
-PARENT_IDS = [sha3(b"prop-parent-%d" % i) for i in range(8)]
+# one distinct id per debit of a dense sweep; random ops draw from the first
+# eight, so that credits and repeats often meet a logged debit
+PARENT_IDS = [sha3(b"prop-parent-%d" % i) for i in range(80)]
+DRAWN_PARENT = st.integers(0, 7)
 
 OPS = st.lists(
     st.tuples(
@@ -39,7 +42,7 @@ OPS = st.lists(
         st.integers(0, len(KEYS) - 1),  # receiver
         st.integers(1, 60),  # value
         st.integers(-1, 1),  # nonce offset from the valid one
-        st.integers(0, len(PARENT_IDS) - 1),
+        DRAWN_PARENT,
     ),
     max_size=25,
 )
@@ -215,12 +218,12 @@ def tree_ops(draw, n_accounts):
             key,  # receiver
             st.integers(1, 60),  # value
             st.sampled_from([0, 0, 0, -1, 1]),  # nonce offset from the valid one
-            st.integers(0, len(PARENT_IDS) - 1),
+            DRAWN_PARENT,
         )
         return draw(st.lists(op, max_size=12))
     width = draw(st.integers(0, n_accounts))
-    debits = [(EAGER, i, n_accounts + i % 6, 1, 0, i % len(PARENT_IDS)) for i in range(width)]
-    credits = [(LAZY, 0, 0, 1, 0, p) for p in draw(st.sets(st.integers(0, len(PARENT_IDS) - 1)))]
+    debits = [(EAGER, i, n_accounts + i % 6, 1, 0, i) for i in range(width)]
+    credits = [(LAZY, 0, 0, 1, 0, p) for p in draw(st.sets(DRAWN_PARENT))]
     return debits + credits
 
 
@@ -282,7 +285,7 @@ def test_rooting_hashes_only_the_paths_above_written_leaves(n_accounts, data):
     dirty = data.draw(st.sets(st.integers(0, n_accounts - 1)) | st.just(set(range(n_accounts))))
     child = state.clone()
     for i in dirty:
-        apply_eager(child, SubTransaction(EAGER, PARENT_IDS[0], TREE_KEYS[i], TREE_KEYS[i], 1, 1))
+        apply_eager(child, SubTransaction(EAGER, PARENT_IDS[i], TREE_KEYS[i], TREE_KEYS[i], 1, 1))
     # one leaf per written account, then each distinct ancestor once
     order = sorted(TREE_KEYS[:n_accounts])
     level = {order.index(TREE_KEYS[i]) for i in dirty}

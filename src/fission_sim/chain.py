@@ -28,7 +28,6 @@ from .errors import (
 from .ledger import (
     EAGER,
     LAZY,
-    Account,
     AccountTree,
     LeafCache,
     LedgerState,
@@ -36,7 +35,6 @@ from .ledger import (
     SubTransaction,
     apply_eager,
     apply_lazy,
-    shard_of,
 )
 from .merkle import merkle_levels, merkle_root, merkle_update
 from .partitioning import PartitionConfig, next_partition_count, reshard_trigger, split_shards
@@ -141,38 +139,33 @@ class MicroBlock:
     sub_txs: list[SubTransaction]
 
 
-def body_shard(sub: SubTransaction, n_shard: int) -> int:
-    """Shard a sub-transaction by the account it mutates (sender for debits,
-    receiver for credits)."""
-    key = sub.sender if sub.kind == EAGER else sub.receiver
-    return shard_of(key, n_shard)
-
-
 def compute_root_arrays(
     body: list[SubTransaction], post_state: LedgerState
 ) -> tuple[list[bytes], list[bytes], list[bytes]]:
     """Per-shard Merkle roots of the block body, the post-state accounts of
     each shard, and the log entries this block created (credits create none).
 
-    Roots ``post_state``: each shard's tree becomes current and ``written``
-    is emptied. Only written accounts are rehashed, and work whose content
-    matches a shard's memos (see ``LeafCache``) is not repeated.
+    A sub-transaction belongs to the shard of the account it mutates (sender
+    for debits, receiver for credits). Roots ``post_state``: each shard's
+    tree becomes current and ``written`` is emptied. Only written accounts
+    are rehashed, and work whose content matches a shard's memos (see
+    ``LeafCache``) is not repeated.
     """
     n = post_state.n_shard
+    from_bytes = int.from_bytes  # shard_of's arithmetic, inlined per entry
     subs: list[list[SubTransaction]] = [[] for _ in range(n)]
     for sub in body:
-        subs[body_shard(sub, n)].append(sub)
+        subs[from_bytes(sub.sender if sub.kind == EAGER else sub.receiver, "big") % n].append(sub)
     written: list[list[bytes]] = [[] for _ in range(n)]
     for pk in post_state.written:
-        written[shard_of(pk, n)].append(pk)
+        written[from_bytes(pk, "big") % n].append(pk)
     tx_roots, account_roots, log_roots = [], [], []
-    accounts = post_state.accounts
     for shard, shard_subs, keys in zip(post_state.shards, subs, written):
         tx_root, log_root = _body_roots(shard_subs, shard.cache)
         tx_roots.append(tx_root)
         log_roots.append(log_root)
         if keys or shard.tree is None:
-            shard.tree = _derive_tree(shard, keys, accounts)
+            shard.tree = _derive_tree(shard, keys, post_state)
         account_roots.append(shard.tree.root)
     post_state.written.clear()
     return tx_roots, account_roots, log_roots
@@ -198,10 +191,9 @@ def _body_roots(subs: list[SubTransaction], cache: LeafCache) -> tuple[bytes, by
     return memo[1]
 
 
-def _leaf(known: dict[bytes, tuple[int, int, bytes]], acct: Account) -> bytes:
+def _leaf(known: dict[bytes, tuple[int, int, bytes]], pk: bytes, balance: int, nonce: int) -> bytes:
     """The account's leaf, ``sha3(encode_fields(pk, encode_uint(balance),
     encode_uint(nonce)))``, reused from ``known`` when balance and nonce match."""
-    pk, balance, nonce = acct.pk, acct.balance, acct.nonce
     hit = known.get(pk)
     if hit is None or hit[0] != balance or hit[1] != nonce:
         leaf = sha3(b"".join((
@@ -213,9 +205,9 @@ def _leaf(known: dict[bytes, tuple[int, int, bytes]], acct: Account) -> bytes:
     return hit[2]
 
 
-def _derive_tree(shard: ShardState, keys: list[bytes], accounts: dict[bytes, Account]) -> AccountTree:
-    """The tree of the shard's accounts in ``accounts`` (the state's table),
-    given that only ``keys`` changed since ``shard.tree``.
+def _derive_tree(shard: ShardState, keys: list[bytes], state: LedgerState) -> AccountTree:
+    """The tree of the shard's accounts in ``state``, given that only
+    ``keys`` changed since ``shard.tree``.
 
     Recomputes the paths above the changed leaves when every key is already
     in the tree; a new key shifts positions, so it rebuilds the tree over the
@@ -223,8 +215,8 @@ def _derive_tree(shard: ShardState, keys: list[bytes], accounts: dict[bytes, Acc
     its written keys are all its accounts.
     """
     cache, base = shard.cache, shard.tree
-    known = cache.leaves
-    changes = tuple((pk, _leaf(known, accounts[pk])) for pk in sorted(keys))
+    known, balances, nonces = cache.leaves, state.balances, state.nonces
+    changes = tuple((pk, _leaf(known, pk, balances[pk], nonces[pk])) for pk in sorted(keys))
     memo = cache.derived
     if memo is not None and memo[0] is base and memo[1] == changes:
         return memo[2]
@@ -234,7 +226,7 @@ def _derive_tree(shard: ShardState, keys: list[bytes], accounts: dict[bytes, Acc
         tree = AccountTree(index, levels)
     else:
         order = sorted(base.index.keys() | keys) if base is not None else [pk for pk, _ in changes]
-        levels = merkle_levels([_leaf(known, accounts[pk]) for pk in order])
+        levels = merkle_levels([_leaf(known, pk, balances[pk], nonces[pk]) for pk in order])
         tree = AccountTree({pk: i for i, pk in enumerate(order)}, levels)
     cache.derived = (base, changes, tree)
     return tree

@@ -7,6 +7,11 @@ outstanding debit log in a credit (main) block. Any failed quorum degrades to
 the designated empty block instead of stalling, and unconfirmed transactions
 stay in the mempool for the next round.
 
+A quorum is decided from vote weights alone (``vote_weights``). Only a block
+that reaches it gets signed votes, its certificate (``collect_votes``); micro
+rounds and conflicting Byzantine votes sign nothing, since no reader checks
+those signatures.
+
 All committee draws are verifiable-random and non-interactive, so a whole run
 is a pure function of (config, seed).
 """
@@ -16,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress
 
-from .chain import INTERIM, Block, Chain, MicroBlock, Votes, tally
+from .chain import INTERIM, Block, Chain, MicroBlock, Votes
 from .crypto import KeyRegistry, sha3, sign_each
 from .dists import dist_sampler
 from .errors import FissionError, InvariantViolation, ValidationError
@@ -30,7 +35,6 @@ from .ledger import (
     shard_of,
     split_transaction,
 )
-from .merkle import merkle_root
 from .partitioning import PartitionConfig, partition_of
 from .seeding import child_bytes, split
 from .sortition import (
@@ -166,8 +170,23 @@ class Population:
 # voting helpers
 
 
-def _conflict_hash(proposal: bytes) -> bytes:
-    return sha3(b"conflict" + proposal)
+def vote_weights(committee: Committee, population: Population, offline: set[bytes]) -> tuple[int, int]:
+    """(yes, conflicting): the weight of the online members that vote for a
+    proposal (honest and equivocating ones) and of those that vote for a
+    conflicting block (vote-conflicting and equivocating ones). A quorum
+    decision reads only these; ``collect_votes`` signs the votes a block
+    carries."""
+    strategies = population.strategies
+    yes = conflicting = 0
+    for pk, weight in zip(committee.pks, committee.weights):
+        if pk in offline:
+            continue
+        role = strategies.get(pk)  # None for an honest member
+        if role is None or role == EQUIVOCATE:
+            yes += weight
+        if role == VOTE_CONFLICTING or role == EQUIVOCATE:
+            conflicting += weight
+    return yes, conflicting
 
 
 def collect_votes(
@@ -175,29 +194,18 @@ def collect_votes(
     population: Population,
     proposal: bytes,
     offline: set[bytes],
-) -> tuple[Votes, Votes]:
-    """Votes cast on a proposal hash: honest members vote for it, Byzantine
-    members act out their strategy. Returns (proposal votes, conflicting votes),
-    each in member order and signed in one batch. With no conflicting member
-    the second is an empty ``Votes()``.
-    """
+) -> Votes:
+    """The signed votes on a proposal hash, the certificate a confirmed block
+    carries: one per online honest or equivocating member, in member order,
+    signed in one batch."""
     pks, weights = committee.pks, committee.weights
     if offline and not offline.isdisjoint(pks):
         online = [pk not in offline for pk in pks]
         pks, weights = list(compress(pks, online)), list(compress(weights, online))
-    registry = population.registry
-    roles = list(map(population.strategies.get, pks))  # None for an honest member
-    yes = [role is None or role == EQUIVOCATE for role in roles]
-    votes = _signed(proposal, list(compress(pks, yes)), list(compress(weights, yes)), registry)
-    no = [role is not None and role != WITHHOLD for role in roles]
-    if not any(no):
-        return votes, Votes()
-    other = _conflict_hash(proposal)
-    return votes, _signed(other, list(compress(pks, no)), list(compress(weights, no)), registry)
-
-
-def _signed(block_hash: bytes, voters: list[bytes], weights: list[int], registry: KeyRegistry) -> Votes:
-    return Votes(block_hash, voters, weights, sign_each(registry.framed_secrets(voters), block_hash))
+    yes = [role is None or role == EQUIVOCATE for role in map(population.strategies.get, pks)]
+    voters = list(compress(pks, yes))
+    signatures = sign_each(population.registry.framed_secrets(voters), proposal)
+    return Votes(proposal, voters, list(compress(weights, yes)), signatures)
 
 
 def adversary_weight(committee: Committee, population: Population) -> int:
@@ -222,13 +230,17 @@ def micro_round(
 
     Returns (micro block or timeout, deferred sub-txs, invalid sub-txs). The
     processing budget is delta_micro * throughput * online member count;
-    overflow is deferred to the next round, and a failed quorum defers
-    everything.
+    overflow is deferred to the next round. Whether the quorum forms depends
+    only on the members' weights, so a round that misses it defers
+    everything without executing any of it.
     """
     offline = offline or set()
     n_online = len(committee) - len(offline.intersection(committee.pks))
     if not n_online:
         return Timeout("no online committee weight"), list(sub_txs), []
+    weight, _ = vote_weights(committee, population, offline)
+    if weight < cfg.security.quorum:
+        return Timeout(f"partition {partition_index} vote weight {weight}"), list(sub_txs), []
 
     capacity = int(cfg.delta_micro * cfg.micro_throughput * n_online)
     scratch = base_state.clone()
@@ -245,14 +257,6 @@ def micro_round(
             invalid.append(sub)
             continue
         included.append(sub)
-
-    content = sha3(
-        str(partition_index).encode() + merkle_root([s.id for s in included])
-    )
-    votes, _ = collect_votes(committee, population, content, offline)
-    result = tally(votes, cfg.security.quorum)
-    if not result.confirmed:
-        return Timeout(f"partition {partition_index} vote weight {result.weight}"), list(sub_txs), []
     return MicroBlock(partition_index, included), deferred, invalid
 
 
@@ -266,12 +270,17 @@ def _put_to_vote(
 ) -> Block:
     """The block of ``body`` with its committee votes, or the designated empty
     block if they miss the quorum. No conflicting block may reach it."""
-    candidate = chain.propose(body)
-    votes, conflicting = collect_votes(committee, population, candidate.hash, offline or set())
-    _assert_no_conflicting_quorum(conflicting, cfg)
-    if not tally(votes, cfg.security.quorum).confirmed:
+    offline = offline or set()
+    yes, conflicting = vote_weights(committee, population, offline)
+    quorum = cfg.security.quorum
+    if conflicting >= quorum:
+        raise InvariantViolation(
+            "consensus-engine", "conflicting-block", f"conflicting vote weight {conflicting}"
+        )
+    if yes < quorum:
         return chain.propose([])
-    candidate.header.votes = votes
+    candidate = chain.propose(body)
+    candidate.header.votes = collect_votes(committee, population, candidate.hash, offline)
     return candidate
 
 
@@ -443,16 +452,6 @@ def _assert_adversary_below_quorum(
     return weight
 
 
-def _assert_no_conflicting_quorum(conflicting: Votes, cfg: EpochConfig) -> None:
-    """The conflicting votes of one ``collect_votes`` call all name the same
-    ``_conflict_hash``, so one tally decides whether that block could land."""
-    result = tally(conflicting, cfg.security.quorum)
-    if result.confirmed:
-        raise InvariantViolation(
-            "consensus-engine", "conflicting-block", f"conflicting vote weight {result.weight}"
-        )
-
-
 # ---------------------------------------------------------------------------
 # full chain simulation
 
@@ -528,9 +527,9 @@ class ChainSimulation:
 
     def _spendable_view(self) -> dict[bytes, tuple[int, int]]:
         """Balance and next nonce per account after netting out mempool debits."""
-        view = {}
-        for acct in self.chain.state.iter_accounts():
-            view[acct.pk] = (acct.balance, acct.nonce)
+        state = self.chain.state
+        # the two columns share one insertion order
+        view = dict(zip(state.balances, zip(state.balances.values(), state.nonces.values())))
         for tx in self.mempool:
             bal, nonce = view[tx.sender]
             view[tx.sender] = (bal - tx.value, nonce + 1)

@@ -3,8 +3,9 @@
 Every transfer splits into a debit half and a credit half that are confirmed
 in successive blocks. The debit (eager) withdraws from the sender and stays in
 the pending log; the credit (lazy) pays the receiver by consuming that debit.
-Accounts live in the shard ``pk mod n_shard`` with the key read as a
-big-endian unsigned integer.
+An account is a balance and a nonce, which a state keeps as two int columns
+keyed by public key. Accounts live in the shard ``pk mod n_shard`` with the
+key read as a big-endian unsigned integer.
 
 Canonical transaction byte layout (all fields length-prefixed, fixed order):
 ``tx_type, sender, receiver, value(8B BE), nonce(8B BE), data_hash`` is the
@@ -50,6 +51,9 @@ def shard_of(pk: bytes, n_shard: int) -> int:
 
 @dataclass(slots=True)
 class Account:
+    """A snapshot of one account, as ``LedgerState.get_account`` and
+    ``iter_accounts`` give it; the state itself keeps int columns."""
+
     pk: bytes
     balance: int
     nonce: int = 0
@@ -266,86 +270,70 @@ class CreditedIds:
 
 
 class LedgerState:
-    """One account table for every shard, the per-shard trees and root memos,
-    and the pool of debits awaiting credits.
+    """Balances and nonces of every shard as two int columns, the per-shard
+    trees and root memos, and the pool of debits awaiting credits.
 
-    ``accounts`` maps pk -> ``Account`` across all shards; an account's shard
-    (``shard_of(pk, n_shard)``) matters only when the state is rooted, so
-    lookups and writes never compute it. Its order is insertion order:
-    readers that need an order sort.
+    ``balances`` and ``nonces`` map pk -> int across all shards and share one
+    insertion order (``create_account`` is the only place a key enters, and
+    it enters both); an account's shard (``shard_of(pk, n_shard)``) matters
+    only when the state is rooted, so lookups and writes never compute it.
+    Readers that need an order sort.
 
     Single-writer: one block pipeline mutates a state at a time. ``clone()``
-    is copy-on-write: the clone shares ``Account`` objects with its parent,
-    and whichever of the two writes an account first replaces it with a
-    private copy. Write accounts only through this class and ``apply_eager``
-    / ``apply_lazy``; an ``Account`` returned by ``get_account`` may be shared
-    with clones.
+    copies both columns, so a write to a clone never reaches its parent.
+    Write accounts only through ``create_account``, ``apply_eager`` and
+    ``apply_lazy``; an ``Account`` from ``get_account`` or ``iter_accounts``
+    is a snapshot, and writing it changes no state.
 
     ``written`` holds the key of every account written since each shard's
     ``tree`` was rooted, so that rooting rehashes only those. It is complete
-    only because ``_private`` and ``create_account`` are the only writers:
-    an account changed any other way keeps its old leaf in the next root.
+    only because those three functions are the only writers: an account
+    changed any other way keeps its old leaf in the next root.
     """
 
     def __init__(self, n_shard: int):
         if n_shard < 1:
             raise ValueError("n_shard must be >= 1")
         self.n_shard = n_shard
-        self.accounts: dict[bytes, Account] = {}
+        self.balances: dict[bytes, int] = {}
+        self.nonces: dict[bytes, int] = {}
         self.shards = [ShardState() for _ in range(n_shard)]
         # parent_id -> the confirmed debit, while its credit has not applied;
         # no code writes a debit after it is built, so states and clones
         # share them
         self.pending: dict[bytes, SubTransaction] = {}
         self.credited = CreditedIds()
-        # keys of the accounts this state may write in place
-        self._owned: set[bytes] = set()
         self.written: set[bytes] = set()
 
     def clone(self) -> "LedgerState":
         other = LedgerState.__new__(LedgerState)
         other.n_shard = self.n_shard
-        other.accounts = dict(self.accounts)
+        other.balances = dict(self.balances)
+        other.nonces = dict(self.nonces)
         other.shards = [ShardState(s.cache, s.tree) for s in self.shards]
         other.pending = dict(self.pending)
         other.credited = self.credited.copy()
-        other._owned = set()
         other.written = set(self.written)
-        # every account is shared from now on, so this state copies on write too
-        self._owned = set()
         return other
 
-    def create_account(self, pk: bytes, balance: int, nonce: int = 0) -> Account:
-        acct = self.accounts[pk] = Account(pk, balance, nonce)
-        self._owned.add(pk)
+    def create_account(self, pk: bytes, balance: int, nonce: int = 0) -> None:
+        self.balances[pk] = balance
+        self.nonces[pk] = nonce
         self.written.add(pk)
-        return acct
 
     def get_account(self, pk: bytes) -> Account | None:
-        return self.accounts.get(pk)
-
-    def _private(self, acct: Account) -> Account:
-        """``acct`` if this state may write it in place, else a private copy
-        that replaces it in this state."""
-        pk = acct.pk
-        self.written.add(pk)
-        if pk in self._owned:
-            return acct
-        acct = self.accounts[pk] = Account(pk, acct.balance, acct.nonce)
-        self._owned.add(pk)
-        return acct
+        balance = self.balances.get(pk)
+        return None if balance is None else Account(pk, balance, self.nonces[pk])
 
     def total_balance(self) -> int:
-        return sum(a.balance for a in self.accounts.values())
+        return sum(self.balances.values())
 
     def pending_value(self) -> int:
         return sum(debit.value for debit in self.pending.values())
 
-    def account_count(self) -> int:
-        return len(self.accounts)
-
     def iter_accounts(self):
-        return iter(self.accounts.values())
+        nonces = self.nonces
+        return (Account(pk, balance, nonces[pk]) for pk, balance in self.balances.items())
 
 
 def apply_eager(state: LedgerState, sub: SubTransaction) -> None:
@@ -356,18 +344,20 @@ def apply_eager(state: LedgerState, sub: SubTransaction) -> None:
     is already pending or credited.
     """
     assert sub.kind == EAGER
-    acct = state.get_account(sub.sender)
-    if acct is None:
-        raise UnknownAccount(f"no account for sender {sub.sender.hex()[:16]}")
-    if sub.nonce != acct.nonce + 1:
-        raise BadNonce(f"expected nonce {acct.nonce + 1}, got {sub.nonce}")
-    if acct.balance < sub.value:
-        raise InsufficientBalance(f"balance {acct.balance} < value {sub.value}")
+    sender = sub.sender
+    nonce = state.nonces.get(sender)
+    if nonce is None:
+        raise UnknownAccount(f"no account for sender {sender.hex()[:16]}")
+    if sub.nonce != nonce + 1:
+        raise BadNonce(f"expected nonce {nonce + 1}, got {sub.nonce}")
+    balance = state.balances[sender]
+    if balance < sub.value:
+        raise InsufficientBalance(f"balance {balance} < value {sub.value}")
     if sub.parent_id in state.pending or sub.parent_id in state.credited:
         raise DuplicateDebit(f"parent id {sub.parent_id.hex()[:16]} already has a debit")
-    acct = state._private(acct)
-    acct.balance -= sub.value
-    acct.nonce += 1
+    state.balances[sender] = balance - sub.value
+    state.nonces[sender] = sub.nonce
+    state.written.add(sender)
     state.pending[sub.parent_id] = sub
 
 
@@ -383,8 +373,12 @@ def apply_lazy(state: LedgerState, sub: SubTransaction) -> None:
     debit = state.pending.get(sub.parent_id)
     if debit is None:
         raise MissingEagerLog(f"no debit log for {sub.parent_id.hex()[:16]}")
-    acct = state.get_account(sub.receiver)
-    acct = state.create_account(sub.receiver, 0) if acct is None else state._private(acct)
-    acct.balance += debit.value
+    receiver = sub.receiver
+    balance = state.balances.get(receiver)
+    if balance is None:
+        state.create_account(receiver, debit.value)
+    else:
+        state.balances[receiver] = balance + debit.value
+        state.written.add(receiver)
     del state.pending[sub.parent_id]
     state.credited.add(sub.parent_id)

@@ -71,8 +71,9 @@ def split_shards(state: LedgerState) -> LedgerState:
     (2 * n_shard); the new state's trees are built at its first rooting.
     Balances, nonces, pending debit logs and credited ids carry over exactly."""
     new_state = LedgerState(2 * state.n_shard)
-    for acct in state.iter_accounts():
-        new_state.create_account(acct.pk, acct.balance, acct.nonce)
+    nonces = state.nonces
+    for pk, balance in state.balances.items():
+        new_state.create_account(pk, balance, nonces[pk])
     new_state.pending = dict(state.pending)
     new_state.credited = state.credited.copy()
     return new_state

@@ -38,6 +38,13 @@ LEADER = "leader"
 _TABLE_MAX = 10_000
 
 
+# below this p the CDF is read from p itself: ``1.0 - p`` rounds p by up to
+# 2^-54, which is a bias of tens of percent at p of a few 1e-16. Every golden
+# config and benchmark workload has p far above it, so their draws keep the
+# 1 - p form.
+_SMALL_P = 1e-6
+
+
 def binomial_cdf(k: int, s: int, p: float) -> float:
     """P(X <= k) for X ~ Binomial(s, p)."""
     if not 0.0 <= p <= 1.0:
@@ -48,14 +55,19 @@ def binomial_cdf(k: int, s: int, p: float) -> float:
         return 0.0
     if k >= s:
         return 1.0
-    # P(X <= k) = I_{1-p}(s - k, k + 1)
+    # P(X <= k) = I_{1-p}(s - k, k + 1) = 1 - I_p(k + 1, s - k)
+    if p < _SMALL_P:
+        return 1.0 - float(betainc(k + 1, s - k, p))
     return float(betainc(s - k, k + 1, 1.0 - p))
 
 
 @lru_cache(maxsize=256)
 def _cdf_table(s: int, p: float) -> np.ndarray:
     ks = np.arange(s, dtype=np.float64)
-    table = betainc(s - ks, ks + 1.0, 1.0 - p)
+    if p < _SMALL_P:
+        table = 1.0 - betainc(ks + 1.0, s - ks, p)
+    else:
+        table = betainc(s - ks, ks + 1.0, 1.0 - p)
     return np.append(table, 1.0)
 
 
@@ -168,7 +180,7 @@ def select_committee(
     into an ``Electorate`` first; a caller that draws often keeps one.
     """
     if not 0.0 < 1.0 - p < 1.0:
-        # a p too small to change 1 - p would make every weight 0
+        # p below about 1.1e-16, where 1 - p == 1, is outside the supported domain
         raise DomainError(f"selection probability must be in (0, 1) with 1 - p below 1, got {p}")
     electorate = stakes if isinstance(stakes, Electorate) else Electorate(stakes)
     pks = electorate.pks

@@ -14,7 +14,7 @@ from scipy import stats
 
 from fission_sim.chain import INTERIM, MAIN, compute_root_arrays
 from fission_sim.consensus import ChainSimulation, Population
-from fission_sim.crypto import vrf_eval
+from fission_sim.crypto import vrf_hashes
 from fission_sim.dists import sample_dist
 from fission_sim.drs import build_instance, drs_round, omega, simulate_drs
 from fission_sim.ledger import EAGER, LedgerState, apply_eager, apply_lazy
@@ -96,10 +96,14 @@ def test_criterion_3_safety_monte_carlo():
     draws = 10_000
     adversary = np.zeros(draws, dtype=np.int64)
     honest = np.zeros(draws, dtype=np.int64)
-    seeds = [child_bytes(SEED, "acc3-epoch", e) for e in range(draws)]
-    for node in online:
-        xs = uniforms([vrf_eval(node.sk, seed, "block_interim").hash for seed in seeds])
-        weights = voting_power_batch(xs, node.stake, p)
+    # one hash per key and seed: row e holds every online key's draw at seed e
+    framed = pop.registry.framed_secrets([node.pk for node in online])
+    hashes = []
+    for e in range(draws):
+        hashes += vrf_hashes(framed, child_bytes(SEED, "acc3-epoch", e), "block_interim")
+    xs = uniforms(hashes).reshape(draws, len(online))
+    for column, node in enumerate(online):
+        weights = voting_power_batch(xs[:, column], node.stake, p)
         if node.byzantine:
             adversary += weights
         else:

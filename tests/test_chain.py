@@ -150,8 +150,7 @@ def test_account_root_tracks_nonce_at_equal_balance():
     assert after.get_account(pk_a).balance == 100
     _, rooted, _ = compute_root_arrays([], after)
     fresh = LedgerState(2)
-    fresh.create_account(pk_a, 100)
-    fresh.get_account(pk_a).nonce = 1
+    fresh.create_account(pk_a, 100, nonce=1)
     assert rooted == compute_root_arrays([], fresh)[1] != before
     assert compute_root_arrays([], state)[1] == before
 

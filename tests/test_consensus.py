@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fission_sim import consensus
-from fission_sim.chain import INTERIM, MAIN, Votes, next_seed
+from fission_sim.chain import INTERIM, MAIN, Votes, next_seed, tally
 from fission_sim.consensus import (
     ChainSimulation,
     EpochConfig,
@@ -15,7 +15,6 @@ from fission_sim.consensus import (
     _elect_proposer,
     micro_round,
     run_epoch,
-    tally,
 )
 from fission_sim.crypto import VrfOutput, sha3, sign
 from fission_sim.errors import InvariantViolation, ValidationError
@@ -112,7 +111,9 @@ def test_seed_sequence_uniformity():
 
 
 def reference_votes(committee, population, proposal, offline):
-    """``collect_votes`` spelled out per member with ``crypto.sign``."""
+    """Every vote cast on a proposal, spelled out per member with
+    ``crypto.sign``: the votes for it (``collect_votes``) and the conflicting
+    votes, which name one conflict hash derived once per proposal."""
 
     def cast(column, pk, weight, sk):
         column.voters.append(pk)
@@ -135,16 +136,17 @@ def reference_votes(committee, population, proposal, offline):
 
 
 ROLES = st.sampled_from((None,) + consensus.STRATEGIES)  # None: honest
-
-
-@settings(max_examples=100, deadline=None)
-@given(
+VOTING_WORLDS = dict(
     roles=st.lists(ROLES, min_size=16, max_size=16),
     offline_mask=st.lists(st.booleans(), min_size=16, max_size=16),
     proposal=st.binary(min_size=32, max_size=32),
     world=st.integers(0, 3),
 )
-def test_collect_votes_equals_per_member_signatures(roles, offline_mask, proposal, world):
+
+
+def voting_world(roles, offline_mask, proposal, world):
+    """A 16-node population with the given roles, its offline keys, and its
+    main-block committee at seed ``proposal``."""
     population = Population.build(16, "fixed:100", alpha=1.0, h=1.0, master_seed=world)
     for node, role in zip(population.nodes, roles):
         node.byzantine, node.strategy = role is not None, role or consensus.WITHHOLD
@@ -153,14 +155,28 @@ def test_collect_votes_equals_per_member_signatures(roles, offline_mask, proposa
     committee = select_committee(
         population.online_stakes(), proposal, BLOCK_MAIN, 0.05, population.registry
     )
-    with patch.object(consensus, "_conflict_hash", wraps=consensus._conflict_hash) as derive:
-        votes, conflicting = consensus.collect_votes(committee, population, proposal, offline)
-    assert (votes, conflicting) == reference_votes(committee, population, proposal, offline)
+    return population, offline, committee
+
+
+@settings(max_examples=100, deadline=None)
+@given(**VOTING_WORLDS)
+def test_collect_votes_equals_per_member_signatures(roles, offline_mask, proposal, world):
+    population, offline, committee = voting_world(roles, offline_mask, proposal, world)
+    votes = consensus.collect_votes(committee, population, proposal, offline)
+    assert votes == reference_votes(committee, population, proposal, offline)[0]
     nodes = {n.pk: n for n in population.nodes}
     byzantine = [w for pk, w in zip(committee.pks, committee.weights) if nodes[pk].byzantine]
     assert consensus.adversary_weight(committee, population) == sum(byzantine)
-    # the conflicting hash is derived once per call, and only when some member conflicts
-    assert derive.call_count == (1 if conflicting else 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(**VOTING_WORLDS)
+def test_vote_weights_equal_tallies_of_the_reference_votes(roles, offline_mask, proposal, world):
+    population, offline, committee = voting_world(roles, offline_mask, proposal, world)
+    votes, conflicting = reference_votes(committee, population, proposal, offline)
+    assert consensus.vote_weights(committee, population, offline) == (
+        tally(votes, 0).weight, tally(conflicting, 0).weight
+    )
 
 
 # --- micro rounds ---

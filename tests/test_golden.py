@@ -20,6 +20,7 @@ import pytest
 
 from fission_sim.chain import INTERIM
 from fission_sim.cli import main
+from fission_sim import consensus
 from fission_sim.consensus import STRATEGIES, ChainSimulation
 from fission_sim.crypto import sha3
 from fission_sim.dists import sample_dist
@@ -123,6 +124,30 @@ def test_golden_epoch_metadata_digest(case):
         for r in sim.results
     ]
     assert _reprs_digest(rows) == expected
+
+
+def test_each_epoch_signs_only_the_votes_its_block_carries(monkeypatch):
+    # the offline case has micro timeouts and timeout blocks; neither a micro
+    # round nor a conflicting vote signs anything, so every key signed in an
+    # epoch is one of its block's votes, and a timeout block has none
+    params, epochs, _ = EPOCH_META_CASES["offline"]
+    signed = []
+    sign_each = consensus.sign_each
+
+    def counting(framed_sks, message):
+        signed.append(len(framed_sks))
+        return sign_each(framed_sks, message)
+
+    monkeypatch.setattr(consensus, "sign_each", counting)
+    sim = ChainSimulation(**params)
+    for _ in range(epochs):
+        signed.clear()
+        result = sim.step()
+        assert sum(signed) == len(result.block.header.votes)
+        if result.block.is_timeout_block:
+            assert signed == []
+    assert any(r.micro_timeouts for r in sim.results)
+    assert any(r.block.is_timeout_block for r in sim.results)
 
 
 def test_golden_relay_trace_digest():

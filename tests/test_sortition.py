@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from fission_sim.consensus import Population
 from fission_sim.crypto import KeyRegistry
 from fission_sim.errors import ApproximationUnsound, DomainError, EmptyCommittee
-from fission_sim.seeding import split_numpy
+from fission_sim.seeding import child_bytes, split_numpy
 from fission_sim.sortition import (
     BLOCK_INTERIM,
     Electorate,
@@ -391,6 +392,34 @@ def test_failure_probabilities_monte_carlo_consistency():
 def test_failure_probabilities_approximation_guard():
     with pytest.raises(ApproximationUnsound):
         failure_probabilities(0.999, 1.0, 1000, 0.3)  # adversary mean 1 <= 5
+
+
+# 40 stakes of 6e18 with tau 1e5: p = 4.17e-16, which ``1.0 - p`` rounds by
+# about 7%
+HUGE_STAKE, HUGE_TAU = 6 * 10**18, 1e5
+
+
+def test_small_p_cdf_matches_poisson():
+    p = HUGE_TAU / (40 * HUGE_STAKE)
+    for k in (2400, 2500, 2600):
+        assert binomial_cdf(k, HUGE_STAKE, p) == pytest.approx(
+            stats.poisson.cdf(k, HUGE_STAKE * p), abs=1e-12
+        )
+
+
+def test_small_p_committee_weight_mean_is_p_times_online_stake():
+    population = Population.build(40, f"fixed:{HUGE_STAKE}", alpha=0.7, h=0.75, master_seed=1)
+    p = HUGE_TAU / population.total_stake
+    online = sum(population.online_stakes().values())
+    draws = 30
+    weights = [
+        sum(select_committee(
+            population.electorate, child_bytes(1, "small-p", i), BLOCK_INTERIM, p, population.registry
+        ).weights)
+        for i in range(draws)
+    ]
+    sigma = math.sqrt(online * p * (1 - p) / draws)
+    assert abs(sum(weights) / draws - p * online) <= 3 * sigma
 
 
 def test_security_params_domain_check():

@@ -1,10 +1,11 @@
-"""Property tests of copy-on-write ledger clones and cached account roots.
+"""Property tests of ledger clones and cached account roots.
 
-A clone shares accounts, pending-credit bookkeeping, per-shard account trees
-and per-shard root memos with its parent. These tests drive random
-debit/credit sequences (failing ones included) through parents, clones and
-siblings, and check the results against deep copies and against a root
-computation that uses no cache at all.
+A clone copies the balance and nonce columns and shares pending-credit
+bookkeeping, per-shard account trees and per-shard root memos with its
+parent. These tests drive random debit/credit sequences (failing ones
+included) through parents, clones and siblings, and check the results
+against deep copies and against a root computation that uses no cache at
+all.
 """
 
 import copy
@@ -86,21 +87,17 @@ def apply_ops(state: LedgerState, ops, keys=KEYS) -> tuple[list[SubTransaction],
     return applied, outcomes
 
 
-def shard_accounts(state: LedgerState) -> list[list[tuple[bytes, object]]]:
-    """Each shard's (pk, account) pairs in key order, grouped by
-    ``shard_of`` over the state's one account table."""
+def shard_accounts(state: LedgerState) -> list[list[tuple[bytes, int, int]]]:
+    """Each shard's (pk, balance, nonce) triples in key order, grouped by
+    ``shard_of`` over the state's balance and nonce columns."""
     shards = [[] for _ in range(state.n_shard)]
-    for pk, acct in sorted(state.accounts.items()):
-        shards[shard_of(pk, state.n_shard)].append((pk, acct))
+    for pk, balance in sorted(state.balances.items()):
+        shards[shard_of(pk, state.n_shard)].append((pk, balance, state.nonces[pk]))
     return shards
 
 
 def snapshot(state: LedgerState):
-    accounts = [
-        [(pk, a.balance, a.nonce) for pk, a in shard]
-        for shard in shard_accounts(state)
-    ]
-    return state.n_shard, accounts, dict(state.pending), set(state.credited)
+    return state.n_shard, shard_accounts(state), dict(state.pending), set(state.credited)
 
 
 def reference_roots(body, state):
@@ -117,8 +114,8 @@ def reference_roots(body, state):
             )
     account_roots = [
         merkle_root([
-            sha3(encode_fields(pk, encode_uint(a.balance), encode_uint(a.nonce)))
-            for pk, a in shard
+            sha3(encode_fields(pk, encode_uint(balance), encode_uint(nonce)))
+            for pk, balance, nonce in shard
         ])
         for shard in shard_accounts(state)
     ]
@@ -320,11 +317,11 @@ def check_trees(state: LedgerState) -> None:
     the one table, in key order, with each key at its leaf position."""
     for shard, accounts in zip(state.shards, shard_accounts(state)):
         leaves = [
-            sha3(encode_fields(pk, encode_uint(a.balance), encode_uint(a.nonce)))
-            for pk, a in accounts
+            sha3(encode_fields(pk, encode_uint(balance), encode_uint(nonce)))
+            for pk, balance, nonce in accounts
         ]
         assert shard.tree.levels == merkle_levels(leaves)
-        assert shard.tree.index == {pk: i for i, (pk, _) in enumerate(accounts)}
+        assert shard.tree.index == {pk: i for i, (pk, _, _) in enumerate(accounts)}
 
 
 @settings(max_examples=100, deadline=None)

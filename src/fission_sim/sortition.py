@@ -7,14 +7,15 @@ calculator half derives the feasible (tau, theta) region and the normal-tail
 failure probabilities that justify the quorum.
 
 The binomial CDF goes through the regularized incomplete beta function, so it
-stays exact-enough and overflow-free for stakes up to millions of tokens.
+stays exact-enough and overflow-free for any stake. A committee draw
+evaluates it for all stakes at once, each only up to about twice the largest
+weight drawn, and keeps nothing between draws.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import compress
 from typing import Iterable, Mapping
 
@@ -33,16 +34,20 @@ BLOCK_INTERIM = "block_interim"
 BLOCK_MAIN = "block_main"
 LEADER = "leader"
 
-# largest stake for which the full CDF table is cached; bigger stakes use
-# bisection on the CDF directly (tables only pay off for repeated draws)
-_TABLE_MAX = 10_000
-
-
 # below this p the CDF is read from p itself: ``1.0 - p`` rounds p by up to
 # 2^-54, which is a bias of tens of percent at p of a few 1e-16. Every golden
 # config and benchmark workload has p far above it, so their draws keep the
 # 1 - p form.
 _SMALL_P = 1e-6
+
+
+def _cdf(a, b, p: float):
+    """P(X <= k) for X ~ Binomial(s, p), 0 <= k < s, given a = k + 1 and
+    b = s - k; on scalars or arrays."""
+    # P(X <= k) = I_{1-p}(s - k, k + 1) = 1 - I_p(k + 1, s - k)
+    if p < _SMALL_P:
+        return 1.0 - betainc(a, b, p)
+    return betainc(b, a, 1.0 - p)
 
 
 def binomial_cdf(k: int, s: int, p: float) -> float:
@@ -55,34 +60,20 @@ def binomial_cdf(k: int, s: int, p: float) -> float:
         return 0.0
     if k >= s:
         return 1.0
-    # P(X <= k) = I_{1-p}(s - k, k + 1) = 1 - I_p(k + 1, s - k)
-    if p < _SMALL_P:
-        return 1.0 - float(betainc(k + 1, s - k, p))
-    return float(betainc(s - k, k + 1, 1.0 - p))
-
-
-@lru_cache(maxsize=256)
-def _cdf_table(s: int, p: float) -> np.ndarray:
-    ks = np.arange(s, dtype=np.float64)
-    if p < _SMALL_P:
-        table = 1.0 - betainc(ks + 1.0, s - ks, p)
-    else:
-        table = betainc(s - ks, ks + 1.0, 1.0 - p)
-    return np.append(table, 1.0)
+    return float(_cdf(k + 1, s - k, p))
 
 
 def voting_power(x: float, s: int, p: float) -> int:
     """Voting weight for a uniform draw x: the smallest k with F(k) >= x.
 
     Distributed as Binomial(s, p) when x is uniform on [0, 1); always in
-    [0, s] and non-decreasing in x.
+    [0, s] and non-decreasing in x. This is the per-node reference that
+    ``_weights`` computes for many draws at once.
     """
     if not 0.0 <= x < 1.0:
         raise DomainError(f"uniform draw must be in [0, 1), got {x}")
     if x <= binomial_cdf(0, s, p):
         return 0
-    if s <= _TABLE_MAX:
-        return int(np.searchsorted(_cdf_table(s, float(p)), x, side="left"))
     lo, hi = 1, s
     while lo < hi:
         mid = (lo + hi) // 2
@@ -93,11 +84,57 @@ def voting_power(x: float, s: int, p: float) -> int:
     return lo
 
 
+def _weights(stakes: list[int], draws: list[np.ndarray], p: float) -> list[np.ndarray]:
+    """``voting_power`` of the draws ``draws[g]`` of each stake ``stakes[g]``.
+
+    After F(0), bisection of [1, s] probes the spine 1 + ((s - 1) >> t),
+    t = 1, 2, ..., for as long as F there reaches the draw. So one
+    ``betainc`` call evaluates the spines of all stakes, and one more each
+    stake's row F(0), ..., F(e), where e is the deepest spine node that all
+    its draws reach: about twice its largest weight. Where a row does not
+    decrease, bisection ends where ``searchsorted`` does, so the row gives
+    every weight. A row wider than bisecting each of its draws, or one that
+    decreases (betainc turns NaN at extreme arguments), leaves its draws to
+    ``voting_power``.
+    """
+    spines = [[1 + ((s - 1) >> t) for t in range(1, max(s - 1, 0).bit_length() + 1)] for s in stakes]
+    f = _cdf_at(stakes, spines, p).tolist()
+    ends, at = [], 0
+    for spine, s, d in zip(spines, stakes, draws):
+        top, e = d.max(initial=0.0), s
+        for m, fm in zip(spine, f[at:at + len(spine)]):
+            if not fm >= top:  # a NaN is reached by no draw
+                break
+            e = m
+        at += len(spine)
+        ends.append(e if e < len(d) * (len(spine) + 1) else -1)  # -1: no row
+    rows = _cdf_at(stakes, [range(e + 1) for e in ends], p)
+    weights, at = [], 0
+    for e, s, d in zip(ends, stakes, draws):
+        row = rows[at:at + e + 1]
+        at += e + 1
+        if e >= 0 and (row[1:] >= row[:-1]).all():
+            weights.append(np.searchsorted(row, d, side="left"))
+        else:
+            exact = np.int64 if s < 1 << 63 else object  # a weight never exceeds its stake
+            weights.append(np.array([voting_power(float(x), s, p) for x in d], dtype=exact))
+    return weights
+
+
+def _cdf_at(stakes: list[int], ks: list, p: float) -> np.ndarray:
+    """F(k) of stake ``stakes[g]`` at every k <= s of ``ks[g]``, concatenated.
+
+    k + 1 and s - k are exact ints until ``float`` rounds them, as NumPy
+    rounds the ints ``binomial_cdf`` passes; at k = s the formula gives 1.
+    """
+    a = [float(k + 1) for row in ks for k in row]
+    b = [float(s - k) for s, row in zip(stakes, ks) for k in row]
+    return _cdf(np.array(a), np.array(b), p)
+
+
 def voting_power_batch(xs: np.ndarray, s: int, p: float) -> np.ndarray:
     """Vectorized voting_power over many uniform draws for one (s, p)."""
-    if s > _TABLE_MAX:
-        return np.array([voting_power(float(x), s, p) for x in xs])
-    return np.searchsorted(_cdf_table(s, float(p)), xs, side="left")
+    return _weights([s], [np.asarray(xs, dtype=np.float64)], p)[0]
 
 
 @dataclass(frozen=True, slots=True)
@@ -179,17 +216,17 @@ def select_committee(
     and weight equal its ``draw_outcome``. A plain stake mapping is turned
     into an ``Electorate`` first; a caller that draws often keeps one.
     """
-    if not 0.0 < 1.0 - p < 1.0:
-        # p below about 1.1e-16, where 1 - p == 1, is outside the supported domain
-        raise DomainError(f"selection probability must be in (0, 1) with 1 - p below 1, got {p}")
+    if not 0.0 < p < 1.0:
+        raise DomainError(f"selection probability must be in (0, 1), got {p}")
     electorate = stakes if isinstance(stakes, Electorate) else Electorate(stakes)
     pks = electorate.pks
     hashes = vrf_hashes(registry.framed_secrets(pks), seed, ctype)
     xs = uniforms(hashes)
-    # one table lookup per stake group; the weights equal voting_power's
+    # one CDF row per stake group; the weights equal voting_power's
+    groups = electorate.groups
     weights = [0] * len(pks)
-    for stake, idx in electorate.groups:
-        for i, w in zip(idx, voting_power_batch(xs[idx], stake, p).tolist()):
+    for (_, idx), ws in zip(groups, _weights([s for s, _ in groups], [xs[idx] for _, idx in groups], p)):
+        for i, w in zip(idx, ws.tolist()):
             weights[i] = w
     member = list(map(bool, weights))  # weights are never negative
     return Committee(
@@ -328,7 +365,7 @@ class SecurityParams:
             raise DomainError(f"h must be in (2/3, 1], got {self.h}")
         if not (0.0 < self.alpha <= 1.0):
             raise DomainError(f"alpha must be in (0, 1], got {self.alpha}")
-        if not (0.0 < 1.0 - self.p < 1.0):
-            raise DomainError(f"p = tau/K must be in (0, 1) with 1 - p below 1, got {self.p}")
+        if not (0.0 < self.p < 1.0):
+            raise DomainError(f"p = tau/K must be in (0, 1), got {self.p}")
         if not (0.0 < self.theta < 1.0):
             raise DomainError(f"theta must be in (0, 1), got {self.theta}")

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -119,8 +120,7 @@ BIG_STAKES = "population.nodes = 40\npopulation.stake_dist = fixed:6000000000000
 
 
 def test_chain_total_stake_past_eight_bytes_runs(tmp_path, capsys, monkeypatch):
-    # 40 stakes of 6e18 each fit 8 bytes; only their total K does not. A tau
-    # of 1e5 keeps p = tau/K large enough that 1 - p is below 1
+    # 40 stakes of 6e18 each fit 8 bytes; only their total K does not
     monkeypatch.chdir(tmp_path)
     (tmp_path / "run.cfg").write_text(BIG_STAKES + "security.tau = 100000\n")
     code, _, _ = run_cli(capsys, "chain", "--config", "run.cfg", "--epochs", "4")
@@ -130,15 +130,20 @@ def test_chain_total_stake_past_eight_bytes_runs(tmp_path, capsys, monkeypatch):
     assert all(block["body"] for block in blocks[1:])
 
 
-def test_chain_p_too_small_to_draw_exits_2_writing_nothing(tmp_path, capsys, monkeypatch):
-    # at the default tau, p = 5000 / 2.4e20 leaves 1 - p == 1.0, so every
-    # sortition weight would be 0 and every block empty
+def test_chain_p_with_one_minus_p_at_one_draws_committees(tmp_path, capsys, monkeypatch):
+    # at the default tau, p = 5000 / 2.4e20 leaves 1 - p == 1.0; the small-p
+    # CDF reads p itself, so committees still weigh about tau * alpha
     monkeypatch.chdir(tmp_path)
     (tmp_path / "run.cfg").write_text(BIG_STAKES)
-    code, _, err = run_cli(capsys, "chain", "--config", "run.cfg", "--epochs", "4")
-    assert code == 2
-    assert err.startswith("error: p = tau/K must be in (0, 1) with 1 - p below 1")
-    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+    code, _, _ = run_cli(capsys, "chain", "--config", "run.cfg", "--epochs", "6", "--seed", "4")
+    assert code == 0
+    blocks = [json.loads(line) for line in (tmp_path / "chain.jsonl").read_text().splitlines()]
+    assert len(blocks) == 7  # genesis + 6 epochs
+    assert all(block["body"] for block in blocks[1:])
+    with open(tmp_path / "metrics.csv", newline="") as f:
+        weights = [int(row["committee_weight"]) for row in csv.DictReader(f)]
+    assert len(weights) == 6
+    assert all(abs(w - 5000 * 0.7) < 6 * (5000 * 0.7) ** 0.5 for w in weights)
 
 
 NON_FINITE_SPECS = [

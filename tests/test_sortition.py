@@ -8,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from fission_sim import sortition
 from fission_sim.consensus import Population
 from fission_sim.crypto import KeyRegistry
+from fission_sim.dists import dist_sampler
 from fission_sim.errors import ApproximationUnsound, DomainError, EmptyCommittee
-from fission_sim.seeding import child_bytes, split_numpy
+from fission_sim.seeding import child_bytes, split, split_numpy
 from fission_sim.sortition import (
     BLOCK_INTERIM,
     Electorate,
@@ -99,8 +101,7 @@ def test_voting_power_batch_agrees_with_scalar():
 
 
 def test_voting_power_batch_matches_scalar_at_zero_weight_boundary():
-    # the scalar path tests x <= F(0) with one betainc call; the batch path
-    # relies on the table's first entry being that same F(0)
+    # both paths probe F(0) first: a draw at F(0) weighs 0, one just above 1
     for s, p in [(1, 0.3), (7, 0.02), (100, 0.001), (2500, 5000 / 1_000_000), (9999, 1e-4)]:
         f0 = binomial_cdf(0, s, p)
         xs = np.array([np.nextafter(f0, 0.0), f0, np.nextafter(f0, 1.0)])
@@ -125,9 +126,24 @@ def test_voting_power_distribution_chi_square_smoke():
         assert result.pvalue > 0.01, (s, p, result.pvalue)
 
 
-def test_voting_power_large_stake_uses_bisection():
+def test_voting_power_large_stake_weighs_the_same_on_every_path():
     # median of Binomial(10^6, 0.005) is its mean
     assert voting_power(0.5, 1_000_000, 0.005) == 5000
+    # one draw bisects: a row out past 5,000 would be wider than that; 2,001
+    # draws share one row F(0), ..., F(7813)
+    assert voting_power_batch(np.array([0.5]), 1_000_000, 0.005).tolist() == [5000]
+    xs = np.append(split_numpy(4, "big-row").random(2000), 0.5)
+    batch = voting_power_batch(xs, 1_000_000, 0.005)
+    assert batch[-1] == 5000
+    assert batch[:40].tolist() == [voting_power(float(x), 1_000_000, 0.005) for x in xs[:40]]
+    reg, pks = build_registry(6, seed=4)
+    stakes = {pk: 1_000_000 for pk in pks}
+    members = select_committee(stakes, b"big", BLOCK_INTERIM, 0.005, reg)
+    outcomes = [
+        draw_outcome(reg.secret_for(pk), pk, b"big", BLOCK_INTERIM, 1_000_000, 0.005) for pk in sorted(pks)
+    ]
+    assert members.weights == [o.weight for o in outcomes]
+    assert all(4500 < w < 5500 for w in members.weights)
 
 
 # --- committee selection ---
@@ -197,7 +213,7 @@ def test_committee_members_all_positive_weight():
 
 def test_committee_weights_match_per_node_draws():
     # batched selection gives every node exactly its scalar draw_outcome weight,
-    # across stake groups on both sides of the table limit
+    # across several stake groups
     reg, pks = build_registry(120, seed=5)
     rng = random.Random(5)
     stakes = {pk: rng.choice([0, 1, 40, 2500, 2500, 12_000]) for pk in pks}
@@ -224,18 +240,16 @@ def electorate_registry():
 @settings(max_examples=60, deadline=None)
 @given(
     data=st.data(),
-    big=st.one_of(st.none(), st.integers(2**63, 2**64 - 1)),
-    p=st.sampled_from([0.004, 0.05, 0.3]),
+    p=st.sampled_from([0.004, 0.05, 0.3, sortition._SMALL_P / 10]),
     seed=st.binary(max_size=16),
 )
-def test_electorate_draw_equals_mapping_and_per_node_draws(data, big, p, seed):
-    # stake groups on both sides of the table limit, zero stakes, and at most
-    # one stake too large for an int64
+def test_electorate_draw_equals_mapping_and_per_node_draws(data, p, seed):
+    # up to 6 stake groups, zero stakes, stakes up to 2^64 - 1 (where s - k
+    # no longer fits a float exactly) and a p read by the small-p CDF
     reg, pks = electorate_registry()
-    levels = data.draw(st.lists(st.sampled_from([1, 40, 2500, 12_000]), min_size=1, max_size=3, unique=True))
+    stake = st.one_of(st.sampled_from([1, 40, 2500, 12_000]), st.integers(1, 2**64 - 1))
+    levels = data.draw(st.lists(stake, min_size=1, max_size=6, unique=True))
     column = data.draw(st.lists(st.sampled_from([0] + levels), min_size=len(pks), max_size=len(pks)))
-    if big is not None:
-        column[data.draw(st.integers(0, len(pks) - 1))] = big
     stakes = dict(zip(pks, column))
     drawn = select_committee(Electorate(stakes), seed, BLOCK_INTERIM, p, reg)
     plain = select_committee(stakes, seed, BLOCK_INTERIM, p, reg)
@@ -249,6 +263,26 @@ def test_electorate_draw_equals_mapping_and_per_node_draws(data, big, p, seed):
     assert columns == (plain.pks, plain.weights, plain.hashes)
     assert columns == ([o.pk for o in expected], [o.weight for o in expected], [o.vrf.hash for o in expected])
     assert all(type(w) is int for w in drawn.weights)
+
+
+def test_committee_draw_evaluates_few_cdf_entries_per_stake_group(monkeypatch):
+    # 1,400 uniform:1:5000 stakes hold over a thousand distinct stakes; a
+    # full CDF per stake would be millions of entries
+    reg, pks = build_registry(1400, seed=11)
+    stakes = dict(zip(pks, dist_sampler("uniform:1:5000", integer=True, minimum=1)(split(11, "work"), 1400)))
+    electorate = Electorate(stakes)
+    entries = []
+    betainc = sortition.betainc
+
+    def counted(*args):
+        out = betainc(*args)
+        entries.append(np.size(out))
+        return out
+
+    monkeypatch.setattr(sortition, "betainc", counted)
+    committee = select_committee(electorate, b"work", BLOCK_INTERIM, 5000 / sum(stakes.values()), reg)
+    assert len(committee) > 0
+    assert sum(entries) <= 64 * len(set(stakes.values()))
 
 
 # --- leader ordering ---
@@ -433,9 +467,9 @@ def test_security_params_domain_check():
         SecurityParams(0.75, 0.7, 5000, 0.3, 4000).check_domain()  # p > 1
 
 
-@pytest.mark.parametrize("p", [1e-17, 2.0**-54, 0.0, 1.0, float("nan")])
+@pytest.mark.parametrize("p", [0.0, 1.0, float("nan")])
 def test_p_that_leaves_one_minus_p_at_one_or_zero_is_rejected(p):
-    # 1 - p == 1.0 would make every binomial weight 0: no committee, no block
+    # p = 0 selects no one and p = 1 every token; NaN is no probability
     reg = KeyRegistry()
     stakes = {reg.generate(b"n%d" % i)[1]: 100 for i in range(4)}
     with pytest.raises(DomainError):
@@ -443,6 +477,22 @@ def test_p_that_leaves_one_minus_p_at_one_or_zero_is_rejected(p):
     k_total = 10**20
     with pytest.raises(DomainError):
         SecurityParams(0.75, 0.7, p * k_total, 0.3, k_total).check_domain()
+
+
+@pytest.mark.parametrize("p", [1e-17, 2.0**-54])
+def test_p_with_one_minus_p_at_one_draws(p):
+    # 1 - p rounds to 1.0 here; the small-p CDF reads p itself
+    assert 1.0 - p == 1.0
+    k_total = 10**20
+    SecurityParams(0.75, 0.7, p * k_total, 0.3, k_total).check_domain()
+    reg = KeyRegistry()
+    stakes = {reg.generate(b"n%d" % i)[1]: 10**19 for i in range(4)}
+    members = select_committee(stakes, b"seed", BLOCK_INTERIM, p, reg)
+    assert len(members) > 0
+    outcomes = [
+        draw_outcome(reg.secret_for(pk), pk, b"seed", BLOCK_INTERIM, 10**19, p) for pk in sorted(stakes)
+    ]
+    assert members.weights == [o.weight for o in outcomes if o.weight > 0]
 
 
 def test_smallest_p_with_one_minus_p_below_one_draws():

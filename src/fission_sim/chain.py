@@ -69,18 +69,11 @@ class Votes:
         return len(self.voters)
 
 
-@dataclass
-class TallyResult:
-    confirmed: bool
-    weight: int
-
-
-def tally(votes: Votes, quorum: int) -> TallyResult:
-    """Sum distinct-voter weights against the quorum; a voter that votes
-    again counts once, with its first weight."""
+def tally(votes: Votes) -> int:
+    """The vote weight of distinct voters; a voter that votes again counts
+    once, with its first weight."""
     # built back to front, so each voter keeps its first weight
-    weight = sum(dict(zip(reversed(votes.voters), reversed(votes.weights))).values())
-    return TallyResult(confirmed=weight >= quorum, weight=weight)
+    return sum(dict(zip(reversed(votes.voters), reversed(votes.weights))).values())
 
 
 @dataclass
@@ -364,9 +357,9 @@ class Chain:
             raise RootMismatch("recomputed root arrays do not match the header")
 
         if not block.is_timeout_block:
-            result = tally(header.votes, self.quorum)
-            if not result.confirmed:
-                raise InsufficientVotes(f"vote weight {result.weight} below quorum {self.quorum}")
+            weight = tally(header.votes)
+            if weight < self.quorum:
+                raise InsufficientVotes(f"vote weight {weight} below quorum {self.quorum}")
 
         self.state = scratch
         self.blocks.append(block)

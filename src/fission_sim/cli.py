@@ -19,7 +19,7 @@ from .consensus import ChainSimulation
 from .drs import simulate_drs
 from .errors import DomainError, FissionError, InvariantViolation, ParseError, ValidationError
 from .metrics import MetricsSink
-from .relay import simulate_prs
+from .relay import identifier_counts, simulate_prs
 from .seeding import child_seed, split
 from .sortition import (
     SecurityParams,
@@ -217,6 +217,10 @@ def cmd_relay(args) -> int:
     relay = cfg.relay
     cap_rng = split(cfg.seed, "relay-caps")
     capacities = dist_sampler(relay.cap_dist, integer=True, minimum=2)(cap_rng, relay.relayers)
+    try:
+        identifier_counts(capacities, relay.mu)
+    except ValueError as e:  # mu above a drawn capacity, or far below all of them
+        raise ValidationError("relay.mu", str(e)) from None
     runs = [
         simulate_prs(
             relay.nodes,

@@ -116,7 +116,7 @@ class SimConfig:
 
 def _set_key(cfg: SimConfig, key: str, raw: object) -> None:
     if key == "seed":
-        cfg.seed = _coerce("seed", raw, int)
+        cfg.seed = _coerce("seed", raw, "int")
         return
     if "." not in key:
         raise ParseError(f"unknown field {key!r}")
@@ -131,20 +131,22 @@ def _set_key(cfg: SimConfig, key: str, raw: object) -> None:
     setattr(section, field_name, _coerce(key, raw, matching[0].type))
 
 
-def _coerce(key: str, raw: object, target: object):
-    target_name = target if isinstance(target, str) else target.__name__
+def _coerce(key: str, raw: object, target: str):
+    """``raw`` as the field type ``target``, named as a string under
+    ``from __future__ import annotations``. A bool is no number, though
+    Python counts it as one."""
     try:
-        if target_name == "int":
+        if target == "int" and not isinstance(raw, bool):
             if isinstance(raw, float) and raw != int(raw):
                 raise ValueError
             return int(raw)
-        if target_name == "float":
+        if target == "float" and not isinstance(raw, bool):
             return float(raw)
-        if target_name == "str":
+        if target == "str":
             return str(raw)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # int(inf) overflows
         pass
-    raise ValidationError(key, f"cannot read {raw!r} as {target_name}")
+    raise ValidationError(key, f"cannot read {raw!r} as {target}")
 
 
 def _parse_scalar(text: str) -> object:

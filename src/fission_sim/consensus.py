@@ -77,11 +77,6 @@ class EpochConfig:
         return self.delta_leader + self.delta_main
 
 
-@dataclass
-class Timeout:
-    reason: str
-
-
 # ---------------------------------------------------------------------------
 # simulated population
 
@@ -116,8 +111,7 @@ class Population:
         self.nodes = nodes
         self.registry = registry
         self.strategies = {n.pk: n.strategy for n in nodes if n.byzantine}
-        self._online_stakes = {n.pk: n.stake for n in nodes if n.online}
-        self.electorate = Electorate(self._online_stakes)
+        self.electorate = Electorate({n.pk: n.stake for n in nodes if n.online})
 
     @classmethod
     def build(
@@ -160,10 +154,6 @@ class Population:
     @property
     def total_stake(self) -> int:
         return sum(n.stake for n in self.nodes)
-
-    def online_stakes(self) -> dict[bytes, int]:
-        """Stake per online pk; one shared dict, so callers must not mutate it."""
-        return self._online_stakes
 
 
 # ---------------------------------------------------------------------------
@@ -225,22 +215,19 @@ def micro_round(
     base_state: LedgerState,
     population: Population,
     offline: set[bytes] | None = None,
-) -> tuple[MicroBlock | Timeout, list[SubTransaction], list[SubTransaction]]:
+) -> tuple[MicroBlock | None, list[SubTransaction], list[SubTransaction]]:
     """One partition's consensus round over its debit sub-transactions.
 
-    Returns (micro block or timeout, deferred sub-txs, invalid sub-txs). The
-    processing budget is delta_micro * throughput * online member count;
-    overflow is deferred to the next round. Whether the quorum forms depends
-    only on the members' weights, so a round that misses it defers
-    everything without executing any of it.
+    Returns (micro block, or None on a timeout, deferred sub-txs, invalid
+    sub-txs). The processing budget is delta_micro * throughput * online
+    member count; overflow is deferred to the next round. Whether the quorum
+    forms depends only on the members' weights, so a round that misses it
+    defers everything without executing any of it.
     """
     offline = offline or set()
     n_online = len(committee) - len(offline.intersection(committee.pks))
-    if not n_online:
-        return Timeout("no online committee weight"), list(sub_txs), []
-    weight, _ = vote_weights(committee, population, offline)
-    if weight < cfg.security.quorum:
-        return Timeout(f"partition {partition_index} vote weight {weight}"), list(sub_txs), []
+    if not n_online or vote_weights(committee, population, offline)[0] < cfg.security.quorum:
+        return None, list(sub_txs), []
 
     capacity = int(cfg.delta_micro * cfg.micro_throughput * n_online)
     scratch = base_state.clone()
@@ -387,7 +374,7 @@ def run_epoch(
             invalid_count += len(invalid)
             for sub in deferred:
                 kept_parents.add(sub.parent_id)
-            if isinstance(outcome, Timeout):
+            if outcome is None:
                 micro_timeouts += 1
             else:
                 micros.append(outcome)
@@ -426,12 +413,13 @@ def _elect_proposer(
     seed: bytes,
     offline: set[bytes],
 ) -> bytes | None:
-    """The first online entry of ``leader_order`` over the members' tickets:
-    the smallest (ticket, pk) among online members, or None if all are dark.
+    """The proposer: the online member with the smallest (ticket, pk), or
+    None if all are dark. Members are ordered by ticket value, ties broken by
+    pk; the head proposes, and later members stand in when earlier ones are
+    offline.
 
     An offline member cannot win, so it draws no ticket. Tickets are 32-byte
-    big-endian hashes, so comparing the bytes orders them as ``leader_order``
-    does.
+    big-endian hashes, so comparing the bytes orders them by value.
     """
     online = [pk for pk in committee.pks if pk not in offline]
     if not online:

@@ -4,8 +4,9 @@ SHA3-256 is the single hash primitive. The deterministic test schemes below
 stand in for curve-based signatures and verifiable random functions: a keyed
 hash plays both roles, with public keys derived as ``pk = H(sk)`` and
 verification backed by a key registry held by the harness. Swapping in a real
-scheme only requires implementing the same four functions, and their batch
-forms ``sign_each`` and ``vrf_hashes``, against the same byte contracts.
+scheme only requires implementing ``sign``, ``verify`` and ``vrf_eval``, and
+their batch forms ``sign_each`` and ``vrf_hashes``, against the same byte
+contracts. No simulator checks a single VRF proof; the tests hold that check.
 """
 
 from __future__ import annotations
@@ -154,13 +155,3 @@ def vrf_hashes(framed_sks: list[bytes], seed: bytes, ctype: str) -> list[bytes]:
     tag = ctype.encode()
     tail = b"".join((length_prefix(len(seed)), seed, length_prefix(len(tag)), tag))
     return [sha3(framed + tail) for framed in framed_sks]
-
-
-def vrf_verify(
-    registry: KeyRegistry, pk: bytes, seed: bytes, ctype: str, output: VrfOutput
-) -> bool:
-    """Check that (hash, proof) was honestly produced for pk's secret key."""
-    if pk not in registry:
-        return False
-    expected = vrf_eval(registry.secret_for(pk), seed, ctype)
-    return expected.hash == output.hash and expected.proof == output.proof

@@ -52,12 +52,6 @@ class ProviderNode:
     load: float = 0.0  # total queued KB
 
 
-def request_cost(height: float, d_remaining: float, capacity: float, weight: float) -> float:
-    """Overflow cost of one queued request: the part of its bytes that cannot
-    ship within the remaining time, clamped to the request size."""
-    return min(max(height - d_remaining * capacity, 0.0), weight)
-
-
 class DrsState:
     """Providers, data items, the request pool, and the shared deadline."""
 
@@ -67,23 +61,6 @@ class DrsState:
         self.deadline = deadline
         self.requests: list[RetrievalRequest] = []
         self.relayer_direct: float = 0.0  # KB of requests handed fully to the relay network
-
-    def add_request(self, requester: int, key: int, born: float = 0.0) -> RetrievalRequest:
-        req = RetrievalRequest(
-            rid=len(self.requests),
-            requester=requester,
-            key=key,
-            weight=self.items[key].size,
-            born=born,
-        )
-        self.requests.append(req)
-        return req
-
-    def enqueue(self, req: RetrievalRequest, provider: int) -> None:
-        node = self.providers[provider]
-        node.queue.append(req.rid)
-        node.load += req.weight
-        req.provider = provider
 
     def dequeue(self, req: RetrievalRequest) -> None:
         node = self.providers[req.provider]
@@ -101,9 +78,6 @@ class DrsState:
                 acc += self.requests[rid].weight
                 hs[rid] = acc
         return hs
-
-    def remaining(self, req: RetrievalRequest, t: float) -> float:
-        return self.deadline - t + req.born
 
     def underloaded_providers(self, key: int, d_remaining: float) -> list[int]:
         return [
@@ -127,19 +101,6 @@ def drs_potential(providers: list[ProviderNode], deadline: float) -> float:
     return sum([x for p in providers if (x := p.load - deadline * p.capacity) > 0.0], 0.0)
 
 
-def bounded_jump_eligible(state: DrsState, req: RetrievalRequest, t: float, heights: dict[int, float]) -> bool:
-    """True when the request's cost equals its full weight (none of its bytes
-    can ship in the remaining time), the only case a requester may keep
-    probing for a better provider."""
-    if req.at_relayer:
-        return False
-    if req.provider is None:
-        return True  # no provider yet: nothing can be served
-    node = state.providers[req.provider]
-    d_rem = state.remaining(req, t)
-    return request_cost(heights[req.rid], d_rem, node.capacity, req.weight) >= req.weight
-
-
 @dataclass
 class DrsRoundReport:
     migrations: int = 0
@@ -150,10 +111,11 @@ class DrsRoundReport:
 @dataclass
 class RoundScan:
     """One read of the state at time t. ``probe_sets`` maps each (key,
-    remaining time) of a hunting (bounded-jump eligible) request to the
-    underloaded providers of that key; ``acting`` holds the ids, in request
-    order, of the hunting requests that probe or expire at t (the others have
-    nothing to probe); ``unplaced`` lists the requests with no provider."""
+    remaining time) of a hunting request (one the bounded jump rule lets
+    probe) to the underloaded providers of that key; ``acting`` holds the
+    ids, in request order, of the hunting requests that probe or expire at t
+    (the others have nothing to probe); ``unplaced`` lists the requests with
+    no provider."""
 
     t: float
     probe_sets: dict[tuple[int, float], list[int]]
@@ -162,10 +124,11 @@ class RoundScan:
 
 
 def scan_round(state: DrsState, t: float) -> RoundScan:
-    """Walk every provider queue once, keeping the requests whose cost equals
-    their weight (``bounded_jump_eligible``: FIFO height minus remaining time
-    times capacity at least the weight, or a weight of zero), add the unplaced
-    ones, and build one probe set per distinct (key, remaining time)."""
+    """Walk every provider queue once, keeping the requests not at the relay
+    network whose overflow cost equals their weight (FIFO height minus
+    remaining time times capacity at least the weight, or a weight of zero),
+    add the unplaced ones, and build one probe set per distinct (key,
+    remaining time)."""
     requests = state.requests
     deadline = state.deadline
     rem = deadline - t

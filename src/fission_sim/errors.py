@@ -71,10 +71,6 @@ class VerificationFailure(FissionError):
     pass
 
 
-class EmptyCommittee(FissionError):
-    pass
-
-
 class ApproximationUnsound(FissionError):
     pass
 

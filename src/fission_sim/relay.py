@@ -20,6 +20,23 @@ from .seeding import split
 
 DEFAULT_MU = 1.0
 PHI_STEADY_FACTOR = 4  # steady state detection: phi <= 4 * m
+MAX_IDENTIFIERS = 1 << 24  # identifier-space entries: 128 MiB of list slots
+
+
+def identifier_counts(capacities: list[float], mu: float) -> list[int]:
+    """How often each relayer appears in the identifier space: floor(u_k / mu).
+
+    Raises ValueError when a relayer would not appear at all, or when the
+    space would hold more than ``MAX_IDENTIFIERS`` entries (a tiny mu).
+    """
+    counts = [u // mu for u in capacities]
+    for u, count in zip(capacities, counts):
+        if count < 1:
+            raise ValueError(f"capacity {u} below one identifier unit mu={mu}")
+    total = sum(counts)
+    if not total <= MAX_IDENTIFIERS:
+        raise ValueError(f"mu={mu} gives {total:.3g} identifiers, above {MAX_IDENTIFIERS}")
+    return [int(count) for count in counts]
 
 
 class RelaySystemState:
@@ -40,11 +57,8 @@ class RelaySystemState:
         self.mu = mu
         self.mean_msg_size = mean_msg_size
         self.identifier_space: list[int] = []
-        for k, u in enumerate(self.capacities):
-            mult = int(u // mu)
-            if mult < 1:
-                raise ValueError(f"capacity {u} below one identifier unit mu={mu}")
-            self.identifier_space.extend([k] * mult)
+        for k, count in enumerate(identifier_counts(self.capacities, mu)):
+            self.identifier_space.extend([k] * count)
         self.assignment: list[int] = []
         self.loads = [0] * len(capacities)
 
@@ -96,14 +110,6 @@ def initial_relayer(rng: random.Random, identifier_space: list[int]) -> int:
     return identifier_space[rng.randrange(len(identifier_space))]
 
 
-def prs_step(current_ratio: float, candidate_ratio: float, rng: random.Random) -> bool:
-    """One node's switch decision: True (switch) with probability
-    1 - r_k / r_j when the candidate is strictly less loaded."""
-    if current_ratio <= candidate_ratio:
-        return False
-    return rng.random() < 1.0 - candidate_ratio / current_ratio
-
-
 def potential(state: RelaySystemState) -> float:
     r_bar = state.optimal_ratio
     return sum((r - r_bar) ** 2 for r in state.ratios())
@@ -124,12 +130,14 @@ def synchronous_round(state: RelaySystemState, rng: random.Random) -> int:
     """Every node performs one selection step against the round-start
     snapshot; returns the number of switches applied.
 
-    Per node this is ``space[rng.randrange(len(space))]`` followed by
-    ``prs_step``, inlined so that a round makes no Python call per node. The
-    candidate draw repeats ``random.Random._randbelow_with_getrandbits``
-    (what ``randrange`` runs), rejections included, and the switch rule keeps
-    ``prs_step``'s short-circuit and float expression, so the random stream
-    and every result are those of the per-node calls.
+    Per node this is a candidate ``space[rng.randrange(len(space))]`` and,
+    when the candidate's ratio r_k is strictly below the current r_j, a
+    switch with probability 1 - r_k / r_j, all inlined so that a round makes
+    no Python call per node. The candidate draw repeats
+    ``random.Random._randbelow_with_getrandbits`` (what ``randrange`` runs),
+    rejections included, and ``rng.random()`` is drawn only for a strictly
+    better candidate, so the random stream and every result are those of
+    one ``randrange`` and one switch decision per node.
     """
     ratios = state.ratios()
     space = state.identifier_space

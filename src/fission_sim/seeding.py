@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import random
 
-import numpy as np
-
 from .crypto import sha3
 
 
@@ -27,7 +25,3 @@ def child_seed(master_seed: int, *labels: object) -> int:
 
 def split(master_seed: int, *labels: object) -> random.Random:
     return random.Random(child_seed(master_seed, *labels))
-
-
-def split_numpy(master_seed: int, *labels: object) -> np.random.Generator:
-    return np.random.default_rng(child_seed(master_seed, *labels) % (1 << 63))

@@ -17,13 +17,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import compress
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 from scipy.special import betainc
 
-from .crypto import KeyRegistry, VrfOutput, vrf_eval, vrf_hashes, vrf_verify
-from .errors import ApproximationUnsound, DomainError, EmptyCommittee
+from .crypto import KeyRegistry, VrfOutput, vrf_eval, vrf_hashes
+from .errors import ApproximationUnsound, DomainError
 
 # committee type labels fed into the VRF
 def partition_committee(k: int) -> str:
@@ -132,19 +132,6 @@ def _cdf_at(stakes: list[int], ks: list, p: float) -> np.ndarray:
     return _cdf(np.array(a), np.array(b), p)
 
 
-def voting_power_batch(xs: np.ndarray, s: int, p: float) -> np.ndarray:
-    """Vectorized voting_power over many uniform draws for one (s, p)."""
-    return _weights([s], [np.asarray(xs, dtype=np.float64)], p)[0]
-
-
-@dataclass(frozen=True, slots=True)
-class SortitionOutcome:
-    pk: bytes
-    committee_type: str
-    weight: int
-    vrf: VrfOutput
-
-
 _TWO_NEG_256 = 2.0**-256
 
 
@@ -158,30 +145,15 @@ def uniforms(hashes: list[bytes]) -> np.ndarray:
     return np.array([from_bytes(h, "big") for h in hashes], dtype=np.float64) * _TWO_NEG_256
 
 
-def draw_outcome(sk: bytes, pk: bytes, seed: bytes, ctype: str, stake: int, p: float) -> SortitionOutcome:
-    out = vrf_eval(sk, seed, ctype)
-    return SortitionOutcome(pk, ctype, voting_power(out.uniform, stake, p), out)
-
-
-def verify_outcome(
-    registry: KeyRegistry, outcome: SortitionOutcome, seed: bytes, stake: int, p: float
-) -> bool:
-    """Re-derive a claimed weight from the proof; anyone can run this."""
-    if not vrf_verify(registry, outcome.pk, seed, outcome.committee_type, outcome.vrf):
-        return False
-    return voting_power(outcome.vrf.uniform, stake, p) == outcome.weight
-
-
 class Committee:
     """One committee as parallel columns over its members only (positive
-    weight), in pk order: public key, voting weight and VRF hash."""
+    weight), in pk order: public key and voting weight."""
 
-    __slots__ = ("pks", "weights", "hashes")
+    __slots__ = ("pks", "weights")
 
-    def __init__(self, pks: list[bytes], weights: list[int], hashes: list[bytes]):
+    def __init__(self, pks: list[bytes], weights: list[int]):
         self.pks = pks
         self.weights = weights
-        self.hashes = hashes
 
     def __len__(self) -> int:
         return len(self.pks)
@@ -212,16 +184,16 @@ def select_committee(
     """Every node draws independently; members are those with positive weight.
 
     The registry stands in for each node evaluating its own secret key. The
-    expected total weight over online stake S is p * S. Each member's hash
-    and weight equal its ``draw_outcome``. A plain stake mapping is turned
-    into an ``Electorate`` first; a caller that draws often keeps one.
+    expected total weight over online stake S is p * S. Each node's weight is
+    ``voting_power`` of its ``vrf_eval(sk, seed, ctype).uniform``. A plain
+    stake mapping is turned into an ``Electorate`` first; a caller that draws
+    often keeps one.
     """
     if not 0.0 < p < 1.0:
         raise DomainError(f"selection probability must be in (0, 1), got {p}")
     electorate = stakes if isinstance(stakes, Electorate) else Electorate(stakes)
     pks = electorate.pks
-    hashes = vrf_hashes(registry.framed_secrets(pks), seed, ctype)
-    xs = uniforms(hashes)
+    xs = uniforms(vrf_hashes(registry.framed_secrets(pks), seed, ctype))
     # one CDF row per stake group; the weights equal voting_power's
     groups = electorate.groups
     weights = [0] * len(pks)
@@ -229,23 +201,7 @@ def select_committee(
         for i, w in zip(idx, ws.tolist()):
             weights[i] = w
     member = list(map(bool, weights))  # weights are never negative
-    return Committee(
-        list(compress(pks, member)), list(compress(weights, member)), list(compress(hashes, member))
-    )
-
-
-def leader_order(tickets: Iterable[tuple[bytes, bytes | int]]) -> list[bytes]:
-    """Proposer order: ascending ticket value, ties broken by ascending pk.
-
-    The head proposes; later entries are fallbacks if earlier ones go dark.
-    """
-    entries = [
-        (t if isinstance(t, int) else int.from_bytes(t, "big"), pk) for pk, t in tickets
-    ]
-    if not entries:
-        raise EmptyCommittee("no leader tickets to order")
-    entries.sort()
-    return [pk for _, pk in entries]
+    return Committee(list(compress(pks, member)), list(compress(weights, member)))
 
 
 def leader_ticket(sk: bytes, seed: bytes) -> VrfOutput:
@@ -365,6 +321,8 @@ class SecurityParams:
             raise DomainError(f"h must be in (2/3, 1], got {self.h}")
         if not (0.0 < self.alpha <= 1.0):
             raise DomainError(f"alpha must be in (0, 1], got {self.alpha}")
+        if not self.k_total > 0:  # p = tau / K
+            raise DomainError(f"K must be positive, got {self.k_total}")
         if not (0.0 < self.p < 1.0):
             raise DomainError(f"p = tau/K must be in (0, 1), got {self.p}")
         if not (0.0 < self.theta < 1.0):

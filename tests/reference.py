@@ -1,0 +1,86 @@
+"""Per-node references of the batched passes in ``fission_sim``.
+
+In the protocol each node draws its own sortition weight, each relay client
+makes its own switch decision, each retrieval request pays its own overflow
+cost, and the proposer is the head of an ordered list of tickets. The
+simulator computes these for many nodes at once (``select_committee``,
+``synchronous_round``, ``scan_round``, ``_elect_proposer``); the tests
+compare those passes with the one-node forms kept here.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from fission_sim.crypto import KeyRegistry, VrfOutput, vrf_eval
+from fission_sim.seeding import child_seed
+from fission_sim.sortition import _weights, voting_power
+
+
+def split_numpy(master_seed: int, *labels: object) -> np.random.Generator:
+    """A NumPy generator on the ``seeding`` stream of ``labels``."""
+    return np.random.default_rng(child_seed(master_seed, *labels) % (1 << 63))
+
+
+def vrf_verify(registry: KeyRegistry, pk: bytes, seed: bytes, ctype: str, output: VrfOutput) -> bool:
+    """Check that (hash, proof) was honestly produced for pk's secret key."""
+    if pk not in registry:
+        return False
+    expected = vrf_eval(registry.secret_for(pk), seed, ctype)
+    return expected.hash == output.hash and expected.proof == output.proof
+
+
+@dataclass(frozen=True, slots=True)
+class SortitionOutcome:
+    pk: bytes
+    committee_type: str
+    weight: int
+    vrf: VrfOutput
+
+
+def draw_outcome(sk: bytes, pk: bytes, seed: bytes, ctype: str, stake: int, p: float) -> SortitionOutcome:
+    """One node's sortition draw: its VRF output and the weight it maps to."""
+    out = vrf_eval(sk, seed, ctype)
+    return SortitionOutcome(pk, ctype, voting_power(out.uniform, stake, p), out)
+
+
+def verify_outcome(
+    registry: KeyRegistry, outcome: SortitionOutcome, seed: bytes, stake: int, p: float
+) -> bool:
+    """Re-derive a claimed weight from the proof; anyone can run this."""
+    if not vrf_verify(registry, outcome.pk, seed, outcome.committee_type, outcome.vrf):
+        return False
+    return voting_power(outcome.vrf.uniform, stake, p) == outcome.weight
+
+
+def voting_power_batch(xs: np.ndarray, s: int, p: float) -> np.ndarray:
+    """``voting_power`` of many uniform draws for one (s, p), through the
+    evaluator ``select_committee`` uses."""
+    return _weights([s], [np.asarray(xs, dtype=np.float64)], p)[0]
+
+
+def leader_order(tickets) -> list[bytes]:
+    """Proposer order of (pk, ticket) pairs: ascending ticket value, ties
+    broken by ascending pk. The head proposes; later entries are fallbacks if
+    earlier ones go dark."""
+    entries = [(t if isinstance(t, int) else int.from_bytes(t, "big"), pk) for pk, t in tickets]
+    if not entries:
+        raise ValueError("no leader tickets to order")
+    entries.sort()
+    return [pk for _, pk in entries]
+
+
+def prs_step(current_ratio: float, candidate_ratio: float, rng) -> bool:
+    """One node's switch decision: True (switch) with probability
+    1 - r_k / r_j when the candidate is strictly less loaded."""
+    if current_ratio <= candidate_ratio:
+        return False
+    return rng.random() < 1.0 - candidate_ratio / current_ratio
+
+
+def request_cost(height: float, d_remaining: float, capacity: float, weight: float) -> float:
+    """Overflow cost of one queued request: the part of its bytes that cannot
+    ship within the remaining time, clamped to the request size."""
+    return min(max(height - d_remaining * capacity, 0.0), weight)

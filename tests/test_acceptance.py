@@ -31,8 +31,9 @@ from fission_sim.relay import (
     validate_lemma_expectation,
     validate_lemma_variance,
 )
-from fission_sim.seeding import child_bytes, child_seed, split, split_numpy
-from fission_sim.sortition import quorum, tau_lower_bound, theta_bounds, uniforms, voting_power_batch
+from fission_sim.seeding import child_bytes, child_seed, split
+from fission_sim.sortition import quorum, tau_lower_bound, theta_bounds, uniforms
+from reference import split_numpy, voting_power_batch
 
 SEED = 2  # frozen master seed for every statistical criterion
 

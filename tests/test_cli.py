@@ -9,7 +9,8 @@ from fission_sim.dists import sample_dist
 from fission_sim.drs import simulate_drs
 from fission_sim.relay import simulate_prs
 from fission_sim.seeding import child_seed, split
-from fission_sim.sortition import BLOCK_INTERIM, draw_outcome
+from fission_sim.sortition import BLOCK_INTERIM
+from reference import draw_outcome
 
 
 def run_cli(capsys, *argv):
@@ -37,6 +38,13 @@ def test_security_domain_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "security", "-h", "0.5")
     assert code == 2
     assert "honesty" in err or "2/3" in err
+
+
+def test_security_nonpositive_k_total_exits_2(capsys):
+    # p = tau / K is computed only after K is checked
+    code, out, err = run_cli(capsys, "security", "-h", "0.8", "-K", "0")
+    assert code == 2 and out == ""
+    assert err == "error: K must be positive, got 0\n"
 
 
 def test_sortition_output_shape(capsys):
@@ -170,6 +178,24 @@ def test_relay_non_finite_cap_dist_exits_2_naming_the_key(tmp_path, capsys, monk
     assert code == 2
     assert err.startswith("error: relay.cap_dist (--cap-dist): non-finite parameter")
     assert "Traceback" not in err and list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "mu, message",
+    [
+        ("100", "capacity 22 below one identifier unit mu=100.0"),
+        ("1e-300", "mu=1e-300 gives 2.08e+303 identifiers, above 16777216"),
+    ],
+    ids=["above-a-capacity", "tiny"],
+)
+def test_relay_unusable_mu_exits_2_naming_the_key(tmp_path, capsys, monkeypatch, mu, message):
+    # the default cap_dist uniform:2:64 draws a capacity of 22 at seed 0
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text(f"relay.mu = {mu}\n")
+    code, _, err = run_cli(capsys, "relay", "--config", "run.cfg")
+    assert code == 2
+    assert err == f"error: relay.mu: {message}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
 
 def test_chain_missing_config_file(tmp_path, capsys):

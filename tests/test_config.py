@@ -72,6 +72,25 @@ def test_wrong_type_is_validation_error(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize(
+    "key, name, text",
+    [
+        ("population.nodes", "bad.json", '{"population.nodes": true}'),
+        ("security.tau", "bad.json", '{"security.tau": false}'),
+        ("chain.tx_per_epoch", "bad.cfg", "chain.tx_per_epoch = false\n"),
+        ("seed", "bad.cfg", "seed = true\n"),
+        ("population.nodes", "bad.json", '{"population.nodes": 1e999}'),
+    ],
+    ids=["json-int", "json-float", "text-int", "text-seed", "json-infinite-int"],
+)
+def test_bool_or_infinity_for_a_number_is_validation_error(tmp_path, key, name, text):
+    # Python counts True as 1, and int(inf) overflows
+    path = tmp_path / name
+    path.write_text(text)
+    with pytest.raises(ValidationError, match=f"^{key}: cannot read (True|False|inf) as "):
+        load_config(path)
+
+
 def test_theta_below_universal_bound_rejected(tmp_path):
     # at tau=5000 the bound is 0.25 + 3.18/sqrt(5000) ~ 0.29497
     path = tmp_path / "bad.cfg"

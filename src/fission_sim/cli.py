@@ -135,6 +135,8 @@ def cmd_security(args) -> int:
 
 
 def cmd_sortition(args) -> int:
+    if args.nodes < 1:
+        raise ValidationError("nodes", f"must be >= 1, got {args.nodes}")
     rng = split(args.seed, "sortition-cli")
     registry = KeyRegistry()
     stakes = {}

@@ -79,7 +79,7 @@ class DrsSettings:
     cap_dist: str = "uniform:2:64"
     replication: int = 3
     deadline: float = 8.0
-    start: str = "uniform"
+    start: str = "concentrated"
 
 
 _SECTIONS = {

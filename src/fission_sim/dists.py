@@ -52,25 +52,28 @@ def dist_sampler(
         value = params[0] if minimum is None else max(minimum, params[0])
         value = int(round(value)) if integer else value
         return lambda rng, n: [value] * n
+    # one comprehension draws each value and clamps it to the minimum;
+    # v if v > minimum else minimum is what max(minimum, v) returns
     if name == "uniform":
         lo, hi = params
+        span = hi - lo  # rng.uniform(lo, hi) is lo + (hi - lo) * rng.random()
 
-        def raw(rng: random.Random, n: int) -> list[float]:
-            # rng.uniform(lo, hi) is lo + (hi - lo) * rng.random()
+        def raw(rng: random.Random, n: int) -> list:
             unit = rng.random
-            return [lo + (hi - lo) * unit() for _ in range(n)]
+            if minimum is None:
+                return [lo + span * unit() for _ in range(n)]
+            return [v if (v := lo + span * unit()) > minimum else minimum for _ in range(n)]
     else:  # pareto
         base = minimum if minimum is not None else 1.0
         shape = params[0]
 
-        def raw(rng: random.Random, n: int) -> list[float]:
+        def raw(rng: random.Random, n: int) -> list:
             pareto = rng.paretovariate
-            return [base * pareto(shape) for _ in range(n)]
+            if minimum is None:
+                return [base * pareto(shape) for _ in range(n)]
+            return [v if (v := base * pareto(shape)) > minimum else minimum for _ in range(n)]
 
-    def draw(rng: random.Random, n: int) -> list:
-        values = raw(rng, n)
-        if minimum is not None:
-            values = [max(minimum, v) for v in values]
-        return [int(round(v)) for v in values] if integer else values
-
-    return draw
+    if not integer:
+        return raw
+    # round(v) of a float or an int is already an int
+    return lambda rng, n: list(map(round, raw(rng, n)))

@@ -9,10 +9,11 @@ round-start snapshot. That rule makes the total overflow non-increasing and
 drives the game to an approximate equilibrium in a logarithmic number of
 rounds.
 
-Each round's state is read in one scan (``scan_round``): a single walk of every
-provider queue finds the hunting requests, and each distinct (key, remaining
-time) pair gets its probe set once; the round and the trace row that follows
-it share that scan.
+Providers, data items and requests are held as columns. Each round's state is
+read in one scan (``scan_round``): a single walk of every provider queue finds
+the hunting requests, sums the overflow and the served bytes and checks each
+load against its queue, and each distinct (key, remaining time) pair gets its
+probe set once; the round and the trace row that follows it share that scan.
 """
 
 from __future__ import annotations
@@ -26,79 +27,61 @@ from .errors import InvariantViolation
 from .seeding import split
 
 
-@dataclass
-class DataItem:
-    key: int
-    size: float  # KB
-    providers: list[int]
-
-
 @dataclass(slots=True)
-class RetrievalRequest:
-    rid: int
-    requester: int
-    key: int
-    weight: float
-    born: float
-    provider: int | None = None  # None while unplaced
-    at_relayer: bool = False
+class Requests:
+    """The request pool as parallel columns indexed by request id: the key
+    asked for, its weight (KB), its birth time, the provider whose queue holds
+    it (None while unplaced) and whether it went to the relay network."""
 
+    key: list[int] = field(default_factory=list)
+    weight: list[float] = field(default_factory=list)
+    born: list[float] = field(default_factory=list)
+    provider: list[int | None] = field(default_factory=list)
+    at_relayer: list[bool] = field(default_factory=list)
 
-@dataclass(slots=True)
-class ProviderNode:
-    id: int
-    capacity: float  # KB/s upload
-    queue: list[int] = field(default_factory=list)  # request ids, FIFO
-    load: float = 0.0  # total queued KB
+    def __len__(self) -> int:
+        return len(self.key)
 
 
 class DrsState:
-    """Providers, data items, the request pool, and the shared deadline."""
+    """Providers and data items as columns, the request pool, and the shared
+    deadline. Provider i uploads ``capacity[i]`` KB/s and queues the request
+    ids ``queue[i]`` FIFO, ``load[i]`` KB in all; key k is ``size[k]`` KB and
+    held by the providers ``holders[k]``."""
 
-    def __init__(self, providers: list[ProviderNode], items: list[DataItem], deadline: float):
-        self.providers = providers
-        self.items = items
+    def __init__(
+        self, capacity: list[float], size: list[float], holders: list[list[int]], deadline: float
+    ):
+        self.capacity = capacity
+        self.queue: list[list[int]] = [[] for _ in capacity]
+        self.load: list[float] = [0.0] * len(capacity)
+        self.size = size
+        self.holders = holders
         self.deadline = deadline
-        self.requests: list[RetrievalRequest] = []
+        self.requests = Requests()
         self.relayer_direct: float = 0.0  # KB of requests handed fully to the relay network
-
-    def dequeue(self, req: RetrievalRequest) -> None:
-        node = self.providers[req.provider]
-        node.queue.remove(req.rid)
-        node.load -= req.weight
-        req.provider = None
 
     def heights(self) -> dict[int, float]:
         """FIFO height of every queued request: prefix sum of queue weights up
         to and including it."""
+        weight = self.requests.weight
         hs: dict[int, float] = {}
-        for node in self.providers:
+        for queue in self.queue:
             acc = 0.0
-            for rid in node.queue:
-                acc += self.requests[rid].weight
+            for rid in queue:
+                acc += weight[rid]
                 hs[rid] = acc
         return hs
 
-    def underloaded_providers(self, key: int, d_remaining: float) -> list[int]:
-        return [
-            i
-            for i in self.items[key].providers
-            if self.providers[i].load < d_remaining * self.providers[i].capacity
-        ]
 
-    def total_weight(self) -> float:
-        return sum([r.weight for r in self.requests])
-
-    def unplaced(self) -> list[RetrievalRequest]:
-        """Requests with no provider that have not gone to the relay network."""
-        return [r for r in self.requests if r.provider is None and not r.at_relayer]
-
-
-def drs_potential(providers: list[ProviderNode], deadline: float) -> float:
+def drs_potential(state: DrsState) -> float:
     """Total relayer-bound overflow: sum over providers of
     max(load - deadline * capacity, 0)."""
+    deadline = state.deadline
     # zero terms add nothing to a float sum, so only the overflowing ones are summed
-    return sum([x for p in providers if (x := p.load - deadline * p.capacity) > 0.0], 0.0)
+    return sum(
+        [x for load, c in zip(state.load, state.capacity) if (x := load - deadline * c) > 0.0], 0.0
+    )
 
 
 @dataclass
@@ -108,62 +91,92 @@ class DrsRoundReport:
     probes: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class RoundScan:
     """One read of the state at time t. ``probe_sets`` maps each (key,
     remaining time) of a hunting request (one the bounded jump rule lets
     probe) to the underloaded providers of that key; ``acting`` holds the
     ids, in request order, of the hunting requests that probe or expire at t
-    (the others have nothing to probe); ``unplaced`` lists the requests with
-    no provider."""
+    (the others have nothing to probe). ``phi`` is the overflow potential,
+    ``served`` the bytes providers serve in time and ``unplaced_kb`` the
+    weight of the requests with no provider that are not at the relayer."""
 
     t: float
     probe_sets: dict[tuple[int, float], list[int]]
     acting: list[int]
-    unplaced: list[RetrievalRequest]
+    phi: float
+    served: float
+    unplaced_kb: float
 
 
 def scan_round(state: DrsState, t: float) -> RoundScan:
-    """Walk every provider queue once, keeping the requests not at the relay
-    network whose overflow cost equals their weight (FIFO height minus
-    remaining time times capacity at least the weight, or a weight of zero),
-    add the unplaced ones, and build one probe set per distinct (key,
-    remaining time)."""
+    """Walk every provider queue once: keep the requests whose overflow cost
+    equals their weight (FIFO height minus remaining time times capacity at
+    least the weight, or a weight of zero), sum each provider's overflow and
+    served bytes, and raise ``load-sum`` when a queue's height differs from
+    its load. Then add the unplaced requests and build one probe set per
+    distinct (key, remaining time).
+
+    A provider with an empty queue and a zero load adds nothing to any sum
+    (capacities and the deadline are not negative), so the walk skips it.
+    A queued request is never at the relayer."""
     requests = state.requests
+    weights, borns = requests.weight, requests.born
+    loads, capacities = state.load, state.capacity
     deadline = state.deadline
     rem = deadline - t
     hunting: list[int] = []
     append = hunting.append
+    overflow: list[float] = []
+    served: list[float] = []
     queued = 0
-    for node in state.providers:
-        queue = node.queue
-        if not queue:
+    for i, queue in enumerate(state.queue):
+        load = loads[i]
+        if not queue and load == 0.0:
             continue
-        queued += len(queue)
-        capacity = node.capacity
+        capacity = capacities[i]
         height = 0.0
         for rid in queue:
-            req = requests[rid]
-            weight = req.weight
+            weight = weights[rid]
             height += weight
-            unservable = height - (rem + req.born) * capacity >= weight or weight <= 0.0
-            if unservable and not req.at_relayer:
+            if height - (rem + borns[rid]) * capacity >= weight or weight <= 0.0:
                 append(rid)
+        if abs(height - load) > 1e-6:
+            raise InvariantViolation(
+                "p2p-drs", "load-sum", f"provider {i}: queue height {height} != load {load}"
+            )
+        queued += len(queue)
+        budget = deadline * capacity
+        served.append(budget if budget < load else load)
+        if (x := load - budget) > 0.0:
+            overflow.append(x)
     # when every request sits in a queue none is unplaced or at the relayer
-    unplaced = state.unplaced() if queued < len(requests) else []
-    hunting += [r.rid for r in unplaced]
+    if queued < len(weights):
+        at_relayer = requests.at_relayer
+        unplaced = [
+            rid for rid, p in enumerate(requests.provider) if p is None and not at_relayer[rid]
+        ]
+    else:
+        unplaced = []
+    hunting += unplaced
+    keys, holders = requests.key, state.holders
     probe_sets: dict[tuple[int, float], list[int]] = {}
     acting = []
     for rid in hunting:
-        req = requests[rid]
-        pair = (req.key, rem + req.born)
-        probes = probe_sets.get(pair)
+        born = borns[rid]
+        key, d_rem = keys[rid], rem + born
+        probes = probe_sets.get((key, d_rem))
         if probes is None:
-            probes = probe_sets[pair] = state.underloaded_providers(*pair)
-        if probes or t > req.born + deadline:
+            probes = probe_sets[key, d_rem] = [
+                i for i in holders[key] if loads[i] < d_rem * capacities[i]
+            ]
+        if probes or t > born + deadline:
             acting.append(rid)
     acting.sort()
-    return RoundScan(t, probe_sets, acting, unplaced)
+    return RoundScan(
+        t, probe_sets, acting, sum(overflow, 0.0), sum(served, 0.0),
+        sum([weights[rid] for rid in unplaced]),
+    )
 
 
 def drs_round(
@@ -189,22 +202,27 @@ def drs_round(
     if scan is None:
         scan = scan_round(state, t)
     requests = state.requests
-    providers = state.providers
+    keys, weights, borns, provider = requests.key, requests.weight, requests.born, requests.provider
+    queues, loads = state.queue, state.load
     deadline = state.deadline
     rem = deadline - t
     probe_sets = scan.probe_sets
     getrandbits = rng.getrandbits
     migrations = to_relayer = probes = 0
     for rid in scan.acting:
-        req = requests[rid]
-        if t > req.born + deadline:
-            if req.provider is not None:
-                state.dequeue(req)
-            req.at_relayer = True
-            state.relayer_direct += req.weight
+        born = borns[rid]
+        weight = weights[rid]
+        old = provider[rid]
+        if t > born + deadline:
+            if old is not None:
+                queues[old].remove(rid)
+                loads[old] -= weight
+                provider[rid] = None
+            requests.at_relayer[rid] = True
+            state.relayer_direct += weight
             to_relayer += 1
             continue
-        candidates = probe_sets[(req.key, rem + req.born)]
+        candidates = probe_sets[(keys[rid], rem + born)]
         n = len(candidates)
         bits = n.bit_length()
         r = getrandbits(bits)
@@ -213,16 +231,13 @@ def drs_round(
         probes += 1
         if timeout_prob > 0 and rng.random() < timeout_prob:
             continue  # probe timed out, retry next round
-        weight = req.weight
-        if req.provider is not None:
-            old = providers[req.provider]
-            old.queue.remove(rid)
-            old.load -= weight
+        if old is not None:
+            queues[old].remove(rid)
+            loads[old] -= weight
         target = candidates[r]
-        new = providers[target]
-        new.queue.append(rid)
-        new.load += weight
-        req.provider = target
+        queues[target].append(rid)
+        loads[target] += weight
+        provider[rid] = target
         migrations += 1
     return DrsRoundReport(migrations=migrations, to_relayer=to_relayer, probes=probes)
 
@@ -239,20 +254,8 @@ def underloaded_count(state: DrsState, t: float, scan: RoundScan | None = None) 
 def omega(state: DrsState, t: float) -> float:
     """Contraction quantity: underloaded provider count times the potential;
     zero exactly at (approximate) equilibrium."""
-    return underloaded_count(state, t) * drs_potential(state.providers, state.deadline)
-
-
-def accounting(state: DrsState) -> tuple[float, float, float]:
-    """(bytes nodes can serve, relayer-bound bytes, total requested). The first
-    two always sum to the third."""
-    deadline = state.deadline
-    # min(load, budget) per provider, spelled out to save a call each
-    served = sum(
-        [b if (b := deadline * p.capacity) < (load := p.load) else load for p in state.providers]
-    )
-    unplaced = sum([r.weight for r in state.unplaced()])
-    relayer = drs_potential(state.providers, deadline) + state.relayer_direct + unplaced
-    return served, relayer, state.total_weight()
+    scan = scan_round(state, t)
+    return underloaded_count(state, t, scan) * scan.phi
 
 
 @dataclass
@@ -270,12 +273,12 @@ class DrsRun:
     rows: list[DrsTraceRow]
     state: DrsState
     rounds_budget: int
+    threshold: float  # omega at or below it counts as converged
 
     @property
     def converged_round(self) -> int | None:
-        threshold = equilibrium_threshold(self.state)
         for row in self.rows:
-            if row.omega <= threshold:
+            if row.omega <= self.threshold:
                 return row.round
         return None
 
@@ -284,11 +287,11 @@ class DrsRun:
         return self.rows[-1].relayer_kb
 
 
-def equilibrium_threshold(state: DrsState) -> float:
+def equilibrium_threshold(total: float, n_requests: int) -> float:
     """Omega = O(1) detection at desk scale: max(1, mean request weight)."""
-    if not state.requests:
+    if not n_requests:
         return 1.0
-    return max(1.0, state.total_weight() / len(state.requests))
+    return max(1.0, total / n_requests)
 
 
 def build_instance(
@@ -308,46 +311,50 @@ def build_instance(
     uniform key. start='concentrated' stacks every request on its key's first
     provider (the adversarial worst case)."""
     rng = split(seed, "drs-setup")
-    capacities = dist_sampler(cap_dist, integer=True, minimum=1)(rng, n_nodes)
-    providers = [ProviderNode(i, capacity) for i, capacity in enumerate(capacities)]
+    capacity = dist_sampler(cap_dist, integer=True, minimum=1)(rng, n_nodes)
     draw_sizes = dist_sampler(size_dist, integer=True, minimum=1)
-    items = []
-    for k in range(n_keys):
-        holders = rng.sample(range(n_nodes), min(replication, n_nodes))
-        items.append(DataItem(key=k, size=draw_sizes(rng, 1)[0], providers=holders))
-    state = DrsState(providers, items, deadline)
+    size, holders = [], []
+    for _ in range(n_keys):
+        holders.append(rng.sample(range(n_nodes), min(replication, n_nodes)))
+        size.append(draw_sizes(rng, 1)[0])
+    state = DrsState(capacity, size, holders, deadline)
     if n_nodes > 0 and requests_per_node > 0 and n_keys < 1:
         # randrange(n_keys) raised here; the inlined draw below would never end
         raise ValueError(f"no key to request: n_keys={n_keys}")
-    # keys come from rng.randrange(n_keys) inlined (see drs_round); placement
-    # draws come from their own stream, so each request is placed as it is made
-    place_rng = split(seed, "drs-place")
+    # keys come from rng.randrange(n_keys) inlined (see drs_round), all drawn
+    # first: placement draws come from their own stream
     getrandbits = rng.getrandbits
     bits = n_keys.bit_length()
-    concentrated = start == "concentrated"
     requests = state.requests
-    for node in range(n_nodes):
-        for _ in range(requests_per_node):
+    keys = requests.key
+    for _ in range(n_nodes * max(requests_per_node, 0)):
+        key = getrandbits(bits)
+        while key >= n_keys:
             key = getrandbits(bits)
-            while key >= n_keys:
-                key = getrandbits(bits)
-            item = items[key]
-            rid, weight, holders = len(requests), item.size, item.providers
-            if not holders:
-                requests.append(RetrievalRequest(rid, node, key, weight, 0.0, None, True))
-                state.relayer_direct += weight
-                continue
-            if concentrated:
-                target = holders[0]
-            else:
-                # contact an underloaded provider when one exists, else queue
-                # anywhere and let the bounded jump rule hunt from round 1 on
-                pool = state.underloaded_providers(key, deadline) or holders
-                target = pool[place_rng.randrange(len(pool))]
-            requests.append(RetrievalRequest(rid, node, key, weight, 0.0, target))
-            provider = providers[target]
-            provider.queue.append(rid)
-            provider.load += weight
+        keys.append(key)
+    requests.weight += [size[key] for key in keys]
+    requests.born += [0.0] * len(keys)
+    place_rng = split(seed, "drs-place")
+    concentrated = start == "concentrated"
+    provider, at_relayer = requests.provider, requests.at_relayer
+    queues, loads = state.queue, state.load
+    for rid, key in enumerate(keys):
+        pool = holders[key]
+        at_relayer.append(not pool)
+        if not pool:
+            provider.append(None)
+            state.relayer_direct += size[key]
+            continue
+        if concentrated:
+            target = pool[0]
+        else:
+            # contact an underloaded provider when one exists, else queue
+            # anywhere and let the bounded jump rule hunt from round 1 on
+            pool = [i for i in pool if loads[i] < deadline * capacity[i]] or pool
+            target = pool[place_rng.randrange(len(pool))]
+        provider.append(target)
+        queues[target].append(rid)
+        loads[target] += size[key]
     return state
 
 
@@ -371,7 +378,10 @@ def simulate_drs(
     the full deadline, matching the synchronous convergence analysis; the
     overflow potential is then asserted non-increasing every round. The trace
     starts at round 0 (initial placement) and relayer_kb counts overflow plus
-    requests handed to the relay network outright.
+    requests handed to the relay network outright. Every scan checks each
+    load against its queue (``load-sum``), and every trace row is checked to
+    split the requested bytes into served and relayer-bound ones
+    (``primal-dual-identity``).
     """
     state = build_instance(
         n_nodes, n_keys, size_dist, cap_dist, replication, deadline, seed, start=start
@@ -379,11 +389,11 @@ def simulate_drs(
     if rounds is None:
         rounds = max(8, math.ceil(40.0 * math.log(max(2, n_keys * max(1, n_nodes)))))
     rng = split(seed, "drs-rounds")
-    threshold = equilibrium_threshold(state)
-    total = state.total_weight()
+    total = sum(state.requests.weight)
+    threshold = equilibrium_threshold(total, len(state.requests))
     scan = scan_round(state, 0.0)
     rows = [_trace_row(state, 0, scan)]
-    _check_identity(state, total)
+    _check_identity(scan, rows[0], total)
     t = 0.0
     for rnd in range(1, rounds + 1):
         if rows[-1].omega <= threshold:
@@ -398,15 +408,14 @@ def simulate_drs(
             raise InvariantViolation(
                 "p2p-drs", "monotone-potential", f"{rows[-1].phi} -> {row.phi} at round {rnd}"
             )
-        _check_identity(state, total)
-        _check_loads(state)
+        _check_identity(scan, row, total)
         rows.append(row)
         t += round_duration
-    return DrsRun(rows=rows, state=state, rounds_budget=rounds)
+    return DrsRun(rows=rows, state=state, rounds_budget=rounds, threshold=threshold)
 
 
 def _trace_row(state: DrsState, rnd: int, scan: RoundScan, migrations: int = 0) -> DrsTraceRow:
-    phi = drs_potential(state.providers, state.deadline)
+    phi = scan.phi
     m_t = underloaded_count(state, scan.t, scan)
     return DrsTraceRow(
         round=rnd,
@@ -414,23 +423,12 @@ def _trace_row(state: DrsState, rnd: int, scan: RoundScan, migrations: int = 0) 
         omega=m_t * phi,
         underloaded_m=m_t,
         migrations=migrations,
-        relayer_kb=phi + state.relayer_direct + sum([r.weight for r in scan.unplaced]),
+        relayer_kb=phi + state.relayer_direct + scan.unplaced_kb,
     )
 
 
-def _check_identity(state: DrsState, total: float) -> None:
-    served, relayer, _ = accounting(state)
-    if abs(served + relayer - total) > 1e-6:
+def _check_identity(scan: RoundScan, row: DrsTraceRow, total: float) -> None:
+    if abs(scan.served + row.relayer_kb - total) > 1e-6:
         raise InvariantViolation(
-            "p2p-drs", "primal-dual-identity", f"{served} + {relayer} != {total}"
+            "p2p-drs", "primal-dual-identity", f"{scan.served} + {row.relayer_kb} != {total}"
         )
-
-
-def _check_loads(state: DrsState) -> None:
-    requests = state.requests
-    for p in state.providers:
-        acc = 0.0
-        for rid in p.queue:
-            acc += requests[rid].weight
-        if abs(acc - p.load) > 1e-6:
-            raise InvariantViolation("p2p-drs", "load-sum", f"provider {p.id}")

@@ -5,7 +5,8 @@ makes its own switch decision, each retrieval request pays its own overflow
 cost, and the proposer is the head of an ordered list of tickets. The
 simulator computes these for many nodes at once (``select_committee``,
 ``synchronous_round``, ``scan_round``, ``_elect_proposer``); the tests
-compare those passes with the one-node forms kept here.
+compare those passes with the one-node forms kept here, and with
+``accounting``, the retrieval game's byte split summed on its own.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from fission_sim.crypto import KeyRegistry, VrfOutput, vrf_eval
+from fission_sim.drs import DrsState, drs_potential
 from fission_sim.seeding import child_seed
 from fission_sim.sortition import _weights, voting_power
 
@@ -84,3 +86,18 @@ def request_cost(height: float, d_remaining: float, capacity: float, weight: flo
     """Overflow cost of one queued request: the part of its bytes that cannot
     ship within the remaining time, clamped to the request size."""
     return min(max(height - d_remaining * capacity, 0.0), weight)
+
+
+def accounting(state: DrsState) -> tuple[float, float, float]:
+    """(bytes nodes can serve, relayer-bound bytes, total requested), each
+    summed on its own as ``scan_round`` sums the first two in its walk. The
+    first two always sum to the third."""
+    deadline = state.deadline
+    served = sum([min(load, deadline * c) for c, load in zip(state.capacity, state.load)])
+    requests = state.requests
+    unplaced = sum(
+        [w for w, p, r in zip(requests.weight, requests.provider, requests.at_relayer)
+         if p is None and not r]
+    )
+    relayer = drs_potential(state) + state.relayer_direct + unplaced
+    return served, relayer, sum(requests.weight)

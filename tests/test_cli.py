@@ -71,6 +71,13 @@ def test_sortition_output_shape(capsys):
     assert sha3(out.encode()).hex() == "df708075e6838eb3319846e4e999ce84150cd4a2c9e74f1eb002511938975ee2"
 
 
+@pytest.mark.parametrize("nodes", ["-3", "0"])
+def test_sortition_bad_node_count_exits_2(capsys, nodes):
+    code, out, err = run_cli(capsys, "sortition", "--nodes", nodes)
+    assert code == 2 and out == ""
+    assert err == f"error: nodes (--nodes): must be >= 1, got {nodes}\n"
+
+
 def test_chain_outputs_deterministic(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(

@@ -4,15 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fission_sim import drs
 from fission_sim.dists import sample_dist
 from fission_sim.drs import (
-    DataItem,
     DrsRoundReport,
     DrsState,
-    ProviderNode,
-    RetrievalRequest,
-    _check_loads,
-    accounting,
     build_instance,
     drs_potential,
     drs_round,
@@ -24,7 +20,7 @@ from fission_sim.drs import (
 )
 from fission_sim.errors import InvariantViolation
 from fission_sim.seeding import split
-from reference import request_cost
+from reference import accounting, request_cost
 
 
 def test_request_cost_examples():
@@ -33,21 +29,22 @@ def test_request_cost_examples():
     assert request_cost(120, 10, 10, 30) == 20  # partial overflow
 
 
-def add_request(state, requester, key, born=0.0):
-    """A new unplaced request for ``key``, appended to the pool."""
-    req = RetrievalRequest(len(state.requests), requester, key, state.items[key].size, born)
-    state.requests.append(req)
-    return req
+def add_request(state, key, born=0.0):
+    """A new unplaced request for ``key``, appended to the columns; returns its id."""
+    requests = state.requests
+    requests.key.append(key)
+    requests.weight.append(state.size[key])
+    requests.born.append(born)
+    requests.provider.append(None)
+    requests.at_relayer.append(False)
+    return len(requests) - 1
 
 
 def single_provider_state(capacity, deadline, weights):
     # one item per request so each request carries its own size
-    providers = [ProviderNode(id=0, capacity=capacity)]
-    state = DrsState(providers, [], deadline)
-    for i, w in enumerate(weights):
-        state.items.append(DataItem(key=i, size=w, providers=[0]))
-        req = add_request(state, requester=100 + i, key=i)
-        ref_move(state, req, 0)
+    state = DrsState([capacity], list(weights), [[0] for _ in weights], deadline)
+    for key in range(len(weights)):
+        ref_move(state, add_request(state, key), 0)
     return state
 
 
@@ -61,20 +58,23 @@ def test_cost_potential_identity_on_random_queues():
         state = single_provider_state(capacity, deadline, weights)
         heights = state.heights()
         cost_sum = sum(
-            request_cost(heights[r.rid], deadline, capacity, r.weight) for r in state.requests
+            request_cost(heights[rid], deadline, capacity, w)
+            for rid, w in enumerate(state.requests.weight)
         )
-        overflow = drs_potential(state.providers, deadline)
+        overflow = drs_potential(state)
         assert cost_sum == pytest.approx(overflow, abs=1e-9)
 
 
 def test_potential_zero_when_underloaded():
-    providers = [ProviderNode(0, 10, load=50), ProviderNode(1, 10, load=79)]
-    assert drs_potential(providers, 8.0) == 0.0
+    state = DrsState([10, 10], [], [], 8.0)
+    state.load[:] = [50, 79]
+    assert drs_potential(state) == 0.0
 
 
 def test_potential_direct_subtraction():
-    providers = [ProviderNode(0, capacity=12.5, load=300)]
-    assert drs_potential(providers, 8.0) == pytest.approx(200.0)
+    state = DrsState([12.5], [], [], 8.0)
+    state.load[0] = 300
+    assert drs_potential(state) == pytest.approx(200.0)
 
 
 def test_bounded_jump_rule_examples():
@@ -82,63 +82,57 @@ def test_bounded_jump_rule_examples():
     state = single_provider_state(capacity=10, deadline=10, weights=[120, 30])
     heights = state.heights()
     assert heights[1] == 150
-    assert ref_eligible(state, state.requests[1], 0.0, heights)
+    assert ref_eligible(state, 1, 0.0, heights)
     # h=120, w=30 -> cost 20 < 30, not eligible
     state2 = single_provider_state(capacity=10, deadline=10, weights=[90, 30])
     heights2 = state2.heights()
     assert heights2[1] == 120
-    assert not ref_eligible(state2, state2.requests[1], 0.0, heights2)
+    assert not ref_eligible(state2, 1, 0.0, heights2)
 
 
 def test_deadline_expiry_sends_request_to_relayer():
     # one overloaded provider, no alternatives: past the deadline the requests
     # that could not complete resolve through the relay network
-    providers = [ProviderNode(0, capacity=1)]
-    items = [DataItem(key=0, size=50, providers=[0]), DataItem(key=1, size=50, providers=[0])]
-    state = DrsState(providers, items, deadline=4.0)
-    r0 = add_request(state, 0, 0)
-    r1 = add_request(state, 1, 1)
+    state = DrsState([1], [50, 50], [[0], [0]], deadline=4.0)
+    r0 = add_request(state, 0)
+    r1 = add_request(state, 1)
     ref_move(state, r0, 0)
     ref_move(state, r1, 0)
     rng = split(0, "deadline")
     report = drs_round(state, rng, t=5.0)
-    assert r0.at_relayer and r1.at_relayer
+    assert state.requests.at_relayer[r0] and state.requests.at_relayer[r1]
     assert report.to_relayer == 2
     assert state.relayer_direct == 100
     # before the deadline neither leaves: r1 probes (no candidates), r0 partial
-    state2 = DrsState([ProviderNode(0, capacity=1)], items, deadline=4.0)
-    a = add_request(state2, 0, 0)
-    b = add_request(state2, 1, 1)
+    state2 = DrsState([1], [50, 50], [[0], [0]], deadline=4.0)
+    a = add_request(state2, 0)
+    b = add_request(state2, 1)
     ref_move(state2, a, 0)
     ref_move(state2, b, 0)
     drs_round(state2, split(1, "deadline"), t=0.0)
-    assert not a.at_relayer and not b.at_relayer
+    assert not state2.requests.at_relayer[a] and not state2.requests.at_relayer[b]
 
 
 def test_migration_to_single_underloaded_provider_is_certain():
-    providers = [ProviderNode(0, capacity=1), ProviderNode(1, capacity=100)]
-    items = [DataItem(key=0, size=40, providers=[0, 1])]
-    state = DrsState(providers, items, deadline=2.0)
-    blocker = add_request(state, 9, 0)
+    state = DrsState([1, 100], [40], [[0, 1]], deadline=2.0)
+    blocker = add_request(state, 0)
     ref_move(state, blocker, 0)
-    mover = add_request(state, 10, 0)
+    mover = add_request(state, 0)
     ref_move(state, mover, 0)  # height 80 > 2*1, cost = 40 = w
     report = drs_round(state, split(1, "mig"), t=0.0)
     assert report.migrations >= 1
-    assert mover.provider == 1
+    assert state.requests.provider[mover] == 1
 
 
 def test_empty_probe_set_request_stays():
-    providers = [ProviderNode(0, capacity=1)]
-    items = [DataItem(key=0, size=50, providers=[0])]
-    state = DrsState(providers, items, deadline=2.0)
-    a = add_request(state, 1, 0)
-    b = add_request(state, 2, 0)
+    state = DrsState([1], [50], [[0]], deadline=2.0)
+    a = add_request(state, 0)
+    b = add_request(state, 0)
     ref_move(state, a, 0)
     ref_move(state, b, 0)
     report = drs_round(state, split(2, "stay"), t=0.0)
     assert report.migrations == 0
-    assert b.provider == 0 and not b.at_relayer
+    assert state.requests.provider[b] == 0 and not state.requests.at_relayer[b]
 
 
 def test_potential_never_increases_within_runs():
@@ -151,21 +145,16 @@ def test_potential_never_increases_within_runs():
 
 
 def test_omega_zero_cases():
-    providers = [ProviderNode(0, capacity=100)]
-    items = [DataItem(key=0, size=10, providers=[0])]
-    state = DrsState(providers, items, deadline=8.0)
-    req = add_request(state, 1, 0)
-    ref_move(state, req, 0)
-    assert drs_potential(state.providers, 8.0) == 0.0
+    state = DrsState([100], [10], [[0]], deadline=8.0)
+    ref_move(state, add_request(state, 0), 0)
+    assert drs_potential(state) == 0.0
     assert omega(state, 0.0) == 0.0  # equilibrium: everything servable
 
     # no underloaded providers over active keys -> omega 0 despite overflow
-    jammed = DrsState([ProviderNode(0, capacity=1)], [DataItem(0, 50, [0])], deadline=2.0)
-    r1 = add_request(jammed, 1, 0)
-    r2 = add_request(jammed, 2, 0)
-    ref_move(jammed, r1, 0)
-    ref_move(jammed, r2, 0)
-    assert drs_potential(jammed.providers, 2.0) > 0
+    jammed = DrsState([1], [50], [[0]], deadline=2.0)
+    ref_move(jammed, add_request(jammed, 0), 0)
+    ref_move(jammed, add_request(jammed, 0), 0)
+    assert drs_potential(jammed) > 0
     assert underloaded_count(jammed, 0.0) == 0
     assert omega(jammed, 0.0) == 0.0
 
@@ -194,12 +183,10 @@ def test_accounting_identity_exact():
 
 
 def test_unreplicated_key_goes_to_relayer():
-    providers = [ProviderNode(0, capacity=10)]
-    items = [DataItem(key=0, size=30, providers=[])]
-    state = DrsState(providers, items, deadline=8.0)
-    req = add_request(state, 5, 0)
-    req.at_relayer = True  # P_k empty forces relayer fallback at birth
-    state.relayer_direct += req.weight
+    state = DrsState([10], [30], [[]], deadline=8.0)
+    rid = add_request(state, 0)
+    state.requests.at_relayer[rid] = True  # P_k empty forces relayer fallback at birth
+    state.relayer_direct += state.requests.weight[rid]
     served, relayer, total = accounting(state)
     assert (served, relayer, total) == (0.0, 30.0, 30.0)
 
@@ -216,176 +203,184 @@ def test_probe_timeouts_only_delay_convergence():
 
 def test_equilibrium_threshold_scale():
     state = build_instance(16, 4, "fixed:64", "fixed:8", 2, 8.0, seed=7)
-    assert equilibrium_threshold(state) == 64.0
+    assert equilibrium_threshold(sum(state.requests.weight), len(state.requests)) == 64.0
 
 
 def test_fifo_heights_are_prefix_sums():
     state = single_provider_state(capacity=5, deadline=4, weights=[10, 20, 30])
     heights = state.heights()
-    assert [heights[r.rid] for r in state.requests] == [10, 30, 60]
+    assert [heights[rid] for rid in range(len(state.requests))] == [10, 30, 60]
 
 
-# --- per-request reference: the round, count and sums that scan_round,
-# drs_round, underloaded_count, drs_potential and accounting replace. Each
-# reads only state data, so a fault in the module cannot reach it.
+# --- per-provider and per-request reference: the round, count and sums that
+# scan_round, drs_round, underloaded_count and drs_potential replace. Each
+# reads only state columns, so a fault in the module cannot reach it.
 
 
 def ref_heights(state):
     hs = {}
-    for node in state.providers:
+    for queue in state.queue:
         acc = 0.0
-        for rid in node.queue:
-            acc += state.requests[rid].weight
+        for rid in queue:
+            acc += state.requests.weight[rid]
             hs[rid] = acc
     return hs
 
 
-def ref_eligible(state, req, t, heights):
-    if req.at_relayer:
+def ref_eligible(state, rid, t, heights):
+    requests = state.requests
+    if requests.at_relayer[rid]:
         return False
-    if req.provider is None:
+    provider = requests.provider[rid]
+    if provider is None:
         return True
-    node = state.providers[req.provider]
-    d_rem = state.deadline - t + req.born
-    return min(max(heights[req.rid] - d_rem * node.capacity, 0.0), req.weight) >= req.weight
+    d_rem = state.deadline - t + requests.born[rid]
+    weight = requests.weight[rid]
+    return min(max(heights[rid] - d_rem * state.capacity[provider], 0.0), weight) >= weight
 
 
-def ref_move(state, req, target):
-    if req.provider is not None:
-        old = state.providers[req.provider]
-        old.queue.remove(req.rid)
-        old.load -= req.weight
-        req.provider = None
+def ref_move(state, rid, target):
+    requests = state.requests
+    weight = requests.weight[rid]
+    old = requests.provider[rid]
+    if old is not None:
+        state.queue[old].remove(rid)
+        state.load[old] -= weight
+        requests.provider[rid] = None
     if target is not None:
-        new = state.providers[target]
-        new.queue.append(req.rid)
-        new.load += req.weight
-        req.provider = target
+        state.queue[target].append(rid)
+        state.load[target] += weight
+        requests.provider[rid] = target
+
+
+def ref_probe_set(state, key, d_rem, loads=None):
+    """The holders of ``key`` whose load (``loads``, else the current one)
+    is under the remaining time budget."""
+    loads = state.load if loads is None else loads
+    return [i for i in state.holders[key] if loads[i] < d_rem * state.capacity[i]]
+
+
+def ref_hunting(state, t):
+    heights = ref_heights(state)
+    return [rid for rid in range(len(state.requests)) if ref_eligible(state, rid, t, heights)]
 
 
 def ref_drs_round(state, rng, t, timeout_prob=0.0):
-    heights = ref_heights(state)
-    snapshot_loads = [p.load for p in state.providers]
+    snapshot_loads = list(state.load)
+    requests = state.requests
     report = DrsRoundReport()
-    for req in state.requests:
-        if req.at_relayer:
-            continue
-        if not ref_eligible(state, req, t, heights):
-            continue
-        d_rem = state.deadline - t + req.born
-        if t > req.born + state.deadline:
-            ref_move(state, req, None)
-            req.at_relayer = True
-            state.relayer_direct += req.weight
+    for rid in ref_hunting(state, t):
+        born, weight = requests.born[rid], requests.weight[rid]
+        d_rem = state.deadline - t + born
+        if t > born + state.deadline:
+            ref_move(state, rid, None)
+            requests.at_relayer[rid] = True
+            state.relayer_direct += weight
             report.to_relayer += 1
             continue
-        candidates = [
-            i
-            for i in state.items[req.key].providers
-            if snapshot_loads[i] < d_rem * state.providers[i].capacity
-        ]
+        candidates = ref_probe_set(state, requests.key[rid], d_rem, snapshot_loads)
         if not candidates:
             continue
         target = candidates[rng.randrange(len(candidates))]
         report.probes += 1
         if timeout_prob > 0 and rng.random() < timeout_prob:
             continue
-        if snapshot_loads[target] <= d_rem * state.providers[target].capacity:
-            ref_move(state, req, target)
+        if snapshot_loads[target] <= d_rem * state.capacity[target]:
+            ref_move(state, rid, target)
             report.migrations += 1
     return report
 
 
 def ref_underloaded_count(state, t):
-    heights = ref_heights(state)
+    requests = state.requests
     providers = set()
-    for req in state.requests:
-        if not ref_eligible(state, req, t, heights):
-            continue
-        d_rem = state.deadline - t + req.born
-        providers.update(
-            i
-            for i in state.items[req.key].providers
-            if state.providers[i].load < d_rem * state.providers[i].capacity
-        )
+    for rid in ref_hunting(state, t):
+        d_rem = state.deadline - t + requests.born[rid]
+        providers.update(ref_probe_set(state, requests.key[rid], d_rem))
     return len(providers)
 
 
-def ref_potential(providers, deadline):
-    return sum(max(p.load - deadline * p.capacity, 0.0) for p in providers)
+def ref_potential(state):
+    return sum(max(load - state.deadline * c, 0.0) for load, c in zip(state.load, state.capacity))
+
+
+def ref_unplaced_kb(state):
+    requests = state.requests
+    return sum(
+        requests.weight[rid]
+        for rid in range(len(requests))
+        if requests.provider[rid] is None and not requests.at_relayer[rid]
+    )
 
 
 def ref_accounting(state):
-    served = sum(min(p.load, state.deadline * p.capacity) for p in state.providers)
-    unplaced = sum(r.weight for r in state.requests if r.provider is None and not r.at_relayer)
-    relayer = ref_potential(state.providers, state.deadline) + state.relayer_direct + unplaced
-    return served, relayer, sum(r.weight for r in state.requests)
+    served = sum(min(load, state.deadline * c) for load, c in zip(state.load, state.capacity))
+    relayer = ref_potential(state) + state.relayer_direct + ref_unplaced_kb(state)
+    return served, relayer, sum(w for w in state.requests.weight)
 
 
 def ref_build_instance(n_nodes, n_keys, size_dist, cap_dist, replication, deadline, seed,
                        requests_per_node, start):
     rng = split(seed, "drs-setup")
-    providers = [
-        ProviderNode(id=i, capacity=sample_dist(cap_dist, rng, integer=True, minimum=1))
-        for i in range(n_nodes)
-    ]
-    items = []
-    for k in range(n_keys):
-        holders = rng.sample(range(n_nodes), min(replication, n_nodes))
-        items.append(
-            DataItem(k, sample_dist(size_dist, rng, integer=True, minimum=1), holders)
-        )
-    state = DrsState(providers, items, deadline)
-    for node in range(n_nodes):
+    capacity = [sample_dist(cap_dist, rng, integer=True, minimum=1) for _ in range(n_nodes)]
+    size, holders = [], []
+    for _ in range(n_keys):
+        holders.append(rng.sample(range(n_nodes), min(replication, n_nodes)))
+        size.append(sample_dist(size_dist, rng, integer=True, minimum=1))
+    state = DrsState(capacity, size, holders, deadline)
+    for _node in range(n_nodes):
         for _ in range(requests_per_node):
-            add_request(state, node, rng.randrange(n_keys))
+            add_request(state, rng.randrange(n_keys))
     place_rng = split(seed, "drs-place")
-    for req in state.requests:
-        holders = state.items[req.key].providers
-        if not holders:
-            req.at_relayer = True
-            state.relayer_direct += req.weight
+    requests = state.requests
+    for rid in range(len(requests)):
+        pool = state.holders[requests.key[rid]]
+        if not pool:
+            requests.at_relayer[rid] = True
+            state.relayer_direct += requests.weight[rid]
             continue
         if start == "concentrated":
-            ref_move(state, req, holders[0])
+            ref_move(state, rid, pool[0])
             continue
-        open_now = [
-            i for i in holders if state.providers[i].load < deadline * state.providers[i].capacity
-        ]
-        pool = open_now if open_now else holders
-        ref_move(state, req, pool[place_rng.randrange(len(pool))])
+        pool = ref_probe_set(state, requests.key[rid], deadline) or pool
+        ref_move(state, rid, pool[place_rng.randrange(len(pool))])
     return state
 
 
 def state_view(state):
-    """Everything a round can change, floats as repr so -0.0 and ulps count."""
-    return (
-        [(p.id, repr(p.capacity), list(p.queue), repr(p.load)) for p in state.providers],
-        [
-            (r.rid, r.requester, r.key, repr(r.weight), repr(r.born), r.provider, r.at_relayer)
-            for r in state.requests
-        ],
-        repr(state.relayer_direct),
-    )
+    """Every column a round can change, floats as repr so -0.0 and ulps count."""
+    requests = state.requests
+    return {
+        "capacity": [repr(c) for c in state.capacity],
+        "queue": [list(queue) for queue in state.queue],
+        "load": [repr(load) for load in state.load],
+        "key": list(requests.key),
+        "weight": [repr(w) for w in requests.weight],
+        "born": [repr(b) for b in requests.born],
+        "provider": list(requests.provider),
+        "at_relayer": list(requests.at_relayer),
+        "relayer_direct": repr(state.relayer_direct),
+    }
 
 
 def sums_view(state):
-    return repr(drs_potential(state.providers, state.deadline)), repr(accounting(state))
+    return repr(drs_potential(state)), repr(accounting(state))
 
 
 def ref_sums_view(state):
-    return repr(ref_potential(state.providers, state.deadline)), repr(ref_accounting(state))
+    return repr(ref_potential(state)), repr(ref_accounting(state))
 
 
 amounts = st.integers(1, 40) | st.floats(0.25, 40.0)
 sizes = amounts | st.sampled_from([0, 0.0])
+times = st.sampled_from([0.0, 0.75, 3.0, 12.0]) | st.floats(0.0, 15.0)
 
 
 @st.composite
 def drs_specs(draw):
     """A small instance as plain data: float or integer capacities and sizes,
-    zero sizes, keys without holders, several requests per requester, mixed birth times,
-    and requests queued, unplaced or already at the relayer."""
+    zero sizes, keys without holders, several requests for one key, mixed
+    birth times, and requests queued, unplaced or already at the relayer."""
     n = draw(st.integers(1, 6))
     caps = [draw(amounts) for _ in range(n)]
     n_keys = draw(st.integers(1, 5))
@@ -402,24 +397,22 @@ def drs_specs(draw):
         where = draw(st.sampled_from(["queued", "queued", "unplaced", "relayer"]))
         if where == "queued":
             where = draw(st.sampled_from(holders)) if holders else "unplaced"
-        requests.append((draw(st.integers(0, 5)), key, born, where))
+        requests.append((key, born, where))
     return caps, items, deadline, requests
 
 
 def make_state(spec):
     caps, items, deadline, requests = spec
     state = DrsState(
-        [ProviderNode(i, c) for i, c in enumerate(caps)],
-        [DataItem(k, size, list(holders)) for k, (size, holders) in enumerate(items)],
-        deadline,
+        list(caps), [size for size, _ in items], [list(holders) for _, holders in items], deadline
     )
-    for requester, key, born, where in requests:
-        req = add_request(state, requester, key, born)
+    for key, born, where in requests:
+        rid = add_request(state, key, born)
         if where == "relayer":
-            req.at_relayer = True
-            state.relayer_direct += req.weight
+            state.requests.at_relayer[rid] = True
+            state.relayer_direct += state.requests.weight[rid]
         elif where != "unplaced":
-            ref_move(state, req, where)
+            ref_move(state, rid, where)
     return state
 
 
@@ -441,8 +434,7 @@ def assert_rounds_match(state, ref, seed, times, timeout_prob, share_scan):
 @given(
     spec=drs_specs(),
     seed=st.integers(0, 2**64),
-    times=st.lists(st.sampled_from([0.0, 0.75, 3.0, 12.0]) | st.floats(0.0, 15.0),
-                   min_size=1, max_size=3),
+    times=st.lists(times, min_size=1, max_size=3),
     timeout_prob=st.sampled_from([0.0, 0.0, 0.3, 0.9]),
     share_scan=st.booleans(),
 )
@@ -450,6 +442,35 @@ def test_round_matches_per_request_reference(spec, seed, times, timeout_prob, sh
     state, ref = make_state(spec), make_state(spec)
     assert state_view(state) == state_view(ref)
     assert_rounds_match(state, ref, seed, times, timeout_prob, share_scan)
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=drs_specs(), t=times, drift=st.sampled_from([1.0, -0.5, 2e-6]))
+def test_scan_matches_per_provider_and_per_request_reference(spec, t, drift):
+    state = make_state(spec)
+    scan = scan_round(state, t)
+    served, _, _ = ref_accounting(state)
+    assert repr(scan.phi) == repr(ref_potential(state))
+    assert repr(scan.served) == repr(served)
+    assert repr(scan.unplaced_kb) == repr(ref_unplaced_kb(state))
+    requests = state.requests
+    hunting = ref_hunting(state, t)
+    d_rem = {rid: state.deadline - t + requests.born[rid] for rid in hunting}
+    assert set(scan.probe_sets) == {(requests.key[rid], d_rem[rid]) for rid in hunting}
+    for (key, rem), probes in scan.probe_sets.items():
+        assert probes == ref_probe_set(state, key, rem)
+    assert scan.acting == [
+        rid for rid in hunting
+        if ref_probe_set(state, requests.key[rid], d_rem[rid]) or t > requests.born[rid] + state.deadline
+    ]
+    # a load that drifts from its queue fails the scan, whether the queue is
+    # empty or not
+    for i, load in enumerate(list(state.load)):
+        state.load[i] = load + drift
+        with pytest.raises(InvariantViolation) as err:
+            scan_round(state, t)
+        assert err.value.invariant == "load-sum"
+        state.load[i] = load
 
 
 DIST_SPECS = ["fixed:64", "fixed:0.4", "uniform:2:64", "uniform:0.2:3.7", "pareto:1.3"]
@@ -476,9 +497,8 @@ def test_build_and_rounds_match_reference(
     state = build_instance(*args, requests_per_node=requests_per_node, start=start)
     ref = ref_build_instance(*args, requests_per_node, start)
     assert state_view(state) == state_view(ref)
-    assert [(i.key, repr(i.size), i.providers) for i in state.items] == [
-        (i.key, repr(i.size), i.providers) for i in ref.items
-    ]
+    assert [repr(size) for size in state.size] == [repr(size) for size in ref.size]
+    assert state.holders == ref.holders
     assert_rounds_match(state, ref, seed, [0.0, 0.0, 1.5], timeout_prob, share_scan=True)
 
 
@@ -490,8 +510,87 @@ def test_build_instance_rejects_keyless_requests():
 def test_load_check_fails_when_a_load_drifts_from_its_queue():
     state = build_instance(64, 8, "fixed:64", "uniform:2:64", 3, 8.0, 1, start="concentrated")
     drs_round(state, random.Random(1), 0.0)
-    _check_loads(state)
-    state.providers[state.requests[0].provider].load += 1.0
+    scan_round(state, 0.0)
+    state.load[state.requests.provider[0]] += 1.0
     with pytest.raises(InvariantViolation) as err:
-        _check_loads(state)
+        scan_round(state, 0.0)
     assert err.value.invariant == "load-sum"
+
+
+def pile_onto_smallest(state):
+    """Move every queued request onto the provider of least capacity."""
+    target = min(range(len(state.capacity)), key=state.capacity.__getitem__)
+    for queue in state.queue:
+        for rid in list(queue):
+            ref_move(state, rid, target)
+
+
+def drift_load(empty_queue):
+    def drift(state):
+        i = next(i for i, queue in enumerate(state.queue) if bool(queue) != empty_queue)
+        state.load[i] += 1.0
+
+    return drift
+
+
+def add_relayer_bytes(state):
+    state.relayer_direct += 1.0
+
+
+@pytest.mark.parametrize(
+    "breakage, invariant",
+    [
+        (pile_onto_smallest, "monotone-potential"),
+        (add_relayer_bytes, "primal-dual-identity"),
+        (drift_load(empty_queue=False), "load-sum"),
+        (drift_load(empty_queue=True), "load-sum"),
+    ],
+    ids=["monotone-potential", "primal-dual-identity", "load-sum", "load-sum-empty-queue"],
+)
+def test_each_invariant_fires_from_simulate_drs(monkeypatch, breakage, invariant):
+    real_round = drs.drs_round
+
+    def round_then_break(state, *args, **kwargs):
+        report = real_round(state, *args, **kwargs)
+        breakage(state)
+        return report
+
+    args = (64, 8, "fixed:64", "uniform:2:64", 3, 8.0, 1)
+    assert len(simulate_drs(*args, start="concentrated").rows) > 1
+    monkeypatch.setattr(drs, "drs_round", round_then_break)
+    with pytest.raises(InvariantViolation) as err:
+        simulate_drs(*args, start="concentrated")
+    assert err.value.invariant == invariant
+
+
+@pytest.mark.parametrize(
+    "breakage, invariant",
+    [(add_relayer_bytes, "primal-dual-identity"), (drift_load(empty_queue=False), "load-sum")],
+    ids=["primal-dual-identity", "load-sum"],
+)
+def test_invariants_are_checked_before_round_1(monkeypatch, breakage, invariant):
+    real_build = drs.build_instance
+
+    def build_then_break(*args, **kwargs):
+        state = real_build(*args, **kwargs)
+        breakage(state)
+        return state
+
+    def no_round(*args, **kwargs):
+        raise AssertionError("a round ran on a broken initial state")
+
+    monkeypatch.setattr(drs, "build_instance", build_then_break)
+    monkeypatch.setattr(drs, "drs_round", no_round)
+    with pytest.raises(InvariantViolation) as err:
+        simulate_drs(64, 8, "fixed:64", "uniform:2:64", 3, 8.0, 1, start="concentrated")
+    assert err.value.invariant == invariant
+
+
+def test_trace_row_counts_unplaced_bytes_as_relayer_bound():
+    state = DrsState([10], [30, 20], [[0], [0]], deadline=8.0)
+    ref_move(state, add_request(state, 0), 0)  # 30 of the 80 KB budget
+    add_request(state, 1)  # never placed
+    scan = scan_round(state, 0.0)
+    row = drs._trace_row(state, 0, scan)
+    assert (scan.served, row.relayer_kb) == (30.0, 20.0)
+    drs._check_identity(scan, row, 50.0)

@@ -230,6 +230,8 @@ RESHARD_CHAIN_CFG = (
     "partition.n_shard = 2\npartition.n_partition = 1\npartition.n_e_max = 4\npartition.n_rs = 2\n"
 )
 
+DRS_CONCENTRATED_DIGEST = "5aed9ef2e12efb2b30efd85a3f2b54ae3289db61358b75110512bf61a260a1ef"
+
 # argv, digest of the CSV, JSONL and stdout bytes; recorded before relay, drs
 # and chain were moved onto one config path, and chain-reshard before the
 # partition scaler and re-sharding moved into Chain
@@ -244,13 +246,15 @@ CLI_CASES = {
         "9ef6d200bea34c5775b4bdd59fd6cfd3e1a4d945d958ee179c590fb55bf5c845",
     ),
     "drs-uniform": (
-        ("drs", "--seed", "3"),
+        ("drs", "--start", "uniform", "--seed", "3"),
         "cdb90dbef634707e00061ceeec3d31f1017ceaa0fdb57236c07b9c44a178e77b",
     ),
     "drs-concentrated": (
         ("drs", "--start", "concentrated", "--seed", "3"),
-        "5aed9ef2e12efb2b30efd85a3f2b54ae3289db61358b75110512bf61a260a1ef",
+        DRS_CONCENTRATED_DIGEST,
     ),
+    # the concentrated start is the default, so a bare run gives its bytes
+    "drs-default": (("drs", "--seed", "3"), DRS_CONCENTRATED_DIGEST),
     "chain-small": (
         ("chain", "--epochs", "6", "--seed", "5", "--config", "small.cfg"),
         "7856f7a4747da39f9a6c71a159c90a5e2645ccb51b163112891309ddefd05706",

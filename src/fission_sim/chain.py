@@ -14,7 +14,8 @@ votes sign that hash, so they cannot be part of it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from .crypto import UINT_PREFIX, encode_fields, encode_uint, length_prefix, sha3
 from .errors import (
@@ -37,7 +38,10 @@ from .ledger import (
     apply_lazy,
 )
 from .merkle import merkle_levels, merkle_root, merkle_update
-from .partitioning import PartitionConfig, next_partition_count, reshard_trigger, split_shards
+from .partitioning import next_partition_count, reshard_trigger, split_shards
+
+if TYPE_CHECKING:  # config loads the numpy-backed sortition module
+    from .config import PartitionSettings
 
 INTERIM = "interim"
 MAIN = "main"
@@ -228,23 +232,20 @@ def _derive_tree(shard: ShardState, keys: list[bytes], state: LedgerState) -> Ac
 class Chain:
     """Validating chain: holds blocks plus the ledger state they produce.
 
-    ``partition`` (one partition if omitted) is copied, never written; the
-    shard count is ``state``'s.
+    ``partition`` gives the first partition count and the scaling and
+    re-shard rules; it is read, never written. The two counts that move are
+    ``n_partition`` and the shard count of ``state``.
     """
 
-    def __init__(self, state: LedgerState, quorum: int, partition: PartitionConfig | None = None):
+    def __init__(self, state: LedgerState, quorum: int, partition: PartitionSettings):
         self.state = state
         self.quorum = quorum
-        self._partition = replace(partition or PartitionConfig(1, state.n_shard), n_shard=state.n_shard)
+        self.partition = partition
+        self.n_partition = partition.n_partition  # the count the next header carries
         # (n_partition, n_shard) of each main block since the last re-shard
         self._main_window: list[tuple[int, int]] = []
         self.blocks: list[Block] = []
         self.blocks.append(self._seal([], state))
-
-    @property
-    def n_partition(self) -> int:
-        """The partition count the next block's header must carry."""
-        return self._partition.n_partition
 
     @property
     def tip(self) -> Block:
@@ -364,12 +365,13 @@ class Chain:
         self.state = scratch
         self.blocks.append(block)
         if header.kind == INTERIM:
-            self._partition.n_partition = next_partition_count(len(block.body), self._partition)
+            self.n_partition = next_partition_count(
+                len(block.body), self.n_partition, self.state.n_shard, self.partition
+            )
             return
         self._main_window.append((header.n_partition, header.n_shard))
-        if reshard_trigger(self._main_window, self._partition.n_rs):
+        if reshard_trigger(self._main_window, self.partition.n_rs):
             self.state = split_shards(self.state)
-            self._partition.n_shard = self.state.n_shard
             self._main_window.clear()
 
     # --- export ---

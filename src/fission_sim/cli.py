@@ -165,7 +165,7 @@ def cmd_sortition(args) -> int:
 
 def cmd_chain(args) -> int:
     cfg = _load_config(args)
-    sim = _chain_sim_from_config(cfg)
+    sim = ChainSimulation(cfg)
     results = sim.run(args.epochs)
     sink = MetricsSink(args.metrics, CHAIN_COLUMNS)
     for r in results:
@@ -183,35 +183,6 @@ def cmd_chain(args) -> int:
     sink.close(cfg.to_dict(), {"epochs": args.epochs, "final_clock": sim.clock})
     print(f"wrote {args.out} and {args.metrics} ({len(results)} epochs)")
     return EXIT_OK
-
-
-def _chain_sim_from_config(cfg: SimConfig) -> ChainSimulation:
-    from .partitioning import PartitionConfig
-
-    return ChainSimulation(
-        h=cfg.security.h,
-        alpha=cfg.security.alpha,
-        tau=cfg.security.tau,
-        theta=cfg.security.theta,
-        n_nodes=cfg.population.nodes,
-        stake_dist=cfg.population.stake_dist,
-        delta_micro=cfg.epochs.delta_micro,
-        delta_interim=cfg.epochs.delta_interim,
-        delta_main=cfg.epochs.delta_main,
-        delta_leader=cfg.epochs.delta_leader,
-        micro_throughput=cfg.epochs.micro_throughput,
-        partition_cfg=PartitionConfig(
-            n_partition=cfg.partition.n_partition,
-            n_shard=cfg.partition.n_shard,
-            n_e_max=cfg.partition.n_e_max,
-            delta=cfg.partition.delta,
-            n_rs=cfg.partition.n_rs,
-        ),
-        tx_per_epoch=cfg.chain.tx_per_epoch,
-        invalid_fraction=cfg.chain.invalid_fraction,
-        offline_rate=cfg.chain.offline_rate,
-        seed=cfg.seed,
-    )
 
 
 def cmd_relay(args) -> int:

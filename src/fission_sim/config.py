@@ -38,7 +38,15 @@ class EpochSettings:
     delta_interim: float = 5.0
     delta_main: float = 3.0
     delta_leader: float = 1.0
-    micro_throughput: float = 500.0
+    micro_throughput: float = 500.0  # sub-transactions per second per online member
+
+    @property
+    def interim_budget(self) -> float:
+        return self.delta_leader + self.delta_micro + self.delta_interim
+
+    @property
+    def main_budget(self) -> float:
+        return self.delta_leader + self.delta_main
 
 
 @dataclass
@@ -90,6 +98,14 @@ _SECTIONS = {
     "partition": PartitionSettings,
     "relay": RelaySettings,
     "drs": DrsSettings,
+}
+
+# ChainSimulation's keyword keys: each leaf name of the sections that feed the
+# chain is unique, so it names its dotted key; population.nodes goes by n_nodes
+CHAIN_KEYWORDS = {"seed": "seed"} | {
+    "n_nodes" if f.name == "nodes" else f.name: f"{name}.{f.name}"
+    for name in ("population", "security", "epochs", "chain", "partition")
+    for f in dc_fields(_SECTIONS[name])
 }
 
 

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from itertools import compress
 
 from .chain import INTERIM, Block, Chain, MicroBlock, Votes
+from .config import CHAIN_KEYWORDS, EpochSettings, SimConfig, load_config
 from .crypto import KeyRegistry, sha3, sign_each
 from .dists import dist_sampler
 from .errors import FissionError, InvariantViolation, ValidationError
@@ -35,7 +36,7 @@ from .ledger import (
     shard_of,
     split_transaction,
 )
-from .partitioning import PartitionConfig, partition_of
+from .partitioning import partition_of
 from .seeding import child_bytes, split
 from .sortition import (
     BLOCK_INTERIM,
@@ -52,29 +53,6 @@ WITHHOLD = "withhold"
 VOTE_CONFLICTING = "vote-conflicting"
 EQUIVOCATE = "equivocate"
 STRATEGIES = (WITHHOLD, VOTE_CONFLICTING, EQUIVOCATE)
-
-
-@dataclass
-class EpochConfig:
-    security: SecurityParams
-    delta_micro: float = 2.0
-    delta_interim: float = 5.0
-    delta_main: float = 3.0
-    delta_leader: float = 1.0
-    micro_throughput: float = 500.0  # sub-transactions per second per online member
-
-    def __post_init__(self):
-        for name in ("delta_micro", "delta_interim", "delta_main", "delta_leader"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-
-    @property
-    def interim_budget(self) -> float:
-        return self.delta_leader + self.delta_micro + self.delta_interim
-
-    @property
-    def main_budget(self) -> float:
-        return self.delta_leader + self.delta_main
 
 
 # ---------------------------------------------------------------------------
@@ -211,26 +189,27 @@ def micro_round(
     partition_index: int,
     sub_txs: list[SubTransaction],
     committee: Committee,
-    cfg: EpochConfig,
-    base_state: LedgerState,
+    chain: Chain,
+    epochs: EpochSettings,
     population: Population,
     offline: set[bytes] | None = None,
 ) -> tuple[MicroBlock | None, list[SubTransaction], list[SubTransaction]]:
-    """One partition's consensus round over its debit sub-transactions.
+    """One partition's consensus round over its debit sub-transactions,
+    executed on a copy of the chain state.
 
     Returns (micro block, or None on a timeout, deferred sub-txs, invalid
     sub-txs). The processing budget is delta_micro * throughput * online
-    member count; overflow is deferred to the next round. Whether the quorum
-    forms depends only on the members' weights, so a round that misses it
-    defers everything without executing any of it.
+    member count; overflow is deferred to the next round. Whether the chain's
+    quorum forms depends only on the members' weights, so a round that misses
+    it defers everything without executing any of it.
     """
     offline = offline or set()
     n_online = len(committee) - len(offline.intersection(committee.pks))
-    if not n_online or vote_weights(committee, population, offline)[0] < cfg.security.quorum:
+    if not n_online or vote_weights(committee, population, offline)[0] < chain.quorum:
         return None, list(sub_txs), []
 
-    capacity = int(cfg.delta_micro * cfg.micro_throughput * n_online)
-    scratch = base_state.clone()
+    capacity = int(epochs.delta_micro * epochs.micro_throughput * n_online)
+    scratch = chain.state.clone()
     included: list[SubTransaction] = []
     deferred: list[SubTransaction] = []
     invalid: list[SubTransaction] = []
@@ -251,7 +230,6 @@ def _put_to_vote(
     chain: Chain,
     body: list[SubTransaction],
     committee: Committee,
-    cfg: EpochConfig,
     population: Population,
     offline: set[bytes] | None,
 ) -> Block:
@@ -259,7 +237,7 @@ def _put_to_vote(
     block if they miss the quorum. No conflicting block may reach it."""
     offline = offline or set()
     yes, conflicting = vote_weights(committee, population, offline)
-    quorum = cfg.security.quorum
+    quorum = chain.quorum
     if conflicting >= quorum:
         raise InvariantViolation(
             "consensus-engine", "conflicting-block", f"conflicting vote weight {conflicting}"
@@ -275,7 +253,6 @@ def assemble_interim(
     chain: Chain,
     micros: list[MicroBlock],
     committee: Committee,
-    cfg: EpochConfig,
     population: Population,
     offline: set[bytes] | None = None,
 ) -> Block:
@@ -294,13 +271,12 @@ def assemble_interim(
                     f"sub-transaction of partition {home} inside micro block {micro.partition_index}",
                 )
     body = [sub for micro in sorted(micros, key=lambda m: m.partition_index) for sub in micro.sub_txs]
-    return _put_to_vote(chain, body, committee, cfg, population, offline)
+    return _put_to_vote(chain, body, committee, population, offline)
 
 
 def assemble_main(
     chain: Chain,
     committee: Committee,
-    cfg: EpochConfig,
     population: Population,
     offline: set[bytes] | None = None,
 ) -> Block:
@@ -308,7 +284,7 @@ def assemble_main(
     credit block, or fall back to the designated empty block."""
     pending = chain.state.pending
     body = [credit_of(pending[pid]) for pid in sorted(pending)]
-    return _put_to_vote(chain, body, committee, cfg, population, offline)
+    return _put_to_vote(chain, body, committee, population, offline)
 
 
 @dataclass
@@ -330,23 +306,24 @@ class EpochResult:
 def run_epoch(
     chain: Chain,
     mempool: list[Transaction],
-    cfg: EpochConfig,
+    p: float,
+    epochs: EpochSettings,
     population: Population,
     offline: set[bytes] | None = None,
 ) -> EpochResult:
-    """Drive one full epoch: committee draws, micro rounds or credit assembly,
-    block vote, and append. Exactly one block lands (possibly empty); the
+    """Drive one full epoch: committee draws at selection probability ``p``,
+    micro rounds or credit assembly, block vote, and append. Exactly one block lands (possibly empty); the
     mempool is mutated to the still-pending transaction set."""
     offline = offline or set()
     upcoming = chain.next_header()
     epoch, kind, seed = upcoming.epoch, upcoming.kind, upcoming.seed
     electorate = population.electorate
-    p = cfg.security.p
+    quorum = chain.quorum
     n_partition = chain.n_partition
 
     block_type = BLOCK_INTERIM if kind == INTERIM else BLOCK_MAIN
     committee = select_committee(electorate, seed, block_type, p, population.registry)
-    adversary = _assert_adversary_below_quorum(committee, population, cfg, f"{block_type} committee")
+    adversary = _assert_adversary_below_quorum(committee, population, quorum, f"{block_type} committee")
 
     proposer = _elect_proposer(committee, population, seed, offline)
 
@@ -367,9 +344,9 @@ def run_epoch(
         kept_parents: set[bytes] = set()
         for k in range(n_partition):
             pc = select_committee(electorate, seed, partition_committee(k), p, population.registry)
-            _assert_adversary_below_quorum(pc, population, cfg, f"partition {k} committee")
+            _assert_adversary_below_quorum(pc, population, quorum, f"partition {k} committee")
             outcome, deferred, invalid = micro_round(
-                k, routed[k], pc, cfg, chain.state, population, offline
+                k, routed[k], pc, chain, epochs, population, offline
             )
             invalid_count += len(invalid)
             for sub in deferred:
@@ -379,7 +356,7 @@ def run_epoch(
             else:
                 micros.append(outcome)
 
-        block = assemble_interim(chain, micros, committee, cfg, population, offline)
+        block = assemble_interim(chain, micros, committee, population, offline)
         if block.is_timeout_block:
             for micro in micros:
                 for sub in micro.sub_txs:
@@ -387,7 +364,7 @@ def run_epoch(
         # deferred transactions keep their arrival order for the next round
         mempool[:] = [tx for tx in list(mempool) if tx.id in kept_parents]
     else:
-        block = assemble_main(chain, committee, cfg, population, offline)
+        block = assemble_main(chain, committee, population, offline)
 
     chain.append_block(block)
     # the header's counts: appending a main block may re-shard chain.state
@@ -429,11 +406,11 @@ def _elect_proposer(
 
 
 def _assert_adversary_below_quorum(
-    committee: Committee, population: Population, cfg: EpochConfig, label: str
+    committee: Committee, population: Population, quorum: int, label: str
 ) -> int:
     """The committee's adversary weight, checked to stay below the quorum."""
     weight = adversary_weight(committee, population)
-    if weight >= cfg.security.quorum:
+    if weight >= quorum:
         raise InvariantViolation(
             "consensus-engine", "adversary-quorum", f"{label} adversary weight {weight}"
         )
@@ -447,66 +424,48 @@ def _assert_adversary_below_quorum(
 class ChainSimulation:
     """Deterministic multi-epoch run with generated traffic and invariants.
 
+    Built from a ``SimConfig``, from keyword keys (a leaf name of the
+    population, security, epochs, chain or partition section, ``n_nodes`` for
+    ``population.nodes``, or ``seed``), or from keys set over a config. Either
+    way the run reads a validated copy, ``config``, that ``load_config`` makes,
+    so its defaults and checks are those of a config file.
+
     Node stakes double as account balances, so the token supply K is the total
     stake drawn at build time and conservation is checkable against it every
     epoch.
     """
 
-    def __init__(
-        self,
-        *,
-        h: float = 0.75,
-        alpha: float = 0.7,
-        tau: float = 5000.0,
-        theta: float = 0.3,
-        n_nodes: int = 400,
-        stake_dist: str = "fixed:2500",
-        delta_micro: float = 2.0,
-        delta_interim: float = 5.0,
-        delta_main: float = 3.0,
-        delta_leader: float = 1.0,
-        micro_throughput: float = 500.0,
-        partition_cfg: PartitionConfig | None = None,
-        tx_per_epoch: int = 100,
-        invalid_fraction: float = 0.0,
-        offline_rate: float = 0.0,
-        seed: int = 0,
-    ):
-        self.population = Population.build(n_nodes, stake_dist, alpha, h, seed)
+    def __init__(self, config: SimConfig | None = None, /, **keys):
+        dotted = {}
+        for name, value in keys.items():
+            if name not in CHAIN_KEYWORDS:
+                raise TypeError(f"ChainSimulation() got an unexpected keyword argument {name!r}")
+            dotted[CHAIN_KEYWORDS[name]] = value
+        cfg = self.config = load_config(None, (config.to_dict() if config else {}) | dotted)
+        sec = cfg.security
+        self.population = Population.build(
+            cfg.population.nodes, cfg.population.stake_dist, sec.alpha, sec.h, cfg.seed
+        )
         k_total = self.population.total_stake
-        top = max((node.stake for node in self.population.nodes), default=0)
+        top = max(node.stake for node in self.population.nodes)
         if top >= 1 << 64:
             # a stake is an account balance, which blocks encode in 8 bytes
             raise ValidationError(
                 "population.stake_dist", f"every stake must be below 2^64, drew {top}"
             )
-        if not tau < k_total:
+        if not sec.tau < k_total:
             raise ValidationError(
-                "security.tau", f"must be below the total stake K = {k_total} (p = tau/K < 1), got {tau!r}"
+                "security.tau", f"must be below the total stake K = {k_total} (p = tau/K < 1), got {sec.tau!r}"
             )
-        security = SecurityParams(h, alpha, tau, theta, k_total)
-        security.check_domain()
-        self.security = security
-        self.epoch_cfg = EpochConfig(
-            security=security,
-            delta_micro=delta_micro,
-            delta_interim=delta_interim,
-            delta_main=delta_main,
-            delta_leader=delta_leader,
-            micro_throughput=micro_throughput,
-        )
-        partition_cfg = partition_cfg or PartitionConfig(n_partition=2, n_shard=8)
-        self.tx_per_epoch = tx_per_epoch
-        self.invalid_fraction = invalid_fraction
-        self.offline_rate = offline_rate
-        self.txgen_rng = split(seed, "txgen")
-        self.offline_rng = split(seed, "offline")
+        self.security = SecurityParams(sec.h, sec.alpha, sec.tau, sec.theta, k_total)
+        self.txgen_rng = split(cfg.seed, "txgen")
+        self.offline_rng = split(cfg.seed, "offline")
 
-        state = LedgerState(partition_cfg.n_shard)
+        state = LedgerState(cfg.partition.n_shard)
         for node in self.population.nodes:
             state.create_account(node.pk, node.stake)
-        self.k_total = security.k_total
-        self.chain = Chain(state, security.quorum, partition_cfg)
+        self.k_total = k_total
+        self.chain = Chain(state, self.security.quorum, cfg.partition)
         self.mempool: list[Transaction] = []
         self.clock = 0.0  # simulated seconds: the sum of the epoch budgets so far
         self.results: list[EpochResult] = []
@@ -525,15 +484,17 @@ class ChainSimulation:
 
     def generate_transactions(self) -> None:
         rng = self.txgen_rng
+        traffic = self.config.chain
+        invalid_fraction = traffic.invalid_fraction
         view = self._spendable_view()
         pks = sorted(view)
-        for _ in range(self.tx_per_epoch):
+        for _ in range(traffic.tx_per_epoch):
             sender_pk = pks[rng.randrange(len(pks))]
             receiver_pk = pks[rng.randrange(len(pks))]
             balance, nonce = view[sender_pk]
             sk = self.population.registry.secret_for(sender_pk)
             bad_roll = rng.random()
-            if bad_roll < self.invalid_fraction:
+            if bad_roll < invalid_fraction:
                 flavor = rng.choice(("overdraw", "nonce", "signature"))
                 if flavor == "overdraw":
                     tx = make_transfer(self.population.registry, sk, receiver_pk, balance + 10, nonce + 1)
@@ -555,12 +516,13 @@ class ChainSimulation:
             self.mempool.append(tx)
 
     def _draw_offline(self) -> set[bytes]:
-        if self.offline_rate <= 0:
+        rate = self.config.chain.offline_rate
+        if rate <= 0:
             return set()
         return {
             n.pk
             for n in self.population.nodes
-            if n.online and self.offline_rng.random() < self.offline_rate
+            if n.online and self.offline_rng.random() < rate
         }
 
     # -- epoch loop --
@@ -568,15 +530,16 @@ class ChainSimulation:
     def step(self) -> EpochResult:
         if self.chain.next_header().kind == INTERIM:
             self.generate_transactions()
+        epochs = self.config.epochs
         result = run_epoch(
             self.chain,
             self.mempool,
-            self.epoch_cfg,
+            self.security.p,
+            epochs,
             self.population,
             self._draw_offline(),
         )
-        cfg = self.epoch_cfg
-        self.clock += cfg.interim_budget if result.kind == INTERIM else cfg.main_budget
+        self.clock += epochs.interim_budget if result.kind == INTERIM else epochs.main_budget
         self._check_conservation()
         self.results.append(result)
         return result

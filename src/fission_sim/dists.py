@@ -32,6 +32,8 @@ def parse_dist(spec: str):
         raise ParseError(f"non-finite parameter in distribution spec {spec!r}")
     if name == "uniform" and params[0] > params[1]:
         raise ParseError(f"uniform bounds out of order in {spec!r}")
+    if name == "uniform" and not math.isfinite(params[1] - params[0]):
+        raise ParseError(f"uniform span past the float range in {spec!r}")
     if name == "pareto" and params[0] <= 0:
         raise ParseError(f"pareto shape must be positive in {spec!r}")
     return name, params
@@ -46,7 +48,8 @@ def dist_sampler(
     spec: str, integer: bool = True, minimum: float | None = None
 ) -> Callable[[random.Random, int], list]:
     """Parse a spec once; the returned ``draw(rng, n)`` gives n draws, each at
-    least ``minimum`` when one is given; pareto draws are scaled by it."""
+    least ``minimum`` when one is given; pareto draws are scaled by it. An
+    integer draw past the float range raises ``ParseError``."""
     name, params = parse_dist(spec)
     if name == "fixed":
         value = params[0] if minimum is None else max(minimum, params[0])
@@ -75,5 +78,12 @@ def dist_sampler(
 
     if not integer:
         return raw
-    # round(v) of a float or an int is already an int
-    return lambda rng, n: list(map(round, raw(rng, n)))
+
+    def draw(rng: random.Random, n: int) -> list:
+        try:
+            # round(v) of a float or an int is already an int
+            return list(map(round, raw(rng, n)))
+        except OverflowError:  # an infinite draw, or a pareto power past the float range
+            raise ParseError(f"distribution spec {spec!r} draws a value past the float range") from None
+
+    return draw

@@ -303,13 +303,14 @@ def build_instance(
     deadline: float,
     seed: int,
     *,
+    start: str,
     requests_per_node: int = 1,
-    start: str = "uniform",
 ) -> DrsState:
     """Random instance: capacities and sizes from dist specs, each key
     replicated onto `replication` distinct nodes, one request per node for a
-    uniform key. start='concentrated' stacks every request on its key's first
-    provider (the adversarial worst case)."""
+    uniform key. start='uniform' places each request on a random underloaded
+    holder of its key when one exists; start='concentrated' stacks every
+    request on its key's first holder (the adversarial worst case)."""
     rng = split(seed, "drs-setup")
     capacity = dist_sampler(cap_dist, integer=True, minimum=1)(rng, n_nodes)
     draw_sizes = dist_sampler(size_dist, integer=True, minimum=1)
@@ -367,9 +368,9 @@ def simulate_drs(
     deadline: float,
     seed: int,
     *,
+    start: str,
     rounds: int | None = None,
     round_duration: float = 0.0,
-    start: str = "uniform",
     timeout_prob: float = 0.0,
 ) -> DrsRun:
     """Run probing rounds to (approximate) equilibrium or budget exhaustion.

@@ -8,30 +8,12 @@ count once the partition count has sat at the shard count for a full window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .ledger import LedgerState
 
-DEFAULT_N_E_MAX = 1000
-DEFAULT_DELTA = 0.8
-DEFAULT_N_RS = 3
-
-
-@dataclass
-class PartitionConfig:
-    n_partition: int
-    n_shard: int
-    n_e_max: int = DEFAULT_N_E_MAX
-    delta: float = DEFAULT_DELTA
-    n_rs: int = DEFAULT_N_RS
-
-    def __post_init__(self):
-        if not 1 <= self.n_partition <= self.n_shard:
-            raise ValueError("need 1 <= n_partition <= n_shard")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must be in (0, 1)")
-        if self.n_e_max < 1 or self.n_rs < 1:
-            raise ValueError("n_e_max and n_rs must be positive")
+if TYPE_CHECKING:  # config loads the numpy-backed sortition module
+    from .config import PartitionSettings
 
 
 def partition_of(shard_index: int, n_partition: int) -> int:
@@ -40,22 +22,23 @@ def partition_of(shard_index: int, n_partition: int) -> int:
     return shard_index % n_partition
 
 
-def next_partition_count(n_e: int, cfg: PartitionConfig) -> int:
+def next_partition_count(n_e: int, n_partition: int, n_shard: int, rules: PartitionSettings) -> int:
     """Scale the partition count by the per-partition confirmed-debit load.
 
     Grow when load per partition reaches delta * n_e_max, shrink when it falls
     to (1 - delta) * n_e_max, otherwise hold; always clamped to [1, n_shard].
+    Only ``rules``' n_e_max and delta are read.
     """
     if n_e < 0:
         raise ValueError("n_e must be >= 0")
-    load = n_e / cfg.n_partition
-    if load >= cfg.delta * cfg.n_e_max:
-        nxt = cfg.n_partition + 1
-    elif load <= (1.0 - cfg.delta) * cfg.n_e_max:
-        nxt = cfg.n_partition - 1
+    load = n_e / n_partition
+    if load >= rules.delta * rules.n_e_max:
+        nxt = n_partition + 1
+    elif load <= (1.0 - rules.delta) * rules.n_e_max:
+        nxt = n_partition - 1
     else:
-        nxt = cfg.n_partition
-    return max(1, min(nxt, cfg.n_shard))
+        nxt = n_partition
+    return max(1, min(nxt, n_shard))
 
 
 def reshard_trigger(history: list[tuple[int, int]], n_rs: int) -> bool:

@@ -13,13 +13,13 @@ import pytest
 from scipy import stats
 
 from fission_sim.chain import INTERIM, MAIN, compute_root_arrays
+from fission_sim.config import PartitionSettings
 from fission_sim.consensus import ChainSimulation, Population
 from fission_sim.crypto import vrf_hashes
 from fission_sim.dists import sample_dist
 from fission_sim.drs import build_instance, drs_round, omega, simulate_drs
 from fission_sim.ledger import EAGER, LedgerState, apply_eager, apply_lazy
 from fission_sim.partitioning import (
-    PartitionConfig,
     next_partition_count,
     reshard_trigger,
     split_shards,
@@ -313,10 +313,10 @@ def test_criterion_7_drs():
 def test_criterion_8_partitioning():
     # scaler vs brute force on 1e4 random pairs
     rng = random.Random(SEED)
+    cfg = PartitionSettings()
     for _ in range(10_000):
         n_e = rng.randrange(0, 50_000)
         n_p = rng.randint(1, 64)
-        cfg = PartitionConfig(n_partition=n_p, n_shard=64)
         load = n_e / n_p
         if load >= cfg.delta * cfg.n_e_max:
             want = n_p + 1
@@ -325,7 +325,7 @@ def test_criterion_8_partitioning():
         else:
             want = n_p
         want = max(1, min(want, 64))
-        assert next_partition_count(n_e, cfg) == want
+        assert next_partition_count(n_e, n_p, 64, cfg) == want
 
     # trigger vs naive window scan
     for _ in range(5000):

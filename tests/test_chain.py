@@ -18,6 +18,7 @@ from fission_sim.chain import (
     compute_root_arrays,
     kind_for_epoch,
 )
+from fission_sim.config import PartitionSettings
 from fission_sim.consensus import ChainSimulation
 from fission_sim.crypto import KeyRegistry, sha3, sign
 from fission_sim.errors import (
@@ -41,7 +42,6 @@ from fission_sim.ledger import (
     make_transfer,
     split_transaction,
 )
-from fission_sim.partitioning import PartitionConfig
 from test_golden import CASES
 
 
@@ -49,6 +49,7 @@ def build_chain(n_shard=4, quorum=10, balances=(), partition=None):
     state = LedgerState(n_shard)
     for pk, bal in balances:
         state.create_account(pk, bal)
+    partition = partition or PartitionSettings(n_shard=n_shard, n_partition=1)
     return Chain(state, quorum=quorum, partition=partition)
 
 
@@ -232,7 +233,7 @@ def test_seed_must_derive_from_tip():
     ids=["partitions+1", "partitions-1", "shards*2", "shards//2"],
 )
 def test_header_counts_must_match_the_epoch_rules(field, wrong):
-    chain = build_chain(n_shard=4, partition=PartitionConfig(n_partition=2, n_shard=4))
+    chain = build_chain(n_shard=4, partition=PartitionSettings(n_shard=4, n_partition=2))
     tip, state = chain.tip, chain.state
     block = make_block(chain, [])
     setattr(block.header, field, wrong(getattr(block.header, field)))
@@ -245,11 +246,11 @@ def test_header_counts_must_match_the_epoch_rules(field, wrong):
 
 @lru_cache(maxsize=None)
 def simulated_run(case):
-    """A golden run and its partition config; callers must not change it."""
+    """A golden run and its partition settings; callers must not change them."""
     params, epochs, _ = CASES[case]
     sim = ChainSimulation(**params)
     sim.run(epochs)
-    return sim, params.get("partition_cfg", PartitionConfig(n_partition=2, n_shard=8))
+    return sim, sim.config.partition
 
 
 def fresh_replica(sim, partition):

@@ -4,9 +4,12 @@ import json
 import pytest
 
 from fission_sim.cli import main
+from fission_sim.config import SimConfig
+from fission_sim.consensus import ChainSimulation
 from fission_sim.crypto import KeyRegistry, sha3
 from fission_sim.dists import sample_dist
 from fission_sim.drs import simulate_drs
+from fission_sim.errors import ValidationError
 from fission_sim.relay import simulate_prs
 from fission_sim.seeding import child_seed, split
 from fission_sim.sortition import BLOCK_INTERIM
@@ -396,3 +399,74 @@ def test_unknown_relay_key_exits_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, "relay", "--config", str(cfg), "--out", str(out))
     assert code == 2 and "relay.node" in err
     assert not out.exists()
+
+
+SPAN = "uniform span past the float range in 'uniform:-1e308:1e308'"
+
+
+def past_float_range(spec):
+    return f"distribution spec {spec!r} draws a value past the float range"
+
+
+@pytest.mark.parametrize(
+    "argv, stake_dist, message",
+    [
+        (("drs", "--nodes", "4", "--keys", "2", "--size-dist", "uniform:-1e308:1e308"), None,
+         f"drs.size_dist (--size-dist): {SPAN}"),
+        (("drs", "--nodes", "4", "--keys", "2", "--size-dist", "pareto:0.001"), None,
+         past_float_range("pareto:0.001")),
+        (("relay", "--relayers", "2", "--nodes", "4", "--cap-dist", "pareto:1e-310"), None,
+         past_float_range("pareto:1e-310")),
+        (("sortition", "--nodes", "3", "--stake-dist", "pareto:1e-310"), None,
+         past_float_range("pareto:1e-310")),
+        (("chain", "--config", "run.cfg"), "uniform:-1e308:1e308", f"population.stake_dist: {SPAN}"),
+        (("chain", "--config", "run.cfg"), "pareto:1e-310", past_float_range("pareto:1e-310")),
+    ],
+    ids=["drs-uniform-span", "drs-pareto-power", "relay-pareto-infinite", "sortition-pareto-infinite",
+         "chain-uniform-span", "chain-pareto-infinite"],
+)
+def test_draw_past_the_float_range_exits_2(tmp_path, capsys, monkeypatch, argv, stake_dist, message):
+    monkeypatch.chdir(tmp_path)
+    if stake_dist:
+        (tmp_path / "run.cfg").write_text(f"population.stake_dist = {stake_dist}\n")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+    assert [p.name for p in tmp_path.iterdir()] == (["run.cfg"] if stake_dist else [])
+
+
+# inputs that ChainSimulation used to run (to empty blocks, a NaN clock or a
+# mid-run failure) or reject under another name: (config key, keyword, value)
+LIBRARY_REJECTS = [
+    ("chain.offline_rate", "offline_rate", 1.0),
+    ("chain.invalid_fraction", "invalid_fraction", 2.0),
+    ("chain.tx_per_epoch", "tx_per_epoch", -5),
+    ("epochs.micro_throughput", "micro_throughput", -1),
+    ("epochs.delta_main", "delta_main", float("nan")),
+    ("epochs.delta_micro", "delta_micro", 0),
+    ("security.theta", "theta", 0.01),
+    ("population.stake_dist", "stake_dist", "bad"),
+    ("population.nodes", "n_nodes", 0),
+]
+
+
+@pytest.mark.parametrize("key, keyword, value", LIBRARY_REJECTS, ids=[k for k, _, _ in LIBRARY_REJECTS])
+def test_chain_simulation_rejects_what_the_cli_rejects(tmp_path, capsys, monkeypatch, key, keyword, value):
+    base = dict(seed=1, n_nodes=20)
+    ChainSimulation(**base)  # the base is valid, so each failure is the key's
+    with pytest.raises(ValidationError) as err:
+        ChainSimulation(**base | {keyword: value})
+    assert err.value.field == key
+    cfg = SimConfig()  # a config set by hand is checked as well
+    section, _, name = key.partition(".")
+    setattr(getattr(cfg, section), name, value)
+    with pytest.raises(ValidationError) as err:
+        ChainSimulation(cfg)
+    assert err.value.field == key
+    monkeypatch.chdir(tmp_path)
+    written = value if isinstance(value, str) else json.dumps(value)
+    (tmp_path / "run.cfg").write_text(f"seed = 1\npopulation.nodes = 20\n{key} = {written}\n")
+    code, out, cli_err = run_cli(capsys, "chain", "--config", "run.cfg", "--epochs", "2")
+    assert code == 2 and out == ""
+    assert cli_err.startswith(f"error: {key}: ")
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]

@@ -1,8 +1,11 @@
 import json
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
-from fission_sim.config import SimConfig, load_config, validate_config
+from fission_sim.config import CHAIN_KEYWORDS, SimConfig, load_config, validate_config
 from fission_sim.errors import ParseError, ValidationError
 from fission_sim.metrics import MetricsSink, run_fingerprint
 from fission_sim.seeding import child_seed, split
@@ -129,6 +132,28 @@ def test_to_dict_round_trips_keys(tmp_path):
     path.write_text(json.dumps(flat))
     again = load_config(path)
     assert again.to_dict() == flat
+
+
+def test_readme_config_block_is_the_defaults(tmp_path):
+    # the fenced block under README's "Config format" heading lists every key
+    # with its default value
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Config format", 1)[1]
+    block = section.split("```\n", 2)[1]
+    path = tmp_path / "readme.cfg"
+    path.write_text(block)
+    defaults = SimConfig().to_dict()
+    assert load_config(path).to_dict() == defaults
+    listed = re.findall(r"^([\w.]+) =", block, flags=re.MULTILINE)
+    assert sorted(listed) == sorted(defaults)
+
+
+def test_chain_keywords_name_every_chain_key_once():
+    sections = ("population", "security", "epochs", "chain", "partition")
+    keys = ["seed"] + [f"{name}.{f.name}" for name in sections for f in fields(getattr(SimConfig(), name))]
+    assert sorted(CHAIN_KEYWORDS.values()) == sorted(keys)
+    assert CHAIN_KEYWORDS["n_nodes"] == "population.nodes" and "nodes" not in CHAIN_KEYWORDS
+    assert all(key.rpartition(".")[2] == word for word, key in CHAIN_KEYWORDS.items() if word != "n_nodes")
 
 
 # --- metrics sink ---

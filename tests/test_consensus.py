@@ -9,20 +9,18 @@ from fission_sim import consensus
 from fission_sim.chain import INTERIM, MAIN, Votes, next_seed, tally
 from fission_sim.consensus import (
     ChainSimulation,
-    EpochConfig,
     Population,
     _elect_proposer,
     micro_round,
     run_epoch,
 )
+from fission_sim.config import EpochSettings
 from fission_sim.crypto import VrfOutput, sha3, sign
 from fission_sim.errors import InvariantViolation, ValidationError
 from fission_sim.ledger import make_transfer, split_transaction
-from fission_sim.partitioning import PartitionConfig
 from fission_sim.sortition import (
     BLOCK_INTERIM,
     BLOCK_MAIN,
-    SecurityParams,
     Committee,
     leader_ticket,
     leader_tickets,
@@ -188,16 +186,14 @@ def test_micro_round_zero_online_weight_times_out():
     )
     offline = set(committee.pks)
     outcome, deferred, invalid = micro_round(
-        0, [], committee, sim.epoch_cfg, sim.chain.state, sim.population, offline
+        0, [], committee, sim.chain, sim.config.epochs, sim.population, offline
     )
     assert outcome is None
 
 
 def test_micro_round_defers_overflow_prefix_by_arrival():
     sim = small_sim()
-    cfg = EpochConfig(
-        security=sim.security, delta_micro=1.0, micro_throughput=0.0001
-    )  # capacity rounds down to 0 per member... use throughput that yields capacity 3
+    cfg = EpochSettings(delta_micro=1.0)
     committee = select_committee(
         sim.population.electorate, b"s", "partition:0", sim.security.p, sim.population.registry
     )
@@ -209,9 +205,7 @@ def test_micro_round_defers_overflow_prefix_by_arrival():
     for n in range(1, 7):
         tx = make_transfer(reg, sender.sk, sim.population.nodes[1].pk, 1, n)
         subs.append(split_transaction(tx, reg))
-    outcome, deferred, invalid = micro_round(
-        0, subs, committee, cfg, sim.chain.state, sim.population
-    )
+    outcome, deferred, invalid = micro_round(0, subs, committee, sim.chain, cfg, sim.population)
     assert outcome is not None
     assert [s.nonce for s in outcome.sub_txs] == [1, 2, 3]  # arrival-order prefix
     assert [s.nonce for s in deferred] == [4, 5, 6]
@@ -227,14 +221,14 @@ def test_micro_round_capacity_counts_online_members_only():
         sim.population.electorate, b"s", "partition:0", sim.security.p, reg
     )
     offline = {committee.pks[0], b"\x00" * 32}
-    cfg = EpochConfig(security=sim.security, delta_micro=1.0, micro_throughput=1.0)
+    cfg = EpochSettings(delta_micro=1.0, micro_throughput=1.0)
     sender, receiver = sim.population.nodes[0], sim.population.nodes[1]
     subs = [
         split_transaction(make_transfer(reg, sender.sk, receiver.pk, 1, n), reg)
         for n in range(1, len(committee) + 1)
     ]
     outcome, deferred, invalid = micro_round(
-        0, subs, committee, cfg, sim.chain.state, sim.population, offline
+        0, subs, committee, sim.chain, cfg, sim.population, offline
     )
     assert len(committee) > 1
     assert len(outcome.sub_txs) == len(committee) - 1
@@ -253,7 +247,7 @@ def test_micro_round_filters_invalid_state_transitions():
         sim.population.electorate, b"s", "partition:0", sim.security.p, sim.population.registry
     )
     outcome, deferred, invalid = micro_round(
-        0, [good, overdraw], committee, sim.epoch_cfg, sim.chain.state, sim.population
+        0, [good, overdraw], committee, sim.chain, sim.config.epochs, sim.population
     )
     assert [s.nonce for s in outcome.sub_txs] == [1]
     assert invalid == [overdraw]
@@ -275,7 +269,7 @@ def test_micro_round_propagates_errors_that_are_not_protocol_errors(monkeypatch)
 
     monkeypatch.setattr(consensus, "apply_eager", broken)
     with pytest.raises(RuntimeError, match="state bug"):
-        micro_round(0, [eager], committee, sim.epoch_cfg, sim.chain.state, sim.population)
+        micro_round(0, [eager], committee, sim.chain, sim.config.epochs, sim.population)
 
 
 # --- run_epoch / pipeline ---
@@ -290,7 +284,7 @@ def test_empty_mempool_appends_empty_block():
 
 def test_epoch_pair_confirms_eagers_then_lazies():
     sim = small_sim(tau=50.0)
-    sim.tx_per_epoch = 30
+    sim.config.chain.tx_per_epoch = 30
     interim = sim.step()
     main = sim.step()
     assert interim.kind == INTERIM and main.kind == MAIN
@@ -317,7 +311,7 @@ def test_mixed_validity_traffic_only_confirms_valid():
 
 def test_clock_advances_by_epoch_budget():
     sim = small_sim()
-    cfg = sim.epoch_cfg
+    cfg = sim.config.epochs
     sim.step()
     assert sim.clock == pytest.approx(cfg.interim_budget)
     sim.step()
@@ -333,7 +327,7 @@ def test_leader_fallback_skips_offline_proposer():
     ]
     order = leader_order(tickets)
     result = run_epoch(
-        sim.chain, [], sim.epoch_cfg, sim.population,
+        sim.chain, [], sim.security.p, sim.config.epochs, sim.population,
         offline={order[0]},
     )
     assert result.proposer == order[1]
@@ -384,7 +378,7 @@ def test_offline_committee_yields_empty_block_not_stall():
     sim = small_sim()
     all_pks = {n.pk for n in sim.population.nodes}
     result = run_epoch(
-        sim.chain, [], sim.epoch_cfg, sim.population,
+        sim.chain, [], sim.security.p, sim.config.epochs, sim.population,
         offline=all_pks,
     )
     assert result.empty and result.block.is_timeout_block
@@ -393,12 +387,12 @@ def test_offline_committee_yields_empty_block_not_stall():
 
 def test_interim_timeout_requeues_transactions():
     sim = small_sim()
-    sim.tx_per_epoch = 5
+    sim.config.chain.tx_per_epoch = 5
     sim.generate_transactions()
     assert len(sim.mempool) == 5
     all_pks = {n.pk for n in sim.population.nodes}
     result = run_epoch(
-        sim.chain, sim.mempool, sim.epoch_cfg, sim.population,
+        sim.chain, sim.mempool, sim.security.p, sim.config.epochs, sim.population,
         offline=all_pks,
     )
     assert result.empty
@@ -407,7 +401,7 @@ def test_interim_timeout_requeues_transactions():
 
 def test_alternation_over_many_epochs():
     sim = small_sim()
-    sim.tx_per_epoch = 8
+    sim.config.chain.tx_per_epoch = 8
     results = sim.run(12)
     for r in results:
         assert r.kind == (MAIN if r.epoch % 2 == 0 else INTERIM)
@@ -451,6 +445,13 @@ def test_population_stake_partitioning():
     assert all(n.online for n in pop.nodes if n.byzantine)
 
 
+def test_unknown_keyword_key_is_a_type_error():
+    # a config section's full name is no keyword, nor is a relay or drs key
+    for name in ("nodes", "population.nodes", "relayers", "partition_cfg"):
+        with pytest.raises(TypeError, match=name):
+            ChainSimulation(**{name: 1})
+
+
 def test_every_stake_must_fit_the_eight_byte_balance():
     # 2^64 - 2048 is the largest float-parsed stake below 2^64
     sim = ChainSimulation(n_nodes=2, stake_dist=f"fixed:{2**64 - 2048}")
@@ -461,9 +462,11 @@ def test_every_stake_must_fit_the_eight_byte_balance():
 
 
 def test_epoch_config_rejects_non_positive_durations():
-    params = SecurityParams(0.75, 0.7, 5000, 0.3, 1_000_000)
-    with pytest.raises(ValueError):
-        EpochConfig(security=params, delta_micro=0.0)
+    # the library path rejects what a config file would, before any draw
+    for key in ("delta_micro", "delta_interim", "delta_main", "delta_leader"):
+        with pytest.raises(ValidationError) as err:
+            ChainSimulation(**{key: 0.0})
+        assert err.value.field == f"epochs.{key}"
 
 
 def test_assemble_interim_rejects_misrouted_micro_block():
@@ -485,8 +488,7 @@ def test_assemble_interim_rejects_misrouted_micro_block():
     )
     with pytest.raises(InvariantViolation):
         assemble_interim(
-            sim.chain, [MicroBlock(wrong, [eager])], committee, sim.epoch_cfg,
-            sim.population,
+            sim.chain, [MicroBlock(wrong, [eager])], committee, sim.population,
         )
 
 
@@ -504,7 +506,7 @@ def test_conflicting_quorum_is_caught_at_assembly():
     assert sum(committee.weights) >= sim.security.quorum
     tip = sim.chain.tip
     with pytest.raises(InvariantViolation) as err:
-        consensus.assemble_main(sim.chain, committee, sim.epoch_cfg, sim.population)
+        consensus.assemble_main(sim.chain, committee, sim.population)
     assert err.value.invariant == "conflicting-block"
     assert sim.chain.tip is tip
 
@@ -514,7 +516,7 @@ def test_partition_count_scales_and_resharding_doubles_shards():
     # count; a full window of saturated credit blocks then splits the shards
     sim = ChainSimulation(
         h=1.0, alpha=1.0, tau=50.0, theta=0.3, n_nodes=12, stake_dist="fixed:100",
-        partition_cfg=PartitionConfig(n_partition=1, n_shard=2, n_e_max=4, delta=0.8, n_rs=2),
+        n_partition=1, n_shard=2, n_e_max=4, delta=0.8, n_rs=2,
         tx_per_epoch=40, seed=3,
     )
     results = sim.run(16)
@@ -534,7 +536,7 @@ def test_reshard_window_restarts_after_a_split():
     # before it from splitting the shards again at once
     sim = ChainSimulation(
         **SMALL, tx_per_epoch=40, seed=3,
-        partition_cfg=PartitionConfig(n_partition=1, n_shard=1, n_e_max=4, delta=0.8, n_rs=1),
+        n_partition=1, n_shard=1, n_e_max=4, delta=0.8, n_rs=1,
     )
     results = sim.run(10)
     assert [r.n_partition for r in results] == [1, 1, 1, 1, 1, 2, 2, 2, 2, 3]

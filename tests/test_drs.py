@@ -202,7 +202,7 @@ def test_probe_timeouts_only_delay_convergence():
 
 
 def test_equilibrium_threshold_scale():
-    state = build_instance(16, 4, "fixed:64", "fixed:8", 2, 8.0, seed=7)
+    state = build_instance(16, 4, "fixed:64", "fixed:8", 2, 8.0, seed=7, start="uniform")
     assert equilibrium_threshold(sum(state.requests.weight), len(state.requests)) == 64.0
 
 
@@ -504,7 +504,7 @@ def test_build_and_rounds_match_reference(
 
 def test_build_instance_rejects_keyless_requests():
     with pytest.raises(ValueError):
-        build_instance(4, 0, "fixed:8", "fixed:2", 1, 8.0, seed=1)
+        build_instance(4, 0, "fixed:8", "fixed:2", 1, 8.0, seed=1, start="uniform")
 
 
 def test_load_check_fails_when_a_load_drifts_from_its_queue():

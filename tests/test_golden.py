@@ -13,19 +13,19 @@ mismatch means the output bytes moved, which must only ever happen as a
 deliberate, documented format change.
 """
 
+import copy
 import random
-from dataclasses import replace
 
 import pytest
 
 from fission_sim.chain import INTERIM
 from fission_sim.cli import main
+from fission_sim.config import CHAIN_KEYWORDS, load_config
 from fission_sim import consensus
 from fission_sim.consensus import STRATEGIES, ChainSimulation
 from fission_sim.crypto import sha3
 from fission_sim.dists import sample_dist
 from fission_sim.drs import simulate_drs
-from fission_sim.partitioning import PartitionConfig
 from fission_sim.relay import RelaySystemState, simulate_prs, validate_lemma_expectation
 from fission_sim.sortition import BLOCK_INTERIM, BLOCK_MAIN, leader_ticket, select_committee
 from reference import leader_order
@@ -46,7 +46,7 @@ CASES = {
     "reshard": (
         dict(
             SMALL, n_nodes=12, tx_per_epoch=40, invalid_fraction=0.05, seed=3,
-            partition_cfg=PartitionConfig(n_partition=1, n_shard=2, n_e_max=4, delta=0.8, n_rs=2),
+            n_partition=1, n_shard=2, n_e_max=4, delta=0.8, n_rs=2,
         ),
         16,
         "db9924c1d11ec0df1fd422a463a6deb76ec88323c3dc5cb6f4194efa216bcf60",
@@ -65,15 +65,19 @@ def test_golden_chain_digest(case):
 
 
 def test_partition_config_is_read_never_written():
-    # one config object drives two runs: both give the golden chain and the
-    # config is left as it was
+    # one config object drives two runs: both give the golden chain, re-shards
+    # included, and neither the config nor the partition settings that the
+    # run's chain reads are written
     params, epochs, expected = CASES["reshard"]
-    before = replace(params["partition_cfg"])
+    cfg = load_config(None, {CHAIN_KEYWORDS[key]: value for key, value in params.items()})
+    before = copy.deepcopy(cfg)
     for _ in range(2):
-        sim = ChainSimulation(**params)
+        sim = ChainSimulation(cfg)
         sim.run(epochs)
         assert sha3(sim.chain.export_jsonl().encode()).hex() == expected
-    assert params["partition_cfg"] == before
+        assert sim.chain.state.n_shard > sim.chain.partition.n_shard
+        assert sim.chain.partition == before.partition
+    assert cfg == before
 
 
 def _reprs_digest(values) -> str:
@@ -276,3 +280,22 @@ def test_golden_cli_output_digest(case, tmp_path, monkeypatch, capsys):
     outputs = [path.read_bytes() for path in sorted([*tmp_path.glob("*.csv"), *tmp_path.glob("*.jsonl")])]
     outputs.append(capsys.readouterr().out.encode())
     assert _reprs_digest(outputs) == expected
+
+
+def test_config_file_and_keyword_keys_give_one_chain(tmp_path):
+    # the golden "reshard" case three ways: its config file, its keyword keys,
+    # and a keyword key set over a config
+    params, epochs, expected = CASES["reshard"]
+    path = tmp_path / "reshard.cfg"
+    path.write_text(RESHARD_CHAIN_CFG + "seed = 3\n")
+    runs = [
+        ChainSimulation(load_config(path)),
+        ChainSimulation(**params),
+        ChainSimulation(load_config(path, {"seed": 0}), seed=3),
+    ]
+    exports = []
+    for sim in runs:
+        sim.run(epochs)
+        exports.append(sim.chain.export_jsonl())
+    assert exports[0] == exports[1] == exports[2]
+    assert sha3(exports[0].encode()).hex() == expected

@@ -3,8 +3,10 @@ import random
 import pytest
 
 from fission_sim.chain import compute_root_arrays
+from fission_sim.config import PartitionSettings
 from fission_sim.crypto import KeyRegistry, encode_fields, encode_uint, sha3
-from fission_sim.errors import DoubleCredit
+from fission_sim.consensus import ChainSimulation
+from fission_sim.errors import DoubleCredit, ValidationError
 from fission_sim.ledger import (
     LedgerState,
     apply_eager,
@@ -16,7 +18,6 @@ from fission_sim.ledger import (
 )
 from fission_sim.merkle import merkle_root
 from fission_sim.partitioning import (
-    PartitionConfig,
     next_partition_count,
     partition_of,
     reshard_trigger,
@@ -30,20 +31,26 @@ def test_partition_of_examples():
     assert [partition_of(s, 6) for s in range(6)] == list(range(6))
 
 
-def cfg(n_partition, n_shard=64, n_e_max=1000, delta=0.8):
-    return PartitionConfig(n_partition=n_partition, n_shard=n_shard, n_e_max=n_e_max, delta=delta)
+RULES = PartitionSettings(n_e_max=1000, delta=0.8)
 
 
 def test_scaler_examples():
     # direct evaluation of the piecewise rule
-    assert next_partition_count(3300, cfg(4)) == 5  # 825 >= 800
-    assert next_partition_count(700, cfg(4)) == 3  # 175 <= 200
-    assert next_partition_count(1200, cfg(4)) == 4  # 300 inside the band
+    assert next_partition_count(3300, 4, 64, RULES) == 5  # 825 >= 800
+    assert next_partition_count(700, 4, 64, RULES) == 3  # 175 <= 200
+    assert next_partition_count(1200, 4, 64, RULES) == 4  # 300 inside the band
 
 
 def test_scaler_clamps_to_range():
-    assert next_partition_count(0, cfg(1)) == 1
-    assert next_partition_count(10**9, cfg(4, n_shard=4)) == 4
+    assert next_partition_count(0, 1, 64, RULES) == 1
+    assert next_partition_count(10**9, 4, 4, RULES) == 4
+
+
+def test_scaler_reads_only_the_rules_of_its_settings():
+    # the counts it scales are arguments; the settings' own are starting values
+    rules = PartitionSettings(n_shard=1, n_partition=1, n_e_max=1000, delta=0.8)
+    assert next_partition_count(3300, 4, 64, rules) == 5
+    assert rules == PartitionSettings(n_shard=1, n_partition=1, n_e_max=1000, delta=0.8)
 
 
 def scaler_oracle(n_e, n_p, n_e_max, delta, n_shard):
@@ -62,8 +69,9 @@ def test_scaler_matches_bruteforce_on_random_inputs():
     for _ in range(10_000):
         n_e = rng.randrange(0, 20_000)
         n_p = rng.randint(1, 64)
-        c = cfg(n_p)
-        assert next_partition_count(n_e, c) == scaler_oracle(n_e, n_p, c.n_e_max, c.delta, 64)
+        assert next_partition_count(n_e, n_p, 64, RULES) == scaler_oracle(
+            n_e, n_p, RULES.n_e_max, RULES.delta, 64
+        )
 
 
 def test_scaler_moves_at_most_one():
@@ -71,13 +79,12 @@ def test_scaler_moves_at_most_one():
     for _ in range(2000):
         n_p = rng.randint(1, 64)
         n_e = rng.randrange(0, 100_000)
-        assert abs(next_partition_count(n_e, cfg(n_p)) - n_p) <= 1
+        assert abs(next_partition_count(n_e, n_p, 64, RULES) - n_p) <= 1
 
 
 def test_scaler_fixed_point_inside_band():
-    c = cfg(4)
     for n_e in (4 * 201, 4 * 500, 4 * 799):
-        assert next_partition_count(n_e, c) == 4
+        assert next_partition_count(n_e, 4, 64, RULES) == 4
 
 
 def test_reshard_trigger_tail_cases():
@@ -101,10 +108,19 @@ def test_reshard_trigger_matches_window_scan():
 
 
 def test_partition_config_validation():
-    with pytest.raises(ValueError):
-        PartitionConfig(n_partition=5, n_shard=4)
-    with pytest.raises(ValueError):
-        PartitionConfig(n_partition=1, n_shard=4, delta=1.0)
+    # the library path rejects what a config file would, before any draw
+    for keys, field in [
+        (dict(n_partition=5, n_shard=4), "partition.n_partition"),
+        (dict(n_partition=0), "partition.n_partition"),
+        (dict(delta=1.0), "partition.delta"),
+        (dict(delta=0.0), "partition.delta"),
+        (dict(n_e_max=0), "partition.n_e_max"),
+        (dict(n_rs=0), "partition.n_rs"),
+        (dict(n_shard=0), "partition.n_shard"),
+    ]:
+        with pytest.raises(ValidationError) as err:
+            ChainSimulation(**keys)
+        assert err.value.field == field
 
 
 # --- shard splitting ---

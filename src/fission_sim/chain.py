@@ -30,9 +30,7 @@ from .ledger import (
     EAGER,
     LAZY,
     AccountTree,
-    LeafCache,
     LedgerState,
-    ShardState,
     SubTransaction,
     apply_eager,
     apply_lazy,
@@ -143,90 +141,92 @@ def compute_root_arrays(
     each shard, and the log entries this block created (credits create none).
 
     A sub-transaction belongs to the shard of the account it mutates (sender
-    for debits, receiver for credits). Roots ``post_state``: each shard's
-    tree becomes current and ``written`` is emptied. Only written accounts
-    are rehashed, and work whose content matches a shard's memos (see
-    ``LeafCache``) is not repeated.
+    for debits, receiver for credits). Roots ``post_state``: its ``trees``
+    become current and ``written`` is emptied. Only written accounts are
+    rehashed.
+
+    The result depends only on the trees the state was last rooted at, the
+    balance and nonce of each written account and the body's sub-transaction
+    ids, so those three make the key of the state's ``root_memo``. A rooting
+    with the key of the last one, as the validator's repeats the proposer's,
+    installs that rooting's trees and hashes nothing.
     """
-    n = post_state.n_shard
-    from_bytes = int.from_bytes  # shard_of's arithmetic, inlined per entry
-    subs: list[list[SubTransaction]] = [[] for _ in range(n)]
-    for sub in body:
-        subs[from_bytes(sub.sender if sub.kind == EAGER else sub.receiver, "big") % n].append(sub)
-    written: list[list[bytes]] = [[] for _ in range(n)]
-    for pk in post_state.written:
-        written[from_bytes(pk, "big") % n].append(pk)
-    tx_roots, account_roots, log_roots = [], [], []
-    for shard, shard_subs, keys in zip(post_state.shards, subs, written):
-        tx_root, log_root = _body_roots(shard_subs, shard.cache)
-        tx_roots.append(tx_root)
-        log_roots.append(log_root)
-        if keys or shard.tree is None:
-            shard.tree = _derive_tree(shard, keys, post_state)
-        account_roots.append(shard.tree.root)
-    post_state.written.clear()
-    return tx_roots, account_roots, log_roots
-
-
-def _body_roots(subs: list[SubTransaction], cache: LeafCache) -> tuple[bytes, bytes]:
-    """(tx root, log root) of one shard's part of a body, in body order."""
-    ids = [sub.id for sub in subs]
-    key = b"".join(ids)
-    memo = cache.body
+    balances, nonces = post_state.balances, post_state.nonces
+    key = (
+        tuple(post_state.trees),  # AccountTree has no __eq__: compared by identity
+        [(pk, balances[pk], nonces[pk]) for pk in sorted(post_state.written)],
+        [sub.id for sub in body],
+    )
+    memo = post_state.root_memo[0]
     if memo is None or memo[0] != key:
-        # each log leaf is sha3(encode_fields(parent_id, receiver, encode_uint(value)))
-        logs = [
-            sha3(b"".join((
-                length_prefix(len(sub.parent_id)), sub.parent_id,
-                length_prefix(len(sub.receiver)), sub.receiver,
-                UINT_PREFIX, int(sub.value).to_bytes(8, "big"),
-            )))
-            for sub in subs
-            if sub.kind == EAGER
+        n = post_state.n_shard
+        from_bytes = int.from_bytes  # shard_of's arithmetic, inlined per entry
+        subs: list[list[SubTransaction]] = [[] for _ in range(n)]
+        for sub in body:
+            subs[from_bytes(sub.sender if sub.kind == EAGER else sub.receiver, "big") % n].append(sub)
+        changes: list[list[tuple[bytes, bytes]]] = [[] for _ in range(n)]
+        for pk, balance, nonce in key[1]:
+            changes[from_bytes(pk, "big") % n].append((pk, _leaf(pk, balance, nonce)))
+        trees = [
+            _derive_tree(base, shard_changes) if shard_changes or base is None else base
+            for base, shard_changes in zip(key[0], changes)
         ]
-        memo = cache.body = (key, (merkle_root(ids), merkle_root(logs)))
-    return memo[1]
+        body_roots = [_body_roots(shard_subs) for shard_subs in subs]
+        roots = (
+            [tx_root for tx_root, _ in body_roots],
+            [tree.root for tree in trees],
+            [log_root for _, log_root in body_roots],
+        )
+        memo = post_state.root_memo[0] = (key, trees, roots)
+    post_state.trees = list(memo[1])
+    post_state.written.clear()
+    # headers keep the lists they are given, so each call returns its own
+    tx_roots, account_roots, log_roots = memo[2]
+    return list(tx_roots), list(account_roots), list(log_roots)
 
 
-def _leaf(known: dict[bytes, tuple[int, int, bytes]], pk: bytes, balance: int, nonce: int) -> bytes:
-    """The account's leaf, ``sha3(encode_fields(pk, encode_uint(balance),
-    encode_uint(nonce)))``, reused from ``known`` when balance and nonce match."""
-    hit = known.get(pk)
-    if hit is None or hit[0] != balance or hit[1] != nonce:
-        leaf = sha3(b"".join((
-            length_prefix(len(pk)), pk,
-            UINT_PREFIX, int(balance).to_bytes(8, "big"),
-            UINT_PREFIX, int(nonce).to_bytes(8, "big"),
+def _body_roots(subs: list[SubTransaction]) -> tuple[bytes, bytes]:
+    """(tx root, log root) of one shard's part of a body, in body order."""
+    # each log leaf is sha3(encode_fields(parent_id, receiver, encode_uint(value)))
+    logs = [
+        sha3(b"".join((
+            length_prefix(len(sub.parent_id)), sub.parent_id,
+            length_prefix(len(sub.receiver)), sub.receiver,
+            UINT_PREFIX, int(sub.value).to_bytes(8, "big"),
         )))
-        hit = known[pk] = (balance, nonce, leaf)
-    return hit[2]
+        for sub in subs
+        if sub.kind == EAGER
+    ]
+    return merkle_root([sub.id for sub in subs]), merkle_root(logs)
 
 
-def _derive_tree(shard: ShardState, keys: list[bytes], state: LedgerState) -> AccountTree:
-    """The tree of the shard's accounts in ``state``, given that only
-    ``keys`` changed since ``shard.tree``.
+def _leaf(pk: bytes, balance: int, nonce: int) -> bytes:
+    """The account's leaf, ``sha3(encode_fields(pk, encode_uint(balance),
+    encode_uint(nonce)))``."""
+    return sha3(b"".join((
+        length_prefix(len(pk)), pk,
+        UINT_PREFIX, int(balance).to_bytes(8, "big"),
+        UINT_PREFIX, int(nonce).to_bytes(8, "big"),
+    )))
+
+
+def _derive_tree(base: AccountTree | None, changes: list[tuple[bytes, bytes]]) -> AccountTree:
+    """The tree of ``base`` with the leaves of ``changes``, ``(pk, leaf)``
+    pairs in key order, set.
 
     Recomputes the paths above the changed leaves when every key is already
-    in the tree; a new key shifts positions, so it rebuilds the tree over the
-    tree's keys and the written ones. A shard never rooted has no tree, and
-    its written keys are all its accounts.
+    in ``base``; a new key shifts positions, so it rebuilds the tree, taking
+    the unchanged leaves from ``base``'s leaf layer. A shard never rooted has
+    no base, and its changes are all its accounts.
     """
-    cache, base = shard.cache, shard.tree
-    known, balances, nonces = cache.leaves, state.balances, state.nonces
-    changes = tuple((pk, _leaf(known, pk, balances[pk], nonces[pk])) for pk in sorted(keys))
-    memo = cache.derived
-    if memo is not None and memo[0] is base and memo[1] == changes:
-        return memo[2]
-    if base is not None and all(pk in base.index for pk in keys):
+    if base is not None and all(pk in base.index for pk, _ in changes):
         index = base.index
-        levels = merkle_update(base.levels, {index[pk]: leaf for pk, leaf in changes})
-        tree = AccountTree(index, levels)
-    else:
-        order = sorted(base.index.keys() | keys) if base is not None else [pk for pk, _ in changes]
-        levels = merkle_levels([_leaf(known, pk, balances[pk], nonces[pk]) for pk in order])
-        tree = AccountTree({pk: i for i, pk in enumerate(order)}, levels)
-    cache.derived = (base, changes, tree)
-    return tree
+        return AccountTree(index, merkle_update(base.levels, {index[pk]: leaf for pk, leaf in changes}))
+    # an index lists its keys in leaf order, so it zips with the leaf layer
+    leaves = {} if base is None else dict(zip(base.index, base.levels[0]))
+    leaves.update(changes)
+    order = sorted(leaves)
+    return AccountTree({pk: i for i, pk in enumerate(order)}, merkle_levels([leaves[pk] for pk in order]))
 
 
 class Chain:

@@ -140,8 +140,11 @@ def cmd_sortition(args) -> int:
     rng = split(args.seed, "sortition-cli")
     registry = KeyRegistry()
     stakes = {}
-    draw = dist_sampler(args.stake_dist, integer=True, minimum=1)
-    for i, stake in enumerate(draw(rng, args.nodes)):
+    try:
+        drawn = dist_sampler(args.stake_dist, integer=True, minimum=1)(rng, args.nodes)
+    except ParseError as e:
+        raise ValidationError("stake_dist", str(e)) from None
+    for i, stake in enumerate(drawn):
         _, pk = registry.generate(f"{args.seed}/sortition/{i}".encode())
         stakes[pk] = stake
     k_total = sum(stakes.values())
@@ -189,7 +192,10 @@ def cmd_relay(args) -> int:
     cfg = _load_config(args)
     relay = cfg.relay
     cap_rng = split(cfg.seed, "relay-caps")
-    capacities = dist_sampler(relay.cap_dist, integer=True, minimum=2)(cap_rng, relay.relayers)
+    try:
+        capacities = dist_sampler(relay.cap_dist, integer=True, minimum=2)(cap_rng, relay.relayers)
+    except ParseError as e:  # a draw past the float range
+        raise ValidationError("relay.cap_dist", str(e)) from None
     try:
         identifier_counts(capacities, relay.mu)
     except ValueError as e:  # mu above a drawn capacity, or far below all of them

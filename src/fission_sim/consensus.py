@@ -25,7 +25,7 @@ from .chain import INTERIM, Block, Chain, MicroBlock, Votes
 from .config import CHAIN_KEYWORDS, EpochSettings, SimConfig, load_config
 from .crypto import KeyRegistry, sha3, sign_each
 from .dists import dist_sampler
-from .errors import FissionError, InvariantViolation, ValidationError
+from .errors import FissionError, InvariantViolation, ParseError, ValidationError
 from .ledger import (
     LedgerState,
     SubTransaction,
@@ -102,7 +102,10 @@ class Population:
     ) -> "Population":
         rng = split(master_seed, "population")
         registry = KeyRegistry()
-        stakes = dist_sampler(stake_dist, integer=True, minimum=1)(rng, n_nodes)
+        try:
+            stakes = dist_sampler(stake_dist, integer=True, minimum=1)(rng, n_nodes)
+        except ParseError as e:  # a draw past the float range
+            raise ValidationError("population.stake_dist", str(e)) from None
         nodes = []
         for i, stake in enumerate(stakes):
             sk, pk = registry.generate(child_bytes(master_seed, "node", i))
@@ -192,7 +195,7 @@ def micro_round(
     chain: Chain,
     epochs: EpochSettings,
     population: Population,
-    offline: set[bytes] | None = None,
+    offline: set[bytes],
 ) -> tuple[MicroBlock | None, list[SubTransaction], list[SubTransaction]]:
     """One partition's consensus round over its debit sub-transactions,
     executed on a copy of the chain state.
@@ -203,7 +206,6 @@ def micro_round(
     quorum forms depends only on the members' weights, so a round that misses
     it defers everything without executing any of it.
     """
-    offline = offline or set()
     n_online = len(committee) - len(offline.intersection(committee.pks))
     if not n_online or vote_weights(committee, population, offline)[0] < chain.quorum:
         return None, list(sub_txs), []
@@ -231,11 +233,10 @@ def _put_to_vote(
     body: list[SubTransaction],
     committee: Committee,
     population: Population,
-    offline: set[bytes] | None,
+    offline: set[bytes],
 ) -> Block:
     """The block of ``body`` with its committee votes, or the designated empty
     block if they miss the quorum. No conflicting block may reach it."""
-    offline = offline or set()
     yes, conflicting = vote_weights(committee, population, offline)
     quorum = chain.quorum
     if conflicting >= quorum:
@@ -254,7 +255,7 @@ def assemble_interim(
     micros: list[MicroBlock],
     committee: Committee,
     population: Population,
-    offline: set[bytes] | None = None,
+    offline: set[bytes],
 ) -> Block:
     """Merge micro blocks into a debit block and put it to the committee vote.
 
@@ -278,7 +279,7 @@ def assemble_main(
     chain: Chain,
     committee: Committee,
     population: Population,
-    offline: set[bytes] | None = None,
+    offline: set[bytes],
 ) -> Block:
     """Credit every pending debit (including rolled-forward ones) in a
     credit block, or fall back to the designated empty block."""
@@ -309,12 +310,11 @@ def run_epoch(
     p: float,
     epochs: EpochSettings,
     population: Population,
-    offline: set[bytes] | None = None,
+    offline: set[bytes],
 ) -> EpochResult:
     """Drive one full epoch: committee draws at selection probability ``p``,
     micro rounds or credit assembly, block vote, and append. Exactly one block lands (possibly empty); the
     mempool is mutated to the still-pending transaction set."""
-    offline = offline or set()
     upcoming = chain.next_header()
     epoch, kind, seed = upcoming.epoch, upcoming.kind, upcoming.seed
     electorate = population.electorate

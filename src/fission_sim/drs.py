@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass, field
 
 from .dists import dist_sampler
-from .errors import InvariantViolation
+from .errors import InvariantViolation, ParseError, ValidationError
 from .seeding import split
 
 
@@ -312,12 +312,18 @@ def build_instance(
     holder of its key when one exists; start='concentrated' stacks every
     request on its key's first holder (the adversarial worst case)."""
     rng = split(seed, "drs-setup")
-    capacity = dist_sampler(cap_dist, integer=True, minimum=1)(rng, n_nodes)
-    draw_sizes = dist_sampler(size_dist, integer=True, minimum=1)
+    try:
+        capacity = dist_sampler(cap_dist, integer=True, minimum=1)(rng, n_nodes)
+    except ParseError as e:  # a draw past the float range
+        raise ValidationError("drs.cap_dist", str(e)) from None
     size, holders = [], []
-    for _ in range(n_keys):
-        holders.append(rng.sample(range(n_nodes), min(replication, n_nodes)))
-        size.append(draw_sizes(rng, 1)[0])
+    try:
+        draw_sizes = dist_sampler(size_dist, integer=True, minimum=1)
+        for _ in range(n_keys):
+            holders.append(rng.sample(range(n_nodes), min(replication, n_nodes)))
+            size.append(draw_sizes(rng, 1)[0])
+    except ParseError as e:
+        raise ValidationError("drs.size_dist", str(e)) from None
     state = DrsState(capacity, size, holders, deadline)
     if n_nodes > 0 and requests_per_node > 0 and n_keys < 1:
         # randrange(n_keys) raised here; the inlined draw below would never end

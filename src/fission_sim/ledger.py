@@ -177,7 +177,7 @@ class AccountTree:
     """Merkle tree of one shard's accounts at one point in time: each key's
     leaf position (keys in sorted order) and every layer of the tree
     (``merkle.merkle_levels``). Never changed after it is built, so states
-    and memos share it freely."""
+    and the root memo share it freely."""
 
     __slots__ = ("index", "levels")
 
@@ -188,41 +188,6 @@ class AccountTree:
     @property
     def root(self) -> bytes:
         return self.levels[-1][0] if self.index else EMPTY_ROOT
-
-
-class LeafCache:
-    """Root memos of one shard, shared by a state and all its clones.
-
-    Every entry is keyed by the full content it summarises, so whichever
-    clone fills it, the proposer's and the validator's identical work is done
-    once. All are filled only by ``chain.compute_root_arrays``:
-
-    - ``leaves`` maps pk -> (balance, nonce, leaf hash) for the last version
-      of each account that was hashed; a leaf is reused only when balance
-      and nonce both match.
-    - ``derived`` is the last tree derivation: (base tree, the sorted
-      (pk, leaf) pairs of the written accounts, the tree they give). The
-      base tree is compared by identity; it is None for a state never
-      rooted, whose written accounts are all its accounts.
-    - ``body`` is the last body rooted in the shard: (joined ids of its
-      sub-transactions, (tx root, log root)). The ids fix the log entries,
-      so they key the log root too.
-    """
-
-    __slots__ = ("leaves", "derived", "body")
-
-    def __init__(self):
-        self.leaves: dict[bytes, tuple[int, int, bytes]] = {}
-        self.derived: tuple[AccountTree | None, tuple, AccountTree] | None = None
-        self.body: tuple[bytes, tuple[bytes, bytes]] | None = None
-
-
-@dataclass
-class ShardState:
-    cache: LeafCache = field(default_factory=LeafCache)
-    # the tree of the shard's accounts as they were when it was last rooted;
-    # None until the first rooting of a fresh state
-    tree: AccountTree | None = None
 
 
 class CreditedIds:
@@ -271,7 +236,8 @@ class CreditedIds:
 
 class LedgerState:
     """Balances and nonces of every shard as two int columns, the per-shard
-    trees and root memos, and the pool of debits awaiting credits.
+    account trees and their root memo, and the pool of debits awaiting
+    credits.
 
     ``balances`` and ``nonces`` map pk -> int across all shards and share one
     insertion order (``create_account`` is the only place a key enters, and
@@ -285,10 +251,17 @@ class LedgerState:
     ``apply_lazy``; an ``Account`` from ``get_account`` or ``iter_accounts``
     is a snapshot, and writing it changes no state.
 
-    ``written`` holds the key of every account written since each shard's
-    ``tree`` was rooted, so that rooting rehashes only those. It is complete
-    only because those three functions are the only writers: an account
-    changed any other way keeps its old leaf in the next root.
+    ``trees`` holds each shard's tree as it was last rooted (None until the
+    first rooting of a fresh state), and ``written`` the key of every account
+    written since, so that rooting rehashes only those. It is complete only
+    because those three functions are the only writers: an account changed
+    any other way keeps its old leaf in the next root.
+
+    ``root_memo`` is a one-item list that a state and all its clones share:
+    the last rooting any of them did, which ``chain.compute_root_arrays``
+    fills and reads, so that the validator's repeat of the proposer's rooting
+    costs one key comparison. A fresh state (genesis, ``split_shards``)
+    starts with an empty one.
     """
 
     def __init__(self, n_shard: int):
@@ -297,7 +270,8 @@ class LedgerState:
         self.n_shard = n_shard
         self.balances: dict[bytes, int] = {}
         self.nonces: dict[bytes, int] = {}
-        self.shards = [ShardState() for _ in range(n_shard)]
+        self.trees: list[AccountTree | None] = [None] * n_shard
+        self.root_memo: list = [None]
         # parent_id -> the confirmed debit, while its credit has not applied;
         # no code writes a debit after it is built, so states and clones
         # share them
@@ -310,7 +284,8 @@ class LedgerState:
         other.n_shard = self.n_shard
         other.balances = dict(self.balances)
         other.nonces = dict(self.nonces)
-        other.shards = [ShardState(s.cache, s.tree) for s in self.shards]
+        other.trees = list(self.trees)
+        other.root_memo = self.root_memo
         other.pending = dict(self.pending)
         other.credited = self.credited.copy()
         other.written = set(self.written)

@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -409,30 +413,35 @@ def past_float_range(spec):
 
 
 @pytest.mark.parametrize(
-    "argv, stake_dist, message",
+    "argv, config, message",
     [
         (("drs", "--nodes", "4", "--keys", "2", "--size-dist", "uniform:-1e308:1e308"), None,
          f"drs.size_dist (--size-dist): {SPAN}"),
         (("drs", "--nodes", "4", "--keys", "2", "--size-dist", "pareto:0.001"), None,
-         past_float_range("pareto:0.001")),
+         f"drs.size_dist (--size-dist): {past_float_range('pareto:0.001')}"),
+        # each pareto:0.001 draw overflows with probability about 1/2
+        (("drs", "--config", "run.cfg", "--nodes", "64", "--keys", "2"), "drs.cap_dist = pareto:0.001",
+         f"drs.cap_dist: {past_float_range('pareto:0.001')}"),
         (("relay", "--relayers", "2", "--nodes", "4", "--cap-dist", "pareto:1e-310"), None,
-         past_float_range("pareto:1e-310")),
+         f"relay.cap_dist (--cap-dist): {past_float_range('pareto:1e-310')}"),
         (("sortition", "--nodes", "3", "--stake-dist", "pareto:1e-310"), None,
-         past_float_range("pareto:1e-310")),
-        (("chain", "--config", "run.cfg"), "uniform:-1e308:1e308", f"population.stake_dist: {SPAN}"),
-        (("chain", "--config", "run.cfg"), "pareto:1e-310", past_float_range("pareto:1e-310")),
+         f"stake_dist (--stake-dist): {past_float_range('pareto:1e-310')}"),
+        (("chain", "--config", "run.cfg"), "population.stake_dist = uniform:-1e308:1e308",
+         f"population.stake_dist: {SPAN}"),
+        (("chain", "--config", "run.cfg"), "population.stake_dist = pareto:1e-310",
+         f"population.stake_dist: {past_float_range('pareto:1e-310')}"),
     ],
-    ids=["drs-uniform-span", "drs-pareto-power", "relay-pareto-infinite", "sortition-pareto-infinite",
-         "chain-uniform-span", "chain-pareto-infinite"],
+    ids=["drs-uniform-span", "drs-pareto-power", "drs-cap-pareto-power", "relay-pareto-infinite",
+         "sortition-pareto-infinite", "chain-uniform-span", "chain-pareto-infinite"],
 )
-def test_draw_past_the_float_range_exits_2(tmp_path, capsys, monkeypatch, argv, stake_dist, message):
+def test_draw_past_the_float_range_exits_2(tmp_path, capsys, monkeypatch, argv, config, message):
     monkeypatch.chdir(tmp_path)
-    if stake_dist:
-        (tmp_path / "run.cfg").write_text(f"population.stake_dist = {stake_dist}\n")
+    if config:
+        (tmp_path / "run.cfg").write_text(f"{config}\n")
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err == f"error: {message}\n"
-    assert [p.name for p in tmp_path.iterdir()] == (["run.cfg"] if stake_dist else [])
+    assert [p.name for p in tmp_path.iterdir()] == (["run.cfg"] if config else [])
 
 
 # inputs that ChainSimulation used to run (to empty blocks, a NaN clock or a
@@ -470,3 +479,37 @@ def test_chain_simulation_rejects_what_the_cli_rejects(tmp_path, capsys, monkeyp
     assert code == 2 and out == ""
     assert cli_err.startswith(f"error: {key}: ")
     assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+
+# a chain that re-shards 2 -> 4 at epoch 7, so fresh trees are rooted mid-run
+HASH_SEED_CHAIN_CFG = (
+    "seed = 4\npopulation.nodes = 60\npopulation.stake_dist = uniform:1:5000\n"
+    "partition.n_shard = 2\npartition.n_partition = 1\npartition.n_e_max = 4\npartition.n_rs = 2\n"
+    "chain.tx_per_epoch = 20\nchain.offline_rate = 0.2\nchain.invalid_fraction = 0.1\n"
+)
+HASH_SEED_RUNS = [
+    ("chain", "--config", "run.cfg", "--epochs", "14"),
+    ("relay", "--seed", "2", "--nodes", "512", "--out", "relay.csv"),
+    ("drs", "--seed", "3", "--nodes", "256", "--out", "drs.csv"),
+]
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    # str and bytes hashes, and so set order, change with PYTHONHASHSEED; no
+    # output byte may follow them
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = {}
+    for hash_seed in ("0", "12345"):
+        run_dir = tmp_path / hash_seed
+        run_dir.mkdir()
+        (run_dir / "run.cfg").write_text(HASH_SEED_CHAIN_CFG)
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        env = os.environ | {"PYTHONHASHSEED": hash_seed, "PYTHONPATH": path}
+        for argv in HASH_SEED_RUNS:
+            subprocess.run(
+                [sys.executable, "-m", "fission_sim.cli", *argv],
+                cwd=run_dir, env=env, check=True, capture_output=True,
+            )
+        outputs[hash_seed] = {p.name: p.read_bytes() for p in sorted(run_dir.iterdir())}
+    assert len(outputs["0"]) == 8  # run.cfg and seven outputs
+    assert outputs["0"] == outputs["12345"]

@@ -205,7 +205,7 @@ def test_micro_round_defers_overflow_prefix_by_arrival():
     for n in range(1, 7):
         tx = make_transfer(reg, sender.sk, sim.population.nodes[1].pk, 1, n)
         subs.append(split_transaction(tx, reg))
-    outcome, deferred, invalid = micro_round(0, subs, committee, sim.chain, cfg, sim.population)
+    outcome, deferred, invalid = micro_round(0, subs, committee, sim.chain, cfg, sim.population, set())
     assert outcome is not None
     assert [s.nonce for s in outcome.sub_txs] == [1, 2, 3]  # arrival-order prefix
     assert [s.nonce for s in deferred] == [4, 5, 6]
@@ -247,7 +247,7 @@ def test_micro_round_filters_invalid_state_transitions():
         sim.population.electorate, b"s", "partition:0", sim.security.p, sim.population.registry
     )
     outcome, deferred, invalid = micro_round(
-        0, [good, overdraw], committee, sim.chain, sim.config.epochs, sim.population
+        0, [good, overdraw], committee, sim.chain, sim.config.epochs, sim.population, set()
     )
     assert [s.nonce for s in outcome.sub_txs] == [1]
     assert invalid == [overdraw]
@@ -269,7 +269,7 @@ def test_micro_round_propagates_errors_that_are_not_protocol_errors(monkeypatch)
 
     monkeypatch.setattr(consensus, "apply_eager", broken)
     with pytest.raises(RuntimeError, match="state bug"):
-        micro_round(0, [eager], committee, sim.chain, sim.config.epochs, sim.population)
+        micro_round(0, [eager], committee, sim.chain, sim.config.epochs, sim.population, set())
 
 
 # --- run_epoch / pipeline ---
@@ -488,7 +488,7 @@ def test_assemble_interim_rejects_misrouted_micro_block():
     )
     with pytest.raises(InvariantViolation):
         assemble_interim(
-            sim.chain, [MicroBlock(wrong, [eager])], committee, sim.population,
+            sim.chain, [MicroBlock(wrong, [eager])], committee, sim.population, set(),
         )
 
 
@@ -506,7 +506,7 @@ def test_conflicting_quorum_is_caught_at_assembly():
     assert sum(committee.weights) >= sim.security.quorum
     tip = sim.chain.tip
     with pytest.raises(InvariantViolation) as err:
-        consensus.assemble_main(sim.chain, committee, sim.population)
+        consensus.assemble_main(sim.chain, committee, sim.population, set())
     assert err.value.invariant == "conflicting-block"
     assert sim.chain.tip is tip
 

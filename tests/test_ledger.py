@@ -25,7 +25,6 @@ from fission_sim.ledger import (
     LAZY,
     TX_TYPE_TRANSFER,
     ZERO_HASH,
-    LeafCache,
     LedgerState,
     SubTransaction,
     Transaction,
@@ -193,7 +192,7 @@ def raw_sha3(data: bytes) -> bytes:
 
 def log_root(sub: SubTransaction) -> bytes:
     """The log root ``chain._body_roots`` gives a body of just ``sub``."""
-    return chain._body_roots([sub], LeafCache())[1]
+    return chain._body_roots([sub])[1]
 
 
 @settings(max_examples=200, deadline=None)
@@ -215,7 +214,7 @@ def test_inline_record_encodings_equal_encode_fields(kind, tx_type, fields, valu
     with patch.object(ledger_module, "sha3", raw_sha3):
         assert tx.id == encode_fields(signing, signature)
     with patch.object(chain, "sha3", raw_sha3):
-        leaf = chain._leaf({}, sender, value, nonce)
+        leaf = chain._leaf(sender, value, nonce)
         log = log_root(SubTransaction(EAGER, parent, sender, receiver, value, nonce))
     assert leaf == encode_fields(sender, encode_uint(value), encode_uint(nonce))
     assert log == merkle_root([encode_fields(parent, receiver, encode_uint(value))])
@@ -232,7 +231,7 @@ def test_inline_record_encodings_reject_integers_outside_eight_bytes(bad, kind, 
         with pytest.raises(OverflowError):
             Transaction(TX_TYPE_TRANSFER, key, key, value, nonce, key, key).signing_bytes()
         with pytest.raises(OverflowError):
-            chain._leaf({}, key, value, nonce)
+            chain._leaf(key, value, nonce)
     debit = SubTransaction(EAGER, key, key, key, bad, 1)
     object.__setattr__(debit, "_id", ZERO_HASH)  # reach the log leaf past the id
     with pytest.raises(OverflowError):

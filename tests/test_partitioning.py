@@ -155,8 +155,8 @@ def test_split_shards_parity():
     split = split_shards(state)
     assert split.n_shard == 2
     _, roots, _ = compute_root_arrays([], split)
-    assert sorted(int.from_bytes(pk, "big") for pk in split.shards[0].tree.index) == [0, 2]
-    assert sorted(int.from_bytes(pk, "big") for pk in split.shards[1].tree.index) == [1, 3]
+    assert sorted(int.from_bytes(pk, "big") for pk in split.trees[0].index) == [0, 2]
+    assert sorted(int.from_bytes(pk, "big") for pk in split.trees[1].index) == [1, 3]
     assert roots == reference_account_roots(split)
 
 
@@ -178,7 +178,7 @@ def test_split_shards_per_account_lookup_matches():
             moved = split.get_account(acct.pk)
             assert moved is not None
             assert moved.balance == acct.balance and moved.nonce == acct.nonce
-            assert [i for i, s in enumerate(split.shards) if acct.pk in s.tree.index] == [
+            assert [i for i, tree in enumerate(split.trees) if acct.pk in tree.index] == [
                 shard_of(acct.pk, 8)
             ]
         assert roots == reference_account_roots(split)

@@ -1,7 +1,7 @@
 """Property tests of ledger clones and cached account roots.
 
 A clone copies the balance and nonce columns and shares pending-credit
-bookkeeping, per-shard account trees and per-shard root memos with its
+bookkeeping, per-shard account trees and the one root memo with its
 parent. These tests drive random debit/credit sequences (failing ones
 included) through parents, clones and siblings, and check the results
 against deep copies and against a root computation that uses no cache at
@@ -178,7 +178,7 @@ def test_cached_roots_equal_cache_free_roots(n_shard, blocks):
     for ops, rival_ops, split in blocks:
         if split:
             state = split_shards(state)
-        # a rival clone shares and rewrites the leaf cache with other balances
+        # a rival clone shares the root memo and fills it with other balances
         rival = state.clone()
         rival_body, _ = apply_ops(rival, rival_ops)
         assert compute_root_arrays(rival_body, rival) == reference_roots(rival_body, rival)
@@ -187,7 +187,7 @@ def test_cached_roots_equal_cache_free_roots(n_shard, blocks):
         body, _ = apply_ops(proposal, ops)
         expected = reference_roots(body, proposal)
         assert compute_root_arrays(body, proposal) == expected
-        # the validator's recomputation on its own clone hits the warm cache
+        # the validator's recomputation on its own clone hits the root memo
         validator = state.clone()
         apply_ops(validator, ops)
         assert compute_root_arrays(body, validator) == expected
@@ -278,11 +278,16 @@ def test_dirty_shard_trees_equal_cache_free_roots(n_shard, n_accounts, data):
 def test_rooting_hashes_only_the_paths_above_written_leaves(n_accounts, data):
     state = tree_state(1, n_accounts)
     compute_root_arrays([], state)
-    tree = state.shards[0].tree
+    tree = state.trees[0]
     dirty = data.draw(st.sets(st.integers(0, n_accounts - 1)) | st.just(set(range(n_accounts))))
-    child = state.clone()
-    for i in dirty:
-        apply_eager(child, SubTransaction(EAGER, PARENT_IDS[i], TREE_KEYS[i], TREE_KEYS[i], 1, 1))
+
+    def debited(value, accounts):
+        clone = state.clone()
+        for i in accounts:
+            apply_eager(clone, SubTransaction(EAGER, PARENT_IDS[i], TREE_KEYS[i], TREE_KEYS[i], value, 1))
+        return clone
+
+    child = debited(1, dirty)
     # one leaf per written account, then each distinct ancestor once
     order = sorted(TREE_KEYS[:n_accounts])
     level = {order.index(TREE_KEYS[i]) for i in dirty}
@@ -304,24 +309,41 @@ def test_rooting_hashes_only_the_paths_above_written_leaves(n_accounts, data):
         patch.setattr("fission_sim.merkle.sha3", counting_sha3)
         roots = compute_root_arrays([], child)
         assert len(hashed) == expected
+        # a sibling with the same writes, as the validator is to the
+        # proposer, repeats the child's rooting from the memo
+        sibling = debited(1, dirty)
+        assert compute_root_arrays([], sibling) == roots and len(hashed) == expected
+        assert sibling.trees[0] is child.trees[0]
         # nothing written since: the same tree, nothing hashed
-        rooted = child.shards[0].tree
+        rooted = child.trees[0]
         assert compute_root_arrays([], child) == roots
-        assert child.shards[0].tree is rooted and len(hashed) == expected
+        assert child.trees[0] is rooted and len(hashed) == expected
+        # once a clone with other writes has rooted in between, a sibling
+        # roots on its own, with no more hashing than the child did
+        compute_root_arrays([], debited(2, dirty | {0}))
+        del hashed[:]
+        late = debited(1, dirty)
+        late_roots = compute_root_arrays([], late)
+        assert len(hashed) <= expected
     assert roots == reference_roots([], child)
-    assert state.shards[0].tree is tree
+    assert late_roots == reference_roots([], late)
+    # the same writes under another body root that body
+    body = [SubTransaction(EAGER, PARENT_IDS[0], TREE_KEYS[0], TREE_KEYS[0], 1, 1)]
+    replay = debited(1, dirty)
+    assert compute_root_arrays(body, replay) == reference_roots(body, replay)
+    assert state.trees[0] is tree
 
 
 def check_trees(state: LedgerState) -> None:
     """Each shard's tree is ``merkle_levels`` over that shard's accounts of
     the one table, in key order, with each key at its leaf position."""
-    for shard, accounts in zip(state.shards, shard_accounts(state)):
+    for tree, accounts in zip(state.trees, shard_accounts(state)):
         leaves = [
             sha3(encode_fields(pk, encode_uint(balance), encode_uint(nonce)))
             for pk, balance, nonce in accounts
         ]
-        assert shard.tree.levels == merkle_levels(leaves)
-        assert shard.tree.index == {pk: i for i, (pk, _, _) in enumerate(accounts)}
+        assert tree.levels == merkle_levels(leaves)
+        assert tree.index == {pk: i for i, (pk, _, _) in enumerate(accounts)}
 
 
 @settings(max_examples=100, deadline=None)

@@ -7,10 +7,13 @@ outstanding debit log in a credit (main) block. Any failed quorum degrades to
 the designated empty block instead of stalling, and unconfirmed transactions
 stay in the mempool for the next round.
 
-A quorum is decided from vote weights alone (``vote_weights``). Only a block
-that reaches it gets signed votes, its certificate (``collect_votes``); micro
-rounds and conflicting Byzantine votes sign nothing, since no reader checks
-those signatures.
+Each committee is read once, into a ``Ballot``: its voters, their vote
+weights and its adversary weight. A quorum is decided from the ballot's sums
+alone. Only a block that reaches it gets signed votes, its certificate
+(``collect_votes``); micro rounds and conflicting Byzantine votes sign
+nothing, since no reader checks those signatures. No output of an epoch
+depends on its proposer, so the leader election runs only when
+``EpochResult.proposer`` is read.
 
 All committee draws are verifiable-random and non-interactive, so a whole run
 is a pure function of (config, seed).
@@ -18,8 +21,8 @@ is a pure function of (config, seed).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import compress
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from .chain import INTERIM, Block, Chain, MicroBlock, Votes
 from .config import CHAIN_KEYWORDS, EpochSettings, SimConfig, load_config
@@ -141,47 +144,56 @@ class Population:
 # voting helpers
 
 
-def vote_weights(committee: Committee, population: Population, offline: set[bytes]) -> tuple[int, int]:
-    """(yes, conflicting): the weight of the online members that vote for a
-    proposal (honest and equivocating ones) and of those that vote for a
-    conflicting block (vote-conflicting and equivocating ones). A quorum
-    decision reads only these; ``collect_votes`` signs the votes a block
-    carries."""
-    strategies = population.strategies
-    yes = conflicting = 0
+@dataclass(slots=True)
+class Ballot:
+    """One committee's vote, read in one pass over its members: the online
+    members that vote for a proposal (honest and equivocating ones, in member
+    order) with their weights and its sum ``yes``; the weight ``conflicting``
+    of the online members that vote for a conflicting block (vote-conflicting
+    and equivocating ones); the adversary weight of the whole committee,
+    offline members included; and the online member count. A quorum decision
+    reads only the sums; ``collect_votes`` signs the voters of the block that
+    reaches it."""
+
+    voters: list[bytes]
+    weights: list[int]
+    yes: int
+    conflicting: int
+    adversary: int
+    n_online: int
+
+
+def cast_ballot(committee: Committee, population: Population, offline: set[bytes]) -> Ballot:
+    get = population.strategies.get
+    voters: list[bytes] = []
+    weights: list[int] = []
+    vote, weigh = voters.append, weights.append
+    conflicting = adversary = n_offline = 0
     for pk, weight in zip(committee.pks, committee.weights):
+        role = get(pk)  # None for an honest member
         if pk in offline:
-            continue
-        role = strategies.get(pk)  # None for an honest member
-        if role is None or role == EQUIVOCATE:
-            yes += weight
-        if role == VOTE_CONFLICTING or role == EQUIVOCATE:
-            conflicting += weight
-    return yes, conflicting
+            n_offline += 1
+            if role is not None:
+                adversary += weight
+        elif role is None:
+            vote(pk)
+            weigh(weight)
+        else:
+            adversary += weight
+            if role != WITHHOLD:  # vote-conflicting or equivocating
+                conflicting += weight
+                if role == EQUIVOCATE:
+                    vote(pk)
+                    weigh(weight)
+    return Ballot(voters, weights, sum(weights), conflicting, adversary, len(committee) - n_offline)
 
 
-def collect_votes(
-    committee: Committee,
-    population: Population,
-    proposal: bytes,
-    offline: set[bytes],
-) -> Votes:
+def collect_votes(ballot: Ballot, population: Population, proposal: bytes) -> Votes:
     """The signed votes on a proposal hash, the certificate a confirmed block
-    carries: one per online honest or equivocating member, in member order,
-    signed in one batch."""
-    pks, weights = committee.pks, committee.weights
-    if offline and not offline.isdisjoint(pks):
-        online = [pk not in offline for pk in pks]
-        pks, weights = list(compress(pks, online)), list(compress(weights, online))
-    yes = [role is None or role == EQUIVOCATE for role in map(population.strategies.get, pks)]
-    voters = list(compress(pks, yes))
-    signatures = sign_each(population.registry.framed_secrets(voters), proposal)
-    return Votes(proposal, voters, list(compress(weights, yes)), signatures)
-
-
-def adversary_weight(committee: Committee, population: Population) -> int:
-    byzantine = map(population.strategies.__contains__, committee.pks)
-    return sum(compress(committee.weights, byzantine))
+    carries: one per voter of the ballot, in member order, signed in one
+    batch."""
+    signatures = sign_each(population.registry.framed_secrets(ballot.voters), proposal)
+    return Votes(proposal, ballot.voters, ballot.weights, signatures)
 
 
 # ---------------------------------------------------------------------------
@@ -191,11 +203,9 @@ def adversary_weight(committee: Committee, population: Population) -> int:
 def micro_round(
     partition_index: int,
     sub_txs: list[SubTransaction],
-    committee: Committee,
+    ballot: Ballot,
     chain: Chain,
     epochs: EpochSettings,
-    population: Population,
-    offline: set[bytes],
 ) -> tuple[MicroBlock | None, list[SubTransaction], list[SubTransaction]]:
     """One partition's consensus round over its debit sub-transactions,
     executed on a copy of the chain state.
@@ -203,11 +213,11 @@ def micro_round(
     Returns (micro block, or None on a timeout, deferred sub-txs, invalid
     sub-txs). The processing budget is delta_micro * throughput * online
     member count; overflow is deferred to the next round. Whether the chain's
-    quorum forms depends only on the members' weights, so a round that misses
-    it defers everything without executing any of it.
+    quorum forms depends only on the committee's ballot, so a round that
+    misses it defers everything without executing any of it.
     """
-    n_online = len(committee) - len(offline.intersection(committee.pks))
-    if not n_online or vote_weights(committee, population, offline)[0] < chain.quorum:
+    n_online = ballot.n_online
+    if not n_online or ballot.yes < chain.quorum:
         return None, list(sub_txs), []
 
     capacity = int(epochs.delta_micro * epochs.micro_throughput * n_online)
@@ -231,31 +241,28 @@ def micro_round(
 def _put_to_vote(
     chain: Chain,
     body: list[SubTransaction],
-    committee: Committee,
+    ballot: Ballot,
     population: Population,
-    offline: set[bytes],
 ) -> Block:
     """The block of ``body`` with its committee votes, or the designated empty
     block if they miss the quorum. No conflicting block may reach it."""
-    yes, conflicting = vote_weights(committee, population, offline)
     quorum = chain.quorum
-    if conflicting >= quorum:
+    if ballot.conflicting >= quorum:
         raise InvariantViolation(
-            "consensus-engine", "conflicting-block", f"conflicting vote weight {conflicting}"
+            "consensus-engine", "conflicting-block", f"conflicting vote weight {ballot.conflicting}"
         )
-    if yes < quorum:
+    if ballot.yes < quorum:
         return chain.propose([])
     candidate = chain.propose(body)
-    candidate.header.votes = collect_votes(committee, population, candidate.hash, offline)
+    candidate.header.votes = collect_votes(ballot, population, candidate.hash)
     return candidate
 
 
 def assemble_interim(
     chain: Chain,
     micros: list[MicroBlock],
-    committee: Committee,
+    ballot: Ballot,
     population: Population,
-    offline: set[bytes],
 ) -> Block:
     """Merge micro blocks into a debit block and put it to the committee vote.
 
@@ -272,24 +279,23 @@ def assemble_interim(
                     f"sub-transaction of partition {home} inside micro block {micro.partition_index}",
                 )
     body = [sub for micro in sorted(micros, key=lambda m: m.partition_index) for sub in micro.sub_txs]
-    return _put_to_vote(chain, body, committee, population, offline)
+    return _put_to_vote(chain, body, ballot, population)
 
 
-def assemble_main(
-    chain: Chain,
-    committee: Committee,
-    population: Population,
-    offline: set[bytes],
-) -> Block:
+def assemble_main(chain: Chain, ballot: Ballot, population: Population) -> Block:
     """Credit every pending debit (including rolled-forward ones) in a
     credit block, or fall back to the designated empty block."""
     pending = chain.state.pending
     body = [credit_of(pending[pid]) for pid in sorted(pending)]
-    return _put_to_vote(chain, body, committee, population, offline)
+    return _put_to_vote(chain, body, ballot, population)
 
 
 @dataclass
 class EpochResult:
+    """What one epoch did. The proposer is elected when first read: no
+    output of the epoch depends on it, so the epoch keeps only what the
+    election needs, its offline keys, the population and ``p``."""
+
     epoch: int
     kind: str
     block: Block
@@ -299,9 +305,21 @@ class EpochResult:
     empty: bool
     n_partition: int
     n_shard: int
-    proposer: bytes | None
+    offline: tuple[bytes, ...] = field(repr=False, compare=False)
+    population: Population = field(repr=False, compare=False)
+    p: float = field(repr=False)
     micro_timeouts: int = 0
     invalid_txs: int = 0
+
+    @cached_property
+    def proposer(self) -> bytes | None:
+        """The block committee's elected proposer, re-drawn from the block's
+        seed; None if every member was offline."""
+        seed = self.block.header.seed
+        block_type = BLOCK_INTERIM if self.kind == INTERIM else BLOCK_MAIN
+        population = self.population
+        committee = select_committee(population.electorate, seed, block_type, self.p, population.registry)
+        return _elect_proposer(committee, population, seed, set(self.offline))
 
 
 def run_epoch(
@@ -323,9 +341,8 @@ def run_epoch(
 
     block_type = BLOCK_INTERIM if kind == INTERIM else BLOCK_MAIN
     committee = select_committee(electorate, seed, block_type, p, population.registry)
-    adversary = _assert_adversary_below_quorum(committee, population, quorum, f"{block_type} committee")
-
-    proposer = _elect_proposer(committee, population, seed, offline)
+    ballot = cast_ballot(committee, population, offline)
+    _assert_adversary_below_quorum(ballot, quorum, f"{block_type} committee")
 
     invalid_count = 0
     micro_timeouts = 0
@@ -344,10 +361,9 @@ def run_epoch(
         kept_parents: set[bytes] = set()
         for k in range(n_partition):
             pc = select_committee(electorate, seed, partition_committee(k), p, population.registry)
-            _assert_adversary_below_quorum(pc, population, quorum, f"partition {k} committee")
-            outcome, deferred, invalid = micro_round(
-                k, routed[k], pc, chain, epochs, population, offline
-            )
+            pc_ballot = cast_ballot(pc, population, offline)
+            _assert_adversary_below_quorum(pc_ballot, quorum, f"partition {k} committee")
+            outcome, deferred, invalid = micro_round(k, routed[k], pc_ballot, chain, epochs)
             invalid_count += len(invalid)
             for sub in deferred:
                 kept_parents.add(sub.parent_id)
@@ -356,7 +372,7 @@ def run_epoch(
             else:
                 micros.append(outcome)
 
-        block = assemble_interim(chain, micros, committee, population, offline)
+        block = assemble_interim(chain, micros, ballot, population)
         if block.is_timeout_block:
             for micro in micros:
                 for sub in micro.sub_txs:
@@ -364,7 +380,7 @@ def run_epoch(
         # deferred transactions keep their arrival order for the next round
         mempool[:] = [tx for tx in list(mempool) if tx.id in kept_parents]
     else:
-        block = assemble_main(chain, committee, population, offline)
+        block = assemble_main(chain, ballot, population)
 
     chain.append_block(block)
     # the header's counts: appending a main block may re-shard chain.state
@@ -374,11 +390,13 @@ def run_epoch(
         block=block,
         confirmed_subtx=len(block.body),
         committee_weight=sum(committee.weights),
-        adversary_weight=adversary,
+        adversary_weight=ballot.adversary,
         empty=not block.body,
         n_partition=block.header.n_partition,
         n_shard=block.header.n_shard,
-        proposer=proposer,
+        offline=tuple(offline),
+        population=population,
+        p=p,
         micro_timeouts=micro_timeouts,
         invalid_txs=invalid_count,
     )
@@ -405,16 +423,12 @@ def _elect_proposer(
     return min(zip(tickets, online))[1]
 
 
-def _assert_adversary_below_quorum(
-    committee: Committee, population: Population, quorum: int, label: str
-) -> int:
-    """The committee's adversary weight, checked to stay below the quorum."""
-    weight = adversary_weight(committee, population)
-    if weight >= quorum:
+def _assert_adversary_below_quorum(ballot: Ballot, quorum: int, label: str) -> None:
+    """Check that a committee's adversary weight stays below the quorum."""
+    if ballot.adversary >= quorum:
         raise InvariantViolation(
-            "consensus-engine", "adversary-quorum", f"{label} adversary weight {weight}"
+            "consensus-engine", "adversary-quorum", f"{label} adversary weight {ballot.adversary}"
         )
-    return weight
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,10 @@ from .dists import dist_sampler
 from .errors import InvariantViolation, ParseError, ValidationError
 from .seeding import split
 
+# sizes, capacities and byte totals stay below 2^53, so every byte count the
+# game sums in floats is exact
+EXACT_BYTES = 1 << 53
+
 
 @dataclass(slots=True)
 class Requests:
@@ -324,6 +328,9 @@ def build_instance(
             size.append(draw_sizes(rng, 1)[0])
     except ParseError as e:
         raise ValidationError("drs.size_dist", str(e)) from None
+    for key, draws in (("drs.cap_dist", capacity), ("drs.size_dist", size)):
+        if draws and max(draws) >= EXACT_BYTES:
+            raise ValidationError(key, f"every draw must be below 2^53, drew {max(draws):.3g}")
     state = DrsState(capacity, size, holders, deadline)
     if n_nodes > 0 and requests_per_node > 0 and n_keys < 1:
         # randrange(n_keys) raised here; the inlined draw below would never end
@@ -340,6 +347,11 @@ def build_instance(
             key = getrandbits(bits)
         keys.append(key)
     requests.weight += [size[key] for key in keys]
+    total = sum(requests.weight)
+    if total >= EXACT_BYTES:
+        raise ValidationError(
+            "drs.size_dist", f"the requested sizes must sum below 2^53, got {total:.3g}"
+        )
     requests.born += [0.0] * len(keys)
     place_rng = split(seed, "drs-place")
     concentrated = start == "concentrated"

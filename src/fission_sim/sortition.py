@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress
 from typing import Mapping
 
 import numpy as np
@@ -133,16 +132,25 @@ def _cdf_at(stakes: list[int], ks: list, p: float) -> np.ndarray:
 
 
 _TWO_NEG_256 = 2.0**-256
+_TWO_NEG_64 = 2.0**-64
 
 
 def uniforms(hashes: list[bytes]) -> np.ndarray:
-    """``VrfOutput.uniform`` of many hashes in one conversion.
+    """``VrfOutput.uniform`` of many 32-byte hashes in one conversion.
 
-    NumPy rounds each 256-bit integer to the nearest float, as int / 2**256
-    does, and scaling by a power of two is exact, so the floats are the same.
+    A float keeps 53 bits, so a hash whose top 64-bit word is at least 2^54
+    rounds as that word does with a sticky bit set for any nonzero bit below
+    it: ``float(top | sticky)`` rounds to nearest even as int / 2**256 does,
+    and scaling by a power of two is exact. The rare rows with a smaller top
+    word (about one in 1,024) convert their whole integer instead.
     """
-    from_bytes = int.from_bytes
-    return np.array([from_bytes(h, "big") for h in hashes], dtype=np.float64) * _TWO_NEG_256
+    words = np.frombuffer(b"".join(hashes), dtype=">u8").reshape(-1, 4).astype(np.uint64)
+    top = words[:, 0]
+    sticky = words[:, 1:].any(axis=1)
+    xs = (top | sticky).astype(np.float64) * _TWO_NEG_64
+    for i in np.flatnonzero(top < 1 << 54).tolist():
+        xs[i] = int.from_bytes(hashes[i], "big") * _TWO_NEG_256
+    return xs
 
 
 class Committee:
@@ -161,17 +169,20 @@ class Committee:
 
 class Electorate:
     """The keys that draw in ``select_committee``, built once per stake
-    mapping: the keys of positive stake in key order, and each stake with
-    the indices of its keys (one entry per distinct stake)."""
+    mapping: the keys of positive stake in key order, each stake with the
+    indices of its keys (one entry per distinct stake), and the dtype that
+    holds every weight exactly."""
 
-    __slots__ = ("pks", "groups")
+    __slots__ = ("pks", "groups", "weight_dtype")
 
     def __init__(self, stakes: Mapping[bytes, int]):
         self.pks = sorted(pk for pk, stake in stakes.items() if stake > 0)
         groups: dict[int, list[int]] = {}
         for i, pk in enumerate(self.pks):
             groups.setdefault(stakes[pk], []).append(i)
-        self.groups = list(groups.items())
+        self.groups = [(s, np.array(idx, dtype=np.intp)) for s, idx in groups.items()]
+        # a weight never exceeds its stake
+        self.weight_dtype = np.int64 if all(s < 1 << 63 for s in groups) else object
 
 
 def select_committee(
@@ -196,12 +207,11 @@ def select_committee(
     xs = uniforms(vrf_hashes(registry.framed_secrets(pks), seed, ctype))
     # one CDF row per stake group; the weights equal voting_power's
     groups = electorate.groups
-    weights = [0] * len(pks)
+    weights = np.zeros(len(pks), dtype=electorate.weight_dtype)
     for (_, idx), ws in zip(groups, _weights([s for s, _ in groups], [xs[idx] for _, idx in groups], p)):
-        for i, w in zip(idx, ws.tolist()):
-            weights[i] = w
-    member = list(map(bool, weights))  # weights are never negative
-    return Committee(list(compress(pks, member)), list(compress(weights, member)))
+        weights[idx] = ws
+    members = np.flatnonzero(weights)  # weights are never negative
+    return Committee([pks[i] for i in members.tolist()], weights[members].tolist())
 
 
 def leader_ticket(sk: bytes, seed: bytes) -> VrfOutput:

@@ -444,6 +444,32 @@ def test_draw_past_the_float_range_exits_2(tmp_path, capsys, monkeypatch, argv, 
     assert [p.name for p in tmp_path.iterdir()] == (["run.cfg"] if config else [])
 
 
+@pytest.mark.parametrize(
+    "argv, config, message",
+    [
+        # used to exit 1 with an OverflowError from the byte-conservation check
+        (("--size-dist", "fixed:1e308"), None,
+         "drs.size_dist (--size-dist): every draw must be below 2^53, drew 1e+308"),
+        # used to exit 3 with a false load-sum violation
+        (("--size-dist", "pareto:0.01"), None,
+         "drs.size_dist (--size-dist): every draw must be below 2^53, drew 2.45e+42"),
+        (("--config", "run.cfg"), "drs.cap_dist = fixed:9007199254740992",
+         "drs.cap_dist: every draw must be below 2^53, drew 9.01e+15"),
+        (("--nodes", "4096", "--size-dist", "fixed:4e15"), None,
+         "drs.size_dist (--size-dist): the requested sizes must sum below 2^53, got 1.64e+19"),
+    ],
+    ids=["size-1e308", "size-pareto-0.01", "cap-2^53", "total-past-2^53"],
+)
+def test_drs_byte_counts_past_float_precision_exit_2(tmp_path, capsys, monkeypatch, argv, config, message):
+    monkeypatch.chdir(tmp_path)
+    if config:
+        (tmp_path / "run.cfg").write_text(f"{config}\n")
+    code, out, err = run_cli(capsys, "drs", "--nodes", "4", "--keys", "2", *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+    assert [p.name for p in tmp_path.iterdir()] == (["run.cfg"] if config else [])
+
+
 # inputs that ChainSimulation used to run (to empty blocks, a NaN clock or a
 # mid-run failure) or reject under another name: (config key, keyword, value)
 LIBRARY_REJECTS = [

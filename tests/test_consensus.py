@@ -11,6 +11,7 @@ from fission_sim.consensus import (
     ChainSimulation,
     Population,
     _elect_proposer,
+    cast_ballot,
     micro_round,
     run_epoch,
 )
@@ -159,11 +160,12 @@ def voting_world(roles, offline_mask, proposal, world):
 @given(**VOTING_WORLDS)
 def test_collect_votes_equals_per_member_signatures(roles, offline_mask, proposal, world):
     population, offline, committee = voting_world(roles, offline_mask, proposal, world)
-    votes = consensus.collect_votes(committee, population, proposal, offline)
+    ballot = cast_ballot(committee, population, offline)
+    votes = consensus.collect_votes(ballot, population, proposal)
     assert votes == reference_votes(committee, population, proposal, offline)[0]
     nodes = {n.pk: n for n in population.nodes}
     byzantine = [w for pk, w in zip(committee.pks, committee.weights) if nodes[pk].byzantine]
-    assert consensus.adversary_weight(committee, population) == sum(byzantine)
+    assert ballot.adversary == sum(byzantine)
 
 
 @settings(max_examples=100, deadline=None)
@@ -171,9 +173,9 @@ def test_collect_votes_equals_per_member_signatures(roles, offline_mask, proposa
 def test_vote_weights_equal_tallies_of_the_reference_votes(roles, offline_mask, proposal, world):
     population, offline, committee = voting_world(roles, offline_mask, proposal, world)
     votes, conflicting = reference_votes(committee, population, proposal, offline)
-    assert consensus.vote_weights(committee, population, offline) == (
-        tally(votes), tally(conflicting)
-    )
+    ballot = cast_ballot(committee, population, offline)
+    assert (ballot.yes, ballot.conflicting) == (tally(votes), tally(conflicting))
+    assert ballot.n_online == sum(pk not in offline for pk in committee.pks)
 
 
 # --- micro rounds ---
@@ -186,7 +188,7 @@ def test_micro_round_zero_online_weight_times_out():
     )
     offline = set(committee.pks)
     outcome, deferred, invalid = micro_round(
-        0, [], committee, sim.chain, sim.config.epochs, sim.population, offline
+        0, [], cast_ballot(committee, sim.population, offline), sim.chain, sim.config.epochs
     )
     assert outcome is None
 
@@ -205,7 +207,8 @@ def test_micro_round_defers_overflow_prefix_by_arrival():
     for n in range(1, 7):
         tx = make_transfer(reg, sender.sk, sim.population.nodes[1].pk, 1, n)
         subs.append(split_transaction(tx, reg))
-    outcome, deferred, invalid = micro_round(0, subs, committee, sim.chain, cfg, sim.population, set())
+    ballot = cast_ballot(committee, sim.population, set())
+    outcome, deferred, invalid = micro_round(0, subs, ballot, sim.chain, cfg)
     assert outcome is not None
     assert [s.nonce for s in outcome.sub_txs] == [1, 2, 3]  # arrival-order prefix
     assert [s.nonce for s in deferred] == [4, 5, 6]
@@ -228,7 +231,7 @@ def test_micro_round_capacity_counts_online_members_only():
         for n in range(1, len(committee) + 1)
     ]
     outcome, deferred, invalid = micro_round(
-        0, subs, committee, sim.chain, cfg, sim.population, offline
+        0, subs, cast_ballot(committee, sim.population, offline), sim.chain, cfg
     )
     assert len(committee) > 1
     assert len(outcome.sub_txs) == len(committee) - 1
@@ -247,7 +250,8 @@ def test_micro_round_filters_invalid_state_transitions():
         sim.population.electorate, b"s", "partition:0", sim.security.p, sim.population.registry
     )
     outcome, deferred, invalid = micro_round(
-        0, [good, overdraw], committee, sim.chain, sim.config.epochs, sim.population, set()
+        0, [good, overdraw], cast_ballot(committee, sim.population, set()), sim.chain,
+        sim.config.epochs,
     )
     assert [s.nonce for s in outcome.sub_txs] == [1]
     assert invalid == [overdraw]
@@ -269,7 +273,7 @@ def test_micro_round_propagates_errors_that_are_not_protocol_errors(monkeypatch)
 
     monkeypatch.setattr(consensus, "apply_eager", broken)
     with pytest.raises(RuntimeError, match="state bug"):
-        micro_round(0, [eager], committee, sim.chain, sim.config.epochs, sim.population, set())
+        micro_round(0, [eager], cast_ballot(committee, sim.population, set()), sim.chain, sim.config.epochs)
 
 
 # --- run_epoch / pipeline ---
@@ -372,6 +376,42 @@ def test_elect_proposer_is_first_online_entry_of_leader_order(data, seed, coarse
     with patch.object(consensus, "leader_tickets", coarse_tickets if coarse else leader_tickets):
         assert _elect_proposer(members, population, seed, offline) == expected
         assert _elect_proposer(members, population, seed, set(members.pks)) is None
+
+
+def test_the_step_elects_nobody_and_a_read_elects_once():
+    # the golden offline epoch-metadata run: 30% of online nodes drop out each
+    # epoch, so some proposers are fallbacks
+    sim = ChainSimulation(
+        n_nodes=60, tx_per_epoch=40, offline_rate=0.3, invalid_fraction=0.1, theta=0.4, seed=21
+    )
+    drawn = []
+    draw_offline = sim._draw_offline
+    sim._draw_offline = lambda: drawn.append(draw_offline()) or drawn[-1]
+    calls = []
+
+    def counted(framed_sks, seed):
+        calls.append(seed)
+        return leader_tickets(framed_sks, seed)
+
+    with patch.object(consensus, "leader_tickets", counted):
+        results = sim.run(12)
+        assert calls == []
+        proposers = [r.proposer for r in results]
+        assert calls == [r.block.header.seed for r in results]
+        assert [r.proposer for r in results] == proposers
+        assert len(calls) == len(results)  # cached: a second read elects nobody
+    fallbacks = 0
+    for r, offline, proposer in zip(results, drawn, proposers):
+        seed = r.block.header.seed
+        committee = select_committee(
+            sim.population.electorate, seed, BLOCK_INTERIM if r.kind == INTERIM else BLOCK_MAIN,
+            sim.security.p, sim.population.registry,
+        )
+        secret = sim.population.registry.secret_for
+        order = leader_order([(pk, leader_ticket(secret(pk), seed).hash) for pk in committee.pks])
+        assert proposer == next(pk for pk in order if pk not in offline)
+        fallbacks += proposer != order[0]
+    assert fallbacks > 0
 
 
 def test_offline_committee_yields_empty_block_not_stall():
@@ -488,7 +528,8 @@ def test_assemble_interim_rejects_misrouted_micro_block():
     )
     with pytest.raises(InvariantViolation):
         assemble_interim(
-            sim.chain, [MicroBlock(wrong, [eager])], committee, sim.population, set(),
+            sim.chain, [MicroBlock(wrong, [eager])], cast_ballot(committee, sim.population, set()),
+            sim.population,
         )
 
 
@@ -506,7 +547,7 @@ def test_conflicting_quorum_is_caught_at_assembly():
     assert sum(committee.weights) >= sim.security.quorum
     tip = sim.chain.tip
     with pytest.raises(InvariantViolation) as err:
-        consensus.assemble_main(sim.chain, committee, sim.population, set())
+        consensus.assemble_main(sim.chain, cast_ballot(committee, sim.population, set()), sim.population)
     assert err.value.invariant == "conflicting-block"
     assert sim.chain.tip is tip
 

@@ -179,6 +179,13 @@ HASHES = st.one_of(
     st.binary(min_size=32, max_size=32),
     st.integers(0, 2**256 - 1).map(lambda v: v.to_bytes(32, "big")),
     st.builds(_ties, st.integers(2**52, 2**53 - 1), st.integers(0, 202), st.integers(0, 1)),
+    # a random hash shifted right by 0-256 bits, so that every length of the
+    # top 64-bit word, the ones below 2^54 included, is drawn
+    st.builds(
+        lambda value, shift: (value >> shift).to_bytes(32, "big"),
+        st.integers(0, 2**256 - 1),
+        st.integers(0, 256),
+    ),
 )
 
 
@@ -189,3 +196,32 @@ def test_vectorised_uniforms_equal_vrf_uniform_bit_for_bit(hashes):
     assert xs.dtype == np.float64 and len(xs) == len(hashes)
     expected = [VrfOutput(hash=h, proof=b"").uniform for h in hashes]
     assert [x.hex() for x in xs.tolist()] == [x.hex() for x in expected]
+
+
+def test_uniforms_round_crafted_edges_as_exact_division():
+    def word(j):
+        """The lowest and highest bits of 64-bit word j (0 is the top word)."""
+        return [1 << 64 * (3 - j), 1 << 64 * (3 - j) + 63]
+
+    values = [
+        0,  # the zero hash
+        2**256 - 1,  # all ones, which rounds up to 1.0
+        1,
+        (2**54 - 1) << 192 | 2**192 - 1,  # the largest top word below 2^54
+        2**54 << 192,  # the smallest top word read on its own
+        (2**54 + 1) << 192,
+    ]
+    # (2m + 1) * 2^shift lies exactly halfway between two floats; a set bit
+    # in a lower word moves it just above. At shift 192 the top word is below
+    # 2^54; at 193 only bit 0 of the top word lies below the halfway bit
+    for m in (2**52, 2**52 + 1, 2**53 - 2, 2**53 - 1):
+        for shift in (192, 193, 194, 202):
+            tie = (2 * m + 1) << shift
+            values += [tie] + [tie | bit for j in (1, 2, 3) for bit in word(j)]
+            values += [tie - 1, tie + (1 << shift) - 1]
+    hashes = [v.to_bytes(32, "big") for v in values]
+    xs = uniforms(hashes).tolist()
+    expected = [int.from_bytes(h, "big") / 2**256 for h in hashes]
+    assert [x.hex() for x in xs] == [x.hex() for x in expected]
+    assert xs[:2] == [0.0, 1.0]
+    assert uniforms([]).shape == (0,)

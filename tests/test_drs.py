@@ -18,7 +18,7 @@ from fission_sim.drs import (
     simulate_drs,
     underloaded_count,
 )
-from fission_sim.errors import InvariantViolation
+from fission_sim.errors import InvariantViolation, ValidationError
 from fission_sim.seeding import split
 from reference import accounting, request_cost
 
@@ -505,6 +505,21 @@ def test_build_and_rounds_match_reference(
 def test_build_instance_rejects_keyless_requests():
     with pytest.raises(ValueError):
         build_instance(4, 0, "fixed:8", "fixed:2", 1, 8.0, seed=1, start="uniform")
+
+
+def test_build_instance_keeps_every_byte_count_below_2_53():
+    # 2^53 - 1 is the largest count whose float sums stay exact
+    top = 2**53 - 1
+    state = build_instance(1, 1, f"fixed:{top}", f"fixed:{top}", 1, 8.0, seed=1, start="uniform")
+    assert state.size == [top] and state.capacity == [top] and sum(state.requests.weight) == top
+    for n_nodes, size, capacity, key in (
+        (1, top + 1, top, "drs.size_dist"),
+        (1, top, top + 1, "drs.cap_dist"),
+        (2, top, top, "drs.size_dist"),  # two requests of one key: the total reaches 2^53
+    ):
+        with pytest.raises(ValidationError) as err:
+            build_instance(n_nodes, 1, f"fixed:{size}", f"fixed:{capacity}", 1, 8.0, seed=1, start="uniform")
+        assert err.value.field == key
 
 
 def test_load_check_fails_when_a_load_drifts_from_its_queue():

@@ -26,6 +26,7 @@ ALLOWED = {
     "get_account": "the ledger's read API for one account snapshot",
     "iter_accounts": "the ledger's read API over all account snapshots",
     "encode_field": "the canonical field layout that the batched encoders inline",
+    "proposer": "EpochResult's leader election, run when read; no output of a run depends on it",
 }
 
 

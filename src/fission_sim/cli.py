@@ -4,7 +4,8 @@ and the two congestion-game experiments.
 Every subcommand is deterministic per (config, seed). ``chain``, ``relay`` and
 ``drs`` read one ``SimConfig``: the ``--config`` file, then each key flag given
 set over it, validated once. Exit codes: 0 success, 2 configuration/validation
-problem, 3 invariant violation detected mid-run.
+problem or a file that cannot be read or written, 3 invariant violation
+detected mid-run.
 """
 
 from __future__ import annotations
@@ -170,6 +171,8 @@ def cmd_chain(args) -> int:
     cfg = _load_config(args)
     sim = ChainSimulation(cfg)
     results = sim.run(args.epochs)
+    # written before the sink opens its file, so a failed write leaves no handle open
+    Path(args.out).write_text(sim.chain.export_jsonl())
     sink = MetricsSink(args.metrics, CHAIN_COLUMNS)
     for r in results:
         sink.write_row(
@@ -182,7 +185,6 @@ def cmd_chain(args) -> int:
             n_partition=r.n_partition,
             n_shard=r.n_shard,
         )
-    Path(args.out).write_text(sim.chain.export_jsonl())
     sink.close(cfg.to_dict(), {"epochs": args.epochs, "final_clock": sim.clock})
     print(f"wrote {args.out} and {args.metrics} ({len(results)} epochs)")
     return EXIT_OK
@@ -292,7 +294,7 @@ def main(argv: list[str] | None = None) -> int:
         flag = f" ({_flag(e.field)})" if e.field in vars(args) else ""
         print(f"error: {e.field}{flag}: {e.message}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (ParseError, DomainError, FileNotFoundError) as e:
+    except (ParseError, DomainError, OSError) as e:  # OSError: an output path that cannot be written
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -12,8 +12,7 @@ weights and its adversary weight. A quorum is decided from the ballot's sums
 alone. Only a block that reaches it gets signed votes, its certificate
 (``collect_votes``); micro rounds and conflicting Byzantine votes sign
 nothing, since no reader checks those signatures. No output of an epoch
-depends on its proposer, so the leader election runs only when
-``EpochResult.proposer`` is read.
+depends on its proposer, so the step elects none.
 
 All committee draws are verifiable-random and non-interactive, so a whole run
 is a pure function of (config, seed).
@@ -21,8 +20,7 @@ is a pure function of (config, seed).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 from .chain import INTERIM, Block, Chain, MicroBlock, Votes
 from .config import CHAIN_KEYWORDS, EpochSettings, SimConfig, load_config
@@ -47,7 +45,6 @@ from .sortition import (
     Committee,
     Electorate,
     SecurityParams,
-    leader_tickets,
     partition_committee,
     select_committee,
 )
@@ -62,37 +59,32 @@ STRATEGIES = (WITHHOLD, VOTE_CONFLICTING, EQUIVOCATE)
 # simulated population
 
 
-@dataclass
-class SimNode:
-    """One simulated node. ``Population`` reads ``online``, ``byzantine`` and
-    ``strategy`` when it is built; editing them afterwards changes nothing
-    until a new ``Population(nodes, registry)`` is built."""
-
-    sk: bytes
-    pk: bytes
-    stake: int
-    online: bool = True
-    byzantine: bool = False
-    strategy: str = WITHHOLD
-
-
 class Population:
-    """Nodes with stakes, an online subset, and an adversarial slice of it.
+    """The nodes as columns: ``pks`` and ``stakes`` in node order, the
+    ``online`` keys in node order, each Byzantine key's strategy
+    (``strategies``), the key ``registry``, and the online ``electorate``
+    that committees are drawn from.
 
     Online stake approximates alpha * K and adversarial stake approximates
     (1 - h) of the online stake, both as closely as the stake granularity
     allows.
-
-    Roles and the online set are read once, here: ``strategies`` (each
-    Byzantine key's strategy) and the online ``electorate`` are the only
-    sources the voting and drawing code reads, not the nodes' fields.
     """
 
-    def __init__(self, nodes: list[SimNode], registry: KeyRegistry):
-        self.nodes = nodes
+    def __init__(
+        self,
+        pks: list[bytes],
+        stakes: list[int],
+        online: list[bytes],
+        strategies: dict[bytes, str],
+        registry: KeyRegistry,
+    ):
+        self.pks = pks
+        self.stakes = stakes
+        self.online = online
+        self.strategies = strategies
         self.registry = registry
-        self.strategies = {n.pk: n.strategy for n in nodes if n.byzantine}
-        self.electorate = Electorate({n.pk: n.stake for n in nodes if n.online})
+        stake_of = dict(zip(pks, stakes))
+        self.electorate = Electorate({pk: stake_of[pk] for pk in online})
 
     @classmethod
     def build(
@@ -109,35 +101,32 @@ class Population:
             stakes = dist_sampler(stake_dist, integer=True, minimum=1)(rng, n_nodes)
         except ParseError as e:  # a draw past the float range
             raise ValidationError("population.stake_dist", str(e)) from None
-        nodes = []
-        for i, stake in enumerate(stakes):
-            sk, pk = registry.generate(child_bytes(master_seed, "node", i))
-            nodes.append(SimNode(sk=sk, pk=pk, stake=stake))
+        pks = [registry.generate(child_bytes(master_seed, "node", i))[1] for i in range(n_nodes)]
 
-        total = sum(n.stake for n in nodes)
         order = list(range(n_nodes))
         rng.shuffle(order)
-        online_target = alpha * total
+        online_target = alpha * sum(stakes)
         online_stake = 0
-        for idx in order:
+        is_online = [False] * n_nodes
+        for i in order:
             if online_stake >= online_target:
-                nodes[idx].online = False
-            else:
-                online_stake += nodes[idx].stake
-        online_nodes = [n for n in nodes if n.online]
-        rng.shuffle(online_nodes)
+                break
+            is_online[i] = True
+            online_stake += stakes[i]
+        candidates = [i for i, up in enumerate(is_online) if up]
+        rng.shuffle(candidates)
         byz_target = (1.0 - h) * online_stake
         byz_stake = 0
-        for node in online_nodes:
-            if byz_stake + node.stake <= byz_target:
-                node.byzantine = True
-                node.strategy = rng.choice(STRATEGIES)
-                byz_stake += node.stake
-        return cls(nodes, registry)
+        strategies = {}
+        for i in candidates:
+            if byz_stake + stakes[i] <= byz_target:
+                strategies[pks[i]] = rng.choice(STRATEGIES)
+                byz_stake += stakes[i]
+        return cls(pks, stakes, [pk for pk, up in zip(pks, is_online) if up], strategies, registry)
 
     @property
     def total_stake(self) -> int:
-        return sum(n.stake for n in self.nodes)
+        return sum(self.stakes)
 
 
 # ---------------------------------------------------------------------------
@@ -292,9 +281,7 @@ def assemble_main(chain: Chain, ballot: Ballot, population: Population) -> Block
 
 @dataclass
 class EpochResult:
-    """What one epoch did. The proposer is elected when first read: no
-    output of the epoch depends on it, so the epoch keeps only what the
-    election needs, its offline keys, the population and ``p``."""
+    """What one epoch did."""
 
     epoch: int
     kind: str
@@ -305,21 +292,8 @@ class EpochResult:
     empty: bool
     n_partition: int
     n_shard: int
-    offline: tuple[bytes, ...] = field(repr=False, compare=False)
-    population: Population = field(repr=False, compare=False)
-    p: float = field(repr=False)
     micro_timeouts: int = 0
     invalid_txs: int = 0
-
-    @cached_property
-    def proposer(self) -> bytes | None:
-        """The block committee's elected proposer, re-drawn from the block's
-        seed; None if every member was offline."""
-        seed = self.block.header.seed
-        block_type = BLOCK_INTERIM if self.kind == INTERIM else BLOCK_MAIN
-        population = self.population
-        committee = select_committee(population.electorate, seed, block_type, self.p, population.registry)
-        return _elect_proposer(committee, population, seed, set(self.offline))
 
 
 def run_epoch(
@@ -394,33 +368,9 @@ def run_epoch(
         empty=not block.body,
         n_partition=block.header.n_partition,
         n_shard=block.header.n_shard,
-        offline=tuple(offline),
-        population=population,
-        p=p,
         micro_timeouts=micro_timeouts,
         invalid_txs=invalid_count,
     )
-
-
-def _elect_proposer(
-    committee: Committee,
-    population: Population,
-    seed: bytes,
-    offline: set[bytes],
-) -> bytes | None:
-    """The proposer: the online member with the smallest (ticket, pk), or
-    None if all are dark. Members are ordered by ticket value, ties broken by
-    pk; the head proposes, and later members stand in when earlier ones are
-    offline.
-
-    An offline member cannot win, so it draws no ticket. Tickets are 32-byte
-    big-endian hashes, so comparing the bytes orders them by value.
-    """
-    online = [pk for pk in committee.pks if pk not in offline]
-    if not online:
-        return None
-    tickets = leader_tickets(population.registry.framed_secrets(online), seed)
-    return min(zip(tickets, online))[1]
 
 
 def _assert_adversary_below_quorum(ballot: Ballot, quorum: int, label: str) -> None:
@@ -461,7 +411,7 @@ class ChainSimulation:
             cfg.population.nodes, cfg.population.stake_dist, sec.alpha, sec.h, cfg.seed
         )
         k_total = self.population.total_stake
-        top = max(node.stake for node in self.population.nodes)
+        top = max(self.population.stakes)
         if top >= 1 << 64:
             # a stake is an account balance, which blocks encode in 8 bytes
             raise ValidationError(
@@ -476,8 +426,8 @@ class ChainSimulation:
         self.offline_rng = split(cfg.seed, "offline")
 
         state = LedgerState(cfg.partition.n_shard)
-        for node in self.population.nodes:
-            state.create_account(node.pk, node.stake)
+        for pk, stake in zip(self.population.pks, self.population.stakes):
+            state.create_account(pk, stake)
         self.k_total = k_total
         self.chain = Chain(state, self.security.quorum, cfg.partition)
         self.mempool: list[Transaction] = []
@@ -511,7 +461,8 @@ class ChainSimulation:
             if bad_roll < invalid_fraction:
                 flavor = rng.choice(("overdraw", "nonce", "signature"))
                 if flavor == "overdraw":
-                    tx = make_transfer(self.population.registry, sk, receiver_pk, balance + 10, nonce + 1)
+                    # the view nets out deferred overdraws too, so it can be below zero
+                    tx = make_transfer(self.population.registry, sk, receiver_pk, max(balance, 0) + 10, nonce + 1)
                 elif flavor == "nonce":
                     tx = make_transfer(self.population.registry, sk, receiver_pk, 1, nonce + 7)
                 else:
@@ -533,11 +484,7 @@ class ChainSimulation:
         rate = self.config.chain.offline_rate
         if rate <= 0:
             return set()
-        return {
-            n.pk
-            for n in self.population.nodes
-            if n.online and self.offline_rng.random() < rate
-        }
+        return {pk for pk in self.population.online if self.offline_rng.random() < rate}
 
     # -- epoch loop --
 

@@ -218,12 +218,6 @@ def leader_ticket(sk: bytes, seed: bytes) -> VrfOutput:
     return vrf_eval(sk, seed, LEADER)
 
 
-def leader_tickets(framed_sks: list[bytes], seed: bytes) -> list[bytes]:
-    """``leader_ticket(sk, seed).hash`` for many keys framed as
-    ``encode_field(sk)``."""
-    return vrf_hashes(framed_sks, seed, LEADER)
-
-
 # ---------------------------------------------------------------------------
 # security parameter calculator
 

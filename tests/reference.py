@@ -1,12 +1,16 @@
 """Per-node references of the batched passes in ``fission_sim``.
 
 In the protocol each node draws its own sortition weight, each relay client
-makes its own switch decision, each retrieval request pays its own overflow
-cost, and the proposer is the head of an ordered list of tickets. The
-simulator computes these for many nodes at once (``select_committee``,
-``synchronous_round``, ``scan_round``, ``_elect_proposer``); the tests
+makes its own switch decision, and each retrieval request pays its own
+overflow cost. The simulator computes these for many nodes at once
+(``select_committee``, ``synchronous_round``, ``scan_round``); the tests
 compare those passes with the one-node forms kept here, and with
 ``accounting``, the retrieval game's byte split summed on its own.
+
+The leader election lives only here. The proposer is the first online entry
+of an ordered list of leader tickets (``elect_proposer``). No output of the
+simulator depends on it, so the library elects nobody; the tests elect
+through this reference until a block header carries the proposer.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import numpy as np
 from fission_sim.crypto import KeyRegistry, VrfOutput, vrf_eval
 from fission_sim.drs import DrsState, drs_potential
 from fission_sim.seeding import child_seed
-from fission_sim.sortition import _weights, voting_power
+from fission_sim.sortition import _weights, leader_ticket, voting_power
 
 
 def split_numpy(master_seed: int, *labels: object) -> np.random.Generator:
@@ -72,6 +76,16 @@ def leader_order(tickets) -> list[bytes]:
         raise ValueError("no leader tickets to order")
     entries.sort()
     return [pk for _, pk in entries]
+
+
+def elect_proposer(registry: KeyRegistry, pks: list[bytes], seed: bytes, offline) -> bytes | None:
+    """The proposer of the committee with keys ``pks`` at ``seed``: the first
+    entry of the ``leader_order`` of its members' ``leader_ticket`` hashes
+    that is not ``offline``, or None if every member is offline."""
+    if not pks:
+        return None
+    order = leader_order([(pk, leader_ticket(registry.secret_for(pk), seed).hash) for pk in pks])
+    return next((pk for pk in order if pk not in offline), None)
 
 
 def prs_step(current_ratio: float, candidate_ratio: float, rng) -> bool:

@@ -91,21 +91,21 @@ def test_criterion_3_safety_monte_carlo():
     # 1e4 verifiable-random committee draws at the design point: the adversary
     # never reaches the quorum alone, honest weight never misses it
     pop = Population.build(400, "fixed:2500", alpha=0.7, h=0.75, master_seed=SEED)
-    online = [n for n in pop.nodes if n.online]
+    stake_of = dict(zip(pop.pks, pop.stakes))
     p = 5000.0 / pop.total_stake
     q = quorum(0.3, 5000)
     draws = 10_000
     adversary = np.zeros(draws, dtype=np.int64)
     honest = np.zeros(draws, dtype=np.int64)
     # one hash per key and seed: row e holds every online key's draw at seed e
-    framed = pop.registry.framed_secrets([node.pk for node in online])
+    framed = pop.registry.framed_secrets(pop.online)
     hashes = []
     for e in range(draws):
         hashes += vrf_hashes(framed, child_bytes(SEED, "acc3-epoch", e), "block_interim")
-    xs = uniforms(hashes).reshape(draws, len(online))
-    for column, node in enumerate(online):
-        weights = voting_power_batch(xs[:, column], node.stake, p)
-        if node.byzantine:
+    xs = uniforms(hashes).reshape(draws, len(pop.online))
+    for column, pk in enumerate(pop.online):
+        weights = voting_power_batch(xs[:, column], stake_of[pk], p)
+        if pk in pop.strategies:
             adversary += weights
         else:
             honest += weights
@@ -150,8 +150,8 @@ def test_criterion_4_chain_properties():
 
     # root arrays recompute bit-identically on an independent replay
     replay_state = LedgerState(sim.chain.blocks[0].header.n_shard)
-    for node in sim.population.nodes:
-        replay_state.create_account(node.pk, node.stake)
+    for pk, stake in zip(sim.population.pks, sim.population.stakes):
+        replay_state.create_account(pk, stake)
     for block in sim.chain.blocks:
         if block.header.n_shard != replay_state.n_shard:
             replay_state = split_shards(replay_state)

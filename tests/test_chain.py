@@ -256,8 +256,8 @@ def simulated_run(case):
 def fresh_replica(sim, partition):
     """A chain that knows only the run's genesis accounts and partition rules."""
     state = LedgerState(partition.n_shard)
-    for node in sim.population.nodes:
-        state.create_account(node.pk, node.stake)
+    for pk, stake in zip(sim.population.pks, sim.population.stakes):
+        state.create_account(pk, stake)
     return Chain(state, sim.security.quorum, partition)
 
 

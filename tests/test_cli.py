@@ -322,6 +322,26 @@ def test_unreadable_config_exits_2(tmp_path, capsys, monkeypatch, command, kind)
     assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["chain", "--epochs", "2", "--out"],
+        ["chain", "--epochs", "2", "--metrics"],
+        ["relay", "--nodes", "10", "--relayers", "2", "--rounds", "2", "--out"],
+        ["drs", "--nodes", "8", "--keys", "2", "--out"],
+    ],
+    ids=["chain-out", "chain-metrics", "relay-out", "drs-out"],
+)
+def test_unwritable_output_path_exits_2(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    target = tmp_path / "taken"
+    target.mkdir()
+    code, _, err = run_cli(capsys, *argv, str(target))
+    assert code == 2
+    assert err.startswith("error: ") and str(target) in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def _csv_lines(rows) -> list[str]:
     """Trace rows as the metrics sink writes them: floats by repr."""
     return [",".join(repr(v) if isinstance(v, float) else str(v) for v in row) for row in rows]

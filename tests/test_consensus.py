@@ -1,8 +1,7 @@
-from functools import lru_cache
-from unittest.mock import patch
+import copy
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fission_sim import consensus
@@ -10,24 +9,18 @@ from fission_sim.chain import INTERIM, MAIN, Votes, next_seed, tally
 from fission_sim.consensus import (
     ChainSimulation,
     Population,
-    _elect_proposer,
     cast_ballot,
     micro_round,
     run_epoch,
 )
-from fission_sim.config import EpochSettings
-from fission_sim.crypto import VrfOutput, sha3, sign
+from fission_sim.config import CHAIN_KEYWORDS, EpochSettings, load_config
+from fission_sim.crypto import sha3, sign
+from fission_sim.dists import dist_sampler
 from fission_sim.errors import InvariantViolation, ValidationError
 from fission_sim.ledger import make_transfer, split_transaction
-from fission_sim.sortition import (
-    BLOCK_INTERIM,
-    BLOCK_MAIN,
-    Committee,
-    leader_ticket,
-    leader_tickets,
-    select_committee,
-)
-from reference import leader_order
+from fission_sim.seeding import split
+from fission_sim.sortition import BLOCK_INTERIM, BLOCK_MAIN, leader_ticket, select_committee
+from reference import elect_proposer, leader_order
 
 # small all-honest world used by most pipeline tests
 SMALL = dict(h=1.0, alpha=1.0, tau=50.0, theta=0.3, n_nodes=12, stake_dist="fixed:100")
@@ -120,15 +113,15 @@ def reference_votes(committee, population, proposal, offline):
 
     other = sha3(b"conflict" + proposal)
     votes, conflicting = Votes(proposal), Votes(other)
-    nodes = {n.pk: n for n in population.nodes}
     for pk, weight in zip(committee.pks, committee.weights):
-        node = nodes[pk]
         if pk in offline:
             continue
-        if not node.byzantine or node.strategy == consensus.EQUIVOCATE:
-            cast(votes, pk, weight, node.sk)
-        if node.byzantine and node.strategy in (consensus.VOTE_CONFLICTING, consensus.EQUIVOCATE):
-            cast(conflicting, pk, weight, node.sk)
+        role = population.strategies.get(pk)  # None for an honest member
+        sk = population.registry.secret_for(pk)
+        if role in (None, consensus.EQUIVOCATE):
+            cast(votes, pk, weight, sk)
+        if role in (consensus.VOTE_CONFLICTING, consensus.EQUIVOCATE):
+            cast(conflicting, pk, weight, sk)
     # with no conflicting member, no conflict hash is derived
     return votes, conflicting if conflicting else Votes()
 
@@ -145,11 +138,10 @@ VOTING_WORLDS = dict(
 def voting_world(roles, offline_mask, proposal, world):
     """A 16-node population with the given roles, its offline keys, and its
     main-block committee at seed ``proposal``."""
-    population = Population.build(16, "fixed:100", alpha=1.0, h=1.0, master_seed=world)
-    for node, role in zip(population.nodes, roles):
-        node.byzantine, node.strategy = role is not None, role or consensus.WITHHOLD
-    population = Population(population.nodes, population.registry)  # roles are read at build
-    offline = {n.pk for n, dark in zip(population.nodes, offline_mask) if dark}
+    built = Population.build(16, "fixed:100", alpha=1.0, h=1.0, master_seed=world)
+    strategies = {pk: role for pk, role in zip(built.pks, roles) if role is not None}
+    population = Population(built.pks, built.stakes, built.online, strategies, built.registry)
+    offline = {pk for pk, dark in zip(population.pks, offline_mask) if dark}
     committee = select_committee(
         population.electorate, proposal, BLOCK_MAIN, 0.05, population.registry
     )
@@ -163,8 +155,7 @@ def test_collect_votes_equals_per_member_signatures(roles, offline_mask, proposa
     ballot = cast_ballot(committee, population, offline)
     votes = consensus.collect_votes(ballot, population, proposal)
     assert votes == reference_votes(committee, population, proposal, offline)[0]
-    nodes = {n.pk: n for n in population.nodes}
-    byzantine = [w for pk, w in zip(committee.pks, committee.weights) if nodes[pk].byzantine]
+    byzantine = [w for pk, w in zip(committee.pks, committee.weights) if pk in population.strategies]
     assert ballot.adversary == sum(byzantine)
 
 
@@ -202,10 +193,10 @@ def test_micro_round_defers_overflow_prefix_by_arrival():
     capacity_target = 3
     cfg.micro_throughput = capacity_target / (cfg.delta_micro * len(committee))
     reg = sim.population.registry
-    sender = sim.population.nodes[0]
+    sender, receiver = sim.population.pks[:2]
     subs = []
     for n in range(1, 7):
-        tx = make_transfer(reg, sender.sk, sim.population.nodes[1].pk, 1, n)
+        tx = make_transfer(reg, reg.secret_for(sender), receiver, 1, n)
         subs.append(split_transaction(tx, reg))
     ballot = cast_ballot(committee, sim.population, set())
     outcome, deferred, invalid = micro_round(0, subs, ballot, sim.chain, cfg)
@@ -225,9 +216,9 @@ def test_micro_round_capacity_counts_online_members_only():
     )
     offline = {committee.pks[0], b"\x00" * 32}
     cfg = EpochSettings(delta_micro=1.0, micro_throughput=1.0)
-    sender, receiver = sim.population.nodes[0], sim.population.nodes[1]
+    sender, receiver = sim.population.pks[:2]
     subs = [
-        split_transaction(make_transfer(reg, sender.sk, receiver.pk, 1, n), reg)
+        split_transaction(make_transfer(reg, reg.secret_for(sender), receiver, 1, n), reg)
         for n in range(1, len(committee) + 1)
     ]
     outcome, deferred, invalid = micro_round(
@@ -241,10 +232,10 @@ def test_micro_round_capacity_counts_online_members_only():
 def test_micro_round_filters_invalid_state_transitions():
     sim = small_sim()
     reg = sim.population.registry
-    sender = sim.population.nodes[0]
-    good = split_transaction(make_transfer(reg, sender.sk, sim.population.nodes[1].pk, 1, 1), reg)
+    sender, receiver = sim.population.pks[:2]
+    good = split_transaction(make_transfer(reg, reg.secret_for(sender), receiver, 1, 1), reg)
     overdraw = split_transaction(
-        make_transfer(reg, sender.sk, sim.population.nodes[1].pk, 10**9, 2), reg
+        make_transfer(reg, reg.secret_for(sender), receiver, 10**9, 2), reg
     )
     committee = select_committee(
         sim.population.electorate, b"s", "partition:0", sim.security.p, sim.population.registry
@@ -262,8 +253,8 @@ def test_micro_round_propagates_errors_that_are_not_protocol_errors(monkeypatch)
     # application must surface instead of being counted as invalid traffic
     sim = small_sim()
     reg = sim.population.registry
-    sender = sim.population.nodes[0]
-    eager = split_transaction(make_transfer(reg, sender.sk, sim.population.nodes[1].pk, 1, 1), reg)
+    sender, receiver = sim.population.pks[:2]
+    eager = split_transaction(make_transfer(reg, reg.secret_for(sender), receiver, 1, 1), reg)
     committee = select_committee(
         sim.population.electorate, b"s", "partition:0", sim.security.p, reg
     )
@@ -323,103 +314,31 @@ def test_clock_advances_by_epoch_budget():
 
 
 def test_leader_fallback_skips_offline_proposer():
+    # with the head of the leader order dark, the reference elects the next
+    # entry, which votes on the epoch's block while the head does not
     sim = small_sim()
+    reg = sim.population.registry
     seed = next_seed(sim.chain.tip.header.seed, sim.chain.tip.hash)
-    committee = select_committee(sim.population.electorate, seed, BLOCK_INTERIM, sim.security.p, sim.population.registry)
-    tickets = [
-        (pk, leader_ticket(sim.population.registry.secret_for(pk), seed).hash) for pk in committee.pks
-    ]
-    order = leader_order(tickets)
+    committee = select_committee(sim.population.electorate, seed, BLOCK_INTERIM, sim.security.p, reg)
+    order = leader_order([(pk, leader_ticket(reg.secret_for(pk), seed).hash) for pk in committee.pks])
     result = run_epoch(
         sim.chain, [], sim.security.p, sim.config.epochs, sim.population,
         offline={order[0]},
     )
-    assert result.proposer == order[1]
-
-
-@lru_cache(maxsize=1)
-def proposer_world():
-    """A 40-node population and its block committee at the first epoch seed."""
-    sim = ChainSimulation(n_nodes=40, tx_per_epoch=0, seed=4)
-    seed = next_seed(sim.chain.tip.header.seed, sim.chain.tip.hash)
-    committee = select_committee(
-        sim.population.electorate, seed, BLOCK_INTERIM, sim.security.p, sim.population.registry
-    )
-    return sim.population, committee
-
-
-def coarse_ticket(sk, seed):
-    """A leader ticket with three possible values, so that pks break ties."""
-    return VrfOutput(hash=bytes([leader_ticket(sk, seed).hash[0] % 3]) * 32, proof=b"")
-
-
-def coarse_tickets(framed_sks, seed):
-    """``coarse_ticket`` on the batched ticket path."""
-    return [bytes([t[0] % 3]) * 32 for t in leader_tickets(framed_sks, seed)]
-
-
-@settings(max_examples=150, deadline=None)
-@given(data=st.data(), seed=st.binary(max_size=40), coarse=st.booleans())
-def test_elect_proposer_is_first_online_entry_of_leader_order(data, seed, coarse):
-    population, committee = proposer_world()
-    picked = sorted(data.draw(st.sets(st.sampled_from(range(len(committee))))))
-    members = Committee(
-        [committee.pks[i] for i in picked],
-        [committee.weights[i] for i in picked],
-    )
-    offline = data.draw(st.sets(st.sampled_from(committee.pks + [b"\x00" * 32])))
-    ticket = coarse_ticket if coarse else leader_ticket
-    order = leader_order(
-        [(pk, ticket(population.registry.secret_for(pk), seed).hash) for pk in members.pks]
-    ) if members else []
-    expected = next((pk for pk in order if pk not in offline), None)
-    with patch.object(consensus, "leader_tickets", coarse_tickets if coarse else leader_tickets):
-        assert _elect_proposer(members, population, seed, offline) == expected
-        assert _elect_proposer(members, population, seed, set(members.pks)) is None
-
-
-def test_the_step_elects_nobody_and_a_read_elects_once():
-    # the golden offline epoch-metadata run: 30% of online nodes drop out each
-    # epoch, so some proposers are fallbacks
-    sim = ChainSimulation(
-        n_nodes=60, tx_per_epoch=40, offline_rate=0.3, invalid_fraction=0.1, theta=0.4, seed=21
-    )
-    drawn = []
-    draw_offline = sim._draw_offline
-    sim._draw_offline = lambda: drawn.append(draw_offline()) or drawn[-1]
-    calls = []
-
-    def counted(framed_sks, seed):
-        calls.append(seed)
-        return leader_tickets(framed_sks, seed)
-
-    with patch.object(consensus, "leader_tickets", counted):
-        results = sim.run(12)
-        assert calls == []
-        proposers = [r.proposer for r in results]
-        assert calls == [r.block.header.seed for r in results]
-        assert [r.proposer for r in results] == proposers
-        assert len(calls) == len(results)  # cached: a second read elects nobody
-    fallbacks = 0
-    for r, offline, proposer in zip(results, drawn, proposers):
-        seed = r.block.header.seed
-        committee = select_committee(
-            sim.population.electorate, seed, BLOCK_INTERIM if r.kind == INTERIM else BLOCK_MAIN,
-            sim.security.p, sim.population.registry,
-        )
-        secret = sim.population.registry.secret_for
-        order = leader_order([(pk, leader_ticket(secret(pk), seed).hash) for pk in committee.pks])
-        assert proposer == next(pk for pk in order if pk not in offline)
-        fallbacks += proposer != order[0]
-    assert fallbacks > 0
+    assert result.block.header.seed == seed
+    assert elect_proposer(reg, committee.pks, seed, set()) == order[0]
+    proposer = elect_proposer(reg, committee.pks, seed, {order[0]})
+    assert proposer == order[1]
+    voters = result.block.header.votes.voters
+    assert proposer in voters and order[0] not in voters
+    assert elect_proposer(reg, committee.pks, seed, set(committee.pks)) is None
 
 
 def test_offline_committee_yields_empty_block_not_stall():
     sim = small_sim()
-    all_pks = {n.pk for n in sim.population.nodes}
     result = run_epoch(
         sim.chain, [], sim.security.p, sim.config.epochs, sim.population,
-        offline=all_pks,
+        offline=set(sim.population.pks),
     )
     assert result.empty and result.block.is_timeout_block
     assert len(sim.chain.blocks) == 2
@@ -430,10 +349,9 @@ def test_interim_timeout_requeues_transactions():
     sim.config.chain.tx_per_epoch = 5
     sim.generate_transactions()
     assert len(sim.mempool) == 5
-    all_pks = {n.pk for n in sim.population.nodes}
     result = run_epoch(
         sim.chain, sim.mempool, sim.security.p, sim.config.epochs, sim.population,
-        offline=all_pks,
+        offline=set(sim.population.pks),
     )
     assert result.empty
     assert len(sim.mempool) == 5  # everything deferred to the next round
@@ -478,11 +396,53 @@ def test_adversarial_population_never_reaches_quorum_short_run():
 def test_population_stake_partitioning():
     pop = Population.build(200, "fixed:100", alpha=0.7, h=0.75, master_seed=1)
     total = pop.total_stake
-    online = sum(n.stake for n in pop.nodes if n.online)
-    byz = sum(n.stake for n in pop.nodes if n.byzantine)
+    stake_of = dict(zip(pop.pks, pop.stakes))
+    online = sum(stake_of[pk] for pk in pop.online)
+    byz = sum(stake_of[pk] for pk in pop.strategies)
     assert abs(online - 0.7 * total) <= 200  # within stake granularity
     assert byz <= 0.25 * online
-    assert all(n.online for n in pop.nodes if n.byzantine)
+    assert set(pop.strategies) <= set(pop.online)
+
+
+STAKE_SPECS = st.one_of(
+    st.integers(1, 1000).map(lambda v: f"fixed:{v}"),
+    st.tuples(st.integers(1, 100), st.integers(0, 900)).map(lambda t: f"uniform:{t[0]}:{t[0] + t[1]}"),
+    st.sampled_from([1.1, 1.5, 2.0, 3.0]).map(lambda shape: f"pareto:{shape}"),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n_nodes=st.integers(1, 60),
+    spec=STAKE_SPECS,
+    alpha=st.floats(0.01, 1.0),
+    h=st.floats(0.67, 1.0),
+    seed=st.integers(0, 2**32),
+)
+def test_population_build_on_generated_inputs(n_nodes, spec, alpha, h, seed):
+    pop = Population.build(n_nodes, spec, alpha=alpha, h=h, master_seed=seed)
+    assert len(pop.pks) == len(pop.stakes) == n_nodes == len(set(pop.pks))
+    online = set(pop.online)
+    assert pop.online == [pk for pk in pop.pks if pk in online]
+    # the online set is the shortest prefix of the build's node shuffle that
+    # reaches alpha * K
+    rng = split(seed, "population")
+    assert dist_sampler(spec, integer=True, minimum=1)(rng, n_nodes) == pop.stakes
+    order = list(range(n_nodes))
+    rng.shuffle(order)
+    added = order[:len(online)]
+    assert {pop.pks[i] for i in added} == online
+    online_stake = sum(pop.stakes[i] for i in added)
+    assert online_stake >= alpha * pop.total_stake
+    assert online_stake - pop.stakes[added[-1]] < alpha * pop.total_stake
+    stake_of = dict(zip(pop.pks, pop.stakes))
+    assert set(pop.strategies) <= online
+    assert set(pop.strategies.values()) <= set(consensus.STRATEGIES)
+    assert sum(stake_of[pk] for pk in pop.strategies) <= (1.0 - h) * online_stake
+    assert pop.electorate.pks == sorted(online)
+    sim = small_sim(offline_rate=0.5)
+    sim.population = pop
+    assert sim._draw_offline() <= online
 
 
 def test_unknown_keyword_key_is_a_type_error():
@@ -495,7 +455,7 @@ def test_unknown_keyword_key_is_a_type_error():
 def test_every_stake_must_fit_the_eight_byte_balance():
     # 2^64 - 2048 is the largest float-parsed stake below 2^64
     sim = ChainSimulation(n_nodes=2, stake_dist=f"fixed:{2**64 - 2048}")
-    assert [n.stake for n in sim.population.nodes] == [2**64 - 2048] * 2
+    assert sim.population.stakes == [2**64 - 2048] * 2
     with pytest.raises(ValidationError) as err:
         ChainSimulation(n_nodes=2, stake_dist=f"fixed:{2**64}")
     assert err.value.field == "population.stake_dist"
@@ -518,9 +478,9 @@ def test_assemble_interim_rejects_misrouted_micro_block():
 
     sim = small_sim(n_nodes=12)
     reg = sim.population.registry
-    sender = sim.population.nodes[0]
-    eager = split_transaction(make_transfer(reg, sender.sk, sim.population.nodes[1].pk, 1, 1), reg)
-    home = partition_of(shard_of(sender.pk, sim.chain.state.n_shard), 2)
+    sender, receiver = sim.population.pks[:2]
+    eager = split_transaction(make_transfer(reg, reg.secret_for(sender), receiver, 1, 1), reg)
+    home = partition_of(shard_of(sender, sim.chain.state.n_shard), 2)
     wrong = 1 - home
     seed = next_seed(sim.chain.tip.header.seed, sim.chain.tip.hash)
     committee = select_committee(
@@ -537,9 +497,9 @@ def test_conflicting_quorum_is_caught_at_assembly():
     # run_epoch's adversary-quorum check fires first on such a committee, so
     # only a direct call reaches this invariant
     sim = small_sim()
-    for node in sim.population.nodes:
-        node.byzantine, node.strategy = True, consensus.VOTE_CONFLICTING
-    sim.population = Population(sim.population.nodes, sim.population.registry)  # roles are read at build
+    pop = sim.population
+    strategies = dict.fromkeys(pop.pks, consensus.VOTE_CONFLICTING)
+    sim.population = Population(pop.pks, pop.stakes, pop.online, strategies, pop.registry)
     committee = select_committee(
         sim.population.electorate, sim.chain.next_header().seed, BLOCK_MAIN,
         sim.security.p, sim.population.registry,
@@ -567,8 +527,8 @@ def test_partition_count_scales_and_resharding_doubles_shards():
     assert shard_trajectory == sorted(shard_trajectory)  # shards only grow
     assert sim.chain.state.total_balance() + sim.chain.state.pending_value() == sim.k_total
     # re-homed accounts keep their balances through the split
-    for node in sim.population.nodes:
-        assert sim.chain.state.get_account(node.pk) is not None
+    for pk in sim.population.pks:
+        assert sim.chain.state.get_account(pk) is not None
 
 
 def test_reshard_window_restarts_after_a_split():
@@ -582,3 +542,52 @@ def test_reshard_window_restarts_after_a_split():
     results = sim.run(10)
     assert [r.n_partition for r in results] == [1, 1, 1, 1, 1, 2, 2, 2, 2, 3]
     assert [r.n_shard for r in results] == [1, 1, 1, 1, 2, 2, 2, 2, 4, 4]
+
+
+# --- chain properties on generated configs ---
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_nodes=st.integers(8, 60),
+    stake_dist=STAKE_SPECS,
+    offline_rate=st.floats(0.0, 0.9),
+    invalid_fraction=st.floats(0.0, 1.0),
+    tx_per_epoch=st.integers(0, 40),
+    n_shard=st.integers(1, 8),
+    n_partition=st.integers(1, 8),
+    n_e_max=st.integers(1, 8),
+    n_rs=st.integers(1, 3),
+    epochs=st.integers(4, 16),
+    seed=st.integers(0, 2**16),
+)
+# a timeout defers an overdraw, whose debit leaves the sender's spendable view
+# below zero for the next overdraw drawn on it
+@example(
+    n_nodes=8, stake_dist="fixed:1", offline_rate=0.6, invalid_fraction=0.5, tx_per_epoch=10,
+    n_shard=2, n_partition=1, n_e_max=1, n_rs=1, epochs=5, seed=0,
+)
+def test_chain_properties_on_generated_configs(epochs, **keys):
+    # an all-honest, always-active population, with tau below any drawn K
+    keys.update(h=1.0, alpha=1.0, tau=5.0, theta=0.3)
+    try:
+        cfg = load_config(None, {CHAIN_KEYWORDS[key]: value for key, value in keys.items()})
+        before = copy.deepcopy(cfg)
+        sim = ChainSimulation(cfg)
+    except ValidationError:
+        assume(False)
+    shards = [cfg.partition.n_shard]
+    for _ in range(epochs):
+        r = sim.step()
+        state = sim.chain.state
+        assert state.total_balance() + state.pending_value() == sim.k_total
+        assert r.kind == (MAIN if r.epoch % 2 == 0 else INTERIM)
+        assert 1 <= r.n_partition <= r.n_shard
+        shards += [r.n_shard, state.n_shard]
+    assert all(b in (a, 2 * a) for a, b in zip(shards, shards[1:]))
+
+    again = ChainSimulation(cfg)
+    again.run(epochs)
+    assert again.chain.export_jsonl() == sim.chain.export_jsonl()
+    assert again.results == sim.results
+    assert cfg == before and sim.config == before and again.config == before

@@ -8,9 +8,10 @@ relay round was inlined, and the retrieval cases for the ``simulate_drs`` trace
 rows, recorded before the retrieval round was rewritten as one scan. The
 epoch-metadata cases pin what the chain export leaves out (proposer, committee
 and adversary weight, micro timeouts, invalid transactions, emptiness), recorded
-before the committee draws, leader pick and vote signing were optimised. A
-mismatch means the output bytes moved, which must only ever happen as a
-deliberate, documented format change.
+before the committee draws, leader pick and vote signing were optimised; the
+library elects no proposer, so these cases elect it through the per-node
+reference from each epoch's offline keys. A mismatch means the output bytes
+moved, which must only ever happen as a deliberate, documented format change.
 """
 
 import copy
@@ -27,8 +28,8 @@ from fission_sim.crypto import sha3
 from fission_sim.dists import sample_dist
 from fission_sim.drs import simulate_drs
 from fission_sim.relay import RelaySystemState, simulate_prs, validate_lemma_expectation
-from fission_sim.sortition import BLOCK_INTERIM, BLOCK_MAIN, leader_ticket, select_committee
-from reference import leader_order
+from fission_sim.sortition import BLOCK_INTERIM, BLOCK_MAIN, select_committee
+from reference import elect_proposer
 
 SMALL = dict(h=1.0, alpha=1.0, tau=50.0, theta=0.3, stake_dist="fixed:100")
 
@@ -101,32 +102,42 @@ EPOCH_META_CASES = {
 }
 
 
-def _leader_fallbacks(sim) -> int:
-    """Epochs whose proposer is not the head of the full leader order."""
-    stakes = sim.population.electorate
-    count = 0
-    for r in sim.results:
-        seed = sim.chain.blocks[r.epoch].header.seed
+def _proposers(sim, offline_sets) -> list[bytes | None]:
+    """Each epoch's proposer, elected through the reference: its block
+    committee, re-drawn from the block's seed, less its offline keys."""
+    registry = sim.population.registry
+    proposers = []
+    for r, offline in zip(sim.results, offline_sets):
+        seed = r.block.header.seed
         ctype = BLOCK_INTERIM if r.kind == INTERIM else BLOCK_MAIN
-        committee = select_committee(stakes, seed, ctype, sim.security.p, sim.population.registry)
-        tickets = [(pk, leader_ticket(sim.population.registry.secret_for(pk), seed).hash) for pk in committee.pks]
-        count += r.proposer != leader_order(tickets)[0]
-    return count
+        committee = select_committee(sim.population.electorate, seed, ctype, sim.security.p, registry)
+        proposers.append(elect_proposer(registry, committee.pks, seed, offline))
+    return proposers
+
+
+def _leader_fallbacks(sim, proposers) -> int:
+    """Epochs whose proposer is not the head of the full leader order."""
+    heads = _proposers(sim, [set()] * len(sim.results))
+    return sum(proposer != head for proposer, head in zip(proposers, heads))
 
 
 @pytest.mark.parametrize("case", sorted(EPOCH_META_CASES))
 def test_golden_epoch_metadata_digest(case):
     params, epochs, expected = EPOCH_META_CASES[case]
     sim = ChainSimulation(**params)
+    drawn = []
+    draw_offline = sim._draw_offline
+    sim._draw_offline = lambda: drawn.append(draw_offline()) or drawn[-1]
     sim.run(epochs)
+    proposers = _proposers(sim, drawn)
     if case == "offline":
-        assert _leader_fallbacks(sim) > 0
+        assert _leader_fallbacks(sim, proposers) > 0
         assert any(r.micro_timeouts for r in sim.results) and any(r.empty for r in sim.results)
     else:
-        assert {n.strategy for n in sim.population.nodes if n.byzantine} == set(STRATEGIES)
+        assert set(sim.population.strategies.values()) == set(STRATEGIES)
     rows = [
-        (r.proposer, r.committee_weight, r.adversary_weight, r.micro_timeouts, r.invalid_txs, r.empty)
-        for r in sim.results
+        (proposer, r.committee_weight, r.adversary_weight, r.micro_timeouts, r.invalid_txs, r.empty)
+        for r, proposer in zip(sim.results, proposers)
     ]
     assert _reprs_digest(rows) == expected
 

@@ -6,6 +6,11 @@ comments do not count), or be named anywhere in ``perfbench/*.py``, whose
 tracer looks its targets up by name. Per-node references that only the tests
 call live in ``tests/reference.py``. Dunder methods are called by Python
 itself and are not checked.
+
+Likewise every attribute a class in ``src/fission_sim`` stores (``self.x =``
+in a method, or an annotated class field) must be read as ``.x`` somewhere in
+the package, or be named in ``perfbench/*.py``, which reads what a step
+returns.
 """
 
 import ast
@@ -26,7 +31,18 @@ ALLOWED = {
     "get_account": "the ledger's read API for one account snapshot",
     "iter_accounts": "the ledger's read API over all account snapshots",
     "encode_field": "the canonical field layout that the batched encoders inline",
-    "proposer": "EpochResult's leader election, run when read; no output of a run depends on it",
+}
+
+# stored with no reader in the program, each for its reason
+STORED_ALLOWED = {
+    "VrfOutput.proof": "the proof anyone checks a draw with; the tests' VRF verifier reads it",
+    "Votes.block_hash": "the hash the certificate's signatures sign; certificates compare equal on it",
+    "EpochResult.block": "the epoch's block, for callers of ChainSimulation.step to inspect",
+    "InvariantViolation.invariant": "names the broken invariant to whoever catches the error",
+    "Account.pk": "a field of the snapshot that the ledger's read API returns",
+    "Account.balance": "a field of the snapshot that the ledger's read API returns",
+    "DrsState.size": "the instance's key sizes, from which requests are weighed",
+    "DrsRoundReport.to_relayer": "the round's hand-offs to the relay network, beside its migrations",
 }
 
 
@@ -47,11 +63,53 @@ def uses(tree, name):
     )
 
 
-def unused_definitions():
-    modules = {path: ast.parse(path.read_text()) for path in sorted((ROOT / "src" / "fission_sim").glob("*.py"))}
-    perfbench = set()
+def stored_attributes(tree):
+    """(class, attribute, line) of every attribute a class stores: an
+    assignment to ``self.x`` in one of its methods, or an annotated field."""
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for stmt in cls.body:
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                yield cls.name, stmt.target.id, stmt.lineno
+            elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(stmt):
+                    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store) \
+                            and isinstance(node.value, ast.Name) and node.value.id == "self":
+                        yield cls.name, node.attr, node.lineno
+
+
+def source_modules():
+    return {path: ast.parse(path.read_text()) for path in sorted((ROOT / "src" / "fission_sim").glob("*.py"))}
+
+
+def perfbench_words():
+    words = set()
     for path in (ROOT / "perfbench").glob("*.py"):
-        perfbench.update(re.findall(r"\w+", path.read_text()))
+        words.update(re.findall(r"\w+", path.read_text()))
+    return words
+
+
+def unread_attributes():
+    modules = source_modules()
+    perfbench = perfbench_words()
+    read = {
+        node.attr
+        for tree in modules.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = []
+    for path, tree in modules.items():
+        for cls, attr, line in stored_attributes(tree):
+            if attr not in read and attr not in perfbench and f"{cls}.{attr}" not in STORED_ALLOWED:
+                unread.append(f"{path.name}:{line} {cls}.{attr}")
+    return unread
+
+
+def unused_definitions():
+    modules = source_modules()
+    perfbench = perfbench_words()
     read = Counter()
     for tree in modules.values():
         for node in ast.walk(tree):
@@ -79,3 +137,16 @@ def test_allow_list_names_only_definitions_that_exist():
         for name, _ in definitions(ast.parse(path.read_text()))
     }
     assert set(ALLOWED) <= defined
+
+
+def test_every_attribute_a_class_stores_is_read_by_the_program():
+    assert unread_attributes() == []
+
+
+def test_stored_allow_list_names_only_attributes_that_exist():
+    stored = {
+        f"{cls}.{attr}"
+        for tree in source_modules().values()
+        for cls, attr, _ in stored_attributes(tree)
+    }
+    assert set(STORED_ALLOWED) <= stored

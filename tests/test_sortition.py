@@ -441,7 +441,8 @@ def test_small_p_cdf_matches_poisson():
 def test_small_p_committee_weight_mean_is_p_times_online_stake():
     population = Population.build(40, f"fixed:{HUGE_STAKE}", alpha=0.7, h=0.75, master_seed=1)
     p = HUGE_TAU / population.total_stake
-    online = sum(n.stake for n in population.nodes if n.online)
+    online_keys = set(population.online)
+    online = sum(stake for pk, stake in zip(population.pks, population.stakes) if pk in online_keys)
     draws = 30
     weights = [
         sum(select_committee(

@@ -34,6 +34,7 @@ from .ledger import (
     SubTransaction,
     apply_eager,
     apply_lazy,
+    sub_ids,
 )
 from .merkle import merkle_levels, merkle_root, merkle_update
 from .partitioning import next_partition_count, reshard_trigger, split_shards
@@ -155,12 +156,12 @@ def compute_root_arrays(
     key = (
         tuple(post_state.trees),  # AccountTree has no __eq__: compared by identity
         [(pk, balances[pk], nonces[pk]) for pk in sorted(post_state.written)],
-        [sub.id for sub in body],
+        sub_ids(body),  # hashes each id not yet memoised
     )
     memo = post_state.root_memo[0]
     if memo is None or memo[0] != key:
         n = post_state.n_shard
-        from_bytes = int.from_bytes  # shard_of's arithmetic, inlined per entry
+        from_bytes = int.from_bytes  # an account's shard, pk mod n, inlined per entry
         subs: list[list[SubTransaction]] = [[] for _ in range(n)]
         for sub in body:
             subs[from_bytes(sub.sender if sub.kind == EAGER else sub.receiver, "big") % n].append(sub)
@@ -197,7 +198,7 @@ def _body_roots(subs: list[SubTransaction]) -> tuple[bytes, bytes]:
         for sub in subs
         if sub.kind == EAGER
     ]
-    return merkle_root([sub.id for sub in subs]), merkle_root(logs)
+    return merkle_root(sub_ids(subs)), merkle_root(logs)
 
 
 def _leaf(pk: bytes, balance: int, nonce: int) -> bytes:

@@ -20,6 +20,7 @@ is a pure function of (config, seed).
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
 from .chain import INTERIM, Block, Chain, MicroBlock, Votes
@@ -34,10 +35,8 @@ from .ledger import (
     apply_eager,
     credit_of,
     make_transfer,
-    shard_of,
     split_transaction,
 )
-from .partitioning import partition_of
 from .seeding import child_bytes, split
 from .sortition import (
     BLOCK_INTERIM,
@@ -258,9 +257,11 @@ def assemble_interim(
     A failed quorum yields the designated empty block; the caller re-queues
     the micro bodies.
     """
+    n_shard, n_partition = chain.state.n_shard, chain.n_partition
+    from_bytes = int.from_bytes  # a sender's partition, (pk mod n_shard) mod n_partition
     for micro in micros:
         for sub in micro.sub_txs:
-            home = partition_of(shard_of(sub.sender, chain.state.n_shard), chain.n_partition)
+            home = from_bytes(sub.sender, "big") % n_shard % n_partition
             if home != micro.partition_index:
                 raise InvariantViolation(
                     "consensus-engine",
@@ -321,15 +322,17 @@ def run_epoch(
     invalid_count = 0
     micro_timeouts = 0
     if kind == INTERIM:
-        routed: dict[int, list[SubTransaction]] = {k: [] for k in range(n_partition)}
+        # one admission pass: split each transaction and route its debit to
+        # the partition of the sender's shard, (pk mod n_shard) mod n_partition
+        registry, n_shard, from_bytes = population.registry, chain.state.n_shard, int.from_bytes
+        routed: list[list[SubTransaction]] = [[] for _ in range(n_partition)]
         for tx in mempool:
             try:
-                debit = split_transaction(tx, population.registry)
+                debit = split_transaction(tx, registry)
             except FissionError:
                 invalid_count += 1
                 continue
-            k = partition_of(shard_of(tx.sender, chain.state.n_shard), n_partition)
-            routed[k].append(debit)
+            routed[from_bytes(debit.sender, "big") % n_shard % n_partition].append(debit)
 
         micros: list[MicroBlock] = []
         kept_parents: set[bytes] = set()
@@ -351,8 +354,11 @@ def run_epoch(
             for micro in micros:
                 for sub in micro.sub_txs:
                     kept_parents.add(sub.parent_id)
-        # deferred transactions keep their arrival order for the next round
-        mempool[:] = [tx for tx in list(mempool) if tx.id in kept_parents]
+        if kept_parents:
+            # deferred transactions keep their arrival order for the next round
+            mempool[:] = [tx for tx in mempool if tx.id in kept_parents]
+        else:
+            mempool.clear()
     else:
         block = assemble_main(chain, ballot, population)
 
@@ -379,6 +385,79 @@ def _assert_adversary_below_quorum(ballot: Ballot, quorum: int, label: str) -> N
         raise InvariantViolation(
             "consensus-engine", "adversary-quorum", f"{label} adversary weight {ballot.adversary}"
         )
+
+
+# ---------------------------------------------------------------------------
+# traffic generation
+
+
+def draw_traffic(
+    rng: random.Random,
+    registry: KeyRegistry,
+    view: dict[bytes, tuple[int, int]],
+    tx_per_epoch: int,
+    invalid_fraction: float,
+) -> list[Transaction]:
+    """One epoch's transactions, drawn on ``view``, each account's spendable
+    balance and last nonce, which each valid transfer updates.
+
+    Each of the ``tx_per_epoch`` draws picks a sender and a receiver, each
+    ``pks[rng.randrange(len(pks))]`` over the view's keys in sorted order,
+    then rolls ``rng.random()``. A roll below ``invalid_fraction`` gives an
+    invalid transaction of the flavour ``rng.choice(("overdraw", "nonce",
+    "signature"))``; otherwise a sender with a positive balance sends
+    ``rng.randint(1, min(balance, 50))``. Each ``randrange``, ``choice`` and
+    ``randint`` is inlined as ``random.Random._randbelow_with_getrandbits``
+    runs it, rejections included, so the random stream is that of those
+    calls.
+    """
+    pks = sorted(view)
+    n = len(pks)
+    if tx_per_epoch > 0 and not n:
+        raise ValueError("no account to draw traffic on")
+    bits = n.bit_length()
+    getrandbits, roll = rng.getrandbits, rng.random
+    secret_for = registry.secret_for
+    txs: list[Transaction] = []
+    append = txs.append
+    for _ in range(tx_per_epoch):
+        r = getrandbits(bits)
+        while r >= n:
+            r = getrandbits(bits)
+        sender = pks[r]
+        r = getrandbits(bits)
+        while r >= n:
+            r = getrandbits(bits)
+        receiver = pks[r]
+        balance, nonce = view[sender]
+        sk = secret_for(sender)
+        if roll() < invalid_fraction:
+            flavour = getrandbits(2)  # the index into the three flavours
+            while flavour == 3:
+                flavour = getrandbits(2)
+            if flavour == 0:  # overdraw
+                # the view nets out deferred overdraws too, so it can be below zero
+                append(make_transfer(registry, sk, receiver, max(balance, 0) + 10, nonce + 1))
+            elif flavour == 1:  # nonce gap
+                append(make_transfer(registry, sk, receiver, 1, nonce + 7))
+            else:  # forged signature
+                good = make_transfer(registry, sk, receiver, 1, nonce + 1)
+                append(Transaction(
+                    good.tx_type, good.sender, good.receiver, good.value,
+                    good.nonce, good.data_hash, sha3(b"forged" + good.signature),
+                ))
+            continue
+        if balance <= 0:
+            continue
+        cap = balance if balance < 50 else 50
+        bits_cap = cap.bit_length()
+        value = getrandbits(bits_cap)
+        while value >= cap:
+            value = getrandbits(bits_cap)
+        value += 1
+        append(make_transfer(registry, sk, receiver, value, nonce + 1))
+        view[sender] = (balance - value, nonce + 1)
+    return txs
 
 
 # ---------------------------------------------------------------------------
@@ -447,38 +526,14 @@ class ChainSimulation:
         return view
 
     def generate_transactions(self) -> None:
-        rng = self.txgen_rng
         traffic = self.config.chain
-        invalid_fraction = traffic.invalid_fraction
-        view = self._spendable_view()
-        pks = sorted(view)
-        for _ in range(traffic.tx_per_epoch):
-            sender_pk = pks[rng.randrange(len(pks))]
-            receiver_pk = pks[rng.randrange(len(pks))]
-            balance, nonce = view[sender_pk]
-            sk = self.population.registry.secret_for(sender_pk)
-            bad_roll = rng.random()
-            if bad_roll < invalid_fraction:
-                flavor = rng.choice(("overdraw", "nonce", "signature"))
-                if flavor == "overdraw":
-                    # the view nets out deferred overdraws too, so it can be below zero
-                    tx = make_transfer(self.population.registry, sk, receiver_pk, max(balance, 0) + 10, nonce + 1)
-                elif flavor == "nonce":
-                    tx = make_transfer(self.population.registry, sk, receiver_pk, 1, nonce + 7)
-                else:
-                    good = make_transfer(self.population.registry, sk, receiver_pk, 1, nonce + 1)
-                    tx = Transaction(
-                        good.tx_type, good.sender, good.receiver, good.value,
-                        good.nonce, good.data_hash, sha3(b"forged" + good.signature),
-                    )
-                self.mempool.append(tx)
-                continue
-            if balance <= 0:
-                continue
-            value = rng.randint(1, max(1, min(balance, 50)))
-            tx = make_transfer(self.population.registry, sk, receiver_pk, value, nonce + 1)
-            view[sender_pk] = (balance - value, nonce + 1)
-            self.mempool.append(tx)
+        self.mempool += draw_traffic(
+            self.txgen_rng,
+            self.population.registry,
+            self._spendable_view(),
+            traffic.tx_per_epoch,
+            traffic.invalid_fraction,
+        )
 
     def _draw_offline(self) -> set[bytes]:
         rate = self.config.chain.offline_rate

@@ -114,9 +114,13 @@ def sign_each(framed_sks: list[bytes], message: bytes) -> list[bytes]:
 
 
 def verify(registry: KeyRegistry, pk: bytes, message: bytes, signature: bytes) -> bool:
-    if pk not in registry:
+    """Whether ``signature`` is ``sign(sk, message)`` for the secret key of
+    ``pk``, recomputed from the key framed once in ``registry``; False for a
+    key the registry does not hold."""
+    framed = registry._framed_by_pk.get(pk)
+    if framed is None:
         return False
-    return sign(registry.secret_for(pk), message) == signature
+    return sha3(b"".join((b"sig", framed, length_prefix(len(message)), message))) == signature
 
 
 # ---------------------------------------------------------------------------

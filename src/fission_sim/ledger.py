@@ -19,6 +19,7 @@ fields, with integers as ``crypto.encode_uint``.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from . import crypto
@@ -42,13 +43,6 @@ EAGER = "eager"
 LAZY = "lazy"
 
 
-def shard_of(pk: bytes, n_shard: int) -> int:
-    """Home shard of a public key: big-endian integer value mod shard count."""
-    if n_shard < 1:
-        raise ValueError("n_shard must be >= 1")
-    return int.from_bytes(pk, "big") % n_shard
-
-
 @dataclass(slots=True)
 class Account:
     """A snapshot of one account, as ``LedgerState.get_account`` and
@@ -59,12 +53,16 @@ class Account:
     nonce: int = 0
 
 
+# the transfer type as the first field of a transfer's signed bytes, framed once
+TRANSFER_FIELD = length_prefix(len(TX_TYPE_TRANSFER)) + TX_TYPE_TRANSFER.encode()
+
+
 def _signing_bytes(
-    tx_type: str, sender: bytes, receiver: bytes, value: int, nonce: int, data_hash: bytes
+    type_field: bytes, sender: bytes, receiver: bytes, value: int, nonce: int, data_hash: bytes
 ) -> bytes:
-    tag = tx_type.encode()
+    """A transaction's signed bytes, its type given framed as ``type_field``."""
     return b"".join((
-        length_prefix(len(tag)), tag,
+        type_field,
         length_prefix(len(sender)), sender,
         length_prefix(len(receiver)), receiver,
         UINT_PREFIX, int(value).to_bytes(8, "big"),
@@ -93,8 +91,10 @@ class Transaction:
 
     def signing_bytes(self) -> bytes:
         if self._signing is None:
+            tag = self.tx_type.encode()
             self._signing = _signing_bytes(
-                self.tx_type, self.sender, self.receiver, self.value, self.nonce, self.data_hash
+                length_prefix(len(tag)) + tag,
+                self.sender, self.receiver, self.value, self.nonce, self.data_hash,
             )
         return self._signing
 
@@ -118,7 +118,7 @@ def make_transfer(
     ``registry`` generated; the signed message is kept as the transaction's
     ``signing_bytes()``."""
     sender = registry.public_key(sk)
-    message = _signing_bytes(TX_TYPE_TRANSFER, sender, receiver, value, nonce, data_hash)
+    message = _signing_bytes(TRANSFER_FIELD, sender, receiver, value, nonce, data_hash)
     sig = crypto.sign(sk, message)
     tx = Transaction(TX_TYPE_TRANSFER, sender, receiver, value, nonce, data_hash, sig)
     tx._signing = message
@@ -139,22 +139,40 @@ class SubTransaction:
     nonce: int
     _id: bytes | None = field(default=None, init=False, repr=False, compare=False)
 
-    def encode(self) -> bytes:
-        kind = self.kind.encode()
-        return b"".join((
-            length_prefix(len(kind)), kind,
-            length_prefix(len(self.parent_id)), self.parent_id,
-            length_prefix(len(self.sender)), self.sender,
-            length_prefix(len(self.receiver)), self.receiver,
-            UINT_PREFIX, int(self.value).to_bytes(8, "big"),
-            UINT_PREFIX, int(self.nonce).to_bytes(8, "big"),
-        ))
-
     @property
     def id(self) -> bytes:
-        if self._id is None:
-            self._id = sha3(self.encode())
-        return self._id
+        sub_id = self._id
+        return sub_id if sub_id is not None else sub_ids((self,))[0]
+
+
+# each kind as the first field of a sub-transaction's encoding, framed once
+KIND_FIELDS = {kind: length_prefix(len(kind)) + kind.encode() for kind in (EAGER, LAZY)}
+
+
+def sub_ids(subs: Iterable[SubTransaction]) -> list[bytes]:
+    """The ``id`` of each sub-transaction, in order, in one pass that fills
+    the ``_id`` memo of each one not yet hashed.
+
+    A sub-transaction's id is ``sha3(encode_fields(kind.encode(), parent_id,
+    sender, receiver, encode_uint(value), encode_uint(nonce)))``; this is the
+    one place that frames it.
+    """
+    ids = []
+    append = ids.append
+    for sub in subs:
+        sub_id = sub._id
+        if sub_id is None:
+            parent, sender, receiver = sub.parent_id, sub.sender, sub.receiver
+            sub_id = sub._id = sha3(b"".join((
+                KIND_FIELDS[sub.kind],
+                length_prefix(len(parent)), parent,
+                length_prefix(len(sender)), sender,
+                length_prefix(len(receiver)), receiver,
+                UINT_PREFIX, int(sub.value).to_bytes(8, "big"),
+                UINT_PREFIX, int(sub.nonce).to_bytes(8, "big"),
+            )))
+        append(sub_id)
+    return ids
 
 
 def split_transaction(tx: Transaction, registry: KeyRegistry) -> SubTransaction:
@@ -241,7 +259,7 @@ class LedgerState:
 
     ``balances`` and ``nonces`` map pk -> int across all shards and share one
     insertion order (``create_account`` is the only place a key enters, and
-    it enters both); an account's shard (``shard_of(pk, n_shard)``) matters
+    it enters both); an account's shard (``pk mod n_shard``) matters
     only when the state is rooted, so lookups and writes never compute it.
     Readers that need an order sort.
 

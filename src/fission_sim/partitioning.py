@@ -16,12 +16,6 @@ if TYPE_CHECKING:  # config loads the numpy-backed sortition module
     from .config import PartitionSettings
 
 
-def partition_of(shard_index: int, n_partition: int) -> int:
-    if n_partition < 1:
-        raise ValueError("n_partition must be >= 1")
-    return shard_index % n_partition
-
-
 def next_partition_count(n_e: int, n_partition: int, n_shard: int, rules: PartitionSettings) -> int:
     """Scale the partition count by the per-partition confirmed-debit load.
 

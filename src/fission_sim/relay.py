@@ -194,13 +194,24 @@ def apply_churn(
     return joiners, leavers
 
 
+# the largest Poisson rate drawn in one part; math.exp(-lam) underflows to 0
+# past about 745, where Knuth's method would stop counting
+POISSON_PART = 700.0
+
+
 def _poisson(rng: random.Random, lam: float) -> int:
-    # Knuth's method; round rates are small
-    threshold = math.exp(-lam)
-    count, prod = 0, rng.random()
-    while prod > threshold:
-        count += 1
-        prod *= rng.random()
+    """A Poisson(lam) draw by Knuth's method. A rate above ``POISSON_PART`` is
+    drawn as a sum of equal parts of at most ``POISSON_PART`` each, which is
+    exact in distribution: a sum of independent Poisson draws is Poisson of
+    the summed rates. A rate up to ``POISSON_PART`` is one part."""
+    parts = max(1, math.ceil(lam / POISSON_PART))  # raises on an infinite or NaN rate
+    threshold = math.exp(-lam / parts)
+    count = 0
+    for _ in range(parts):
+        prod = rng.random()
+        while prod > threshold:
+            count += 1
+            prod *= rng.random()
     return count
 
 

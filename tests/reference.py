@@ -7,6 +7,13 @@ overflow cost. The simulator computes these for many nodes at once
 compare those passes with the one-node forms kept here, and with
 ``accounting``, the retrieval game's byte split summed on its own.
 
+The one-record forms of the shard and partition arithmetic live here too
+(``shard_of``, ``partition_of``): the library inlines them in the passes that
+route, root and check a block's records. So does a traffic generator that
+draws with ``randrange``, ``choice`` and ``randint`` calls
+(``generate_transactions``): ``consensus.draw_traffic`` inlines those draws
+and must repeat its random stream and transactions.
+
 The leader election lives only here. The proposer is the first online entry
 of an ordered list of leader tickets (``elect_proposer``). No output of the
 simulator depends on it, so the library elects nobody; the tests elect
@@ -19,10 +26,59 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fission_sim.crypto import KeyRegistry, VrfOutput, vrf_eval
+from fission_sim.crypto import KeyRegistry, VrfOutput, sha3, vrf_eval
 from fission_sim.drs import DrsState, drs_potential
+from fission_sim.ledger import Transaction, make_transfer
 from fission_sim.seeding import child_seed
 from fission_sim.sortition import _weights, leader_ticket, voting_power
+
+
+def shard_of(pk: bytes, n_shard: int) -> int:
+    """Home shard of a public key: big-endian integer value mod shard count."""
+    if n_shard < 1:
+        raise ValueError("n_shard must be >= 1")
+    return int.from_bytes(pk, "big") % n_shard
+
+
+def partition_of(shard_index: int, n_partition: int) -> int:
+    """The partition that groups a shard: shard index mod partition count."""
+    if n_partition < 1:
+        raise ValueError("n_partition must be >= 1")
+    return shard_index % n_partition
+
+
+def generate_transactions(rng, registry, view, tx_per_epoch, invalid_fraction) -> list[Transaction]:
+    """``consensus.draw_traffic`` with its draws as ``randrange``, ``choice``
+    and ``randint`` calls."""
+    pks = sorted(view)
+    txs = []
+    for _ in range(tx_per_epoch):
+        sender_pk = pks[rng.randrange(len(pks))]
+        receiver_pk = pks[rng.randrange(len(pks))]
+        balance, nonce = view[sender_pk]
+        sk = registry.secret_for(sender_pk)
+        bad_roll = rng.random()
+        if bad_roll < invalid_fraction:
+            flavor = rng.choice(("overdraw", "nonce", "signature"))
+            if flavor == "overdraw":
+                tx = make_transfer(registry, sk, receiver_pk, max(balance, 0) + 10, nonce + 1)
+            elif flavor == "nonce":
+                tx = make_transfer(registry, sk, receiver_pk, 1, nonce + 7)
+            else:
+                good = make_transfer(registry, sk, receiver_pk, 1, nonce + 1)
+                tx = Transaction(
+                    good.tx_type, good.sender, good.receiver, good.value,
+                    good.nonce, good.data_hash, sha3(b"forged" + good.signature),
+                )
+            txs.append(tx)
+            continue
+        if balance <= 0:
+            continue
+        value = rng.randint(1, max(1, min(balance, 50)))
+        tx = make_transfer(registry, sk, receiver_pk, value, nonce + 1)
+        view[sender_pk] = (balance - value, nonce + 1)
+        txs.append(tx)
+    return txs
 
 
 def split_numpy(master_seed: int, *labels: object) -> np.random.Generator:

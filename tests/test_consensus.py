@@ -1,4 +1,5 @@
 import copy
+from collections import Counter
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -10,17 +11,18 @@ from fission_sim.consensus import (
     ChainSimulation,
     Population,
     cast_ballot,
+    draw_traffic,
     micro_round,
     run_epoch,
 )
 from fission_sim.config import CHAIN_KEYWORDS, EpochSettings, load_config
-from fission_sim.crypto import sha3, sign
+from fission_sim.crypto import KeyRegistry, sha3, sign
 from fission_sim.dists import dist_sampler
 from fission_sim.errors import InvariantViolation, ValidationError
 from fission_sim.ledger import make_transfer, split_transaction
 from fission_sim.seeding import split
 from fission_sim.sortition import BLOCK_INTERIM, BLOCK_MAIN, leader_ticket, select_committee
-from reference import elect_proposer, leader_order
+from reference import elect_proposer, generate_transactions, leader_order, partition_of, shard_of
 
 # small all-honest world used by most pipeline tests
 SMALL = dict(h=1.0, alpha=1.0, tau=50.0, theta=0.3, n_nodes=12, stake_dist="fixed:100")
@@ -357,6 +359,43 @@ def test_interim_timeout_requeues_transactions():
     assert len(sim.mempool) == 5  # everything deferred to the next round
 
 
+# --- traffic generation ---
+
+TRAFFIC_REGISTRY = KeyRegistry()
+TRAFFIC_PKS = [TRAFFIC_REGISTRY.generate(b"traffic-%d" % i)[1] for i in range(70)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    # 2^k and 2^k + 1 accounts sit on either side of a draw's bit-length step
+    n_accounts=st.one_of(st.sampled_from([1, 2, 3, 4, 5, 8, 9, 16, 17, 32, 33, 64, 65]), st.integers(1, 70)),
+    accounts=st.lists(st.tuples(st.integers(-80, 120), st.integers(0, 2**32)), min_size=70, max_size=70),
+    invalid_fraction=st.one_of(st.sampled_from([0.0, 0.05, 1.0]), st.floats(0.0, 1.0)),
+    tx_per_epoch=st.integers(0, 200),
+    seed=st.integers(0, 2**32),
+)
+def test_draw_traffic_repeats_the_randrange_choice_and_randint_generator(
+    n_accounts, accounts, invalid_fraction, tx_per_epoch, seed
+):
+    view = dict(zip(TRAFFIC_PKS[:n_accounts], accounts))
+    ours_view, ref_view = dict(view), dict(view)
+    ours_rng, ref_rng = split(seed, "txgen"), split(seed, "txgen")
+    ours = draw_traffic(ours_rng, TRAFFIC_REGISTRY, ours_view, tx_per_epoch, invalid_fraction)
+    ref = generate_transactions(ref_rng, TRAFFIC_REGISTRY, ref_view, tx_per_epoch, invalid_fraction)
+    # a Transaction compares every field, the signature included
+    assert ours == ref
+    assert ours_view == ref_view
+    assert ours_rng.getstate() == ref_rng.getstate()
+
+
+def test_draw_traffic_on_no_account_raises_as_randrange_does():
+    assert draw_traffic(split(1, "txgen"), TRAFFIC_REGISTRY, {}, 0, 0.0) == []
+    with pytest.raises(ValueError):
+        generate_transactions(split(1, "txgen"), TRAFFIC_REGISTRY, {}, 1, 0.0)
+    with pytest.raises(ValueError):
+        draw_traffic(split(1, "txgen"), TRAFFIC_REGISTRY, {}, 1, 0.0)
+
+
 def test_alternation_over_many_epochs():
     sim = small_sim()
     sim.config.chain.tx_per_epoch = 8
@@ -473,8 +512,6 @@ def test_assemble_interim_rejects_misrouted_micro_block():
     from fission_sim.chain import MicroBlock
     from fission_sim.errors import InvariantViolation
     from fission_sim.consensus import assemble_interim
-    from fission_sim.partitioning import partition_of
-    from fission_sim.ledger import shard_of
 
     sim = small_sim(n_nodes=12)
     reg = sim.population.registry
@@ -585,6 +622,23 @@ def test_chain_properties_on_generated_configs(epochs, **keys):
         assert 1 <= r.n_partition <= r.n_shard
         shards += [r.n_shard, state.n_shard]
     assert all(b in (a, 2 * a) for a, b in zip(shards, shards[1:]))
+
+    # eventual atomicity: each confirmed debit is credited exactly once, by
+    # the next non-empty main block, or is still pending at the end
+    def halves(subs):
+        return Counter((s.parent_id, s.sender, s.receiver, s.value, s.nonce) for s in subs)
+
+    interims = [block for block in sim.chain.blocks if block.header.kind == INTERIM]
+    debits = Counter(sub.parent_id for block in interims for sub in block.body)
+    assert all(n == 1 for n in debits.values())
+    outstanding = Counter()
+    for block in sim.chain.blocks:
+        if block.header.kind == INTERIM:
+            outstanding += halves(block.body)
+        elif block.body:
+            assert halves(block.body) == outstanding
+            outstanding = Counter()
+    assert outstanding == halves(state.pending.values())
 
     again = ChainSimulation(cfg)
     again.run(epochs)

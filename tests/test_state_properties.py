@@ -24,10 +24,10 @@ from fission_sim.ledger import (
     SubTransaction,
     apply_eager,
     apply_lazy,
-    shard_of,
 )
 from fission_sim.merkle import merkle_levels, merkle_root
 from fission_sim.partitioning import split_shards
+from reference import shard_of
 
 KEYS = [sha3(b"prop-key-%d" % i) for i in range(16)]
 FUNDED = 12  # KEYS[FUNDED:] start without an account
@@ -107,7 +107,10 @@ def reference_roots(body, state):
     log_leaves = [[] for _ in range(n)]
     for sub in body:
         key = sub.sender if sub.kind == EAGER else sub.receiver
-        tx_leaves[shard_of(key, n)].append(sha3(sub.encode()))
+        tx_leaves[shard_of(key, n)].append(sha3(encode_fields(
+            sub.kind.encode(), sub.parent_id, sub.sender, sub.receiver,
+            encode_uint(sub.value), encode_uint(sub.nonce),
+        )))
         if sub.kind == EAGER:
             log_leaves[shard_of(sub.sender, n)].append(
                 sha3(encode_fields(sub.parent_id, sub.receiver, encode_uint(sub.value)))

@@ -34,6 +34,7 @@ from .ledger import (
     SubTransaction,
     apply_eager,
     apply_lazy,
+    home_partitions,
     sub_ids,
 )
 from .merkle import merkle_levels, merkle_root, merkle_update
@@ -160,14 +161,15 @@ def compute_root_arrays(
     )
     memo = post_state.root_memo[0]
     if memo is None or memo[0] != key:
-        n = post_state.n_shard
-        from_bytes = int.from_bytes  # an account's shard, pk mod n, inlined per entry
+        n = post_state.n_shard  # home_partitions with n partitions of one shard each
         subs: list[list[SubTransaction]] = [[] for _ in range(n)]
-        for sub in body:
-            subs[from_bytes(sub.sender if sub.kind == EAGER else sub.receiver, "big") % n].append(sub)
+        mutated = [sub.sender if sub.kind == EAGER else sub.receiver for sub in body]
+        for sub, shard in zip(body, home_partitions(mutated, n, n)):
+            subs[shard].append(sub)
+        written = key[1]
         changes: list[list[tuple[bytes, bytes]]] = [[] for _ in range(n)]
-        for pk, balance, nonce in key[1]:
-            changes[from_bytes(pk, "big") % n].append((pk, _leaf(pk, balance, nonce)))
+        for (pk, balance, nonce), shard in zip(written, home_partitions([pk for pk, _, _ in written], n, n)):
+            changes[shard].append((pk, _leaf(pk, balance, nonce)))
         trees = [
             _derive_tree(base, shard_changes) if shard_changes or base is None else base
             for base, shard_changes in zip(key[0], changes)

@@ -34,6 +34,7 @@ from .ledger import (
     Transaction,
     apply_eager,
     credit_of,
+    home_partitions,
     make_transfer,
     split_transaction,
 )
@@ -258,10 +259,8 @@ def assemble_interim(
     the micro bodies.
     """
     n_shard, n_partition = chain.state.n_shard, chain.n_partition
-    from_bytes = int.from_bytes  # a sender's partition, (pk mod n_shard) mod n_partition
     for micro in micros:
-        for sub in micro.sub_txs:
-            home = from_bytes(sub.sender, "big") % n_shard % n_partition
+        for home in home_partitions([sub.sender for sub in micro.sub_txs], n_shard, n_partition):
             if home != micro.partition_index:
                 raise InvariantViolation(
                     "consensus-engine",
@@ -322,17 +321,19 @@ def run_epoch(
     invalid_count = 0
     micro_timeouts = 0
     if kind == INTERIM:
-        # one admission pass: split each transaction and route its debit to
-        # the partition of the sender's shard, (pk mod n_shard) mod n_partition
-        registry, n_shard, from_bytes = population.registry, chain.state.n_shard, int.from_bytes
-        routed: list[list[SubTransaction]] = [[] for _ in range(n_partition)]
+        # one admission pass splits each transaction; each debit goes to the
+        # partition of its sender's shard
+        registry = population.registry
+        debits: list[SubTransaction] = []
         for tx in mempool:
             try:
-                debit = split_transaction(tx, registry)
+                debits.append(split_transaction(tx, registry))
             except FissionError:
                 invalid_count += 1
-                continue
-            routed[from_bytes(debit.sender, "big") % n_shard % n_partition].append(debit)
+        routed: list[list[SubTransaction]] = [[] for _ in range(n_partition)]
+        homes = home_partitions([debit.sender for debit in debits], chain.state.n_shard, n_partition)
+        for debit, home in zip(debits, homes):
+            routed[home].append(debit)
 
         micros: list[MicroBlock] = []
         kept_parents: set[bytes] = set()
@@ -354,11 +355,8 @@ def run_epoch(
             for micro in micros:
                 for sub in micro.sub_txs:
                     kept_parents.add(sub.parent_id)
-        if kept_parents:
-            # deferred transactions keep their arrival order for the next round
-            mempool[:] = [tx for tx in mempool if tx.id in kept_parents]
-        else:
-            mempool.clear()
+        # deferred transactions keep their arrival order for the next round
+        mempool[:] = [tx for tx in mempool if tx.id in kept_parents]
     else:
         block = assemble_main(chain, ballot, population)
 

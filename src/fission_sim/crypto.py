@@ -97,30 +97,40 @@ class KeyRegistry:
         except KeyError as err:
             raise VerificationFailure(f"unknown public key {err.args[0].hex()[:16]}") from None
 
+    def framed_secret(self, pk: bytes) -> bytes | None:
+        """``encode_field(sk)`` of pk's secret key, or None for a key this
+        registry did not generate."""
+        return self._framed_by_pk.get(pk)
+
     def __contains__(self, pk: bytes) -> bool:
         return pk in self._sk_by_pk
 
 
+def _signature(framed_sk: bytes, framed_message: bytes) -> bytes:
+    """The keyed-hash signature ``sha3(b"sig" + encode_fields(sk, message))``
+    from ``encode_field(sk)`` and ``encode_field(message)``; ``sign``,
+    ``sign_each`` and ``verify`` all hash through it."""
+    return sha3(b"sig" + framed_sk + framed_message)
+
+
 def sign(sk: bytes, message: bytes) -> bytes:
     """Keyed-hash signature: ``sha3(b"sig" + encode_fields(sk, message))``."""
-    return sha3(b"".join((b"sig", length_prefix(len(sk)), sk, length_prefix(len(message)), message)))
+    return _signature(length_prefix(len(sk)) + sk, length_prefix(len(message)) + message)
 
 
 def sign_each(framed_sks: list[bytes], message: bytes) -> list[bytes]:
     """``[sign(sk, message) for sk in sks]`` from each key framed as
     ``encode_field(sk)``: one ``sha3`` per key, the message framed once."""
-    tail = length_prefix(len(message)) + message
-    return [sha3(b"sig" + framed + tail) for framed in framed_sks]
+    framed_message = length_prefix(len(message)) + message
+    return [_signature(framed, framed_message) for framed in framed_sks]
 
 
 def verify(registry: KeyRegistry, pk: bytes, message: bytes, signature: bytes) -> bool:
     """Whether ``signature`` is ``sign(sk, message)`` for the secret key of
     ``pk``, recomputed from the key framed once in ``registry``; False for a
     key the registry does not hold."""
-    framed = registry._framed_by_pk.get(pk)
-    if framed is None:
-        return False
-    return sha3(b"".join((b"sig", framed, length_prefix(len(message)), message))) == signature
+    framed = registry.framed_secret(pk)
+    return framed is not None and _signature(framed, length_prefix(len(message)) + message) == signature
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,17 @@ EAGER = "eager"
 LAZY = "lazy"
 
 
+def home_partitions(pks: Iterable[bytes], n_shard: int, n_partition: int) -> list[int]:
+    """The partition of each key's home shard, in order: the key read as a
+    big-endian integer, mod ``n_shard`` (its shard), mod ``n_partition``.
+    With ``n_partition == n_shard`` each partition is one shard, so this is
+    each key's shard."""
+    if n_shard < 1 or n_partition < 1:
+        raise ValueError("n_shard and n_partition must be >= 1")
+    from_bytes = int.from_bytes
+    return [from_bytes(pk, "big") % n_shard % n_partition for pk in pks]
+
+
 @dataclass(slots=True)
 class Account:
     """A snapshot of one account, as ``LedgerState.get_account`` and

@@ -7,10 +7,10 @@ overflow cost. The simulator computes these for many nodes at once
 compare those passes with the one-node forms kept here, and with
 ``accounting``, the retrieval game's byte split summed on its own.
 
-The one-record forms of the shard and partition arithmetic live here too
-(``shard_of``, ``partition_of``): the library inlines them in the passes that
-route, root and check a block's records. So does a traffic generator that
-draws with ``randrange``, ``choice`` and ``randint`` calls
+A key's shard is kept here one key at a time (``shard_of``), beside the
+library's batch ``ledger.home_partitions``, so that reference roots group
+accounts without the code they check. So is a traffic generator that draws
+with ``randrange``, ``choice`` and ``randint`` calls
 (``generate_transactions``): ``consensus.draw_traffic`` inlines those draws
 and must repeat its random stream and transactions.
 
@@ -38,13 +38,6 @@ def shard_of(pk: bytes, n_shard: int) -> int:
     if n_shard < 1:
         raise ValueError("n_shard must be >= 1")
     return int.from_bytes(pk, "big") % n_shard
-
-
-def partition_of(shard_index: int, n_partition: int) -> int:
-    """The partition that groups a shard: shard index mod partition count."""
-    if n_partition < 1:
-        raise ValueError("n_partition must be >= 1")
-    return shard_index % n_partition
 
 
 def generate_transactions(rng, registry, view, tx_per_epoch, invalid_fraction) -> list[Transaction]:

@@ -19,10 +19,10 @@ from fission_sim.config import CHAIN_KEYWORDS, EpochSettings, load_config
 from fission_sim.crypto import KeyRegistry, sha3, sign
 from fission_sim.dists import dist_sampler
 from fission_sim.errors import InvariantViolation, ValidationError
-from fission_sim.ledger import make_transfer, split_transaction
+from fission_sim.ledger import home_partitions, make_transfer, split_transaction
 from fission_sim.seeding import split
 from fission_sim.sortition import BLOCK_INTERIM, BLOCK_MAIN, leader_ticket, select_committee
-from reference import elect_proposer, generate_transactions, leader_order, partition_of, shard_of
+from reference import elect_proposer, generate_transactions, leader_order
 
 # small all-honest world used by most pipeline tests
 SMALL = dict(h=1.0, alpha=1.0, tau=50.0, theta=0.3, n_nodes=12, stake_dist="fixed:100")
@@ -517,7 +517,7 @@ def test_assemble_interim_rejects_misrouted_micro_block():
     reg = sim.population.registry
     sender, receiver = sim.population.pks[:2]
     eager = split_transaction(make_transfer(reg, reg.secret_for(sender), receiver, 1, 1), reg)
-    home = partition_of(shard_of(sender, sim.chain.state.n_shard), 2)
+    (home,) = home_partitions([sender], sim.chain.state.n_shard, 2)
     wrong = 1 - home
     seed = next_seed(sim.chain.tip.header.seed, sim.chain.tip.hash)
     committee = select_committee(

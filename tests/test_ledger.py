@@ -31,6 +31,7 @@ from fission_sim.ledger import (
     apply_eager,
     apply_lazy,
     credit_of,
+    home_partitions,
     make_transfer,
     split_transaction,
 )
@@ -432,17 +433,24 @@ def test_nonce_monotonicity(reg):
 
 
 def test_shard_of_trivial_values():
-    assert shard_of((0).to_bytes(32, "big"), 4) == 0
-    assert shard_of((7).to_bytes(32, "big"), 4) == 3
+    # home_partitions with one shard per partition is each key's shard
+    keys = [(v).to_bytes(32, "big") for v in (0, 7)]
+    assert home_partitions(keys, 4, 4) == [0, 3]
+    with pytest.raises(ValueError):
+        home_partitions(keys, 0, 1)
 
 
 def test_shard_of_uniformity_chi_square():
-    # oracle: occupancy within 3 sigma of uniform over 1e5 random keys
+    # oracle: occupancy within 3 sigma of uniform over 1e5 random keys,
+    # each shard also the one-key reference's
     rng = random.Random(23)
     n, shards = 100_000, 8
+    keys = [rng.randbytes(32) for _ in range(n)]
+    homes = home_partitions(keys, shards, shards)
+    assert homes == [shard_of(key, shards) for key in keys]
     counts = [0] * shards
-    for _ in range(n):
-        counts[shard_of(rng.randbytes(32), shards)] += 1
+    for home in homes:
+        counts[home] += 1
     expected = n / shards
     sigma = math.sqrt(n * (1 / shards) * (1 - 1 / shards))
     for c in counts:

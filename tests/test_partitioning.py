@@ -12,6 +12,7 @@ from fission_sim.ledger import (
     apply_eager,
     apply_lazy,
     credit_of,
+    home_partitions,
     make_transfer,
     split_transaction,
 )
@@ -21,13 +22,20 @@ from fission_sim.partitioning import (
     reshard_trigger,
     split_shards,
 )
-from reference import partition_of, shard_of
+from reference import shard_of
 
 
 def test_partition_of_examples():
-    assert partition_of(5, 3) == 2
-    assert all(partition_of(s, 1) == 0 for s in range(10))
-    assert [partition_of(s, 6) for s in range(6)] == list(range(6))
+    # a key's partition is its shard mod n_partition
+    keys = [(v).to_bytes(32, "big") for v in range(24)]
+    assert home_partitions(keys[:1] + keys[13:14], 8, 3) == [0, 2]  # shards 0 and 5
+    assert home_partitions(keys, 10, 1) == [0] * 24
+    assert home_partitions(keys, 6, 6) == [v % 6 for v in range(24)]
+    rng = random.Random(5)
+    keys = [rng.randbytes(32) for _ in range(500)]
+    assert home_partitions(keys, 12, 5) == [shard_of(key, 12) % 5 for key in keys]
+    with pytest.raises(ValueError):
+        home_partitions(keys, 4, 0)
 
 
 RULES = PartitionSettings(n_e_max=1000, delta=0.8)

@@ -245,7 +245,8 @@ class Chain:
         self.quorum = quorum
         self.partition = partition
         self.n_partition = partition.n_partition  # the count the next header carries
-        # (n_partition, n_shard) of each main block since the last re-shard
+        # (n_partition, n_shard) of the last n_rs + 1 main blocks since the
+        # last re-shard, all that reshard_trigger reads
         self._main_window: list[tuple[int, int]] = []
         self.blocks: list[Block] = []
         self.blocks.append(self._seal([], state))
@@ -372,10 +373,12 @@ class Chain:
                 len(block.body), self.n_partition, self.state.n_shard, self.partition
             )
             return
-        self._main_window.append((header.n_partition, header.n_shard))
-        if reshard_trigger(self._main_window, self.partition.n_rs):
+        window = self._main_window
+        window.append((header.n_partition, header.n_shard))
+        del window[: -(self.partition.n_rs + 1)]
+        if reshard_trigger(window, self.partition.n_rs):
             self.state = split_shards(self.state)
-            self._main_window.clear()
+            window.clear()
 
     # --- export ---
 

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .dists import parse_dist
 from .errors import DomainError, ParseError, ValidationError
-from .sortition import SecurityParams, theta_bounds
+from .sortition import SecurityParams, quorum, theta_bounds
 
 
 @dataclass
@@ -266,6 +266,13 @@ def validate_config(cfg: SimConfig) -> None:
         SecurityParams(sec.h, sec.alpha, 1.0, sec.theta, 2).check_domain()
     except DomainError as e:
         raise ValidationError("security", str(e)) from None
+    # a quorum of 0 confirms any block, even one no honest member voted for
+    if quorum(sec.theta, sec.tau) < 1:
+        raise ValidationError(
+            "security.tau",
+            f"must give a quorum ceil(theta * tau) of at least 1, "
+            f"got theta * tau = {sec.theta * sec.tau:.3g}",
+        )
 
     # theta below the activity-independent lower bound can never be safe
     universal_lo = theta_bounds(sec.h, 1.0, sec.tau)[0]

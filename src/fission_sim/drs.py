@@ -9,11 +9,13 @@ round-start snapshot. That rule makes the total overflow non-increasing and
 drives the game to an approximate equilibrium in a logarithmic number of
 rounds.
 
-Providers, data items and requests are held as columns. Each round's state is
-read in one scan (``scan_round``): a single walk of every provider queue finds
-the hunting requests, sums the overflow and the served bytes and checks each
-load against its queue, and each distinct (key, remaining time) pair gets its
-probe set once; the round and the trace row that follows it share that scan.
+Providers, data items and requests are held as columns, and the provider
+queues and request columns are the game's only state: a provider's load is
+the sum of its queue's weights. Each round's state is read in one scan
+(``scan_round``): a single walk of every provider queue finds the hunting
+requests and sums the loads, the overflow and the queued bytes, and each
+distinct (key, remaining time) pair gets its probe set once; the round and
+the trace row that follows it share that scan.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ from .dists import dist_sampler
 from .errors import InvariantViolation, ParseError, ValidationError
 from .seeding import split
 
-# sizes, capacities and byte totals stay below 2^53, so every byte count the
-# game sums in floats is exact
+# sizes, capacities and byte totals stay below 2^53, so every byte count
+# converts exactly to the float a trace row adds it to
 EXACT_BYTES = 1 << 53
 
 
@@ -38,7 +40,7 @@ class Requests:
     it (None while unplaced) and whether it went to the relay network."""
 
     key: list[int] = field(default_factory=list)
-    weight: list[float] = field(default_factory=list)
+    weight: list[int] = field(default_factory=list)
     born: list[float] = field(default_factory=list)
     provider: list[int | None] = field(default_factory=list)
     at_relayer: list[bool] = field(default_factory=list)
@@ -50,28 +52,26 @@ class Requests:
 class DrsState:
     """Providers and data items as columns, the request pool, and the shared
     deadline. Provider i uploads ``capacity[i]`` KB/s and queues the request
-    ids ``queue[i]`` FIFO, ``load[i]`` KB in all; key k is ``size[k]`` KB and
-    held by the providers ``holders[k]``."""
+    ids ``queue[i]`` FIFO; its load is their weight in all. Key k is
+    ``size[k]`` KB and held by the providers ``holders[k]``."""
 
     def __init__(
-        self, capacity: list[float], size: list[float], holders: list[list[int]], deadline: float
+        self, capacity: list[float], size: list[int], holders: list[list[int]], deadline: float
     ):
         self.capacity = capacity
         self.queue: list[list[int]] = [[] for _ in capacity]
-        self.load: list[float] = [0.0] * len(capacity)
         self.size = size
         self.holders = holders
         self.deadline = deadline
         self.requests = Requests()
-        self.relayer_direct: float = 0.0  # KB of requests handed fully to the relay network
 
-    def heights(self) -> dict[int, float]:
+    def heights(self) -> dict[int, int]:
         """FIFO height of every queued request: prefix sum of queue weights up
         to and including it."""
         weight = self.requests.weight
-        hs: dict[int, float] = {}
+        hs: dict[int, int] = {}
         for queue in self.queue:
-            acc = 0.0
+            acc = 0
             for rid in queue:
                 acc += weight[rid]
                 hs[rid] = acc
@@ -80,11 +80,12 @@ class DrsState:
 
 def drs_potential(state: DrsState) -> float:
     """Total relayer-bound overflow: sum over providers of
-    max(load - deadline * capacity, 0)."""
-    deadline = state.deadline
+    max(load - deadline * capacity, 0), each load summed from its queue."""
+    weight, deadline = state.requests.weight, state.deadline
+    loads = [sum([weight[rid] for rid in queue]) for queue in state.queue]
     # zero terms add nothing to a float sum, so only the overflowing ones are summed
     return sum(
-        [x for load, c in zip(state.load, state.capacity) if (x := load - deadline * c) > 0.0], 0.0
+        [x for load, c in zip(loads, state.capacity) if (x := load - deadline * c) > 0.0], 0.0
     )
 
 
@@ -101,68 +102,68 @@ class RoundScan:
     remaining time) of a hunting request (one the bounded jump rule lets
     probe) to the underloaded providers of that key; ``acting`` holds the
     ids, in request order, of the hunting requests that probe or expire at t
-    (the others have nothing to probe). ``phi`` is the overflow potential,
-    ``served`` the bytes providers serve in time and ``unplaced_kb`` the
-    weight of the requests with no provider that are not at the relayer."""
+    (the others have nothing to probe). ``phi`` is the overflow potential.
+    The requested bytes split three ways: ``queued_kb`` in provider queues,
+    ``direct_kb`` handed to the relay network and ``unplaced_kb`` in requests
+    with neither."""
 
     t: float
     probe_sets: dict[tuple[int, float], list[int]]
     acting: list[int]
     phi: float
-    served: float
-    unplaced_kb: float
+    queued_kb: int
+    direct_kb: int
+    unplaced_kb: int
 
 
 def scan_round(state: DrsState, t: float) -> RoundScan:
     """Walk every provider queue once: keep the requests whose overflow cost
     equals their weight (FIFO height minus remaining time times capacity at
-    least the weight, or a weight of zero), sum each provider's overflow and
-    served bytes, and raise ``load-sum`` when a queue's height differs from
-    its load. Then add the unplaced requests and build one probe set per
-    distinct (key, remaining time).
+    least the weight, or a weight of zero), and take each provider's load
+    from its queue's height. Then split the requests outside every queue into
+    relayer-bound and unplaced ones and build one probe set per distinct (key,
+    remaining time).
 
-    A provider with an empty queue and a zero load adds nothing to any sum
-    (capacities and the deadline are not negative), so the walk skips it.
-    A queued request is never at the relayer."""
+    An empty queue adds nothing to any sum (capacities and the deadline are
+    not negative), so the walk skips it. A queued request is never at the
+    relayer."""
     requests = state.requests
     weights, borns = requests.weight, requests.born
-    loads, capacities = state.load, state.capacity
+    capacities = state.capacity
     deadline = state.deadline
     rem = deadline - t
+    loads = [0] * len(capacities)
     hunting: list[int] = []
     append = hunting.append
     overflow: list[float] = []
-    served: list[float] = []
-    queued = 0
+    queued = queued_kb = 0
     for i, queue in enumerate(state.queue):
-        load = loads[i]
-        if not queue and load == 0.0:
+        if not queue:
             continue
         capacity = capacities[i]
-        height = 0.0
+        height = 0
         for rid in queue:
             weight = weights[rid]
             height += weight
-            if height - (rem + borns[rid]) * capacity >= weight or weight <= 0.0:
+            if height - (rem + borns[rid]) * capacity >= weight or weight <= 0:
                 append(rid)
-        if abs(height - load) > 1e-6:
-            raise InvariantViolation(
-                "p2p-drs", "load-sum", f"provider {i}: queue height {height} != load {load}"
-            )
+        loads[i] = height
         queued += len(queue)
-        budget = deadline * capacity
-        served.append(budget if budget < load else load)
-        if (x := load - budget) > 0.0:
+        queued_kb += height
+        if (x := height - deadline * capacity) > 0.0:
             overflow.append(x)
     # when every request sits in a queue none is unplaced or at the relayer
+    direct_kb = unplaced_kb = 0
     if queued < len(weights):
         at_relayer = requests.at_relayer
-        unplaced = [
-            rid for rid, p in enumerate(requests.provider) if p is None and not at_relayer[rid]
-        ]
-    else:
-        unplaced = []
-    hunting += unplaced
+        for rid, p in enumerate(requests.provider):
+            if p is not None:
+                continue
+            if at_relayer[rid]:
+                direct_kb += weights[rid]
+            else:
+                append(rid)
+                unplaced_kb += weights[rid]
     keys, holders = requests.key, state.holders
     probe_sets: dict[tuple[int, float], list[int]] = {}
     acting = []
@@ -177,53 +178,41 @@ def scan_round(state: DrsState, t: float) -> RoundScan:
         if probes or t > born + deadline:
             acting.append(rid)
     acting.sort()
-    return RoundScan(
-        t, probe_sets, acting, sum(overflow, 0.0), sum(served, 0.0),
-        sum([weights[rid] for rid in unplaced]),
-    )
+    return RoundScan(t, probe_sets, acting, sum(overflow, 0.0), queued_kb, direct_kb, unplaced_kb)
 
 
 def drs_round(
-    state: DrsState,
-    rng: random.Random,
-    t: float,
-    timeout_prob: float = 0.0,
-    scan: RoundScan | None = None,
+    state: DrsState, rng: random.Random, scan: RoundScan, timeout_prob: float = 0.0
 ) -> DrsRoundReport:
-    """One synchronous probing round against the round-start snapshot.
+    """One synchronous probing round at ``scan.t`` against the round-start
+    snapshot ``scan``, which must be ``scan_round`` of the current state.
 
     Every eligible request contacts one uniformly random underloaded provider
     of its key (if any) and migrates unless the probe times out: a probe set
     holds only providers whose snapshot load is under the remaining time
     budget, so the contacted one always fits. Requests past their deadline
-    that are still unservable go to the relay network in full. ``scan`` must
-    be ``scan_round(state, t)`` of the current state; it is computed when absent.
+    that are still unservable go to the relay network in full.
 
     The candidate draw repeats ``random.Random._randbelow_with_getrandbits``
     (what ``randrange`` runs), rejections included, so the random stream is
     that of ``candidates[rng.randrange(len(candidates))]``.
     """
-    if scan is None:
-        scan = scan_round(state, t)
     requests = state.requests
-    keys, weights, borns, provider = requests.key, requests.weight, requests.born, requests.provider
-    queues, loads = state.queue, state.load
-    deadline = state.deadline
+    keys, borns, provider = requests.key, requests.born, requests.provider
+    queues = state.queue
+    deadline, t = state.deadline, scan.t
     rem = deadline - t
     probe_sets = scan.probe_sets
     getrandbits = rng.getrandbits
     migrations = to_relayer = probes = 0
     for rid in scan.acting:
         born = borns[rid]
-        weight = weights[rid]
         old = provider[rid]
         if t > born + deadline:
             if old is not None:
                 queues[old].remove(rid)
-                loads[old] -= weight
                 provider[rid] = None
             requests.at_relayer[rid] = True
-            state.relayer_direct += weight
             to_relayer += 1
             continue
         candidates = probe_sets[(keys[rid], rem + born)]
@@ -237,21 +226,16 @@ def drs_round(
             continue  # probe timed out, retry next round
         if old is not None:
             queues[old].remove(rid)
-            loads[old] -= weight
         target = candidates[r]
         queues[target].append(rid)
-        loads[target] += weight
         provider[rid] = target
         migrations += 1
     return DrsRoundReport(migrations=migrations, to_relayer=to_relayer, probes=probes)
 
 
-def underloaded_count(state: DrsState, t: float, scan: RoundScan | None = None) -> int:
+def underloaded_count(scan: RoundScan) -> int:
     """Number of distinct underloaded providers across the keys of requests
-    still hunting (the m_t in the contraction argument). ``scan`` must be
-    ``scan_round(state, t)`` of the current state; it is computed when absent."""
-    if scan is None:
-        scan = scan_round(state, t)
+    still hunting at ``scan.t`` (the m_t in the contraction argument)."""
     return len(set().union(*scan.probe_sets.values()))
 
 
@@ -259,7 +243,7 @@ def omega(state: DrsState, t: float) -> float:
     """Contraction quantity: underloaded provider count times the potential;
     zero exactly at (approximate) equilibrium."""
     scan = scan_round(state, t)
-    return underloaded_count(state, t, scan) * scan.phi
+    return underloaded_count(scan) * scan.phi
 
 
 @dataclass
@@ -356,13 +340,13 @@ def build_instance(
     place_rng = split(seed, "drs-place")
     concentrated = start == "concentrated"
     provider, at_relayer = requests.provider, requests.at_relayer
-    queues, loads = state.queue, state.load
+    queues = state.queue
+    loads = [0] * n_nodes  # the queue heights so far, which the uniform start reads
     for rid, key in enumerate(keys):
         pool = holders[key]
         at_relayer.append(not pool)
         if not pool:
             provider.append(None)
-            state.relayer_direct += size[key]
             continue
         if concentrated:
             target = pool[0]
@@ -397,10 +381,9 @@ def simulate_drs(
     the full deadline, matching the synchronous convergence analysis; the
     overflow potential is then asserted non-increasing every round. The trace
     starts at round 0 (initial placement) and relayer_kb counts overflow plus
-    requests handed to the relay network outright. Every scan checks each
-    load against its queue (``load-sum``), and every trace row is checked to
-    split the requested bytes into served and relayer-bound ones
-    (``primal-dual-identity``).
+    requests handed to the relay network outright. Every scan is checked to
+    conserve the requested bytes exactly: queued, relayer-bound and unplaced
+    bytes sum to the instance's total (``primal-dual-identity``).
     """
     state = build_instance(
         n_nodes, n_keys, size_dist, cap_dist, replication, deadline, seed, start=start
@@ -411,43 +394,45 @@ def simulate_drs(
     total = sum(state.requests.weight)
     threshold = equilibrium_threshold(total, len(state.requests))
     scan = scan_round(state, 0.0)
-    rows = [_trace_row(state, 0, scan)]
-    _check_identity(scan, rows[0], total)
+    _check_identity(scan, total)
+    rows = [_trace_row(0, scan)]
     t = 0.0
     for rnd in range(1, rounds + 1):
         if rows[-1].omega <= threshold:
             break
         if scan.t != t:
             scan = scan_round(state, t)
-        report = drs_round(state, rng, t, timeout_prob=timeout_prob, scan=scan)
+        report = drs_round(state, rng, scan, timeout_prob=timeout_prob)
         # the post-round scan serves this row and, at an unchanged t, the next round
         scan = scan_round(state, t)
-        row = _trace_row(state, rnd, scan, report.migrations)
+        _check_identity(scan, total)
+        row = _trace_row(rnd, scan, report.migrations)
         if round_duration == 0.0 and row.phi > rows[-1].phi + 1e-9:
             raise InvariantViolation(
                 "p2p-drs", "monotone-potential", f"{rows[-1].phi} -> {row.phi} at round {rnd}"
             )
-        _check_identity(scan, row, total)
         rows.append(row)
         t += round_duration
     return DrsRun(rows=rows, state=state, rounds_budget=rounds, threshold=threshold)
 
 
-def _trace_row(state: DrsState, rnd: int, scan: RoundScan, migrations: int = 0) -> DrsTraceRow:
+def _trace_row(rnd: int, scan: RoundScan, migrations: int = 0) -> DrsTraceRow:
     phi = scan.phi
-    m_t = underloaded_count(state, scan.t, scan)
+    m_t = underloaded_count(scan)
     return DrsTraceRow(
         round=rnd,
         phi=phi,
         omega=m_t * phi,
         underloaded_m=m_t,
         migrations=migrations,
-        relayer_kb=phi + state.relayer_direct + scan.unplaced_kb,
+        relayer_kb=phi + scan.direct_kb + scan.unplaced_kb,
     )
 
 
-def _check_identity(scan: RoundScan, row: DrsTraceRow, total: float) -> None:
-    if abs(scan.served + row.relayer_kb - total) > 1e-6:
+def _check_identity(scan: RoundScan, total: int) -> None:
+    if scan.queued_kb + scan.direct_kb + scan.unplaced_kb != total:
         raise InvariantViolation(
-            "p2p-drs", "primal-dual-identity", f"{scan.served} + {row.relayer_kb} != {total}"
+            "p2p-drs", "primal-dual-identity",
+            f"{scan.queued_kb} queued + {scan.direct_kb} direct + {scan.unplaced_kb} unplaced"
+            f" != {total}",
         )

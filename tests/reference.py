@@ -151,16 +151,18 @@ def request_cost(height: float, d_remaining: float, capacity: float, weight: flo
     return min(max(height - d_remaining * capacity, 0.0), weight)
 
 
-def accounting(state: DrsState) -> tuple[float, float, float]:
+def accounting(state: DrsState) -> tuple[float, float, int]:
     """(bytes nodes can serve, relayer-bound bytes, total requested), each
-    summed on its own as ``scan_round`` sums the first two in its walk. The
-    first two always sum to the third."""
-    deadline = state.deadline
-    served = sum([min(load, deadline * c) for c, load in zip(state.capacity, state.load)])
+    summed on its own from the queues and the request columns. The first two
+    always sum to the third."""
     requests = state.requests
+    weight, deadline = requests.weight, state.deadline
+    loads = [sum([weight[rid] for rid in queue]) for queue in state.queue]
+    served = sum([min(load, deadline * c) for c, load in zip(state.capacity, loads)])
+    direct = sum([w for w, r in zip(weight, requests.at_relayer) if r])
     unplaced = sum(
-        [w for w, p, r in zip(requests.weight, requests.provider, requests.at_relayer)
+        [w for w, p, r in zip(weight, requests.provider, requests.at_relayer)
          if p is None and not r]
     )
-    relayer = drs_potential(state) + state.relayer_direct + unplaced
-    return served, relayer, sum(requests.weight)
+    relayer = drs_potential(state) + direct + unplaced
+    return served, relayer, sum(weight)

@@ -17,7 +17,7 @@ from fission_sim.config import PartitionSettings
 from fission_sim.consensus import ChainSimulation, Population
 from fission_sim.crypto import vrf_hashes
 from fission_sim.dists import sample_dist
-from fission_sim.drs import build_instance, drs_round, omega, simulate_drs
+from fission_sim.drs import build_instance, drs_round, omega, scan_round, simulate_drs
 from fission_sim.ledger import EAGER, LedgerState, apply_eager, apply_lazy
 from fission_sim.partitioning import (
     next_partition_count,
@@ -298,7 +298,7 @@ def test_criterion_7_drs():
             state = build_instance(
                 256, 32, "fixed:64", "uniform:2:64", 3, 8.0, instance_seed, start="concentrated"
             )
-            drs_round(state, split(SEED, "acc7-mc", instance_seed, t), 0.0)
+            drs_round(state, split(SEED, "acc7-mc", instance_seed, t), scan_round(state, 0.0))
             total += omega(state, 0.0)
         ratio = (total / trials) / omega0
         assert ratio <= 0.3, f"instance {instance_seed}: E[omega(t+1)]/omega(t) = {ratio:.3f}"

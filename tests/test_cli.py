@@ -127,6 +127,28 @@ def test_chain_huge_tau_exits_2_naming_the_key(tmp_path, capsys, monkeypatch, ta
     assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
 
+# theta * tau = 3e-11: the quorum ceil(theta * tau) would be 0 and the first
+# committee's adversary weight of 0 would reach it
+ZERO_QUORUM_CFG = (
+    "security.h = 1.0\nsecurity.alpha = 1.0\nsecurity.tau = 1e-10\npopulation.nodes = 20\n"
+)
+
+
+def test_chain_zero_quorum_exits_2_naming_tau(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text(ZERO_QUORUM_CFG)
+    code, out, err = run_cli(capsys, "chain", "--config", "run.cfg", "--epochs", "4")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: security.tau: ")
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+
+def test_chain_simulation_rejects_a_zero_quorum():
+    with pytest.raises(ValidationError) as err:
+        ChainSimulation(h=1.0, alpha=1.0, tau=1e-10)
+    assert err.value.field == "security.tau"
+
+
 def test_chain_stake_past_eight_bytes_exits_2_naming_the_key(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "run.cfg").write_text(

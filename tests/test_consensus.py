@@ -581,6 +581,15 @@ def test_reshard_window_restarts_after_a_split():
     assert [r.n_shard for r in results] == [1, 1, 1, 1, 2, 2, 2, 2, 4, 4]
 
 
+def test_reshard_window_holds_only_what_the_trigger_reads():
+    # the eight default shards never saturate here, so no split clears the
+    # window; it still keeps only the last n_rs + 1 main blocks
+    sim = ChainSimulation(**SMALL, seed=3, n_rs=3)
+    results = sim.run(40)
+    assert all(r.n_partition < r.n_shard == 8 for r in results)
+    assert len(sim.chain._main_window) == 4
+
+
 # --- chain properties on generated configs ---
 
 

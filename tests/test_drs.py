@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fission_sim import drs
@@ -66,14 +66,15 @@ def test_cost_potential_identity_on_random_queues():
 
 
 def test_potential_zero_when_underloaded():
-    state = DrsState([10, 10], [], [], 8.0)
-    state.load[:] = [50, 79]
+    state = DrsState([10, 10], [50, 79], [[0], [1]], 8.0)
+    for key in (0, 1):
+        ref_move(state, add_request(state, key), key)
     assert drs_potential(state) == 0.0
 
 
 def test_potential_direct_subtraction():
-    state = DrsState([12.5], [], [], 8.0)
-    state.load[0] = 300
+    state = DrsState([12.5], [300], [[0]], 8.0)
+    ref_move(state, add_request(state, 0), 0)
     assert drs_potential(state) == pytest.approx(200.0)
 
 
@@ -99,17 +100,17 @@ def test_deadline_expiry_sends_request_to_relayer():
     ref_move(state, r0, 0)
     ref_move(state, r1, 0)
     rng = split(0, "deadline")
-    report = drs_round(state, rng, t=5.0)
+    report = drs_round(state, rng, scan_round(state, 5.0))
     assert state.requests.at_relayer[r0] and state.requests.at_relayer[r1]
     assert report.to_relayer == 2
-    assert state.relayer_direct == 100
+    assert state.queue == [[]] and scan_round(state, 5.0).direct_kb == 100
     # before the deadline neither leaves: r1 probes (no candidates), r0 partial
     state2 = DrsState([1], [50, 50], [[0], [0]], deadline=4.0)
     a = add_request(state2, 0)
     b = add_request(state2, 1)
     ref_move(state2, a, 0)
     ref_move(state2, b, 0)
-    drs_round(state2, split(1, "deadline"), t=0.0)
+    drs_round(state2, split(1, "deadline"), scan_round(state2, 0.0))
     assert not state2.requests.at_relayer[a] and not state2.requests.at_relayer[b]
 
 
@@ -119,7 +120,7 @@ def test_migration_to_single_underloaded_provider_is_certain():
     ref_move(state, blocker, 0)
     mover = add_request(state, 0)
     ref_move(state, mover, 0)  # height 80 > 2*1, cost = 40 = w
-    report = drs_round(state, split(1, "mig"), t=0.0)
+    report = drs_round(state, split(1, "mig"), scan_round(state, 0.0))
     assert report.migrations >= 1
     assert state.requests.provider[mover] == 1
 
@@ -130,7 +131,7 @@ def test_empty_probe_set_request_stays():
     b = add_request(state, 0)
     ref_move(state, a, 0)
     ref_move(state, b, 0)
-    report = drs_round(state, split(2, "stay"), t=0.0)
+    report = drs_round(state, split(2, "stay"), scan_round(state, 0.0))
     assert report.migrations == 0
     assert state.requests.provider[b] == 0 and not state.requests.at_relayer[b]
 
@@ -155,7 +156,7 @@ def test_omega_zero_cases():
     ref_move(jammed, add_request(jammed, 0), 0)
     ref_move(jammed, add_request(jammed, 0), 0)
     assert drs_potential(jammed) > 0
-    assert underloaded_count(jammed, 0.0) == 0
+    assert underloaded_count(scan_round(jammed, 0.0)) == 0
     assert omega(jammed, 0.0) == 0.0
 
 
@@ -170,7 +171,7 @@ def test_omega_contraction_from_concentrated_states():
         total = 0.0
         for t in range(trials):
             state = build_instance(128, 16, "fixed:64", "uniform:2:64", 3, 8.0, seed, start="concentrated")
-            drs_round(state, split(seed, "omega-mc", t), 0.0)
+            drs_round(state, split(seed, "omega-mc", t), scan_round(state, 0.0))
             total += omega(state, 0.0)
         assert total / trials <= 0.3 * om0, (seed, total / trials, om0)
 
@@ -186,7 +187,6 @@ def test_unreplicated_key_goes_to_relayer():
     state = DrsState([10], [30], [[]], deadline=8.0)
     rid = add_request(state, 0)
     state.requests.at_relayer[rid] = True  # P_k empty forces relayer fallback at birth
-    state.relayer_direct += state.requests.weight[rid]
     served, relayer, total = accounting(state)
     assert (served, relayer, total) == (0.0, 30.0, 30.0)
 
@@ -220,11 +220,15 @@ def test_fifo_heights_are_prefix_sums():
 def ref_heights(state):
     hs = {}
     for queue in state.queue:
-        acc = 0.0
+        acc = 0
         for rid in queue:
             acc += state.requests.weight[rid]
             hs[rid] = acc
     return hs
+
+
+def ref_loads(state):
+    return [sum(state.requests.weight[rid] for rid in queue) for queue in state.queue]
 
 
 def ref_eligible(state, rid, t, heights):
@@ -241,22 +245,19 @@ def ref_eligible(state, rid, t, heights):
 
 def ref_move(state, rid, target):
     requests = state.requests
-    weight = requests.weight[rid]
     old = requests.provider[rid]
     if old is not None:
         state.queue[old].remove(rid)
-        state.load[old] -= weight
         requests.provider[rid] = None
     if target is not None:
         state.queue[target].append(rid)
-        state.load[target] += weight
         requests.provider[rid] = target
 
 
 def ref_probe_set(state, key, d_rem, loads=None):
     """The holders of ``key`` whose load (``loads``, else the current one)
     is under the remaining time budget."""
-    loads = state.load if loads is None else loads
+    loads = ref_loads(state) if loads is None else loads
     return [i for i in state.holders[key] if loads[i] < d_rem * state.capacity[i]]
 
 
@@ -266,16 +267,15 @@ def ref_hunting(state, t):
 
 
 def ref_drs_round(state, rng, t, timeout_prob=0.0):
-    snapshot_loads = list(state.load)
+    snapshot_loads = ref_loads(state)
     requests = state.requests
     report = DrsRoundReport()
     for rid in ref_hunting(state, t):
-        born, weight = requests.born[rid], requests.weight[rid]
+        born = requests.born[rid]
         d_rem = state.deadline - t + born
         if t > born + state.deadline:
             ref_move(state, rid, None)
             requests.at_relayer[rid] = True
-            state.relayer_direct += weight
             report.to_relayer += 1
             continue
         candidates = ref_probe_set(state, requests.key[rid], d_rem, snapshot_loads)
@@ -301,7 +301,14 @@ def ref_underloaded_count(state, t):
 
 
 def ref_potential(state):
-    return sum(max(load - state.deadline * c, 0.0) for load, c in zip(state.load, state.capacity))
+    return sum(
+        max(load - state.deadline * c, 0.0) for load, c in zip(ref_loads(state), state.capacity)
+    )
+
+
+def ref_direct_kb(state):
+    requests = state.requests
+    return sum(requests.weight[rid] for rid in range(len(requests)) if requests.at_relayer[rid])
 
 
 def ref_unplaced_kb(state):
@@ -314,8 +321,8 @@ def ref_unplaced_kb(state):
 
 
 def ref_accounting(state):
-    served = sum(min(load, state.deadline * c) for load, c in zip(state.load, state.capacity))
-    relayer = ref_potential(state) + state.relayer_direct + ref_unplaced_kb(state)
+    served = sum(min(load, state.deadline * c) for load, c in zip(ref_loads(state), state.capacity))
+    relayer = ref_potential(state) + ref_direct_kb(state) + ref_unplaced_kb(state)
     return served, relayer, sum(w for w in state.requests.weight)
 
 
@@ -337,7 +344,6 @@ def ref_build_instance(n_nodes, n_keys, size_dist, cap_dist, replication, deadli
         pool = state.holders[requests.key[rid]]
         if not pool:
             requests.at_relayer[rid] = True
-            state.relayer_direct += requests.weight[rid]
             continue
         if start == "concentrated":
             ref_move(state, rid, pool[0])
@@ -353,13 +359,11 @@ def state_view(state):
     return {
         "capacity": [repr(c) for c in state.capacity],
         "queue": [list(queue) for queue in state.queue],
-        "load": [repr(load) for load in state.load],
         "key": list(requests.key),
         "weight": [repr(w) for w in requests.weight],
         "born": [repr(b) for b in requests.born],
         "provider": list(requests.provider),
         "at_relayer": list(requests.at_relayer),
-        "relayer_direct": repr(state.relayer_direct),
     }
 
 
@@ -372,15 +376,16 @@ def ref_sums_view(state):
 
 
 amounts = st.integers(1, 40) | st.floats(0.25, 40.0)
-sizes = amounts | st.sampled_from([0, 0.0])
+sizes = st.integers(1, 40) | st.just(0)
 times = st.sampled_from([0.0, 0.75, 3.0, 12.0]) | st.floats(0.0, 15.0)
 
 
 @st.composite
 def drs_specs(draw):
-    """A small instance as plain data: float or integer capacities and sizes,
-    zero sizes, keys without holders, several requests for one key, mixed
-    birth times, and requests queued, unplaced or already at the relayer."""
+    """A small instance as plain data: float or integer capacities, integer
+    sizes (zero included), keys without holders, several requests for one
+    key, mixed birth times, and requests queued, unplaced or already at the
+    relayer."""
     n = draw(st.integers(1, 6))
     caps = [draw(amounts) for _ in range(n)]
     n_keys = draw(st.integers(1, 5))
@@ -410,23 +415,22 @@ def make_state(spec):
         rid = add_request(state, key, born)
         if where == "relayer":
             state.requests.at_relayer[rid] = True
-            state.relayer_direct += state.requests.weight[rid]
         elif where != "unplaced":
             ref_move(state, rid, where)
     return state
 
 
-def assert_rounds_match(state, ref, seed, times, timeout_prob, share_scan):
+def assert_rounds_match(state, ref, seed, times, timeout_prob):
     rng, ref_rng = random.Random(seed), random.Random(seed)
     assert sums_view(state) == ref_sums_view(ref)
     for t in times:
-        scan = scan_round(state, t) if share_scan else None
-        assert underloaded_count(state, t, scan) == ref_underloaded_count(ref, t)
-        report = drs_round(state, rng, t, timeout_prob=timeout_prob, scan=scan)
+        scan = scan_round(state, t)
+        assert underloaded_count(scan) == ref_underloaded_count(ref, t)
+        report = drs_round(state, rng, scan, timeout_prob=timeout_prob)
         assert report == ref_drs_round(ref, ref_rng, t, timeout_prob=timeout_prob)
         assert state_view(state) == state_view(ref)
         assert sums_view(state) == ref_sums_view(ref)
-        assert underloaded_count(state, t) == ref_underloaded_count(ref, t)
+        assert underloaded_count(scan_round(state, t)) == ref_underloaded_count(ref, t)
         assert rng.getstate() == ref_rng.getstate()
 
 
@@ -436,23 +440,21 @@ def assert_rounds_match(state, ref, seed, times, timeout_prob, share_scan):
     seed=st.integers(0, 2**64),
     times=st.lists(times, min_size=1, max_size=3),
     timeout_prob=st.sampled_from([0.0, 0.0, 0.3, 0.9]),
-    share_scan=st.booleans(),
 )
-def test_round_matches_per_request_reference(spec, seed, times, timeout_prob, share_scan):
+def test_round_matches_per_request_reference(spec, seed, times, timeout_prob):
     state, ref = make_state(spec), make_state(spec)
     assert state_view(state) == state_view(ref)
-    assert_rounds_match(state, ref, seed, times, timeout_prob, share_scan)
+    assert_rounds_match(state, ref, seed, times, timeout_prob)
 
 
 @settings(max_examples=200, deadline=None)
-@given(spec=drs_specs(), t=times, drift=st.sampled_from([1.0, -0.5, 2e-6]))
-def test_scan_matches_per_provider_and_per_request_reference(spec, t, drift):
+@given(spec=drs_specs(), t=times)
+def test_scan_matches_per_provider_and_per_request_reference(spec, t):
     state = make_state(spec)
     scan = scan_round(state, t)
-    served, _, _ = ref_accounting(state)
     assert repr(scan.phi) == repr(ref_potential(state))
-    assert repr(scan.served) == repr(served)
-    assert repr(scan.unplaced_kb) == repr(ref_unplaced_kb(state))
+    assert scan.queued_kb == sum(ref_loads(state))
+    assert (scan.direct_kb, scan.unplaced_kb) == (ref_direct_kb(state), ref_unplaced_kb(state))
     requests = state.requests
     hunting = ref_hunting(state, t)
     d_rem = {rid: state.deadline - t + requests.born[rid] for rid in hunting}
@@ -463,14 +465,6 @@ def test_scan_matches_per_provider_and_per_request_reference(spec, t, drift):
         rid for rid in hunting
         if ref_probe_set(state, requests.key[rid], d_rem[rid]) or t > requests.born[rid] + state.deadline
     ]
-    # a load that drifts from its queue fails the scan, whether the queue is
-    # empty or not
-    for i, load in enumerate(list(state.load)):
-        state.load[i] = load + drift
-        with pytest.raises(InvariantViolation) as err:
-            scan_round(state, t)
-        assert err.value.invariant == "load-sum"
-        state.load[i] = load
 
 
 DIST_SPECS = ["fixed:64", "fixed:0.4", "uniform:2:64", "uniform:0.2:3.7", "pareto:1.3"]
@@ -499,7 +493,37 @@ def test_build_and_rounds_match_reference(
     assert state_view(state) == state_view(ref)
     assert [repr(size) for size in state.size] == [repr(size) for size in ref.size]
     assert state.holders == ref.holders
-    assert_rounds_match(state, ref, seed, [0.0, 0.0, 1.5], timeout_prob, share_scan=True)
+    assert_rounds_match(state, ref, seed, [0.0, 0.0, 1.5], timeout_prob)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n_nodes=st.integers(1, 24),
+    n_keys=st.integers(1, 6),
+    size_dist=st.sampled_from(DIST_SPECS),
+    cap_dist=st.sampled_from(DIST_SPECS),
+    replication=st.integers(0, 4),
+    seed=st.integers(0, 2**32),
+    start=st.sampled_from(["uniform", "concentrated"]),
+    timeout_prob=st.sampled_from([0.0, 0.3]),
+    round_duration=st.sampled_from([0.0, 2.5]),
+)
+# few generated runs last to round 4, past the deadline; this one does, and
+# every request in it expires to the relay network
+@example(
+    n_nodes=9, n_keys=6, size_dist="fixed:64", cap_dist="uniform:0.2:3.7", replication=4,
+    seed=19154, start="concentrated", timeout_prob=0.3, round_duration=2.5,
+)
+def test_runs_conserve_bytes_exactly(
+    n_nodes, n_keys, size_dist, cap_dist, replication, seed, start, timeout_prob, round_duration
+):
+    run = simulate_drs(
+        n_nodes, n_keys, size_dist, cap_dist, replication, 7.3, seed, start=start,
+        timeout_prob=timeout_prob, round_duration=round_duration,
+    )
+    state = run.state
+    assert run.rows[-1].relayer_kb == accounting(state)[1]
+    assert not [rid for queue in state.queue for rid in queue if state.requests.at_relayer[rid]]
 
 
 def test_build_instance_rejects_keyless_requests():
@@ -522,16 +546,6 @@ def test_build_instance_keeps_every_byte_count_below_2_53():
         assert err.value.field == key
 
 
-def test_load_check_fails_when_a_load_drifts_from_its_queue():
-    state = build_instance(64, 8, "fixed:64", "uniform:2:64", 3, 8.0, 1, start="concentrated")
-    drs_round(state, random.Random(1), 0.0)
-    scan_round(state, 0.0)
-    state.load[state.requests.provider[0]] += 1.0
-    with pytest.raises(InvariantViolation) as err:
-        scan_round(state, 0.0)
-    assert err.value.invariant == "load-sum"
-
-
 def pile_onto_smallest(state):
     """Move every queued request onto the provider of least capacity."""
     target = min(range(len(state.capacity)), key=state.capacity.__getitem__)
@@ -540,27 +554,16 @@ def pile_onto_smallest(state):
             ref_move(state, rid, target)
 
 
-def drift_load(empty_queue):
-    def drift(state):
-        i = next(i for i, queue in enumerate(state.queue) if bool(queue) != empty_queue)
-        state.load[i] += 1.0
-
-    return drift
-
-
-def add_relayer_bytes(state):
-    state.relayer_direct += 1.0
+def lose_a_request(state):
+    """Take request 0 out of its queue while its provider column still names
+    it: its bytes are then neither queued, unplaced nor at the relayer."""
+    state.queue[state.requests.provider[0]].remove(0)
 
 
 @pytest.mark.parametrize(
     "breakage, invariant",
-    [
-        (pile_onto_smallest, "monotone-potential"),
-        (add_relayer_bytes, "primal-dual-identity"),
-        (drift_load(empty_queue=False), "load-sum"),
-        (drift_load(empty_queue=True), "load-sum"),
-    ],
-    ids=["monotone-potential", "primal-dual-identity", "load-sum", "load-sum-empty-queue"],
+    [(pile_onto_smallest, "monotone-potential"), (lose_a_request, "primal-dual-identity")],
+    ids=["monotone-potential", "primal-dual-identity"],
 )
 def test_each_invariant_fires_from_simulate_drs(monkeypatch, breakage, invariant):
     real_round = drs.drs_round
@@ -580,8 +583,8 @@ def test_each_invariant_fires_from_simulate_drs(monkeypatch, breakage, invariant
 
 @pytest.mark.parametrize(
     "breakage, invariant",
-    [(add_relayer_bytes, "primal-dual-identity"), (drift_load(empty_queue=False), "load-sum")],
-    ids=["primal-dual-identity", "load-sum"],
+    [(lose_a_request, "primal-dual-identity")],
+    ids=["primal-dual-identity"],
 )
 def test_invariants_are_checked_before_round_1(monkeypatch, breakage, invariant):
     real_build = drs.build_instance
@@ -606,6 +609,6 @@ def test_trace_row_counts_unplaced_bytes_as_relayer_bound():
     ref_move(state, add_request(state, 0), 0)  # 30 of the 80 KB budget
     add_request(state, 1)  # never placed
     scan = scan_round(state, 0.0)
-    row = drs._trace_row(state, 0, scan)
-    assert (scan.served, row.relayer_kb) == (30.0, 20.0)
-    drs._check_identity(scan, row, 50.0)
+    row = drs._trace_row(0, scan)
+    assert (scan.queued_kb, scan.direct_kb, scan.unplaced_kb, row.relayer_kb) == (30, 0, 20, 20.0)
+    drs._check_identity(scan, 50)

@@ -224,7 +224,7 @@ def test_golden_drs_trace_digest(case):
     for seed in (1, 2, 3):
         run = simulate_drs(*args, seed, **options)
         if case == "expiry":
-            assert run.state.relayer_direct > 0  # some requests expired to the relay network
+            assert any(run.state.requests.at_relayer)  # some requests expired to the relay network
         rows += [
             (r.round, r.phi, r.omega, r.underloaded_m, r.migrations, r.relayer_kb) for r in run.rows
         ]

@@ -11,6 +11,10 @@ Likewise every attribute a class in ``src/fission_sim`` stores (``self.x =``
 in a method, or an annotated class field) must be read as ``.x`` somewhere in
 the package, or be named in ``perfbench/*.py``, which reads what a step
 returns.
+
+No handler in ``src/fission_sim`` catches everything (``except:``,
+``except Exception`` or ``except BaseException``, alone or in a tuple): errors
+are typed and narrow, so a broad handler could only hide a bug.
 """
 
 import ast
@@ -124,6 +128,24 @@ def unused_definitions():
             if name not in perfbench and name not in ALLOWED and read[name] == uses(node, name):
                 unused.append(f"{path.name}:{node.lineno} {name}")
     return unused
+
+
+def broad_handlers():
+    """file:line of every handler in the package that catches everything."""
+    broad = []
+    for path, tree in source_modules().items():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ExceptHandler):
+                continue
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            if any(t is None or (isinstance(t, ast.Name) and t.id in ("Exception", "BaseException"))
+                   for t in caught):
+                broad.append(f"{path.name}:{node.lineno}")
+    return broad
+
+
+def test_no_handler_in_src_catches_everything():
+    assert broad_handlers() == []
 
 
 def test_every_definition_in_src_is_used_by_the_program():

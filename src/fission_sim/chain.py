@@ -128,14 +128,6 @@ class Block:
         return not self.body and not self.header.votes
 
 
-@dataclass
-class MicroBlock:
-    """Per-partition consensus output, later merged into an interim block."""
-
-    partition_index: int
-    sub_txs: list[SubTransaction]
-
-
 def compute_root_arrays(
     body: list[SubTransaction], post_state: LedgerState
 ) -> tuple[list[bytes], list[bytes], list[bytes]]:

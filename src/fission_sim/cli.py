@@ -23,7 +23,8 @@ from .metrics import MetricsSink
 from .relay import identifier_counts, simulate_prs
 from .seeding import child_seed, split
 from .sortition import (
-    SecurityParams,
+    check_h_alpha,
+    check_theta_tau,
     failure_probabilities,
     quorum,
     select_committee,
@@ -106,8 +107,13 @@ def _load_config(args) -> SimConfig:
 
 
 def cmd_security(args) -> int:
-    params = SecurityParams(args.h, args.alpha, args.tau, args.theta, args.k_total)
-    params.check_domain()
+    check_h_alpha(args.h, args.alpha)
+    if not args.k_total > 0:
+        raise DomainError(f"K must be positive, got {args.k_total}")
+    p = args.tau / args.k_total
+    if not 0.0 < p < 1.0:
+        raise DomainError(f"p = tau/K must be in (0, 1), got {p}")
+    check_theta_tau(args.theta, args.tau)
     lo, hi = theta_bounds(args.h, args.alpha, args.tau)
     out = {
         "h": args.h,
@@ -115,7 +121,7 @@ def cmd_security(args) -> int:
         "tau": args.tau,
         "theta": args.theta,
         "k_total": args.k_total,
-        "p": params.p,
+        "p": p,
         "tau_min": tau_lower_bound(args.h, args.alpha, exact_constant=args.exact_constant),
         "theta_lo": lo,
         "theta_hi": hi,

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .dists import parse_dist
 from .errors import DomainError, ParseError, ValidationError
-from .sortition import SecurityParams, quorum, theta_bounds
+from .sortition import check_h_alpha, check_theta_tau, quorum, theta_bounds
 
 
 @dataclass
@@ -215,7 +215,7 @@ _AT_LEAST_1 = (">= 1", lambda v: v >= 1)
 _UNIT = ("in [0, 1]", lambda v: 0 <= v <= 1)
 
 # key -> (rule, test); a float key must also be finite, so NaN and +-inf fail
-# every rule. check_domain holds the other security ranges.
+# every rule. sortition's domain rules hold the other security ranges.
 _RULES = {
     "population.nodes": _AT_LEAST_1,
     "security.h": _FINITE,
@@ -261,9 +261,9 @@ def validate_config(cfg: SimConfig) -> None:
 
     sec = cfg.security
     try:
-        # population K is only known after the stake draw, and tau > 0 is
-        # checked above; domain-check h, alpha and theta with p = 1/2
-        SecurityParams(sec.h, sec.alpha, 1.0, sec.theta, 2).check_domain()
+        # p = tau / K waits for the population's stake draw
+        check_h_alpha(sec.h, sec.alpha)
+        check_theta_tau(sec.theta, sec.tau)
     except DomainError as e:
         raise ValidationError("security", str(e)) from None
     # a quorum of 0 confirms any block, even one no honest member voted for

@@ -23,7 +23,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .chain import INTERIM, Block, Chain, MicroBlock, Votes
+from .chain import INTERIM, Block, Chain, Votes
 from .config import CHAIN_KEYWORDS, EpochSettings, SimConfig, load_config
 from .crypto import KeyRegistry, sha3, sign_each
 from .dists import dist_sampler
@@ -44,8 +44,8 @@ from .sortition import (
     BLOCK_MAIN,
     Committee,
     Electorate,
-    SecurityParams,
     partition_committee,
+    quorum,
     select_committee,
 )
 
@@ -190,27 +190,30 @@ def collect_votes(ballot: Ballot, population: Population, proposal: bytes) -> Vo
 
 
 def micro_round(
-    partition_index: int,
     sub_txs: list[SubTransaction],
     ballot: Ballot,
-    chain: Chain,
+    scratch: LedgerState,
+    quorum: int,
     epochs: EpochSettings,
-) -> tuple[MicroBlock | None, list[SubTransaction], list[SubTransaction]]:
+) -> tuple[list[SubTransaction] | None, list[SubTransaction], list[SubTransaction]]:
     """One partition's consensus round over its debit sub-transactions,
-    executed on a copy of the chain state.
+    executed on ``scratch``, a copy of the chain state.
 
-    Returns (micro block, or None on a timeout, deferred sub-txs, invalid
-    sub-txs). The processing budget is delta_micro * throughput * online
-    member count; overflow is deferred to the next round. Whether the chain's
+    Returns (included sub-txs, or None on a timeout, deferred sub-txs,
+    invalid sub-txs). The processing budget is delta_micro * throughput *
+    online member count; overflow is deferred to the next round. Whether the
     quorum forms depends only on the committee's ballot, so a round that
     misses it defers everything without executing any of it.
+
+    The partitions of an epoch share one scratch. Their senders are disjoint,
+    and a debit's parent id hashes a transaction that holds its sender, so no
+    round's balance, nonce or duplicate check reads what another wrote.
     """
     n_online = ballot.n_online
-    if not n_online or ballot.yes < chain.quorum:
+    if not n_online or ballot.yes < quorum:
         return None, list(sub_txs), []
 
     capacity = int(epochs.delta_micro * epochs.micro_throughput * n_online)
-    scratch = chain.state.clone()
     included: list[SubTransaction] = []
     deferred: list[SubTransaction] = []
     invalid: list[SubTransaction] = []
@@ -224,7 +227,7 @@ def micro_round(
             invalid.append(sub)
             continue
         included.append(sub)
-    return MicroBlock(partition_index, included), deferred, invalid
+    return included, deferred, invalid
 
 
 def _put_to_vote(
@@ -249,25 +252,26 @@ def _put_to_vote(
 
 def assemble_interim(
     chain: Chain,
-    micros: list[MicroBlock],
+    micros: list[list[SubTransaction]],
     ballot: Ballot,
     population: Population,
 ) -> Block:
-    """Merge micro blocks into a debit block and put it to the committee vote.
+    """Merge the micro rounds' included debits, partition k's at
+    ``micros[k]``, into a debit block and put it to the committee vote.
 
     A failed quorum yields the designated empty block; the caller re-queues
     the micro bodies.
     """
     n_shard, n_partition = chain.state.n_shard, chain.n_partition
-    for micro in micros:
-        for home in home_partitions([sub.sender for sub in micro.sub_txs], n_shard, n_partition):
-            if home != micro.partition_index:
+    for k, subs in enumerate(micros):
+        for home in home_partitions([sub.sender for sub in subs], n_shard, n_partition):
+            if home != k:
                 raise InvariantViolation(
                     "consensus-engine",
                     "micro-partition",
-                    f"sub-transaction of partition {home} inside micro block {micro.partition_index}",
+                    f"sub-transaction of partition {home} inside micro block {k}",
                 )
-    body = [sub for micro in sorted(micros, key=lambda m: m.partition_index) for sub in micro.sub_txs]
+    body = [sub for subs in micros for sub in subs]
     return _put_to_vote(chain, body, ballot, population)
 
 
@@ -335,25 +339,26 @@ def run_epoch(
         for debit, home in zip(debits, homes):
             routed[home].append(debit)
 
-        micros: list[MicroBlock] = []
+        scratch = chain.state.clone()  # every partition's round executes on it
+        micros: list[list[SubTransaction]] = []  # partition k's included debits at k
         kept_parents: set[bytes] = set()
         for k in range(n_partition):
             pc = select_committee(electorate, seed, partition_committee(k), p, population.registry)
             pc_ballot = cast_ballot(pc, population, offline)
             _assert_adversary_below_quorum(pc_ballot, quorum, f"partition {k} committee")
-            outcome, deferred, invalid = micro_round(k, routed[k], pc_ballot, chain, epochs)
+            included, deferred, invalid = micro_round(routed[k], pc_ballot, scratch, quorum, epochs)
             invalid_count += len(invalid)
             for sub in deferred:
                 kept_parents.add(sub.parent_id)
-            if outcome is None:
+            if included is None:
                 micro_timeouts += 1
-            else:
-                micros.append(outcome)
+                included = []
+            micros.append(included)
 
         block = assemble_interim(chain, micros, ballot, population)
         if block.is_timeout_block:
-            for micro in micros:
-                for sub in micro.sub_txs:
+            for subs in micros:
+                for sub in subs:
                     kept_parents.add(sub.parent_id)
         # deferred transactions keep their arrival order for the next round
         mempool[:] = [tx for tx in mempool if tx.id in kept_parents]
@@ -498,7 +503,7 @@ class ChainSimulation:
             raise ValidationError(
                 "security.tau", f"must be below the total stake K = {k_total} (p = tau/K < 1), got {sec.tau!r}"
             )
-        self.security = SecurityParams(sec.h, sec.alpha, sec.tau, sec.theta, k_total)
+        self.p = sec.tau / k_total  # each token's chance of selection
         self.txgen_rng = split(cfg.seed, "txgen")
         self.offline_rng = split(cfg.seed, "offline")
 
@@ -506,7 +511,7 @@ class ChainSimulation:
         for pk, stake in zip(self.population.pks, self.population.stakes):
             state.create_account(pk, stake)
         self.k_total = k_total
-        self.chain = Chain(state, self.security.quorum, cfg.partition)
+        self.chain = Chain(state, quorum(sec.theta, sec.tau), cfg.partition)
         self.mempool: list[Transaction] = []
         self.clock = 0.0  # simulated seconds: the sum of the epoch budgets so far
         self.results: list[EpochResult] = []
@@ -548,7 +553,7 @@ class ChainSimulation:
         result = run_epoch(
             self.chain,
             self.mempool,
-            self.security.p,
+            self.p,
             epochs,
             self.population,
             self._draw_offline(),

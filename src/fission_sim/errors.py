@@ -39,6 +39,10 @@ class DuplicateDebit(FissionError):
     pass
 
 
+class CreditMismatch(FissionError):
+    pass
+
+
 # --- chain structure ---
 
 class AlternationViolation(FissionError):

@@ -26,6 +26,7 @@ from . import crypto
 from .crypto import UINT_PREFIX, KeyRegistry, length_prefix, sha3
 from .errors import (
     BadNonce,
+    CreditMismatch,
     DoubleCredit,
     DuplicateDebit,
     InsufficientBalance,
@@ -52,16 +53,6 @@ def home_partitions(pks: Iterable[bytes], n_shard: int, n_partition: int) -> lis
         raise ValueError("n_shard and n_partition must be >= 1")
     from_bytes = int.from_bytes
     return [from_bytes(pk, "big") % n_shard % n_partition for pk in pks]
-
-
-@dataclass(slots=True)
-class Account:
-    """A snapshot of one account, as ``LedgerState.get_account`` and
-    ``iter_accounts`` give it; the state itself keeps int columns."""
-
-    pk: bytes
-    balance: int
-    nonce: int = 0
 
 
 # the transfer type as the first field of a transfer's signed bytes, framed once
@@ -277,8 +268,7 @@ class LedgerState:
     Single-writer: one block pipeline mutates a state at a time. ``clone()``
     copies both columns, so a write to a clone never reaches its parent.
     Write accounts only through ``create_account``, ``apply_eager`` and
-    ``apply_lazy``; an ``Account`` from ``get_account`` or ``iter_accounts``
-    is a snapshot, and writing it changes no state.
+    ``apply_lazy``.
 
     ``trees`` holds each shard's tree as it was last rooted (None until the
     first rooting of a fresh state), and ``written`` the key of every account
@@ -325,19 +315,11 @@ class LedgerState:
         self.nonces[pk] = nonce
         self.written.add(pk)
 
-    def get_account(self, pk: bytes) -> Account | None:
-        balance = self.balances.get(pk)
-        return None if balance is None else Account(pk, balance, self.nonces[pk])
-
     def total_balance(self) -> int:
         return sum(self.balances.values())
 
     def pending_value(self) -> int:
         return sum(debit.value for debit in self.pending.values())
-
-    def iter_accounts(self):
-        nonces = self.nonces
-        return (Account(pk, balance, nonces[pk]) for pk, balance in self.balances.items())
 
 
 def apply_eager(state: LedgerState, sub: SubTransaction) -> None:
@@ -368,8 +350,10 @@ def apply_eager(state: LedgerState, sub: SubTransaction) -> None:
 def apply_lazy(state: LedgerState, sub: SubTransaction) -> None:
     """Apply a credit: pay the receiver and consume the matching pending debit.
 
-    Each pending debit is consumable exactly once; an unknown receiver account is
-    created with zero starting balance.
+    Each pending debit is consumable exactly once, by a credit whose sender,
+    receiver, value and nonce are the debit's; an unknown receiver account is
+    created with zero starting balance. Raises without touching state
+    otherwise.
     """
     assert sub.kind == LAZY
     if sub.parent_id in state.credited:
@@ -377,6 +361,13 @@ def apply_lazy(state: LedgerState, sub: SubTransaction) -> None:
     debit = state.pending.get(sub.parent_id)
     if debit is None:
         raise MissingEagerLog(f"no debit log for {sub.parent_id.hex()[:16]}")
+    if (
+        sub.sender != debit.sender
+        or sub.receiver != debit.receiver
+        or sub.value != debit.value
+        or sub.nonce != debit.nonce
+    ):
+        raise CreditMismatch(f"credit for {sub.parent_id.hex()[:16]} differs from its debit")
     receiver = sub.receiver
     balance = state.balances.get(receiver)
     if balance is None:

@@ -54,7 +54,6 @@ class RelaySystemState:
         if any(u < 2 for u in capacities):
             raise ValueError("relayer capacities must be >= 2")
         self.capacities = list(capacities)
-        self.mu = mu
         self.mean_msg_size = mean_msg_size
         self.identifier_space: list[int] = []
         for k, count in enumerate(identifier_counts(self.capacities, mu)):

@@ -15,7 +15,6 @@ weight drawn, and keeps nothing between draws.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -225,6 +224,23 @@ ROUNDED_TAU_CONSTANT = 40.5  # 6.36^2 rounded up
 _Z_TAIL = 6.36  # standard-normal quantile with tail mass <= 1e-10
 
 
+def check_h_alpha(h: float, alpha: float) -> None:
+    """The domain of the honest stake fraction h and the online fraction alpha."""
+    if not (2.0 / 3.0 < h <= 1.0):
+        raise DomainError(f"honesty threshold must be in (2/3, 1], got {h}")
+    if not (0.0 < alpha <= 1.0):
+        raise DomainError(f"activity must be in (0, 1], got {alpha}")
+
+
+def check_theta_tau(theta: float, tau: float) -> None:
+    """The domain of the vote fraction theta and the expected committee
+    weight tau."""
+    if not (0.0 < theta < 1.0):
+        raise DomainError(f"theta must be in (0, 1), got {theta}")
+    if not tau > 0:
+        raise DomainError(f"tau must be positive, got {tau}")
+
+
 def normal_cdf(z: float) -> float:
     return 0.5 * math.erfc(-z / math.sqrt(2.0))
 
@@ -235,10 +251,7 @@ def tau_lower_bound(h: float, alpha: float, exact_constant: bool = False) -> flo
     The default constant rounds 6.36^2 up to 40.5; pass exact_constant=True
     for the unrounded variant.
     """
-    if not (2.0 / 3.0 < h <= 1.0):
-        raise DomainError(f"honesty threshold must be in (2/3, 1], got {h}")
-    if not (0.0 < alpha <= 1.0):
-        raise DomainError(f"activity must be in (0, 1], got {alpha}")
+    check_h_alpha(h, alpha)
     c = _Z_TAIL**2 if exact_constant else ROUNDED_TAU_CONSTANT
     return c * (4.0 - 3.0 * h) / ((3.0 * h - 2.0) ** 2 * alpha)
 
@@ -259,10 +272,7 @@ def quorum(theta: float, tau: float) -> int:
     A tiny epsilon keeps mathematically integral products (like 0.3 * 5000)
     from rounding up an extra vote through float error.
     """
-    if not (0.0 < theta < 1.0):
-        raise DomainError(f"theta must be in (0, 1), got {theta}")
-    if tau <= 0:
-        raise DomainError(f"tau must be positive, got {tau}")
+    check_theta_tau(theta, tau)
     return math.ceil(theta * tau - 1e-9)
 
 
@@ -276,12 +286,8 @@ def failure_probabilities(
     follow the selected-token counts: honest ~ h*alpha*tau, adversary ~
     (1-h)*alpha*tau, and the margin Y = X_h - 2*X_a.
     """
-    if not (2.0 / 3.0 < h <= 1.0):
-        raise DomainError(f"honesty threshold must be in (2/3, 1], got {h}")
-    if not (0.0 < alpha <= 1.0):
-        raise DomainError(f"activity must be in (0, 1], got {alpha}")
-    if tau <= 0 or not (0.0 < theta < 1.0):
-        raise DomainError("tau must be positive and theta in (0, 1)")
+    check_h_alpha(h, alpha)
+    check_theta_tau(theta, tau)
     mu_h = h * alpha * tau
     mu_a = (1.0 - h) * alpha * tau
     if mu_h <= 5.0:
@@ -299,35 +305,3 @@ def failure_probabilities(
         p_adv_quorum = normal_cdf((mu_a - theta * tau) / math.sqrt(mu_a))
     p_honest_miss = normal_cdf((theta * tau - mu_h) / math.sqrt(mu_h))
     return p_byzantine_third, p_adv_quorum, p_honest_miss
-
-
-@dataclass
-class SecurityParams:
-    """Consensus sizing: honesty h, activity alpha, committee size tau, vote
-    fraction theta, and the token supply K that fixes p = tau / K."""
-
-    h: float
-    alpha: float
-    tau: float
-    theta: float
-    k_total: int
-
-    @property
-    def p(self) -> float:
-        return self.tau / self.k_total
-
-    @property
-    def quorum(self) -> int:
-        return quorum(self.theta, self.tau)
-
-    def check_domain(self) -> None:
-        if not (2.0 / 3.0 < self.h <= 1.0):
-            raise DomainError(f"h must be in (2/3, 1], got {self.h}")
-        if not (0.0 < self.alpha <= 1.0):
-            raise DomainError(f"alpha must be in (0, 1], got {self.alpha}")
-        if not self.k_total > 0:  # p = tau / K
-            raise DomainError(f"K must be positive, got {self.k_total}")
-        if not (0.0 < self.p < 1.0):
-            raise DomainError(f"p = tau/K must be in (0, 1), got {self.p}")
-        if not (0.0 < self.theta < 1.0):
-            raise DomainError(f"theta must be in (0, 1), got {self.theta}")

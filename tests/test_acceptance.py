@@ -353,6 +353,6 @@ def test_criterion_8_partitioning():
         split_state = split_shards(state)
         assert split_state.n_shard == 2 * state.n_shard
         for pk, bal in balances.items():
-            assert split_state.get_account(pk).balance == bal
+            assert split_state.balances[pk] == bal
         assert split_state.total_balance() == state.total_balance()
     report(8, "scaler 1e4 pairs, trigger 5e3 windows, 20 randomized shard splits")

@@ -17,14 +17,16 @@ from fission_sim.chain import (
     block_to_dict,
     compute_root_arrays,
     kind_for_epoch,
+    tally,
 )
 from fission_sim.config import PartitionSettings
-from fission_sim.consensus import ChainSimulation
+from fission_sim.consensus import ChainSimulation, cast_ballot, collect_votes
 from fission_sim.crypto import KeyRegistry, sha3, sign
 from fission_sim.errors import (
     AlternationViolation,
     BadInterimLink,
     BadNonce,
+    CreditMismatch,
     DoubleCredit,
     DuplicateDebit,
     FissionError,
@@ -42,6 +44,7 @@ from fission_sim.ledger import (
     make_transfer,
     split_transaction,
 )
+from fission_sim.sortition import BLOCK_MAIN, select_committee
 from test_golden import CASES
 
 
@@ -148,7 +151,7 @@ def test_account_root_tracks_nonce_at_equal_balance():
     after = state.clone()
     apply_eager(after, eager)
     apply_lazy(after, lazy)
-    assert after.get_account(pk_a).balance == 100
+    assert after.balances[pk_a] == 100
     _, rooted, _ = compute_root_arrays([], after)
     fresh = LedgerState(2)
     fresh.create_account(pk_a, 100, nonce=1)
@@ -258,7 +261,7 @@ def fresh_replica(sim, partition):
     state = LedgerState(partition.n_shard)
     for pk, stake in zip(sim.population.pks, sim.population.stakes):
         state.create_account(pk, stake)
-    return Chain(state, sim.security.quorum, partition)
+    return Chain(state, sim.chain.quorum, partition)
 
 
 @pytest.mark.parametrize("case", ["offline", "reshard"])
@@ -295,6 +298,7 @@ def test_propose_matches_the_reference_header():
 
 HEADER_FIELDS = ("epoch", "kind", "parent_hash", "interim_hash", "seed", "n_shard", "n_partition")
 ROOT_FIELDS = ("tx_root", "account_root", "tx_log_root")
+CREDIT_FIELDS = ("sender", "receiver", "value", "nonce")
 
 
 def other_hash(data, old):
@@ -336,6 +340,16 @@ def mutate(block, what, data):
             # the sender's later debits lose their nonce predecessor
             later = any(sub.sender == dropped.sender for sub in body[i:])
             expected = BadNonce if later else RootMismatch
+    elif what in CREDIT_FIELDS:
+        # a credit that pays out other than its debit says
+        i = data.draw(st.integers(0, len(body) - 1))
+        old = getattr(body[i], what)
+        if what in ("sender", "receiver"):
+            new = other_hash(data, old)
+        else:
+            new = data.draw(st.integers(0, 2**64 - 1).filter(lambda n: n != old))
+        body[i] = replace(body[i], **{what: new})
+        expected = CreditMismatch
     elif what == "reparent":
         # a later debit, valid on its own, takes an earlier one's parent id
         i = data.draw(st.integers(0, len(body) - 2))
@@ -362,6 +376,8 @@ def test_every_single_header_or_body_mutation_is_rejected_and_changes_nothing(da
     mutations = HEADER_FIELDS + ROOT_FIELDS + (("drop", "duplicate") if block.body else ())
     if block.header.kind == INTERIM and len(block.body) > 1:
         mutations += ("reparent",)
+    if block.header.kind == MAIN and block.body:
+        mutations += CREDIT_FIELDS
     bad, expected = mutate(block, data.draw(st.sampled_from(mutations)), data)
     expected_type, invariant = expected if isinstance(expected, tuple) else (expected, None)
     tip, state, n_partition = chain.tip, chain.state, chain.n_partition
@@ -372,6 +388,31 @@ def test_every_single_header_or_body_mutation_is_rejected_and_changes_nothing(da
     assert chain.tip is tip and chain.state is state and chain.n_partition == n_partition
     chain.append_block(block)
     assert chain.tip is block
+
+
+def test_credit_rewritten_to_another_receiver_is_rejected():
+    # a main block whose first credit pays another receiver 999 more than its
+    # debit withdrew, signed by its real committee
+    sim = ChainSimulation(
+        n_nodes=20, stake_dist="fixed:100", h=1.0, alpha=1.0, tau=50.0, tx_per_epoch=10, seed=3
+    )
+    sim.step()
+    chain, population = sim.chain, sim.population
+    pending = chain.state.pending
+    body = [credit_of(pending[pid]) for pid in sorted(pending)]
+    other = next(pk for pk in population.pks if pk not in (body[0].sender, body[0].receiver))
+    bad = [replace(body[0], receiver=other, value=body[0].value + 999)] + body[1:]
+    with pytest.raises(CreditMismatch):
+        chain.propose(bad)
+    block = chain.propose(body)
+    block.body = bad
+    committee = select_committee(population.electorate, block.header.seed, BLOCK_MAIN, sim.p, population.registry)
+    block.header.votes = collect_votes(cast_ballot(committee, population, set()), population, block.hash)
+    assert tally(block.header.votes) >= chain.quorum
+    tip, state = chain.tip, chain.state
+    with pytest.raises(CreditMismatch):
+        chain.append_block(block)
+    assert chain.tip is tip and chain.state is state and state.balances[other] == 100
 
 
 def test_debit_reusing_a_pending_parent_id_is_rejected_keeping_supply():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from fission_sim import consensus
 from fission_sim.chain import INTERIM, MAIN, Votes, next_seed, tally
 from fission_sim.consensus import (
+    Ballot,
     ChainSimulation,
     Population,
     cast_ballot,
@@ -18,11 +19,20 @@ from fission_sim.consensus import (
 from fission_sim.config import CHAIN_KEYWORDS, EpochSettings, load_config
 from fission_sim.crypto import KeyRegistry, sha3, sign
 from fission_sim.dists import dist_sampler
-from fission_sim.errors import InvariantViolation, ValidationError
-from fission_sim.ledger import home_partitions, make_transfer, split_transaction
+from fission_sim.errors import FissionError, InvariantViolation, ValidationError
+from fission_sim.ledger import (
+    EAGER,
+    LedgerState,
+    SubTransaction,
+    apply_eager,
+    home_partitions,
+    make_transfer,
+    split_transaction,
+)
 from fission_sim.seeding import split
 from fission_sim.sortition import BLOCK_INTERIM, BLOCK_MAIN, leader_ticket, select_committee
 from reference import elect_proposer, generate_transactions, leader_order
+from test_golden import CASES
 
 # small all-honest world used by most pipeline tests
 SMALL = dict(h=1.0, alpha=1.0, tau=50.0, theta=0.3, n_nodes=12, stake_dist="fixed:100")
@@ -177,11 +187,12 @@ def test_vote_weights_equal_tallies_of_the_reference_votes(roles, offline_mask, 
 def test_micro_round_zero_online_weight_times_out():
     sim = small_sim()
     committee = select_committee(
-        sim.population.electorate, b"s", "partition:0", sim.security.p, sim.population.registry
+        sim.population.electorate, b"s", "partition:0", sim.p, sim.population.registry
     )
     offline = set(committee.pks)
     outcome, deferred, invalid = micro_round(
-        0, [], cast_ballot(committee, sim.population, offline), sim.chain, sim.config.epochs
+        [], cast_ballot(committee, sim.population, offline), sim.chain.state.clone(),
+        sim.chain.quorum, sim.config.epochs,
     )
     assert outcome is None
 
@@ -190,7 +201,7 @@ def test_micro_round_defers_overflow_prefix_by_arrival():
     sim = small_sim()
     cfg = EpochSettings(delta_micro=1.0)
     committee = select_committee(
-        sim.population.electorate, b"s", "partition:0", sim.security.p, sim.population.registry
+        sim.population.electorate, b"s", "partition:0", sim.p, sim.population.registry
     )
     capacity_target = 3
     cfg.micro_throughput = capacity_target / (cfg.delta_micro * len(committee))
@@ -201,9 +212,9 @@ def test_micro_round_defers_overflow_prefix_by_arrival():
         tx = make_transfer(reg, reg.secret_for(sender), receiver, 1, n)
         subs.append(split_transaction(tx, reg))
     ballot = cast_ballot(committee, sim.population, set())
-    outcome, deferred, invalid = micro_round(0, subs, ballot, sim.chain, cfg)
+    outcome, deferred, invalid = micro_round(subs, ballot, sim.chain.state.clone(), sim.chain.quorum, cfg)
     assert outcome is not None
-    assert [s.nonce for s in outcome.sub_txs] == [1, 2, 3]  # arrival-order prefix
+    assert [s.nonce for s in outcome] == [1, 2, 3]  # arrival-order prefix
     assert [s.nonce for s in deferred] == [4, 5, 6]
     assert invalid == []
 
@@ -214,7 +225,7 @@ def test_micro_round_capacity_counts_online_members_only():
     sim = small_sim()
     reg = sim.population.registry
     committee = select_committee(
-        sim.population.electorate, b"s", "partition:0", sim.security.p, reg
+        sim.population.electorate, b"s", "partition:0", sim.p, reg
     )
     offline = {committee.pks[0], b"\x00" * 32}
     cfg = EpochSettings(delta_micro=1.0, micro_throughput=1.0)
@@ -224,10 +235,10 @@ def test_micro_round_capacity_counts_online_members_only():
         for n in range(1, len(committee) + 1)
     ]
     outcome, deferred, invalid = micro_round(
-        0, subs, cast_ballot(committee, sim.population, offline), sim.chain, cfg
+        subs, cast_ballot(committee, sim.population, offline), sim.chain.state.clone(), sim.chain.quorum, cfg
     )
     assert len(committee) > 1
-    assert len(outcome.sub_txs) == len(committee) - 1
+    assert len(outcome) == len(committee) - 1
     assert deferred == subs[len(committee) - 1:] and invalid == []
 
 
@@ -240,13 +251,13 @@ def test_micro_round_filters_invalid_state_transitions():
         make_transfer(reg, reg.secret_for(sender), receiver, 10**9, 2), reg
     )
     committee = select_committee(
-        sim.population.electorate, b"s", "partition:0", sim.security.p, sim.population.registry
+        sim.population.electorate, b"s", "partition:0", sim.p, sim.population.registry
     )
     outcome, deferred, invalid = micro_round(
-        0, [good, overdraw], cast_ballot(committee, sim.population, set()), sim.chain,
-        sim.config.epochs,
+        [good, overdraw], cast_ballot(committee, sim.population, set()), sim.chain.state.clone(),
+        sim.chain.quorum, sim.config.epochs,
     )
-    assert [s.nonce for s in outcome.sub_txs] == [1]
+    assert [s.nonce for s in outcome] == [1]
     assert invalid == [overdraw]
 
 
@@ -258,7 +269,7 @@ def test_micro_round_propagates_errors_that_are_not_protocol_errors(monkeypatch)
     sender, receiver = sim.population.pks[:2]
     eager = split_transaction(make_transfer(reg, reg.secret_for(sender), receiver, 1, 1), reg)
     committee = select_committee(
-        sim.population.electorate, b"s", "partition:0", sim.security.p, reg
+        sim.population.electorate, b"s", "partition:0", sim.p, reg
     )
 
     def broken(state, sub):
@@ -266,7 +277,99 @@ def test_micro_round_propagates_errors_that_are_not_protocol_errors(monkeypatch)
 
     monkeypatch.setattr(consensus, "apply_eager", broken)
     with pytest.raises(RuntimeError, match="state bug"):
-        micro_round(0, [eager], cast_ballot(committee, sim.population, set()), sim.chain, sim.config.epochs)
+        micro_round(
+            [eager], cast_ballot(committee, sim.population, set()), sim.chain.state.clone(),
+            sim.chain.quorum, sim.config.epochs,
+        )
+
+
+# accounts of the shared-scratch property, 30 tokens each, and its quorum
+SCRATCH_KEYS = [sha3(b"scratch-account-%d" % i) for i in range(8)]
+SCRATCH_QUORUM = 5
+
+
+@st.composite
+def partitioned_mempools(draw):
+    """A state with some debits already pending, and for n_partition >= 2
+    partitions each one's routed debits and ballot."""
+    n_shard = draw(st.integers(2, 8))
+    n_partition = draw(st.integers(2, n_shard))
+    state = LedgerState(n_shard)
+    for pk in SCRATCH_KEYS:
+        state.create_account(pk, 30)
+    # (sender, receiver, value, nonce offset, parent tag): a parent id hashes
+    # its sender, and its few tags let a sender's debits share one
+    debit = st.tuples(
+        st.sampled_from(SCRATCH_KEYS), st.sampled_from(SCRATCH_KEYS),
+        st.integers(1, 20), st.sampled_from([0, 0, 0, 1, -1]), st.integers(0, 3),
+    )
+    next_nonce = dict.fromkeys(SCRATCH_KEYS, 1)
+
+    def sub_of(sender, receiver, value, offset, tag):
+        nonce = next_nonce[sender] + offset
+        if not offset:
+            next_nonce[sender] += 1
+        return SubTransaction(EAGER, sha3(sender + bytes([tag])), sender, receiver, value, nonce)
+
+    for sub in [sub_of(*d) for d in draw(st.lists(debit, max_size=6))]:
+        try:
+            apply_eager(state, sub)
+        except FissionError:
+            pass
+    next_nonce.update((pk, n + 1) for pk, n in state.nonces.items())
+    subs = [sub_of(*d) for d in draw(st.lists(debit, max_size=40))]
+    routed = [[] for _ in range(n_partition)]
+    for sub, home in zip(subs, home_partitions([sub.sender for sub in subs], n_shard, n_partition)):
+        routed[home].append(sub)
+    # a yes weight below the quorum, or no online member, times a round out
+    ballots = [
+        Ballot([], [], draw(st.sampled_from([SCRATCH_QUORUM - 1, SCRATCH_QUORUM])), 0, 0, draw(st.integers(0, 8)))
+        for _ in range(n_partition)
+    ]
+    return state, routed, ballots
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=partitioned_mempools())
+def test_partitions_on_one_shared_scratch_equal_partitions_on_own_clones(case):
+    # routing gives partitions disjoint senders, and a debit's parent id
+    # hashes its sender, so no round reads what another round wrote
+    state, routed, ballots = case
+    epochs = EpochSettings(delta_micro=1.0, micro_throughput=1.0)  # one debit per online member
+    clones = [state.clone() for _ in routed]
+    own = [micro_round(subs, ballot, clone, SCRATCH_QUORUM, epochs)
+           for subs, ballot, clone in zip(routed, ballots, clones)]
+    scratch = state.clone()
+    shared = [micro_round(subs, ballot, scratch, SCRATCH_QUORUM, epochs) for subs, ballot in zip(routed, ballots)]
+    assert shared == own
+    # the shared scratch holds each partition's writes, each from its own round
+    homes = home_partitions(SCRATCH_KEYS, state.n_shard, len(routed))
+    for pk, home in zip(SCRATCH_KEYS, homes):
+        assert (scratch.balances[pk], scratch.nonces[pk]) == (clones[home].balances[pk], clones[home].nonces[pk])
+    assert scratch.pending == {pid: sub for clone in clones for pid, sub in clone.pending.items()}
+
+
+def test_each_role_clones_the_chain_state_once_per_epoch(monkeypatch):
+    # the micro rounds share one scratch, so an interim epoch clones for the
+    # committees, the proposer and the validator at any partition count, and
+    # a main epoch for the proposer and the validator
+    params, epochs, _ = CASES["reshard"]
+    calls = Counter()
+    clone = LedgerState.clone
+
+    def counted(self):
+        calls["clone"] += 1
+        return clone(self)
+
+    monkeypatch.setattr(LedgerState, "clone", counted)
+    sim = ChainSimulation(**params)
+    per_epoch = []
+    for _ in range(epochs):
+        before = calls["clone"]
+        result = sim.step()
+        per_epoch.append((result.kind, result.n_partition, calls["clone"] - before))
+    assert {n for kind, n, _ in per_epoch if kind == INTERIM} == {1, 2, 3, 4}
+    assert all(clones == (3 if kind == INTERIM else 2) for kind, _, clones in per_epoch)
 
 
 # --- run_epoch / pipeline ---
@@ -321,10 +424,10 @@ def test_leader_fallback_skips_offline_proposer():
     sim = small_sim()
     reg = sim.population.registry
     seed = next_seed(sim.chain.tip.header.seed, sim.chain.tip.hash)
-    committee = select_committee(sim.population.electorate, seed, BLOCK_INTERIM, sim.security.p, reg)
+    committee = select_committee(sim.population.electorate, seed, BLOCK_INTERIM, sim.p, reg)
     order = leader_order([(pk, leader_ticket(reg.secret_for(pk), seed).hash) for pk in committee.pks])
     result = run_epoch(
-        sim.chain, [], sim.security.p, sim.config.epochs, sim.population,
+        sim.chain, [], sim.p, sim.config.epochs, sim.population,
         offline={order[0]},
     )
     assert result.block.header.seed == seed
@@ -339,7 +442,7 @@ def test_leader_fallback_skips_offline_proposer():
 def test_offline_committee_yields_empty_block_not_stall():
     sim = small_sim()
     result = run_epoch(
-        sim.chain, [], sim.security.p, sim.config.epochs, sim.population,
+        sim.chain, [], sim.p, sim.config.epochs, sim.population,
         offline=set(sim.population.pks),
     )
     assert result.empty and result.block.is_timeout_block
@@ -352,7 +455,7 @@ def test_interim_timeout_requeues_transactions():
     sim.generate_transactions()
     assert len(sim.mempool) == 5
     result = run_epoch(
-        sim.chain, sim.mempool, sim.security.p, sim.config.epochs, sim.population,
+        sim.chain, sim.mempool, sim.p, sim.config.epochs, sim.population,
         offline=set(sim.population.pks),
     )
     assert result.empty
@@ -426,7 +529,7 @@ def test_adversarial_population_never_reaches_quorum_short_run():
         n_nodes=100, stake_dist="fixed:2500", tx_per_epoch=10, seed=13,
     )
     results = sim.run(10)
-    quorum = sim.security.quorum
+    quorum = sim.chain.quorum
     for r in results:
         assert r.adversary_weight < quorum
         assert not r.empty  # honest majority keeps confirming
@@ -509,7 +612,6 @@ def test_epoch_config_rejects_non_positive_durations():
 
 
 def test_assemble_interim_rejects_misrouted_micro_block():
-    from fission_sim.chain import MicroBlock
     from fission_sim.errors import InvariantViolation
     from fission_sim.consensus import assemble_interim
 
@@ -521,13 +623,13 @@ def test_assemble_interim_rejects_misrouted_micro_block():
     wrong = 1 - home
     seed = next_seed(sim.chain.tip.header.seed, sim.chain.tip.hash)
     committee = select_committee(
-        sim.population.electorate, seed, BLOCK_INTERIM, sim.security.p, reg
+        sim.population.electorate, seed, BLOCK_INTERIM, sim.p, reg
     )
-    with pytest.raises(InvariantViolation):
-        assemble_interim(
-            sim.chain, [MicroBlock(wrong, [eager])], cast_ballot(committee, sim.population, set()),
-            sim.population,
-        )
+    micros = [[], []]  # partition k's included debits at position k
+    micros[wrong].append(eager)
+    with pytest.raises(InvariantViolation) as err:
+        assemble_interim(sim.chain, micros, cast_ballot(committee, sim.population, set()), sim.population)
+    assert err.value.invariant == "micro-partition"
 
 
 def test_conflicting_quorum_is_caught_at_assembly():
@@ -539,9 +641,9 @@ def test_conflicting_quorum_is_caught_at_assembly():
     sim.population = Population(pop.pks, pop.stakes, pop.online, strategies, pop.registry)
     committee = select_committee(
         sim.population.electorate, sim.chain.next_header().seed, BLOCK_MAIN,
-        sim.security.p, sim.population.registry,
+        sim.p, sim.population.registry,
     )
-    assert sum(committee.weights) >= sim.security.quorum
+    assert sum(committee.weights) >= sim.chain.quorum
     tip = sim.chain.tip
     with pytest.raises(InvariantViolation) as err:
         consensus.assemble_main(sim.chain, cast_ballot(committee, sim.population, set()), sim.population)
@@ -565,7 +667,7 @@ def test_partition_count_scales_and_resharding_doubles_shards():
     assert sim.chain.state.total_balance() + sim.chain.state.pending_value() == sim.k_total
     # re-homed accounts keep their balances through the split
     for pk in sim.population.pks:
-        assert sim.chain.state.get_account(pk) is not None
+        assert pk in sim.chain.state.balances
 
 
 def test_reshard_window_restarts_after_a_split():

@@ -110,7 +110,7 @@ def _proposers(sim, offline_sets) -> list[bytes | None]:
     for r, offline in zip(sim.results, offline_sets):
         seed = r.block.header.seed
         ctype = BLOCK_INTERIM if r.kind == INTERIM else BLOCK_MAIN
-        committee = select_committee(sim.population.electorate, seed, ctype, sim.security.p, registry)
+        committee = select_committee(sim.population.electorate, seed, ctype, sim.p, registry)
         proposers.append(elect_proposer(registry, committee.pks, seed, offline))
     return proposers
 

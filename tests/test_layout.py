@@ -32,8 +32,6 @@ ALLOWED = {
     "within_margin": "the verdict of validate_lemma_variance's report",
     "broadcast_hops": "README's structural check of the relay overlay (at most three hops)",
     "is_eps_nash": "README's structural check of a relay equilibrium",
-    "get_account": "the ledger's read API for one account snapshot",
-    "iter_accounts": "the ledger's read API over all account snapshots",
     "encode_field": "the canonical field layout that the batched encoders inline",
 }
 
@@ -43,8 +41,6 @@ STORED_ALLOWED = {
     "Votes.block_hash": "the hash the certificate's signatures sign; certificates compare equal on it",
     "EpochResult.block": "the epoch's block, for callers of ChainSimulation.step to inspect",
     "InvariantViolation.invariant": "names the broken invariant to whoever catches the error",
-    "Account.pk": "a field of the snapshot that the ledger's read API returns",
-    "Account.balance": "a field of the snapshot that the ledger's read API returns",
     "DrsState.size": "the instance's key sizes, from which requests are weighed",
     "DrsRoundReport.to_relayer": "the round's hand-offs to the relay network, beside its migrations",
 }

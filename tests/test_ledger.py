@@ -70,8 +70,7 @@ def test_split_self_transfer_nets_to_zero(reg):
     state.create_account(pk_a, 50)
     apply_eager(state, eager)
     apply_lazy(state, lazy)
-    acct = state.get_account(pk_a)
-    assert acct.balance == 50 and acct.nonce == 1
+    assert state.balances[pk_a] == 50 and state.nonces[pk_a] == 1
 
 
 def test_split_rejects_bad_signature(reg):
@@ -255,7 +254,7 @@ def test_apply_eager_exact_balance_boundary(reg):
     state.create_account(pk_a, 10)
     eager = eager_for(reg, sk_a, pk_b, 10, 1)
     apply_eager(state, eager)
-    assert state.get_account(pk_a).balance == 0
+    assert state.balances[pk_a] == 0
     assert list(state.pending) == [eager.parent_id]
     entry = state.pending[eager.parent_id]
     assert (entry.sender, entry.receiver, entry.value, entry.nonce) == (pk_a, pk_b, 10, 1)
@@ -276,9 +275,9 @@ def test_pending_log_holds_the_debit_that_clones_and_splits_share(reg):
     for copy in (clone, split):
         apply_lazy(copy, lazy)
         assert not copy.pending
-        assert copy.get_account(pk_b).balance == 10
+        assert copy.balances[pk_b] == 10
     # the credits consumed the copies' entries, not the original's
-    assert state.pending[eager.parent_id] is eager and state.get_account(pk_b) is None
+    assert state.pending[eager.parent_id] is eager and pk_b not in state.balances
 
 
 def test_apply_eager_insufficient_balance_leaves_state_unchanged(reg):
@@ -289,8 +288,7 @@ def test_apply_eager_insufficient_balance_leaves_state_unchanged(reg):
     eager = eager_for(reg, sk_a, pk_b, 10, 1)
     with pytest.raises(InsufficientBalance):
         apply_eager(state, eager)
-    acct = state.get_account(pk_a)
-    assert acct.balance == 5 and acct.nonce == 0
+    assert state.balances[pk_a] == 5 and state.nonces[pk_a] == 0
     assert not state.pending
 
 
@@ -325,7 +323,7 @@ def test_apply_eager_rejects_a_parent_id_already_pending_or_credited(reg):
     with pytest.raises(DuplicateDebit):
         apply_eager(state, forged)  # a credited id stays spent
     assert not state.pending and state.total_balance() == 200
-    assert state.get_account(pk_b).balance == 140 and state.get_account(pk_b).nonce == 0
+    assert state.balances[pk_b] == 140 and state.nonces[pk_b] == 0
 
 
 def test_eager_conservation_over_random_batch(reg):
@@ -365,7 +363,7 @@ def test_apply_lazy_completes_transfer(reg):
     lazy = credit_of(eager)
     apply_eager(state, eager)
     apply_lazy(state, lazy)
-    assert state.get_account(pk_b).balance == 10
+    assert state.balances[pk_b] == 10
     assert not state.pending
 
 
@@ -424,7 +422,7 @@ def test_nonce_monotonicity(reg):
     for n in range(1, 11):
         eager = eager_for(reg, sk_a, pk_b, 1, n)
         apply_eager(state, eager)
-    assert state.get_account(pk_a).nonce == 10
+    assert state.nonces[pk_a] == 10
     applied = [e.nonce for e in state.pending.values() if e.sender == pk_a]
     assert applied == list(range(1, 11))
 

@@ -181,13 +181,9 @@ def test_split_shards_per_account_lookup_matches():
         state = make_state_with_accounts(4, 100, seed=seed)
         split = split_shards(state)
         _, roots, _ = compute_root_arrays([], split)
-        for acct in state.iter_accounts():
-            moved = split.get_account(acct.pk)
-            assert moved is not None
-            assert moved.balance == acct.balance and moved.nonce == acct.nonce
-            assert [i for i, tree in enumerate(split.trees) if acct.pk in tree.index] == [
-                shard_of(acct.pk, 8)
-            ]
+        for pk, balance in state.balances.items():
+            assert (split.balances[pk], split.nonces[pk]) == (balance, state.nonces[pk])
+            assert [i for i, tree in enumerate(split.trees) if pk in tree.index] == [shard_of(pk, 8)]
         assert roots == reference_account_roots(split)
 
 

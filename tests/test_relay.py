@@ -195,6 +195,7 @@ def reference_round(state, rng):
 
 # identifier-space sizes at the edges of getrandbits' rejection: 1, 2^k, 2^k + 1
 EDGE_SIZES = [1, 2, 3, 4, 5, 8, 9, 64, 65, 256, 257]
+STATE_MU = 2.0  # the identifier unit of relay_states
 
 
 @st.composite
@@ -204,10 +205,10 @@ def relay_states(draw):
     cuts = sorted(draw(st.lists(st.integers(1, size - 1), min_size=m - 1, max_size=m - 1,
                                 unique=True))) if m > 1 else []
     mults = [b - a for a, b in zip([0] + cuts, cuts + [size])]
-    # mu = 2: floor(u / 2) == mult for u in [2 * mult, 2 * mult + 2)
+    # floor(u / STATE_MU) == mult for u in [2 * mult, 2 * mult + 2)
     caps = [2.0 * mult + draw(st.floats(0.0, 1.99)) for mult in mults]
     assignment = draw(st.lists(st.integers(0, m - 1), max_size=300))
-    state = RelaySystemState(caps, mu=2.0)
+    state = RelaySystemState(caps, mu=STATE_MU)
     for relayer in assignment:
         state.attach(relayer)
     assert len(state.identifier_space) == size
@@ -223,7 +224,7 @@ def test_randrange_is_getrandbits_rejection():
 @settings(max_examples=150, deadline=None)
 @given(state=relay_states(), seed=st.integers(0, 2**64), rounds=st.integers(1, 3))
 def test_synchronous_round_matches_per_node_reference(state, seed, rounds):
-    ref = RelaySystemState(state.capacities, mu=state.mu)
+    ref = RelaySystemState(state.capacities, mu=STATE_MU)
     for relayer in state.assignment:
         ref.attach(relayer)
     rng, ref_rng = random.Random(seed), random.Random(seed)

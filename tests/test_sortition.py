@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from functools import lru_cache
@@ -9,15 +10,16 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from fission_sim import sortition
-from fission_sim.consensus import Population
+from fission_sim.cli import main
+from fission_sim.config import load_config
+from fission_sim.consensus import ChainSimulation, Population
 from fission_sim.crypto import KeyRegistry, vrf_hashes
 from fission_sim.dists import dist_sampler
-from fission_sim.errors import ApproximationUnsound, DomainError
+from fission_sim.errors import ApproximationUnsound, DomainError, ValidationError
 from fission_sim.seeding import child_bytes, split
 from fission_sim.sortition import (
     BLOCK_INTERIM,
     Electorate,
-    SecurityParams,
     binomial_cdf,
     failure_probabilities,
     normal_cdf,
@@ -454,35 +456,47 @@ def test_small_p_committee_weight_mean_is_p_times_online_stake():
     assert abs(sum(weights) / draws - p * online) <= 3 * sigma
 
 
-def test_security_params_domain_check():
-    params = SecurityParams(0.75, 0.7, 5000, 0.3, 1_000_000)
-    params.check_domain()
-    assert params.p == pytest.approx(0.005)
-    assert params.quorum == 1500
-    with pytest.raises(DomainError):
-        SecurityParams(0.6, 0.7, 5000, 0.3, 1_000_000).check_domain()
-    with pytest.raises(DomainError):
-        SecurityParams(0.75, 0.7, 5000, 0.3, 4000).check_domain()  # p > 1
+def security_cli(capsys, tau, k_total):
+    """Exit code, stdout and stderr of the ``security`` calculator at p = tau / K."""
+    code = main(["security", "-h", "0.75", "-a", "0.7", "--tau", repr(tau), "-K", str(k_total)])
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_sizing_is_checked_on_each_path_that_reads_it(capsys):
+    # the calculator and a chain run each derive p = tau / K and the quorum
+    code, out, _ = security_cli(capsys, 5000.0, 1_000_000)
+    data = json.loads(out)
+    assert code == 0 and data["p"] == pytest.approx(0.005) and data["quorum"] == 1500
+    sim = ChainSimulation(h=0.75, alpha=0.7, tau=5000.0, theta=0.3, n_nodes=400, stake_dist="fixed:2500")
+    assert sim.p == pytest.approx(0.005) and sim.chain.quorum == 1500
+    # a config checks h, alpha and theta before any stake is drawn
+    with pytest.raises(ValidationError, match="^security: honesty threshold must be in"):
+        load_config(None, {"security.h": 0.6})
+    # p > 1: the calculator and a run each refuse tau above K
+    assert security_cli(capsys, 5000.0, 4000) == (2, "", "error: p = tau/K must be in (0, 1), got 1.25\n")
+    with pytest.raises(ValidationError, match="^security.tau: must be below the total stake K = 4000"):
+        ChainSimulation(tau=5000.0, n_nodes=4, stake_dist="fixed:1000", theta=0.3)
 
 
 @pytest.mark.parametrize("p", [0.0, 1.0, float("nan")])
-def test_p_that_leaves_one_minus_p_at_one_or_zero_is_rejected(p):
+def test_p_that_leaves_one_minus_p_at_one_or_zero_is_rejected(p, capsys):
     # p = 0 selects no one and p = 1 every token; NaN is no probability
     reg = KeyRegistry()
     stakes = {reg.generate(b"n%d" % i)[1]: 100 for i in range(4)}
     with pytest.raises(DomainError):
         select_committee(stakes, b"seed", BLOCK_INTERIM, p, reg)
     k_total = 10**20
-    with pytest.raises(DomainError):
-        SecurityParams(0.75, 0.7, p * k_total, 0.3, k_total).check_domain()
+    code, out, err = security_cli(capsys, p * k_total, k_total)
+    assert code == 2 and out == "" and err.startswith("error: p = tau/K must be in (0, 1), got ")
 
 
 @pytest.mark.parametrize("p", [1e-17, 2.0**-54])
-def test_p_with_one_minus_p_at_one_draws(p):
+def test_p_with_one_minus_p_at_one_draws(p, capsys):
     # 1 - p rounds to 1.0 here; the small-p CDF reads p itself
     assert 1.0 - p == 1.0
     k_total = 10**20
-    SecurityParams(0.75, 0.7, p * k_total, 0.3, k_total).check_domain()
+    assert security_cli(capsys, p * k_total, k_total)[0] == 0
     reg = KeyRegistry()
     stakes = {reg.generate(b"n%d" % i)[1]: 10**19 for i in range(4)}
     members = select_committee(stakes, b"seed", BLOCK_INTERIM, p, reg)
@@ -493,10 +507,10 @@ def test_p_with_one_minus_p_at_one_draws(p):
     assert members.weights == [o.weight for o in outcomes if o.weight > 0]
 
 
-def test_smallest_p_with_one_minus_p_below_one_draws():
+def test_smallest_p_with_one_minus_p_below_one_draws(capsys):
     p = 2.0**-53  # 1 - p is the float just below 1
     assert 1.0 - p < 1.0
-    SecurityParams(0.75, 0.7, p * 2.0**60, 0.3, 2**60).check_domain()
+    assert security_cli(capsys, p * 2.0**60, 2**60)[0] == 0
     reg = KeyRegistry()
     stakes = {reg.generate(b"n%d" % i)[1]: 2**60 for i in range(4)}
     assert len(select_committee(stakes, b"seed", BLOCK_INTERIM, p, reg)) > 0

@@ -64,8 +64,7 @@ def apply_ops(state: LedgerState, ops, keys=KEYS) -> tuple[list[SubTransaction],
     for kind, s, r, value, offset, p in ops:
         parent_id = PARENT_IDS[p]
         if kind == EAGER:
-            acct = state.get_account(keys[s])
-            nonce = (acct.nonce if acct else 0) + 1 + offset
+            nonce = state.nonces.get(keys[s], 0) + 1 + offset
             sub = SubTransaction(EAGER, parent_id, keys[s], keys[r], value, nonce)
             apply = apply_eager
         else:

@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .crypto import UINT_PREFIX, encode_fields, encode_uint, length_prefix, sha3
+from .crypto import UINT, encode_fields, encode_uint, record_layout, sha3
 from .errors import (
     AlternationViolation,
     BadInterimLink,
@@ -184,11 +184,7 @@ def _body_roots(subs: list[SubTransaction]) -> tuple[bytes, bytes]:
     """(tx root, log root) of one shard's part of a body, in body order."""
     # each log leaf is sha3(encode_fields(parent_id, receiver, encode_uint(value)))
     logs = [
-        sha3(b"".join((
-            length_prefix(len(sub.parent_id)), sub.parent_id,
-            length_prefix(len(sub.receiver)), sub.receiver,
-            UINT_PREFIX, int(sub.value).to_bytes(8, "big"),
-        )))
+        sha3(record_layout(len(sub.parent_id), len(sub.receiver), UINT)(sub.parent_id, sub.receiver, sub.value))
         for sub in subs
         if sub.kind == EAGER
     ]
@@ -198,11 +194,7 @@ def _body_roots(subs: list[SubTransaction]) -> tuple[bytes, bytes]:
 def _leaf(pk: bytes, balance: int, nonce: int) -> bytes:
     """The account's leaf, ``sha3(encode_fields(pk, encode_uint(balance),
     encode_uint(nonce)))``."""
-    return sha3(b"".join((
-        length_prefix(len(pk)), pk,
-        UINT_PREFIX, int(balance).to_bytes(8, "big"),
-        UINT_PREFIX, int(nonce).to_bytes(8, "big"),
-    )))
+    return sha3(record_layout(len(pk), UINT, UINT)(pk, balance, nonce))
 
 
 def _derive_tree(base: AccountTree | None, changes: list[tuple[bytes, bytes]]) -> AccountTree:

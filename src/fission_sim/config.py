@@ -265,7 +265,7 @@ def validate_config(cfg: SimConfig) -> None:
         check_h_alpha(sec.h, sec.alpha)
         check_theta_tau(sec.theta, sec.tau)
     except DomainError as e:
-        raise ValidationError("security", str(e)) from None
+        raise ValidationError(f"security.{e.parameter}", str(e)) from None
     # a quorum of 0 confirms any block, even one no honest member voted for
     if quorum(sec.theta, sec.tau) < 1:
         raise ValidationError(

@@ -1,6 +1,8 @@
 """Hashing, canonical byte encoding, and the pluggable signing/VRF schemes.
 
-SHA3-256 is the single hash primitive. The deterministic test schemes below
+SHA3-256 is the single hash primitive. The records the ledger and chain hash
+are packed by compiled layouts (``record_layout``), byte for byte the
+canonical ``encode_fields`` encoding. The deterministic test schemes below
 stand in for curve-based signatures and verifiable random functions: a keyed
 hash plays both roles, with public keys derived as ``pk = H(sk)`` and
 verification backed by a key registry held by the harness. Swapping in a real
@@ -11,8 +13,10 @@ contracts. No simulator checks a single VRF proof; the tests hold that check.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import struct
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .errors import VerificationFailure
@@ -31,10 +35,8 @@ def encode_field(data: bytes) -> bytes:
 
 
 # ``length_prefix(n)`` is the 4-byte big-endian length that ``encode_field``
-# puts before n bytes. The hot records frame their fields with it in one
-# ``b"".join``; ``UINT_PREFIX`` is the prefix of every ``encode_uint`` field.
+# puts before n bytes.
 length_prefix = struct.Struct(">I").pack
-UINT_PREFIX = length_prefix(8)
 
 
 def encode_fields(*fields: bytes) -> bytes:
@@ -45,6 +47,46 @@ def encode_fields(*fields: bytes) -> bytes:
 
 def encode_uint(value: int, width: int = 8) -> bytes:
     return int(value).to_bytes(width, "big")
+
+
+# A record shape entry for an integer field, laid out as ``encode_uint``;
+# every other entry is the byte length of a bytes field.
+UINT = None
+
+
+@functools.lru_cache(maxsize=256)
+def record_layout(*shape: int | None) -> Callable[..., bytes]:
+    """The packer of records of ``shape``: ``record_layout(*shape)(*fields)``
+    is ``encode_fields`` of the fields, each ``UINT`` field as
+    ``encode_uint(field)``, laid out by one compiled ``struct`` call.
+
+    The fields must have the shape's lengths. An integer outside 8 unsigned
+    bytes raises the ``OverflowError`` that ``encode_uint`` raises. The
+    ledger's and chain's records are framed through here, and no other
+    module lays out record bytes.
+    """
+    names = [f"f{i}" for i in range(len(shape))]
+    fmt, args, uints = [">"], [], []
+    for name, length in zip(names, shape):
+        if length is UINT:
+            fmt.append("IQ")
+            args.append(f"8, {name}")
+            uints.append(f"encode_uint({name})")
+        else:
+            fmt.append(f"I{length}s")
+            args.append(f"{length}, {name}")
+    # a fixed-arity function: struct cannot hold the constant length prefixes,
+    # so they are written into the call, and the caller passes only fields
+    source = (
+        f"def pack_record({', '.join(names)}):\n"
+        f"    try:\n"
+        f"        return pack({', '.join(args)})\n"
+        f"    except error:\n"
+        f"        {'; '.join(uints + ['raise'])}\n"
+    )
+    namespace = {"pack": struct.Struct("".join(fmt)).pack, "error": struct.error, "encode_uint": encode_uint}
+    exec(compile(source, f"<record layout {shape}>", "exec"), namespace)
+    return namespace["pack_record"]
 
 
 # ---------------------------------------------------------------------------
@@ -125,12 +167,18 @@ def sign_each(framed_sks: list[bytes], message: bytes) -> list[bytes]:
     return [_signature(framed, framed_message) for framed in framed_sks]
 
 
-def verify(registry: KeyRegistry, pk: bytes, message: bytes, signature: bytes) -> bool:
-    """Whether ``signature`` is ``sign(sk, message)`` for the secret key of
-    ``pk``, recomputed from the key framed once in ``registry``; False for a
-    key the registry does not hold."""
+def verify(registry: KeyRegistry, pk: bytes, message: bytes, signature: bytes) -> bytes | None:
+    """The signed record ``encode_fields(message, signature)``, which a
+    transaction id hashes, if ``signature`` is ``sign(sk, message)`` for the
+    secret key of ``pk``; None otherwise, also for a key the registry does not
+    hold. The message is framed once, for the record and for the signature,
+    which is recomputed from the key framed once in ``registry``."""
     framed = registry.framed_secret(pk)
-    return framed is not None and _signature(framed, length_prefix(len(message)) + message) == signature
+    if framed is None:
+        return None
+    record = record_layout(len(message), len(signature))(message, signature)
+    # the record starts with encode_field(message)
+    return record if _signature(framed, record[: 4 + len(message)]) == signature else None
 
 
 # ---------------------------------------------------------------------------

@@ -68,7 +68,12 @@ class PartitionMismatch(FissionError):
 # --- sortition / crypto ---
 
 class DomainError(FissionError):
-    pass
+    """A value outside its domain; ``parameter`` names the parameter at
+    fault when the check knows it."""
+
+    def __init__(self, message: str, parameter: str | None = None):
+        super().__init__(message)
+        self.parameter = parameter
 
 
 class VerificationFailure(FissionError):

@@ -12,9 +12,9 @@ Canonical transaction byte layout (all fields length-prefixed, fixed order):
 signed portion; the transaction id is SHA3-256 over that portion plus the
 signature field.
 
-Each record's bytes are written out flat, in one ``b"".join`` of length
-prefixes and fields; the layout is ``crypto.encode_fields`` of the same
-fields, with integers as ``crypto.encode_uint``.
+Each record's bytes are packed by the compiled layout of its shape
+(``crypto.record_layout``): ``crypto.encode_fields`` of the same fields, with
+integers as ``crypto.encode_uint``.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from . import crypto
-from .crypto import UINT_PREFIX, KeyRegistry, length_prefix, sha3
+from .crypto import UINT, KeyRegistry, record_layout, sha3
 from .errors import (
     BadNonce,
     CreditMismatch,
@@ -55,22 +55,16 @@ def home_partitions(pks: Iterable[bytes], n_shard: int, n_partition: int) -> lis
     return [from_bytes(pk, "big") % n_shard % n_partition for pk in pks]
 
 
-# the transfer type as the first field of a transfer's signed bytes, framed once
-TRANSFER_FIELD = length_prefix(len(TX_TYPE_TRANSFER)) + TX_TYPE_TRANSFER.encode()
+# the transfer type as the first field of a transfer's signed bytes, encoded once
+TRANSFER_TAG = TX_TYPE_TRANSFER.encode()
 
 
 def _signing_bytes(
-    type_field: bytes, sender: bytes, receiver: bytes, value: int, nonce: int, data_hash: bytes
+    tag: bytes, sender: bytes, receiver: bytes, value: int, nonce: int, data_hash: bytes
 ) -> bytes:
-    """A transaction's signed bytes, its type given framed as ``type_field``."""
-    return b"".join((
-        type_field,
-        length_prefix(len(sender)), sender,
-        length_prefix(len(receiver)), receiver,
-        UINT_PREFIX, int(value).to_bytes(8, "big"),
-        UINT_PREFIX, int(nonce).to_bytes(8, "big"),
-        length_prefix(len(data_hash)), data_hash,
-    ))
+    """A transaction's signed bytes, its type given encoded as ``tag``."""
+    pack = record_layout(len(tag), len(sender), len(receiver), UINT, UINT, len(data_hash))
+    return pack(tag, sender, receiver, value, nonce, data_hash)
 
 
 @dataclass(slots=True)
@@ -93,10 +87,8 @@ class Transaction:
 
     def signing_bytes(self) -> bytes:
         if self._signing is None:
-            tag = self.tx_type.encode()
             self._signing = _signing_bytes(
-                length_prefix(len(tag)) + tag,
-                self.sender, self.receiver, self.value, self.nonce, self.data_hash,
+                self.tx_type.encode(), self.sender, self.receiver, self.value, self.nonce, self.data_hash
             )
         return self._signing
 
@@ -104,7 +96,7 @@ class Transaction:
     def id(self) -> bytes:
         if self._id is None:
             message, sig = self.signing_bytes(), self.signature
-            self._id = sha3(b"".join((length_prefix(len(message)), message, length_prefix(len(sig)), sig)))
+            self._id = sha3(record_layout(len(message), len(sig))(message, sig))
         return self._id
 
 
@@ -120,7 +112,7 @@ def make_transfer(
     ``registry`` generated; the signed message is kept as the transaction's
     ``signing_bytes()``."""
     sender = registry.public_key(sk)
-    message = _signing_bytes(TRANSFER_FIELD, sender, receiver, value, nonce, data_hash)
+    message = _signing_bytes(TRANSFER_TAG, sender, receiver, value, nonce, data_hash)
     sig = crypto.sign(sk, message)
     tx = Transaction(TX_TYPE_TRANSFER, sender, receiver, value, nonce, data_hash, sig)
     tx._signing = message
@@ -147,8 +139,8 @@ class SubTransaction:
         return sub_id if sub_id is not None else sub_ids((self,))[0]
 
 
-# each kind as the first field of a sub-transaction's encoding, framed once
-KIND_FIELDS = {kind: length_prefix(len(kind)) + kind.encode() for kind in (EAGER, LAZY)}
+# each kind as the first field of a sub-transaction's encoding, encoded once
+KIND_TAGS = {kind: kind.encode() for kind in (EAGER, LAZY)}
 
 
 def sub_ids(subs: Iterable[SubTransaction]) -> list[bytes]:
@@ -164,15 +156,9 @@ def sub_ids(subs: Iterable[SubTransaction]) -> list[bytes]:
     for sub in subs:
         sub_id = sub._id
         if sub_id is None:
-            parent, sender, receiver = sub.parent_id, sub.sender, sub.receiver
-            sub_id = sub._id = sha3(b"".join((
-                KIND_FIELDS[sub.kind],
-                length_prefix(len(parent)), parent,
-                length_prefix(len(sender)), sender,
-                length_prefix(len(receiver)), receiver,
-                UINT_PREFIX, int(sub.value).to_bytes(8, "big"),
-                UINT_PREFIX, int(sub.nonce).to_bytes(8, "big"),
-            )))
+            tag, parent, sender, receiver = KIND_TAGS[sub.kind], sub.parent_id, sub.sender, sub.receiver
+            pack = record_layout(len(tag), len(parent), len(sender), len(receiver), UINT, UINT)
+            sub_id = sub._id = sha3(pack(tag, parent, sender, receiver, sub.value, sub.nonce))
         append(sub_id)
     return ids
 
@@ -183,9 +169,12 @@ def split_transaction(tx: Transaction, registry: KeyRegistry) -> SubTransaction:
     confirmed."""
     if tx.value <= 0:
         raise NonPositiveValue(f"transfer value must be positive, got {tx.value}")
-    if not crypto.verify(registry, tx.sender, tx.signing_bytes(), tx.signature):
+    record = crypto.verify(registry, tx.sender, tx.signing_bytes(), tx.signature)
+    if record is None:
         raise InvalidSignature("transaction signature does not verify against sender key")
-    return SubTransaction(EAGER, tx.id, tx.sender, tx.receiver, tx.value, tx.nonce)
+    if tx._id is None:
+        tx._id = sha3(record)  # the id hashes the record the check framed
+    return SubTransaction(EAGER, tx._id, tx.sender, tx.receiver, tx.value, tx.nonce)
 
 
 def credit_of(debit: SubTransaction) -> SubTransaction:
@@ -356,10 +345,12 @@ def apply_lazy(state: LedgerState, sub: SubTransaction) -> None:
     otherwise.
     """
     assert sub.kind == LAZY
-    if sub.parent_id in state.credited:
-        raise DoubleCredit(f"credit already applied for {sub.parent_id.hex()[:16]}")
     debit = state.pending.get(sub.parent_id)
     if debit is None:
+        # the writers never leave an id both pending and credited, so the
+        # credited ids are read only to name the failure
+        if sub.parent_id in state.credited:
+            raise DoubleCredit(f"credit already applied for {sub.parent_id.hex()[:16]}")
         raise MissingEagerLog(f"no debit log for {sub.parent_id.hex()[:16]}")
     if (
         sub.sender != debit.sender

@@ -7,6 +7,8 @@ with itself (so every root is the output of at least one combine step).
 
 from __future__ import annotations
 
+from operator import add
+
 from .crypto import sha3
 
 EMPTY_ROOT = sha3(b"")
@@ -30,7 +32,8 @@ def merkle_levels(leaves: list[bytes]) -> list[list[bytes]]:
         return levels
     while True:
         level = levels[-1]
-        nxt = [sha3(level[i] + level[i + 1]) for i in range(0, len(level) - 1, 2)]
+        # map stops at the shorter list, so an odd layer's last node is left over
+        nxt = list(map(sha3, map(add, level[0::2], level[1::2])))
         if len(level) % 2:
             nxt.append(sha3(level[-1] + level[-1]))
         levels.append(nxt)

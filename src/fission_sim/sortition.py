@@ -227,18 +227,18 @@ _Z_TAIL = 6.36  # standard-normal quantile with tail mass <= 1e-10
 def check_h_alpha(h: float, alpha: float) -> None:
     """The domain of the honest stake fraction h and the online fraction alpha."""
     if not (2.0 / 3.0 < h <= 1.0):
-        raise DomainError(f"honesty threshold must be in (2/3, 1], got {h}")
+        raise DomainError(f"honesty threshold must be in (2/3, 1], got {h}", "h")
     if not (0.0 < alpha <= 1.0):
-        raise DomainError(f"activity must be in (0, 1], got {alpha}")
+        raise DomainError(f"activity must be in (0, 1], got {alpha}", "alpha")
 
 
 def check_theta_tau(theta: float, tau: float) -> None:
     """The domain of the vote fraction theta and the expected committee
     weight tau."""
     if not (0.0 < theta < 1.0):
-        raise DomainError(f"theta must be in (0, 1), got {theta}")
+        raise DomainError(f"theta must be in (0, 1), got {theta}", "theta")
     if not tau > 0:
-        raise DomainError(f"tau must be positive, got {tau}")
+        raise DomainError(f"tau must be positive, got {tau}", "tau")
 
 
 def normal_cdf(z: float) -> float:

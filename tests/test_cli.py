@@ -117,6 +117,18 @@ def test_chain_rejects_invalid_config(tmp_path, capsys):
     assert "security.theta" in err
 
 
+@pytest.mark.parametrize("key, value, rule", [
+    ("h", "0.6", "honesty threshold must be in (2/3, 1], got 0.6"),
+    ("alpha", "0", "activity must be in (0, 1], got 0.0"),
+    ("theta", "1.5", "theta must be in (0, 1), got 1.5"),
+])
+def test_chain_security_domain_error_names_the_dotted_key(tmp_path, capsys, monkeypatch, key, value, rule):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text(f"security.{key} = {value}\n")
+    code, _, err = run_cli(capsys, "chain", "--config", "run.cfg", "--epochs", "2")
+    assert (code, err) == (2, f"error: security.{key}: {rule}\n")
+
+
 @pytest.mark.parametrize("tau", ["1e307", "1.7e308"])
 def test_chain_huge_tau_exits_2_naming_the_key(tmp_path, capsys, monkeypatch, tau):
     monkeypatch.chdir(tmp_path)

@@ -12,6 +12,10 @@ in a method, or an annotated class field) must be read as ``.x`` somewhere in
 the package, or be named in ``perfbench/*.py``, which reads what a step
 returns.
 
+Record bytes are laid out in ``crypto.py`` alone: no other module in
+``src/fission_sim`` names ``length_prefix`` or ``UINT_PREFIX`` or calls
+``.to_bytes(8, ...)``; they pack records through ``crypto.record_layout``.
+
 No handler in ``src/fission_sim`` catches everything (``except:``,
 ``except Exception`` or ``except BaseException``, alone or in a tuple): errors
 are typed and narrow, so a broad handler could only hide a bug.
@@ -32,7 +36,7 @@ ALLOWED = {
     "within_margin": "the verdict of validate_lemma_variance's report",
     "broadcast_hops": "README's structural check of the relay overlay (at most three hops)",
     "is_eps_nash": "README's structural check of a relay equilibrium",
-    "encode_field": "the canonical field layout that the batched encoders inline",
+    "encode_field": "the canonical one-field layout; the tests check the compiled record layouts against it",
 }
 
 # stored with no reader in the program, each for its reason
@@ -138,6 +142,35 @@ def broad_handlers():
                    for t in caught):
                 broad.append(f"{path.name}:{node.lineno}")
     return broad
+
+
+def hand_framed_records():
+    """file:line of every place outside crypto.py that frames record bytes
+    itself: a mention of ``length_prefix`` or ``UINT_PREFIX`` (an import
+    included), or a call ``x.to_bytes(8, ...)``."""
+    framing = {"length_prefix", "UINT_PREFIX"}
+    found = []
+    for path, tree in source_modules().items():
+        if path.name == "crypto.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                hit = node.id in framing
+            elif isinstance(node, ast.alias):
+                hit = node.name in framing
+            elif isinstance(node, ast.Call):
+                func, args = node.func, node.args
+                hit = isinstance(func, ast.Attribute) and func.attr == "to_bytes" \
+                    and bool(args) and isinstance(args[0], ast.Constant) and args[0].value == 8
+            else:
+                hit = isinstance(node, ast.Attribute) and node.attr in framing
+            if hit:
+                found.append(f"{path.name}:{getattr(node, 'lineno', '?')}")
+    return found
+
+
+def test_only_crypto_lays_out_record_bytes():
+    assert hand_framed_records() == []
 
 
 def test_no_handler_in_src_catches_everything():

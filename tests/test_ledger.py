@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from fission_sim import chain
 from fission_sim import ledger as ledger_module
-from fission_sim.crypto import KeyRegistry, encode_fields, encode_uint, sha3
+from fission_sim.crypto import KeyRegistry, encode_fields, encode_uint, sha3, sign
 from fission_sim.errors import (
     BadNonce,
     DoubleCredit,
@@ -207,6 +207,17 @@ def test_inline_record_encodings_equal_encode_fields(kind, tx_type, fields, valu
         assert sub.id == encode_fields(
             kind.encode(), parent, sender, receiver, encode_uint(value), encode_uint(nonce)
         )
+    # two shapes in one pass through the layout cache: fields past 32 bytes
+    # and all 32-byte fields
+    subs = [
+        SubTransaction(kind, parent + bytes(33), sender + bytes(33), receiver + bytes(33), value, nonce),
+        SubTransaction(kind, sha3(parent), sha3(sender), sha3(receiver), value, nonce),
+    ]
+    with patch.object(ledger_module, "sha3", raw_sha3):
+        assert ledger_module.sub_ids(subs) == [
+            encode_fields(kind.encode(), s.parent_id, s.sender, s.receiver, encode_uint(value), encode_uint(nonce))
+            for s in subs
+        ]
     signing = encode_fields(
         tx_type.encode(), sender, receiver, encode_uint(value), encode_uint(nonce), data_hash
     )
@@ -219,6 +230,22 @@ def test_inline_record_encodings_equal_encode_fields(kind, tx_type, fields, valu
         log = log_root(SubTransaction(EAGER, parent, sender, receiver, value, nonce))
     assert leaf == encode_fields(sender, encode_uint(value), encode_uint(nonce))
     assert log == merkle_root([encode_fields(parent, receiver, encode_uint(value))])
+    # admission frames the signed message once, for the signature check and the id
+    reg = KeyRegistry()
+    sk, pk = reg.generate(sender)
+    positive = max(value, 1)
+    signing = encode_fields(
+        tx_type.encode(), pk, receiver, encode_uint(positive), encode_uint(nonce), data_hash
+    )
+    signed = Transaction(tx_type, pk, receiver, positive, nonce, data_hash, sign(sk, signing))
+    debit = split_transaction(signed, reg)
+    assert debit.parent_id == sha3(encode_fields(signing, signed.signature))
+    assert signed.id is debit.parent_id
+    forged = Transaction(tx_type, pk, receiver, positive, nonce, data_hash, sha3(b"forged" + signed.signature))
+    unknown = Transaction(tx_type, sha3(pk), receiver, positive, nonce, data_hash, signed.signature)
+    for bad in (forged, unknown):
+        with pytest.raises(InvalidSignature):
+            split_transaction(bad, reg)
 
 
 @settings(max_examples=100, deadline=None)

@@ -471,7 +471,7 @@ def test_sizing_is_checked_on_each_path_that_reads_it(capsys):
     sim = ChainSimulation(h=0.75, alpha=0.7, tau=5000.0, theta=0.3, n_nodes=400, stake_dist="fixed:2500")
     assert sim.p == pytest.approx(0.005) and sim.chain.quorum == 1500
     # a config checks h, alpha and theta before any stake is drawn
-    with pytest.raises(ValidationError, match="^security: honesty threshold must be in"):
+    with pytest.raises(ValidationError, match=r"^security\.h: honesty threshold must be in"):
         load_config(None, {"security.h": 0.6})
     # p > 1: the calculator and a run each refuse tau above K
     assert security_cli(capsys, 5000.0, 4000) == (2, "", "error: p = tau/K must be in (0, 1), got 1.25\n")

@@ -208,6 +208,11 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
     return cfg
 
 
+# the highest relay.join_rate (a Poisson mean of joiners per round): each
+# joiner is one more assignment slot and one more draw in every later round;
+# 2^24 is also the identifier space's cap, relay.MAX_IDENTIFIERS
+MAX_JOIN_RATE = float(1 << 24)
+
 _FINITE = ("finite", lambda v: True)
 _POSITIVE = ("> 0", lambda v: v > 0)
 _AT_LEAST_0 = (">= 0", lambda v: v >= 0)
@@ -240,7 +245,7 @@ _RULES = {
     "relay.mean_msg_size": _POSITIVE,
     "relay.rounds": _AT_LEAST_0,
     "relay.trials": _AT_LEAST_1,
-    "relay.join_rate": _AT_LEAST_0,
+    "relay.join_rate": (f"in [0, {MAX_JOIN_RATE:.0f}]", lambda v: 0 <= v <= MAX_JOIN_RATE),
     "relay.leave_rate": _UNIT,
     "relay.start": ("one of 'worst', 'random'", lambda v: v in ("worst", "random")),
     "drs.nodes": _AT_LEAST_1,

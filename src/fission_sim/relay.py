@@ -80,16 +80,11 @@ class RelaySystemState:
     def ratios(self) -> list[float]:
         return [l / u for l, u in zip(self.loads, self.capacities)]
 
-    def attach(self, relayer: int) -> int:
-        self.assignment.append(relayer)
-        self.loads[relayer] += 1
-        return len(self.assignment) - 1
-
     def populate(self, n_nodes: int, rng: random.Random, start: str = "random") -> None:
         """Attach n nodes: 'random' uses the capacity-proportional draw,
         'worst' stacks everyone on relayer 0."""
         if start == "worst":
-            # grown by append, as attach grows it: building the list in one
+            # grown by append, as join grows it: building the list in one
             # block left a 65,536-node run's peak RSS about 0.4 MB higher
             if n_nodes > 0:
                 append = self.assignment.append
@@ -97,16 +92,31 @@ class RelaySystemState:
                     append(0)
                 self.loads[0] += n_nodes
             return
+        self.join(n_nodes, rng)
+
+    def join(self, n_nodes: int, rng: random.Random) -> None:
+        """Attach n nodes, each to a relayer drawn uniformly from the identifier
+        space: Pr(k) = u_k / |U| up to the mu quantization.
+
+        Each draw is ``space[rng.randrange(len(space))]`` inlined, as
+        ``synchronous_round`` draws its candidates, so the random stream is
+        that of one ``randrange`` per node.
+        """
+        space = self.identifier_space
+        size = len(space)
+        if not size:
+            raise EmptySpace("identifier space is empty")
+        bits = size.bit_length()
+        getrandbits = rng.getrandbits
+        append = self.assignment.append
+        loads = self.loads
         for _ in range(n_nodes):
-            self.attach(initial_relayer(rng, self.identifier_space))
-
-
-def initial_relayer(rng: random.Random, identifier_space: list[int]) -> int:
-    """Uniform draw over the identifier space: Pr(k) = u_k / |U| up to the
-    mu quantization."""
-    if not identifier_space:
-        raise EmptySpace("identifier space is empty")
-    return identifier_space[rng.randrange(len(identifier_space))]
+            r = getrandbits(bits)
+            while r >= size:
+                r = getrandbits(bits)
+            k = space[r]
+            append(k)
+            loads[k] += 1
 
 
 def potential(state: RelaySystemState) -> float:
@@ -137,37 +147,49 @@ def synchronous_round(state: RelaySystemState, rng: random.Random) -> int:
     rejections included, and ``rng.random()`` is drawn only for a strictly
     better candidate, so the random stream and every result are those of
     one ``randrange`` and one switch decision per node.
+
+    A candidate's ratio is read from a per-identifier copy of the round-start
+    ratios, and a candidate equal to the current relayer fails ``r_j > r_k``.
+    A mover's index is read from the assignment iterator's remaining length,
+    so the loop keeps no per-node count.
     """
-    ratios = state.ratios()
     space = state.identifier_space
     size = len(space)
     if not size:
         raise EmptySpace("identifier space is empty")
+    ratios = state.ratios()
+    candidate_ratio = list(map(ratios.__getitem__, space))
     bits = size.bit_length()
     getrandbits = rng.getrandbits
     draw = rng.random
-    moves: list[tuple[int, int, int]] = []
-    append = moves.append
-    for node, j in enumerate(state.assignment):
+    assignment = state.assignment
+    last = len(assignment) - 1
+    nodes = iter(assignment)
+    remaining = nodes.__length_hint__
+    movers: list[int] = []
+    targets: list[int] = []
+    add_mover = movers.append
+    add_target = targets.append
+    for j in nodes:
         r = getrandbits(bits)
         while r >= size:
             r = getrandbits(bits)
-        k = space[r]
-        if k == j:
-            continue
+        rk = candidate_ratio[r]
         rj = ratios[j]
-        rk = ratios[k]
         if rj > rk and draw() < 1.0 - rk / rj:
-            append((node, j, k))
-    for node, j, k in moves:
+            add_mover(last - remaining())
+            add_target(space[r])
+    loads = state.loads
+    for node, k in zip(movers, targets):
+        j = assignment[node]
         if ratios[k] >= ratios[j]:
             raise InvariantViolation(
                 "relay-net", "switch-guard", f"switch to ratio {ratios[k]} from {ratios[j]}"
             )
-        state.assignment[node] = k
-        state.loads[j] -= 1
-        state.loads[k] += 1
-    return len(moves)
+        assignment[node] = k
+        loads[j] -= 1
+        loads[k] += 1
+    return len(movers)
 
 
 def apply_churn(
@@ -177,19 +199,21 @@ def apply_churn(
     Poisson(join_rate); joiners attach via the capacity-proportional draw."""
     leavers = 0
     if leave_rate > 0:
-        kept = []
+        kept: list[int] = []
+        keep = kept.append
+        draw = rng.random
+        loads = state.loads
         for relayer in state.assignment:
-            if rng.random() < leave_rate:
-                state.loads[relayer] -= 1
-                leavers += 1
+            if draw() < leave_rate:
+                loads[relayer] -= 1
             else:
-                kept.append(relayer)
+                keep(relayer)
+        leavers = len(state.assignment) - len(kept)
         state.assignment = kept
     joiners = 0
     if join_rate > 0:
         joiners = _poisson(rng, join_rate)
-        for _ in range(joiners):
-            state.attach(initial_relayer(rng, state.identifier_space))
+        state.join(joiners, rng)
     return joiners, leavers
 
 

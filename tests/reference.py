@@ -7,6 +7,12 @@ overflow cost. The simulator computes these for many nodes at once
 compare those passes with the one-node forms kept here, and with
 ``accounting``, the retrieval game's byte split summed on its own.
 
+Relay clients join and leave one at a time here too: ``attach`` places one
+node, ``initial_relayer`` is one node's ``randrange`` draw of a relayer, and
+``populate_random`` and ``apply_churn`` are the per-node loops that
+``RelaySystemState.populate`` and ``relay.apply_churn`` inline and must
+repeat, random stream included.
+
 A key's shard is kept here one key at a time (``shard_of``), beside the
 library's batch ``ledger.home_partitions``, so that reference roots group
 accounts without the code they check. So is a traffic generator that draws
@@ -28,7 +34,9 @@ import numpy as np
 
 from fission_sim.crypto import KeyRegistry, VrfOutput, sha3, vrf_eval
 from fission_sim.drs import DrsState, drs_potential
+from fission_sim.errors import EmptySpace
 from fission_sim.ledger import Transaction, make_transfer
+from fission_sim.relay import _poisson
 from fission_sim.seeding import child_seed
 from fission_sim.sortition import _weights, leader_ticket, voting_power
 
@@ -143,6 +151,48 @@ def prs_step(current_ratio: float, candidate_ratio: float, rng) -> bool:
     if current_ratio <= candidate_ratio:
         return False
     return rng.random() < 1.0 - candidate_ratio / current_ratio
+
+
+def attach(state, relayer: int) -> None:
+    """Attach one node to ``relayer``."""
+    state.assignment.append(relayer)
+    state.loads[relayer] += 1
+
+
+def initial_relayer(rng, identifier_space: list[int]) -> int:
+    """One node's uniform draw over the identifier space: Pr(k) = u_k / |U|
+    up to the mu quantization."""
+    if not identifier_space:
+        raise EmptySpace("identifier space is empty")
+    return identifier_space[rng.randrange(len(identifier_space))]
+
+
+def populate_random(state, n_nodes: int, rng) -> None:
+    """``RelaySystemState.populate(start="random")`` one node at a time."""
+    for _ in range(n_nodes):
+        attach(state, initial_relayer(rng, state.identifier_space))
+
+
+def apply_churn(state, rng, join_rate: float, leave_rate: float) -> tuple[int, int]:
+    """``relay.apply_churn`` one node at a time: one ``rng.random()`` per node
+    decides whether it leaves, then ``_poisson`` joiners each attach through
+    ``initial_relayer``. Returns (joiners, leavers)."""
+    leavers = 0
+    if leave_rate > 0:
+        kept = []
+        for relayer in state.assignment:
+            if rng.random() < leave_rate:
+                state.loads[relayer] -= 1
+                leavers += 1
+            else:
+                kept.append(relayer)
+        state.assignment = kept
+    joiners = 0
+    if join_rate > 0:
+        joiners = _poisson(rng, join_rate)
+        for _ in range(joiners):
+            attach(state, initial_relayer(rng, state.identifier_space))
+    return joiners, leavers
 
 
 def request_cost(height: float, d_remaining: float, capacity: float, weight: float) -> float:

@@ -33,7 +33,7 @@ from fission_sim.relay import (
 )
 from fission_sim.seeding import child_bytes, child_seed, split
 from fission_sim.sortition import quorum, tau_lower_bound, theta_bounds, uniforms
-from reference import split_numpy, voting_power_batch
+from reference import attach, split_numpy, voting_power_batch
 
 SEED = 2  # frozen master seed for every statistical criterion
 
@@ -260,7 +260,7 @@ def _state_with_loads(caps, loads):
     state = RelaySystemState(list(caps))
     for relayer, load in enumerate(loads):
         for _ in range(load):
-            state.attach(relayer)
+            attach(state, relayer)
     return state
 
 

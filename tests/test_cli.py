@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from fission_sim.cli import main
-from fission_sim.config import SimConfig
+from fission_sim.config import MAX_JOIN_RATE, SimConfig
 from fission_sim.consensus import ChainSimulation
 from fission_sim.crypto import KeyRegistry, sha3
 from fission_sim.dists import sample_dist
@@ -244,6 +245,21 @@ def test_relay_unusable_mu_exits_2_naming_the_key(tmp_path, capsys, monkeypatch,
     assert code == 2
     assert err == f"error: relay.mu: {message}\n"
     assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+
+@pytest.mark.parametrize(
+    "rate", [1e12, math.nextafter(MAX_JOIN_RATE, math.inf)], ids=["1e12", "past-the-cap"]
+)
+def test_relay_join_rate_above_the_cap_exits_2_naming_the_key(tmp_path, capsys, monkeypatch, rate):
+    # a rate of 1e12 drew about 1.4e9 Poisson parts per round and never returned
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.json").write_text(json.dumps(
+        {"relay.join_rate": rate, "relay.nodes": 64, "relay.relayers": 4, "relay.rounds": 3}
+    ))
+    code, _, err = run_cli(capsys, "relay", "--config", "run.json")
+    assert code == 2
+    assert err == f"error: relay.join_rate: must be in [0, 16777216], got {rate!r}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
 
 
 def test_chain_missing_config_file(tmp_path, capsys):

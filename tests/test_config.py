@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from fission_sim.config import CHAIN_KEYWORDS, SimConfig, load_config, validate_config
+from fission_sim.config import CHAIN_KEYWORDS, MAX_JOIN_RATE, SimConfig, load_config, validate_config
 from fission_sim.errors import ParseError, ValidationError
 from fission_sim.metrics import MetricsSink, run_fingerprint
 from fission_sim.seeding import child_seed, split
@@ -204,3 +204,9 @@ def test_non_finite_float_rejected_by_name(tmp_path, key):
             load_config(path)
     with pytest.raises(ValidationError, match=f"^{key}: must be "):
         load_config(None, {key: "nan"})
+
+
+@pytest.mark.parametrize("rate", [0.0, 40.0, 655.0, MAX_JOIN_RATE])
+def test_join_rate_cap_admits_the_rates_in_use(rate):
+    # 40 is the churned golden trace's rate and 655 the relay benchmark's
+    assert load_config(None, {"relay.join_rate": rate}).relay.join_rate == rate

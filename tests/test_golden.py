@@ -29,7 +29,7 @@ from fission_sim.dists import sample_dist
 from fission_sim.drs import simulate_drs
 from fission_sim.relay import RelaySystemState, simulate_prs, validate_lemma_expectation
 from fission_sim.sortition import BLOCK_INTERIM, BLOCK_MAIN, select_committee
-from reference import elect_proposer
+from reference import attach, elect_proposer
 
 SMALL = dict(h=1.0, alpha=1.0, tau=50.0, theta=0.3, stake_dist="fixed:100")
 
@@ -184,7 +184,7 @@ def test_golden_relay_lemma_expectation_digest():
     state = RelaySystemState([2.0, 3.0, 5.0, 8.0, 13.0])
     for relayer, load in enumerate([30, 0, 12, 0, 9]):
         for _ in range(load):
-            state.attach(relayer)
+            attach(state, relayer)
     report = validate_lemma_expectation(state, trials=300, seed=29)
     assert _reprs_digest(report.means) == (
         "7cf9764feaa09cfd4c89476c28839b75fdbc347d9a1a371358c78c0bbb2cb614"

@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 
 from fission_sim.errors import EmptySpace
 from fission_sim.relay import (
+    POISSON_PART,
     RelaySystemState,
     _poisson,
     apply_churn,
     broadcast_hops,
     expected_delay,
-    initial_relayer,
     is_eps_nash,
     potential,
     simulate_prs,
@@ -21,7 +21,8 @@ from fission_sim.relay import (
     validate_lemma_variance,
 )
 from fission_sim.seeding import split
-from reference import prs_step
+from reference import apply_churn as churn_reference
+from reference import attach, initial_relayer, populate_random, prs_step
 
 
 class FakeRng:
@@ -38,7 +39,7 @@ def state_with_loads(capacities, loads, **kw):
     state = RelaySystemState(capacities, **kw)
     for relayer, load in enumerate(loads):
         for _ in range(load):
-            state.attach(relayer)
+            attach(state, relayer)
     return state
 
 
@@ -210,7 +211,7 @@ def relay_states(draw):
     assignment = draw(st.lists(st.integers(0, m - 1), max_size=300))
     state = RelaySystemState(caps, mu=STATE_MU)
     for relayer in assignment:
-        state.attach(relayer)
+        attach(state, relayer)
     assert len(state.identifier_space) == size
     return state
 
@@ -221,12 +222,18 @@ def test_randrange_is_getrandbits_rejection():
     assert random.Random._randbelow is random.Random._randbelow_with_getrandbits
 
 
+def copy_of(state):
+    """A state with the same capacities and nodes, built one node at a time."""
+    copy = RelaySystemState(state.capacities, mu=STATE_MU)
+    for relayer in state.assignment:
+        attach(copy, relayer)
+    return copy
+
+
 @settings(max_examples=150, deadline=None)
 @given(state=relay_states(), seed=st.integers(0, 2**64), rounds=st.integers(1, 3))
 def test_synchronous_round_matches_per_node_reference(state, seed, rounds):
-    ref = RelaySystemState(state.capacities, mu=STATE_MU)
-    for relayer in state.assignment:
-        ref.attach(relayer)
+    ref = copy_of(state)
     rng, ref_rng = random.Random(seed), random.Random(seed)
     for _ in range(rounds):
         assert synchronous_round(state, rng) == reference_round(ref, ref_rng)
@@ -262,9 +269,26 @@ def test_synchronous_round_scripted_draws_at_switch_threshold():
     assert rng.bits == [] and rng.values == []
 
 
+def test_synchronous_round_scripted_movers_at_both_ends():
+    # relayer 0 holds 3 of 4 nodes (r = 1.5), relayer 1 one (r = 0.5); the
+    # first and the last node switch, so both ends of the mover indexing show
+    state = state_with_loads([2.0, 2.0], [3, 1])
+    state.assignment = [0, 1, 0, 0]
+    rng = ScriptedRng(
+        # node 0 draws relayer 1; node 1 a busier one, so no random(); node 2
+        # relayer 1 but keeps at 0.9; node 3 redraws after 6 >= 4, then relayer 1
+        bits=[2, 0, 2, 6, 3],
+        values=[0.0, 0.9, 0.5],
+    )
+    assert synchronous_round(state, rng) == 2
+    assert state.assignment == [1, 1, 0, 1]
+    assert state.loads == [1, 3]
+    assert rng.bits == [] and rng.values == []
+
+
 def test_worst_start_stacks_on_relayer_zero_without_draws():
     state = RelaySystemState([4.0, 6.0, 8.0])
-    state.attach(2)
+    attach(state, 2)
     rng = random.Random(3)
     before = rng.getstate()
     state.populate(50, rng, start="worst")
@@ -338,6 +362,34 @@ def test_churn_conserves_load_accounting():
     for _ in range(20):
         apply_churn(state, rng, join_rate=2.0, leave_rate=0.1)
         assert sum(state.loads) == state.n_nodes
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    state=relay_states(),
+    seed=st.integers(0, 2**64),
+    starters=st.integers(0, 300),
+    leave_rate=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+    # 0, a small rate, and one above POISSON_PART that draws in three parts
+    join_rate=st.sampled_from([0.0, 2.5, 2.5 * POISSON_PART]) | st.floats(0.0, 50.0),
+    rounds=st.integers(1, 3),
+)
+def test_churn_and_random_start_match_per_node_reference(
+    state, seed, starters, leave_rate, join_rate, rounds
+):
+    ref = copy_of(state)
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    state.populate(starters, rng, start="random")
+    populate_random(ref, starters, ref_rng)
+    assert state.assignment == ref.assignment
+    assert state.loads == ref.loads
+    assert rng.getstate() == ref_rng.getstate()
+    for _ in range(rounds):
+        counts = apply_churn(state, rng, join_rate, leave_rate)
+        assert counts == churn_reference(ref, ref_rng, join_rate, leave_rate)
+        assert state.assignment == ref.assignment
+        assert state.loads == ref.loads
+        assert rng.getstate() == ref_rng.getstate()
 
 
 def knuth_poisson(rng, lam):

@@ -208,16 +208,20 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
     return cfg
 
 
+# the most nodes a relay or retrieval run holds: each node is a slot in every
+# per-node column, which is allocated before the first round; 2^24 is also the
+# identifier space's cap, relay.MAX_IDENTIFIERS
+MAX_NODES = 1 << 24
 # the highest relay.join_rate (a Poisson mean of joiners per round): each
-# joiner is one more assignment slot and one more draw in every later round;
-# 2^24 is also the identifier space's cap, relay.MAX_IDENTIFIERS
-MAX_JOIN_RATE = float(1 << 24)
+# joiner is one more assignment slot and one more draw in every later round
+MAX_JOIN_RATE = float(MAX_NODES)
 
 _FINITE = ("finite", lambda v: True)
 _POSITIVE = ("> 0", lambda v: v > 0)
 _AT_LEAST_0 = (">= 0", lambda v: v >= 0)
 _AT_LEAST_1 = (">= 1", lambda v: v >= 1)
 _UNIT = ("in [0, 1]", lambda v: 0 <= v <= 1)
+_NODE_COUNT = (f"in [1, {MAX_NODES}]", lambda v: 1 <= v <= MAX_NODES)
 
 # key -> (rule, test); a float key must also be finite, so NaN and +-inf fail
 # every rule. sortition's domain rules hold the other security ranges.
@@ -240,7 +244,7 @@ _RULES = {
     "partition.delta": ("in (0, 1)", lambda v: 0 < v < 1),
     "partition.n_rs": _AT_LEAST_1,
     "relay.relayers": _AT_LEAST_1,
-    "relay.nodes": _AT_LEAST_1,
+    "relay.nodes": _NODE_COUNT,
     "relay.mu": _POSITIVE,
     "relay.mean_msg_size": _POSITIVE,
     "relay.rounds": _AT_LEAST_0,
@@ -248,7 +252,7 @@ _RULES = {
     "relay.join_rate": (f"in [0, {MAX_JOIN_RATE:.0f}]", lambda v: 0 <= v <= MAX_JOIN_RATE),
     "relay.leave_rate": _UNIT,
     "relay.start": ("one of 'worst', 'random'", lambda v: v in ("worst", "random")),
-    "drs.nodes": _AT_LEAST_1,
+    "drs.nodes": _NODE_COUNT,
     "drs.keys": _AT_LEAST_1,
     "drs.replication": _AT_LEAST_1,
     "drs.deadline": _POSITIVE,

@@ -420,7 +420,6 @@ def draw_traffic(
         raise ValueError("no account to draw traffic on")
     bits = n.bit_length()
     getrandbits, roll = rng.getrandbits, rng.random
-    secret_for = registry.secret_for
     txs: list[Transaction] = []
     append = txs.append
     for _ in range(tx_per_epoch):
@@ -433,18 +432,17 @@ def draw_traffic(
             r = getrandbits(bits)
         receiver = pks[r]
         balance, nonce = view[sender]
-        sk = secret_for(sender)
         if roll() < invalid_fraction:
             flavour = getrandbits(2)  # the index into the three flavours
             while flavour == 3:
                 flavour = getrandbits(2)
             if flavour == 0:  # overdraw
                 # the view nets out deferred overdraws too, so it can be below zero
-                append(make_transfer(registry, sk, receiver, max(balance, 0) + 10, nonce + 1))
+                append(make_transfer(registry, sender, receiver, max(balance, 0) + 10, nonce + 1))
             elif flavour == 1:  # nonce gap
-                append(make_transfer(registry, sk, receiver, 1, nonce + 7))
+                append(make_transfer(registry, sender, receiver, 1, nonce + 7))
             else:  # forged signature
-                good = make_transfer(registry, sk, receiver, 1, nonce + 1)
+                good = make_transfer(registry, sender, receiver, 1, nonce + 1)
                 append(Transaction(
                     good.tx_type, good.sender, good.receiver, good.value,
                     good.nonce, good.data_hash, sha3(b"forged" + good.signature),
@@ -458,7 +456,7 @@ def draw_traffic(
         while value >= cap:
             value = getrandbits(bits_cap)
         value += 1
-        append(make_transfer(registry, sk, receiver, value, nonce + 1))
+        append(make_transfer(registry, sender, receiver, value, nonce + 1))
         view[sender] = (balance - value, nonce + 1)
     return txs
 

@@ -94,16 +94,15 @@ def record_layout(*shape: int | None) -> Callable[..., bytes]:
 
 
 class KeyRegistry:
-    """Maps public keys to secret keys for the test schemes.
+    """Maps each public key to its node's secret key, framed for signing, for
+    the test schemes.
 
     A real deployment never has this object; it models the fact that each node
     signs with its own secret key while the simulation drives all nodes from
-    one process.
+    one process. Outside this module a node is named by its public key alone.
     """
 
     def __init__(self):
-        self._sk_by_pk: dict[bytes, bytes] = {}
-        self._pk_by_sk: dict[bytes, bytes] = {}
         # each secret key as its first encode_fields field, framed once here
         # instead of once per draw and signature
         self._framed_by_pk: dict[bytes, bytes] = {}
@@ -112,23 +111,8 @@ class KeyRegistry:
         """Derive an (sk, pk) pair deterministically from seed material."""
         sk = sha3(b"sk" + seed_material)
         pk = sha3(sk)
-        self._sk_by_pk[pk] = sk
-        self._pk_by_sk[sk] = pk
         self._framed_by_pk[pk] = length_prefix(len(sk)) + sk
         return sk, pk
-
-    def secret_for(self, pk: bytes) -> bytes:
-        try:
-            return self._sk_by_pk[pk]
-        except KeyError:
-            raise VerificationFailure(f"unknown public key {pk.hex()[:16]}") from None
-
-    def public_key(self, sk: bytes) -> bytes:
-        """``sha3(sk)`` of a key this registry generated, without hashing."""
-        try:
-            return self._pk_by_sk[sk]
-        except KeyError:
-            raise VerificationFailure("unknown secret key") from None
 
     def framed_secrets(self, pks: list[bytes]) -> list[bytes]:
         """``encode_field(sk)`` of each pk's secret key, the input of
@@ -145,7 +129,7 @@ class KeyRegistry:
         return self._framed_by_pk.get(pk)
 
     def __contains__(self, pk: bytes) -> bool:
-        return pk in self._sk_by_pk
+        return pk in self._framed_by_pk
 
 
 def _signature(framed_sk: bytes, framed_message: bytes) -> bytes:
@@ -156,7 +140,9 @@ def _signature(framed_sk: bytes, framed_message: bytes) -> bytes:
 
 
 def sign(sk: bytes, message: bytes) -> bytes:
-    """Keyed-hash signature: ``sha3(b"sig" + encode_fields(sk, message))``."""
+    """Keyed-hash signature: ``sha3(b"sig" + encode_fields(sk, message))``.
+    The program signs through ``sign_each``; the tests compare it with this
+    one-key form."""
     return _signature(length_prefix(len(sk)) + sk, length_prefix(len(message)) + message)
 
 

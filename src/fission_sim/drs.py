@@ -239,13 +239,6 @@ def underloaded_count(scan: RoundScan) -> int:
     return len(set().union(*scan.probe_sets.values()))
 
 
-def omega(state: DrsState, t: float) -> float:
-    """Contraction quantity: underloaded provider count times the potential;
-    zero exactly at (approximate) equilibrium."""
-    scan = scan_round(state, t)
-    return underloaded_count(scan) * scan.phi
-
-
 @dataclass
 class DrsTraceRow:
     round: int
@@ -372,14 +365,13 @@ def simulate_drs(
     *,
     start: str,
     rounds: int | None = None,
-    round_duration: float = 0.0,
     timeout_prob: float = 0.0,
 ) -> DrsRun:
     """Run probing rounds to (approximate) equilibrium or budget exhaustion.
 
-    With the default zero round duration the remaining time budget stays at
-    the full deadline, matching the synchronous convergence analysis; the
-    overflow potential is then asserted non-increasing every round. The trace
+    Every round probes at t = 0, so the remaining time budget stays at the
+    full deadline, matching the synchronous convergence analysis; the
+    overflow potential is asserted non-increasing every round. The trace
     starts at round 0 (initial placement) and relayer_kb counts overflow plus
     requests handed to the relay network outright. Every scan is checked to
     conserve the requested bytes exactly: queued, relayer-bound and unplaced
@@ -396,23 +388,19 @@ def simulate_drs(
     scan = scan_round(state, 0.0)
     _check_identity(scan, total)
     rows = [_trace_row(0, scan)]
-    t = 0.0
     for rnd in range(1, rounds + 1):
         if rows[-1].omega <= threshold:
             break
-        if scan.t != t:
-            scan = scan_round(state, t)
         report = drs_round(state, rng, scan, timeout_prob=timeout_prob)
-        # the post-round scan serves this row and, at an unchanged t, the next round
-        scan = scan_round(state, t)
+        # the post-round scan serves this row and the next round
+        scan = scan_round(state, 0.0)
         _check_identity(scan, total)
         row = _trace_row(rnd, scan, report.migrations)
-        if round_duration == 0.0 and row.phi > rows[-1].phi + 1e-9:
+        if row.phi > rows[-1].phi + 1e-9:
             raise InvariantViolation(
                 "p2p-drs", "monotone-potential", f"{rows[-1].phi} -> {row.phi} at round {rnd}"
             )
         rows.append(row)
-        t += round_duration
     return DrsRun(rows=rows, state=state, rounds_budget=rounds, threshold=threshold)
 
 

@@ -102,18 +102,17 @@ class Transaction:
 
 def make_transfer(
     registry: KeyRegistry,
-    sk: bytes,
+    sender: bytes,
     receiver: bytes,
     value: int,
     nonce: int,
     data_hash: bytes = ZERO_HASH,
 ) -> Transaction:
-    """Build and sign a transfer from the holder of ``sk``, a key that
+    """Build and sign a transfer from ``sender``, a public key that
     ``registry`` generated; the signed message is kept as the transaction's
     ``signing_bytes()``."""
-    sender = registry.public_key(sk)
     message = _signing_bytes(TRANSFER_TAG, sender, receiver, value, nonce, data_hash)
-    sig = crypto.sign(sk, message)
+    sig = crypto.sign_each(registry.framed_secrets([sender]), message)[0]
     tx = Transaction(TX_TYPE_TRANSFER, sender, receiver, value, nonce, data_hash, sig)
     tx._signing = message
     return tx

@@ -20,6 +20,15 @@ with ``randrange``, ``choice`` and ``randint`` calls
 (``generate_transactions``): ``consensus.draw_traffic`` inlines those draws
 and must repeat its random stream and transactions.
 
+The retrieval game's clock lives only here too. ``drs.simulate_drs`` probes
+every round at t = 0; ``simulate_drs_with_expiry`` advances t each round, so
+requests expire to the relay network, through the same ``scan_round`` and
+``drs_round``. ``omega`` is the contraction quantity of one scan.
+
+Outside ``fission_sim.crypto`` a node is named by its public key alone;
+``secret_key`` recovers the raw key that the one-key references
+(``vrf_eval``, ``leader_ticket``, ``crypto.sign``) take.
+
 The leader election lives only here. The proposer is the first online entry
 of an ordered list of leader tickets (``elect_proposer``). No output of the
 simulator depends on it, so the library elects nobody; the tests elect
@@ -28,16 +37,28 @@ through this reference until a block header carries the proposer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from fission_sim.crypto import KeyRegistry, VrfOutput, sha3, vrf_eval
-from fission_sim.drs import DrsState, drs_potential
-from fission_sim.errors import EmptySpace
+from fission_sim.drs import (
+    DrsRun,
+    DrsState,
+    _check_identity,
+    _trace_row,
+    build_instance,
+    drs_potential,
+    drs_round,
+    equilibrium_threshold,
+    scan_round,
+    underloaded_count,
+)
+from fission_sim.errors import EmptySpace, VerificationFailure
 from fission_sim.ledger import Transaction, make_transfer
 from fission_sim.relay import _poisson
-from fission_sim.seeding import child_seed
+from fission_sim.seeding import child_seed, split
 from fission_sim.sortition import _weights, leader_ticket, voting_power
 
 
@@ -46,6 +67,16 @@ def shard_of(pk: bytes, n_shard: int) -> int:
     if n_shard < 1:
         raise ValueError("n_shard must be >= 1")
     return int.from_bytes(pk, "big") % n_shard
+
+
+def secret_key(registry: KeyRegistry, pk: bytes) -> bytes:
+    """The raw secret key of ``pk``, which the one-key references (``vrf_eval``,
+    ``leader_ticket``, ``crypto.sign``) take: the registry's framed secret
+    without its 4-byte length prefix."""
+    framed = registry.framed_secret(pk)
+    if framed is None:
+        raise VerificationFailure(f"unknown public key {pk.hex()[:16]}")
+    return framed[4:]
 
 
 def generate_transactions(rng, registry, view, tx_per_epoch, invalid_fraction) -> list[Transaction]:
@@ -57,16 +88,15 @@ def generate_transactions(rng, registry, view, tx_per_epoch, invalid_fraction) -
         sender_pk = pks[rng.randrange(len(pks))]
         receiver_pk = pks[rng.randrange(len(pks))]
         balance, nonce = view[sender_pk]
-        sk = registry.secret_for(sender_pk)
         bad_roll = rng.random()
         if bad_roll < invalid_fraction:
             flavor = rng.choice(("overdraw", "nonce", "signature"))
             if flavor == "overdraw":
-                tx = make_transfer(registry, sk, receiver_pk, max(balance, 0) + 10, nonce + 1)
+                tx = make_transfer(registry, sender_pk, receiver_pk, max(balance, 0) + 10, nonce + 1)
             elif flavor == "nonce":
-                tx = make_transfer(registry, sk, receiver_pk, 1, nonce + 7)
+                tx = make_transfer(registry, sender_pk, receiver_pk, 1, nonce + 7)
             else:
-                good = make_transfer(registry, sk, receiver_pk, 1, nonce + 1)
+                good = make_transfer(registry, sender_pk, receiver_pk, 1, nonce + 1)
                 tx = Transaction(
                     good.tx_type, good.sender, good.receiver, good.value,
                     good.nonce, good.data_hash, sha3(b"forged" + good.signature),
@@ -76,7 +106,7 @@ def generate_transactions(rng, registry, view, tx_per_epoch, invalid_fraction) -
         if balance <= 0:
             continue
         value = rng.randint(1, max(1, min(balance, 50)))
-        tx = make_transfer(registry, sk, receiver_pk, value, nonce + 1)
+        tx = make_transfer(registry, sender_pk, receiver_pk, value, nonce + 1)
         view[sender_pk] = (balance - value, nonce + 1)
         txs.append(tx)
     return txs
@@ -91,7 +121,7 @@ def vrf_verify(registry: KeyRegistry, pk: bytes, seed: bytes, ctype: str, output
     """Check that (hash, proof) was honestly produced for pk's secret key."""
     if pk not in registry:
         return False
-    expected = vrf_eval(registry.secret_for(pk), seed, ctype)
+    expected = vrf_eval(secret_key(registry, pk), seed, ctype)
     return expected.hash == output.hash and expected.proof == output.proof
 
 
@@ -141,7 +171,7 @@ def elect_proposer(registry: KeyRegistry, pks: list[bytes], seed: bytes, offline
     that is not ``offline``, or None if every member is offline."""
     if not pks:
         return None
-    order = leader_order([(pk, leader_ticket(registry.secret_for(pk), seed).hash) for pk in pks])
+    order = leader_order([(pk, leader_ticket(secret_key(registry, pk), seed).hash) for pk in pks])
     return next((pk for pk in order if pk not in offline), None)
 
 
@@ -216,3 +246,44 @@ def accounting(state: DrsState) -> tuple[float, float, int]:
     )
     relayer = drs_potential(state) + direct + unplaced
     return served, relayer, sum(weight)
+
+
+def omega(state: DrsState, t: float) -> float:
+    """Contraction quantity: underloaded provider count times the potential;
+    zero exactly at (approximate) equilibrium. A trace row's ``omega`` is this
+    quantity of the post-round scan."""
+    scan = scan_round(state, t)
+    return underloaded_count(scan) * scan.phi
+
+
+def simulate_drs_with_expiry(
+    n_nodes, n_keys, size_dist, cap_dist, replication, deadline, seed, *,
+    start, round_duration, timeout_prob=0.0,
+) -> DrsRun:
+    """``drs.simulate_drs`` with a clock that advances ``round_duration``
+    after each round: a round probes against the time left before the
+    deadline, and requests still unservable past it go to the relay network.
+    The potential may then rise from round to round, so it is not checked;
+    byte conservation is checked after every round."""
+    state = build_instance(
+        n_nodes, n_keys, size_dist, cap_dist, replication, deadline, seed, start=start
+    )
+    rounds = max(8, math.ceil(40.0 * math.log(max(2, n_keys * max(1, n_nodes)))))
+    rng = split(seed, "drs-rounds")
+    total = sum(state.requests.weight)
+    threshold = equilibrium_threshold(total, len(state.requests))
+    scan = scan_round(state, 0.0)
+    _check_identity(scan, total)
+    rows = [_trace_row(0, scan)]
+    t = 0.0
+    for rnd in range(1, rounds + 1):
+        if rows[-1].omega <= threshold:
+            break
+        if scan.t != t:
+            scan = scan_round(state, t)
+        report = drs_round(state, rng, scan, timeout_prob=timeout_prob)
+        scan = scan_round(state, t)
+        _check_identity(scan, total)
+        rows.append(_trace_row(rnd, scan, report.migrations))
+        t += round_duration
+    return DrsRun(rows=rows, state=state, rounds_budget=rounds, threshold=threshold)

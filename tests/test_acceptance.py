@@ -17,7 +17,7 @@ from fission_sim.config import PartitionSettings
 from fission_sim.consensus import ChainSimulation, Population
 from fission_sim.crypto import vrf_hashes
 from fission_sim.dists import sample_dist
-from fission_sim.drs import build_instance, drs_round, omega, scan_round, simulate_drs
+from fission_sim.drs import build_instance, drs_round, scan_round, simulate_drs
 from fission_sim.ledger import EAGER, LedgerState, apply_eager, apply_lazy
 from fission_sim.partitioning import (
     next_partition_count,
@@ -33,7 +33,7 @@ from fission_sim.relay import (
 )
 from fission_sim.seeding import child_bytes, child_seed, split
 from fission_sim.sortition import quorum, tau_lower_bound, theta_bounds, uniforms
-from reference import attach, split_numpy, voting_power_batch
+from reference import attach, omega, split_numpy, voting_power_batch
 
 SEED = 2  # frozen master seed for every statistical criterion
 

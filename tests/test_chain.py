@@ -131,7 +131,7 @@ def test_root_mismatch_detected():
     sk_a, pk_a = reg.generate(b"a")
     _, pk_b = reg.generate(b"b")
     chain = build_chain(balances=[(pk_a, 100), (pk_b, 0)])
-    eager = split_transaction(make_transfer(reg, sk_a, pk_b, 5, 1), reg)
+    eager = split_transaction(make_transfer(reg, pk_a, pk_b, 5, 1), reg)
     block = make_block(chain, [eager])
     block.header.tx_root = [sha3(b"junk")] * chain.state.n_shard
     with pytest.raises(RootMismatch):
@@ -146,7 +146,7 @@ def test_account_root_tracks_nonce_at_equal_balance():
     state = LedgerState(2)
     state.create_account(pk_a, 100)
     _, before, _ = compute_root_arrays([], state)
-    eager = split_transaction(make_transfer(reg, sk_a, pk_a, 5, 1), reg)
+    eager = split_transaction(make_transfer(reg, pk_a, pk_a, 5, 1), reg)
     lazy = credit_of(eager)
     after = state.clone()
     apply_eager(after, eager)
@@ -164,7 +164,7 @@ def test_vote_quorum_enforced():
     sk_a, pk_a = reg.generate(b"a")
     _, pk_b = reg.generate(b"b")
     chain = build_chain(quorum=10, balances=[(pk_a, 100), (pk_b, 0)])
-    eager = split_transaction(make_transfer(reg, sk_a, pk_b, 5, 1), reg)
+    eager = split_transaction(make_transfer(reg, pk_a, pk_b, 5, 1), reg)
 
     underweight = make_block(chain, [eager])
     underweight.header.votes = signed_votes(underweight, sk_a, (pk_a, 9))
@@ -285,7 +285,7 @@ def test_propose_matches_the_reference_header():
     sk_a, pk_a = reg.generate(b"a")
     _, pk_b = reg.generate(b"b")
     chain = build_chain(quorum=10, balances=[(pk_a, 100), (pk_b, 0)])
-    eager = split_transaction(make_transfer(reg, sk_a, pk_b, 5, 1), reg)
+    eager = split_transaction(make_transfer(reg, pk_a, pk_b, 5, 1), reg)
     lazy = credit_of(eager)
     for body in ([eager], [lazy], []):
         block = chain.propose(body)
@@ -417,10 +417,10 @@ def test_credit_rewritten_to_another_receiver_is_rejected():
 
 def test_debit_reusing_a_pending_parent_id_is_rejected_keeping_supply():
     reg = KeyRegistry()
-    (sk_a, pk_a), (sk_b, pk_b), (_, pk_c) = (reg.generate(label) for label in (b"a", b"b", b"c"))
+    (sk_a, pk_a), (_, pk_b), (_, pk_c) = (reg.generate(label) for label in (b"a", b"b", b"c"))
     chain = build_chain(quorum=1, balances=[(pk_a, 100), (pk_b, 100), (pk_c, 100)])
-    d1 = split_transaction(make_transfer(reg, sk_a, pk_c, 40, 1), reg)
-    d2 = replace(split_transaction(make_transfer(reg, sk_b, pk_c, 40, 1), reg), parent_id=d1.parent_id)
+    d1 = split_transaction(make_transfer(reg, pk_a, pk_c, 40, 1), reg)
+    d2 = replace(split_transaction(make_transfer(reg, pk_b, pk_c, 40, 1), reg), parent_id=d1.parent_id)
     with pytest.raises(DuplicateDebit):
         chain.propose([d1, d2])
     block = chain.propose([d1])
@@ -438,7 +438,7 @@ def test_main_block_leaving_credits_pending_is_rejected():
     sk_a, pk_a = reg.generate(b"a")
     _, pk_b = reg.generate(b"b")
     chain = build_chain(quorum=10, balances=[(pk_a, 100), (pk_b, 0)])
-    first, second = (split_transaction(make_transfer(reg, sk_a, pk_b, 5, n), reg) for n in (1, 2))
+    first, second = (split_transaction(make_transfer(reg, pk_a, pk_b, 5, n), reg) for n in (1, 2))
     interim = make_block(chain, [first, second])
     interim.header.votes = signed_votes(interim, sk_a, (pk_a, 10))
     chain.append_block(interim)

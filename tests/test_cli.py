@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from fission_sim.cli import main
-from fission_sim.config import MAX_JOIN_RATE, SimConfig
+from fission_sim.config import MAX_JOIN_RATE, MAX_NODES, SimConfig
 from fission_sim.consensus import ChainSimulation
 from fission_sim.crypto import KeyRegistry, sha3
 from fission_sim.dists import sample_dist
@@ -310,12 +310,12 @@ def test_drs_trace_schema(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (("relay", "--relayers", "0"), "--relayers"),
-        (("relay", "--nodes", "0"), "--nodes"),
-        (("relay", "--nodes", "-5"), "--nodes"),
-        (("drs", "--keys", "0"), "--keys"),
-        (("drs", "--nodes", "0"), "--nodes"),
-        (("drs", "--replication", "0"), "--replication"),
+        (("relay", "--relayers", "0"), "relay.relayers (--relayers): must be >= 1, got 0"),
+        (("relay", "--nodes", "0"), "relay.nodes (--nodes): must be in [1, 16777216], got 0"),
+        (("relay", "--nodes", "-5"), "relay.nodes (--nodes): must be in [1, 16777216], got -5"),
+        (("drs", "--keys", "0"), "drs.keys (--keys): must be >= 1, got 0"),
+        (("drs", "--nodes", "0"), "drs.nodes (--nodes): must be in [1, 16777216], got 0"),
+        (("drs", "--replication", "0"), "drs.replication (--replication): must be >= 1, got 0"),
     ],
     ids=[
         "relay-relayers-0", "relay-nodes-0", "relay-nodes-negative", "drs-keys-0",
@@ -326,8 +326,21 @@ def test_bad_relay_drs_input_exits_2(tmp_path, capsys, argv, message):
     out = tmp_path / "trace.csv"
     code, _, err = run_cli(capsys, *argv, "--out", str(out))
     assert code == 2
-    assert err.startswith("error: ") and message in err and "must be >= 1" in err
+    assert err == f"error: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["relay", "drs"])
+def test_node_count_above_the_cap_exits_2_naming_the_key(tmp_path, capsys, monkeypatch, command):
+    # 200,000,000 nodes died of MemoryError in the first per-node column;
+    # the cap is checked before any column is allocated
+    monkeypatch.chdir(tmp_path)
+    for simulate in ("simulate_prs", "simulate_drs"):
+        monkeypatch.setattr(f"fission_sim.cli.{simulate}", None)  # calling it would raise
+    code, _, err = run_cli(capsys, command, "--nodes", str(MAX_NODES + 1))
+    assert code == 2
+    assert err == f"error: {command}.nodes (--nodes): must be in [1, 16777216], got 16777217\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("deadline", ["0", "-2.5", "nan"])

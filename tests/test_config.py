@@ -5,7 +5,14 @@ from pathlib import Path
 
 import pytest
 
-from fission_sim.config import CHAIN_KEYWORDS, MAX_JOIN_RATE, SimConfig, load_config, validate_config
+from fission_sim.config import (
+    CHAIN_KEYWORDS,
+    MAX_JOIN_RATE,
+    MAX_NODES,
+    SimConfig,
+    load_config,
+    validate_config,
+)
 from fission_sim.errors import ParseError, ValidationError
 from fission_sim.metrics import MetricsSink, run_fingerprint
 from fission_sim.seeding import child_seed, split
@@ -210,3 +217,16 @@ def test_non_finite_float_rejected_by_name(tmp_path, key):
 def test_join_rate_cap_admits_the_rates_in_use(rate):
     # 40 is the churned golden trace's rate and 655 the relay benchmark's
     assert load_config(None, {"relay.join_rate": rate}).relay.join_rate == rate
+
+
+@pytest.mark.parametrize("key", ["relay.nodes", "drs.nodes"])
+def test_node_counts_are_capped_at_2_24_by_name(key):
+    # the cap admits the benchmark's sizes (4,096 retrieval and 65,536 relay
+    # nodes) and the cap itself; validating allocates no per-node column
+    for nodes in (1, 4096, 65536, MAX_NODES):
+        assert load_config(None, {key: nodes}).to_dict()[key] == nodes
+    cfg = SimConfig()
+    section, _, name = key.partition(".")
+    setattr(getattr(cfg, section), name, MAX_NODES + 1)
+    with pytest.raises(ValidationError, match=rf"^{key}: must be in \[1, 16777216\], got 16777217$"):
+        validate_config(cfg)

@@ -31,7 +31,7 @@ from fission_sim.ledger import (
 )
 from fission_sim.seeding import split
 from fission_sim.sortition import BLOCK_INTERIM, BLOCK_MAIN, leader_ticket, select_committee
-from reference import elect_proposer, generate_transactions, leader_order
+from reference import elect_proposer, generate_transactions, leader_order, secret_key
 from test_golden import CASES
 
 # small all-honest world used by most pipeline tests
@@ -129,7 +129,7 @@ def reference_votes(committee, population, proposal, offline):
         if pk in offline:
             continue
         role = population.strategies.get(pk)  # None for an honest member
-        sk = population.registry.secret_for(pk)
+        sk = secret_key(population.registry, pk)
         if role in (None, consensus.EQUIVOCATE):
             cast(votes, pk, weight, sk)
         if role in (consensus.VOTE_CONFLICTING, consensus.EQUIVOCATE):
@@ -209,7 +209,7 @@ def test_micro_round_defers_overflow_prefix_by_arrival():
     sender, receiver = sim.population.pks[:2]
     subs = []
     for n in range(1, 7):
-        tx = make_transfer(reg, reg.secret_for(sender), receiver, 1, n)
+        tx = make_transfer(reg, sender, receiver, 1, n)
         subs.append(split_transaction(tx, reg))
     ballot = cast_ballot(committee, sim.population, set())
     outcome, deferred, invalid = micro_round(subs, ballot, sim.chain.state.clone(), sim.chain.quorum, cfg)
@@ -231,7 +231,7 @@ def test_micro_round_capacity_counts_online_members_only():
     cfg = EpochSettings(delta_micro=1.0, micro_throughput=1.0)
     sender, receiver = sim.population.pks[:2]
     subs = [
-        split_transaction(make_transfer(reg, reg.secret_for(sender), receiver, 1, n), reg)
+        split_transaction(make_transfer(reg, sender, receiver, 1, n), reg)
         for n in range(1, len(committee) + 1)
     ]
     outcome, deferred, invalid = micro_round(
@@ -246,9 +246,9 @@ def test_micro_round_filters_invalid_state_transitions():
     sim = small_sim()
     reg = sim.population.registry
     sender, receiver = sim.population.pks[:2]
-    good = split_transaction(make_transfer(reg, reg.secret_for(sender), receiver, 1, 1), reg)
+    good = split_transaction(make_transfer(reg, sender, receiver, 1, 1), reg)
     overdraw = split_transaction(
-        make_transfer(reg, reg.secret_for(sender), receiver, 10**9, 2), reg
+        make_transfer(reg, sender, receiver, 10**9, 2), reg
     )
     committee = select_committee(
         sim.population.electorate, b"s", "partition:0", sim.p, sim.population.registry
@@ -267,7 +267,7 @@ def test_micro_round_propagates_errors_that_are_not_protocol_errors(monkeypatch)
     sim = small_sim()
     reg = sim.population.registry
     sender, receiver = sim.population.pks[:2]
-    eager = split_transaction(make_transfer(reg, reg.secret_for(sender), receiver, 1, 1), reg)
+    eager = split_transaction(make_transfer(reg, sender, receiver, 1, 1), reg)
     committee = select_committee(
         sim.population.electorate, b"s", "partition:0", sim.p, reg
     )
@@ -425,7 +425,7 @@ def test_leader_fallback_skips_offline_proposer():
     reg = sim.population.registry
     seed = next_seed(sim.chain.tip.header.seed, sim.chain.tip.hash)
     committee = select_committee(sim.population.electorate, seed, BLOCK_INTERIM, sim.p, reg)
-    order = leader_order([(pk, leader_ticket(reg.secret_for(pk), seed).hash) for pk in committee.pks])
+    order = leader_order([(pk, leader_ticket(secret_key(reg, pk), seed).hash) for pk in committee.pks])
     result = run_epoch(
         sim.chain, [], sim.p, sim.config.epochs, sim.population,
         offline={order[0]},
@@ -618,7 +618,7 @@ def test_assemble_interim_rejects_misrouted_micro_block():
     sim = small_sim(n_nodes=12)
     reg = sim.population.registry
     sender, receiver = sim.population.pks[:2]
-    eager = split_transaction(make_transfer(reg, reg.secret_for(sender), receiver, 1, 1), reg)
+    eager = split_transaction(make_transfer(reg, sender, receiver, 1, 1), reg)
     (home,) = home_partitions([sender], sim.chain.state.n_shard, 2)
     wrong = 1 - home
     seed = next_seed(sim.chain.tip.header.seed, sim.chain.tip.hash)

@@ -18,7 +18,7 @@ from fission_sim.crypto import (
 )
 from fission_sim.errors import VerificationFailure
 from fission_sim.sortition import uniforms
-from reference import vrf_verify
+from reference import secret_key, vrf_verify
 
 # byte strings around the 32-byte key/hash size and past one length byte
 FIELDS = st.one_of(
@@ -147,19 +147,15 @@ def test_framed_secrets_rejects_unknown_keys():
 
 
 def test_public_key_is_the_hash_of_each_generated_secret_key():
+    # the registry names each node by its public key alone and holds its
+    # secret framed; a secret key names no node
     reg = KeyRegistry()
     for i in range(50):
         sk, pk = reg.generate(b"pk-%d" % i)
-        assert reg.public_key(sk) == pk == sha3(sk)
-
-
-def test_public_key_rejects_unknown_secret_keys():
-    reg = KeyRegistry()
-    _, pk = reg.generate(b"a")
-    with pytest.raises(VerificationFailure):
-        reg.public_key(pk)  # a public key is no secret key the registry made
-    with pytest.raises(VerificationFailure):
-        reg.public_key(sha3(b"never generated"))
+        assert pk == sha3(sk)
+        assert pk in reg and sk not in reg
+        assert reg.framed_secret(pk) == encode_field(sk) and reg.framed_secret(sk) is None
+        assert secret_key(reg, pk) == sk
 
 
 def test_vrf_repr_hides_the_secret_key():

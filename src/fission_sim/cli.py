@@ -15,7 +15,7 @@ import json
 import sys
 from pathlib import Path
 
-from .config import SimConfig, load_config
+from .config import MAX_NODES, SimConfig, load_config
 from .consensus import ChainSimulation
 from .drs import simulate_drs
 from .errors import DomainError, FissionError, InvariantViolation, ParseError, ValidationError
@@ -142,8 +142,8 @@ def cmd_security(args) -> int:
 
 
 def cmd_sortition(args) -> int:
-    if args.nodes < 1:
-        raise ValidationError("nodes", f"must be >= 1, got {args.nodes}")
+    if not 1 <= args.nodes <= MAX_NODES:
+        raise ValidationError("nodes", f"must be in [1, {MAX_NODES}], got {args.nodes}")
     rng = split(args.seed, "sortition-cli")
     registry = KeyRegistry()
     stakes = {}

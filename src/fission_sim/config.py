@@ -208,8 +208,9 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
     return cfg
 
 
-# the most nodes a relay or retrieval run holds: each node is a slot in every
-# per-node column, which is allocated before the first round; 2^24 is also the
+# the most nodes a chain, sortition, relay or retrieval run holds: each node
+# is a slot in every per-node column (a stake draw, a key, a relay slot),
+# which is allocated before the first epoch or round; 2^24 is also the
 # identifier space's cap, relay.MAX_IDENTIFIERS
 MAX_NODES = 1 << 24
 # the highest relay.join_rate (a Poisson mean of joiners per round): each
@@ -226,7 +227,7 @@ _NODE_COUNT = (f"in [1, {MAX_NODES}]", lambda v: 1 <= v <= MAX_NODES)
 # key -> (rule, test); a float key must also be finite, so NaN and +-inf fail
 # every rule. sortition's domain rules hold the other security ranges.
 _RULES = {
-    "population.nodes": _AT_LEAST_1,
+    "population.nodes": _NODE_COUNT,
     "security.h": _FINITE,
     "security.alpha": _FINITE,
     "security.tau": _POSITIVE,

@@ -141,14 +141,19 @@ def _signature(framed_sk: bytes, framed_message: bytes) -> bytes:
 
 def sign(sk: bytes, message: bytes) -> bytes:
     """Keyed-hash signature: ``sha3(b"sig" + encode_fields(sk, message))``.
-    The program signs through ``sign_each``; the tests compare it with this
-    one-key form."""
+    The program signs through ``sign_framed`` and ``sign_each``; the tests
+    compare them with this form."""
     return _signature(length_prefix(len(sk)) + sk, length_prefix(len(message)) + message)
 
 
+def sign_framed(framed_sk: bytes, message: bytes) -> bytes:
+    """``sign(sk, message)`` from the key framed as ``encode_field(sk)``."""
+    return _signature(framed_sk, length_prefix(len(message)) + message)
+
+
 def sign_each(framed_sks: list[bytes], message: bytes) -> list[bytes]:
-    """``[sign(sk, message) for sk in sks]`` from each key framed as
-    ``encode_field(sk)``: one ``sha3`` per key, the message framed once."""
+    """``[sign_framed(framed, message) for framed in framed_sks]``: one
+    ``sha3`` per key, the message framed once."""
     framed_message = length_prefix(len(message)) + message
     return [_signature(framed, framed_message) for framed in framed_sks]
 

@@ -14,8 +14,9 @@ queues and request columns are the game's only state: a provider's load is
 the sum of its queue's weights. Each round's state is read in one scan
 (``scan_round``): a single walk of every provider queue finds the hunting
 requests and sums the loads, the overflow and the queued bytes, and each
-distinct (key, remaining time) pair gets its probe set once; the round and
-the trace row that follows it share that scan.
+hunting key gets its probe set once; the round and the trace row that follows
+it share that scan. The game has no clock: as in the synchronous analysis,
+every round is played against the full deadline.
 """
 
 from __future__ import annotations
@@ -28,22 +29,19 @@ from .dists import dist_sampler
 from .errors import InvariantViolation, ParseError, ValidationError
 from .seeding import split
 
-# sizes, capacities and byte totals stay below 2^53, so every byte count
-# converts exactly to the float a trace row adds it to
+# sizes, capacities and byte totals stay below 2^53, so every load converts
+# exactly to the float its budget is subtracted from
 EXACT_BYTES = 1 << 53
 
 
 @dataclass(slots=True)
 class Requests:
     """The request pool as parallel columns indexed by request id: the key
-    asked for, its weight (KB), its birth time, the provider whose queue holds
-    it (None while unplaced) and whether it went to the relay network."""
+    asked for, its weight (KB) and the provider whose queue holds it."""
 
     key: list[int] = field(default_factory=list)
     weight: list[int] = field(default_factory=list)
-    born: list[float] = field(default_factory=list)
-    provider: list[int | None] = field(default_factory=list)
-    at_relayer: list[bool] = field(default_factory=list)
+    provider: list[int] = field(default_factory=list)
 
     def __len__(self) -> int:
         return len(self.key)
@@ -92,150 +90,104 @@ def drs_potential(state: DrsState) -> float:
 @dataclass
 class DrsRoundReport:
     migrations: int = 0
-    to_relayer: int = 0
     probes: int = 0
 
 
 @dataclass(slots=True)
 class RoundScan:
-    """One read of the state at time t. ``probe_sets`` maps each (key,
-    remaining time) of a hunting request (one the bounded jump rule lets
-    probe) to the underloaded providers of that key; ``acting`` holds the
-    ids, in request order, of the hunting requests that probe or expire at t
-    (the others have nothing to probe). ``phi`` is the overflow potential.
-    The requested bytes split three ways: ``queued_kb`` in provider queues,
-    ``direct_kb`` handed to the relay network and ``unplaced_kb`` in requests
-    with neither."""
+    """One read of the state. ``probe_sets`` maps the key of each hunting
+    request (one the bounded jump rule lets probe) to the underloaded
+    providers of that key; ``acting`` holds the ids, in request order, of the
+    hunting requests with a provider to probe. ``phi`` is the overflow
+    potential and ``queued_kb`` the bytes in provider queues."""
 
-    t: float
-    probe_sets: dict[tuple[int, float], list[int]]
+    probe_sets: dict[int, list[int]]
     acting: list[int]
     phi: float
     queued_kb: int
-    direct_kb: int
-    unplaced_kb: int
 
 
-def scan_round(state: DrsState, t: float) -> RoundScan:
+def scan_round(state: DrsState) -> RoundScan:
     """Walk every provider queue once: keep the requests whose overflow cost
-    equals their weight (FIFO height minus remaining time times capacity at
+    equals their weight (FIFO height minus the budget deadline * capacity at
     least the weight, or a weight of zero), and take each provider's load
-    from its queue's height. Then split the requests outside every queue into
-    relayer-bound and unplaced ones and build one probe set per distinct (key,
-    remaining time).
+    from its queue's height. Then build one probe set per hunting key.
 
     An empty queue adds nothing to any sum (capacities and the deadline are
-    not negative), so the walk skips it. A queued request is never at the
-    relayer."""
-    requests = state.requests
-    weights, borns = requests.weight, requests.born
+    not negative), so the walk skips it."""
+    weights = state.requests.weight
     capacities = state.capacity
     deadline = state.deadline
-    rem = deadline - t
     loads = [0] * len(capacities)
     hunting: list[int] = []
     append = hunting.append
     overflow: list[float] = []
-    queued = queued_kb = 0
+    queued_kb = 0
     for i, queue in enumerate(state.queue):
         if not queue:
             continue
-        capacity = capacities[i]
+        budget = deadline * capacities[i]
         height = 0
         for rid in queue:
             weight = weights[rid]
             height += weight
-            if height - (rem + borns[rid]) * capacity >= weight or weight <= 0:
+            if height - budget >= weight or weight <= 0:
                 append(rid)
         loads[i] = height
-        queued += len(queue)
         queued_kb += height
-        if (x := height - deadline * capacity) > 0.0:
+        if (x := height - budget) > 0.0:
             overflow.append(x)
-    # when every request sits in a queue none is unplaced or at the relayer
-    direct_kb = unplaced_kb = 0
-    if queued < len(weights):
-        at_relayer = requests.at_relayer
-        for rid, p in enumerate(requests.provider):
-            if p is not None:
-                continue
-            if at_relayer[rid]:
-                direct_kb += weights[rid]
-            else:
-                append(rid)
-                unplaced_kb += weights[rid]
-    keys, holders = requests.key, state.holders
-    probe_sets: dict[tuple[int, float], list[int]] = {}
+    keys, holders = state.requests.key, state.holders
+    probe_sets: dict[int, list[int]] = {}
     acting = []
     for rid in hunting:
-        born = borns[rid]
-        key, d_rem = keys[rid], rem + born
-        probes = probe_sets.get((key, d_rem))
+        key = keys[rid]
+        probes = probe_sets.get(key)
         if probes is None:
-            probes = probe_sets[key, d_rem] = [
-                i for i in holders[key] if loads[i] < d_rem * capacities[i]
+            probes = probe_sets[key] = [
+                i for i in holders[key] if loads[i] < deadline * capacities[i]
             ]
-        if probes or t > born + deadline:
+        if probes:
             acting.append(rid)
+    # the round draws in request-id order, which fixes its random stream
     acting.sort()
-    return RoundScan(t, probe_sets, acting, sum(overflow, 0.0), queued_kb, direct_kb, unplaced_kb)
+    return RoundScan(probe_sets, acting, sum(overflow, 0.0), queued_kb)
 
 
-def drs_round(
-    state: DrsState, rng: random.Random, scan: RoundScan, timeout_prob: float = 0.0
-) -> DrsRoundReport:
-    """One synchronous probing round at ``scan.t`` against the round-start
-    snapshot ``scan``, which must be ``scan_round`` of the current state.
+def drs_round(state: DrsState, rng: random.Random, scan: RoundScan) -> DrsRoundReport:
+    """One synchronous probing round against the round-start snapshot
+    ``scan``, which must be ``scan_round`` of the current state.
 
-    Every eligible request contacts one uniformly random underloaded provider
-    of its key (if any) and migrates unless the probe times out: a probe set
-    holds only providers whose snapshot load is under the remaining time
-    budget, so the contacted one always fits. Requests past their deadline
-    that are still unservable go to the relay network in full.
+    Every acting request contacts one uniformly random underloaded provider
+    of its key and migrates: a probe set holds only providers whose snapshot
+    load is under the budget, so the contacted one always fits.
 
     The candidate draw repeats ``random.Random._randbelow_with_getrandbits``
     (what ``randrange`` runs), rejections included, so the random stream is
     that of ``candidates[rng.randrange(len(candidates))]``.
     """
-    requests = state.requests
-    keys, borns, provider = requests.key, requests.born, requests.provider
+    keys, provider = state.requests.key, state.requests.provider
     queues = state.queue
-    deadline, t = state.deadline, scan.t
-    rem = deadline - t
     probe_sets = scan.probe_sets
     getrandbits = rng.getrandbits
-    migrations = to_relayer = probes = 0
     for rid in scan.acting:
-        born = borns[rid]
-        old = provider[rid]
-        if t > born + deadline:
-            if old is not None:
-                queues[old].remove(rid)
-                provider[rid] = None
-            requests.at_relayer[rid] = True
-            to_relayer += 1
-            continue
-        candidates = probe_sets[(keys[rid], rem + born)]
+        candidates = probe_sets[keys[rid]]
         n = len(candidates)
         bits = n.bit_length()
         r = getrandbits(bits)
         while r >= n:
             r = getrandbits(bits)
-        probes += 1
-        if timeout_prob > 0 and rng.random() < timeout_prob:
-            continue  # probe timed out, retry next round
-        if old is not None:
-            queues[old].remove(rid)
+        queues[provider[rid]].remove(rid)
         target = candidates[r]
         queues[target].append(rid)
         provider[rid] = target
-        migrations += 1
-    return DrsRoundReport(migrations=migrations, to_relayer=to_relayer, probes=probes)
+    moved = len(scan.acting)
+    return DrsRoundReport(migrations=moved, probes=moved)
 
 
 def underloaded_count(scan: RoundScan) -> int:
     """Number of distinct underloaded providers across the keys of requests
-    still hunting at ``scan.t`` (the m_t in the contraction argument)."""
+    still hunting (the m_t in the contraction argument)."""
     return len(set().union(*scan.probe_sets.values()))
 
 
@@ -285,13 +237,18 @@ def build_instance(
     seed: int,
     *,
     start: str,
-    requests_per_node: int = 1,
 ) -> DrsState:
     """Random instance: capacities and sizes from dist specs, each key
     replicated onto `replication` distinct nodes, one request per node for a
     uniform key. start='uniform' places each request on a random underloaded
     holder of its key when one exists; start='concentrated' stacks every
     request on its key's first holder (the adversarial worst case)."""
+    # every request then has a holder to queue at and a positive budget there
+    if n_keys < 1 or replication < 1 or not deadline > 0:
+        raise ValueError(
+            f"need n_keys >= 1, replication >= 1 and deadline > 0, "
+            f"got {n_keys}, {replication}, {deadline}"
+        )
     rng = split(seed, "drs-setup")
     try:
         capacity = dist_sampler(cap_dist, integer=True, minimum=1)(rng, n_nodes)
@@ -309,16 +266,13 @@ def build_instance(
         if draws and max(draws) >= EXACT_BYTES:
             raise ValidationError(key, f"every draw must be below 2^53, drew {max(draws):.3g}")
     state = DrsState(capacity, size, holders, deadline)
-    if n_nodes > 0 and requests_per_node > 0 and n_keys < 1:
-        # randrange(n_keys) raised here; the inlined draw below would never end
-        raise ValueError(f"no key to request: n_keys={n_keys}")
     # keys come from rng.randrange(n_keys) inlined (see drs_round), all drawn
     # first: placement draws come from their own stream
     getrandbits = rng.getrandbits
     bits = n_keys.bit_length()
     requests = state.requests
     keys = requests.key
-    for _ in range(n_nodes * max(requests_per_node, 0)):
+    for _ in range(n_nodes):
         key = getrandbits(bits)
         while key >= n_keys:
             key = getrandbits(bits)
@@ -329,18 +283,13 @@ def build_instance(
         raise ValidationError(
             "drs.size_dist", f"the requested sizes must sum below 2^53, got {total:.3g}"
         )
-    requests.born += [0.0] * len(keys)
     place_rng = split(seed, "drs-place")
     concentrated = start == "concentrated"
-    provider, at_relayer = requests.provider, requests.at_relayer
+    provider = requests.provider
     queues = state.queue
     loads = [0] * n_nodes  # the queue heights so far, which the uniform start reads
     for rid, key in enumerate(keys):
         pool = holders[key]
-        at_relayer.append(not pool)
-        if not pool:
-            provider.append(None)
-            continue
         if concentrated:
             target = pool[0]
         else:
@@ -365,17 +314,15 @@ def simulate_drs(
     *,
     start: str,
     rounds: int | None = None,
-    timeout_prob: float = 0.0,
 ) -> DrsRun:
     """Run probing rounds to (approximate) equilibrium or budget exhaustion.
 
-    Every round probes at t = 0, so the remaining time budget stays at the
-    full deadline, matching the synchronous convergence analysis; the
-    overflow potential is asserted non-increasing every round. The trace
-    starts at round 0 (initial placement) and relayer_kb counts overflow plus
-    requests handed to the relay network outright. Every scan is checked to
-    conserve the requested bytes exactly: queued, relayer-bound and unplaced
-    bytes sum to the instance's total (``primal-dual-identity``).
+    Every round probes against the full deadline, matching the synchronous
+    convergence analysis; the overflow potential is asserted non-increasing
+    every round. The trace starts at round 0 (initial placement), and a row's
+    relayer_kb is the overflow that ships through the relay network. Every
+    scan is checked to conserve the requested bytes exactly: the queued bytes
+    equal the instance's total (``primal-dual-identity``).
     """
     state = build_instance(
         n_nodes, n_keys, size_dist, cap_dist, replication, deadline, seed, start=start
@@ -385,15 +332,15 @@ def simulate_drs(
     rng = split(seed, "drs-rounds")
     total = sum(state.requests.weight)
     threshold = equilibrium_threshold(total, len(state.requests))
-    scan = scan_round(state, 0.0)
+    scan = scan_round(state)
     _check_identity(scan, total)
     rows = [_trace_row(0, scan)]
     for rnd in range(1, rounds + 1):
         if rows[-1].omega <= threshold:
             break
-        report = drs_round(state, rng, scan, timeout_prob=timeout_prob)
+        report = drs_round(state, rng, scan)
         # the post-round scan serves this row and the next round
-        scan = scan_round(state, 0.0)
+        scan = scan_round(state)
         _check_identity(scan, total)
         row = _trace_row(rnd, scan, report.migrations)
         if row.phi > rows[-1].phi + 1e-9:
@@ -408,19 +355,12 @@ def _trace_row(rnd: int, scan: RoundScan, migrations: int = 0) -> DrsTraceRow:
     phi = scan.phi
     m_t = underloaded_count(scan)
     return DrsTraceRow(
-        round=rnd,
-        phi=phi,
-        omega=m_t * phi,
-        underloaded_m=m_t,
-        migrations=migrations,
-        relayer_kb=phi + scan.direct_kb + scan.unplaced_kb,
+        round=rnd, phi=phi, omega=m_t * phi, underloaded_m=m_t, migrations=migrations, relayer_kb=phi
     )
 
 
 def _check_identity(scan: RoundScan, total: int) -> None:
-    if scan.queued_kb + scan.direct_kb + scan.unplaced_kb != total:
+    if scan.queued_kb != total:
         raise InvariantViolation(
-            "p2p-drs", "primal-dual-identity",
-            f"{scan.queued_kb} queued + {scan.direct_kb} direct + {scan.unplaced_kb} unplaced"
-            f" != {total}",
+            "p2p-drs", "primal-dual-identity", f"{scan.queued_kb} queued != {total} requested"
         )

@@ -34,6 +34,7 @@ from .errors import (
     MissingEagerLog,
     NonPositiveValue,
     UnknownAccount,
+    VerificationFailure,
 )
 from .merkle import EMPTY_ROOT
 
@@ -111,8 +112,11 @@ def make_transfer(
     """Build and sign a transfer from ``sender``, a public key that
     ``registry`` generated; the signed message is kept as the transaction's
     ``signing_bytes()``."""
+    framed = registry.framed_secret(sender)
+    if framed is None:
+        raise VerificationFailure(f"unknown public key {sender.hex()[:16]}")
     message = _signing_bytes(TRANSFER_TAG, sender, receiver, value, nonce, data_hash)
-    sig = crypto.sign_each(registry.framed_secrets([sender]), message)[0]
+    sig = crypto.sign_framed(framed, message)
     tx = Transaction(TX_TYPE_TRANSFER, sender, receiver, value, nonce, data_hash, sig)
     tx._signing = message
     return tx

@@ -199,15 +199,15 @@ def apply_churn(
     Poisson(join_rate); joiners attach via the capacity-proportional draw."""
     leavers = 0
     if leave_rate > 0:
-        kept: list[int] = []
-        keep = kept.append
         draw = rng.random
         loads = state.loads
-        for relayer in state.assignment:
-            if draw() < leave_rate:
-                loads[relayer] -= 1
-            else:
-                keep(relayer)
+
+        def leave(relayer: int) -> bool:
+            loads[relayer] -= 1
+            return False
+
+        # a draw below leave_rate drops the node and frees its slot
+        kept = [r for r in state.assignment if draw() >= leave_rate or leave(r)]
         leavers = len(state.assignment) - len(kept)
         state.assignment = kept
     joiners = 0

@@ -20,10 +20,10 @@ with ``randrange``, ``choice`` and ``randint`` calls
 (``generate_transactions``): ``consensus.draw_traffic`` inlines those draws
 and must repeat its random stream and transactions.
 
-The retrieval game's clock lives only here too. ``drs.simulate_drs`` probes
-every round at t = 0; ``simulate_drs_with_expiry`` advances t each round, so
-requests expire to the relay network, through the same ``scan_round`` and
-``drs_round``. ``omega`` is the contraction quantity of one scan.
+The retrieval game has no clock, in the library or here: as in the
+synchronous analysis, every round is played against the full deadline, so a
+request never expires and the relayer-bound bytes are exactly the overflow.
+``omega`` is the contraction quantity of one scan.
 
 Outside ``fission_sim.crypto`` a node is named by its public key alone;
 ``secret_key`` recovers the raw key that the one-key references
@@ -37,28 +37,16 @@ through this reference until a block header carries the proposer.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from fission_sim.crypto import KeyRegistry, VrfOutput, sha3, vrf_eval
-from fission_sim.drs import (
-    DrsRun,
-    DrsState,
-    _check_identity,
-    _trace_row,
-    build_instance,
-    drs_potential,
-    drs_round,
-    equilibrium_threshold,
-    scan_round,
-    underloaded_count,
-)
+from fission_sim.drs import DrsState, drs_potential, scan_round, underloaded_count
 from fission_sim.errors import EmptySpace, VerificationFailure
 from fission_sim.ledger import Transaction, make_transfer
 from fission_sim.relay import _poisson
-from fission_sim.seeding import child_seed, split
+from fission_sim.seeding import child_seed
 from fission_sim.sortition import _weights, leader_ticket, voting_power
 
 
@@ -225,65 +213,25 @@ def apply_churn(state, rng, join_rate: float, leave_rate: float) -> tuple[int, i
     return joiners, leavers
 
 
-def request_cost(height: float, d_remaining: float, capacity: float, weight: float) -> float:
+def request_cost(height: float, deadline: float, capacity: float, weight: float) -> float:
     """Overflow cost of one queued request: the part of its bytes that cannot
-    ship within the remaining time, clamped to the request size."""
-    return min(max(height - d_remaining * capacity, 0.0), weight)
+    ship by the deadline, clamped to the request size."""
+    return min(max(height - deadline * capacity, 0.0), weight)
 
 
 def accounting(state: DrsState) -> tuple[float, float, int]:
     """(bytes nodes can serve, relayer-bound bytes, total requested), each
     summed on its own from the queues and the request columns. The first two
     always sum to the third."""
-    requests = state.requests
-    weight, deadline = requests.weight, state.deadline
+    weight, deadline = state.requests.weight, state.deadline
     loads = [sum([weight[rid] for rid in queue]) for queue in state.queue]
     served = sum([min(load, deadline * c) for c, load in zip(state.capacity, loads)])
-    direct = sum([w for w, r in zip(weight, requests.at_relayer) if r])
-    unplaced = sum(
-        [w for w, p, r in zip(weight, requests.provider, requests.at_relayer)
-         if p is None and not r]
-    )
-    relayer = drs_potential(state) + direct + unplaced
-    return served, relayer, sum(weight)
+    return served, drs_potential(state), sum(weight)
 
 
-def omega(state: DrsState, t: float) -> float:
+def omega(state: DrsState) -> float:
     """Contraction quantity: underloaded provider count times the potential;
     zero exactly at (approximate) equilibrium. A trace row's ``omega`` is this
     quantity of the post-round scan."""
-    scan = scan_round(state, t)
+    scan = scan_round(state)
     return underloaded_count(scan) * scan.phi
-
-
-def simulate_drs_with_expiry(
-    n_nodes, n_keys, size_dist, cap_dist, replication, deadline, seed, *,
-    start, round_duration, timeout_prob=0.0,
-) -> DrsRun:
-    """``drs.simulate_drs`` with a clock that advances ``round_duration``
-    after each round: a round probes against the time left before the
-    deadline, and requests still unservable past it go to the relay network.
-    The potential may then rise from round to round, so it is not checked;
-    byte conservation is checked after every round."""
-    state = build_instance(
-        n_nodes, n_keys, size_dist, cap_dist, replication, deadline, seed, start=start
-    )
-    rounds = max(8, math.ceil(40.0 * math.log(max(2, n_keys * max(1, n_nodes)))))
-    rng = split(seed, "drs-rounds")
-    total = sum(state.requests.weight)
-    threshold = equilibrium_threshold(total, len(state.requests))
-    scan = scan_round(state, 0.0)
-    _check_identity(scan, total)
-    rows = [_trace_row(0, scan)]
-    t = 0.0
-    for rnd in range(1, rounds + 1):
-        if rows[-1].omega <= threshold:
-            break
-        if scan.t != t:
-            scan = scan_round(state, t)
-        report = drs_round(state, rng, scan, timeout_prob=timeout_prob)
-        scan = scan_round(state, t)
-        _check_identity(scan, total)
-        rows.append(_trace_row(rnd, scan, report.migrations))
-        t += round_duration
-    return DrsRun(rows=rows, state=state, rounds_budget=rounds, threshold=threshold)

@@ -290,7 +290,7 @@ def test_criterion_7_drs():
         base = build_instance(
             256, 32, "fixed:64", "uniform:2:64", 3, 8.0, instance_seed, start="concentrated"
         )
-        omega0 = omega(base, 0.0)
+        omega0 = omega(base)
         assert omega0 > 0
         total = 0.0
         trials = 1000
@@ -298,8 +298,8 @@ def test_criterion_7_drs():
             state = build_instance(
                 256, 32, "fixed:64", "uniform:2:64", 3, 8.0, instance_seed, start="concentrated"
             )
-            drs_round(state, split(SEED, "acc7-mc", instance_seed, t), scan_round(state, 0.0))
-            total += omega(state, 0.0)
+            drs_round(state, split(SEED, "acc7-mc", instance_seed, t), scan_round(state))
+            total += omega(state)
         ratio = (total / trials) / omega0
         assert ratio <= 0.3, f"instance {instance_seed}: E[omega(t+1)]/omega(t) = {ratio:.3f}"
         worst_ratio = max(worst_ratio, ratio)

@@ -79,11 +79,14 @@ def test_sortition_output_shape(capsys):
     assert sha3(out.encode()).hex() == "df708075e6838eb3319846e4e999ce84150cd4a2c9e74f1eb002511938975ee2"
 
 
-@pytest.mark.parametrize("nodes", ["-3", "0"])
-def test_sortition_bad_node_count_exits_2(capsys, nodes):
+@pytest.mark.parametrize("nodes", ["-3", "0", str(MAX_NODES + 1)])
+def test_sortition_bad_node_count_exits_2(capsys, monkeypatch, nodes):
+    # 200,000,000 nodes died of MemoryError in the stake draw; the cap is
+    # checked before anything is drawn
+    monkeypatch.setattr("fission_sim.cli.dist_sampler", None)  # calling it would raise
     code, out, err = run_cli(capsys, "sortition", "--nodes", nodes)
     assert code == 2 and out == ""
-    assert err == f"error: nodes (--nodes): must be >= 1, got {nodes}\n"
+    assert err == f"error: nodes (--nodes): must be in [1, 16777216], got {nodes}\n"
 
 
 def test_chain_outputs_deterministic(tmp_path, capsys):
@@ -341,6 +344,17 @@ def test_node_count_above_the_cap_exits_2_naming_the_key(tmp_path, capsys, monke
     assert code == 2
     assert err == f"error: {command}.nodes (--nodes): must be in [1, 16777216], got 16777217\n"
     assert list(tmp_path.iterdir()) == []
+
+
+def test_population_above_the_node_cap_exits_2_naming_the_key(tmp_path, capsys, monkeypatch):
+    # a chain run draws a stake and a key per node before its first epoch
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("fission_sim.cli.ChainSimulation", None)  # calling it would raise
+    (tmp_path / "run.cfg").write_text(f"population.nodes = {MAX_NODES + 1}\n")
+    code, out, err = run_cli(capsys, "chain", "--config", "run.cfg")
+    assert code == 2 and out == ""
+    assert err == "error: population.nodes: must be in [1, 16777216], got 16777217\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
 
 @pytest.mark.parametrize("deadline", ["0", "-2.5", "nan"])

@@ -219,7 +219,7 @@ def test_join_rate_cap_admits_the_rates_in_use(rate):
     assert load_config(None, {"relay.join_rate": rate}).relay.join_rate == rate
 
 
-@pytest.mark.parametrize("key", ["relay.nodes", "drs.nodes"])
+@pytest.mark.parametrize("key", ["population.nodes", "relay.nodes", "drs.nodes"])
 def test_node_counts_are_capped_at_2_24_by_name(key):
     # the cap admits the benchmark's sizes (4,096 retrieval and 65,536 relay
     # nodes) and the cap itself; validating allocates no per-node column

@@ -12,6 +12,7 @@ from fission_sim.crypto import (
     sha3,
     sign,
     sign_each,
+    sign_framed,
     verify,
     vrf_eval,
     vrf_hashes,
@@ -137,6 +138,7 @@ def test_batch_helpers_equal_scalar_vrf_and_sign(materials, others, seed, ctype,
     assert framed == [encode_field(sk) for sk in sks]
     assert vrf_hashes(framed, seed, ctype) == [vrf_eval(sk, seed, ctype).hash for sk in sks]
     assert sign_each(framed, message) == [sign(sk, message) for sk in sks]
+    assert [sign_framed(f, message) for f in framed] == [sign(sk, message) for sk in sks]
 
 
 def test_framed_secrets_rejects_unknown_keys():

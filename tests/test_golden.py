@@ -29,7 +29,7 @@ from fission_sim.dists import sample_dist
 from fission_sim.drs import simulate_drs
 from fission_sim.relay import RelaySystemState, simulate_prs, validate_lemma_expectation
 from fission_sim.sortition import BLOCK_INTERIM, BLOCK_MAIN, select_committee
-from reference import attach, elect_proposer, simulate_drs_with_expiry
+from reference import attach, elect_proposer
 
 SMALL = dict(h=1.0, alpha=1.0, tau=50.0, theta=0.3, stake_dist="fixed:100")
 
@@ -204,17 +204,6 @@ DRS_CASES = {
         dict(start="uniform"),
         "1ba51b7394da0f8a6efee147cb70694dbbcccc3cb4860638a72881e8d50fea5c",
     ),
-    "timeouts": (
-        (512, 8, "pareto:1.3", "uniform:1:8", 12, 7.3),
-        dict(start="concentrated", timeout_prob=0.3),
-        "ab4c3b9424011e868297d53524be4bb613e46f5cbf4586f8adf686c4345bde98",
-    ),
-    # rounds on a clock, which only the tests run (reference.simulate_drs_with_expiry)
-    "expiry": (
-        (512, 8, "pareto:1.3", "uniform:1:8", 12, 7.3),
-        dict(start="concentrated", round_duration=2.5),
-        "0f715df296a5680ab792a31c88a4bcba26879b2bd48dc2d1a96907b953a240a0",
-    ),
 }
 
 
@@ -223,10 +212,7 @@ def test_golden_drs_trace_digest(case):
     args, options, expected = DRS_CASES[case]
     rows = []
     for seed in (1, 2, 3):
-        simulate = simulate_drs_with_expiry if "round_duration" in options else simulate_drs
-        run = simulate(*args, seed, **options)
-        if case == "expiry":
-            assert any(run.state.requests.at_relayer)  # some requests expired to the relay network
+        run = simulate_drs(*args, seed, **options)
         rows += [
             (r.round, r.phi, r.omega, r.underloaded_m, r.migrations, r.relayer_kb) for r in run.rows
         ]

@@ -51,7 +51,6 @@ STORED_ALLOWED = {
     "EpochResult.block": "the epoch's block, for callers of ChainSimulation.step to inspect",
     "InvariantViolation.invariant": "names the broken invariant to whoever catches the error",
     "DrsState.size": "the instance's key sizes, from which requests are weighed",
-    "DrsRoundReport.to_relayer": "the round's hand-offs to the relay network, beside its migrations",
 }
 
 

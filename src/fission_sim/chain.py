@@ -367,10 +367,13 @@ class Chain:
     # --- export ---
 
     def export_jsonl(self) -> str:
-        """One canonical JSON object per block, newline-separated."""
-        lines = [json.dumps(block_to_dict(b), sort_keys=True, separators=(",", ":"))
-                 for b in self.blocks]
-        return "\n".join(lines) + "\n"
+        """Every block's ``block_line``, in chain order."""
+        return "".join(map(block_line, self.blocks))
+
+
+def block_line(block: Block) -> str:
+    """The block as one canonical JSON object, with its newline."""
+    return json.dumps(block_to_dict(block), sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def block_to_dict(block: Block) -> dict:

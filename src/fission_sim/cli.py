@@ -13,12 +13,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
+from .chain import block_line
 from .config import MAX_NODES, SimConfig, load_config
-from .consensus import ChainSimulation
+from .consensus import ChainSimulation, check_epochs
 from .drs import simulate_drs
-from .errors import DomainError, FissionError, InvariantViolation, ParseError, ValidationError
+from .errors import ApproximationUnsound, DomainError, InvariantViolation, ParseError, ValidationError
 from .metrics import MetricsSink
 from .relay import identifier_counts, simulate_prs
 from .seeding import child_seed, split
@@ -135,7 +135,7 @@ def cmd_security(args) -> int:
             "adversary_quorum": adv,
             "honest_miss": honest,
         }
-    except FissionError as e:
+    except ApproximationUnsound as e:
         out["failure_probabilities"] = {"error": str(e)}
     print(json.dumps(out, sort_keys=True))
     return EXIT_OK
@@ -174,25 +174,29 @@ def cmd_sortition(args) -> int:
 
 
 def cmd_chain(args) -> int:
+    """Validate everything, then open both outputs and write each epoch's
+    line and row as it ends. An invariant violation leaves both files
+    closed, holding every completed epoch, and writes no summary."""
     cfg = _load_config(args)
     sim = ChainSimulation(cfg)
-    results = sim.run(args.epochs)
-    # written before the sink opens its file, so a failed write leaves no handle open
-    Path(args.out).write_text(sim.chain.export_jsonl())
-    sink = MetricsSink(args.metrics, CHAIN_COLUMNS)
-    for r in results:
-        sink.write_row(
-            epoch=r.epoch,
-            kind=r.kind,
-            confirmed_subtx=r.confirmed_subtx,
-            committee_weight=r.committee_weight,
-            adversary_weight=r.adversary_weight,
-            empty_flag=r.empty,
-            n_partition=r.n_partition,
-            n_shard=r.n_shard,
-        )
+    check_epochs(args.epochs)
+    with open(args.out, "w") as out, MetricsSink(args.metrics, CHAIN_COLUMNS) as sink:
+        out.write(block_line(sim.chain.tip))  # genesis
+        for _ in range(args.epochs):
+            r = sim.step()
+            out.write(block_line(sim.chain.tip))
+            sink.write_row(
+                epoch=r.epoch,
+                kind=r.kind,
+                confirmed_subtx=r.confirmed_subtx,
+                committee_weight=r.committee_weight,
+                adversary_weight=r.adversary_weight,
+                empty_flag=r.empty,
+                n_partition=r.n_partition,
+                n_shard=r.n_shard,
+            )
     sink.close(cfg.to_dict(), {"epochs": args.epochs, "final_clock": sim.clock})
-    print(f"wrote {args.out} and {args.metrics} ({len(results)} epochs)")
+    print(f"wrote {args.out} and {args.metrics} ({args.epochs} epochs)")
     return EXIT_OK
 
 
@@ -208,35 +212,32 @@ def cmd_relay(args) -> int:
         identifier_counts(capacities, relay.mu)
     except ValueError as e:  # mu above a drawn capacity, or far below all of them
         raise ValidationError("relay.mu", str(e)) from None
-    runs = [
-        simulate_prs(
-            relay.nodes,
-            capacities,
-            relay.rounds,
-            child_seed(cfg.seed, "relay-trial", trial),
-            start=relay.start,
-            mu=relay.mu,
-            mean_msg_size=relay.mean_msg_size,
-            join_rate=relay.join_rate,
-            leave_rate=relay.leave_rate,
-        )
-        for trial in range(relay.trials)
-    ]
-
-    sink = MetricsSink(args.out, RELAY_COLUMNS)
     converged = 0
-    for trial, run in enumerate(runs):
-        for row in run.rows:
-            sink.write_row(
-                trial=trial,
-                round=row.round,
-                phi=row.phi,
-                expected_delay=row.expected_delay,
-                max_ratio=row.max_ratio,
-                switches=row.switches,
+    # each trial's rows are written when it ends, so one run is held at a time
+    with MetricsSink(args.out, RELAY_COLUMNS) as sink:
+        for trial in range(relay.trials):
+            run = simulate_prs(
+                relay.nodes,
+                capacities,
+                relay.rounds,
+                child_seed(cfg.seed, "relay-trial", trial),
+                start=relay.start,
+                mu=relay.mu,
+                mean_msg_size=relay.mean_msg_size,
+                join_rate=relay.join_rate,
+                leave_rate=relay.leave_rate,
             )
-        if run.converged_round is not None:
-            converged += 1
+            for row in run.rows:
+                sink.write_row(
+                    trial=trial,
+                    round=row.round,
+                    phi=row.phi,
+                    expected_delay=row.expected_delay,
+                    max_ratio=row.max_ratio,
+                    switches=row.switches,
+                )
+            if run.converged_round is not None:
+                converged += 1
     sink.close(cfg.to_dict(), {"converged_trials": converged})
     print(f"wrote {args.out}: {converged}/{relay.trials} trials reached phi <= 4m")
     return EXIT_OK

@@ -27,8 +27,9 @@ from .chain import INTERIM, Block, Chain, Votes
 from .config import CHAIN_KEYWORDS, EpochSettings, SimConfig, load_config
 from .crypto import KeyRegistry, sha3, sign_each
 from .dists import dist_sampler
-from .errors import FissionError, InvariantViolation, ParseError, ValidationError
+from .errors import InvariantViolation, ParseError, TransactionRejected, ValidationError
 from .ledger import (
+    BALANCE_LIMIT,
     LedgerState,
     SubTransaction,
     Transaction,
@@ -223,7 +224,7 @@ def micro_round(
             continue
         try:
             apply_eager(scratch, sub)
-        except FissionError:
+        except TransactionRejected:
             invalid.append(sub)
             continue
         included.append(sub)
@@ -285,11 +286,10 @@ def assemble_main(chain: Chain, ballot: Ballot, population: Population) -> Block
 
 @dataclass
 class EpochResult:
-    """What one epoch did."""
+    """What one epoch did, in numbers; its block is ``chain.blocks[epoch]``."""
 
     epoch: int
     kind: str
-    block: Block
     confirmed_subtx: int
     committee_weight: int
     adversary_weight: int
@@ -332,7 +332,7 @@ def run_epoch(
         for tx in mempool:
             try:
                 debits.append(split_transaction(tx, registry))
-            except FissionError:
+            except TransactionRejected:
                 invalid_count += 1
         routed: list[list[SubTransaction]] = [[] for _ in range(n_partition)]
         homes = home_partitions([debit.sender for debit in debits], chain.state.n_shard, n_partition)
@@ -370,7 +370,6 @@ def run_epoch(
     return EpochResult(
         epoch=epoch,
         kind=kind,
-        block=block,
         confirmed_subtx=len(block.body),
         committee_weight=sum(committee.weights),
         adversary_weight=ballot.adversary,
@@ -408,7 +407,8 @@ def draw_traffic(
     ``pks[rng.randrange(len(pks))]`` over the view's keys in sorted order,
     then rolls ``rng.random()``. A roll below ``invalid_fraction`` gives an
     invalid transaction of the flavour ``rng.choice(("overdraw", "nonce",
-    "signature"))``; otherwise a sender with a positive balance sends
+    "signature"))``, where an overdraw whose value would not fit the 8 bytes
+    of a balance takes the nonce-gap form; otherwise a sender with a positive balance sends
     ``rng.randint(1, min(balance, 50))``. Each ``randrange``, ``choice`` and
     ``randint`` is inlined as ``random.Random._randbelow_with_getrandbits``
     runs it, rejections included, so the random stream is that of those
@@ -436,10 +436,11 @@ def draw_traffic(
             flavour = getrandbits(2)  # the index into the three flavours
             while flavour == 3:
                 flavour = getrandbits(2)
-            if flavour == 0:  # overdraw
-                # the view nets out deferred overdraws too, so it can be below zero
-                append(make_transfer(registry, sender, receiver, max(balance, 0) + 10, nonce + 1))
-            elif flavour == 1:  # nonce gap
+            # the view nets out deferred overdraws too, so it can be below zero
+            over = (balance if balance > 0 else 0) + 10
+            if flavour == 0 and over < BALANCE_LIMIT:  # overdraw
+                append(make_transfer(registry, sender, receiver, over, nonce + 1))
+            elif flavour < 2:  # nonce gap, or an overdraw past 8 bytes
                 append(make_transfer(registry, sender, receiver, 1, nonce + 7))
             else:  # forged signature
                 good = make_transfer(registry, sender, receiver, 1, nonce + 1)
@@ -463,6 +464,12 @@ def draw_traffic(
 
 # ---------------------------------------------------------------------------
 # full chain simulation
+
+
+def check_epochs(epochs: int) -> None:
+    """Reject a negative number of epochs to run."""
+    if epochs < 0:
+        raise ValidationError("epochs", f"must be >= 0, got {epochs}")
 
 
 class ChainSimulation:
@@ -492,7 +499,7 @@ class ChainSimulation:
         )
         k_total = self.population.total_stake
         top = max(self.population.stakes)
-        if top >= 1 << 64:
+        if top >= BALANCE_LIMIT:
             # a stake is an account balance, which blocks encode in 8 bytes
             raise ValidationError(
                 "population.stake_dist", f"every stake must be below 2^64, drew {top}"
@@ -512,7 +519,6 @@ class ChainSimulation:
         self.chain = Chain(state, quorum(sec.theta, sec.tau), cfg.partition)
         self.mempool: list[Transaction] = []
         self.clock = 0.0  # simulated seconds: the sum of the epoch budgets so far
-        self.results: list[EpochResult] = []
 
     # -- traffic generation --
 
@@ -558,15 +564,12 @@ class ChainSimulation:
         )
         self.clock += epochs.interim_budget if result.kind == INTERIM else epochs.main_budget
         self._check_conservation()
-        self.results.append(result)
         return result
 
     def run(self, epochs: int) -> list[EpochResult]:
-        if epochs < 0:
-            raise ValidationError("epochs", f"must be >= 0, got {epochs}")
-        for _ in range(epochs):
-            self.step()
-        return self.results
+        """Step ``epochs`` more epochs; the results of this call."""
+        check_epochs(epochs)
+        return [self.step() for _ in range(epochs)]
 
     def _check_conservation(self) -> None:
         state = self.chain.state

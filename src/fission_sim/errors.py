@@ -7,39 +7,44 @@ class FissionError(Exception):
 
 # --- transaction / ledger ---
 
-class InvalidSignature(FissionError):
+class TransactionRejected(FissionError):
+    """A transaction or sub-transaction that the ledger refuses; the epoch
+    pipeline counts it as invalid traffic and goes on."""
+
+
+class InvalidSignature(TransactionRejected):
     pass
 
 
-class NonPositiveValue(FissionError):
+class NonPositiveValue(TransactionRejected):
     pass
 
 
-class InsufficientBalance(FissionError):
+class InsufficientBalance(TransactionRejected):
     pass
 
 
-class BadNonce(FissionError):
+class BadNonce(TransactionRejected):
     pass
 
 
-class UnknownAccount(FissionError):
+class UnknownAccount(TransactionRejected):
     pass
 
 
-class MissingEagerLog(FissionError):
+class MissingEagerLog(TransactionRejected):
     pass
 
 
-class DoubleCredit(FissionError):
+class DoubleCredit(TransactionRejected):
     pass
 
 
-class DuplicateDebit(FissionError):
+class DuplicateDebit(TransactionRejected):
     pass
 
 
-class CreditMismatch(FissionError):
+class CreditMismatch(TransactionRejected):
     pass
 
 

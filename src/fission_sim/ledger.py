@@ -31,6 +31,7 @@ from .errors import (
     DuplicateDebit,
     InsufficientBalance,
     InvalidSignature,
+    InvariantViolation,
     MissingEagerLog,
     NonPositiveValue,
     UnknownAccount,
@@ -43,6 +44,9 @@ ZERO_HASH = bytes(32)
 
 EAGER = "eager"
 LAZY = "lazy"
+
+# every balance is below this: blocks encode a balance in 8 bytes
+BALANCE_LIMIT = 1 << 64
 
 
 def home_partitions(pks: Iterable[bytes], n_shard: int, n_partition: int) -> list[int]:
@@ -345,7 +349,8 @@ def apply_lazy(state: LedgerState, sub: SubTransaction) -> None:
     Each pending debit is consumable exactly once, by a credit whose sender,
     receiver, value and nonce are the debit's; an unknown receiver account is
     created with zero starting balance. Raises without touching state
-    otherwise.
+    otherwise, and raises ``InvariantViolation`` if the receiver's balance
+    would reach ``BALANCE_LIMIT``.
     """
     assert sub.kind == LAZY
     debit = state.pending.get(sub.parent_id)
@@ -364,10 +369,15 @@ def apply_lazy(state: LedgerState, sub: SubTransaction) -> None:
         raise CreditMismatch(f"credit for {sub.parent_id.hex()[:16]} differs from its debit")
     receiver = sub.receiver
     balance = state.balances.get(receiver)
+    credited = debit.value if balance is None else balance + debit.value
+    if credited >= BALANCE_LIMIT:
+        raise InvariantViolation(
+            "core-ledger", "balance-width", f"credit lifts {receiver.hex()[:16]} to {credited}, past 8 bytes"
+        )
     if balance is None:
-        state.create_account(receiver, debit.value)
+        state.create_account(receiver, credited)
     else:
-        state.balances[receiver] = balance + debit.value
+        state.balances[receiver] = credited
         state.written.add(receiver)
     del state.pending[sub.parent_id]
     state.credited.add(sub.parent_id)

@@ -10,7 +10,11 @@ from .crypto import sha3
 
 class MetricsSink:
     """Writes rows in event order against a fixed column schema; closing emits
-    a JSON summary echoing the config and a fingerprint of (config, seed)."""
+    a JSON summary echoing the config and a fingerprint of (config, seed).
+
+    As a context manager it closes the CSV on the way out, error or not, and
+    writes no summary: a run that stops early keeps its rows and has none.
+    """
 
     def __init__(self, csv_path: str | Path, columns: list[str]):
         self.csv_path = Path(csv_path)
@@ -20,6 +24,12 @@ class MetricsSink:
         self._fh = self.csv_path.open("w")
         self._fh.write(",".join(self.columns) + "\n")
         self._fh.flush()
+
+    def __enter__(self) -> "MetricsSink":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._fh.close()
 
     def write_row(self, **values) -> None:
         missing = [c for c in self.columns if c not in values]

@@ -79,9 +79,10 @@ def generate_transactions(rng, registry, view, tx_per_epoch, invalid_fraction) -
         bad_roll = rng.random()
         if bad_roll < invalid_fraction:
             flavor = rng.choice(("overdraw", "nonce", "signature"))
-            if flavor == "overdraw":
-                tx = make_transfer(registry, sender_pk, receiver_pk, max(balance, 0) + 10, nonce + 1)
-            elif flavor == "nonce":
+            over = max(balance, 0) + 10
+            if flavor == "overdraw" and over < 2**64:  # a transfer's value fits 8 bytes
+                tx = make_transfer(registry, sender_pk, receiver_pk, over, nonce + 1)
+            elif flavor in ("overdraw", "nonce"):
                 tx = make_transfer(registry, sender_pk, receiver_pk, 1, nonce + 7)
             else:
                 good = make_transfer(registry, sender_pk, receiver_pk, 1, nonce + 1)

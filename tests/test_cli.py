@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from fission_sim.cli import main
-from fission_sim.config import MAX_JOIN_RATE, MAX_NODES, SimConfig
+from fission_sim.chain import Chain
+from fission_sim.cli import CHAIN_COLUMNS, main
+from fission_sim.config import MAX_JOIN_RATE, MAX_NODES, SimConfig, load_config
 from fission_sim.consensus import ChainSimulation
 from fission_sim.crypto import KeyRegistry, sha3
 from fission_sim.dists import sample_dist
@@ -174,6 +175,48 @@ def test_chain_stake_past_eight_bytes_exits_2_naming_the_key(tmp_path, capsys, m
     assert code == 2
     assert err.startswith("error: population.stake_dist: ") and "Traceback" not in err
     assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+
+# two stakes of 2^64 - 2048, the largest below 2^64: at seed 1 the credit
+# block of epoch 154 would lift a balance past the 8 bytes it is encoded in
+OVERFLOW_CFG = "population.nodes = 2\npopulation.stake_dist = fixed:18446744073709549568\n"
+
+
+def test_chain_invariant_violation_exits_3_keeping_the_completed_epochs(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text(OVERFLOW_CFG)
+    code, out, err = run_cli(capsys, "chain", "--config", "run.cfg", "--seed", "1", "--epochs", "200")
+    assert code == 3 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("invariant violation: ")
+    assert "'balance-width'" in err and "Traceback" not in err
+    # genesis and epochs 1..153 in order, each the library's own line, and
+    # one CSV row per completed epoch; a run that stops writes no summary
+    text = (tmp_path / "chain.jsonl").read_text()
+    assert [json.loads(line)["epoch"] for line in text.splitlines()] == list(range(154))
+    sim = ChainSimulation(load_config("run.cfg", {"seed": 1}))
+    sim.run(153)
+    assert text == sim.chain.export_jsonl()
+    rows = list(csv.reader((tmp_path / "metrics.csv").read_text().splitlines()))
+    assert rows[0] == CHAIN_COLUMNS
+    assert [int(row[0]) for row in rows[1:]] == list(range(1, 154))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["chain.jsonl", "metrics.csv", "run.cfg"]
+
+
+def test_chain_writes_each_block_as_its_epoch_ends(tmp_path, capsys, monkeypatch):
+    # the CLI never builds the whole chain's export; its lines are the same bytes
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text("population.nodes = 24\nchain.tx_per_epoch = 10\n")
+
+    def no_export(self):
+        raise AssertionError("the CLI exported the whole chain")
+
+    monkeypatch.setattr(Chain, "export_jsonl", no_export)
+    code, _, _ = run_cli(capsys, "chain", "--config", "run.cfg", "--seed", "2", "--epochs", "6")
+    assert code == 0
+    monkeypatch.undo()  # the chdir too
+    sim = ChainSimulation(load_config(tmp_path / "run.cfg", {"seed": 2}))
+    sim.run(6)
+    assert (tmp_path / "chain.jsonl").read_text() == sim.chain.export_jsonl()
 
 
 BIG_STAKES = "population.nodes = 40\npopulation.stake_dist = fixed:6000000000000000000\n"
@@ -413,6 +456,12 @@ def test_unwritable_output_path_exits_2(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     target = tmp_path / "taken"
     target.mkdir()
+
+    def no_step(self):
+        raise AssertionError("an epoch ran before both outputs opened")
+
+    # chain opens both outputs before epoch 1
+    monkeypatch.setattr(ChainSimulation, "step", no_step)
     code, _, err = run_cli(capsys, *argv, str(target))
     assert code == 2
     assert err.startswith("error: ") and str(target) in err

@@ -19,7 +19,7 @@ from fission_sim.consensus import (
 from fission_sim.config import CHAIN_KEYWORDS, EpochSettings, load_config
 from fission_sim.crypto import KeyRegistry, sha3, sign
 from fission_sim.dists import dist_sampler
-from fission_sim.errors import FissionError, InvariantViolation, ValidationError
+from fission_sim.errors import InvariantViolation, TransactionRejected, ValidationError
 from fission_sim.ledger import (
     EAGER,
     LedgerState,
@@ -262,7 +262,7 @@ def test_micro_round_filters_invalid_state_transitions():
 
 
 def test_micro_round_propagates_errors_that_are_not_protocol_errors(monkeypatch):
-    # only FissionError marks a sub-transaction invalid; a bug in state
+    # only a TransactionRejected marks a sub-transaction invalid; a bug in state
     # application must surface instead of being counted as invalid traffic
     sim = small_sim()
     reg = sim.population.registry
@@ -281,6 +281,22 @@ def test_micro_round_propagates_errors_that_are_not_protocol_errors(monkeypatch)
             [eager], cast_ballot(committee, sim.population, set()), sim.chain.state.clone(),
             sim.chain.quorum, sim.config.epochs,
         )
+
+
+def test_run_epoch_raises_an_invariant_violation_instead_of_counting_it(monkeypatch):
+    # only a TransactionRejected marks traffic invalid; an invariant broken
+    # while a debit applies stops the run
+    sim = small_sim()
+    sim.config.chain.tx_per_epoch = 5
+    sim.generate_transactions()
+
+    def broken(state, sub):
+        raise InvariantViolation("core-ledger", "test", "raised while applying a debit")
+
+    monkeypatch.setattr(consensus, "apply_eager", broken)
+    with pytest.raises(InvariantViolation, match="raised while applying a debit"):
+        run_epoch(sim.chain, sim.mempool, sim.p, sim.config.epochs, sim.population, set())
+    assert len(sim.chain.blocks) == 1
 
 
 # accounts of the shared-scratch property, 30 tokens each, and its quorum
@@ -314,7 +330,7 @@ def partitioned_mempools(draw):
     for sub in [sub_of(*d) for d in draw(st.lists(debit, max_size=6))]:
         try:
             apply_eager(state, sub)
-        except FissionError:
+        except TransactionRejected:
             pass
     next_nonce.update((pk, n + 1) for pk, n in state.nonces.items())
     subs = [sub_of(*d) for d in draw(st.lists(debit, max_size=40))]
@@ -390,8 +406,9 @@ def test_epoch_pair_confirms_eagers_then_lazies():
     assert interim.kind == INTERIM and main.kind == MAIN
     # oracle recount: every debit confirmed in the interim body has exactly one
     # credit in the main body, matched by parent id
-    eager_parents = sorted(s.parent_id for s in interim.block.body)
-    lazy_parents = sorted(s.parent_id for s in main.block.body)
+    blocks = sim.chain.blocks
+    eager_parents = sorted(s.parent_id for s in blocks[interim.epoch].body)
+    lazy_parents = sorted(s.parent_id for s in blocks[main.epoch].body)
     assert eager_parents == lazy_parents
     assert interim.confirmed_subtx == 30
     assert sim.chain.state.total_balance() == sim.k_total
@@ -430,11 +447,12 @@ def test_leader_fallback_skips_offline_proposer():
         sim.chain, [], sim.p, sim.config.epochs, sim.population,
         offline={order[0]},
     )
-    assert result.block.header.seed == seed
+    block = sim.chain.blocks[result.epoch]
+    assert block.header.seed == seed
     assert elect_proposer(reg, committee.pks, seed, set()) == order[0]
     proposer = elect_proposer(reg, committee.pks, seed, {order[0]})
     assert proposer == order[1]
-    voters = result.block.header.votes.voters
+    voters = block.header.votes.voters
     assert proposer in voters and order[0] not in voters
     assert elect_proposer(reg, committee.pks, seed, set(committee.pks)) is None
 
@@ -445,7 +463,7 @@ def test_offline_committee_yields_empty_block_not_stall():
         sim.chain, [], sim.p, sim.config.epochs, sim.population,
         offline=set(sim.population.pks),
     )
-    assert result.empty and result.block.is_timeout_block
+    assert result.empty and sim.chain.tip.is_timeout_block
     assert len(sim.chain.blocks) == 2
 
 
@@ -497,6 +515,28 @@ def test_draw_traffic_on_no_account_raises_as_randrange_does():
         generate_transactions(split(1, "txgen"), TRAFFIC_REGISTRY, {}, 1, 0.0)
     with pytest.raises(ValueError):
         draw_traffic(split(1, "txgen"), TRAFFIC_REGISTRY, {}, 1, 0.0)
+
+
+def test_overdraws_near_the_balance_limit_stay_within_eight_bytes():
+    # an overdraw asks for 10 past the balance; where that passes 2^64 - 1,
+    # the largest value a transfer encodes, the draw takes the nonce-gap form
+    low, high = TRAFFIC_PKS[:2]
+    view = {low: (2**64 - 11, 0), high: (2**64 - 1, 0)}
+    ours_view, ref_view = dict(view), dict(view)
+    ours_rng, ref_rng = split(1, "txgen"), split(1, "txgen")
+    ours = draw_traffic(ours_rng, TRAFFIC_REGISTRY, ours_view, 40, 1.0)
+    ref = generate_transactions(ref_rng, TRAFFIC_REGISTRY, ref_view, 40, 1.0)
+    assert ours == ref
+    assert {tx.value for tx in ours if tx.sender == low} == {1, 2**64 - 1}
+    assert {tx.value for tx in ours if tx.sender == high} == {1}
+    assert {tx.nonce for tx in ours if tx.sender == high} == {1, 7}
+    # every draw is invalid traffic: the ledger rejects each one
+    state = LedgerState(1)
+    for pk, (balance, nonce) in view.items():
+        state.create_account(pk, balance, nonce)
+    for tx in ours:
+        with pytest.raises(TransactionRejected):
+            apply_eager(state, split_transaction(tx, TRAFFIC_REGISTRY))
 
 
 def test_alternation_over_many_epochs():
@@ -725,8 +765,10 @@ def test_chain_properties_on_generated_configs(epochs, **keys):
     except ValidationError:
         assume(False)
     shards = [cfg.partition.n_shard]
+    results = []
     for _ in range(epochs):
         r = sim.step()
+        results.append(r)
         state = sim.chain.state
         assert state.total_balance() + state.pending_value() == sim.k_total
         assert r.kind == (MAIN if r.epoch % 2 == 0 else INTERIM)
@@ -752,7 +794,6 @@ def test_chain_properties_on_generated_configs(epochs, **keys):
     assert outstanding == halves(state.pending.values())
 
     again = ChainSimulation(cfg)
-    again.run(epochs)
+    assert again.run(epochs) == results
     assert again.chain.export_jsonl() == sim.chain.export_jsonl()
-    assert again.results == sim.results
     assert cfg == before and sim.config == before and again.config == before

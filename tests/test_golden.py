@@ -102,22 +102,22 @@ EPOCH_META_CASES = {
 }
 
 
-def _proposers(sim, offline_sets) -> list[bytes | None]:
+def _proposers(sim, results, offline_sets) -> list[bytes | None]:
     """Each epoch's proposer, elected through the reference: its block
     committee, re-drawn from the block's seed, less its offline keys."""
     registry = sim.population.registry
     proposers = []
-    for r, offline in zip(sim.results, offline_sets):
-        seed = r.block.header.seed
+    for r, offline in zip(results, offline_sets):
+        seed = sim.chain.blocks[r.epoch].header.seed
         ctype = BLOCK_INTERIM if r.kind == INTERIM else BLOCK_MAIN
         committee = select_committee(sim.population.electorate, seed, ctype, sim.p, registry)
         proposers.append(elect_proposer(registry, committee.pks, seed, offline))
     return proposers
 
 
-def _leader_fallbacks(sim, proposers) -> int:
+def _leader_fallbacks(sim, results, proposers) -> int:
     """Epochs whose proposer is not the head of the full leader order."""
-    heads = _proposers(sim, [set()] * len(sim.results))
+    heads = _proposers(sim, results, [set()] * len(results))
     return sum(proposer != head for proposer, head in zip(proposers, heads))
 
 
@@ -128,16 +128,16 @@ def test_golden_epoch_metadata_digest(case):
     drawn = []
     draw_offline = sim._draw_offline
     sim._draw_offline = lambda: drawn.append(draw_offline()) or drawn[-1]
-    sim.run(epochs)
-    proposers = _proposers(sim, drawn)
+    results = sim.run(epochs)
+    proposers = _proposers(sim, results, drawn)
     if case == "offline":
-        assert _leader_fallbacks(sim, proposers) > 0
-        assert any(r.micro_timeouts for r in sim.results) and any(r.empty for r in sim.results)
+        assert _leader_fallbacks(sim, results, proposers) > 0
+        assert any(r.micro_timeouts for r in results) and any(r.empty for r in results)
     else:
         assert set(sim.population.strategies.values()) == set(STRATEGIES)
     rows = [
         (proposer, r.committee_weight, r.adversary_weight, r.micro_timeouts, r.invalid_txs, r.empty)
-        for r, proposer in zip(sim.results, proposers)
+        for r, proposer in zip(results, proposers)
     ]
     assert _reprs_digest(rows) == expected
 
@@ -156,14 +156,18 @@ def test_each_epoch_signs_only_the_votes_its_block_carries(monkeypatch):
 
     monkeypatch.setattr(consensus, "sign_each", counting)
     sim = ChainSimulation(**params)
+    timeouts = timeout_blocks = 0
     for _ in range(epochs):
         signed.clear()
         result = sim.step()
-        assert sum(signed) == len(result.block.header.votes)
-        if result.block.is_timeout_block:
+        block = sim.chain.tip
+        assert sum(signed) == len(block.header.votes)
+        if block.is_timeout_block:
             assert signed == []
-    assert any(r.micro_timeouts for r in sim.results)
-    assert any(r.block.is_timeout_block for r in sim.results)
+        timeouts += result.micro_timeouts
+        timeout_blocks += block.is_timeout_block
+    assert timeouts
+    assert timeout_blocks
 
 
 def test_golden_relay_trace_digest():

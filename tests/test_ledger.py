@@ -15,6 +15,7 @@ from fission_sim.errors import (
     DuplicateDebit,
     InsufficientBalance,
     InvalidSignature,
+    InvariantViolation,
     MissingEagerLog,
     NonPositiveValue,
     UnknownAccount,
@@ -438,6 +439,34 @@ def test_apply_lazy_rejects_double_credit(reg):
     apply_lazy(state, lazy)
     with pytest.raises(DoubleCredit):
         apply_lazy(state, lazy)
+
+
+@pytest.mark.parametrize("receiver_balance", [1, 2**63, 2**64 - 11])
+def test_apply_lazy_credits_up_to_the_eight_byte_balance_and_no_further(reg, receiver_balance):
+    # a credit may lift a balance to exactly 2^64 - 1; one token more would
+    # not fit the 8 bytes a leaf encodes, so it raises with the state unchanged
+    pk_a, pk_b = new_key(reg, "a"), new_key(reg, "b")
+
+    def pending_credit(value):
+        state = LedgerState(4)
+        state.create_account(pk_a, 2**64 - 1)
+        state.create_account(pk_b, receiver_balance)
+        debit = eager_for(reg, pk_a, pk_b, value, 1)
+        apply_eager(state, debit)
+        return state, credit_of(debit)
+
+    fits = 2**64 - 1 - receiver_balance
+    state, credit = pending_credit(fits)
+    apply_lazy(state, credit)
+    assert state.balances[pk_b] == 2**64 - 1 and not state.pending
+
+    state, credit = pending_credit(fits + 1)
+    before = (dict(state.balances), dict(state.nonces), dict(state.pending), set(state.written))
+    with pytest.raises(InvariantViolation) as err:
+        apply_lazy(state, credit)
+    assert (err.value.module, err.value.invariant) == ("core-ledger", "balance-width")
+    assert (dict(state.balances), dict(state.nonces), dict(state.pending), set(state.written)) == before
+    assert credit.parent_id not in state.credited
 
 
 def test_full_phase_pair_restores_supply(reg):

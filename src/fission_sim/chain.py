@@ -17,12 +17,13 @@ import json
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .crypto import UINT, encode_fields, encode_uint, record_layout, sha3
+from .crypto import HASH_BYTES, UINT, encode_fields, encode_uint, record_layout, sha3
 from .errors import (
     AlternationViolation,
     BadInterimLink,
     InsufficientVotes,
     InvariantViolation,
+    MalformedCertificate,
     PartitionMismatch,
     RootMismatch,
 )
@@ -62,12 +63,25 @@ def next_seed(seed: bytes, block_hash: bytes) -> bytes:
 @dataclass(slots=True)
 class Votes:
     """The votes on one block hash as parallel columns in casting order:
-    each voter's key, its claimed weight and its signature."""
+    each voter's key, its claimed weight and its signature. The signatures
+    are one column of ``HASH_BYTES`` per voter, as ``sign_each`` joins them.
+
+    Raises ``MalformedCertificate`` unless the columns have one entry per
+    voter, so a signature column is never split at the wrong place.
+    """
 
     block_hash: bytes = b""
     voters: list[bytes] = field(default_factory=list)
     weights: list[int] = field(default_factory=list)
-    signatures: list[bytes] = field(default_factory=list)
+    signatures: bytes = b""
+
+    def __post_init__(self) -> None:
+        n = len(self.voters)
+        if len(self.weights) != n or len(self.signatures) != HASH_BYTES * n:
+            raise MalformedCertificate(
+                f"{n} voters with {len(self.weights)} weights and a {len(self.signatures)}-byte "
+                f"signature column; expected {n} weights and {HASH_BYTES * n} bytes"
+            )
 
     def __len__(self) -> int:
         return len(self.voters)
@@ -378,6 +392,8 @@ def block_line(block: Block) -> str:
 
 def block_to_dict(block: Block) -> dict:
     h = block.header
+    votes = h.votes
+    starts = range(0, len(votes.signatures), HASH_BYTES)  # one per vote, as Votes checks
     return {
         "epoch": h.epoch,
         "kind": h.kind,
@@ -391,8 +407,8 @@ def block_to_dict(block: Block) -> dict:
         "account_root": [r.hex() for r in h.account_root],
         "tx_log_root": [r.hex() for r in h.tx_log_root],
         "votes": [
-            [voter.hex(), weight, signature.hex()]
-            for voter, weight, signature in zip(h.votes.voters, h.votes.weights, h.votes.signatures)
+            [voter.hex(), weight, votes.signatures[start : start + HASH_BYTES].hex()]
+            for voter, weight, start in zip(votes.voters, votes.weights, starts)
         ],
         "body": [
             {

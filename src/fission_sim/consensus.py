@@ -181,7 +181,7 @@ def cast_ballot(committee: Committee, population: Population, offline: set[bytes
 def collect_votes(ballot: Ballot, population: Population, proposal: bytes) -> Votes:
     """The signed votes on a proposal hash, the certificate a confirmed block
     carries: one per voter of the ballot, in member order, signed in one
-    batch."""
+    batch into one signature column."""
     signatures = sign_each(population.registry.framed_secrets(ballot.voters), proposal)
     return Votes(proposal, ballot.voters, ballot.weights, signatures)
 

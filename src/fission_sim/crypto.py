@@ -151,11 +151,12 @@ def sign_framed(framed_sk: bytes, message: bytes) -> bytes:
     return _signature(framed_sk, length_prefix(len(message)) + message)
 
 
-def sign_each(framed_sks: list[bytes], message: bytes) -> list[bytes]:
-    """``[sign_framed(framed, message) for framed in framed_sks]``: one
-    ``sha3`` per key, the message framed once."""
+def sign_each(framed_sks: list[bytes], message: bytes) -> bytes:
+    """``sign_framed(framed, message)`` of each key in ``framed_sks``, in key
+    order, joined into one column of ``HASH_BYTES`` each: one ``sha3`` per
+    key, the message framed once."""
     framed_message = length_prefix(len(message)) + message
-    return [_signature(framed, framed_message) for framed in framed_sks]
+    return b"".join([_signature(framed, framed_message) for framed in framed_sks])
 
 
 def verify(registry: KeyRegistry, pk: bytes, message: bytes, signature: bytes) -> bytes | None:

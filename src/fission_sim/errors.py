@@ -66,6 +66,10 @@ class InsufficientVotes(FissionError):
     pass
 
 
+class MalformedCertificate(FissionError):
+    """A vote certificate whose columns do not have one entry per voter."""
+
+
 class PartitionMismatch(FissionError):
     pass
 

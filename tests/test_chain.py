@@ -32,6 +32,7 @@ from fission_sim.errors import (
     FissionError,
     InsufficientVotes,
     InvariantViolation,
+    MalformedCertificate,
     PartitionMismatch,
     RootMismatch,
 )
@@ -85,7 +86,7 @@ def make_block(chain, body, kind=None, votes=None, seed=None):
 def signed_votes(block, sk, *cast):
     """``Votes`` on ``block``'s hash from (voter, weight) pairs, each signed with ``sk``."""
     h = block.hash
-    return Votes(h, [pk for pk, _ in cast], [w for _, w in cast], [sign(sk, h) for _ in cast])
+    return Votes(h, [pk for pk, _ in cast], [w for _, w in cast], sign(sk, h) * len(cast))
 
 
 def test_genesis_is_main_at_epoch_zero():
@@ -194,7 +195,7 @@ def test_block_to_dict_writes_each_vote_as_voter_weight_signature():
     chain = build_chain(quorum=10, balances=[(pk_a, 100)])
     block = make_block(chain, [])
     assert block_to_dict(block)["votes"] == []
-    block.header.votes = Votes(block.hash, [pk_a, pk_b], [6, 4], [b"\x01" * 32, b"\x02" * 32])
+    block.header.votes = Votes(block.hash, [pk_a, pk_b], [6, 4], b"\x01" * 32 + b"\x02" * 32)
     assert block_to_dict(block)["votes"] == [
         [pk_a.hex(), 6, "01" * 32],
         [pk_b.hex(), 4, "02" * 32],
@@ -202,11 +203,26 @@ def test_block_to_dict_writes_each_vote_as_voter_weight_signature():
 
 
 def test_votes_are_slotted_columns():
-    votes = Votes(b"h" * 32, [b"a", b"b"], [1, 2], [b"s", b"t"])
+    votes = Votes(b"h" * 32, [b"a", b"b"], [1, 2], b"s" * 32 + b"t" * 32)
     assert not hasattr(votes, "__dict__")
     with pytest.raises(AttributeError):
         votes.extra = 1
     assert len(votes) == 2 and len(Votes()) == 0 and not Votes()
+
+
+@pytest.mark.parametrize(
+    "voters, weights, signatures",
+    [
+        ([b"a", b"b"], [1, 2], b"s" * 32),  # one signature short
+        ([b"a", b"b"], [1, 2], b"s" * 65),  # one byte over
+        ([b"a", b"b"], [1, 2], [b"s" * 32, b"t" * 32]),  # one object per vote
+        ([b"a", b"b"], [1], b"s" * 64),  # one weight short
+        ([], [], b"s" * 32),  # a signature with no voter
+    ],
+)
+def test_votes_with_a_column_of_the_wrong_size_are_malformed(voters, weights, signatures):
+    with pytest.raises(MalformedCertificate):
+        Votes(b"h" * 32, voters, weights, signatures)
 
 
 def test_timeout_block_accepted_without_votes():
@@ -449,6 +465,22 @@ def test_main_block_leaving_credits_pending_is_rejected():
         chain.append_block(main)
     assert err.value.invariant == "lazy-completeness"
     assert chain.tip is tip and chain.state is state and len(state.pending) == 2
+
+
+def test_an_unvoted_empty_block_is_taken_as_a_timeout_on_trust():
+    # the documented trust boundary: no block proves that a timeout happened,
+    # so empty blocks with no votes stall the chain and hold back every
+    # pending credit with no committee weight behind them
+    sim = ChainSimulation(n_nodes=100, stake_dist="fixed:2500", tx_per_epoch=50, seed=3)
+    sim.run(3)
+    chain = sim.chain
+    assert len(chain.state.pending) == 50
+    chain.append_block(chain.propose([]))
+    assert (chain.tip.epoch, chain.tip.header.kind) == (4, MAIN)
+    assert chain.tip.is_timeout_block and len(chain.state.pending) == 50
+    for _ in range(6):
+        chain.append_block(chain.propose([]))
+    assert chain.tip.epoch == 10 and len(chain.state.pending) == 50
 
 
 def test_export_jsonl_deterministic_and_one_line_per_block():

@@ -50,7 +50,7 @@ def small_sim(**overrides):
 def votes(h, *cast):
     """``Votes`` on ``h`` from (voter, weight) pairs, in casting order."""
     voters = [pk for pk, _ in cast]
-    return Votes(h, voters, [w for _, w in cast], [sign(b"sk" + pk, h) for pk in voters])
+    return Votes(h, voters, [w for _, w in cast], b"".join(sign(b"sk" + pk, h) for pk in voters))
 
 
 def test_tally_boundary():
@@ -121,7 +121,7 @@ def reference_votes(committee, population, proposal, offline):
     def cast(column, pk, weight, sk):
         column.voters.append(pk)
         column.weights.append(weight)
-        column.signatures.append(sign(sk, column.block_hash))
+        column.signatures += sign(sk, column.block_hash)
 
     other = sha3(b"conflict" + proposal)
     votes, conflicting = Votes(proposal), Votes(other)
@@ -755,6 +755,12 @@ def test_reshard_window_holds_only_what_the_trigger_reads():
     n_nodes=8, stake_dist="fixed:1", offline_rate=0.6, invalid_fraction=0.5, tx_per_epoch=10,
     n_shard=2, n_partition=1, n_e_max=1, n_rs=1, epochs=5, seed=0,
 )
+# busy enough to saturate one shard and then two, so it re-shards at epochs
+# 4 and 8, and the second window holds only main blocks after the first split
+@example(
+    n_nodes=20, stake_dist="fixed:100", offline_rate=0.0, invalid_fraction=0.0, tx_per_epoch=40,
+    n_shard=1, n_partition=1, n_e_max=1, n_rs=1, epochs=12, seed=1,
+)
 def test_chain_properties_on_generated_configs(epochs, **keys):
     # an all-honest, always-active population, with tau below any drawn K
     keys.update(h=1.0, alpha=1.0, tau=5.0, theta=0.3)
@@ -775,6 +781,21 @@ def test_chain_properties_on_generated_configs(epochs, **keys):
         assert 1 <= r.n_partition <= r.n_shard
         shards += [r.n_shard, state.n_shard]
     assert all(b in (a, 2 * a) for a, b in zip(shards, shards[1:]))
+
+    # re-shard window: the shard count doubles right after the main block
+    # that completes a run of n_rs + 1 saturated (n_partition == n_shard)
+    # main blocks since the last re-shard, and after no other block; genesis
+    # is sealed, not appended, so the first run starts at epoch 2
+    headers = [block.header for block in sim.chain.blocks[1:]]
+    following = [header.n_shard for header in headers[1:]] + [state.n_shard]
+    run = 0
+    for header, n_shard in zip(headers, following):
+        if header.kind == MAIN:
+            run = run + 1 if header.n_partition == header.n_shard else 0
+        reshard = run == cfg.partition.n_rs + 1
+        assert n_shard == (2 if reshard else 1) * header.n_shard
+        if reshard:
+            run = 0
 
     # eventual atomicity: each confirmed debit is credited exactly once, by
     # the next non-empty main block, or is still pending at the end

@@ -137,7 +137,7 @@ def test_batch_helpers_equal_scalar_vrf_and_sign(materials, others, seed, ctype,
     framed = reg.framed_secrets([pk for _, pk in pairs]) + [encode_field(sk) for sk in others]
     assert framed == [encode_field(sk) for sk in sks]
     assert vrf_hashes(framed, seed, ctype) == [vrf_eval(sk, seed, ctype).hash for sk in sks]
-    assert sign_each(framed, message) == [sign(sk, message) for sk in sks]
+    assert sign_each(framed, message) == b"".join(sign(sk, message) for sk in sks)
     assert [sign_framed(f, message) for f in framed] == [sign(sk, message) for sk in sks]
 
 

@@ -23,6 +23,7 @@ from .errors import (
     BadInterimLink,
     InsufficientVotes,
     InvariantViolation,
+    MalformedBody,
     MalformedCertificate,
     PartitionMismatch,
     RootMismatch,
@@ -154,24 +155,30 @@ def compute_root_arrays(
     rehashed.
 
     The result depends only on the trees the state was last rooted at, the
-    balance and nonce of each written account and the body's sub-transaction
-    ids, so those three make the key of the state's ``root_memo``. A rooting
-    with the key of the last one, as the validator's repeats the proposer's,
-    installs that rooting's trees and hashes nothing.
+    balance and nonce of each written account and the body's entries, so
+    those three make the key of the state's ``root_memo``. The entries are
+    compared by their six fields in body order, so no id is hashed to build
+    the key: a rooting with the key of the last one, as the validator's
+    repeats the proposer's, installs that rooting's trees and hashes
+    nothing, even for a body rebuilt from equal records. A miss hashes each
+    entry's id, and each debit's log leaf, once.
     """
     balances, nonces = post_state.balances, post_state.nonces
     key = (
         tuple(post_state.trees),  # AccountTree has no __eq__: compared by identity
         [(pk, balances[pk], nonces[pk]) for pk in sorted(post_state.written)],
-        sub_ids(body),  # hashes each id not yet memoised
+        list(body),  # SubTransaction compares by value, field by field
     )
     memo = post_state.root_memo[0]
     if memo is None or memo[0] != key:
         n = post_state.n_shard  # home_partitions with n partitions of one shard each
-        subs: list[list[SubTransaction]] = [[] for _ in range(n)]
+        tx_leaves: list[list[bytes]] = [[] for _ in range(n)]
+        log_leaves: list[list[bytes]] = [[] for _ in range(n)]
         mutated = [sub.sender if sub.kind == EAGER else sub.receiver for sub in body]
-        for sub, shard in zip(body, home_partitions(mutated, n, n)):
-            subs[shard].append(sub)
+        for sub, sub_id, shard in zip(body, sub_ids(body), home_partitions(mutated, n, n)):
+            tx_leaves[shard].append(sub_id)
+            if sub.kind == EAGER:
+                log_leaves[shard].append(_log_leaf(sub))
         written = key[1]
         changes: list[list[tuple[bytes, bytes]]] = [[] for _ in range(n)]
         for (pk, balance, nonce), shard in zip(written, home_partitions([pk for pk, _, _ in written], n, n)):
@@ -180,11 +187,10 @@ def compute_root_arrays(
             _derive_tree(base, shard_changes) if shard_changes or base is None else base
             for base, shard_changes in zip(key[0], changes)
         ]
-        body_roots = [_body_roots(shard_subs) for shard_subs in subs]
         roots = (
-            [tx_root for tx_root, _ in body_roots],
+            [merkle_root(leaves) for leaves in tx_leaves],
             [tree.root for tree in trees],
-            [log_root for _, log_root in body_roots],
+            [merkle_root(leaves) for leaves in log_leaves],
         )
         memo = post_state.root_memo[0] = (key, trees, roots)
     post_state.trees = list(memo[1])
@@ -194,15 +200,11 @@ def compute_root_arrays(
     return list(tx_roots), list(account_roots), list(log_roots)
 
 
-def _body_roots(subs: list[SubTransaction]) -> tuple[bytes, bytes]:
-    """(tx root, log root) of one shard's part of a body, in body order."""
-    # each log leaf is sha3(encode_fields(parent_id, receiver, encode_uint(value)))
-    logs = [
-        sha3(record_layout(len(sub.parent_id), len(sub.receiver), UINT)(sub.parent_id, sub.receiver, sub.value))
-        for sub in subs
-        if sub.kind == EAGER
-    ]
-    return merkle_root(sub_ids(subs)), merkle_root(logs)
+def _log_leaf(debit: SubTransaction) -> bytes:
+    """The debit's log leaf, ``sha3(encode_fields(parent_id, receiver,
+    encode_uint(value)))``."""
+    parent, receiver = debit.parent_id, debit.receiver
+    return sha3(record_layout(len(parent), len(receiver), UINT)(parent, receiver, debit.value))
 
 
 def _leaf(pk: bytes, balance: int, nonce: int) -> bytes:
@@ -337,11 +339,22 @@ class Chain:
                 f"from the chain's ({expected.n_partition}, {expected.n_shard})"
             )
 
+        # the root memo compares entries by value, and 1.0 == True == 1 and
+        # bytearray(b) == b, so each field must have its exact type before
+        # the body runs or is rooted
         expected_kind = EAGER if header.kind == INTERIM else LAZY
-        if any(sub.kind != expected_kind for sub in block.body):
-            raise InvariantViolation(
-                "core-ledger", "body-kind", f"{header.kind} block holds foreign sub-transactions"
-            )
+        for sub in block.body:
+            if sub.kind != expected_kind:
+                raise InvariantViolation(
+                    "core-ledger", "body-kind", f"{header.kind} block holds foreign sub-transactions"
+                )
+            if not (
+                type(sub.value) is type(sub.nonce) is int
+                and type(sub.parent_id) is type(sub.sender) is type(sub.receiver) is bytes
+            ):
+                fields = (sub.parent_id, sub.sender, sub.receiver, sub.value, sub.nonce)
+                types = ", ".join(type(field).__name__ for field in fields)
+                raise MalformedBody(f"body entry of types ({types}), not (bytes, bytes, bytes, int, int)")
 
         scratch = self._execute(block.body)
         if header.kind == MAIN and block.body and scratch.pending:

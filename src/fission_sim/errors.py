@@ -70,6 +70,12 @@ class MalformedCertificate(FissionError):
     """A vote certificate whose columns do not have one entry per voter."""
 
 
+class MalformedBody(FissionError):
+    """A block body entry whose ``parent_id``, ``sender`` or ``receiver`` is
+    not exactly ``bytes``, or whose ``value`` or ``nonce`` is not exactly an
+    ``int``."""
+
+
 class PartitionMismatch(FissionError):
     pass
 

@@ -129,8 +129,9 @@ def make_transfer(
 @dataclass(slots=True)
 class SubTransaction:
     """One half of a transfer: the debit (EAGER) or the credit (LAZY).
-    Treated as immutable like ``Transaction``: only the ``_id`` memo is
-    filled after construction, once."""
+    Treated as immutable like ``Transaction``, and it holds nothing but its
+    six fields: a block keeps its body for the whole run, so its id is
+    hashed by ``sub_ids`` when a rooting needs it and kept nowhere."""
 
     kind: str  # EAGER or LAZY
     parent_id: bytes
@@ -138,12 +139,6 @@ class SubTransaction:
     receiver: bytes
     value: int
     nonce: int
-    _id: bytes | None = field(default=None, init=False, repr=False, compare=False)
-
-    @property
-    def id(self) -> bytes:
-        sub_id = self._id
-        return sub_id if sub_id is not None else sub_ids((self,))[0]
 
 
 # each kind as the first field of a sub-transaction's encoding, encoded once
@@ -151,8 +146,7 @@ KIND_TAGS = {kind: kind.encode() for kind in (EAGER, LAZY)}
 
 
 def sub_ids(subs: Iterable[SubTransaction]) -> list[bytes]:
-    """The ``id`` of each sub-transaction, in order, in one pass that fills
-    the ``_id`` memo of each one not yet hashed.
+    """The ``id`` of each sub-transaction, in order, each hashed anew.
 
     A sub-transaction's id is ``sha3(encode_fields(kind.encode(), parent_id,
     sender, receiver, encode_uint(value), encode_uint(nonce)))``; this is the
@@ -161,12 +155,9 @@ def sub_ids(subs: Iterable[SubTransaction]) -> list[bytes]:
     ids = []
     append = ids.append
     for sub in subs:
-        sub_id = sub._id
-        if sub_id is None:
-            tag, parent, sender, receiver = KIND_TAGS[sub.kind], sub.parent_id, sub.sender, sub.receiver
-            pack = record_layout(len(tag), len(parent), len(sender), len(receiver), UINT, UINT)
-            sub_id = sub._id = sha3(pack(tag, parent, sender, receiver, sub.value, sub.nonce))
-        append(sub_id)
+        tag, parent, sender, receiver = KIND_TAGS[sub.kind], sub.parent_id, sub.sender, sub.receiver
+        pack = record_layout(len(tag), len(parent), len(sender), len(receiver), UINT, UINT)
+        append(sha3(pack(tag, parent, sender, receiver, sub.value, sub.nonce)))
     return ids
 
 
@@ -273,10 +264,12 @@ class LedgerState:
     any other way keeps its old leaf in the next root.
 
     ``root_memo`` is a one-item list that a state and all its clones share:
-    the last rooting any of them did, which ``chain.compute_root_arrays``
-    fills and reads, so that the validator's repeat of the proposer's rooting
-    costs one key comparison. A fresh state (genesis, ``split_shards``)
-    starts with an empty one.
+    the last rooting any of them did, keyed by the base trees, the written
+    accounts and the body's entries compared field by field, which
+    ``chain.compute_root_arrays`` fills and reads. The validator executes a
+    block on its own clone, so its repeat of the proposer's rooting costs
+    one key comparison and no hashing. A fresh state (genesis,
+    ``split_shards``) starts with an empty one.
     """
 
     def __init__(self, n_shard: int):

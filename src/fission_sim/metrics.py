@@ -12,8 +12,10 @@ class MetricsSink:
     """Writes rows in event order against a fixed column schema; closing emits
     a JSON summary echoing the config and a fingerprint of (config, seed).
 
-    As a context manager it closes the CSV on the way out, error or not, and
-    writes no summary: a run that stops early keeps its rows and has none.
+    Rows go through the file's buffer with no flush per row; closing the
+    CSV flushes what is left. As a context manager it closes the CSV on the
+    way out, error or not, and writes no summary: a run that stops early
+    keeps its rows and has none.
     """
 
     def __init__(self, csv_path: str | Path, columns: list[str]):
@@ -23,7 +25,6 @@ class MetricsSink:
         self.rows_written = 0
         self._fh = self.csv_path.open("w")
         self._fh.write(",".join(self.columns) + "\n")
-        self._fh.flush()
 
     def __enter__(self) -> "MetricsSink":
         return self
@@ -37,7 +38,6 @@ class MetricsSink:
         if missing or extra:
             raise ValueError(f"row does not match schema (missing={missing}, extra={extra})")
         self._fh.write(",".join(_format(values[c]) for c in self.columns) + "\n")
-        self._fh.flush()
         self.rows_written += 1
 
     def close(self, config_echo: dict, extra_summary: dict | None = None) -> dict:

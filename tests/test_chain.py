@@ -32,6 +32,7 @@ from fission_sim.errors import (
     FissionError,
     InsufficientVotes,
     InvariantViolation,
+    MalformedBody,
     MalformedCertificate,
     PartitionMismatch,
     RootMismatch,
@@ -315,10 +316,22 @@ def test_propose_matches_the_reference_header():
 HEADER_FIELDS = ("epoch", "kind", "parent_hash", "interim_hash", "seed", "n_shard", "n_partition")
 ROOT_FIELDS = ("tx_root", "account_root", "tx_log_root")
 CREDIT_FIELDS = ("sender", "receiver", "value", "nonce")
+# a field given a value that equals one of its type but is of another
+WRONG_TYPES = ("float value", "bool nonce", "bytearray receiver")
 
 
 def other_hash(data, old):
     return data.draw(st.binary(min_size=32, max_size=32).filter(lambda h: h != old))
+
+
+def wrong_type(sub, what):
+    """The field ``what`` of ``WRONG_TYPES`` names, given an equal value of
+    the wrong type."""
+    if what == "float value":
+        return {"value": float(sub.value)}
+    if what == "bool nonce":
+        return {"nonce": True}
+    return {"receiver": bytearray(sub.receiver)}
 
 
 def mutate(block, what, data):
@@ -366,6 +379,12 @@ def mutate(block, what, data):
             new = data.draw(st.integers(0, 2**64 - 1).filter(lambda n: n != old))
         body[i] = replace(body[i], **{what: new})
         expected = CreditMismatch
+    elif what in WRONG_TYPES:
+        # the root memo compares entries by value: 1.0 == True == 1, and a
+        # bytearray equals its bytes
+        i = data.draw(st.integers(0, len(body) - 1))
+        body[i] = replace(body[i], **wrong_type(body[i], what))
+        expected = MalformedBody
     elif what == "reparent":
         # a later debit, valid on its own, takes an earlier one's parent id
         i = data.draw(st.integers(0, len(body) - 2))
@@ -389,7 +408,7 @@ def test_every_single_header_or_body_mutation_is_rejected_and_changes_nothing(da
     for block in blocks[:index]:
         chain.append_block(block)
     block = blocks[index]
-    mutations = HEADER_FIELDS + ROOT_FIELDS + (("drop", "duplicate") if block.body else ())
+    mutations = HEADER_FIELDS + ROOT_FIELDS + (("drop", "duplicate") + WRONG_TYPES if block.body else ())
     if block.header.kind == INTERIM and len(block.body) > 1:
         mutations += ("reparent",)
     if block.header.kind == MAIN and block.body:
@@ -429,6 +448,31 @@ def test_credit_rewritten_to_another_receiver_is_rejected():
     with pytest.raises(CreditMismatch):
         chain.append_block(block)
     assert chain.tip is tip and chain.state is state and state.balances[other] == 100
+
+
+def test_a_debit_whose_field_only_equals_one_of_its_type_is_malformed():
+    # the proposer's rooting fills the root memo, which compares body entries
+    # by value: unchecked, a debit of value 1.0 * v, nonce True (== 1) or a
+    # bytearray receiver would repeat that rooting and leave a float, a bool
+    # or an unhashable receiver in the state
+    sim = ChainSimulation(
+        n_nodes=20, stake_dist="fixed:100", h=1.0, alpha=1.0, tau=50.0, tx_per_epoch=10, seed=3
+    )
+    sim.step()
+    block = sim.chain.tip
+    chain = fresh_replica(sim, sim.config.partition)
+    assert chain.propose(block.body).hash == block.hash
+    first, rest = block.body[0], block.body[1:]
+    assert first.nonce == 1
+    tip, state = chain.tip, chain.state
+    for what in WRONG_TYPES:
+        bad = replace(first, **wrong_type(first, what))
+        assert bad == first
+        with pytest.raises(MalformedBody):
+            chain.append_block(Block(header=block.header, body=[bad] + rest))
+        assert chain.tip is tip and chain.state is state
+    chain.append_block(block)
+    assert all(type(n) is int for column in (chain.state.balances, chain.state.nonces) for n in column.values())
 
 
 def test_debit_reusing_a_pending_parent_id_is_rejected_keeping_supply():

@@ -163,6 +163,9 @@ def test_records_are_slotted_and_compare_by_value(reg):
     lazy = credit_of(eager)
     for record in (tx, eager, lazy):
         assert not hasattr(record, "__dict__")
+    # a block keeps its body for the whole run, so a sub-transaction holds
+    # its six fields and no hash
+    assert SubTransaction.__slots__ == ("kind", "parent_id", "sender", "receiver", "value", "nonce")
     # built anew, with no memo filled yet, each still equals the original
     same_tx = Transaction(
         tx.tx_type, tx.sender, tx.receiver, tx.value, tx.nonce, tx.data_hash, tx.signature
@@ -195,8 +198,8 @@ def raw_sha3(data: bytes) -> bytes:
 
 
 def log_root(sub: SubTransaction) -> bytes:
-    """The log root ``chain._body_roots`` gives a body of just ``sub``."""
-    return chain._body_roots([sub])[1]
+    """The log root of a body of just ``sub``, a debit."""
+    return merkle_root([chain._log_leaf(sub)])
 
 
 @settings(max_examples=200, deadline=None)
@@ -208,9 +211,9 @@ def test_inline_record_encodings_equal_encode_fields(kind, tx_type, fields, valu
     parent, sender, receiver, data_hash, signature = fields
     sub = SubTransaction(kind, parent, sender, receiver, value, nonce)
     with patch.object(ledger_module, "sha3", raw_sha3):
-        assert sub.id == encode_fields(
+        assert ledger_module.sub_ids([sub]) == [encode_fields(
             kind.encode(), parent, sender, receiver, encode_uint(value), encode_uint(nonce)
-        )
+        )]
     # two shapes in one pass through the layout cache: fields past 32 bytes
     # and all 32-byte fields
     subs = [
@@ -259,15 +262,13 @@ def test_inline_record_encodings_reject_integers_outside_eight_bytes(bad, kind, 
         encode_uint(bad)
     for value, nonce in ((bad, 0), (0, bad)):
         with pytest.raises(OverflowError):
-            SubTransaction(kind, key, key, key, value, nonce).id
+            ledger_module.sub_ids([SubTransaction(kind, key, key, key, value, nonce)])
         with pytest.raises(OverflowError):
             Transaction(TX_TYPE_TRANSFER, key, key, value, nonce, key, key).signing_bytes()
         with pytest.raises(OverflowError):
             chain._leaf(key, value, nonce)
-    debit = SubTransaction(EAGER, key, key, key, bad, 1)
-    object.__setattr__(debit, "_id", ZERO_HASH)  # reach the log leaf past the id
     with pytest.raises(OverflowError):
-        log_root(debit)
+        log_root(SubTransaction(EAGER, key, key, key, bad, 1))
 
 
 @settings(max_examples=100, deadline=None)

@@ -9,6 +9,7 @@ all.
 """
 
 import copy
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -196,6 +197,71 @@ def test_cached_roots_equal_cache_free_roots(n_shard, blocks):
         # the pre-state still roots as it did before any clone wrote
         assert compute_root_arrays([], state) == reference_roots([], state)
         state = validator
+
+
+SUB_FIELDS = ("kind", "parent_id", "sender", "receiver", "value", "nonce")
+
+
+def execute(state: LedgerState, body) -> None:
+    """Apply a body whose every entry applies, as a block's does."""
+    for sub in body:
+        (apply_eager if sub.kind == EAGER else apply_lazy)(state, sub)
+
+
+def equal_copy(sub: SubTransaction) -> SubTransaction:
+    """A new record equal to ``sub`` whose byte fields are new objects too."""
+    return SubTransaction(
+        sub.kind, bytes(bytearray(sub.parent_id)), bytes(bytearray(sub.sender)),
+        bytes(bytearray(sub.receiver)), sub.value, sub.nonce,
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_shard=SHARDS, history=OPS, ops=OPS, data=st.data())
+def test_root_memo_is_keyed_on_body_content(n_shard, history, ops, data):
+    state = fresh_state(n_shard)
+    apply_ops(state, history)
+    compute_root_arrays([], state)
+    proposal = state.clone()
+    body, _ = apply_ops(proposal, ops)
+    expected = compute_root_arrays(body, proposal)
+    hashed = []
+
+    def counting_sha3(message):
+        hashed.append(message)
+        return sha3(message)
+
+    # the validator's body is rebuilt from new records equal to the
+    # proposer's: it repeats the proposer's rooting and hashes nothing
+    rebuilt = [equal_copy(sub) for sub in body]
+    validator = state.clone()
+    execute(validator, rebuilt)
+    with pytest.MonkeyPatch.context() as patch:
+        for module in ("chain", "ledger", "merkle"):
+            patch.setattr(f"fission_sim.{module}.sha3", counting_sha3)
+        assert compute_root_arrays(rebuilt, validator) == expected
+        assert hashed == []
+        assert all(mine is theirs for mine, theirs in zip(validator.trees, proposal.trees))
+        if not body:
+            return
+        # one field of one entry changed, over the same written accounts:
+        # the memo misses, and the body roots as the cache-free reference
+        i = data.draw(st.integers(0, len(body) - 1))
+        what = data.draw(st.sampled_from(SUB_FIELDS))
+        old = getattr(body[i], what)
+        if what == "kind":
+            new = LAZY if old == EAGER else EAGER
+        elif isinstance(old, int):
+            new = data.draw(st.integers(0, 2**64 - 1).filter(lambda n: n != old))
+        else:
+            new = data.draw(st.binary(min_size=32, max_size=32).filter(lambda b: b != old))
+        changed = list(body)
+        changed[i] = replace(body[i], **{what: new})
+        other = state.clone()
+        execute(other, body)
+        roots = compute_root_arrays(changed, other)
+        assert len(hashed) >= len(changed)  # at least every entry's id
+    assert roots == reference_roots(changed, other)
 
 
 # Shards of 0-70 accounts for the tree tests; keys past a state's funded

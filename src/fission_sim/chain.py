@@ -1,11 +1,13 @@
 """Block structures and the alternating two-phase chain.
 
 Blocks alternate: even epochs carry credit (main) blocks, odd epochs carry
-debit (interim) blocks. The chain owns the ledger state and re-executes every
-appended body, so header root arrays are verified against an independent
-recomputation rather than trusted. It also applies the partition scaler and
-re-sharding. One derivation gives every other header field: ``propose``
-fills a new block's header from it and ``append_block`` checks against it.
+debit (interim) blocks, and a main block credits the very debit records an
+interim block confirmed: the header's kind says which half every entry is.
+The chain owns the ledger state and re-executes every appended body, so
+header root arrays are verified against an independent recomputation rather
+than trusted. It also applies the partition scaler and re-sharding. One
+derivation gives every other header field: ``propose`` fills a new block's
+header from it and ``append_block`` checks against it.
 
 Block hash = SHA3-256 of the core header encoding (everything except votes);
 votes sign that hash, so they cannot be part of it.
@@ -50,6 +52,8 @@ MAIN = "main"
 ZERO_HASH = bytes(32)
 
 GENESIS_SEED = sha3(b"fission-genesis")
+
+ENTRY_KIND = {INTERIM: EAGER, MAIN: LAZY}  # the half every entry of a block is
 
 
 def kind_for_epoch(epoch: int) -> str:
@@ -144,10 +148,11 @@ class Block:
 
 
 def compute_root_arrays(
-    body: list[SubTransaction], post_state: LedgerState
+    kind: str, body: list[SubTransaction], post_state: LedgerState
 ) -> tuple[list[bytes], list[bytes], list[bytes]]:
-    """Per-shard Merkle roots of the block body, the post-state accounts of
-    each shard, and the log entries this block created (credits create none).
+    """Per-shard Merkle roots of the block body of ``kind`` (EAGER or LAZY)
+    entries, the post-state accounts of each shard, and the log entries
+    this block created (credits create none).
 
     A sub-transaction belongs to the shard of the account it mutates (sender
     for debits, receiver for credits). Roots ``post_state``: its ``trees``
@@ -155,9 +160,10 @@ def compute_root_arrays(
     rehashed.
 
     The result depends only on the trees the state was last rooted at, the
-    balance and nonce of each written account and the body's entries, so
-    those three make the key of the state's ``root_memo``. The entries are
-    compared by their six fields in body order, so no id is hashed to build
+    balance and nonce of each written account, the kind (equal entries root
+    apart as debits and credits) and the body's entries, so those four make
+    the key of the state's ``root_memo``. The entries are compared by
+    their five fields in body order, so no id is hashed to build
     the key: a rooting with the key of the last one, as the validator's
     repeats the proposer's, installs that rooting's trees and hashes
     nothing, even for a body rebuilt from equal records. A miss hashes each
@@ -167,6 +173,7 @@ def compute_root_arrays(
     key = (
         tuple(post_state.trees),  # AccountTree has no __eq__: compared by identity
         [(pk, balances[pk], nonces[pk]) for pk in sorted(post_state.written)],
+        kind,
         list(body),  # SubTransaction compares by value, field by field
     )
     memo = post_state.root_memo[0]
@@ -174,10 +181,12 @@ def compute_root_arrays(
         n = post_state.n_shard  # home_partitions with n partitions of one shard each
         tx_leaves: list[list[bytes]] = [[] for _ in range(n)]
         log_leaves: list[list[bytes]] = [[] for _ in range(n)]
-        mutated = [sub.sender if sub.kind == EAGER else sub.receiver for sub in body]
-        for sub, sub_id, shard in zip(body, sub_ids(body), home_partitions(mutated, n, n)):
+        mutated = [sub.sender for sub in body] if kind == EAGER else [sub.receiver for sub in body]
+        shards = home_partitions(mutated, n, n)
+        for sub_id, shard in zip(sub_ids(kind, body), shards):
             tx_leaves[shard].append(sub_id)
-            if sub.kind == EAGER:
+        if kind == EAGER:
+            for sub, shard in zip(body, shards):
                 log_leaves[shard].append(_log_leaf(sub))
         written = key[1]
         changes: list[list[tuple[bytes, bytes]]] = [[] for _ in range(n)]
@@ -249,7 +258,7 @@ class Chain:
         # last re-shard, all that reshard_trigger reads
         self._main_window: list[tuple[int, int]] = []
         self.blocks: list[Block] = []
-        self.blocks.append(self._seal([], state))
+        self.blocks.append(self._seal(self.next_header(), [], state))
 
     @property
     def tip(self) -> Block:
@@ -282,23 +291,32 @@ class Chain:
     def propose(self, body: list[SubTransaction]) -> Block:
         """The next block holding ``body``, unvoted, with every header field
         derived as ``append_block`` checks it."""
-        return self._seal(body, self._execute(body))
-
-    def _seal(self, body: list[SubTransaction], post_state: LedgerState) -> Block:
-        """The next block of ``body``, whose execution left ``post_state``;
-        roots ``post_state``."""
         header = self.next_header()
-        header.tx_root, header.account_root, header.tx_log_root = compute_root_arrays(body, post_state)
+        return self._seal(header, body, self._execute(ENTRY_KIND[header.kind], body))
+
+    def _seal(self, header: BlockHeader, body: list[SubTransaction], post_state: LedgerState) -> Block:
+        """The block of ``header`` and ``body``, whose execution left
+        ``post_state``; roots ``post_state`` into the header's root arrays."""
+        roots = compute_root_arrays(ENTRY_KIND[header.kind], body, post_state)
+        header.tx_root, header.account_root, header.tx_log_root = roots
         return Block(header=header, body=body)
 
-    def _execute(self, body: list[SubTransaction]) -> LedgerState:
-        """A clone of the chain state with ``body`` applied."""
+    def _execute(self, kind: str, body: list[SubTransaction]) -> LedgerState:
+        """A clone of the chain state with ``body`` applied as ``kind`` (EAGER
+        or LAZY) halves. Raises ``MalformedBody`` for a field not of its exact
+        type: the root memo compares by value, and 1.0 == True == 1 and
+        bytearray(b) == b."""
+        apply = apply_eager if kind == EAGER else apply_lazy
         scratch = self.state.clone()
         for sub in body:
-            if sub.kind == EAGER:
-                apply_eager(scratch, sub)
-            else:
-                apply_lazy(scratch, sub)
+            if not (
+                type(sub.value) is type(sub.nonce) is int
+                and type(sub.parent_id) is type(sub.sender) is type(sub.receiver) is bytes
+            ):
+                fields = (sub.parent_id, sub.sender, sub.receiver, sub.value, sub.nonce)
+                types = ", ".join(type(field).__name__ for field in fields)
+                raise MalformedBody(f"body entry of types ({types}), not (bytes, bytes, bytes, int, int)")
+            apply(scratch, sub)
         return scratch
 
     def append_block(self, block: Block) -> None:
@@ -339,24 +357,8 @@ class Chain:
                 f"from the chain's ({expected.n_partition}, {expected.n_shard})"
             )
 
-        # the root memo compares entries by value, and 1.0 == True == 1 and
-        # bytearray(b) == b, so each field must have its exact type before
-        # the body runs or is rooted
-        expected_kind = EAGER if header.kind == INTERIM else LAZY
-        for sub in block.body:
-            if sub.kind != expected_kind:
-                raise InvariantViolation(
-                    "core-ledger", "body-kind", f"{header.kind} block holds foreign sub-transactions"
-                )
-            if not (
-                type(sub.value) is type(sub.nonce) is int
-                and type(sub.parent_id) is type(sub.sender) is type(sub.receiver) is bytes
-            ):
-                fields = (sub.parent_id, sub.sender, sub.receiver, sub.value, sub.nonce)
-                types = ", ".join(type(field).__name__ for field in fields)
-                raise MalformedBody(f"body entry of types ({types}), not (bytes, bytes, bytes, int, int)")
-
-        scratch = self._execute(block.body)
+        kind = ENTRY_KIND[header.kind]
+        scratch = self._execute(kind, block.body)
         if header.kind == MAIN and block.body and scratch.pending:
             raise InvariantViolation(
                 "core-ledger",
@@ -364,7 +366,7 @@ class Chain:
                 f"{len(scratch.pending)} pending credits left out of a non-empty main block",
             )
 
-        tx_root, account_root, log_root = compute_root_arrays(block.body, scratch)
+        tx_root, account_root, log_root = compute_root_arrays(kind, block.body, scratch)
         if (
             tx_root != header.tx_root
             or account_root != header.account_root
@@ -425,7 +427,7 @@ def block_to_dict(block: Block) -> dict:
         ],
         "body": [
             {
-                "kind": s.kind,
+                "kind": ENTRY_KIND[h.kind],
                 "parent_id": s.parent_id.hex(),
                 "sender": s.sender.hex(),
                 "receiver": s.receiver.hex(),

@@ -34,7 +34,6 @@ from .ledger import (
     SubTransaction,
     Transaction,
     apply_eager,
-    credit_of,
     home_partitions,
     make_transfer,
     split_transaction,
@@ -277,10 +276,10 @@ def assemble_interim(
 
 
 def assemble_main(chain: Chain, ballot: Ballot, population: Population) -> Block:
-    """Credit every pending debit (including rolled-forward ones) in a
-    credit block, or fall back to the designated empty block."""
+    """Credit every pending debit, rolled-forward ones included, in a credit
+    block of the debit records themselves, or the designated empty block."""
     pending = chain.state.pending
-    body = [credit_of(pending[pid]) for pid in sorted(pending)]
+    body = [pending[pid] for pid in sorted(pending)]
     return _put_to_vote(chain, body, ballot, population)
 
 

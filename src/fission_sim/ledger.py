@@ -3,6 +3,7 @@
 Every transfer splits into a debit half and a credit half that are confirmed
 in successive blocks. The debit (eager) withdraws from the sender and stays in
 the pending log; the credit (lazy) pays the receiver by consuming that debit.
+Both halves are one ``SubTransaction`` record; its block's kind says which.
 An account is a balance and a nonce, which a state keeps as two int columns
 keyed by public key. Accounts live in the shard ``pk mod n_shard`` with the
 key read as a big-endian unsigned integer.
@@ -10,7 +11,8 @@ key read as a big-endian unsigned integer.
 Canonical transaction byte layout (all fields length-prefixed, fixed order):
 ``tx_type, sender, receiver, value(8B BE), nonce(8B BE), data_hash`` is the
 signed portion; the transaction id is SHA3-256 over that portion plus the
-signature field.
+signature field. A sub-transaction id hashes its block's kind tag (``eager``
+or ``lazy``), then ``parent_id, sender, receiver, value, nonce``.
 
 Each record's bytes are packed by the compiled layout of its shape
 (``crypto.record_layout``): ``crypto.encode_fields`` of the same fields, with
@@ -128,12 +130,12 @@ def make_transfer(
 
 @dataclass(slots=True)
 class SubTransaction:
-    """One half of a transfer: the debit (EAGER) or the credit (LAZY).
-    Treated as immutable like ``Transaction``, and it holds nothing but its
-    six fields: a block keeps its body for the whole run, so its id is
-    hashed by ``sub_ids`` when a rooting needs it and kept nowhere."""
+    """A transfer's record: an interim block confirms it as the debit (EAGER)
+    and a main block credits it (LAZY). Treated as immutable like
+    ``Transaction``, and it holds nothing but its five fields: a block keeps
+    its body for the whole run, so its id is hashed by ``sub_ids`` when a
+    rooting needs it and kept nowhere."""
 
-    kind: str  # EAGER or LAZY
     parent_id: bytes
     sender: bytes
     receiver: bytes
@@ -145,26 +147,28 @@ class SubTransaction:
 KIND_TAGS = {kind: kind.encode() for kind in (EAGER, LAZY)}
 
 
-def sub_ids(subs: Iterable[SubTransaction]) -> list[bytes]:
-    """The ``id`` of each sub-transaction, in order, each hashed anew.
+def sub_ids(kind: str, subs: Iterable[SubTransaction]) -> list[bytes]:
+    """The ``id`` of each sub-transaction as a ``kind`` (EAGER or LAZY)
+    half, in order, each hashed anew.
 
     A sub-transaction's id is ``sha3(encode_fields(kind.encode(), parent_id,
     sender, receiver, encode_uint(value), encode_uint(nonce)))``; this is the
     one place that frames it.
     """
+    tag = KIND_TAGS[kind]
     ids = []
     append = ids.append
     for sub in subs:
-        tag, parent, sender, receiver = KIND_TAGS[sub.kind], sub.parent_id, sub.sender, sub.receiver
+        parent, sender, receiver = sub.parent_id, sub.sender, sub.receiver
         pack = record_layout(len(tag), len(parent), len(sender), len(receiver), UINT, UINT)
         append(sha3(pack(tag, parent, sender, receiver, sub.value, sub.nonce)))
     return ids
 
 
 def split_transaction(tx: Transaction, registry: KeyRegistry) -> SubTransaction:
-    """The debit half of an atomic transfer: it withdraws ``value`` from the
-    sender, and ``credit_of`` gives the credit that pays it out once it is
-    confirmed."""
+    """The debit record of an atomic transfer: it withdraws ``value`` from
+    the sender, and once it is confirmed a main block credits the same
+    record to pay it out."""
     if tx.value <= 0:
         raise NonPositiveValue(f"transfer value must be positive, got {tx.value}")
     record = crypto.verify(registry, tx.sender, tx.signing_bytes(), tx.signature)
@@ -172,12 +176,7 @@ def split_transaction(tx: Transaction, registry: KeyRegistry) -> SubTransaction:
         raise InvalidSignature("transaction signature does not verify against sender key")
     if tx._id is None:
         tx._id = sha3(record)  # the id hashes the record the check framed
-    return SubTransaction(EAGER, tx._id, tx.sender, tx.receiver, tx.value, tx.nonce)
-
-
-def credit_of(debit: SubTransaction) -> SubTransaction:
-    """The credit half of a debit: it deposits the same amount to the receiver."""
-    return SubTransaction(LAZY, debit.parent_id, debit.sender, debit.receiver, debit.value, debit.nonce)
+    return SubTransaction(tx._id, tx.sender, tx.receiver, tx.value, tx.nonce)
 
 
 class AccountTree:
@@ -265,11 +264,11 @@ class LedgerState:
 
     ``root_memo`` is a one-item list that a state and all its clones share:
     the last rooting any of them did, keyed by the base trees, the written
-    accounts and the body's entries compared field by field, which
-    ``chain.compute_root_arrays`` fills and reads. The validator executes a
-    block on its own clone, so its repeat of the proposer's rooting costs
-    one key comparison and no hashing. A fresh state (genesis,
-    ``split_shards``) starts with an empty one.
+    accounts, the block's kind and the body's entries compared field by
+    field, which ``chain.compute_root_arrays`` fills and reads. The
+    validator executes a block on its own clone, so its repeat of the
+    proposer's rooting costs one key comparison and no hashing. A fresh
+    state (genesis, ``split_shards``) starts with an empty one.
     """
 
     def __init__(self, n_shard: int):
@@ -318,7 +317,6 @@ def apply_eager(state: LedgerState, sub: SubTransaction) -> None:
     or the nonce is not exactly one past the account's, or if the parent id
     is already pending or credited.
     """
-    assert sub.kind == EAGER
     sender = sub.sender
     nonce = state.nonces.get(sender)
     if nonce is None:
@@ -345,7 +343,6 @@ def apply_lazy(state: LedgerState, sub: SubTransaction) -> None:
     otherwise, and raises ``InvariantViolation`` if the receiver's balance
     would reach ``BALANCE_LIMIT``.
     """
-    assert sub.kind == LAZY
     debit = state.pending.get(sub.parent_id)
     if debit is None:
         # the writers never leave an id both pending and credited, so the

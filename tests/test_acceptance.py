@@ -18,7 +18,7 @@ from fission_sim.consensus import ChainSimulation, Population
 from fission_sim.crypto import vrf_hashes
 from fission_sim.dists import sample_dist
 from fission_sim.drs import build_instance, drs_round, scan_round, simulate_drs
-from fission_sim.ledger import EAGER, LedgerState, apply_eager, apply_lazy
+from fission_sim.ledger import EAGER, LAZY, LedgerState, apply_eager, apply_lazy
 from fission_sim.partitioning import (
     next_partition_count,
     reshard_trigger,
@@ -143,7 +143,7 @@ def test_criterion_4_chain_properties():
     lazy_parents = set()
     for block in sim.chain.blocks:
         for sub in block.body:
-            (eager_parents if sub.kind == EAGER else lazy_parents).add(sub.parent_id)
+            (eager_parents if block.header.kind == INTERIM else lazy_parents).add(sub.parent_id)
     still_pending = set(state.pending)
     assert lazy_parents | still_pending == eager_parents
     assert lazy_parents & still_pending == set()
@@ -155,12 +155,10 @@ def test_criterion_4_chain_properties():
     for block in sim.chain.blocks:
         if block.header.n_shard != replay_state.n_shard:
             replay_state = split_shards(replay_state)
+        kind = EAGER if block.header.kind == INTERIM else LAZY
         for sub in block.body:
-            if sub.kind == EAGER:
-                apply_eager(replay_state, sub)
-            else:
-                apply_lazy(replay_state, sub)
-        tx_root, account_root, log_root = compute_root_arrays(block.body, replay_state)
+            (apply_eager if kind == EAGER else apply_lazy)(replay_state, sub)
+        tx_root, account_root, log_root = compute_root_arrays(kind, block.body, replay_state)
         assert tx_root == block.header.tx_root
         assert account_root == block.header.account_root
         assert log_root == block.header.tx_log_root

@@ -39,15 +39,16 @@ from fission_sim.errors import (
 )
 from fission_sim.ledger import (
     EAGER,
+    LAZY,
     LedgerState,
     apply_eager,
     apply_lazy,
-    credit_of,
     make_transfer,
     split_transaction,
 )
 from fission_sim.sortition import BLOCK_MAIN, select_committee
 from test_golden import CASES
+from test_state_properties import equal_copy, snapshot
 
 
 def build_chain(n_shard=4, quorum=10, balances=(), partition=None):
@@ -64,10 +65,11 @@ def make_block(chain, body, kind=None, votes=None, seed=None):
     tip = chain.tip
     epoch = tip.epoch + 1
     kind = kind or kind_for_epoch(epoch)
+    entry_kind = EAGER if kind == INTERIM else LAZY
     scratch = chain.state.clone()
     for sub in body:
-        (apply_eager if sub.kind == EAGER else apply_lazy)(scratch, sub)
-    tx_root, account_root, log_root = compute_root_arrays(body, scratch)
+        (apply_eager if entry_kind == EAGER else apply_lazy)(scratch, sub)
+    tx_root, account_root, log_root = compute_root_arrays(entry_kind, body, scratch)
     header = BlockHeader(
         epoch=epoch,
         kind=kind,
@@ -147,18 +149,17 @@ def test_account_root_tracks_nonce_at_equal_balance():
     sk_a, pk_a = reg.generate(b"a")
     state = LedgerState(2)
     state.create_account(pk_a, 100)
-    _, before, _ = compute_root_arrays([], state)
-    eager = split_transaction(make_transfer(reg, pk_a, pk_a, 5, 1), reg)
-    lazy = credit_of(eager)
+    _, before, _ = compute_root_arrays(EAGER, [], state)
+    debit = split_transaction(make_transfer(reg, pk_a, pk_a, 5, 1), reg)
     after = state.clone()
-    apply_eager(after, eager)
-    apply_lazy(after, lazy)
+    apply_eager(after, debit)
+    apply_lazy(after, debit)
     assert after.balances[pk_a] == 100
-    _, rooted, _ = compute_root_arrays([], after)
+    _, rooted, _ = compute_root_arrays(EAGER, [], after)
     fresh = LedgerState(2)
     fresh.create_account(pk_a, 100, nonce=1)
-    assert rooted == compute_root_arrays([], fresh)[1] != before
-    assert compute_root_arrays([], state)[1] == before
+    assert rooted == compute_root_arrays(EAGER, [], fresh)[1] != before
+    assert compute_root_arrays(EAGER, [], state)[1] == before
 
 
 def test_vote_quorum_enforced():
@@ -294,7 +295,55 @@ def test_fresh_chain_replays_a_simulated_run(case):
     assert replica.state.n_shard == sim.chain.state.n_shard
     if case == "reshard":
         assert replica.state.n_shard > partition.n_shard
-    assert compute_root_arrays([], replica.state)[1] == compute_root_arrays([], sim.chain.state)[1]
+    account_roots = [compute_root_arrays(EAGER, [], chain.state)[1] for chain in (replica, sim.chain)]
+    assert account_roots[0] == account_roots[1]
+
+
+# runs with offline voters and invalid transactions; at offline rate 0.5
+# some main blocks time out, so their credits wait for a later one
+OFFLINE_RUNS = {
+    "offline-invalid": dict(n_nodes=120, offline_rate=0.3, invalid_fraction=0.1, seed=9),
+    "main-timeouts": dict(n_nodes=120, offline_rate=0.5, invalid_fraction=0.1, seed=1),
+}
+
+
+@lru_cache(maxsize=None)
+def offline_run(case):
+    """A ten-epoch run of ``OFFLINE_RUNS[case]``, its epoch results and its
+    partition settings; callers must not change them."""
+    sim = ChainSimulation(**OFFLINE_RUNS[case])
+    return sim, sim.run(10), sim.config.partition
+
+
+@pytest.mark.parametrize("case", ["reshard", *OFFLINE_RUNS])
+def test_a_main_block_credits_the_debit_records_an_interim_block_confirmed(case):
+    # one record per transfer: every credit is the very debit record that an
+    # earlier interim block confirmed, however many main blocks it waited
+    if case in OFFLINE_RUNS:
+        sim, results, partition = offline_run(case)
+        assert sum(r.invalid_txs for r in results)
+    else:
+        sim, partition = simulated_run(case)
+        assert sim.chain.state.n_shard > partition.n_shard
+    confirmed = {}  # parent id -> (debit record, epoch of its interim block)
+    waited = 0  # credits of a debit older than the interim block just before
+    for block in sim.chain.blocks:
+        if block.header.kind == INTERIM:
+            confirmed.update((sub.parent_id, (sub, block.epoch)) for sub in block.body)
+            continue
+        for sub in block.body:
+            debit, epoch = confirmed.pop(sub.parent_id)
+            assert sub is debit
+            waited += epoch < block.epoch - 1
+    assert bool(waited) == (case == "main-timeouts")
+    # the validator compares fields, never identity: main blocks rebuilt from
+    # new, equal records append on a fresh replica
+    replica = fresh_replica(sim, partition)
+    for block in sim.chain.blocks[1:]:
+        if block.header.kind == MAIN:
+            block = Block(header=block.header, body=[equal_copy(sub) for sub in block.body])
+        replica.append_block(block)
+    assert replica.tip.hash == sim.chain.tip.hash
 
 
 def test_propose_matches_the_reference_header():
@@ -302,9 +351,8 @@ def test_propose_matches_the_reference_header():
     sk_a, pk_a = reg.generate(b"a")
     _, pk_b = reg.generate(b"b")
     chain = build_chain(quorum=10, balances=[(pk_a, 100), (pk_b, 0)])
-    eager = split_transaction(make_transfer(reg, pk_a, pk_b, 5, 1), reg)
-    lazy = credit_of(eager)
-    for body in ([eager], [lazy], []):
+    debit = split_transaction(make_transfer(reg, pk_a, pk_b, 5, 1), reg)
+    for body in ([debit], [debit], []):
         block = chain.propose(body)
         assert block.body is body and len(block.header.votes) == 0
         assert block.header == make_block(chain, body).header
@@ -434,7 +482,7 @@ def test_credit_rewritten_to_another_receiver_is_rejected():
     sim.step()
     chain, population = sim.chain, sim.population
     pending = chain.state.pending
-    body = [credit_of(pending[pid]) for pid in sorted(pending)]
+    body = [pending[pid] for pid in sorted(pending)]
     other = next(pk for pk in population.pks if pk not in (body[0].sender, body[0].receiver))
     bad = [replace(body[0], receiver=other, value=body[0].value + 999)] + body[1:]
     with pytest.raises(CreditMismatch):
@@ -454,7 +502,8 @@ def test_a_debit_whose_field_only_equals_one_of_its_type_is_malformed():
     # the proposer's rooting fills the root memo, which compares body entries
     # by value: unchecked, a debit of value 1.0 * v, nonce True (== 1) or a
     # bytearray receiver would repeat that rooting and leave a float, a bool
-    # or an unhashable receiver in the state
+    # or an unhashable receiver in the state. Both roles check the types
+    # before applying anything.
     sim = ChainSimulation(
         n_nodes=20, stake_dist="fixed:100", h=1.0, alpha=1.0, tau=50.0, tx_per_epoch=10, seed=3
     )
@@ -465,12 +514,16 @@ def test_a_debit_whose_field_only_equals_one_of_its_type_is_malformed():
     first, rest = block.body[0], block.body[1:]
     assert first.nonce == 1
     tip, state = chain.tip, chain.state
+    before = snapshot(state)
     for what in WRONG_TYPES:
         bad = replace(first, **wrong_type(first, what))
         assert bad == first
         with pytest.raises(MalformedBody):
+            chain.propose([bad] + rest)
+        with pytest.raises(MalformedBody):
             chain.append_block(Block(header=block.header, body=[bad] + rest))
         assert chain.tip is tip and chain.state is state
+        assert snapshot(state) == before
     chain.append_block(block)
     assert all(type(n) is int for column in (chain.state.balances, chain.state.nonces) for n in column.values())
 
@@ -504,7 +557,7 @@ def test_main_block_leaving_credits_pending_is_rejected():
     chain.append_block(interim)
     tip, state = chain.tip, chain.state
     main = make_block(chain, [])
-    main.body = [credit_of(first)]  # the second debit's credit is missing
+    main.body = [first]  # the second debit's credit is missing
     with pytest.raises(InvariantViolation) as err:
         chain.append_block(main)
     assert err.value.invariant == "lazy-completeness"

@@ -21,7 +21,6 @@ from fission_sim.crypto import KeyRegistry, sha3, sign
 from fission_sim.dists import dist_sampler
 from fission_sim.errors import InvariantViolation, TransactionRejected, ValidationError
 from fission_sim.ledger import (
-    EAGER,
     LedgerState,
     SubTransaction,
     apply_eager,
@@ -325,7 +324,7 @@ def partitioned_mempools(draw):
         nonce = next_nonce[sender] + offset
         if not offset:
             next_nonce[sender] += 1
-        return SubTransaction(EAGER, sha3(sender + bytes([tag])), sender, receiver, value, nonce)
+        return SubTransaction(sha3(sender + bytes([tag])), sender, receiver, value, nonce)
 
     for sub in [sub_of(*d) for d in draw(st.lists(debit, max_size=6))]:
         try:

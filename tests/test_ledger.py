@@ -31,7 +31,6 @@ from fission_sim.ledger import (
     Transaction,
     apply_eager,
     apply_lazy,
-    credit_of,
     home_partitions,
     make_transfer,
     split_transaction,
@@ -52,26 +51,28 @@ def new_key(reg, label):
 
 
 def test_split_produces_debit_and_credit(reg):
+    # one record is both halves: applied as a debit, then as its credit
     pk_a = new_key(reg, "a")
     pk_b = new_key(reg, "b")
     tx = make_transfer(reg, pk_a, pk_b, 10, 1)
-    eager = split_transaction(tx, reg)
-    lazy = credit_of(eager)
-    assert eager.kind == EAGER and lazy.kind == LAZY
-    assert eager.parent_id == lazy.parent_id == tx.id
-    assert eager.sender == pk_a and lazy.receiver == pk_b
-    assert eager.value == lazy.value == 10
+    debit = split_transaction(tx, reg)
+    assert debit.parent_id == tx.id
+    assert (debit.sender, debit.receiver, debit.value, debit.nonce) == (pk_a, pk_b, 10, 1)
+    state = LedgerState(4)
+    state.create_account(pk_a, 50)
+    apply_eager(state, debit)
+    apply_lazy(state, debit)
+    assert state.balances == {pk_a: 40, pk_b: 10} and not state.pending
 
 
 def test_split_self_transfer_nets_to_zero(reg):
     pk_a = new_key(reg, "a")
     tx = make_transfer(reg, pk_a, pk_a, 5, 1)
-    eager = split_transaction(tx, reg)
-    lazy = credit_of(eager)
+    debit = split_transaction(tx, reg)
     state = LedgerState(4)
     state.create_account(pk_a, 50)
-    apply_eager(state, eager)
-    apply_lazy(state, lazy)
+    apply_eager(state, debit)
+    apply_lazy(state, debit)
     assert state.balances[pk_a] == 50 and state.nonces[pk_a] == 1
 
 
@@ -95,7 +96,7 @@ def test_split_rejects_non_positive_value(reg):
 
 
 def test_split_roundtrip_over_random_batch(reg):
-    # oracle: re-merging the two halves reproduces the original fields
+    # oracle: the debit record, which its credit also is, holds the original fields
     rng = random.Random(11)
     keys = [new_key(reg, f"k{i}") for i in range(10)]
     for i in range(100):
@@ -104,11 +105,11 @@ def test_split_roundtrip_over_random_batch(reg):
         value = rng.randint(1, 10_000)
         nonce = rng.randint(1, 50)
         tx = make_transfer(reg, pk_s, pk_r, value, nonce)
-        eager = split_transaction(tx, reg)
-        lazy = credit_of(eager)
-        merged = (eager.sender, lazy.receiver, eager.value, eager.nonce)
-        assert merged == (tx.sender, tx.receiver, tx.value, tx.nonce)
-        assert lazy.value == eager.value and lazy.nonce == eager.nonce
+        debit = split_transaction(tx, reg)
+        assert debit.parent_id == tx.id
+        assert (debit.sender, debit.receiver, debit.value, debit.nonce) == (
+            tx.sender, tx.receiver, tx.value, tx.nonce
+        )
 
 
 def test_transaction_id_is_stable_and_tamper_evident(reg):
@@ -160,20 +161,20 @@ def test_records_are_slotted_and_compare_by_value(reg):
     pk_b = new_key(reg, "b")
     tx = make_transfer(reg, pk_a, pk_b, 10, 1)
     eager = split_transaction(tx, reg)
-    lazy = credit_of(eager)
-    for record in (tx, eager, lazy):
+    for record in (tx, eager):
         assert not hasattr(record, "__dict__")
     # a block keeps its body for the whole run, so a sub-transaction holds
-    # its six fields and no hash
-    assert SubTransaction.__slots__ == ("kind", "parent_id", "sender", "receiver", "value", "nonce")
+    # its five fields, and no hash and no kind: its block's kind says which
+    # half it is
+    assert SubTransaction.__slots__ == ("parent_id", "sender", "receiver", "value", "nonce")
     # built anew, with no memo filled yet, each still equals the original
     same_tx = Transaction(
         tx.tx_type, tx.sender, tx.receiver, tx.value, tx.nonce, tx.data_hash, tx.signature
     )
     assert same_tx == tx and same_tx._id is None and tx._id is not None
-    same_eager = SubTransaction(EAGER, eager.parent_id, eager.sender, eager.receiver, 10, 1)
-    assert same_eager == eager and same_eager != lazy
-    assert same_eager != SubTransaction(EAGER, eager.parent_id, eager.sender, eager.receiver, 11, 1)
+    same_eager = SubTransaction(eager.parent_id, eager.sender, eager.receiver, 10, 1)
+    assert same_eager == eager and same_eager is not eager
+    assert same_eager != SubTransaction(eager.parent_id, eager.sender, eager.receiver, 11, 1)
 
 
 # --- record encodings ---
@@ -209,19 +210,19 @@ def log_root(sub: SubTransaction) -> bytes:
 )
 def test_inline_record_encodings_equal_encode_fields(kind, tx_type, fields, value, nonce):
     parent, sender, receiver, data_hash, signature = fields
-    sub = SubTransaction(kind, parent, sender, receiver, value, nonce)
+    sub = SubTransaction(parent, sender, receiver, value, nonce)
     with patch.object(ledger_module, "sha3", raw_sha3):
-        assert ledger_module.sub_ids([sub]) == [encode_fields(
+        assert ledger_module.sub_ids(kind, [sub]) == [encode_fields(
             kind.encode(), parent, sender, receiver, encode_uint(value), encode_uint(nonce)
         )]
     # two shapes in one pass through the layout cache: fields past 32 bytes
     # and all 32-byte fields
     subs = [
-        SubTransaction(kind, parent + bytes(33), sender + bytes(33), receiver + bytes(33), value, nonce),
-        SubTransaction(kind, sha3(parent), sha3(sender), sha3(receiver), value, nonce),
+        SubTransaction(parent + bytes(33), sender + bytes(33), receiver + bytes(33), value, nonce),
+        SubTransaction(sha3(parent), sha3(sender), sha3(receiver), value, nonce),
     ]
     with patch.object(ledger_module, "sha3", raw_sha3):
-        assert ledger_module.sub_ids(subs) == [
+        assert ledger_module.sub_ids(kind, subs) == [
             encode_fields(kind.encode(), s.parent_id, s.sender, s.receiver, encode_uint(value), encode_uint(nonce))
             for s in subs
         ]
@@ -234,7 +235,7 @@ def test_inline_record_encodings_equal_encode_fields(kind, tx_type, fields, valu
         assert tx.id == encode_fields(signing, signature)
     with patch.object(chain, "sha3", raw_sha3):
         leaf = chain._leaf(sender, value, nonce)
-        log = log_root(SubTransaction(EAGER, parent, sender, receiver, value, nonce))
+        log = log_root(SubTransaction(parent, sender, receiver, value, nonce))
     assert leaf == encode_fields(sender, encode_uint(value), encode_uint(nonce))
     assert log == merkle_root([encode_fields(parent, receiver, encode_uint(value))])
     # admission frames the signed message once, for the signature check and the id
@@ -262,13 +263,13 @@ def test_inline_record_encodings_reject_integers_outside_eight_bytes(bad, kind, 
         encode_uint(bad)
     for value, nonce in ((bad, 0), (0, bad)):
         with pytest.raises(OverflowError):
-            ledger_module.sub_ids([SubTransaction(kind, key, key, key, value, nonce)])
+            ledger_module.sub_ids(kind, [SubTransaction(key, key, key, value, nonce)])
         with pytest.raises(OverflowError):
             Transaction(TX_TYPE_TRANSFER, key, key, value, nonce, key, key).signing_bytes()
         with pytest.raises(OverflowError):
             chain._leaf(key, value, nonce)
     with pytest.raises(OverflowError):
-        log_root(SubTransaction(EAGER, key, key, key, bad, 1))
+        log_root(SubTransaction(key, key, key, bad, 1))
 
 
 @settings(max_examples=100, deadline=None)
@@ -319,14 +320,13 @@ def test_pending_log_holds_the_debit_that_clones_and_splits_share(reg):
     state = LedgerState(2)
     state.create_account(pk_a, 100)
     eager = eager_for(reg, pk_a, pk_b, 10, 1)
-    lazy = credit_of(eager)
     apply_eager(state, eager)
     assert state.pending[eager.parent_id] is eager
     clone, split = state.clone(), split_shards(state)
     assert clone.pending[eager.parent_id] is eager
     assert split.pending[eager.parent_id] is eager
     for copy in (clone, split):
-        apply_lazy(copy, lazy)
+        apply_lazy(copy, eager)
         assert not copy.pending
         assert copy.balances[pk_b] == 10
     # the credits consumed the copies' entries, not the original's
@@ -368,11 +368,11 @@ def test_apply_eager_rejects_a_parent_id_already_pending_or_credited(reg):
     debit = eager_for(reg, pk_a, pk_b, 40, 1)
     apply_eager(state, debit)
     # a valid debit of B's that names A's transfer as its parent
-    forged = SubTransaction(EAGER, debit.parent_id, pk_b, pk_a, 40, 1)
+    forged = SubTransaction(debit.parent_id, pk_b, pk_a, 40, 1)
     with pytest.raises(DuplicateDebit):
         apply_eager(state, forged)
     assert state.pending == {debit.parent_id: debit}
-    apply_lazy(state, credit_of(debit))
+    apply_lazy(state, debit)
     with pytest.raises(DuplicateDebit):
         apply_eager(state, forged)  # a credited id stays spent
     assert not state.pending and state.total_balance() == 200
@@ -413,9 +413,8 @@ def test_apply_lazy_completes_transfer(reg):
     state.create_account(pk_a, 100)
     state.create_account(pk_b, 0)
     eager = eager_for(reg, pk_a, pk_b, 10, 1)
-    lazy = credit_of(eager)
     apply_eager(state, eager)
-    apply_lazy(state, lazy)
+    apply_lazy(state, eager)
     assert state.balances[pk_b] == 10
     assert not state.pending
 
@@ -424,9 +423,8 @@ def test_apply_lazy_requires_matching_log(reg):
     pk_a = new_key(reg, "a")
     pk_b = new_key(reg, "b")
     state = LedgerState(4)
-    lazy = credit_of(eager_for(reg, pk_a, pk_b, 10, 1))
     with pytest.raises(MissingEagerLog):
-        apply_lazy(state, lazy)
+        apply_lazy(state, eager_for(reg, pk_a, pk_b, 10, 1))
 
 
 def test_apply_lazy_rejects_double_credit(reg):
@@ -435,11 +433,10 @@ def test_apply_lazy_rejects_double_credit(reg):
     state = LedgerState(4)
     state.create_account(pk_a, 100)
     eager = eager_for(reg, pk_a, pk_b, 10, 1)
-    lazy = credit_of(eager)
     apply_eager(state, eager)
-    apply_lazy(state, lazy)
+    apply_lazy(state, eager)
     with pytest.raises(DoubleCredit):
-        apply_lazy(state, lazy)
+        apply_lazy(state, eager)
 
 
 @pytest.mark.parametrize("receiver_balance", [1, 2**63, 2**64 - 11])
@@ -454,7 +451,7 @@ def test_apply_lazy_credits_up_to_the_eight_byte_balance_and_no_further(reg, rec
         state.create_account(pk_b, receiver_balance)
         debit = eager_for(reg, pk_a, pk_b, value, 1)
         apply_eager(state, debit)
-        return state, credit_of(debit)
+        return state, debit
 
     fits = 2**64 - 1 - receiver_balance
     state, credit = pending_credit(fits)
@@ -485,9 +482,8 @@ def test_full_phase_pair_restores_supply(reg):
         pk_r = keys[rng.randrange(25)]
         nonces[pk_s] += 1
         eager = eager_for(reg, pk_s, pk_r, rng.randint(1, 100), nonces[pk_s])
-        lazy = credit_of(eager)
         apply_eager(state, eager)
-        lazies.append(lazy)
+        lazies.append(eager)
     assert state.total_balance() < supply
     for lazy in lazies:
         apply_lazy(state, lazy)

@@ -8,10 +8,10 @@ from fission_sim.crypto import KeyRegistry, encode_fields, encode_uint, sha3
 from fission_sim.consensus import ChainSimulation
 from fission_sim.errors import DoubleCredit, ValidationError
 from fission_sim.ledger import (
+    EAGER,
     LedgerState,
     apply_eager,
     apply_lazy,
-    credit_of,
     home_partitions,
     make_transfer,
     split_transaction,
@@ -161,7 +161,7 @@ def test_split_shards_parity():
         state.create_account(pk, 1)
     split = split_shards(state)
     assert split.n_shard == 2
-    _, roots, _ = compute_root_arrays([], split)
+    _, roots, _ = compute_root_arrays(EAGER, [], split)
     assert sorted(int.from_bytes(pk, "big") for pk in split.trees[0].index) == [0, 2]
     assert sorted(int.from_bytes(pk, "big") for pk in split.trees[1].index) == [1, 3]
     assert roots == reference_account_roots(split)
@@ -180,7 +180,7 @@ def test_split_shards_per_account_lookup_matches():
     for seed in range(5):
         state = make_state_with_accounts(4, 100, seed=seed)
         split = split_shards(state)
-        _, roots, _ = compute_root_arrays([], split)
+        _, roots, _ = compute_root_arrays(EAGER, [], split)
         for pk, balance in state.balances.items():
             assert (split.balances[pk], split.nonces[pk]) == (balance, state.nonces[pk])
             assert [i for i, tree in enumerate(split.trees) if pk in tree.index] == [shard_of(pk, 8)]
@@ -196,10 +196,9 @@ def test_split_shards_keeps_pending_and_credited():
     lazies = []
     for i, (_, pk) in enumerate(keys):
         tx = make_transfer(reg, pk, keys[(i + 3) % len(keys)][1], 5 + i, 1)
-        eager = split_transaction(tx, reg)
-        lazy = credit_of(eager)
-        apply_eager(state, eager)
-        lazies.append(lazy)
+        debit = split_transaction(tx, reg)
+        apply_eager(state, debit)
+        lazies.append(debit)
     for lazy in lazies[:4]:
         apply_lazy(state, lazy)
     split = split_shards(state)

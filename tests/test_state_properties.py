@@ -5,7 +5,8 @@ bookkeeping, per-shard account trees and the one root memo with its
 parent. These tests drive random debit/credit sequences (failing ones
 included) through parents, clones and siblings, and check the results
 against deep copies and against a root computation that uses no cache at
-all.
+all. A sequence may mix debits and credits, but each rooting takes the
+entries of one kind, as a block does (``block_of``).
 """
 
 import copy
@@ -58,33 +59,44 @@ def fresh_state(n_shard: int) -> LedgerState:
     return state
 
 
-def apply_ops(state: LedgerState, ops, keys=KEYS) -> tuple[list[SubTransaction], list[str]]:
-    """Apply each op; returns the sub-transactions that applied and the
-    outcome (error class name or "ok") of every op."""
+def apply_ops(state: LedgerState, ops, keys=KEYS) -> tuple[list[tuple[str, SubTransaction]], list[str]]:
+    """Apply each op; returns the (kind, sub-transaction) pairs that applied
+    and the outcome (error class name or "ok") of every op. A credit of a
+    logged debit is a new record equal to it."""
     applied, outcomes = [], []
     for kind, s, r, value, offset, p in ops:
         parent_id = PARENT_IDS[p]
         if kind == EAGER:
             nonce = state.nonces.get(keys[s], 0) + 1 + offset
-            sub = SubTransaction(EAGER, parent_id, keys[s], keys[r], value, nonce)
-            apply = apply_eager
+            sub = SubTransaction(parent_id, keys[s], keys[r], value, nonce)
         else:
             entry = state.pending.get(parent_id)
             if entry is None:
-                sub = SubTransaction(LAZY, parent_id, keys[s], keys[r], value, 1)
+                sub = SubTransaction(parent_id, keys[s], keys[r], value, 1)
             else:
-                sub = SubTransaction(
-                    LAZY, parent_id, entry.sender, entry.receiver, entry.value, entry.nonce
-                )
-            apply = apply_lazy
+                sub = replace(entry)
         try:
-            apply(state, sub)
+            execute(state, [(kind, sub)])
         except FissionError as exc:
             outcomes.append(type(exc).__name__)
             continue
-        applied.append(sub)
+        applied.append((kind, sub))
         outcomes.append("ok")
     return applied, outcomes
+
+
+def execute(state: LedgerState, applied) -> None:
+    """Apply (kind, sub-transaction) pairs in order."""
+    for kind, sub in applied:
+        (apply_eager if kind == EAGER else apply_lazy)(state, sub)
+
+
+def block_of(applied) -> tuple[str, list[SubTransaction]]:
+    """The kind and body that a rooting after ``applied`` takes: one kind, as
+    a block's body has, that of the first pair (EAGER if there is none),
+    and the entries of that kind in order."""
+    kind = applied[0][0] if applied else EAGER
+    return kind, [sub for k, sub in applied if k == kind]
 
 
 def shard_accounts(state: LedgerState) -> list[list[tuple[bytes, int, int]]]:
@@ -100,18 +112,18 @@ def snapshot(state: LedgerState):
     return state.n_shard, shard_accounts(state), dict(state.pending), set(state.credited)
 
 
-def reference_roots(body, state):
+def reference_roots(kind, body, state):
     """compute_root_arrays written out with no cache and no memoised ids."""
     n = state.n_shard
     tx_leaves = [[] for _ in range(n)]
     log_leaves = [[] for _ in range(n)]
     for sub in body:
-        key = sub.sender if sub.kind == EAGER else sub.receiver
+        key = sub.sender if kind == EAGER else sub.receiver
         tx_leaves[shard_of(key, n)].append(sha3(encode_fields(
-            sub.kind.encode(), sub.parent_id, sub.sender, sub.receiver,
+            kind.encode(), sub.parent_id, sub.sender, sub.receiver,
             encode_uint(sub.value), encode_uint(sub.nonce),
         )))
-        if sub.kind == EAGER:
+        if kind == EAGER:
             log_leaves[shard_of(sub.sender, n)].append(
                 sha3(encode_fields(sub.parent_id, sub.receiver, encode_uint(sub.value)))
             )
@@ -177,41 +189,36 @@ def test_committed_clones_match_deep_copies(n_shard, generations):
 )
 def test_cached_roots_equal_cache_free_roots(n_shard, blocks):
     state = fresh_state(n_shard)
-    assert compute_root_arrays([], state) == reference_roots([], state)
+    assert compute_root_arrays(EAGER, [], state) == reference_roots(EAGER, [], state)
     for ops, rival_ops, split in blocks:
         if split:
             state = split_shards(state)
         # a rival clone shares the root memo and fills it with other balances
         rival = state.clone()
-        rival_body, _ = apply_ops(rival, rival_ops)
-        assert compute_root_arrays(rival_body, rival) == reference_roots(rival_body, rival)
+        rival_block = block_of(apply_ops(rival, rival_ops)[0])
+        assert compute_root_arrays(*rival_block, rival) == reference_roots(*rival_block, rival)
 
         proposal = state.clone()
-        body, _ = apply_ops(proposal, ops)
-        expected = reference_roots(body, proposal)
-        assert compute_root_arrays(body, proposal) == expected
+        block = block_of(apply_ops(proposal, ops)[0])
+        expected = reference_roots(*block, proposal)
+        assert compute_root_arrays(*block, proposal) == expected
         # the validator's recomputation on its own clone hits the root memo
         validator = state.clone()
         apply_ops(validator, ops)
-        assert compute_root_arrays(body, validator) == expected
+        assert compute_root_arrays(*block, validator) == expected
         # the pre-state still roots as it did before any clone wrote
-        assert compute_root_arrays([], state) == reference_roots([], state)
+        assert compute_root_arrays(EAGER, [], state) == reference_roots(EAGER, [], state)
         state = validator
 
 
+# "kind" roots the same entries as the other half of their transfers
 SUB_FIELDS = ("kind", "parent_id", "sender", "receiver", "value", "nonce")
-
-
-def execute(state: LedgerState, body) -> None:
-    """Apply a body whose every entry applies, as a block's does."""
-    for sub in body:
-        (apply_eager if sub.kind == EAGER else apply_lazy)(state, sub)
 
 
 def equal_copy(sub: SubTransaction) -> SubTransaction:
     """A new record equal to ``sub`` whose byte fields are new objects too."""
     return SubTransaction(
-        sub.kind, bytes(bytearray(sub.parent_id)), bytes(bytearray(sub.sender)),
+        bytes(bytearray(sub.parent_id)), bytes(bytearray(sub.sender)),
         bytes(bytearray(sub.receiver)), sub.value, sub.nonce,
     )
 
@@ -221,10 +228,11 @@ def equal_copy(sub: SubTransaction) -> SubTransaction:
 def test_root_memo_is_keyed_on_body_content(n_shard, history, ops, data):
     state = fresh_state(n_shard)
     apply_ops(state, history)
-    compute_root_arrays([], state)
+    compute_root_arrays(EAGER, [], state)
     proposal = state.clone()
-    body, _ = apply_ops(proposal, ops)
-    expected = compute_root_arrays(body, proposal)
+    applied, _ = apply_ops(proposal, ops)
+    kind, body = block_of(applied)
+    expected = compute_root_arrays(kind, body, proposal)
     hashed = []
 
     def counting_sha3(message):
@@ -233,35 +241,38 @@ def test_root_memo_is_keyed_on_body_content(n_shard, history, ops, data):
 
     # the validator's body is rebuilt from new records equal to the
     # proposer's: it repeats the proposer's rooting and hashes nothing
-    rebuilt = [equal_copy(sub) for sub in body]
+    rebuilt = [(k, equal_copy(sub)) for k, sub in applied]
     validator = state.clone()
     execute(validator, rebuilt)
     with pytest.MonkeyPatch.context() as patch:
         for module in ("chain", "ledger", "merkle"):
             patch.setattr(f"fission_sim.{module}.sha3", counting_sha3)
-        assert compute_root_arrays(rebuilt, validator) == expected
+        assert compute_root_arrays(*block_of(rebuilt), validator) == expected
         assert hashed == []
         assert all(mine is theirs for mine, theirs in zip(validator.trees, proposal.trees))
         if not body:
             return
-        # one field of one entry changed, over the same written accounts:
-        # the memo misses, and the body roots as the cache-free reference
+        # over the same trees and written accounts, the same entries rooted
+        # as the other half of their transfers, or with one field of one
+        # entry changed: the memo misses, and the body roots as the
+        # cache-free reference
         i = data.draw(st.integers(0, len(body) - 1))
         what = data.draw(st.sampled_from(SUB_FIELDS))
-        old = getattr(body[i], what)
-        if what == "kind":
-            new = LAZY if old == EAGER else EAGER
-        elif isinstance(old, int):
-            new = data.draw(st.integers(0, 2**64 - 1).filter(lambda n: n != old))
-        else:
-            new = data.draw(st.binary(min_size=32, max_size=32).filter(lambda b: b != old))
         changed = list(body)
-        changed[i] = replace(body[i], **{what: new})
+        if what == "kind":
+            kind = LAZY if kind == EAGER else EAGER
+        else:
+            old = getattr(body[i], what)
+            if isinstance(old, int):
+                new = data.draw(st.integers(0, 2**64 - 1).filter(lambda n: n != old))
+            else:
+                new = data.draw(st.binary(min_size=32, max_size=32).filter(lambda b: b != old))
+            changed[i] = replace(body[i], **{what: new})
         other = state.clone()
-        execute(other, body)
-        roots = compute_root_arrays(changed, other)
+        execute(other, applied)
+        roots = compute_root_arrays(kind, changed, other)
         assert len(hashed) >= len(changed)  # at least every entry's id
-    assert roots == reference_roots(changed, other)
+    assert roots == reference_roots(kind, changed, other)
 
 
 # Shards of 0-70 accounts for the tree tests; keys past a state's funded
@@ -299,9 +310,12 @@ def tree_state(n_shard: int, n_accounts: int) -> LedgerState:
     return state
 
 
-def check_roots(body, state):
-    expected = reference_roots(body, state)
-    assert compute_root_arrays(body, state) == expected
+def check_roots(applied, state):
+    """Root ``state`` after ``applied``, as ``block_of`` gives its body, and
+    check the roots against the cache-free reference."""
+    block = block_of(applied)
+    expected = reference_roots(*block, state)
+    assert compute_root_arrays(*block, state) == expected
     assert not state.written
     return expected
 
@@ -317,14 +331,14 @@ def test_dirty_shard_trees_equal_cache_free_roots(n_shard, n_accounts, data):
             state = split_shards(state)
         ops = data.draw(ops_of)
         proposal = state.clone()
-        body, _ = apply_ops(proposal, ops, TREE_KEYS)
-        expected = check_roots(body, proposal)
+        applied, _ = apply_ops(proposal, ops, TREE_KEYS)
+        expected = check_roots(applied, proposal)
         # a rival sibling roots other content between proposer and validator
         rival = state.clone()
         check_roots(apply_ops(rival, data.draw(ops_of), TREE_KEYS)[0], rival)
         validator = state.clone()
         apply_ops(validator, ops, TREE_KEYS)
-        assert compute_root_arrays(body, validator) == expected
+        assert compute_root_arrays(*block_of(applied), validator) == expected
         # the rival's fork replays the proposal: the same written leaves over
         # another base tree
         replay = rival.clone()
@@ -345,14 +359,14 @@ def test_dirty_shard_trees_equal_cache_free_roots(n_shard, n_accounts, data):
 @given(n_accounts=TREE_SIZES.filter(bool), data=st.data())
 def test_rooting_hashes_only_the_paths_above_written_leaves(n_accounts, data):
     state = tree_state(1, n_accounts)
-    compute_root_arrays([], state)
+    compute_root_arrays(EAGER, [], state)
     tree = state.trees[0]
     dirty = data.draw(st.sets(st.integers(0, n_accounts - 1)) | st.just(set(range(n_accounts))))
 
     def debited(value, accounts):
         clone = state.clone()
         for i in accounts:
-            apply_eager(clone, SubTransaction(EAGER, PARENT_IDS[i], TREE_KEYS[i], TREE_KEYS[i], value, 1))
+            apply_eager(clone, SubTransaction(PARENT_IDS[i], TREE_KEYS[i], TREE_KEYS[i], value, 1))
         return clone
 
     child = debited(1, dirty)
@@ -375,30 +389,30 @@ def test_rooting_hashes_only_the_paths_above_written_leaves(n_accounts, data):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr("fission_sim.chain.sha3", counting_sha3)
         patch.setattr("fission_sim.merkle.sha3", counting_sha3)
-        roots = compute_root_arrays([], child)
+        roots = compute_root_arrays(EAGER, [], child)
         assert len(hashed) == expected
         # a sibling with the same writes, as the validator is to the
         # proposer, repeats the child's rooting from the memo
         sibling = debited(1, dirty)
-        assert compute_root_arrays([], sibling) == roots and len(hashed) == expected
+        assert compute_root_arrays(EAGER, [], sibling) == roots and len(hashed) == expected
         assert sibling.trees[0] is child.trees[0]
         # nothing written since: the same tree, nothing hashed
         rooted = child.trees[0]
-        assert compute_root_arrays([], child) == roots
+        assert compute_root_arrays(EAGER, [], child) == roots
         assert child.trees[0] is rooted and len(hashed) == expected
         # once a clone with other writes has rooted in between, a sibling
         # roots on its own, with no more hashing than the child did
-        compute_root_arrays([], debited(2, dirty | {0}))
+        compute_root_arrays(EAGER, [], debited(2, dirty | {0}))
         del hashed[:]
         late = debited(1, dirty)
-        late_roots = compute_root_arrays([], late)
+        late_roots = compute_root_arrays(EAGER, [], late)
         assert len(hashed) <= expected
-    assert roots == reference_roots([], child)
-    assert late_roots == reference_roots([], late)
+    assert roots == reference_roots(EAGER, [], child)
+    assert late_roots == reference_roots(EAGER, [], late)
     # the same writes under another body root that body
-    body = [SubTransaction(EAGER, PARENT_IDS[0], TREE_KEYS[0], TREE_KEYS[0], 1, 1)]
+    body = [SubTransaction(PARENT_IDS[0], TREE_KEYS[0], TREE_KEYS[0], 1, 1)]
     replay = debited(1, dirty)
-    assert compute_root_arrays(body, replay) == reference_roots(body, replay)
+    assert compute_root_arrays(EAGER, body, replay) == reference_roots(EAGER, body, replay)
     assert state.trees[0] is tree
 
 
@@ -419,16 +433,16 @@ def check_trees(state: LedgerState) -> None:
 def test_flat_table_trees_equal_per_shard_merkle_levels(n_shard, n_accounts, data):
     ops_of = tree_ops(n_accounts)
     state = tree_state(n_shard, n_accounts)
-    compute_root_arrays([], state)
+    compute_root_arrays(EAGER, [], state)
     check_trees(state)
     for _ in range(data.draw(st.integers(1, 5))):
         if data.draw(st.booleans()):
             state = split_shards(state)
         child = state.clone()
-        body, _ = apply_ops(child, data.draw(ops_of), TREE_KEYS)
+        applied, _ = apply_ops(child, data.draw(ops_of), TREE_KEYS)
         # the parent writes after the clone too, and roots on its own
-        parent_body, _ = apply_ops(state, data.draw(ops_of), TREE_KEYS)
-        for rooted, rooted_body in ((child, body), (state, parent_body)):
-            compute_root_arrays(rooted_body, rooted)
+        parent_applied, _ = apply_ops(state, data.draw(ops_of), TREE_KEYS)
+        for rooted, rooted_applied in ((child, applied), (state, parent_applied)):
+            compute_root_arrays(*block_of(rooted_applied), rooted)
             check_trees(rooted)
         state = child if data.draw(st.booleans()) else state

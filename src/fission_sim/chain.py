@@ -258,20 +258,28 @@ class Chain:
         # last re-shard, all that reshard_trigger reads
         self._main_window: list[tuple[int, int]] = []
         self.blocks: list[Block] = []
-        self.blocks.append(self._seal(self.next_header(), [], state))
+        self._extend(self._seal(self.next_header(), [], state))
 
     @property
     def tip(self) -> Block:
         return self.blocks[-1]
 
+    def _extend(self, block: Block) -> None:
+        """Make ``block`` the tip, and record its hash and the seed of the
+        epoch after it, which ``next_header`` reads."""
+        self.blocks.append(block)
+        self._tip_hash = block.hash
+        self._next_seed = next_seed(block.header.seed, self._tip_hash)
+
     def next_header(self) -> BlockHeader:
         """The header the next block must carry, root arrays still empty:
         the one derivation of its fields, for ``propose`` and
-        ``append_block``. With no blocks yet it is the genesis header."""
+        ``append_block``. With no blocks yet it is the genesis header.
+
+        It hashes nothing: the tip's hash and the next seed were recorded
+        when the tip was appended."""
         if self.blocks:
-            tip = self.tip
-            parent = tip.hash
-            epoch, seed = tip.epoch + 1, next_seed(tip.header.seed, parent)
+            epoch, parent, seed = self.tip.epoch + 1, self._tip_hash, self._next_seed
         else:
             epoch, parent, seed = 0, ZERO_HASH, GENESIS_SEED
         kind = kind_for_epoch(epoch)
@@ -380,7 +388,7 @@ class Chain:
                 raise InsufficientVotes(f"vote weight {weight} below quorum {self.quorum}")
 
         self.state = scratch
-        self.blocks.append(block)
+        self._extend(block)
         if header.kind == INTERIM:
             self.n_partition = next_partition_count(
                 len(block.body), self.n_partition, self.state.n_shard, self.partition

@@ -23,7 +23,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .chain import INTERIM, Block, Chain, Votes
+from .chain import INTERIM, Block, Chain, Votes, kind_for_epoch
 from .config import CHAIN_KEYWORDS, EpochSettings, SimConfig, load_config
 from .crypto import KeyRegistry, sha3, sign_each
 from .dists import dist_sampler
@@ -396,11 +396,13 @@ def draw_traffic(
     rng: random.Random,
     registry: KeyRegistry,
     view: dict[bytes, tuple[int, int]],
+    pks: list[bytes],
     tx_per_epoch: int,
     invalid_fraction: float,
 ) -> list[Transaction]:
     """One epoch's transactions, drawn on ``view``, each account's spendable
-    balance and last nonce, which each valid transfer updates.
+    balance and last nonce, which each valid transfer updates. ``pks`` is
+    ``sorted(view)``, which the caller keeps between epochs.
 
     Each of the ``tx_per_epoch`` draws picks a sender and a receiver, each
     ``pks[rng.randrange(len(pks))]`` over the view's keys in sorted order,
@@ -413,7 +415,6 @@ def draw_traffic(
     runs it, rejections included, so the random stream is that of those
     calls.
     """
-    pks = sorted(view)
     n = len(pks)
     if tx_per_epoch > 0 and not n:
         raise ValueError("no account to draw traffic on")
@@ -518,6 +519,10 @@ class ChainSimulation:
         self.chain = Chain(state, quorum(sec.theta, sec.tau), cfg.partition)
         self.mempool: list[Transaction] = []
         self.clock = 0.0  # simulated seconds: the sum of the epoch budgets so far
+        # sorted(chain.state.balances), sorted again only when the account
+        # count moves: create_account is the only way a key enters, and no
+        # key ever leaves
+        self._accounts: list[bytes] = []
 
     # -- traffic generation --
 
@@ -533,10 +538,14 @@ class ChainSimulation:
 
     def generate_transactions(self) -> None:
         traffic = self.config.chain
+        balances = self.chain.state.balances
+        if len(self._accounts) != len(balances):
+            self._accounts = sorted(balances)
         self.mempool += draw_traffic(
             self.txgen_rng,
             self.population.registry,
             self._spendable_view(),
+            self._accounts,
             traffic.tx_per_epoch,
             traffic.invalid_fraction,
         )
@@ -545,12 +554,13 @@ class ChainSimulation:
         rate = self.config.chain.offline_rate
         if rate <= 0:
             return set()
-        return {pk for pk in self.population.online if self.offline_rng.random() < rate}
+        draw = self.offline_rng.random
+        return {pk for pk in self.population.online if draw() < rate}
 
     # -- epoch loop --
 
     def step(self) -> EpochResult:
-        if self.chain.next_header().kind == INTERIM:
+        if kind_for_epoch(self.chain.tip.epoch + 1) == INTERIM:
             self.generate_transactions()
         epochs = self.config.epochs
         result = run_epoch(

@@ -21,6 +21,7 @@ integers as ``crypto.encode_uint``.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
@@ -196,48 +197,74 @@ class AccountTree:
         return self.levels[-1][0] if self.index else EMPTY_ROOT
 
 
-class CreditedIds:
-    """Set of credited parent ids that copies share instead of duplicating.
+class CommitLog:
+    """The credited ids of one line of copies, each mapped to the number of
+    the commit that added it (``ids``), and the line's commit count
+    (``commits``). Entries are only ever added, each under a number past
+    every one already there, and never renumbered."""
 
-    Ids added since the last copy sit in a private set; older ids sit in
-    frozen layers shared with every copy. A copy freezes the private set
-    into a new layer, first merged into each newest layer that holds at most
-    twice as many ids, so layer sizes more than double from newest to
-    oldest. n ids then occupy O(log n) layers and each id is re-copied
-    O(log n) times over its lifetime; beyond that amortised merge work, a
-    copy's cost does not grow with the number of ids.
+    __slots__ = ("ids", "commits")
+
+    def __init__(self, ids: dict[bytes, int], commits: int):
+        self.ids = ids
+        self.commits = commits
+
+
+# a commit number past any that a line reaches: an id absent from the log
+# reads as added by it, so no set sees it
+UNSEEN = sys.maxsize
+
+
+class CreditedIds:
+    """Set of credited parent ids, kept as one commit log that a line of
+    copies shares (the fat-node method for persistent structures).
+
+    A set sees the log's ids of commit number at most ``seen``, plus the
+    ids it added since it was last copied, which sit in its private set
+    ``new``:
+
+        pid in new or log.ids.get(pid, UNSEEN) <= seen
+
+    is membership; ``__contains__`` is that line, and ``apply_eager`` writes
+    it out in its own body. ``copy()`` first commits a non-empty ``new``
+    under the next number: into the shared log when no other copy has
+    committed past ``seen``, and otherwise into a fork that holds only the
+    entries this set sees. So a copy costs the set's own new ids and never
+    the history, and no set sees a sibling's or a later set's ids. The chain
+    copies only its tip state after it credits, so there the log never
+    forks.
     """
 
-    __slots__ = ("_layers", "_new")
+    __slots__ = ("log", "seen", "new")
 
-    def __init__(self, layers: tuple[frozenset, ...] = ()):
-        self._layers = layers
-        self._new: set[bytes] = set()
+    def __init__(self):
+        self.log = CommitLog({}, 0)
+        self.seen = 0
+        self.new: set[bytes] = set()
 
     def copy(self) -> "CreditedIds":
-        if self._new:
-            new = frozenset(self._new)
-            layers = self._layers
-            while layers and len(layers[-1]) <= 2 * len(new):
-                new = layers[-1] | new
-                layers = layers[:-1]
-            self._layers = layers + (new,)
-            self._new = set()
-        return CreditedIds(layers=self._layers)
+        if self.new:
+            log, seen = self.log, self.seen
+            if log.commits != seen:  # another copy extended the line past this set
+                log = self.log = CommitLog({pid: n for pid, n in log.ids.items() if n <= seen}, seen)
+            seen = self.seen = log.commits = seen + 1
+            ids = log.ids
+            for pid in self.new:
+                ids.setdefault(pid, seen)
+            self.new = set()
+        other = CreditedIds.__new__(CreditedIds)
+        other.log, other.seen, other.new = self.log, self.seen, set()
+        return other
 
     def add(self, parent_id: bytes) -> None:
-        self._new.add(parent_id)
+        self.new.add(parent_id)
 
     def __contains__(self, parent_id: bytes) -> bool:
-        if parent_id in self._new:
-            return True
-        for layer in self._layers:
-            if parent_id in layer:
-                return True
-        return False
+        return parent_id in self.new or self.log.ids.get(parent_id, UNSEEN) <= self.seen
 
     def __iter__(self):
-        return iter(self._new.union(*self._layers))
+        seen = self.seen
+        return iter(self.new.union([pid for pid, n in self.log.ids.items() if n <= seen]))
 
 
 class LedgerState:
@@ -287,6 +314,12 @@ class LedgerState:
         self.written: set[bytes] = set()
 
     def clone(self) -> "LedgerState":
+        """A copy that no later write to either state reaches. It copies the
+        two columns, the trees, the pending log and the written keys, shares
+        the root memo, and takes ``CreditedIds.copy`` of the credited ids,
+        which commits this state's new ids into the shared log first. So a
+        clone costs the accounts and the in-flight debits, never the
+        credited history."""
         other = LedgerState.__new__(LedgerState)
         other.n_shard = self.n_shard
         other.balances = dict(self.balances)
@@ -326,12 +359,18 @@ def apply_eager(state: LedgerState, sub: SubTransaction) -> None:
     balance = state.balances[sender]
     if balance < sub.value:
         raise InsufficientBalance(f"balance {balance} < value {sub.value}")
-    if sub.parent_id in state.pending or sub.parent_id in state.credited:
-        raise DuplicateDebit(f"parent id {sub.parent_id.hex()[:16]} already has a debit")
+    parent_id, credited = sub.parent_id, state.credited
+    # the credited check is CreditedIds.__contains__, written out
+    if (
+        parent_id in state.pending
+        or parent_id in credited.new
+        or credited.log.ids.get(parent_id, UNSEEN) <= credited.seen
+    ):
+        raise DuplicateDebit(f"parent id {parent_id.hex()[:16]} already has a debit")
     state.balances[sender] = balance - sub.value
     state.nonces[sender] = sub.nonce
     state.written.add(sender)
-    state.pending[sub.parent_id] = sub
+    state.pending[parent_id] = sub
 
 
 def apply_lazy(state: LedgerState, sub: SubTransaction) -> None:

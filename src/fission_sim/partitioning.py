@@ -46,7 +46,9 @@ def reshard_trigger(history: list[tuple[int, int]], n_rs: int) -> bool:
 def split_shards(state: LedgerState) -> LedgerState:
     """Double the shard count, so each account's home becomes pk mod
     (2 * n_shard); the new state's trees are built at its first rooting.
-    Balances, nonces, pending debit logs and credited ids carry over exactly."""
+    Balances, nonces, pending debit logs and credited ids carry over exactly;
+    the credited ids as a copy on the state's commit log, so a split costs
+    the accounts, not the credited history."""
     new_state = LedgerState(2 * state.n_shard)
     nonces = state.nonces
     for pk, balance in state.balances.items():

@@ -170,9 +170,14 @@ class Electorate:
     """The keys that draw in ``select_committee``, built once per stake
     mapping: the keys of positive stake in key order, each stake with the
     indices of its keys (one entry per distinct stake), and the dtype that
-    holds every weight exactly."""
+    holds every weight exactly.
 
-    __slots__ = ("pks", "groups", "weight_dtype")
+    It also keeps the framed secret of each key (``framed``), the VRF input
+    of every draw, which it frames on its first draw from the registry that
+    draw names, and again only for a draw through another registry.
+    """
+
+    __slots__ = ("pks", "groups", "weight_dtype", "_registry", "_framed")
 
     def __init__(self, stakes: Mapping[bytes, int]):
         self.pks = sorted(pk for pk, stake in stakes.items() if stake > 0)
@@ -182,6 +187,15 @@ class Electorate:
         self.groups = [(s, np.array(idx, dtype=np.intp)) for s, idx in groups.items()]
         # a weight never exceeds its stake
         self.weight_dtype = np.int64 if all(s < 1 << 63 for s in groups) else object
+        self._registry: KeyRegistry | None = None
+        self._framed: list[bytes] = []
+
+    def framed(self, registry: KeyRegistry) -> list[bytes]:
+        """``registry.framed_secrets(pks)``, framed once per registry."""
+        if registry is not self._registry:
+            self._framed = registry.framed_secrets(self.pks)
+            self._registry = registry
+        return self._framed
 
 
 def select_committee(
@@ -195,15 +209,16 @@ def select_committee(
 
     The registry stands in for each node evaluating its own secret key. The
     expected total weight over online stake S is p * S. Each node's weight is
-    ``voting_power`` of its ``vrf_eval(sk, seed, ctype).uniform``. A plain
-    stake mapping is turned into an ``Electorate`` first; a caller that draws
-    often keeps one.
+    ``voting_power`` of its ``vrf_eval(sk, seed, ctype).uniform``, hashed
+    from the electorate's framed keys (``Electorate.framed``). A plain stake
+    mapping is turned into an ``Electorate`` first; a caller that draws
+    often keeps one, and so frames the keys once.
     """
     if not 0.0 < p < 1.0:
         raise DomainError(f"selection probability must be in (0, 1), got {p}")
     electorate = stakes if isinstance(stakes, Electorate) else Electorate(stakes)
     pks = electorate.pks
-    xs = uniforms(vrf_hashes(registry.framed_secrets(pks), seed, ctype))
+    xs = uniforms(vrf_hashes(electorate.framed(registry), seed, ctype))
     # one CDF row per stake group; the weights equal voting_power's
     groups = electorate.groups
     weights = np.zeros(len(pks), dtype=electorate.weight_dtype)

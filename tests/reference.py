@@ -13,6 +13,10 @@ node, ``initial_relayer`` is one node's ``randrange`` draw of a relayer, and
 ``RelaySystemState.populate`` and ``relay.apply_churn`` inline and must
 repeat, random stream included.
 
+A state's credited ids are kept here as one Python set that every copy
+copies whole (``EagerCreditedIds``), beside the library's commit log that
+copies share (``ledger.CreditedIds``).
+
 A key's shard is kept here one key at a time (``shard_of``), beside the
 library's batch ``ledger.home_partitions``, so that reference roots group
 accounts without the code they check. So is a traffic generator that draws
@@ -44,7 +48,7 @@ import numpy as np
 from fission_sim.crypto import KeyRegistry, VrfOutput, sha3, vrf_eval
 from fission_sim.drs import DrsState, drs_potential, scan_round, underloaded_count
 from fission_sim.errors import EmptySpace, VerificationFailure
-from fission_sim.ledger import Transaction, make_transfer
+from fission_sim.ledger import CreditedIds, Transaction, make_transfer
 from fission_sim.relay import _poisson
 from fission_sim.seeding import child_seed
 from fission_sim.sortition import _weights, leader_ticket, voting_power
@@ -55,6 +59,20 @@ def shard_of(pk: bytes, n_shard: int) -> int:
     if n_shard < 1:
         raise ValueError("n_shard must be >= 1")
     return int.from_bytes(pk, "big") % n_shard
+
+
+class EagerCreditedIds(CreditedIds):
+    """Credited ids that never commit: every id stays in the private set
+    under an empty log, and ``copy`` copies that set whole. Membership,
+    iteration and ``apply_eager``'s written-out check read it as they read a
+    ``CreditedIds``."""
+
+    __slots__ = ()
+
+    def copy(self) -> "EagerCreditedIds":
+        other = EagerCreditedIds()
+        other.new = set(self.new)
+        return other
 
 
 def secret_key(registry: KeyRegistry, pk: bytes) -> bytes:

@@ -17,6 +17,7 @@ from fission_sim.chain import (
     block_to_dict,
     compute_root_arrays,
     kind_for_epoch,
+    next_seed,
     tally,
 )
 from fission_sim.config import PartitionSettings
@@ -282,16 +283,32 @@ def fresh_replica(sim, partition):
     return Chain(state, sim.chain.quorum, partition)
 
 
+def derived_header(chain):
+    """The header after the chain's tip, its parent hash and seed hashed
+    afresh from the tip."""
+    tip = chain.tip
+    epoch, parent = tip.epoch + 1, tip.hash
+    kind = kind_for_epoch(epoch)
+    return BlockHeader(
+        epoch, kind, parent, parent if kind == MAIN else ZERO_HASH, [], [], [],
+        next_seed(tip.header.seed, parent), chain.state.n_shard, chain.n_partition,
+    )
+
+
 @pytest.mark.parametrize("case", ["offline", "reshard"])
 def test_fresh_chain_replays_a_simulated_run(case):
     # a validator that knows only the genesis accounts and the partition rules
-    # re-derives every header, re-shards included, and proposes the same blocks
+    # re-derives every header, re-shards included, and proposes the same
+    # blocks; the header it derives from the tip hash and seed it recorded
+    # equals one hashed afresh, after genesis and after every append
     sim, partition = simulated_run(case)
     replica = fresh_replica(sim, partition)
     assert replica.tip.hash == sim.chain.blocks[0].hash
+    assert replica.next_header() == derived_header(replica)
     for block in sim.chain.blocks[1:]:
         assert replica.propose(block.body).hash == block.hash
         replica.append_block(block)
+        assert replica.next_header() == derived_header(replica)
     assert replica.state.n_shard == sim.chain.state.n_shard
     if case == "reshard":
         assert replica.state.n_shard > partition.n_shard

@@ -1,11 +1,15 @@
+import contextlib
 import copy
+import io
+import tempfile
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from fission_sim import consensus
+from fission_sim import cli, consensus
 from fission_sim.chain import INTERIM, MAIN, Votes, next_seed, tally
 from fission_sim.consensus import (
     Ballot,
@@ -17,7 +21,7 @@ from fission_sim.consensus import (
     run_epoch,
 )
 from fission_sim.config import CHAIN_KEYWORDS, EpochSettings, load_config
-from fission_sim.crypto import KeyRegistry, sha3, sign
+from fission_sim.crypto import KeyRegistry, encode_field, sha3, sign
 from fission_sim.dists import dist_sampler
 from fission_sim.errors import InvariantViolation, TransactionRejected, ValidationError
 from fission_sim.ledger import (
@@ -29,7 +33,7 @@ from fission_sim.ledger import (
     split_transaction,
 )
 from fission_sim.seeding import split
-from fission_sim.sortition import BLOCK_INTERIM, BLOCK_MAIN, leader_ticket, select_committee
+from fission_sim.sortition import BLOCK_INTERIM, BLOCK_MAIN, Electorate, leader_ticket, select_committee
 from reference import elect_proposer, generate_transactions, leader_order, secret_key
 from test_golden import CASES
 
@@ -387,6 +391,62 @@ def test_each_role_clones_the_chain_state_once_per_epoch(monkeypatch):
     assert all(clones == (3 if kind == INTERIM else 2) for kind, _, clones in per_epoch)
 
 
+def test_the_kept_account_column_is_the_sorted_accounts(monkeypatch):
+    # before every interim epoch the traffic is drawn on the kept column,
+    # which equals the sorted accounts, also after a test adds an account;
+    # the chain's credited ids stay one log all run, re-shards included
+    drawn = []
+
+    def recording(rng, registry, view, pks, *rest):
+        drawn.append(pks)
+        return draw_traffic(rng, registry, view, pks, *rest)
+
+    monkeypatch.setattr(consensus, "draw_traffic", recording)
+    params, epochs, _ = CASES["reshard"]
+    sim = ChainSimulation(**params)
+    log = sim.chain.state.credited.log
+    late = sim.population.registry.generate(b"late account")[1]
+    for epoch in range(epochs + 2):
+        if epoch == epochs:
+            sim.chain.state.create_account(late, 0)
+        accounts = sorted(sim.chain.state.balances)
+        result = sim.step()
+        if result.kind == INTERIM:
+            assert drawn.pop() == accounts
+        assert sim.chain.state.credited.log is log
+    assert not drawn and late in accounts and sim.chain.state.n_shard > params["n_shard"]
+
+
+def test_the_electorate_frames_its_keys_once_per_registry(monkeypatch):
+    # over ten epochs shaped like chain-committee the electorate's keys are
+    # framed once; a draw through another registry frames them again, and
+    # its committee is a fresh Electorate's draw through that registry
+    framed_lists = []
+    framed_secrets = KeyRegistry.framed_secrets
+
+    def recording(self, pks):
+        framed_lists.append(list(pks))
+        return framed_secrets(self, pks)
+
+    monkeypatch.setattr(KeyRegistry, "framed_secrets", recording)
+    sim = ChainSimulation(n_nodes=200, stake_dist="fixed:2500", tx_per_epoch=100, offline_rate=0.1, seed=5)
+    sim.run(10)
+    electorate = sim.population.electorate
+    assert [pks == electorate.pks for pks in framed_lists].count(True) == 1
+
+    rekeyed = KeyRegistry()  # the population's keys, each with another secret
+    for pk in electorate.pks:
+        rekeyed._framed_by_pk[pk] = encode_field(sha3(b"rekeyed" + pk))
+    seed, p = sim.chain.next_header().seed, sim.p
+    stakes = dict(zip(sim.population.pks, sim.population.stakes))
+    online = {pk: stakes[pk] for pk in sim.population.online}
+    kept = select_committee(electorate, seed, BLOCK_MAIN, p, sim.population.registry)
+    redrawn = select_committee(electorate, seed, BLOCK_MAIN, p, rekeyed)
+    assert [pks == electorate.pks for pks in framed_lists].count(True) == 2
+    fresh = select_committee(Electorate(online), seed, BLOCK_MAIN, p, rekeyed)
+    assert (redrawn.pks, redrawn.weights) == (fresh.pks, fresh.weights) != (kept.pks, kept.weights)
+
+
 # --- run_epoch / pipeline ---
 
 
@@ -500,7 +560,7 @@ def test_draw_traffic_repeats_the_randrange_choice_and_randint_generator(
     view = dict(zip(TRAFFIC_PKS[:n_accounts], accounts))
     ours_view, ref_view = dict(view), dict(view)
     ours_rng, ref_rng = split(seed, "txgen"), split(seed, "txgen")
-    ours = draw_traffic(ours_rng, TRAFFIC_REGISTRY, ours_view, tx_per_epoch, invalid_fraction)
+    ours = draw_traffic(ours_rng, TRAFFIC_REGISTRY, ours_view, sorted(view), tx_per_epoch, invalid_fraction)
     ref = generate_transactions(ref_rng, TRAFFIC_REGISTRY, ref_view, tx_per_epoch, invalid_fraction)
     # a Transaction compares every field, the signature included
     assert ours == ref
@@ -509,11 +569,11 @@ def test_draw_traffic_repeats_the_randrange_choice_and_randint_generator(
 
 
 def test_draw_traffic_on_no_account_raises_as_randrange_does():
-    assert draw_traffic(split(1, "txgen"), TRAFFIC_REGISTRY, {}, 0, 0.0) == []
+    assert draw_traffic(split(1, "txgen"), TRAFFIC_REGISTRY, {}, [], 0, 0.0) == []
     with pytest.raises(ValueError):
         generate_transactions(split(1, "txgen"), TRAFFIC_REGISTRY, {}, 1, 0.0)
     with pytest.raises(ValueError):
-        draw_traffic(split(1, "txgen"), TRAFFIC_REGISTRY, {}, 1, 0.0)
+        draw_traffic(split(1, "txgen"), TRAFFIC_REGISTRY, {}, [], 1, 0.0)
 
 
 def test_overdraws_near_the_balance_limit_stay_within_eight_bytes():
@@ -523,7 +583,7 @@ def test_overdraws_near_the_balance_limit_stay_within_eight_bytes():
     view = {low: (2**64 - 11, 0), high: (2**64 - 1, 0)}
     ours_view, ref_view = dict(view), dict(view)
     ours_rng, ref_rng = split(1, "txgen"), split(1, "txgen")
-    ours = draw_traffic(ours_rng, TRAFFIC_REGISTRY, ours_view, 40, 1.0)
+    ours = draw_traffic(ours_rng, TRAFFIC_REGISTRY, ours_view, sorted(view), 40, 1.0)
     ref = generate_transactions(ref_rng, TRAFFIC_REGISTRY, ref_view, 40, 1.0)
     assert ours == ref
     assert {tx.value for tx in ours if tx.sender == low} == {1, 2**64 - 1}
@@ -817,3 +877,39 @@ def test_chain_properties_on_generated_configs(epochs, **keys):
     assert again.run(epochs) == results
     assert again.chain.export_jsonl() == sim.chain.export_jsonl()
     assert cfg == before and sim.config == before and again.config == before
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n_nodes=st.integers(8, 40),
+    stake_dist=STAKE_SPECS,
+    offline_rate=st.floats(0.0, 0.9),
+    invalid_fraction=st.floats(0.0, 1.0),
+    tx_per_epoch=st.integers(0, 30),
+    n_shard=st.integers(1, 4),
+    n_partition=st.integers(1, 4),
+    epochs=st.integers(0, 10),
+    seed=st.integers(0, 2**16),
+)
+def test_two_chain_cli_runs_write_the_same_rows_and_summary(epochs, seed, **keys):
+    # the CSV rows and the summary are as pure as the JSONL: two in-process
+    # `fission-sim chain` runs of one generated config write the same bytes
+    keys.update(h=1.0, alpha=1.0, tau=5.0, theta=0.3)
+    config = "".join(f"{CHAIN_KEYWORDS[key]} = {value}\n" for key, value in keys.items())
+    outputs = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for run in ("a", "b"):
+            root = Path(tmp, run)
+            root.mkdir()
+            (root / "run.cfg").write_text(config)
+            argv = [
+                "chain", "--config", str(root / "run.cfg"), "--epochs", str(epochs), "--seed", str(seed),
+                "--out", str(root / "chain.jsonl"), "--metrics", str(root / "metrics.csv"),
+            ]
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main(argv)
+            assume(code == 0)  # a config that fails validation exits 2 and writes nothing
+            outputs.append({path.name: path.read_bytes() for path in sorted(root.iterdir())})
+    assert sorted(outputs[0]) == ["chain.jsonl", "metrics.csv", "metrics.summary.json", "run.cfg"]
+    assert outputs[0] == outputs[1]
+    assert outputs[0]["metrics.csv"].count(b"\n") == epochs + 1

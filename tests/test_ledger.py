@@ -439,6 +439,48 @@ def test_apply_lazy_rejects_double_credit(reg):
         apply_lazy(state, eager)
 
 
+def credit_block(state, pk, block, width):
+    """Debit and credit ``width`` self-transfers of ``pk`` on ``state``, as
+    one main block's credits; their parent ids."""
+    pids = [sha3(b"line-%d-%d" % (block, i)) for i in range(width)]
+    for pid in pids:
+        debit = SubTransaction(pid, pk, pk, 1, state.nonces[pk] + 1)
+        apply_eager(state, debit)
+        apply_lazy(state, debit)
+    return pids
+
+
+def test_a_line_of_copies_commits_into_one_log_and_one_sibling_forks_it_once(reg):
+    # 300 main blocks, each credited on two clones of the tip, as the
+    # proposer and the validator credit it, then the validator's clone for
+    # the next epoch commits its ids; at block 150 a sibling of the
+    # validator credits and commits first
+    pk = new_key(reg, "line")
+    tip = LedgerState(2)
+    tip.create_account(pk, 1000)
+    ids, forks = tip.credited.log.ids, []
+    for block in range(300):
+        visible = set(tip.credited)
+        credit_block(tip.clone(), pk, block, block % 4)  # the proposer's, never copied
+        validator = tip.clone()
+        new = credit_block(validator, pk, block, block % 4)
+        if block == 150:
+            sibling = tip.clone()
+            credit_block(sibling, pk, -1, 2)
+            sibling.clone()
+        validator.clone()
+        credited = validator.credited
+        if credited.log.ids is not ids:
+            ids = credited.log.ids
+            forks.append(block)
+        # exactly the validator's own new ids went in, under its commit
+        # number; after the fork the dict holds none of the sibling's
+        assert set(ids) == visible | set(new) == set(credited)
+        assert all(ids[pid] == credited.seen for pid in new)
+        tip = validator
+    assert forks == [150]
+
+
 @pytest.mark.parametrize("receiver_balance", [1, 2**63, 2**64 - 11])
 def test_apply_lazy_credits_up_to_the_eight_byte_balance_and_no_further(reg, receiver_balance):
     # a credit may lift a balance to exactly 2^64 - 1; one token more would

@@ -6,7 +6,9 @@ parent. These tests drive random debit/credit sequences (failing ones
 included) through parents, clones and siblings, and check the results
 against deep copies and against a root computation that uses no cache at
 all. A sequence may mix debits and credits, but each rooting takes the
-entries of one kind, as a block does (``block_of``).
+entries of one kind, as a block does (``block_of``). The credited ids,
+one commit log that copies share, are checked against a plain set that
+every copy copies whole (``reference.EagerCreditedIds``).
 """
 
 import copy
@@ -29,7 +31,7 @@ from fission_sim.ledger import (
 )
 from fission_sim.merkle import merkle_levels, merkle_root
 from fission_sim.partitioning import split_shards
-from reference import shard_of
+from reference import EagerCreditedIds, shard_of
 
 KEYS = [sha3(b"prop-key-%d" % i) for i in range(16)]
 FUNDED = 12  # KEYS[FUNDED:] start without an account
@@ -209,6 +211,88 @@ def test_cached_roots_equal_cache_free_roots(n_shard, blocks):
         # the pre-state still roots as it did before any clone wrote
         assert compute_root_arrays(EAGER, [], state) == reference_roots(EAGER, [], state)
         state = validator
+
+
+# --- credited ids: copies of copies, with forks ---
+
+# the parent ids that credited-ids programs credit and probe
+CREDIT_IDS = PARENT_IDS[:10]
+# every program starts with two siblings that both credit and then both get
+# cloned: the second clone's commit forks the log
+SIBLINGS = [("clone", 0), ("clone", 0), ("credit", 1, 0), ("credit", 2, 1), ("clone", 1), ("clone", 2)]
+STATE_INDEX = st.integers(0, 40)  # taken mod the number of live states
+CREDIT_STEPS = st.lists(
+    st.tuples(st.just("clone"), STATE_INDEX)
+    | st.tuples(st.just("credit"), STATE_INDEX, st.integers(0, len(CREDIT_IDS) - 1))
+    | st.tuples(st.just("split"), STATE_INDEX),
+    max_size=16,
+)
+
+
+def outcome(apply, state: LedgerState, sub: SubTransaction) -> str:
+    """The error class name that ``apply(state, sub)`` raises, or "ok"."""
+    try:
+        apply(state, sub)
+    except FissionError as exc:
+        return type(exc).__name__
+    return "ok"
+
+
+def credit(state: LedgerState, p: int) -> tuple[str, str]:
+    """The outcomes of a debit of parent id ``CREDIT_IDS[p]``, then of its
+    credit."""
+    sender = KEYS[p % FUNDED]
+    debit = SubTransaction(CREDIT_IDS[p], sender, KEYS[(3 * p + 1) % len(KEYS)], 1, state.nonces[sender] + 1)
+    return outcome(apply_eager, state, debit), outcome(apply_lazy, state, debit)
+
+
+def trial(state: LedgerState) -> LedgerState:
+    """A stand-in for ``state`` whose columns, written keys and pending log
+    are copies, so that a debit applied to it writes to no state; it shares
+    the credited ids, which ``apply_eager`` only reads."""
+    other = copy.copy(state)
+    other.balances, other.nonces = dict(state.balances), dict(state.nonces)
+    other.pending, other.written = dict(state.pending), set(state.written)
+    return other
+
+
+def credited_answers(state: LedgerState):
+    """All that ``state`` answers about credited ids: its set, membership of
+    each of ``CREDIT_IDS``, and the outcome of a debit naming each (on a
+    ``trial`` stand-in) and of a credit of each, which raises without
+    writing, since no debit is left pending."""
+    assert not state.pending
+    credited, sender = state.credited, KEYS[0]
+    nonce = state.nonces[sender] + 1
+    return (
+        set(credited),
+        [pid in credited for pid in CREDIT_IDS],
+        [outcome(apply_eager, trial(state), SubTransaction(pid, sender, KEYS[1], 1, nonce)) for pid in CREDIT_IDS],
+        [outcome(apply_lazy, state, SubTransaction(pid, sender, KEYS[1], 1, 1)) for pid in CREDIT_IDS],
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_shard=SHARDS, steps=CREDIT_STEPS)
+def test_credited_ids_of_copies_of_copies_equal_eagerly_copied_sets(n_shard, steps):
+    # a tree of states, each with a twin whose credited ids are a set that
+    # every clone and split copies whole; a step clones any live state,
+    # credits a debit on any state, or splits any state's shards
+    states, twins = [fresh_state(n_shard)], [fresh_state(n_shard)]
+    twins[0].credited = EagerCreditedIds()
+    for step in SIBLINGS + steps:
+        i = step[1] % len(states)
+        if step[0] == "clone":
+            states.append(states[i].clone())
+            twins.append(twins[i].clone())
+        elif step[0] == "split":
+            states.append(split_shards(states[i]))
+            twins.append(split_shards(twins[i]))
+        else:
+            assert credit(states[i], step[2]) == credit(twins[i], step[2])
+        for state, twin in zip(states, twins):
+            assert credited_answers(state) == credited_answers(twin)
+            assert snapshot(state) == snapshot(twin)
 
 
 # "kind" roots the same entries as the other half of their transfers

@@ -23,6 +23,7 @@ from .metrics import MetricsSink
 from .relay import identifier_counts, simulate_prs
 from .seeding import child_seed, split
 from .sortition import (
+    Electorate,
     check_h_alpha,
     check_theta_tau,
     failure_probabilities,
@@ -159,7 +160,7 @@ def cmd_sortition(args) -> int:
         raise ValidationError("tau", f"tau {args.tau} must be below total stake {k_total}")
     p = args.tau / k_total
     seed_bytes = child_seed(args.seed, "sortition-seed").to_bytes(32, "big")
-    members = select_committee(stakes, seed_bytes, args.ctype, p, registry)
+    members = select_committee(Electorate(stakes, registry), seed_bytes, args.ctype, p)
     out = {
         "type": args.ctype,
         "nodes": args.nodes,

@@ -211,8 +211,15 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
 # the most nodes a chain, sortition, relay or retrieval run holds: each node
 # is a slot in every per-node column (a stake draw, a key, a relay slot),
 # which is allocated before the first epoch or round; 2^24 is also the
-# identifier space's cap, relay.MAX_IDENTIFIERS
+# identifier space's cap, relay.MAX_IDENTIFIERS. It caps the relayers too,
+# since each takes one identifier, and the retrieval keys, each of which
+# gets a size and its holders drawn when the instance is built
 MAX_NODES = 1 << 24
+# the most shards a chain's state holds at its start: each shard is a tree
+# slot, three per-block lists and three header roots, allocated when the
+# chain is built, so build time and memory grow linearly in the count, and a
+# count far past the cap runs out of memory before the first epoch
+MAX_SHARDS = 1 << 16
 # the highest relay.join_rate (a Poisson mean of joiners per round): each
 # joiner is one more assignment slot and one more draw in every later round
 MAX_JOIN_RATE = float(MAX_NODES)
@@ -223,6 +230,7 @@ _AT_LEAST_0 = (">= 0", lambda v: v >= 0)
 _AT_LEAST_1 = (">= 1", lambda v: v >= 1)
 _UNIT = ("in [0, 1]", lambda v: 0 <= v <= 1)
 _NODE_COUNT = (f"in [1, {MAX_NODES}]", lambda v: 1 <= v <= MAX_NODES)
+_SHARD_COUNT = (f"in [1, {MAX_SHARDS}]", lambda v: 1 <= v <= MAX_SHARDS)
 
 # key -> (rule, test); a float key must also be finite, so NaN and +-inf fail
 # every rule. sortition's domain rules hold the other security ranges.
@@ -240,11 +248,11 @@ _RULES = {
     "chain.tx_per_epoch": _AT_LEAST_0,
     "chain.invalid_fraction": _UNIT,
     "chain.offline_rate": ("in [0, 1)", lambda v: 0 <= v < 1),
-    "partition.n_shard": _AT_LEAST_1,
+    "partition.n_shard": _SHARD_COUNT,
     "partition.n_e_max": _AT_LEAST_1,
     "partition.delta": ("in (0, 1)", lambda v: 0 < v < 1),
     "partition.n_rs": _AT_LEAST_1,
-    "relay.relayers": _AT_LEAST_1,
+    "relay.relayers": _NODE_COUNT,
     "relay.nodes": _NODE_COUNT,
     "relay.mu": _POSITIVE,
     "relay.mean_msg_size": _POSITIVE,
@@ -254,7 +262,7 @@ _RULES = {
     "relay.leave_rate": _UNIT,
     "relay.start": ("one of 'worst', 'random'", lambda v: v in ("worst", "random")),
     "drs.nodes": _NODE_COUNT,
-    "drs.keys": _AT_LEAST_1,
+    "drs.keys": _NODE_COUNT,
     "drs.replication": _AT_LEAST_1,
     "drs.deadline": _POSITIVE,
     "drs.start": ("one of 'uniform', 'concentrated'", lambda v: v in ("uniform", "concentrated")),

@@ -63,7 +63,8 @@ class Population:
     """The nodes as columns: ``pks`` and ``stakes`` in node order, the
     ``online`` keys in node order, each Byzantine key's strategy
     (``strategies``), the key ``registry``, and the online ``electorate``
-    that committees are drawn from.
+    that every committee is drawn from. The electorate frames its keys from
+    the registry once, here, so no draw reads the registry.
 
     Online stake approximates alpha * K and adversarial stake approximates
     (1 - h) of the online stake, both as closely as the stake granularity
@@ -84,7 +85,7 @@ class Population:
         self.strategies = strategies
         self.registry = registry
         stake_of = dict(zip(pks, stakes))
-        self.electorate = Electorate({pk: stake_of[pk] for pk in online})
+        self.electorate = Electorate({pk: stake_of[pk] for pk in online}, registry)
 
     @classmethod
     def build(
@@ -317,7 +318,7 @@ def run_epoch(
     n_partition = chain.n_partition
 
     block_type = BLOCK_INTERIM if kind == INTERIM else BLOCK_MAIN
-    committee = select_committee(electorate, seed, block_type, p, population.registry)
+    committee = select_committee(electorate, seed, block_type, p)
     ballot = cast_ballot(committee, population, offline)
     _assert_adversary_below_quorum(ballot, quorum, f"{block_type} committee")
 
@@ -342,7 +343,7 @@ def run_epoch(
         micros: list[list[SubTransaction]] = []  # partition k's included debits at k
         kept_parents: set[bytes] = set()
         for k in range(n_partition):
-            pc = select_committee(electorate, seed, partition_committee(k), p, population.registry)
+            pc = select_committee(electorate, seed, partition_committee(k), p)
             pc_ballot = cast_ballot(pc, population, offline)
             _assert_adversary_below_quorum(pc_ballot, quorum, f"partition {k} committee")
             included, deferred, invalid = micro_round(routed[k], pc_ballot, scratch, quorum, epochs)

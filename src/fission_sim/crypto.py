@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from .errors import VerificationFailure
 
 HASH_BYTES = 32
-TWO_256 = 1 << 256
 
 
 def sha3(data: bytes) -> bytes:
@@ -183,11 +182,6 @@ class VrfOutput:
 
     hash: bytes
     proof: bytes
-
-    @property
-    def uniform(self) -> float:
-        """The hash mapped into [0, 1)."""
-        return int.from_bytes(self.hash, "big") / TWO_256
 
 
 def vrf_eval(sk: bytes, seed: bytes, ctype: str) -> VrfOutput:

@@ -135,7 +135,8 @@ _TWO_NEG_64 = 2.0**-64
 
 
 def uniforms(hashes: list[bytes]) -> np.ndarray:
-    """``VrfOutput.uniform`` of many 32-byte hashes in one conversion.
+    """Each 32-byte hash mapped into [0, 1) as the correctly rounded
+    ``int / 2**256``, for many hashes in one conversion.
 
     A float keeps 53 bits, so a hash whose top 64-bit word is at least 2^54
     rounds as that word does with a sticky bit set for any nonzero bit below
@@ -167,58 +168,40 @@ class Committee:
 
 
 class Electorate:
-    """The keys that draw in ``select_committee``, built once per stake
-    mapping: the keys of positive stake in key order, each stake with the
-    indices of its keys (one entry per distinct stake), and the dtype that
-    holds every weight exactly.
-
-    It also keeps the framed secret of each key (``framed``), the VRF input
-    of every draw, which it frames on its first draw from the registry that
-    draw names, and again only for a draw through another registry.
+    """The keys that draw in ``select_committee``, built once per run from a
+    stake mapping and the registry that holds its keys: the keys of positive
+    stake in key order, their framed secrets (``framed``, the VRF input of
+    every draw, framed here once), each stake with the indices of its keys
+    (one entry per distinct stake), and the dtype that holds every weight
+    exactly.
     """
 
-    __slots__ = ("pks", "groups", "weight_dtype", "_registry", "_framed")
+    __slots__ = ("pks", "framed", "groups", "weight_dtype")
 
-    def __init__(self, stakes: Mapping[bytes, int]):
+    def __init__(self, stakes: Mapping[bytes, int], registry: KeyRegistry):
         self.pks = sorted(pk for pk, stake in stakes.items() if stake > 0)
+        self.framed = registry.framed_secrets(self.pks)
         groups: dict[int, list[int]] = {}
         for i, pk in enumerate(self.pks):
             groups.setdefault(stakes[pk], []).append(i)
         self.groups = [(s, np.array(idx, dtype=np.intp)) for s, idx in groups.items()]
         # a weight never exceeds its stake
         self.weight_dtype = np.int64 if all(s < 1 << 63 for s in groups) else object
-        self._registry: KeyRegistry | None = None
-        self._framed: list[bytes] = []
-
-    def framed(self, registry: KeyRegistry) -> list[bytes]:
-        """``registry.framed_secrets(pks)``, framed once per registry."""
-        if registry is not self._registry:
-            self._framed = registry.framed_secrets(self.pks)
-            self._registry = registry
-        return self._framed
 
 
-def select_committee(
-    stakes: Mapping[bytes, int] | Electorate,
-    seed: bytes,
-    ctype: str,
-    p: float,
-    registry: KeyRegistry,
-) -> Committee:
+def select_committee(electorate: Electorate, seed: bytes, ctype: str, p: float) -> Committee:
     """Every node draws independently; members are those with positive weight.
 
-    The registry stands in for each node evaluating its own secret key. The
-    expected total weight over online stake S is p * S. Each node's weight is
-    ``voting_power`` of its ``vrf_eval(sk, seed, ctype).uniform``, hashed
-    from the electorate's framed keys (``Electorate.framed``). A plain stake
-    mapping is turned into an ``Electorate`` first; a caller that draws
-    often keeps one, and so frames the keys once.
+    The electorate's framed keys stand in for each node evaluating its own
+    secret key. The expected total weight over online stake S is p * S. Each
+    node's weight is ``voting_power`` of its ``vrf_eval(sk, seed,
+    ctype).hash`` mapped into [0, 1) (``uniforms``), hashed from
+    ``electorate.framed``.
     """
     if not 0.0 < p < 1.0:
         raise DomainError(f"selection probability must be in (0, 1), got {p}")
-    electorate = stakes if isinstance(stakes, Electorate) else Electorate(stakes)
     pks = electorate.pks
-    xs = uniforms(vrf_hashes(electorate.framed(registry), seed, ctype))
+    xs = uniforms(vrf_hashes(electorate.framed, seed, ctype))
     # one CDF row per stake group; the weights equal voting_power's
     groups = electorate.groups
     weights = np.zeros(len(pks), dtype=electorate.weight_dtype)

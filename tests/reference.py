@@ -132,6 +132,12 @@ def vrf_verify(registry: KeyRegistry, pk: bytes, seed: bytes, ctype: str, output
     return expected.hash == output.hash and expected.proof == output.proof
 
 
+def uniform(h: bytes) -> float:
+    """A VRF hash mapped into [0, 1): the correctly rounded ``int / 2**256``,
+    which ``sortition.uniforms`` computes for many hashes at once."""
+    return int.from_bytes(h, "big") / (1 << 256)
+
+
 @dataclass(frozen=True, slots=True)
 class SortitionOutcome:
     pk: bytes
@@ -143,7 +149,7 @@ class SortitionOutcome:
 def draw_outcome(sk: bytes, pk: bytes, seed: bytes, ctype: str, stake: int, p: float) -> SortitionOutcome:
     """One node's sortition draw: its VRF output and the weight it maps to."""
     out = vrf_eval(sk, seed, ctype)
-    return SortitionOutcome(pk, ctype, voting_power(out.uniform, stake, p), out)
+    return SortitionOutcome(pk, ctype, voting_power(uniform(out.hash), stake, p), out)
 
 
 def verify_outcome(
@@ -152,7 +158,7 @@ def verify_outcome(
     """Re-derive a claimed weight from the proof; anyone can run this."""
     if not vrf_verify(registry, outcome.pk, seed, outcome.committee_type, outcome.vrf):
         return False
-    return voting_power(outcome.vrf.uniform, stake, p) == outcome.weight
+    return voting_power(uniform(outcome.vrf.hash), stake, p) == outcome.weight
 
 
 def voting_power_batch(xs: np.ndarray, s: int, p: float) -> np.ndarray:

@@ -506,7 +506,7 @@ def test_credit_rewritten_to_another_receiver_is_rejected():
         chain.propose(bad)
     block = chain.propose(body)
     block.body = bad
-    committee = select_committee(population.electorate, block.header.seed, BLOCK_MAIN, sim.p, population.registry)
+    committee = select_committee(population.electorate, block.header.seed, BLOCK_MAIN, sim.p)
     block.header.votes = collect_votes(cast_ballot(committee, population, set()), population, block.hash)
     assert tally(block.header.votes) >= chain.quorum
     tip, state = chain.tip, chain.state

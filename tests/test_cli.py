@@ -10,7 +10,7 @@ import pytest
 
 from fission_sim.chain import Chain
 from fission_sim.cli import CHAIN_COLUMNS, main
-from fission_sim.config import MAX_JOIN_RATE, MAX_NODES, SimConfig, load_config
+from fission_sim.config import MAX_JOIN_RATE, MAX_NODES, MAX_SHARDS, SimConfig, load_config
 from fission_sim.consensus import ChainSimulation
 from fission_sim.crypto import KeyRegistry, sha3
 from fission_sim.dists import sample_dist
@@ -356,10 +356,10 @@ def test_drs_trace_schema(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (("relay", "--relayers", "0"), "relay.relayers (--relayers): must be >= 1, got 0"),
+        (("relay", "--relayers", "0"), "relay.relayers (--relayers): must be in [1, 16777216], got 0"),
         (("relay", "--nodes", "0"), "relay.nodes (--nodes): must be in [1, 16777216], got 0"),
         (("relay", "--nodes", "-5"), "relay.nodes (--nodes): must be in [1, 16777216], got -5"),
-        (("drs", "--keys", "0"), "drs.keys (--keys): must be >= 1, got 0"),
+        (("drs", "--keys", "0"), "drs.keys (--keys): must be in [1, 16777216], got 0"),
         (("drs", "--nodes", "0"), "drs.nodes (--nodes): must be in [1, 16777216], got 0"),
         (("drs", "--replication", "0"), "drs.replication (--replication): must be >= 1, got 0"),
     ],
@@ -387,6 +387,31 @@ def test_node_count_above_the_cap_exits_2_naming_the_key(tmp_path, capsys, monke
     assert code == 2
     assert err == f"error: {command}.nodes (--nodes): must be in [1, 16777216], got 16777217\n"
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv, config, message",
+    [
+        (("relay", "--relayers", str(MAX_NODES + 1)), None,
+         "relay.relayers (--relayers): must be in [1, 16777216], got 16777217"),
+        (("drs", "--keys", str(MAX_NODES + 1)), None, "drs.keys (--keys): must be in [1, 16777216], got 16777217"),
+        (("chain", "--epochs", "1"), f"partition.n_shard = {MAX_SHARDS + 1}\n",
+         "partition.n_shard: must be in [1, 65536], got 65537"),
+    ],
+    ids=["relay-relayers", "drs-keys", "partition-n-shard"],
+)
+def test_size_key_above_its_cap_exits_2_naming_the_key(tmp_path, capsys, monkeypatch, argv, config, message):
+    # far past these caps a run died of MemoryError in its first column (the
+    # relayers' capacities, the shard slots) or drew keys until memory ran
+    # out; each cap is checked before anything is allocated
+    monkeypatch.chdir(tmp_path)
+    if config is not None:
+        (tmp_path / "run.cfg").write_text(config)
+        argv += ("--config", "run.cfg")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+    assert [p.name for p in tmp_path.iterdir()] == (["run.cfg"] if config else [])
 
 
 def test_population_above_the_node_cap_exits_2_naming_the_key(tmp_path, capsys, monkeypatch):

@@ -9,6 +9,7 @@ from fission_sim.config import (
     CHAIN_KEYWORDS,
     MAX_JOIN_RATE,
     MAX_NODES,
+    MAX_SHARDS,
     SimConfig,
     load_config,
     validate_config,
@@ -219,14 +220,25 @@ def test_join_rate_cap_admits_the_rates_in_use(rate):
     assert load_config(None, {"relay.join_rate": rate}).relay.join_rate == rate
 
 
-@pytest.mark.parametrize("key", ["population.nodes", "relay.nodes", "drs.nodes"])
+@pytest.mark.parametrize("key", ["population.nodes", "relay.nodes", "drs.nodes", "relay.relayers", "drs.keys"])
 def test_node_counts_are_capped_at_2_24_by_name(key):
     # the cap admits the benchmark's sizes (4,096 retrieval and 65,536 relay
-    # nodes) and the cap itself; validating allocates no per-node column
+    # nodes) and the cap itself; validating allocates no per-node column.
+    # Relayers and retrieval keys share the cap.
     for nodes in (1, 4096, 65536, MAX_NODES):
         assert load_config(None, {key: nodes}).to_dict()[key] == nodes
     cfg = SimConfig()
     section, _, name = key.partition(".")
     setattr(getattr(cfg, section), name, MAX_NODES + 1)
     with pytest.raises(ValidationError, match=rf"^{key}: must be in \[1, 16777216\], got 16777217$"):
+        validate_config(cfg)
+
+
+def test_shard_count_is_capped_at_2_16_by_name():
+    # the cap admits the default count and the cap itself
+    for n_shard in (2, 8, MAX_SHARDS):
+        assert load_config(None, {"partition.n_shard": n_shard}).partition.n_shard == n_shard
+    cfg = SimConfig()
+    cfg.partition.n_shard = MAX_SHARDS + 1
+    with pytest.raises(ValidationError, match=r"^partition\.n_shard: must be in \[1, 65536\], got 65537$"):
         validate_config(cfg)

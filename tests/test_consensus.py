@@ -21,7 +21,7 @@ from fission_sim.consensus import (
     run_epoch,
 )
 from fission_sim.config import CHAIN_KEYWORDS, EpochSettings, load_config
-from fission_sim.crypto import KeyRegistry, encode_field, sha3, sign
+from fission_sim.crypto import KeyRegistry, sha3, sign
 from fission_sim.dists import dist_sampler
 from fission_sim.errors import InvariantViolation, TransactionRejected, ValidationError
 from fission_sim.ledger import (
@@ -33,7 +33,7 @@ from fission_sim.ledger import (
     split_transaction,
 )
 from fission_sim.seeding import split
-from fission_sim.sortition import BLOCK_INTERIM, BLOCK_MAIN, Electorate, leader_ticket, select_committee
+from fission_sim.sortition import BLOCK_INTERIM, BLOCK_MAIN, leader_ticket, select_committee
 from reference import elect_proposer, generate_transactions, leader_order, secret_key
 from test_golden import CASES
 
@@ -157,9 +157,7 @@ def voting_world(roles, offline_mask, proposal, world):
     strategies = {pk: role for pk, role in zip(built.pks, roles) if role is not None}
     population = Population(built.pks, built.stakes, built.online, strategies, built.registry)
     offline = {pk for pk, dark in zip(population.pks, offline_mask) if dark}
-    committee = select_committee(
-        population.electorate, proposal, BLOCK_MAIN, 0.05, population.registry
-    )
+    committee = select_committee(population.electorate, proposal, BLOCK_MAIN, 0.05)
     return population, offline, committee
 
 
@@ -189,9 +187,7 @@ def test_vote_weights_equal_tallies_of_the_reference_votes(roles, offline_mask, 
 
 def test_micro_round_zero_online_weight_times_out():
     sim = small_sim()
-    committee = select_committee(
-        sim.population.electorate, b"s", "partition:0", sim.p, sim.population.registry
-    )
+    committee = select_committee(sim.population.electorate, b"s", "partition:0", sim.p)
     offline = set(committee.pks)
     outcome, deferred, invalid = micro_round(
         [], cast_ballot(committee, sim.population, offline), sim.chain.state.clone(),
@@ -203,9 +199,7 @@ def test_micro_round_zero_online_weight_times_out():
 def test_micro_round_defers_overflow_prefix_by_arrival():
     sim = small_sim()
     cfg = EpochSettings(delta_micro=1.0)
-    committee = select_committee(
-        sim.population.electorate, b"s", "partition:0", sim.p, sim.population.registry
-    )
+    committee = select_committee(sim.population.electorate, b"s", "partition:0", sim.p)
     capacity_target = 3
     cfg.micro_throughput = capacity_target / (cfg.delta_micro * len(committee))
     reg = sim.population.registry
@@ -227,9 +221,7 @@ def test_micro_round_capacity_counts_online_members_only():
     # committee do not count against it
     sim = small_sim()
     reg = sim.population.registry
-    committee = select_committee(
-        sim.population.electorate, b"s", "partition:0", sim.p, reg
-    )
+    committee = select_committee(sim.population.electorate, b"s", "partition:0", sim.p)
     offline = {committee.pks[0], b"\x00" * 32}
     cfg = EpochSettings(delta_micro=1.0, micro_throughput=1.0)
     sender, receiver = sim.population.pks[:2]
@@ -253,9 +245,7 @@ def test_micro_round_filters_invalid_state_transitions():
     overdraw = split_transaction(
         make_transfer(reg, sender, receiver, 10**9, 2), reg
     )
-    committee = select_committee(
-        sim.population.electorate, b"s", "partition:0", sim.p, sim.population.registry
-    )
+    committee = select_committee(sim.population.electorate, b"s", "partition:0", sim.p)
     outcome, deferred, invalid = micro_round(
         [good, overdraw], cast_ballot(committee, sim.population, set()), sim.chain.state.clone(),
         sim.chain.quorum, sim.config.epochs,
@@ -271,9 +261,7 @@ def test_micro_round_propagates_errors_that_are_not_protocol_errors(monkeypatch)
     reg = sim.population.registry
     sender, receiver = sim.population.pks[:2]
     eager = split_transaction(make_transfer(reg, sender, receiver, 1, 1), reg)
-    committee = select_committee(
-        sim.population.electorate, b"s", "partition:0", sim.p, reg
-    )
+    committee = select_committee(sim.population.electorate, b"s", "partition:0", sim.p)
 
     def broken(state, sub):
         raise RuntimeError("state bug")
@@ -417,10 +405,13 @@ def test_the_kept_account_column_is_the_sorted_accounts(monkeypatch):
     assert not drawn and late in accounts and sim.chain.state.n_shard > params["n_shard"]
 
 
-def test_the_electorate_frames_its_keys_once_per_registry(monkeypatch):
-    # over ten epochs shaped like chain-committee the electorate's keys are
-    # framed once; a draw through another registry frames them again, and
-    # its committee is a fresh Electorate's draw through that registry
+# the shape of the chain-committee benchmark workload, at a tenth of its nodes
+COMMITTEE_SHAPED = dict(n_nodes=200, stake_dist="fixed:2500", tx_per_epoch=100, offline_rate=0.1, seed=5)
+
+
+def test_the_electorate_frames_its_keys_once(monkeypatch):
+    # the electorate's keys are framed once, when the population is built,
+    # and never again over ten epochs
     framed_lists = []
     framed_secrets = KeyRegistry.framed_secrets
 
@@ -429,22 +420,35 @@ def test_the_electorate_frames_its_keys_once_per_registry(monkeypatch):
         return framed_secrets(self, pks)
 
     monkeypatch.setattr(KeyRegistry, "framed_secrets", recording)
-    sim = ChainSimulation(n_nodes=200, stake_dist="fixed:2500", tx_per_epoch=100, offline_rate=0.1, seed=5)
-    sim.run(10)
+    sim = ChainSimulation(**COMMITTEE_SHAPED)
     electorate = sim.population.electorate
+    assert [pks == electorate.pks for pks in framed_lists] == [True]
+    sim.run(10)
     assert [pks == electorate.pks for pks in framed_lists].count(True) == 1
 
-    rekeyed = KeyRegistry()  # the population's keys, each with another secret
-    for pk in electorate.pks:
-        rekeyed._framed_by_pk[pk] = encode_field(sha3(b"rekeyed" + pk))
-    seed, p = sim.chain.next_header().seed, sim.p
-    stakes = dict(zip(sim.population.pks, sim.population.stakes))
-    online = {pk: stakes[pk] for pk in sim.population.online}
-    kept = select_committee(electorate, seed, BLOCK_MAIN, p, sim.population.registry)
-    redrawn = select_committee(electorate, seed, BLOCK_MAIN, p, rekeyed)
-    assert [pks == electorate.pks for pks in framed_lists].count(True) == 2
-    fresh = select_committee(Electorate(online), seed, BLOCK_MAIN, p, rekeyed)
-    assert (redrawn.pks, redrawn.weights) == (fresh.pks, fresh.weights) != (kept.pks, kept.weights)
+
+def test_committee_draws_read_no_registry(monkeypatch):
+    # every committee of ten epochs, drawn again from a fresh population's
+    # electorate with the registry unable to frame any key
+    draws = []
+
+    def recording(electorate, seed, ctype, p):
+        committee = select_committee(electorate, seed, ctype, p)
+        draws.append((seed, ctype, p, committee.pks, committee.weights))
+        return committee
+
+    monkeypatch.setattr(consensus, "select_committee", recording)
+    ChainSimulation(**COMMITTEE_SHAPED).run(10)
+    electorate = ChainSimulation(**COMMITTEE_SHAPED).population.electorate
+
+    def unreadable(self, pks):
+        raise AssertionError("a draw read the registry")
+
+    monkeypatch.setattr(KeyRegistry, "framed_secrets", unreadable)
+    assert {ctype for _, ctype, *_ in draws} >= {BLOCK_INTERIM, BLOCK_MAIN, "partition:0"}
+    for seed, ctype, p, pks, weights in draws:
+        committee = select_committee(electorate, seed, ctype, p)
+        assert (committee.pks, committee.weights) == (pks, weights)
 
 
 # --- run_epoch / pipeline ---
@@ -500,7 +504,7 @@ def test_leader_fallback_skips_offline_proposer():
     sim = small_sim()
     reg = sim.population.registry
     seed = next_seed(sim.chain.tip.header.seed, sim.chain.tip.hash)
-    committee = select_committee(sim.population.electorate, seed, BLOCK_INTERIM, sim.p, reg)
+    committee = select_committee(sim.population.electorate, seed, BLOCK_INTERIM, sim.p)
     order = leader_order([(pk, leader_ticket(secret_key(reg, pk), seed).hash) for pk in committee.pks])
     result = run_epoch(
         sim.chain, [], sim.p, sim.config.epochs, sim.population,
@@ -721,9 +725,7 @@ def test_assemble_interim_rejects_misrouted_micro_block():
     (home,) = home_partitions([sender], sim.chain.state.n_shard, 2)
     wrong = 1 - home
     seed = next_seed(sim.chain.tip.header.seed, sim.chain.tip.hash)
-    committee = select_committee(
-        sim.population.electorate, seed, BLOCK_INTERIM, sim.p, reg
-    )
+    committee = select_committee(sim.population.electorate, seed, BLOCK_INTERIM, sim.p)
     micros = [[], []]  # partition k's included debits at position k
     micros[wrong].append(eager)
     with pytest.raises(InvariantViolation) as err:
@@ -738,10 +740,7 @@ def test_conflicting_quorum_is_caught_at_assembly():
     pop = sim.population
     strategies = dict.fromkeys(pop.pks, consensus.VOTE_CONFLICTING)
     sim.population = Population(pop.pks, pop.stakes, pop.online, strategies, pop.registry)
-    committee = select_committee(
-        sim.population.electorate, sim.chain.next_header().seed, BLOCK_MAIN,
-        sim.p, sim.population.registry,
-    )
+    committee = select_committee(sim.population.electorate, sim.chain.next_header().seed, BLOCK_MAIN, sim.p)
     assert sum(committee.weights) >= sim.chain.quorum
     tip = sim.chain.tip
     with pytest.raises(InvariantViolation) as err:

@@ -18,8 +18,8 @@ from fission_sim.crypto import (
     vrf_hashes,
 )
 from fission_sim.errors import VerificationFailure
-from fission_sim.sortition import uniforms
-from reference import secret_key, vrf_verify
+from fission_sim.sortition import Electorate, uniforms
+from reference import secret_key, uniform, vrf_verify
 
 # byte strings around the 32-byte key/hash size and past one length byte
 FIELDS = st.one_of(
@@ -86,7 +86,7 @@ def test_vrf_uniformity_ks():
     reg = KeyRegistry()
     sk, _ = reg.generate(b"ks-node")
     draws = np.array(
-        [vrf_eval(sk, b"seed%d" % i, "partition:0").uniform for i in range(100_000)]
+        [uniform(vrf_eval(sk, b"seed%d" % i, "partition:0").hash) for i in range(100_000)]
     )
     stat = stats.kstest(draws, "uniform")
     assert stat.pvalue > 0.01, f"KS p-value {stat.pvalue}"
@@ -113,7 +113,7 @@ def test_inline_encodings_match_encode_fields(sk, seed, ctype, message):
 def test_proof_read_late_equals_eager_proof(inputs):
     # evaluate everything first, read the hashes, then the proofs in reverse
     outs = [vrf_eval(*args) for args in inputs]
-    assert [o.uniform for o in outs] == [eager_vrf(*args).uniform for args in inputs]
+    assert [o.hash for o in outs] == [eager_vrf(*args).hash for args in inputs]
     for out, args in reversed(list(zip(outs, inputs))):
         eager = eager_vrf(*args)
         assert out.proof == eager.proof
@@ -142,10 +142,15 @@ def test_batch_helpers_equal_scalar_vrf_and_sign(materials, others, seed, ctype,
 
 
 def test_framed_secrets_rejects_unknown_keys():
+    # directly, and when an electorate is built over a key the registry lacks
     reg = KeyRegistry()
     _, pk = reg.generate(b"a")
-    with pytest.raises(VerificationFailure):
-        reg.framed_secrets([pk, sha3(b"nobody")])
+    nobody = sha3(b"nobody")
+    named = f"unknown public key {nobody.hex()[:16]}$"
+    with pytest.raises(VerificationFailure, match=named):
+        reg.framed_secrets([pk, nobody])
+    with pytest.raises(VerificationFailure, match=named):
+        Electorate({pk: 10, nobody: 10}, reg)
 
 
 def test_public_key_is_the_hash_of_each_generated_secret_key():
@@ -192,7 +197,7 @@ HASHES = st.one_of(
 def test_vectorised_uniforms_equal_vrf_uniform_bit_for_bit(hashes):
     xs = uniforms(hashes)
     assert xs.dtype == np.float64 and len(xs) == len(hashes)
-    expected = [VrfOutput(hash=h, proof=b"").uniform for h in hashes]
+    expected = [uniform(h) for h in hashes]
     assert [x.hex() for x in xs.tolist()] == [x.hex() for x in expected]
 
 

@@ -110,7 +110,7 @@ def _proposers(sim, results, offline_sets) -> list[bytes | None]:
     for r, offline in zip(results, offline_sets):
         seed = sim.chain.blocks[r.epoch].header.seed
         ctype = BLOCK_INTERIM if r.kind == INTERIM else BLOCK_MAIN
-        committee = select_committee(sim.population.electorate, seed, ctype, sim.p, registry)
+        committee = select_committee(sim.population.electorate, seed, ctype, sim.p)
         proposers.append(elect_proposer(registry, committee.pks, seed, offline))
     return proposers
 

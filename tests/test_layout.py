@@ -7,15 +7,18 @@ targets up by name. A module-level function is used only where it is read as
 a name (``sha3(...)``), as an attribute of an imported module
 (``crypto.verify``), or named as a tracer target (``"crypto:sign"``): an
 attribute of the same name on some other object (``row.omega``) is not the
-function. A class or method is used where its name is read in the package or
-appears in ``perfbench/*.py``. Per-node references that only the tests call
-live in ``tests/reference.py``. Dunder methods are called by Python itself
-and are not checked.
+function. A class or method is used where its name is read in the package,
+or where perfbench reads it as a name or an attribute or names it in a
+tracer target (``"drs:DrsState.heights"``). A word inside any other
+perfbench string (the ``uniform`` of ``"uniform:2:64"``) keeps no name
+alive. Per-node references that only the tests call live in
+``tests/reference.py``. Dunder methods are called by Python itself and are
+not checked.
 
 Likewise every attribute a class in ``src/fission_sim`` stores (``self.x =``
 in a method, or an annotated class field) must be read as ``.x`` somewhere in
-the package, or be named in ``perfbench/*.py``, which reads what a step
-returns.
+the package, or be read by ``perfbench/*.py`` in one of those ways, as it
+reads what a step returns.
 
 Record bytes are laid out in ``crypto.py`` alone: no other module in
 ``src/fission_sim`` names ``length_prefix`` or ``UINT_PREFIX`` or calls
@@ -116,16 +119,41 @@ def source_modules():
     return {path: ast.parse(path.read_text()) for path in sorted((ROOT / "src" / "fission_sim").glob("*.py"))}
 
 
-def perfbench_words():
-    words = set()
-    for path in (ROOT / "perfbench").glob("*.py"):
-        words.update(re.findall(r"\w+", path.read_text()))
-    return words
+def perfbench_trees():
+    return [ast.parse(path.read_text()) for path in sorted((ROOT / "perfbench").glob("*.py"))]
+
+
+def tracer_targets(tree, package):
+    """The dotted path after the colon of each ``"module:attr"`` or
+    ``"module:Class.method"`` string in ``tree`` whose module is one of
+    ``package``'s, split at its dots."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            match = re.fullmatch(r"(\w+):([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)?)", node.value)
+            if match and match[1] in package:
+                yield match[2].split(".")
+
+
+def perfbench_reads(tree, package):
+    """The names ``tree`` reads that can reach a class, method or stored
+    attribute: each name it loads, each attribute it reads, and each part of
+    a tracer target."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+    for path in tracer_targets(tree, package):
+        yield from path
+
+
+def perfbench_names(package):
+    return {name for tree in perfbench_trees() for name in perfbench_reads(tree, package)}
 
 
 def unread_attributes():
     modules = source_modules()
-    perfbench = perfbench_words()
+    perfbench = perfbench_names({path.stem for path in modules})
     read = {
         node.attr
         for tree in modules.values()
@@ -144,16 +172,9 @@ def perfbench_functions(package):
     """Module-level functions perfbench reads: by name, as an attribute of
     an imported package module, or as a tracer target ``"module:function"``."""
     names = set()
-    for path in (ROOT / "perfbench").glob("*.py"):
-        tree = ast.parse(path.read_text())
+    for tree in perfbench_trees():
         names.update(function_reads(tree, imported_modules(tree, package)))
-        names.update(
-            match[2]
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Constant) and isinstance(node.value, str)
-            for match in [re.fullmatch(r"(\w+):(\w+)", node.value)]
-            if match
-        )
+        names.update(path[0] for path in tracer_targets(tree, package) if len(path) == 1)
     return names
 
 
@@ -161,7 +182,7 @@ def unused_definitions():
     modules = source_modules()
     package = {path.stem for path in modules}
     imports = {path: imported_modules(tree, package) for path, tree in modules.items()}
-    perfbench, perfbench_calls = perfbench_words(), perfbench_functions(package)
+    perfbench, perfbench_calls = perfbench_names(package), perfbench_functions(package)
     read, function_read = Counter(), Counter()
     for path, tree in modules.items():
         for node in ast.walk(tree):
@@ -252,6 +273,20 @@ def test_a_same_named_attribute_of_another_object_reads_no_function():
     reads = set(function_reads(tree, modules))
     assert {"verify", "zeros", "scan_round"} <= reads
     assert "omega" not in reads  # neither the stored name nor row's attribute
+
+
+def test_a_word_inside_a_perfbench_string_keeps_no_name_alive():
+    # only reads and tracer targets of a package module count; dist specs,
+    # prose and another colon string do not
+    tree = ast.parse(
+        'spec = "uniform:2:64"\nwhy = "committee draws dominate"\nlabel = "mode:fresh"\n'
+        'Target("sortition:select_committee")\nTarget("drs:DrsState.heights")\nsize = main.n_shard\n'
+    )
+    package = {"sortition", "drs"}
+    reads = set(perfbench_reads(tree, package))
+    assert {"Target", "main", "n_shard", "select_committee", "DrsState", "heights"} <= reads
+    assert not {"spec", "uniform", "committee", "draws", "mode", "fresh"} & reads
+    assert list(tracer_targets(tree, package)) == [["select_committee"], ["DrsState", "heights"]]
 
 
 def test_allow_list_names_only_definitions_that_exist():

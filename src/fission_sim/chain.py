@@ -162,26 +162,29 @@ def compute_root_arrays(
     The result depends only on the trees the state was last rooted at, the
     balance and nonce of each written account, the kind (equal entries root
     apart as debits and credits) and the body's entries, so those four make
-    the key of the state's ``root_memo``. The entries are compared by
-    their five fields in body order, so no id is hashed to build
-    the key: a rooting with the key of the last one, as the validator's
-    repeats the proposer's, installs that rooting's trees and hashes
-    nothing, even for a body rebuilt from equal records. A miss hashes each
-    entry's id, and each debit's log leaf, once.
+    the key of the state's ``root_memo``. The entries are tuples, compared
+    by value in body order, so no id is hashed to build the key: a rooting
+    with the key of the last one, as the validator's repeats the
+    proposer's, installs that rooting's trees and hashes nothing, even for
+    a body rebuilt from equal records. A miss hashes each entry's id, and
+    each debit's log leaf, once.
     """
     balances, nonces = post_state.balances, post_state.nonces
     key = (
         tuple(post_state.trees),  # AccountTree has no __eq__: compared by identity
         [(pk, balances[pk], nonces[pk]) for pk in sorted(post_state.written)],
         kind,
-        list(body),  # SubTransaction compares by value, field by field
+        list(body),  # records are tuples, compared by value
     )
     memo = post_state.root_memo[0]
     if memo is None or memo[0] != key:
         n = post_state.n_shard  # home_partitions with n partitions of one shard each
         tx_leaves: list[list[bytes]] = [[] for _ in range(n)]
         log_leaves: list[list[bytes]] = [[] for _ in range(n)]
-        mutated = [sub.sender for sub in body] if kind == EAGER else [sub.receiver for sub in body]
+        if kind == EAGER:
+            mutated = [sender for _, sender, _, _, _ in body]
+        else:
+            mutated = [receiver for _, _, receiver, _, _ in body]
         shards = home_partitions(mutated, n, n)
         for sub_id, shard in zip(sub_ids(kind, body), shards):
             tx_leaves[shard].append(sub_id)
@@ -212,8 +215,8 @@ def compute_root_arrays(
 def _log_leaf(debit: SubTransaction) -> bytes:
     """The debit's log leaf, ``sha3(encode_fields(parent_id, receiver,
     encode_uint(value)))``."""
-    parent, receiver = debit.parent_id, debit.receiver
-    return sha3(record_layout(len(parent), len(receiver), UINT)(parent, receiver, debit.value))
+    parent, _, receiver, value, _ = debit
+    return sha3(record_layout(len(parent), len(receiver), UINT)(parent, receiver, value))
 
 
 def _leaf(pk: bytes, balance: int, nonce: int) -> bytes:
@@ -311,18 +314,22 @@ class Chain:
 
     def _execute(self, kind: str, body: list[SubTransaction]) -> LedgerState:
         """A clone of the chain state with ``body`` applied as ``kind`` (EAGER
-        or LAZY) halves. Raises ``MalformedBody`` for a field not of its exact
-        type: the root memo compares by value, and 1.0 == True == 1 and
-        bytearray(b) == b."""
+        or LAZY) halves. Raises ``MalformedBody`` for an entry that is not
+        exactly a ``tuple`` of five fields, or for a field not of its exact
+        type: the root memo compares by value, a tuple subclass can redefine
+        equality, and 1.0 == True == 1 and bytearray(b) == b."""
         apply = apply_eager if kind == EAGER else apply_lazy
         scratch = self.state.clone()
         for sub in body:
+            if type(sub) is not tuple or len(sub) != 5:
+                shape = f"a {len(sub)}-tuple" if type(sub) is tuple else f"a {type(sub).__name__}"
+                raise MalformedBody(f"body entry is {shape}, not a 5-tuple")
+            parent_id, sender, receiver, value, nonce = sub
             if not (
-                type(sub.value) is type(sub.nonce) is int
-                and type(sub.parent_id) is type(sub.sender) is type(sub.receiver) is bytes
+                type(value) is type(nonce) is int
+                and type(parent_id) is type(sender) is type(receiver) is bytes
             ):
-                fields = (sub.parent_id, sub.sender, sub.receiver, sub.value, sub.nonce)
-                types = ", ".join(type(field).__name__ for field in fields)
+                types = ", ".join(type(field).__name__ for field in sub)
                 raise MalformedBody(f"body entry of types ({types}), not (bytes, bytes, bytes, int, int)")
             apply(scratch, sub)
         return scratch
@@ -436,12 +443,12 @@ def block_to_dict(block: Block) -> dict:
         "body": [
             {
                 "kind": ENTRY_KIND[h.kind],
-                "parent_id": s.parent_id.hex(),
-                "sender": s.sender.hex(),
-                "receiver": s.receiver.hex(),
-                "value": s.value,
-                "nonce": s.nonce,
+                "parent_id": parent_id.hex(),
+                "sender": sender.hex(),
+                "receiver": receiver.hex(),
+                "value": value,
+                "nonce": nonce,
             }
-            for s in block.body
+            for parent_id, sender, receiver, value, nonce in block.body
         ],
     }

@@ -111,6 +111,11 @@ def cmd_security(args) -> int:
     check_h_alpha(args.h, args.alpha)
     if not args.k_total > 0:
         raise DomainError(f"K must be positive, got {args.k_total}")
+    if args.k_total > sys.float_info.max:  # an int compares with a float exactly
+        raise DomainError(
+            f"K must be at most {sys.float_info.max:g}, the float range, "
+            f"got a {len(str(args.k_total))}-digit integer"
+        )
     p = args.tau / args.k_total
     if not 0.0 < p < 1.0:
         raise DomainError(f"p = tau/K must be in (0, 1), got {p}")

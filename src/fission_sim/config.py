@@ -212,8 +212,9 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
 # is a slot in every per-node column (a stake draw, a key, a relay slot),
 # which is allocated before the first epoch or round; 2^24 is also the
 # identifier space's cap, relay.MAX_IDENTIFIERS. It caps the relayers too,
-# since each takes one identifier, and the retrieval keys, each of which
-# gets a size and its holders drawn when the instance is built
+# since each takes one identifier, the retrieval keys, each of which gets a
+# size and its holders drawn when the instance is built, and the transfers
+# drawn per epoch, each of which is signed and held in the mempool
 MAX_NODES = 1 << 24
 # the most shards a chain's state holds at its start: each shard is a tree
 # slot, three per-block lists and three header roots, allocated when the
@@ -245,7 +246,7 @@ _RULES = {
     "epochs.delta_main": _POSITIVE,
     "epochs.delta_leader": _POSITIVE,
     "epochs.micro_throughput": _POSITIVE,
-    "chain.tx_per_epoch": _AT_LEAST_0,
+    "chain.tx_per_epoch": (f"in [0, {MAX_NODES}]", lambda v: 0 <= v <= MAX_NODES),
     "chain.invalid_fraction": _UNIT,
     "chain.offline_rate": ("in [0, 1)", lambda v: 0 <= v < 1),
     "partition.n_shard": _SHARD_COUNT,

@@ -265,7 +265,7 @@ def assemble_interim(
     """
     n_shard, n_partition = chain.state.n_shard, chain.n_partition
     for k, subs in enumerate(micros):
-        for home in home_partitions([sub.sender for sub in subs], n_shard, n_partition):
+        for home in home_partitions([sender for _, sender, _, _, _ in subs], n_shard, n_partition):
             if home != k:
                 raise InvariantViolation(
                     "consensus-engine",
@@ -335,7 +335,7 @@ def run_epoch(
             except TransactionRejected:
                 invalid_count += 1
         routed: list[list[SubTransaction]] = [[] for _ in range(n_partition)]
-        homes = home_partitions([debit.sender for debit in debits], chain.state.n_shard, n_partition)
+        homes = home_partitions([sender for _, sender, _, _, _ in debits], chain.state.n_shard, n_partition)
         for debit, home in zip(debits, homes):
             routed[home].append(debit)
 
@@ -348,8 +348,7 @@ def run_epoch(
             _assert_adversary_below_quorum(pc_ballot, quorum, f"partition {k} committee")
             included, deferred, invalid = micro_round(routed[k], pc_ballot, scratch, quorum, epochs)
             invalid_count += len(invalid)
-            for sub in deferred:
-                kept_parents.add(sub.parent_id)
+            kept_parents.update([parent_id for parent_id, _, _, _, _ in deferred])
             if included is None:
                 micro_timeouts += 1
                 included = []
@@ -358,8 +357,7 @@ def run_epoch(
         block = assemble_interim(chain, micros, ballot, population)
         if block.is_timeout_block:
             for subs in micros:
-                for sub in subs:
-                    kept_parents.add(sub.parent_id)
+                kept_parents.update([parent_id for parent_id, _, _, _, _ in subs])
         # deferred transactions keep their arrival order for the next round
         mempool[:] = [tx for tx in mempool if tx.id in kept_parents]
     else:

@@ -3,7 +3,9 @@
 Every transfer splits into a debit half and a credit half that are confirmed
 in successive blocks. The debit (eager) withdraws from the sender and stays in
 the pending log; the credit (lazy) pays the receiver by consuming that debit.
-Both halves are one ``SubTransaction`` record; its block's kind says which.
+Both halves are one ``SubTransaction`` record, the exact tuple
+``(parent_id, sender, receiver, value, nonce)``; its block's kind says which.
+Readers unpack a record's fields by name.
 An account is a balance and a nonce, which a state keeps as two int columns
 keyed by public key. Accounts live in the shard ``pk mod n_shard`` with the
 key read as a big-endian unsigned integer.
@@ -129,19 +131,14 @@ def make_transfer(
     return tx
 
 
-@dataclass(slots=True)
-class SubTransaction:
-    """A transfer's record: an interim block confirms it as the debit (EAGER)
-    and a main block credits it (LAZY). Treated as immutable like
-    ``Transaction``, and it holds nothing but its five fields: a block keeps
-    its body for the whole run, so its id is hashed by ``sub_ids`` when a
-    rooting needs it and kept nowhere."""
-
-    parent_id: bytes
-    sender: bytes
-    receiver: bytes
-    value: int
-    nonce: int
+SubTransaction = tuple[bytes, bytes, bytes, int, int]
+"""A transfer's record, the exact tuple ``(parent_id, sender, receiver,
+value, nonce)``: an interim block confirms it as the debit (EAGER) and a main
+block credits it (LAZY). It holds nothing but its five fields, and its id is
+hashed by ``sub_ids`` when a rooting needs it and kept nowhere. A block keeps
+its body for the whole run, and the cyclic collector stops tracking a tuple of
+bytes and ints at its first pass, so retained records cost no collection
+time. Records compare by value and are hashable."""
 
 
 # each kind as the first field of a sub-transaction's encoding, encoded once
@@ -159,10 +156,9 @@ def sub_ids(kind: str, subs: Iterable[SubTransaction]) -> list[bytes]:
     tag = KIND_TAGS[kind]
     ids = []
     append = ids.append
-    for sub in subs:
-        parent, sender, receiver = sub.parent_id, sub.sender, sub.receiver
+    for parent, sender, receiver, value, nonce in subs:
         pack = record_layout(len(tag), len(parent), len(sender), len(receiver), UINT, UINT)
-        append(sha3(pack(tag, parent, sender, receiver, sub.value, sub.nonce)))
+        append(sha3(pack(tag, parent, sender, receiver, value, nonce)))
     return ids
 
 
@@ -177,7 +173,7 @@ def split_transaction(tx: Transaction, registry: KeyRegistry) -> SubTransaction:
         raise InvalidSignature("transaction signature does not verify against sender key")
     if tx._id is None:
         tx._id = sha3(record)  # the id hashes the record the check framed
-    return SubTransaction(tx._id, tx.sender, tx.receiver, tx.value, tx.nonce)
+    return (tx._id, tx.sender, tx.receiver, tx.value, tx.nonce)
 
 
 class AccountTree:
@@ -289,10 +285,15 @@ class LedgerState:
     because those three functions are the only writers: an account changed
     any other way keeps its old leaf in the next root.
 
+    ``pending`` maps each confirmed debit's parent id to its record until
+    the credit applies. A record is an immutable tuple, so states, clones and
+    blocks share it, and after its first pass the cyclic collector tracks
+    none of them.
+
     ``root_memo`` is a one-item list that a state and all its clones share:
     the last rooting any of them did, keyed by the base trees, the written
-    accounts, the block's kind and the body's entries compared field by
-    field, which ``chain.compute_root_arrays`` fills and reads. The
+    accounts, the block's kind and the body's records compared as tuples,
+    which ``chain.compute_root_arrays`` fills and reads. The
     validator executes a block on its own clone, so its repeat of the
     proposer's rooting costs one key comparison and no hashing. A fresh
     state (genesis, ``split_shards``) starts with an empty one.
@@ -306,9 +307,7 @@ class LedgerState:
         self.nonces: dict[bytes, int] = {}
         self.trees: list[AccountTree | None] = [None] * n_shard
         self.root_memo: list = [None]
-        # parent_id -> the confirmed debit, while its credit has not applied;
-        # no code writes a debit after it is built, so states and clones
-        # share them
+        # parent_id -> the confirmed debit, while its credit has not applied
         self.pending: dict[bytes, SubTransaction] = {}
         self.credited = CreditedIds()
         self.written: set[bytes] = set()
@@ -340,7 +339,7 @@ class LedgerState:
         return sum(self.balances.values())
 
     def pending_value(self) -> int:
-        return sum(debit.value for debit in self.pending.values())
+        return sum(value for _, _, _, value, _ in self.pending.values())
 
 
 def apply_eager(state: LedgerState, sub: SubTransaction) -> None:
@@ -350,16 +349,16 @@ def apply_eager(state: LedgerState, sub: SubTransaction) -> None:
     or the nonce is not exactly one past the account's, or if the parent id
     is already pending or credited.
     """
-    sender = sub.sender
-    nonce = state.nonces.get(sender)
-    if nonce is None:
+    parent_id, sender, _, value, nonce = sub
+    account_nonce = state.nonces.get(sender)
+    if account_nonce is None:
         raise UnknownAccount(f"no account for sender {sender.hex()[:16]}")
-    if sub.nonce != nonce + 1:
-        raise BadNonce(f"expected nonce {nonce + 1}, got {sub.nonce}")
+    if nonce != account_nonce + 1:
+        raise BadNonce(f"expected nonce {account_nonce + 1}, got {nonce}")
     balance = state.balances[sender]
-    if balance < sub.value:
-        raise InsufficientBalance(f"balance {balance} < value {sub.value}")
-    parent_id, credited = sub.parent_id, state.credited
+    if balance < value:
+        raise InsufficientBalance(f"balance {balance} < value {value}")
+    credited = state.credited
     # the credited check is CreditedIds.__contains__, written out
     if (
         parent_id in state.pending
@@ -367,8 +366,8 @@ def apply_eager(state: LedgerState, sub: SubTransaction) -> None:
         or credited.log.ids.get(parent_id, UNSEEN) <= credited.seen
     ):
         raise DuplicateDebit(f"parent id {parent_id.hex()[:16]} already has a debit")
-    state.balances[sender] = balance - sub.value
-    state.nonces[sender] = sub.nonce
+    state.balances[sender] = balance - value
+    state.nonces[sender] = nonce
     state.written.add(sender)
     state.pending[parent_id] = sub
 
@@ -376,29 +375,24 @@ def apply_eager(state: LedgerState, sub: SubTransaction) -> None:
 def apply_lazy(state: LedgerState, sub: SubTransaction) -> None:
     """Apply a credit: pay the receiver and consume the matching pending debit.
 
-    Each pending debit is consumable exactly once, by a credit whose sender,
-    receiver, value and nonce are the debit's; an unknown receiver account is
+    Each pending debit is consumable exactly once, by a credit equal to the
+    debit's record; an unknown receiver account is
     created with zero starting balance. Raises without touching state
     otherwise, and raises ``InvariantViolation`` if the receiver's balance
     would reach ``BALANCE_LIMIT``.
     """
-    debit = state.pending.get(sub.parent_id)
+    parent_id, _, receiver, value, _ = sub
+    debit = state.pending.get(parent_id)
     if debit is None:
         # the writers never leave an id both pending and credited, so the
         # credited ids are read only to name the failure
-        if sub.parent_id in state.credited:
-            raise DoubleCredit(f"credit already applied for {sub.parent_id.hex()[:16]}")
-        raise MissingEagerLog(f"no debit log for {sub.parent_id.hex()[:16]}")
-    if (
-        sub.sender != debit.sender
-        or sub.receiver != debit.receiver
-        or sub.value != debit.value
-        or sub.nonce != debit.nonce
-    ):
-        raise CreditMismatch(f"credit for {sub.parent_id.hex()[:16]} differs from its debit")
-    receiver = sub.receiver
+        if parent_id in state.credited:
+            raise DoubleCredit(f"credit already applied for {parent_id.hex()[:16]}")
+        raise MissingEagerLog(f"no debit log for {parent_id.hex()[:16]}")
+    if sub != debit:
+        raise CreditMismatch(f"credit for {parent_id.hex()[:16]} differs from its debit")
     balance = state.balances.get(receiver)
-    credited = debit.value if balance is None else balance + debit.value
+    credited = value if balance is None else balance + value
     if credited >= BALANCE_LIMIT:
         raise InvariantViolation(
             "core-ledger", "balance-width", f"credit lifts {receiver.hex()[:16]} to {credited}, past 8 bytes"
@@ -408,5 +402,5 @@ def apply_lazy(state: LedgerState, sub: SubTransaction) -> None:
     else:
         state.balances[receiver] = credited
         state.written.add(receiver)
-    del state.pending[sub.parent_id]
-    state.credited.add(sub.parent_id)
+    del state.pending[parent_id]
+    state.credited.add(parent_id)

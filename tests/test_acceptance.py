@@ -142,8 +142,8 @@ def test_criterion_4_chain_properties():
     eager_parents = set()
     lazy_parents = set()
     for block in sim.chain.blocks:
-        for sub in block.body:
-            (eager_parents if block.header.kind == INTERIM else lazy_parents).add(sub.parent_id)
+        for parent_id, _, _, _, _ in block.body:
+            (eager_parents if block.header.kind == INTERIM else lazy_parents).add(parent_id)
     still_pending = set(state.pending)
     assert lazy_parents | still_pending == eager_parents
     assert lazy_parents & still_pending == set()

@@ -49,7 +49,7 @@ from fission_sim.ledger import (
 )
 from fission_sim.sortition import BLOCK_MAIN, select_committee
 from test_golden import CASES
-from test_state_properties import equal_copy, snapshot
+from test_state_properties import RECORD_FIELDS, equal_copy, snapshot, with_field
 
 
 def build_chain(n_shard=4, quorum=10, balances=(), partition=None):
@@ -345,11 +345,12 @@ def test_a_main_block_credits_the_debit_records_an_interim_block_confirmed(case)
     confirmed = {}  # parent id -> (debit record, epoch of its interim block)
     waited = 0  # credits of a debit older than the interim block just before
     for block in sim.chain.blocks:
-        if block.header.kind == INTERIM:
-            confirmed.update((sub.parent_id, (sub, block.epoch)) for sub in block.body)
-            continue
         for sub in block.body:
-            debit, epoch = confirmed.pop(sub.parent_id)
+            parent_id, _, _, _, _ = sub
+            if block.header.kind == INTERIM:
+                confirmed[parent_id] = (sub, block.epoch)
+                continue
+            debit, epoch = confirmed.pop(parent_id)
             assert sub is debit
             waited += epoch < block.epoch - 1
     assert bool(waited) == (case == "main-timeouts")
@@ -390,13 +391,14 @@ def other_hash(data, old):
 
 
 def wrong_type(sub, what):
-    """The field ``what`` of ``WRONG_TYPES`` names, given an equal value of
-    the wrong type."""
+    """``sub`` with the field ``what`` of ``WRONG_TYPES`` names given an
+    equal value of the wrong type."""
+    _, _, receiver, value, _ = sub
     if what == "float value":
-        return {"value": float(sub.value)}
+        return with_field(sub, "value", float(value))
     if what == "bool nonce":
-        return {"nonce": True}
-    return {"receiver": bytearray(sub.receiver)}
+        return with_field(sub, "nonce", True)
+    return with_field(sub, "receiver", bytearray(receiver))
 
 
 def mutate(block, what, data):
@@ -432,29 +434,31 @@ def mutate(block, what, data):
             expected = (InvariantViolation, "lazy-completeness") if body else RootMismatch
         else:
             # the sender's later debits lose their nonce predecessor
-            later = any(sub.sender == dropped.sender for sub in body[i:])
+            _, dropped_sender, _, _, _ = dropped
+            later = any(sender == dropped_sender for _, sender, _, _, _ in body[i:])
             expected = BadNonce if later else RootMismatch
     elif what in CREDIT_FIELDS:
         # a credit that pays out other than its debit says
         i = data.draw(st.integers(0, len(body) - 1))
-        old = getattr(body[i], what)
+        old = body[i][RECORD_FIELDS.index(what)]
         if what in ("sender", "receiver"):
             new = other_hash(data, old)
         else:
             new = data.draw(st.integers(0, 2**64 - 1).filter(lambda n: n != old))
-        body[i] = replace(body[i], **{what: new})
+        body[i] = with_field(body[i], what, new)
         expected = CreditMismatch
     elif what in WRONG_TYPES:
         # the root memo compares entries by value: 1.0 == True == 1, and a
         # bytearray equals its bytes
         i = data.draw(st.integers(0, len(body) - 1))
-        body[i] = replace(body[i], **wrong_type(body[i], what))
+        body[i] = wrong_type(body[i], what)
         expected = MalformedBody
     elif what == "reparent":
         # a later debit, valid on its own, takes an earlier one's parent id
         i = data.draw(st.integers(0, len(body) - 2))
         j = data.draw(st.integers(i + 1, len(body) - 1))
-        body[j] = replace(body[j], parent_id=body[i].parent_id)
+        parent_id, _, _, _, _ = body[i]
+        body[j] = with_field(body[j], "parent_id", parent_id)
         expected = DuplicateDebit
     else:
         i = data.draw(st.integers(0, len(body) - 1))
@@ -500,8 +504,9 @@ def test_credit_rewritten_to_another_receiver_is_rejected():
     chain, population = sim.chain, sim.population
     pending = chain.state.pending
     body = [pending[pid] for pid in sorted(pending)]
-    other = next(pk for pk in population.pks if pk not in (body[0].sender, body[0].receiver))
-    bad = [replace(body[0], receiver=other, value=body[0].value + 999)] + body[1:]
+    parent_id, sender, receiver, value, nonce = body[0]
+    other = next(pk for pk in population.pks if pk not in (sender, receiver))
+    bad = [(parent_id, sender, other, value + 999, nonce)] + body[1:]
     with pytest.raises(CreditMismatch):
         chain.propose(bad)
     block = chain.propose(body)
@@ -529,11 +534,12 @@ def test_a_debit_whose_field_only_equals_one_of_its_type_is_malformed():
     chain = fresh_replica(sim, sim.config.partition)
     assert chain.propose(block.body).hash == block.hash
     first, rest = block.body[0], block.body[1:]
-    assert first.nonce == 1
+    _, _, _, _, nonce = first
+    assert nonce == 1
     tip, state = chain.tip, chain.state
     before = snapshot(state)
     for what in WRONG_TYPES:
-        bad = replace(first, **wrong_type(first, what))
+        bad = wrong_type(first, what)
         assert bad == first
         with pytest.raises(MalformedBody):
             chain.propose([bad] + rest)
@@ -545,12 +551,50 @@ def test_a_debit_whose_field_only_equals_one_of_its_type_is_malformed():
     assert all(type(n) is int for column in (chain.state.balances, chain.state.nonces) for n in column.values())
 
 
+class Record(tuple):
+    """A tuple subclass, which may redefine equality and hashing."""
+
+
+# a body entry equal in its fields to a record but not an exact 5-tuple
+NOT_A_RECORD = {
+    "list": list,
+    "tuple-subclass": Record,
+    "4-tuple": lambda sub: sub[:4],
+    "6-tuple": lambda sub: (*sub, 0),
+}
+
+
+@pytest.mark.parametrize("shape", NOT_A_RECORD)
+def test_a_body_entry_that_is_not_an_exact_5_tuple_is_malformed(shape):
+    # a debit block, then the main block that credits it: both roles reject
+    # the entry before applying anything
+    sim = ChainSimulation(
+        n_nodes=20, stake_dist="fixed:100", h=1.0, alpha=1.0, tau=50.0, tx_per_epoch=10, seed=3
+    )
+    sim.run(2)
+    chain = fresh_replica(sim, sim.config.partition)
+    for block in sim.chain.blocks[1:]:
+        first, rest = block.body[0], block.body[1:]
+        bad = NOT_A_RECORD[shape](first)
+        tip, state = chain.tip, chain.state
+        before = snapshot(state)
+        with pytest.raises(MalformedBody):
+            chain.propose([bad] + rest)
+        with pytest.raises(MalformedBody):
+            chain.append_block(Block(header=block.header, body=[bad] + rest))
+        assert chain.tip is tip and chain.state is state
+        assert snapshot(state) == before
+        chain.append_block(block)
+    assert chain.tip.hash == sim.chain.tip.hash
+
+
 def test_debit_reusing_a_pending_parent_id_is_rejected_keeping_supply():
     reg = KeyRegistry()
     (sk_a, pk_a), (_, pk_b), (_, pk_c) = (reg.generate(label) for label in (b"a", b"b", b"c"))
     chain = build_chain(quorum=1, balances=[(pk_a, 100), (pk_b, 100), (pk_c, 100)])
     d1 = split_transaction(make_transfer(reg, pk_a, pk_c, 40, 1), reg)
-    d2 = replace(split_transaction(make_transfer(reg, pk_b, pk_c, 40, 1), reg), parent_id=d1.parent_id)
+    parent_id, _, _, _, _ = d1
+    d2 = with_field(split_transaction(make_transfer(reg, pk_b, pk_c, 40, 1), reg), "parent_id", parent_id)
     with pytest.raises(DuplicateDebit):
         chain.propose([d1, d2])
     block = chain.propose([d1])

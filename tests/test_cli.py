@@ -56,6 +56,16 @@ def test_security_nonpositive_k_total_exits_2(capsys):
     assert err == "error: K must be positive, got 0\n"
 
 
+def test_security_k_total_past_the_float_range_exits_2(capsys):
+    # p = tau / K would raise OverflowError converting K to a float
+    code, out, err = run_cli(capsys, "security", "-h", "0.75", "-K", "1" + "0" * 400)
+    assert code == 2 and out == ""
+    assert err == "error: K must be at most 1.79769e+308, the float range, got a 401-digit integer\n"
+    # the largest K below the float range still computes p
+    code, out, _ = run_cli(capsys, "security", "-h", "0.75", "-K", str(int(sys.float_info.max)))
+    assert code == 0 and json.loads(out)["p"] > 0.0
+
+
 def test_sortition_output_shape(capsys):
     code, out, _ = run_cli(
         capsys, "sortition", "--nodes", "20", "--stake-dist", "fixed:1000",
@@ -397,14 +407,18 @@ def test_node_count_above_the_cap_exits_2_naming_the_key(tmp_path, capsys, monke
         (("drs", "--keys", str(MAX_NODES + 1)), None, "drs.keys (--keys): must be in [1, 16777216], got 16777217"),
         (("chain", "--epochs", "1"), f"partition.n_shard = {MAX_SHARDS + 1}\n",
          "partition.n_shard: must be in [1, 65536], got 65537"),
+        (("chain", "--epochs", "1"), f"chain.tx_per_epoch = {MAX_NODES + 1}\n",
+         "chain.tx_per_epoch: must be in [0, 16777216], got 16777217"),
     ],
-    ids=["relay-relayers", "drs-keys", "partition-n-shard"],
+    ids=["relay-relayers", "drs-keys", "partition-n-shard", "chain-tx-per-epoch"],
 )
 def test_size_key_above_its_cap_exits_2_naming_the_key(tmp_path, capsys, monkeypatch, argv, config, message):
     # far past these caps a run died of MemoryError in its first column (the
-    # relayers' capacities, the shard slots) or drew keys until memory ran
-    # out; each cap is checked before anything is allocated
+    # relayers' capacities, the shard slots) or drew keys or transfers until
+    # memory ran out; each cap is checked before anything is drawn
     monkeypatch.chdir(tmp_path)
+    for run in ("ChainSimulation", "simulate_prs", "simulate_drs"):
+        monkeypatch.setattr(f"fission_sim.cli.{run}", None)  # calling it would raise
     if config is not None:
         (tmp_path / "run.cfg").write_text(config)
         argv += ("--config", "run.cfg")

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import gc
 import io
 import tempfile
 from collections import Counter
@@ -26,7 +27,6 @@ from fission_sim.dists import dist_sampler
 from fission_sim.errors import InvariantViolation, TransactionRejected, ValidationError
 from fission_sim.ledger import (
     LedgerState,
-    SubTransaction,
     apply_eager,
     home_partitions,
     make_transfer,
@@ -211,8 +211,8 @@ def test_micro_round_defers_overflow_prefix_by_arrival():
     ballot = cast_ballot(committee, sim.population, set())
     outcome, deferred, invalid = micro_round(subs, ballot, sim.chain.state.clone(), sim.chain.quorum, cfg)
     assert outcome is not None
-    assert [s.nonce for s in outcome] == [1, 2, 3]  # arrival-order prefix
-    assert [s.nonce for s in deferred] == [4, 5, 6]
+    assert [nonce for _, _, _, _, nonce in outcome] == [1, 2, 3]  # arrival-order prefix
+    assert [nonce for _, _, _, _, nonce in deferred] == [4, 5, 6]
     assert invalid == []
 
 
@@ -250,7 +250,7 @@ def test_micro_round_filters_invalid_state_transitions():
         [good, overdraw], cast_ballot(committee, sim.population, set()), sim.chain.state.clone(),
         sim.chain.quorum, sim.config.epochs,
     )
-    assert [s.nonce for s in outcome] == [1]
+    assert [nonce for _, _, _, _, nonce in outcome] == [1]
     assert invalid == [overdraw]
 
 
@@ -316,7 +316,7 @@ def partitioned_mempools(draw):
         nonce = next_nonce[sender] + offset
         if not offset:
             next_nonce[sender] += 1
-        return SubTransaction(sha3(sender + bytes([tag])), sender, receiver, value, nonce)
+        return (sha3(sender + bytes([tag])), sender, receiver, value, nonce)
 
     for sub in [sub_of(*d) for d in draw(st.lists(debit, max_size=6))]:
         try:
@@ -326,7 +326,7 @@ def partitioned_mempools(draw):
     next_nonce.update((pk, n + 1) for pk, n in state.nonces.items())
     subs = [sub_of(*d) for d in draw(st.lists(debit, max_size=40))]
     routed = [[] for _ in range(n_partition)]
-    for sub, home in zip(subs, home_partitions([sub.sender for sub in subs], n_shard, n_partition)):
+    for sub, home in zip(subs, home_partitions([sender for _, sender, _, _, _ in subs], n_shard, n_partition)):
         routed[home].append(sub)
     # a yes weight below the quorum, or no online member, times a round out
     ballots = [
@@ -377,6 +377,33 @@ def test_each_role_clones_the_chain_state_once_per_epoch(monkeypatch):
         per_epoch.append((result.kind, result.n_partition, calls["clone"] - before))
     assert {n for kind, n, _ in per_epoch if kind == INTERIM} == {1, 2, 3, 4}
     assert all(clones == (3 if kind == INTERIM else 2) for kind, _, clones in per_epoch)
+
+
+def test_chain_history_adds_no_tracked_object_per_record():
+    # chain-traffic, scaled down. Every retained block keeps its body, and
+    # the records in it and in the pending log are tuples of bytes and ints,
+    # which a collection stops tracking. So the tracked-object count grows by
+    # the few objects each block holds, not by its traffic, and a full
+    # collection walks live state, not history. A count, unlike a pause,
+    # does not depend on the machine.
+    sim = ChainSimulation(n_nodes=100, tx_per_epoch=200, invalid_fraction=0.05, seed=7)
+    per_pair, warm, pairs = 25, 10, 30
+    for _ in range(2 * warm):
+        sim.step()
+    gc.collect()
+    before, first = len(gc.get_objects()), len(sim.chain.blocks)
+    for _ in range(2 * pairs):
+        sim.step()
+    gc.collect()
+    grown = len(gc.get_objects()) - before
+    records = sum(len(block.body) for block in sim.chain.blocks[first:])
+    # one tracked object per record would break the bound four times over
+    assert records > 4 * per_pair * pairs
+    assert grown <= per_pair * pairs
+    assert sim.step().kind == INTERIM and sim.chain.state.pending
+    gc.collect()
+    assert not any(gc.is_tracked(sub) for block in sim.chain.blocks for sub in block.body)
+    assert not any(gc.is_tracked(debit) for debit in sim.chain.state.pending.values())
 
 
 def test_the_kept_account_column_is_the_sorted_accounts(monkeypatch):
@@ -470,8 +497,8 @@ def test_epoch_pair_confirms_eagers_then_lazies():
     # oracle recount: every debit confirmed in the interim body has exactly one
     # credit in the main body, matched by parent id
     blocks = sim.chain.blocks
-    eager_parents = sorted(s.parent_id for s in blocks[interim.epoch].body)
-    lazy_parents = sorted(s.parent_id for s in blocks[main.epoch].body)
+    eager_parents = sorted(parent_id for parent_id, _, _, _, _ in blocks[interim.epoch].body)
+    lazy_parents = sorted(parent_id for parent_id, _, _, _, _ in blocks[main.epoch].body)
     assert eager_parents == lazy_parents
     assert interim.confirmed_subtx == 30
     assert sim.chain.state.total_balance() == sim.k_total
@@ -856,21 +883,19 @@ def test_chain_properties_on_generated_configs(epochs, **keys):
             run = 0
 
     # eventual atomicity: each confirmed debit is credited exactly once, by
-    # the next non-empty main block, or is still pending at the end
-    def halves(subs):
-        return Counter((s.parent_id, s.sender, s.receiver, s.value, s.nonce) for s in subs)
-
+    # the next non-empty main block, or is still pending at the end; records
+    # are hashable tuples, so they count as they are
     interims = [block for block in sim.chain.blocks if block.header.kind == INTERIM]
-    debits = Counter(sub.parent_id for block in interims for sub in block.body)
+    debits = Counter(parent_id for block in interims for parent_id, _, _, _, _ in block.body)
     assert all(n == 1 for n in debits.values())
     outstanding = Counter()
     for block in sim.chain.blocks:
         if block.header.kind == INTERIM:
-            outstanding += halves(block.body)
+            outstanding += Counter(block.body)
         elif block.body:
-            assert halves(block.body) == outstanding
+            assert Counter(block.body) == outstanding
             outstanding = Counter()
-    assert outstanding == halves(state.pending.values())
+    assert outstanding == Counter(state.pending.values())
 
     again = ChainSimulation(cfg)
     assert again.run(epochs) == results

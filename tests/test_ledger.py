@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 from unittest.mock import patch
@@ -56,8 +57,9 @@ def test_split_produces_debit_and_credit(reg):
     pk_b = new_key(reg, "b")
     tx = make_transfer(reg, pk_a, pk_b, 10, 1)
     debit = split_transaction(tx, reg)
-    assert debit.parent_id == tx.id
-    assert (debit.sender, debit.receiver, debit.value, debit.nonce) == (pk_a, pk_b, 10, 1)
+    parent_id, sender, receiver, value, nonce = debit
+    assert parent_id == tx.id
+    assert (sender, receiver, value, nonce) == (pk_a, pk_b, 10, 1)
     state = LedgerState(4)
     state.create_account(pk_a, 50)
     apply_eager(state, debit)
@@ -105,11 +107,9 @@ def test_split_roundtrip_over_random_batch(reg):
         value = rng.randint(1, 10_000)
         nonce = rng.randint(1, 50)
         tx = make_transfer(reg, pk_s, pk_r, value, nonce)
-        debit = split_transaction(tx, reg)
-        assert debit.parent_id == tx.id
-        assert (debit.sender, debit.receiver, debit.value, debit.nonce) == (
-            tx.sender, tx.receiver, tx.value, tx.nonce
-        )
+        parent_id, sender, receiver, value, nonce = split_transaction(tx, reg)
+        assert parent_id == tx.id
+        assert (sender, receiver, value, nonce) == (tx.sender, tx.receiver, tx.value, tx.nonce)
 
 
 def test_transaction_id_is_stable_and_tamper_evident(reg):
@@ -156,25 +156,28 @@ def test_make_transfer_hashes_once(reg, monkeypatch):
     assert len(calls) == 1
 
 
-def test_records_are_slotted_and_compare_by_value(reg):
+def test_records_are_untracked_tuples_and_compare_by_value(reg):
     pk_a = new_key(reg, "a")
     pk_b = new_key(reg, "b")
     tx = make_transfer(reg, pk_a, pk_b, 10, 1)
     eager = split_transaction(tx, reg)
-    for record in (tx, eager):
-        assert not hasattr(record, "__dict__")
-    # a block keeps its body for the whole run, so a sub-transaction holds
-    # its five fields, and no hash and no kind: its block's kind says which
-    # half it is
-    assert SubTransaction.__slots__ == ("parent_id", "sender", "receiver", "value", "nonce")
+    assert not hasattr(tx, "__dict__")
+    # a block keeps its body for the whole run, so a sub-transaction is the
+    # exact tuple of its five fields, with no hash and no kind (its block's
+    # kind says which half it is), which the collector stops tracking
+    assert type(eager) is tuple and len(eager) == 5
+    gc.collect()
+    assert not gc.is_tracked(eager)
     # built anew, with no memo filled yet, each still equals the original
     same_tx = Transaction(
         tx.tx_type, tx.sender, tx.receiver, tx.value, tx.nonce, tx.data_hash, tx.signature
     )
     assert same_tx == tx and same_tx._id is None and tx._id is not None
-    same_eager = SubTransaction(eager.parent_id, eager.sender, eager.receiver, 10, 1)
+    parent_id, sender, receiver, _, _ = eager
+    same_eager = (bytes(bytearray(parent_id)), sender, receiver, 10, 1)
     assert same_eager == eager and same_eager is not eager
-    assert same_eager != SubTransaction(eager.parent_id, eager.sender, eager.receiver, 11, 1)
+    assert hash(same_eager) == hash(eager)
+    assert same_eager != (parent_id, sender, receiver, 11, 1)
 
 
 # --- record encodings ---
@@ -210,7 +213,7 @@ def log_root(sub: SubTransaction) -> bytes:
 )
 def test_inline_record_encodings_equal_encode_fields(kind, tx_type, fields, value, nonce):
     parent, sender, receiver, data_hash, signature = fields
-    sub = SubTransaction(parent, sender, receiver, value, nonce)
+    sub = (parent, sender, receiver, value, nonce)
     with patch.object(ledger_module, "sha3", raw_sha3):
         assert ledger_module.sub_ids(kind, [sub]) == [encode_fields(
             kind.encode(), parent, sender, receiver, encode_uint(value), encode_uint(nonce)
@@ -218,13 +221,13 @@ def test_inline_record_encodings_equal_encode_fields(kind, tx_type, fields, valu
     # two shapes in one pass through the layout cache: fields past 32 bytes
     # and all 32-byte fields
     subs = [
-        SubTransaction(parent + bytes(33), sender + bytes(33), receiver + bytes(33), value, nonce),
-        SubTransaction(sha3(parent), sha3(sender), sha3(receiver), value, nonce),
+        (parent + bytes(33), sender + bytes(33), receiver + bytes(33), value, nonce),
+        (sha3(parent), sha3(sender), sha3(receiver), value, nonce),
     ]
     with patch.object(ledger_module, "sha3", raw_sha3):
         assert ledger_module.sub_ids(kind, subs) == [
-            encode_fields(kind.encode(), s.parent_id, s.sender, s.receiver, encode_uint(value), encode_uint(nonce))
-            for s in subs
+            encode_fields(kind.encode(), p, s, r, encode_uint(value), encode_uint(nonce))
+            for p, s, r, _, _ in subs
         ]
     signing = encode_fields(
         tx_type.encode(), sender, receiver, encode_uint(value), encode_uint(nonce), data_hash
@@ -235,7 +238,7 @@ def test_inline_record_encodings_equal_encode_fields(kind, tx_type, fields, valu
         assert tx.id == encode_fields(signing, signature)
     with patch.object(chain, "sha3", raw_sha3):
         leaf = chain._leaf(sender, value, nonce)
-        log = log_root(SubTransaction(parent, sender, receiver, value, nonce))
+        log = log_root((parent, sender, receiver, value, nonce))
     assert leaf == encode_fields(sender, encode_uint(value), encode_uint(nonce))
     assert log == merkle_root([encode_fields(parent, receiver, encode_uint(value))])
     # admission frames the signed message once, for the signature check and the id
@@ -246,9 +249,9 @@ def test_inline_record_encodings_equal_encode_fields(kind, tx_type, fields, valu
         tx_type.encode(), pk, receiver, encode_uint(positive), encode_uint(nonce), data_hash
     )
     signed = Transaction(tx_type, pk, receiver, positive, nonce, data_hash, sign(sk, signing))
-    debit = split_transaction(signed, reg)
-    assert debit.parent_id == sha3(encode_fields(signing, signed.signature))
-    assert signed.id is debit.parent_id
+    parent_id, _, _, _, _ = split_transaction(signed, reg)
+    assert parent_id == sha3(encode_fields(signing, signed.signature))
+    assert signed.id is parent_id
     forged = Transaction(tx_type, pk, receiver, positive, nonce, data_hash, sha3(b"forged" + signed.signature))
     unknown = Transaction(tx_type, sha3(pk), receiver, positive, nonce, data_hash, signed.signature)
     for bad in (forged, unknown):
@@ -263,13 +266,13 @@ def test_inline_record_encodings_reject_integers_outside_eight_bytes(bad, kind, 
         encode_uint(bad)
     for value, nonce in ((bad, 0), (0, bad)):
         with pytest.raises(OverflowError):
-            ledger_module.sub_ids(kind, [SubTransaction(key, key, key, value, nonce)])
+            ledger_module.sub_ids(kind, [(key, key, key, value, nonce)])
         with pytest.raises(OverflowError):
             Transaction(TX_TYPE_TRANSFER, key, key, value, nonce, key, key).signing_bytes()
         with pytest.raises(OverflowError):
             chain._leaf(key, value, nonce)
     with pytest.raises(OverflowError):
-        log_root(SubTransaction(key, key, key, bad, 1))
+        log_root((key, key, key, bad, 1))
 
 
 @settings(max_examples=100, deadline=None)
@@ -288,9 +291,9 @@ def test_make_transfer_signs_from_the_senders_public_key(materials, value, nonce
         TX_TYPE_TRANSFER.encode(), pk, receiver, encode_uint(value), encode_uint(nonce), data_hash
     )
     assert tx.signature == sign(sk, tx.signing_bytes())
-    debit = split_transaction(tx, reg)
-    assert debit.parent_id == tx.id
-    assert (debit.sender, debit.receiver, debit.value, debit.nonce) == (pk, receiver, value, nonce)
+    parent_id, *fields = split_transaction(tx, reg)
+    assert parent_id == tx.id
+    assert tuple(fields) == (pk, receiver, value, nonce)
 
 
 # --- eager application ---
@@ -309,9 +312,10 @@ def test_apply_eager_exact_balance_boundary(reg):
     eager = eager_for(reg, pk_a, pk_b, 10, 1)
     apply_eager(state, eager)
     assert state.balances[pk_a] == 0
-    assert list(state.pending) == [eager.parent_id]
-    entry = state.pending[eager.parent_id]
-    assert (entry.sender, entry.receiver, entry.value, entry.nonce) == (pk_a, pk_b, 10, 1)
+    parent_id, _, _, _, _ = eager
+    assert list(state.pending) == [parent_id]
+    _, sender, receiver, value, nonce = state.pending[parent_id]
+    assert (sender, receiver, value, nonce) == (pk_a, pk_b, 10, 1)
 
 
 def test_pending_log_holds_the_debit_that_clones_and_splits_share(reg):
@@ -320,17 +324,18 @@ def test_pending_log_holds_the_debit_that_clones_and_splits_share(reg):
     state = LedgerState(2)
     state.create_account(pk_a, 100)
     eager = eager_for(reg, pk_a, pk_b, 10, 1)
+    parent_id, _, _, _, _ = eager
     apply_eager(state, eager)
-    assert state.pending[eager.parent_id] is eager
+    assert state.pending[parent_id] is eager
     clone, split = state.clone(), split_shards(state)
-    assert clone.pending[eager.parent_id] is eager
-    assert split.pending[eager.parent_id] is eager
+    assert clone.pending[parent_id] is eager
+    assert split.pending[parent_id] is eager
     for copy in (clone, split):
         apply_lazy(copy, eager)
         assert not copy.pending
         assert copy.balances[pk_b] == 10
     # the credits consumed the copies' entries, not the original's
-    assert state.pending[eager.parent_id] is eager and pk_b not in state.balances
+    assert state.pending[parent_id] is eager and pk_b not in state.balances
 
 
 def test_apply_eager_insufficient_balance_leaves_state_unchanged(reg):
@@ -366,12 +371,13 @@ def test_apply_eager_rejects_a_parent_id_already_pending_or_credited(reg):
     state.create_account(pk_a, 100)
     state.create_account(pk_b, 100)
     debit = eager_for(reg, pk_a, pk_b, 40, 1)
+    parent_id, _, _, _, _ = debit
     apply_eager(state, debit)
     # a valid debit of B's that names A's transfer as its parent
-    forged = SubTransaction(debit.parent_id, pk_b, pk_a, 40, 1)
+    forged = (parent_id, pk_b, pk_a, 40, 1)
     with pytest.raises(DuplicateDebit):
         apply_eager(state, forged)
-    assert state.pending == {debit.parent_id: debit}
+    assert state.pending == {parent_id: debit}
     apply_lazy(state, debit)
     with pytest.raises(DuplicateDebit):
         apply_eager(state, forged)  # a credited id stays spent
@@ -444,7 +450,7 @@ def credit_block(state, pk, block, width):
     one main block's credits; their parent ids."""
     pids = [sha3(b"line-%d-%d" % (block, i)) for i in range(width)]
     for pid in pids:
-        debit = SubTransaction(pid, pk, pk, 1, state.nonces[pk] + 1)
+        debit = (pid, pk, pk, 1, state.nonces[pk] + 1)
         apply_eager(state, debit)
         apply_lazy(state, debit)
     return pids
@@ -506,7 +512,8 @@ def test_apply_lazy_credits_up_to_the_eight_byte_balance_and_no_further(reg, rec
         apply_lazy(state, credit)
     assert (err.value.module, err.value.invariant) == ("core-ledger", "balance-width")
     assert (dict(state.balances), dict(state.nonces), dict(state.pending), set(state.written)) == before
-    assert credit.parent_id not in state.credited
+    parent_id, _, _, _, _ = credit
+    assert parent_id not in state.credited
 
 
 def test_full_phase_pair_restores_supply(reg):
@@ -542,7 +549,7 @@ def test_nonce_monotonicity(reg):
         eager = eager_for(reg, pk_a, pk_b, 1, n)
         apply_eager(state, eager)
     assert state.nonces[pk_a] == 10
-    applied = [e.nonce for e in state.pending.values() if e.sender == pk_a]
+    applied = [nonce for _, sender, _, _, nonce in state.pending.values() if sender == pk_a]
     assert applied == list(range(1, 11))
 
 

@@ -203,7 +203,7 @@ def test_split_shards_keeps_pending_and_credited():
         apply_lazy(state, lazy)
     split = split_shards(state)
     assert split.pending == state.pending and len(split.pending) == 6
-    assert set(split.credited) == set(state.credited) == {lazy.parent_id for lazy in lazies[:4]}
+    assert set(split.credited) == set(state.credited) == {parent_id for parent_id, _, _, _, _ in lazies[:4]}
     with pytest.raises(DoubleCredit):
         apply_lazy(split, lazies[0])
     for lazy in lazies[4:]:

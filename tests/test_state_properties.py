@@ -12,7 +12,6 @@ every copy copies whole (``reference.EagerCreditedIds``).
 """
 
 import copy
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -70,13 +69,13 @@ def apply_ops(state: LedgerState, ops, keys=KEYS) -> tuple[list[tuple[str, SubTr
         parent_id = PARENT_IDS[p]
         if kind == EAGER:
             nonce = state.nonces.get(keys[s], 0) + 1 + offset
-            sub = SubTransaction(parent_id, keys[s], keys[r], value, nonce)
+            sub = (parent_id, keys[s], keys[r], value, nonce)
         else:
             entry = state.pending.get(parent_id)
             if entry is None:
-                sub = SubTransaction(parent_id, keys[s], keys[r], value, 1)
+                sub = (parent_id, keys[s], keys[r], value, 1)
             else:
-                sub = replace(entry)
+                sub = (*entry,)  # a new tuple
         try:
             execute(state, [(kind, sub)])
         except FissionError as exc:
@@ -119,15 +118,15 @@ def reference_roots(kind, body, state):
     n = state.n_shard
     tx_leaves = [[] for _ in range(n)]
     log_leaves = [[] for _ in range(n)]
-    for sub in body:
-        key = sub.sender if kind == EAGER else sub.receiver
+    for parent_id, sender, receiver, value, nonce in body:
+        key = sender if kind == EAGER else receiver
         tx_leaves[shard_of(key, n)].append(sha3(encode_fields(
-            kind.encode(), sub.parent_id, sub.sender, sub.receiver,
-            encode_uint(sub.value), encode_uint(sub.nonce),
+            kind.encode(), parent_id, sender, receiver,
+            encode_uint(value), encode_uint(nonce),
         )))
         if kind == EAGER:
-            log_leaves[shard_of(sub.sender, n)].append(
-                sha3(encode_fields(sub.parent_id, sub.receiver, encode_uint(sub.value)))
+            log_leaves[shard_of(sender, n)].append(
+                sha3(encode_fields(parent_id, receiver, encode_uint(value)))
             )
     account_roots = [
         merkle_root([
@@ -242,7 +241,7 @@ def credit(state: LedgerState, p: int) -> tuple[str, str]:
     """The outcomes of a debit of parent id ``CREDIT_IDS[p]``, then of its
     credit."""
     sender = KEYS[p % FUNDED]
-    debit = SubTransaction(CREDIT_IDS[p], sender, KEYS[(3 * p + 1) % len(KEYS)], 1, state.nonces[sender] + 1)
+    debit = (CREDIT_IDS[p], sender, KEYS[(3 * p + 1) % len(KEYS)], 1, state.nonces[sender] + 1)
     return outcome(apply_eager, state, debit), outcome(apply_lazy, state, debit)
 
 
@@ -267,8 +266,8 @@ def credited_answers(state: LedgerState):
     return (
         set(credited),
         [pid in credited for pid in CREDIT_IDS],
-        [outcome(apply_eager, trial(state), SubTransaction(pid, sender, KEYS[1], 1, nonce)) for pid in CREDIT_IDS],
-        [outcome(apply_lazy, state, SubTransaction(pid, sender, KEYS[1], 1, 1)) for pid in CREDIT_IDS],
+        [outcome(apply_eager, trial(state), (pid, sender, KEYS[1], 1, nonce)) for pid in CREDIT_IDS],
+        [outcome(apply_lazy, state, (pid, sender, KEYS[1], 1, 1)) for pid in CREDIT_IDS],
     )
 
 
@@ -295,16 +294,23 @@ def test_credited_ids_of_copies_of_copies_equal_eagerly_copied_sets(n_shard, ste
             assert snapshot(state) == snapshot(twin)
 
 
+# a record's fields in tuple order
+RECORD_FIELDS = ("parent_id", "sender", "receiver", "value", "nonce")
 # "kind" roots the same entries as the other half of their transfers
-SUB_FIELDS = ("kind", "parent_id", "sender", "receiver", "value", "nonce")
+SUB_FIELDS = ("kind", *RECORD_FIELDS)
+
+
+def with_field(sub: SubTransaction, name: str, value) -> tuple:
+    """A new record, ``sub`` with its field ``name`` set to ``value``."""
+    fields = list(sub)
+    fields[RECORD_FIELDS.index(name)] = value
+    return tuple(fields)
 
 
 def equal_copy(sub: SubTransaction) -> SubTransaction:
     """A new record equal to ``sub`` whose byte fields are new objects too."""
-    return SubTransaction(
-        bytes(bytearray(sub.parent_id)), bytes(bytearray(sub.sender)),
-        bytes(bytearray(sub.receiver)), sub.value, sub.nonce,
-    )
+    parent_id, sender, receiver, value, nonce = sub
+    return (bytes(bytearray(parent_id)), bytes(bytearray(sender)), bytes(bytearray(receiver)), value, nonce)
 
 
 @settings(max_examples=40, deadline=None)
@@ -346,12 +352,12 @@ def test_root_memo_is_keyed_on_body_content(n_shard, history, ops, data):
         if what == "kind":
             kind = LAZY if kind == EAGER else EAGER
         else:
-            old = getattr(body[i], what)
+            old = body[i][RECORD_FIELDS.index(what)]
             if isinstance(old, int):
                 new = data.draw(st.integers(0, 2**64 - 1).filter(lambda n: n != old))
             else:
                 new = data.draw(st.binary(min_size=32, max_size=32).filter(lambda b: b != old))
-            changed[i] = replace(body[i], **{what: new})
+            changed[i] = with_field(body[i], what, new)
         other = state.clone()
         execute(other, applied)
         roots = compute_root_arrays(kind, changed, other)
@@ -450,7 +456,7 @@ def test_rooting_hashes_only_the_paths_above_written_leaves(n_accounts, data):
     def debited(value, accounts):
         clone = state.clone()
         for i in accounts:
-            apply_eager(clone, SubTransaction(PARENT_IDS[i], TREE_KEYS[i], TREE_KEYS[i], value, 1))
+            apply_eager(clone, (PARENT_IDS[i], TREE_KEYS[i], TREE_KEYS[i], value, 1))
         return clone
 
     child = debited(1, dirty)
@@ -494,7 +500,7 @@ def test_rooting_hashes_only_the_paths_above_written_leaves(n_accounts, data):
     assert roots == reference_roots(EAGER, [], child)
     assert late_roots == reference_roots(EAGER, [], late)
     # the same writes under another body root that body
-    body = [SubTransaction(PARENT_IDS[0], TREE_KEYS[0], TREE_KEYS[0], 1, 1)]
+    body = [(PARENT_IDS[0], TREE_KEYS[0], TREE_KEYS[0], 1, 1)]
     replay = debited(1, dirty)
     assert compute_root_arrays(EAGER, body, replay) == reference_roots(EAGER, body, replay)
     assert state.trees[0] is tree

@@ -7,9 +7,14 @@ calculator half derives the feasible (tau, theta) region and the normal-tail
 failure probabilities that justify the quorum.
 
 The binomial CDF goes through the regularized incomplete beta function, so it
-stays exact-enough and overflow-free for any stake. A committee draw
-evaluates it for all stakes at once, each only up to about twice the largest
-weight drawn, and keeps nothing between draws.
+stays exact-enough and overflow-free for any stake; ``voting_power`` bisects
+it. A committee draw reads most stake groups' weights off a float CDF row
+instead: a pmf recurrence, summed only as far as the group's largest draw,
+whose band of relative half-width ``_BAND`` holds the incomplete beta row.
+Where every draw keeps its position across the band, the weights are
+bisection's. The other groups, outside the row's domain or with a draw
+inside the band (a chance of 2e-9 per row entry), go to the incomplete
+beta, whose scipy import comes on first use. Nothing is kept between draws.
 """
 
 from __future__ import annotations
@@ -18,7 +23,6 @@ import math
 from typing import Mapping
 
 import numpy as np
-from scipy.special import betainc
 
 from .crypto import KeyRegistry, VrfOutput, vrf_eval, vrf_hashes
 from .errors import ApproximationUnsound, DomainError
@@ -42,6 +46,9 @@ _SMALL_P = 1e-6
 def _cdf(a, b, p: float):
     """P(X <= k) for X ~ Binomial(s, p), 0 <= k < s, given a = k + 1 and
     b = s - k; on scalars or arrays."""
+    # imported on first use, so a run whose draws all stay on float rows loads no scipy
+    from scipy.special import betainc
+
     # P(X <= k) = I_{1-p}(s - k, k + 1) = 1 - I_p(k + 1, s - k)
     if p < _SMALL_P:
         return 1.0 - betainc(a, b, p)
@@ -82,8 +89,94 @@ def voting_power(x: float, s: int, p: float) -> int:
     return lo
 
 
+# the float CDF row's domain: stake, mean s * p and entries; past them, or
+# where pmf(0) is near the subnormal range, a group takes the betainc route
+_ROW_MAX_STAKE = 1 << 20
+_ROW_MAX_MEAN = 512.0
+_ROW_MAX_LEN = 1024
+_ROW_MIN_PMF0 = 1e-290
+# relative half-width of the band around a float row. betainc and the row
+# agree to 3e-13 relative over the row's domain (the tests pin a twentieth
+# of the band), so a draw outside the band lies on the same side of both.
+_BAND = 1e-9
+_BAND_LOW = 1.0 - _BAND
+_BAND_HIGH = 1.0 + _BAND
+
+
 def _weights(stakes: list[int], draws: list[np.ndarray], p: float) -> list[np.ndarray]:
     """``voting_power`` of the draws ``draws[g]`` of each stake ``stakes[g]``.
+
+    A group's weights are the ``searchsorted`` positions of its draws in its
+    float row (``_float_row``) scaled down and up by ``_BAND``. Where the
+    two agree for every draw, each draw lies above the band of every entry
+    before its position and at or below the band of every entry from it on
+    (and past the row, where F only grows), so betainc's row, inside the
+    band, splits the draws the same way and bisection ends where
+    ``searchsorted`` does. A group with no row, or with a draw inside a
+    band, goes whole to ``_betainc_weights``.
+    """
+    weights = [_row_weights(s, d, p) for s, d in zip(stakes, draws)]
+    rest = [g for g, w in enumerate(weights) if w is None]
+    if rest:
+        exact = _betainc_weights([stakes[g] for g in rest], [draws[g] for g in rest], p)
+        for g, w in zip(rest, exact):
+            weights[g] = w
+    return weights
+
+
+def _row_weights(s: int, d: np.ndarray, p: float) -> np.ndarray | None:
+    """The weights of the draws ``d`` of stake s off its float row, or None
+    when it has no row or a draw lies inside a band."""
+    row = _float_row(s, p, d.max(initial=0.0))
+    if row is None:
+        return None
+    f = np.array(row)
+    w = np.searchsorted(f * _BAND_LOW, d, side="left")
+    return w if np.array_equal(w, np.searchsorted(f * _BAND_HIGH, d, side="left")) else None
+
+
+def _float_row(s: int, p: float, top: float) -> list[float] | None:
+    """The prefix of ``_float_cdf(s, p)`` up to the first F~(E) whose lower
+    band ``F~(E) * _BAND_LOW`` reaches ``top``, or all of it when it ends at
+    E = s - 1, past which F(s) is exactly 1 and every draw weighs at most s.
+    None when the row is cut short: outside its domain or at
+    ``_ROW_MAX_LEN`` entries."""
+    row = []
+    for f in _float_cdf(s, p):
+        row.append(f)
+        if f * _BAND_LOW >= top:
+            return row
+    return row if len(row) == s else None
+
+
+def _float_cdf(s: int, p: float):
+    """F~(0), F~(1), ... of Binomial(s, p) up to k = min(s, _ROW_MAX_LEN) - 1:
+    the pmf from exp(s * log1p(-p)) by pmf(k + 1) = pmf(k) * (s - k) / (k + 1)
+    * p / (1 - p), summed. Nothing outside the row's domain.
+
+    The row reads p as betainc does: ``1.0 - p`` rounds p by up to
+    2^-54, which moves F(0) = (1 - p)^s by up to s * 2^-54 relative (5.8e-11
+    at s = 2^20), so the row takes p as 1 - (1.0 - p), exact by Sterbenz.
+    Below ``_SMALL_P``, betainc reads p itself.
+    """
+    if s > _ROW_MAX_STAKE or s * p > _ROW_MAX_MEAN:
+        return
+    if p >= _SMALL_P:
+        p = 1.0 - (1.0 - p)
+    pmf = math.exp(s * math.log1p(-p))
+    if pmf < _ROW_MIN_PMF0:
+        return
+    ratio = p / (1.0 - p)
+    f = pmf
+    for k in range(min(s, _ROW_MAX_LEN)):
+        yield f
+        pmf *= (s - k) / (k + 1) * ratio
+        f += pmf
+
+
+def _betainc_weights(stakes: list[int], draws: list[np.ndarray], p: float) -> list[np.ndarray]:
+    """``voting_power`` of the draws ``draws[g]`` of each stake ``stakes[g]``,
+    from betainc's own rows.
 
     After F(0), bisection of [1, s] probes the spine 1 + ((s - 1) >> t),
     t = 1, 2, ..., for as long as F there reaches the draw. So one

@@ -1,13 +1,17 @@
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import special, stats
 
 from fission_sim import sortition
 from fission_sim.cli import main
@@ -272,22 +276,131 @@ def test_electorate_draw_equals_per_node_draws(data, p, seed):
 
 def test_committee_draw_evaluates_few_cdf_entries_per_stake_group(monkeypatch):
     # 1,400 uniform:1:5000 stakes hold over a thousand distinct stakes; a
-    # full CDF per stake would be millions of entries
+    # full CDF per stake would be millions of entries. Both evaluators count:
+    # each float row entry summed (rows cut at the cap included) and each
+    # betainc call's size
     reg, pks = build_registry(1400, seed=11)
     stakes = dict(zip(pks, dist_sampler("uniform:1:5000", integer=True, minimum=1)(split(11, "work"), 1400)))
     electorate = Electorate(stakes, reg)
     entries = []
-    betainc = sortition.betainc
+    float_cdf, betainc = sortition._float_cdf, special.betainc
 
-    def counted(*args):
+    def counted_row(*args):
+        for f in float_cdf(*args):
+            entries.append(1)
+            yield f
+
+    def counted_betainc(*args):
         out = betainc(*args)
         entries.append(np.size(out))
         return out
 
-    monkeypatch.setattr(sortition, "betainc", counted)
+    monkeypatch.setattr(sortition, "_float_cdf", counted_row)
+    monkeypatch.setattr(special, "betainc", counted_betainc)
     committee = select_committee(electorate, b"work", BLOCK_INTERIM, 5000 / sum(stakes.values()))
     assert len(committee) > 0
     assert sum(entries) <= 64 * len(set(stakes.values()))
+
+
+def in_band(row, xs):
+    """Whether a draw lies in the band (F~ * (1 - tau), F~ * (1 + tau)] of an
+    entry of a float row, where the two ``searchsorted`` positions part."""
+    f = np.array(row)
+    return bool(((f[:, None] * sortition._BAND_LOW < xs) & (xs <= f[:, None] * sortition._BAND_HIGH)).any())
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    s=st.one_of(st.integers(1, 64), st.integers(1, 2**20)),
+    mean=st.one_of(st.floats(1e-4, 520.0), st.floats(0.0, 1.0)),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_float_rows_weigh_as_betainc_bisection(s, mean, seed, data):
+    # p from the mean s * p (so the float row's domain and its 512 edge are
+    # reached) or as a fraction, from below _SMALL_P up to 0.999; draws are
+    # uniforms plus betainc's own F(k) and their neighbours
+    p = min(0.999, max(sortition._SMALL_P / 10, mean / s if data.draw(st.booleans()) else mean))
+    uniform = np.random.default_rng(seed).random(8)
+    ks = data.draw(st.lists(st.integers(0, min(s - 1, int(2 * s * p) + 8)), max_size=3))
+    on_f = [x for k in ks for f in [binomial_cdf(k, s, p)] for x in (np.nextafter(f, 0.0), f, np.nextafter(f, 1.0))]
+    xs = np.append(uniform, [x for x in on_f if x < 1.0])
+    assert voting_power_batch(xs, s, p).tolist() == [voting_power(float(x), s, p) for x in xs]
+    # a group whose float row settles every draw reads no betainc; a draw on
+    # a band (a float row entry F~(k) itself) sends the whole group to betainc
+    full = list(sortition._float_cdf(s, p))
+    on_band = [np.array([full[k]]) for k in ks if k < len(full) and full[k] < 1.0]
+    for draws in [uniform, *on_band]:
+        row = sortition._float_row(s, p, float(draws.max()))
+        calls = []
+        with pytest.MonkeyPatch.context() as patch:
+            cdf = sortition._cdf
+            patch.setattr(sortition, "_cdf", lambda *args: calls.append(1) or cdf(*args))
+            weights = voting_power_batch(draws, s, p)
+        assert bool(calls) == (row is None or in_band(row, draws)), (s, p, draws)
+        assert weights.tolist() == [voting_power(float(x), s, p) for x in draws]
+
+
+# float-row domain points: every stake scale up to 2^20 at means up to the
+# 512 edge, the p of the perfbench chain workloads, p on both sides of
+# _SMALL_P, and large p where s is small enough that pmf(0) stays normal
+MARGIN_GRID = sorted(
+    {(s, m / s) for s in (1, 2, 3, 7, 40, 1000, 2500, 12_000, 65_536, 2**20 - 3, 2**20)
+     for m in (1e-4, 0.3, 2.5, 12.5, 64.0, 300.0, 512.0) if m / s < 1}
+    | {(2500, 0.001), (2500, 0.005), (12_000, sortition._SMALL_P), (12_000, sortition._SMALL_P * 0.999)}
+    | {(s, p) for s in (1, 5, 60, 400, 1024) for p in (0.3, 0.5, 0.9, 0.999) if s * p <= 512}
+)
+
+
+def test_float_rows_stay_twenty_times_inside_the_band():
+    # betainc's row against the full float row (to the row cap) at every k:
+    # if a scipy release loses accuracy, this fails before a weight can move
+    tau = sortition._BAND
+    checked = 0
+    for s, p in MARGIN_GRID:
+        row = np.array(list(sortition._float_cdf(s, p)))
+        if not len(row):
+            continue  # pmf(0) below the row's floor
+        exact = sortition._cdf_at([s], [range(len(row))], p)
+        gap = np.abs(exact - row) / row
+        worst = int(np.argmax(gap))
+        assert gap[worst] <= tau / 20, (s, p, worst, float(gap[worst]))
+        checked += len(row)
+    assert checked > 10_000
+
+
+NO_SCIPY_RUNS = """
+import sys
+from fission_sim.cli import main
+
+codes = [
+    main(["chain", "--epochs", "6", "--seed", "1", "--config", "committee.cfg", "--out", "c.jsonl", "--metrics", "c.csv"]),
+    main(["chain", "--epochs", "6", "--seed", "1", "--config", "traffic.cfg", "--out", "t.jsonl", "--metrics", "t.csv"]),
+    main(["security", "-h", "0.75", "-a", "0.7"]),
+    main(["sortition", "--nodes", "1400", "--stake-dist", "uniform:1:5000", "--seed", "11"]),
+    main(["relay", "--nodes", "256", "--relayers", "8", "--rounds", "4", "--trials", "2", "--seed", "1", "--out", "r.csv"]),
+    main(["drs", "--nodes", "64", "--keys", "8", "--seed", "1", "--out", "d.csv"]),
+]
+print(codes, sorted(name for name in sys.modules if name.split(".")[0] == "scipy"), file=sys.stderr)
+"""
+
+
+def test_runs_on_float_rows_load_no_scipy(tmp_path):
+    # both perfbench chain shapes, the calculators, a many-group committee
+    # draw and the relay and retrieval games, in one fresh interpreter
+    (tmp_path / "committee.cfg").write_text(
+        "population.nodes = 2000\npopulation.stake_dist = fixed:2500\n"
+        "chain.tx_per_epoch = 100\nchain.offline_rate = 0.1\n"
+    )
+    (tmp_path / "traffic.cfg").write_text(
+        "population.nodes = 400\nchain.tx_per_epoch = 1000\nchain.invalid_fraction = 0.05\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = os.environ | {"PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_RUNS], cwd=tmp_path, env=env, check=True, capture_output=True, text=True
+    )
+    assert done.stderr.strip() == "[0, 0, 0, 0, 0, 0] []"
 
 
 # --- leader ordering ---

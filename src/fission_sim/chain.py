@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
+from .config import PartitionSettings
 from .crypto import HASH_BYTES, UINT, encode_fields, encode_uint, record_layout, sha3
 from .errors import (
     AlternationViolation,
@@ -43,9 +43,6 @@ from .ledger import (
 )
 from .merkle import merkle_levels, merkle_root, merkle_update
 from .partitioning import next_partition_count, reshard_trigger, split_shards
-
-if TYPE_CHECKING:  # config loads the numpy-backed sortition module
-    from .config import PartitionSettings
 
 INTERIM = "interim"
 MAIN = "main"

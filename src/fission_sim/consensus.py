@@ -391,6 +391,22 @@ def _assert_adversary_below_quorum(ballot: Ballot, quorum: int, label: str) -> N
 # traffic generation
 
 
+class SpendableView(dict):
+    """Each account's spendable balance and last nonce, keyed by public key:
+    the entries put in, and any other account of ``state`` read from it on
+    first use."""
+
+    __slots__ = ("state",)
+
+    def __init__(self, state: LedgerState):
+        super().__init__()
+        self.state = state
+
+    def __missing__(self, pk: bytes) -> tuple[int, int]:
+        entry = self[pk] = (self.state.balances[pk], self.state.nonces[pk])
+        return entry
+
+
 def draw_traffic(
     rng: random.Random,
     registry: KeyRegistry,
@@ -401,7 +417,8 @@ def draw_traffic(
 ) -> list[Transaction]:
     """One epoch's transactions, drawn on ``view``, each account's spendable
     balance and last nonce, which each valid transfer updates. ``pks`` is
-    ``sorted(view)``, which the caller keeps between epochs.
+    every account ``view`` holds or reads on first use (a ``SpendableView``),
+    in sorted order, which the caller keeps between epochs.
 
     Each of the ``tx_per_epoch`` draws picks a sender and a receiver, each
     ``pks[rng.randrange(len(pks))]`` over the view's keys in sorted order,
@@ -525,11 +542,11 @@ class ChainSimulation:
 
     # -- traffic generation --
 
-    def _spendable_view(self) -> dict[bytes, tuple[int, int]]:
-        """Balance and next nonce per account after netting out mempool debits."""
-        state = self.chain.state
-        # the two columns share one insertion order
-        view = dict(zip(state.balances, zip(state.balances.values(), state.nonces.values())))
+    def _spendable_view(self) -> SpendableView:
+        """Balance and last nonce per account after netting out mempool
+        debits: an entry per mempool sender, the other accounts read from the
+        state when the traffic draw first reaches them."""
+        view = SpendableView(self.chain.state)
         for tx in self.mempool:
             bal, nonce = view[tx.sender]
             view[tx.sender] = (bal - tx.value, nonce + 1)

@@ -8,12 +8,8 @@ count once the partition count has sat at the shard count for a full window.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
+from .config import PartitionSettings
 from .ledger import LedgerState
-
-if TYPE_CHECKING:  # config loads the numpy-backed sortition module
-    from .config import PartitionSettings
 
 
 def next_partition_count(n_e: int, n_partition: int, n_shard: int, rules: PartitionSettings) -> int:

@@ -12,17 +12,20 @@ it. A committee draw reads most stake groups' weights off a float CDF row
 instead: a pmf recurrence, summed only as far as the group's largest draw,
 whose band of relative half-width ``_BAND`` holds the incomplete beta row.
 Where every draw keeps its position across the band, the weights are
-bisection's. The other groups, outside the row's domain or with a draw
-inside the band (a chance of 2e-9 per row entry), go to the incomplete
-beta, whose scipy import comes on first use. Nothing is kept between draws.
+bisection's. Most keys never become a float: a hash's first byte puts its
+draw in one of 256 buckets, and every key in a bucket that holds no band
+edge weighs the same, which a 256-byte table per group gives. The other
+groups, outside the row's domain or with a draw inside the band (a chance of
+2e-9 per row entry), go to the incomplete beta, whose numpy and scipy
+imports come on first use. Nothing is kept between draws.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
+from itertools import compress
 from typing import Mapping
-
-import numpy as np
 
 from .crypto import KeyRegistry, VrfOutput, vrf_eval, vrf_hashes
 from .errors import ApproximationUnsound, DomainError
@@ -101,21 +104,27 @@ _ROW_MIN_PMF0 = 1e-290
 _BAND = 1e-9
 _BAND_LOW = 1.0 - _BAND
 _BAND_HIGH = 1.0 + _BAND
+# a group reads a table when at least this many of its keys lie below its top
+# byte: a table costs about as much as 32 keys' draws through ``_weights``
+_TABLE_MIN_KEYS = 32
 
 
-def _weights(stakes: list[int], draws: list[np.ndarray], p: float) -> list[np.ndarray]:
+def _weights(stakes: list[int], draws: list[list[float]], p: float) -> list[list[int]]:
     """``voting_power`` of the draws ``draws[g]`` of each stake ``stakes[g]``.
 
-    A group's weights are the ``searchsorted`` positions of its draws in its
+    A group's weights are the ``bisect_left`` positions of its draws in its
     float row (``_float_row``) scaled down and up by ``_BAND``. Where the
     two agree for every draw, each draw lies above the band of every entry
     before its position and at or below the band of every entry from it on
     (and past the row, where F only grows), so betainc's row, inside the
     band, splits the draws the same way and bisection ends where
-    ``searchsorted`` does. A group with no row, or with a draw inside a
-    band, goes whole to ``_betainc_weights``.
+    ``bisect_left`` does. A group with no row, or with a draw inside a band,
+    goes whole to ``_betainc_weights``.
     """
-    weights = [_row_weights(s, d, p) for s, d in zip(stakes, draws)]
+    weights: list[list[int] | None] = []
+    for s, xs in zip(stakes, draws):
+        row = _float_row(s, p, max(xs, default=0.0))
+        weights.append(None if row is None else _row_weights(row, xs))
     rest = [g for g, w in enumerate(weights) if w is None]
     if rest:
         exact = _betainc_weights([stakes[g] for g in rest], [draws[g] for g in rest], p)
@@ -124,15 +133,59 @@ def _weights(stakes: list[int], draws: list[np.ndarray], p: float) -> list[np.nd
     return weights
 
 
-def _row_weights(s: int, d: np.ndarray, p: float) -> np.ndarray | None:
-    """The weights of the draws ``d`` of stake s off its float row, or None
-    when it has no row or a draw lies inside a band."""
-    row = _float_row(s, p, d.max(initial=0.0))
+def _bands(row: list[float]) -> tuple[list[float], list[float]]:
+    """The lower and upper band edges of a float row's entries."""
+    return [f * _BAND_LOW for f in row], [f * _BAND_HIGH for f in row]
+
+
+def _row_weights(row: list[float], xs: list[float]) -> list[int] | None:
+    """The weights of the draws ``xs`` off a float row, or None when a draw
+    lies inside a band."""
+    low, high = _bands(row)
+    ws = [bisect_left(low, x) for x in xs]
+    return ws if ws == [bisect_left(high, x) for x in xs] else None
+
+
+def _table(s: int, p: float, top: int) -> bytes | None:
+    """The weight of stake s for each first byte b of a hash below ``top``,
+    or 255 where it takes ``_weights``: a 256-byte ``bytes.translate``
+    table. None when the group has no float row.
+
+    A hash whose first byte is b maps to a draw in [b/256, (b+1)/256]. The
+    row reaches top/256, so where that bucket holds no band edge, every draw
+    in it lies above the same lower edges and the same upper edges (a band,
+    2e-9 wide, never spans a bucket): their count is the weight ``_weights``
+    gives. Entry b is 255 where the bucket holds an edge, where the weight
+    reaches 255, and from ``top`` on.
+    """
+    row = _float_row(s, p, top / 256)
     if row is None:
         return None
-    f = np.array(row)
-    w = np.searchsorted(f * _BAND_LOW, d, side="left")
-    return w if np.array_equal(w, np.searchsorted(f * _BAND_HIGH, d, side="left")) else None
+    low, high = _bands(row)
+    # the first bucket above each lower edge; past the last, a row that ends
+    # at s - 1 weighs s
+    cuts = [int(edge * 256) + 1 for edge in low]
+    table = bytearray(b"\xff" * 256)
+    start = 0
+    for w, stop in enumerate(cuts + [top]):
+        stop = min(stop, top)
+        if stop > start:
+            table[start:stop] = bytes((min(w, 255),)) * (stop - start)
+            start = stop
+    for b in [cut - 1 for cut in cuts] + [int(edge * 256) for edge in high]:
+        if b < top:
+            table[b] = 255
+    return bytes(table)
+
+
+def _positions(data: bytes, value: int) -> list[int]:
+    """The indices of ``value`` in ``data``."""
+    at = []
+    i = data.find(value)
+    while i >= 0:
+        at.append(i)
+        i = data.find(value, i + 1)
+    return at
 
 
 def _float_row(s: int, p: float, top: float) -> list[float] | None:
@@ -174,7 +227,7 @@ def _float_cdf(s: int, p: float):
         f += pmf
 
 
-def _betainc_weights(stakes: list[int], draws: list[np.ndarray], p: float) -> list[np.ndarray]:
+def _betainc_weights(stakes: list[int], draws: list[list[float]], p: float) -> list[list[int]]:
     """``voting_power`` of the draws ``draws[g]`` of each stake ``stakes[g]``,
     from betainc's own rows.
 
@@ -188,11 +241,13 @@ def _betainc_weights(stakes: list[int], draws: list[np.ndarray], p: float) -> li
     decreases (betainc turns NaN at extreme arguments), leaves its draws to
     ``voting_power``.
     """
+    import numpy as np  # on first use, so a run whose draws all stay on float rows loads no numpy
+
     spines = [[1 + ((s - 1) >> t) for t in range(1, max(s - 1, 0).bit_length() + 1)] for s in stakes]
     f = _cdf_at(stakes, spines, p).tolist()
     ends, at = [], 0
     for spine, s, d in zip(spines, stakes, draws):
-        top, e = d.max(initial=0.0), s
+        top, e = max(d, default=0.0), s
         for m, fm in zip(spine, f[at:at + len(spine)]):
             if not fm >= top:  # a NaN is reached by no draw
                 break
@@ -205,45 +260,34 @@ def _betainc_weights(stakes: list[int], draws: list[np.ndarray], p: float) -> li
         row = rows[at:at + e + 1]
         at += e + 1
         if e >= 0 and (row[1:] >= row[:-1]).all():
-            weights.append(np.searchsorted(row, d, side="left"))
+            weights.append(np.searchsorted(row, d, side="left").tolist())
         else:
-            exact = np.int64 if s < 1 << 63 else object  # a weight never exceeds its stake
-            weights.append(np.array([voting_power(float(x), s, p) for x in d], dtype=exact))
+            weights.append([voting_power(x, s, p) for x in d])
     return weights
 
 
-def _cdf_at(stakes: list[int], ks: list, p: float) -> np.ndarray:
-    """F(k) of stake ``stakes[g]`` at every k <= s of ``ks[g]``, concatenated.
+def _cdf_at(stakes: list[int], ks: list, p: float):
+    """F(k) of stake ``stakes[g]`` at every k <= s of ``ks[g]``, concatenated
+    in one NumPy array.
 
     k + 1 and s - k are exact ints until ``float`` rounds them, as NumPy
     rounds the ints ``binomial_cdf`` passes; at k = s the formula gives 1.
     """
+    import numpy as np
+
     a = [float(k + 1) for row in ks for k in row]
     b = [float(s - k) for s, row in zip(stakes, ks) for k in row]
     return _cdf(np.array(a), np.array(b), p)
 
 
 _TWO_NEG_256 = 2.0**-256
-_TWO_NEG_64 = 2.0**-64
 
 
-def uniforms(hashes: list[bytes]) -> np.ndarray:
+def uniforms(hashes: list[bytes]) -> list[float]:
     """Each 32-byte hash mapped into [0, 1) as the correctly rounded
-    ``int / 2**256``, for many hashes in one conversion.
-
-    A float keeps 53 bits, so a hash whose top 64-bit word is at least 2^54
-    rounds as that word does with a sticky bit set for any nonzero bit below
-    it: ``float(top | sticky)`` rounds to nearest even as int / 2**256 does,
-    and scaling by a power of two is exact. The rare rows with a smaller top
-    word (about one in 1,024) convert their whole integer instead.
-    """
-    words = np.frombuffer(b"".join(hashes), dtype=">u8").reshape(-1, 4).astype(np.uint64)
-    top = words[:, 0]
-    sticky = words[:, 1:].any(axis=1)
-    xs = (top | sticky).astype(np.float64) * _TWO_NEG_64
-    for i in np.flatnonzero(top < 1 << 54).tolist():
-        xs[i] = int.from_bytes(hashes[i], "big") * _TWO_NEG_256
-    return xs
+    ``int / 2**256``: ``float`` of an int rounds to nearest even as that
+    division does, and scaling by a power of two is exact."""
+    return [int.from_bytes(h, "big") * _TWO_NEG_256 for h in hashes]
 
 
 class Committee:
@@ -264,12 +308,11 @@ class Electorate:
     """The keys that draw in ``select_committee``, built once per run from a
     stake mapping and the registry that holds its keys: the keys of positive
     stake in key order, their framed secrets (``framed``, the VRF input of
-    every draw, framed here once), each stake with the indices of its keys
-    (one entry per distinct stake), and the dtype that holds every weight
-    exactly.
+    every draw, framed here once), and each stake with the indices of its
+    keys (one entry per distinct stake).
     """
 
-    __slots__ = ("pks", "framed", "groups", "weight_dtype")
+    __slots__ = ("pks", "framed", "groups")
 
     def __init__(self, stakes: Mapping[bytes, int], registry: KeyRegistry):
         self.pks = sorted(pk for pk, stake in stakes.items() if stake > 0)
@@ -277,9 +320,7 @@ class Electorate:
         groups: dict[int, list[int]] = {}
         for i, pk in enumerate(self.pks):
             groups.setdefault(stakes[pk], []).append(i)
-        self.groups = [(s, np.array(idx, dtype=np.intp)) for s, idx in groups.items()]
-        # a weight never exceeds its stake
-        self.weight_dtype = np.int64 if all(s < 1 << 63 for s in groups) else object
+        self.groups = list(groups.items())
 
 
 def select_committee(electorate: Electorate, seed: bytes, ctype: str, p: float) -> Committee:
@@ -290,18 +331,45 @@ def select_committee(electorate: Electorate, seed: bytes, ctype: str, p: float) 
     node's weight is ``voting_power`` of its ``vrf_eval(sk, seed,
     ctype).hash`` mapped into [0, 1) (``uniforms``), hashed from
     ``electorate.framed``.
+
+    Each stake group reads its keys' weights off its ``_table`` by the first
+    byte of their hashes, one ``bytes.translate`` per group, and
+    ``compress`` picks the members from all weights. Only the keys whose byte the table
+    leaves at 255 (the group's top byte, a bucket that holds a band edge, a
+    weight of 255 or more) take their draw as a float, through ``_weights``;
+    so does every key of a group with no float row or with fewer than
+    ``_TABLE_MIN_KEYS`` keys below its top byte.
     """
     if not 0.0 < p < 1.0:
         raise DomainError(f"selection probability must be in (0, 1), got {p}")
     pks = electorate.pks
-    xs = uniforms(vrf_hashes(electorate.framed, seed, ctype))
-    # one CDF row per stake group; the weights equal voting_power's
-    groups = electorate.groups
-    weights = np.zeros(len(pks), dtype=electorate.weight_dtype)
-    for (_, idx), ws in zip(groups, _weights([s for s, _ in groups], [xs[idx] for _, idx in groups], p)):
-        weights[idx] = ws
-    members = np.flatnonzero(weights)  # weights are never negative
-    return Committee([pks[i] for i in members.tolist()], weights[members].tolist())
+    hashes = vrf_hashes(electorate.framed, seed, ctype)
+    firsts = b"".join(hashes)[::32]
+    weights = [0] * len(pks)
+    stakes, rests = [], []  # each group's stake and the keys it leaves to _weights
+    for s, idx in electorate.groups:
+        whole = len(idx) == len(pks)
+        group = firsts if whole else bytes(map(firsts.__getitem__, idx))
+        top = max(group)
+        # the top byte's keys fix the row's reach, so they always take _weights
+        table = _table(s, p, top) if len(group) - group.count(top) >= _TABLE_MIN_KEYS else None
+        if table is None:
+            rest = idx
+        else:
+            read = group.translate(table)  # its 255s are overwritten below
+            rest = [idx[j] for j in _positions(read, 255)]
+            if whole:
+                weights = list(read)
+            else:
+                for i, w in zip(idx, read):
+                    weights[i] = w
+        stakes.append(s)
+        rests.append(rest)
+    draws = [uniforms([hashes[i] for i in rest]) for rest in rests]
+    for rest, ws in zip(rests, _weights(stakes, draws, p)):
+        for i, w in zip(rest, ws):
+            weights[i] = w
+    return Committee(list(compress(pks, weights)), list(filter(None, weights)))  # weights are never negative
 
 
 def leader_ticket(sk: bytes, seed: bytes) -> VrfOutput:

@@ -134,7 +134,7 @@ def vrf_verify(registry: KeyRegistry, pk: bytes, seed: bytes, ctype: str, output
 
 def uniform(h: bytes) -> float:
     """A VRF hash mapped into [0, 1): the correctly rounded ``int / 2**256``,
-    which ``sortition.uniforms`` computes for many hashes at once."""
+    which ``sortition.uniforms`` computes as ``float(int) * 2**-256``."""
     return int.from_bytes(h, "big") / (1 << 256)
 
 
@@ -161,10 +161,11 @@ def verify_outcome(
     return voting_power(uniform(outcome.vrf.hash), stake, p) == outcome.weight
 
 
-def voting_power_batch(xs: np.ndarray, s: int, p: float) -> np.ndarray:
+def voting_power_batch(xs, s: int, p: float) -> list[int]:
     """``voting_power`` of many uniform draws for one (s, p), through the
-    evaluator ``select_committee`` uses."""
-    return _weights([s], [np.asarray(xs, dtype=np.float64)], p)[0]
+    float-row route that ``select_committee`` takes for the keys its byte
+    tables leave."""
+    return _weights([s], [[float(x) for x in xs]], p)[0]
 
 
 def leader_order(tickets) -> list[bytes]:

@@ -67,7 +67,7 @@ def test_criterion_2_sortition_distribution():
     for s in range(1, 21):
         for p in (0.01, 0.1, 0.5):
             gen = split_numpy(SEED, "acc2", s, p)
-            draws = voting_power_batch(gen.random(100_000), s, p)
+            draws = np.array(voting_power_batch(gen.random(100_000), s, p))
             n = len(draws)
             observed = np.bincount(draws, minlength=s + 1).astype(float)
             expected = np.array(
@@ -102,7 +102,7 @@ def test_criterion_3_safety_monte_carlo():
     hashes = []
     for e in range(draws):
         hashes += vrf_hashes(framed, child_bytes(SEED, "acc3-epoch", e), "block_interim")
-    xs = uniforms(hashes).reshape(draws, len(pop.online))
+    xs = np.array(uniforms(hashes)).reshape(draws, len(pop.online))
     for column, pk in enumerate(pop.online):
         weights = voting_power_batch(xs[:, column], stake_of[pk], p)
         if pk in pop.strategies:

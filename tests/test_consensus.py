@@ -406,6 +406,39 @@ def test_chain_history_adds_no_tracked_object_per_record():
     assert not any(gc.is_tracked(debit) for debit in sim.chain.state.pending.values())
 
 
+def test_the_spendable_view_holds_the_mempool_senders_only(monkeypatch):
+    # before every interim epoch the view holds one entry per mempool sender,
+    # netted of its debits; the draw reads each other sender from the state
+    # and gives the transactions and entries of a view of every account
+    counts = []
+
+    def recording(rng, registry, view, pks, *rest):
+        state = sim.chain.state
+        full = {pk: (state.balances[pk], state.nonces[pk]) for pk in pks}
+        for tx in sim.mempool:
+            balance, nonce = full[tx.sender]
+            full[tx.sender] = (balance - tx.value, nonce + 1)
+        senders = {tx.sender for tx in sim.mempool}
+        assert sorted(view) == sorted(senders) and all(full[pk] == entry for pk, entry in view.items())
+        counts.append(len(view))
+        full_rng = split(0, "unused")
+        full_rng.setstate(rng.getstate())
+        txs = draw_traffic(rng, registry, view, pks, *rest)
+        assert txs == draw_traffic(full_rng, registry, full, pks, *rest)
+        assert all(full[pk] == entry for pk, entry in view.items())
+        assert len(view) <= len(senders) + len(txs)
+        return txs
+
+    monkeypatch.setattr(consensus, "draw_traffic", recording)
+    # half the keys offline: interim epochs time out and requeue 40, 80, 120
+    # and 160 transactions, whose distinct senders are the view's entries
+    params, epochs, _ = CASES["offline"]
+    sim = ChainSimulation(**dict(params, offline_rate=0.5))
+    sim.run(epochs)
+    assert counts == [0, 31, 49, 55, 56]
+    assert len(sim.chain.state.balances) == 60
+
+
 def test_the_kept_account_column_is_the_sorted_accounts(monkeypatch):
     # before every interim epoch the traffic is drawn on the kept column,
     # which equals the sorted accounts, also after a test adds an account;

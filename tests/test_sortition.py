@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
@@ -38,6 +39,7 @@ from reference import (
     leader_order,
     secret_key,
     split_numpy,
+    uniform,
     verify_outcome,
     voting_power_batch,
 )
@@ -115,7 +117,7 @@ def test_voting_power_batch_matches_scalar_at_zero_weight_boundary():
     for s, p in [(1, 0.3), (7, 0.02), (100, 0.001), (2500, 5000 / 1_000_000), (9999, 1e-4)]:
         f0 = binomial_cdf(0, s, p)
         xs = np.array([np.nextafter(f0, 0.0), f0, np.nextafter(f0, 1.0)])
-        assert voting_power_batch(xs, s, p).tolist() == [voting_power(float(x), s, p) for x in xs]
+        assert voting_power_batch(xs, s, p) == [voting_power(float(x), s, p) for x in xs]
         assert voting_power(f0, s, p) == 0 and voting_power(float(xs[2]), s, p) == 1
 
 
@@ -141,11 +143,11 @@ def test_voting_power_large_stake_weighs_the_same_on_every_path():
     assert voting_power(0.5, 1_000_000, 0.005) == 5000
     # one draw bisects: a row out past 5,000 would be wider than that; 2,001
     # draws share one row F(0), ..., F(7813)
-    assert voting_power_batch(np.array([0.5]), 1_000_000, 0.005).tolist() == [5000]
+    assert voting_power_batch([0.5], 1_000_000, 0.005) == [5000]
     xs = np.append(split_numpy(4, "big-row").random(2000), 0.5)
     batch = voting_power_batch(xs, 1_000_000, 0.005)
     assert batch[-1] == 5000
-    assert batch[:40].tolist() == [voting_power(float(x), 1_000_000, 0.005) for x in xs[:40]]
+    assert batch[:40] == [voting_power(float(x), 1_000_000, 0.005) for x in xs[:40]]
     reg, pks = build_registry(6, seed=4)
     stakes = {pk: 1_000_000 for pk in pks}
     members = select_committee(Electorate(stakes, reg), b"big", BLOCK_INTERIM, 0.005)
@@ -248,6 +250,53 @@ def electorate_registry():
     return build_registry(24, seed=9)
 
 
+@lru_cache(maxsize=1)
+def crafted_registry():
+    # two groups of every bucket edge, both ends and four hashes per entry of
+    # a row of at most 600 entries
+    return build_registry(6000, seed=10)
+
+
+# every bucket edge: the least hash of each first byte b, whose uniform is
+# b / 256, and the hash below it, which rounds up to b / 256 from byte b - 1
+BUCKET_EDGES = [edge for b in range(1, 256) for edge in ((b << 248) - 1, b << 248)]
+ENDS = [0, (1 << 256) - 1]  # the all-ones hash rounds up to 1.0
+
+
+def least_hash_above(e):
+    """The least 256-bit hash whose uniform exceeds the float e."""
+    h = math.ceil((Fraction(e) + Fraction(math.nextafter(e, 2.0))) * 2**255)  # the midpoint above e
+    return h if uniform(h.to_bytes(32, "big")) > e else h + 1
+
+
+def row_edge_hashes(s, p):
+    """For each lower and upper band edge of stake s's float row up to 255/256
+    (the reach of a table with every byte), the least hash whose uniform
+    exceeds it and the hash below that."""
+    row = sortition._float_row(s, p, 255 / 256)
+    edges = [e for band in sortition._bands(row) for e in band if e < 1.0] if row else []
+    return [h for e in edges for above in [least_hash_above(e)] for h in (above - 1, above)]
+
+
+def reference_weight(x, s, p):
+    """``voting_power`` of x; at the 1.0 that the all-ones hash rounds to, past
+    its domain, the smallest k with F(k) >= 1.0 that its bisection finds."""
+    if x < 1.0:
+        return voting_power(x, s, p)
+    lo, hi = 0, s
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if binomial_cdf(mid, s, p) >= x else (mid + 1, hi)
+    return lo
+
+
+def reaches_betainc(s, p, xs):
+    """Whether a stake group's draws reach betainc: its float row to its
+    largest draw is cut short, or a draw lies inside a band of it."""
+    row = sortition._float_row(s, p, max(xs))
+    return row is None or in_band(row, np.array(xs))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     data=st.data(),
@@ -272,6 +321,46 @@ def test_electorate_draw_equals_per_node_draws(data, p, seed):
     columns = (drawn.pks, drawn.weights, vrf_hashes(reg.framed_secrets(drawn.pks), seed, BLOCK_INTERIM))
     assert columns == ([o.pk for o in expected], [o.weight for o in expected], [o.vrf.hash for o in expected])
     assert all(type(w) is int for w in drawn.weights)
+
+    # crafted hashes read through the byte tables, in one or two stake groups
+    # that have a float row (stake 1000 at p = 0.3 reaches weights of 255 and
+    # up): every bucket edge, maybe both ends, and maybe the hashes on either
+    # side of each band edge of the group's row, where a draw lies inside a
+    # band and sends the group to betainc. At p near 1/2, F(0) of stakes 1
+    # and 2 lies on a bucket edge or within a band of it, so a band spans
+    # two buckets
+    p = data.draw(st.sampled_from([p, 0.5, 0.5 - 1e-10, 0.5 + 1e-10]))
+    stake = st.one_of(st.sampled_from([1000, 2500, 40, 1, 2]), st.integers(1, 2**20))
+    tabled = [s for s in data.draw(st.lists(stake, min_size=1, max_size=2, unique=True))
+              if sortition._float_row(s, p, 255 / 256)]
+    if not tabled:
+        return
+    ends, near_edges = data.draw(st.booleans()), data.draw(st.booleans())
+    crafted = [(h, s) for s in tabled for h in BUCKET_EDGES + ENDS * ends + row_edge_hashes(s, p) * near_edges]
+    random.Random(len(crafted)).shuffle(crafted)  # the groups' keys interleave in key order
+    reg, pks = crafted_registry()
+    pks = sorted(pks[: len(crafted)])
+    assert len(pks) == len(crafted)
+    hashes = [h.to_bytes(32, "big") for h, _ in crafted]
+    column = [s for _, s in crafted]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sortition, "vrf_hashes", lambda framed, seed, ctype: hashes)
+        calls = []
+        cdf = sortition._cdf
+        patch.setattr(sortition, "_cdf", lambda *args: calls.append(1) or cdf(*args))
+        drawn = select_committee(Electorate(dict(zip(pks, column)), reg), seed, BLOCK_INTERIM, p)
+    xs = [uniform(h) for h in hashes]
+    with pytest.MonkeyPatch.context() as patch:
+        # the reference bisects each draw alone; its CDF values are shared
+        patch.setattr(sortition, "binomial_cdf", lru_cache(maxsize=None)(binomial_cdf))
+        weights = [reference_weight(x, s, p) for x, s in zip(xs, column)]
+    assert (drawn.pks, drawn.weights) == (
+        [pk for pk, w in zip(pks, weights) if w], [w for w in weights if w]
+    )
+    assert bool(calls) == any(
+        reaches_betainc(s, p, [x for x, t in zip(xs, column) if t == s]) for s in tabled
+    )
+    assert 1000 not in tabled or p != 0.3 or max(drawn.weights) >= 255
 
 
 def test_committee_draw_evaluates_few_cdf_entries_per_stake_group(monkeypatch):
@@ -304,7 +393,7 @@ def test_committee_draw_evaluates_few_cdf_entries_per_stake_group(monkeypatch):
 
 def in_band(row, xs):
     """Whether a draw lies in the band (F~ * (1 - tau), F~ * (1 + tau)] of an
-    entry of a float row, where the two ``searchsorted`` positions part."""
+    entry of a float row, where the two ``bisect_left`` positions part."""
     f = np.array(row)
     return bool(((f[:, None] * sortition._BAND_LOW < xs) & (xs <= f[:, None] * sortition._BAND_HIGH)).any())
 
@@ -325,7 +414,7 @@ def test_float_rows_weigh_as_betainc_bisection(s, mean, seed, data):
     ks = data.draw(st.lists(st.integers(0, min(s - 1, int(2 * s * p) + 8)), max_size=3))
     on_f = [x for k in ks for f in [binomial_cdf(k, s, p)] for x in (np.nextafter(f, 0.0), f, np.nextafter(f, 1.0))]
     xs = np.append(uniform, [x for x in on_f if x < 1.0])
-    assert voting_power_batch(xs, s, p).tolist() == [voting_power(float(x), s, p) for x in xs]
+    assert voting_power_batch(xs, s, p) == [voting_power(float(x), s, p) for x in xs]
     # a group whose float row settles every draw reads no betainc; a draw on
     # a band (a float row entry F~(k) itself) sends the whole group to betainc
     full = list(sortition._float_cdf(s, p))
@@ -338,7 +427,7 @@ def test_float_rows_weigh_as_betainc_bisection(s, mean, seed, data):
             patch.setattr(sortition, "_cdf", lambda *args: calls.append(1) or cdf(*args))
             weights = voting_power_batch(draws, s, p)
         assert bool(calls) == (row is None or in_band(row, draws)), (s, p, draws)
-        assert weights.tolist() == [voting_power(float(x), s, p) for x in draws]
+        assert weights == [voting_power(float(x), s, p) for x in draws]
 
 
 # float-row domain points: every stake scale up to 2^20 at means up to the
@@ -369,7 +458,9 @@ def test_float_rows_stay_twenty_times_inside_the_band():
     assert checked > 10_000
 
 
-NO_SCIPY_RUNS = """
+NUMERIC_PACKAGES = """sorted(name for name in sys.modules if name.split(".")[0] in ("numpy", "scipy"))"""
+
+NO_NUMPY_RUNS = f"""
 import sys
 from fission_sim.cli import main
 
@@ -381,11 +472,36 @@ codes = [
     main(["relay", "--nodes", "256", "--relayers", "8", "--rounds", "4", "--trials", "2", "--seed", "1", "--out", "r.csv"]),
     main(["drs", "--nodes", "64", "--keys", "8", "--seed", "1", "--out", "d.csv"]),
 ]
-print(codes, sorted(name for name in sys.modules if name.split(".")[0] == "scipy"), file=sys.stderr)
+print(codes, {NUMERIC_PACKAGES}, file=sys.stderr)
 """
 
+WORKLOAD_STEPS = f"""
+import sys
+from workloads import WORKLOADS
 
-def test_runs_on_float_rows_load_no_scipy(tmp_path):
+for name in ("chain-committee", "chain-traffic"):
+    workload = WORKLOADS[name]()
+    workload.setup(1)
+    for _ in range(120):
+        workload.step()
+    print(name, {NUMERIC_PACKAGES}, file=sys.stderr)
+"""
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_fresh(script, cwd, *paths):
+    """The stderr of ``script`` run in a fresh interpreter with the package and
+    ``paths`` importable."""
+    path = os.pathsep.join(filter(None, (str(ROOT / "src"), *map(str, paths), os.environ.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-c", script], cwd=cwd, env=os.environ | {"PYTHONPATH": path},
+        check=True, capture_output=True, text=True,
+    )
+    return done.stderr.strip()
+
+
+def test_runs_on_float_rows_load_no_numpy_or_scipy(tmp_path):
     # both perfbench chain shapes, the calculators, a many-group committee
     # draw and the relay and retrieval games, in one fresh interpreter
     (tmp_path / "committee.cfg").write_text(
@@ -395,12 +511,14 @@ def test_runs_on_float_rows_load_no_scipy(tmp_path):
     (tmp_path / "traffic.cfg").write_text(
         "population.nodes = 400\nchain.tx_per_epoch = 1000\nchain.invalid_fraction = 0.05\n"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = os.environ | {"PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    done = subprocess.run(
-        [sys.executable, "-c", NO_SCIPY_RUNS], cwd=tmp_path, env=env, check=True, capture_output=True, text=True
-    )
-    assert done.stderr.strip() == "[0, 0, 0, 0, 0, 0] []"
+    assert run_fresh(NO_NUMPY_RUNS, tmp_path) == "[0, 0, 0, 0, 0, 0] []"
+
+
+def test_chain_workloads_load_no_numpy_or_scipy(tmp_path):
+    # 120 steps of each perfbench chain workload at its default seed
+    assert run_fresh(WORKLOAD_STEPS, tmp_path, ROOT / "perfbench").splitlines() == [
+        "chain-committee []", "chain-traffic []"
+    ]
 
 
 # --- leader ordering ---

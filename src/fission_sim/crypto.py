@@ -94,7 +94,8 @@ def record_layout(*shape: int | None) -> Callable[..., bytes]:
 
 class KeyRegistry:
     """Maps each public key to its node's secret key, framed for signing, for
-    the test schemes.
+    the test schemes, and records each signature made through ``sign`` until
+    ``verify`` first checks it.
 
     A real deployment never has this object; it models the fact that each node
     signs with its own secret key while the simulation drives all nodes from
@@ -105,6 +106,9 @@ class KeyRegistry:
         # each secret key as its first encode_fields field, framed once here
         # instead of once per draw and signature
         self._framed_by_pk: dict[bytes, bytes] = {}
+        # the signature of each (pk, message) signed through sign() and not
+        # yet checked: verify's first check reads it instead of hashing again
+        self._signed: dict[tuple[bytes, bytes], bytes] = {}
 
     def generate(self, seed_material: bytes) -> tuple[bytes, bytes]:
         """Derive an (sk, pk) pair deterministically from seed material."""
@@ -122,10 +126,16 @@ class KeyRegistry:
         except KeyError as err:
             raise VerificationFailure(f"unknown public key {err.args[0].hex()[:16]}") from None
 
-    def framed_secret(self, pk: bytes) -> bytes | None:
-        """``encode_field(sk)`` of pk's secret key, or None for a key this
-        registry did not generate."""
-        return self._framed_by_pk.get(pk)
+    def sign(self, pk: bytes, message: bytes) -> bytes:
+        """``sign(sk, message)`` with the secret key of ``pk``, recorded until
+        ``verify`` first checks a signature on ``message`` from ``pk``. Raises
+        ``VerificationFailure`` for a key this registry did not generate."""
+        framed = self._framed_by_pk.get(pk)
+        if framed is None:
+            raise VerificationFailure(f"unknown public key {pk.hex()[:16]}")
+        signature = _signature(framed, length_prefix(len(message)) + message)
+        self._signed[pk, message] = signature
+        return signature
 
     def __contains__(self, pk: bytes) -> bool:
         return pk in self._framed_by_pk
@@ -140,20 +150,15 @@ def _signature(framed_sk: bytes, framed_message: bytes) -> bytes:
 
 def sign(sk: bytes, message: bytes) -> bytes:
     """Keyed-hash signature: ``sha3(b"sig" + encode_fields(sk, message))``.
-    The program signs through ``sign_framed`` and ``sign_each``; the tests
-    compare them with this form."""
+    The program signs through ``KeyRegistry.sign`` and ``sign_each``; the
+    tests compare them with this form."""
     return _signature(length_prefix(len(sk)) + sk, length_prefix(len(message)) + message)
 
 
-def sign_framed(framed_sk: bytes, message: bytes) -> bytes:
-    """``sign(sk, message)`` from the key framed as ``encode_field(sk)``."""
-    return _signature(framed_sk, length_prefix(len(message)) + message)
-
-
 def sign_each(framed_sks: list[bytes], message: bytes) -> bytes:
-    """``sign_framed(framed, message)`` of each key in ``framed_sks``, in key
-    order, joined into one column of ``HASH_BYTES`` each: one ``sha3`` per
-    key, the message framed once."""
+    """``sign(sk, message)`` of each key in ``framed_sks``, framed as
+    ``encode_field(sk)``, in key order, joined into one column of
+    ``HASH_BYTES`` each: one ``sha3`` per key, the message framed once."""
     framed_message = length_prefix(len(message)) + message
     return b"".join([_signature(framed, framed_message) for framed in framed_sks])
 
@@ -162,14 +167,21 @@ def verify(registry: KeyRegistry, pk: bytes, message: bytes, signature: bytes) -
     """The signed record ``encode_fields(message, signature)``, which a
     transaction id hashes, if ``signature`` is ``sign(sk, message)`` for the
     secret key of ``pk``; None otherwise, also for a key the registry does not
-    hold. The message is framed once, for the record and for the signature,
-    which is recomputed from the key framed once in ``registry``."""
-    framed = registry.framed_secret(pk)
+    hold. The message is framed once, for the record and for the signature.
+
+    ``signature`` is compared on every check. The expected signature is the
+    one ``registry.sign`` recorded for ``(pk, message)``, which this check
+    takes out of the record, or, with none recorded, recomputed from the key
+    framed once in ``registry``: a second check of the same message hashes."""
+    framed = registry._framed_by_pk.get(pk)
     if framed is None:
         return None
     record = record_layout(len(message), len(signature))(message, signature)
-    # the record starts with encode_field(message)
-    return record if _signature(framed, record[: 4 + len(message)]) == signature else None
+    expected = registry._signed.pop((pk, message), None)
+    if expected is None:
+        # the record starts with encode_field(message)
+        expected = _signature(framed, record[: 4 + len(message)])
+    return record if expected == signature else None
 
 
 # ---------------------------------------------------------------------------

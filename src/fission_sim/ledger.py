@@ -40,7 +40,6 @@ from .errors import (
     MissingEagerLog,
     NonPositiveValue,
     UnknownAccount,
-    VerificationFailure,
 )
 from .merkle import EMPTY_ROOT
 
@@ -120,12 +119,10 @@ def make_transfer(
 ) -> Transaction:
     """Build and sign a transfer from ``sender``, a public key that
     ``registry`` generated; the signed message is kept as the transaction's
-    ``signing_bytes()``."""
-    framed = registry.framed_secret(sender)
-    if framed is None:
-        raise VerificationFailure(f"unknown public key {sender.hex()[:16]}")
+    ``signing_bytes()``, and ``registry`` records the signature for the
+    transfer's first admission (``crypto.verify``)."""
     message = _signing_bytes(TRANSFER_TAG, sender, receiver, value, nonce, data_hash)
-    sig = crypto.sign_framed(framed, message)
+    sig = registry.sign(sender, message)
     tx = Transaction(TX_TYPE_TRANSFER, sender, receiver, value, nonce, data_hash, sig)
     tx._signing = message
     return tx

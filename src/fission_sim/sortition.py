@@ -72,14 +72,17 @@ def binomial_cdf(k: int, s: int, p: float) -> float:
 
 
 def voting_power(x: float, s: int, p: float) -> int:
-    """Voting weight for a uniform draw x: the smallest k with F(k) >= x.
+    """Voting weight for a uniform draw x in [0, 1]: the smallest k with
+    F(k) >= x.
 
-    Distributed as Binomial(s, p) when x is uniform on [0, 1); always in
-    [0, s] and non-decreasing in x. This is the per-node reference that
-    ``_weights`` computes for many draws at once.
+    Distributed as Binomial(s, p) when x is uniform; always in [0, s], as
+    F(s) = 1, and non-decreasing in x. A draw of exactly 1.0, which a hash
+    within 2^202 of 2^256 rounds to (``uniforms``), weighs the least k where
+    F rounds to 1.0. This is the per-node reference that ``_weights``
+    computes for many draws at once.
     """
-    if not 0.0 <= x < 1.0:
-        raise DomainError(f"uniform draw must be in [0, 1), got {x}")
+    if not 0.0 <= x <= 1.0:
+        raise DomainError(f"uniform draw must be in [0, 1], got {x}")
     if x <= binomial_cdf(0, s, p):
         return 0
     lo, hi = 1, s
@@ -284,7 +287,7 @@ _TWO_NEG_256 = 2.0**-256
 
 
 def uniforms(hashes: list[bytes]) -> list[float]:
-    """Each 32-byte hash mapped into [0, 1) as the correctly rounded
+    """Each 32-byte hash mapped into [0, 1] as the correctly rounded
     ``int / 2**256``: ``float`` of an int rounds to nearest even as that
     division does, and scaling by a power of two is exact."""
     return [int.from_bytes(h, "big") * _TWO_NEG_256 for h in hashes]
@@ -329,7 +332,7 @@ def select_committee(electorate: Electorate, seed: bytes, ctype: str, p: float) 
     The electorate's framed keys stand in for each node evaluating its own
     secret key. The expected total weight over online stake S is p * S. Each
     node's weight is ``voting_power`` of its ``vrf_eval(sk, seed,
-    ctype).hash`` mapped into [0, 1) (``uniforms``), hashed from
+    ctype).hash`` mapped into [0, 1] (``uniforms``), hashed from
     ``electorate.framed``.
 
     Each stake group reads its keys' weights off its ``_table`` by the first

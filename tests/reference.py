@@ -47,7 +47,7 @@ import numpy as np
 
 from fission_sim.crypto import KeyRegistry, VrfOutput, sha3, vrf_eval
 from fission_sim.drs import DrsState, drs_potential, scan_round, underloaded_count
-from fission_sim.errors import EmptySpace, VerificationFailure
+from fission_sim.errors import EmptySpace
 from fission_sim.ledger import CreditedIds, Transaction, make_transfer
 from fission_sim.relay import _poisson
 from fission_sim.seeding import child_seed
@@ -79,10 +79,7 @@ def secret_key(registry: KeyRegistry, pk: bytes) -> bytes:
     """The raw secret key of ``pk``, which the one-key references (``vrf_eval``,
     ``leader_ticket``, ``crypto.sign``) take: the registry's framed secret
     without its 4-byte length prefix."""
-    framed = registry.framed_secret(pk)
-    if framed is None:
-        raise VerificationFailure(f"unknown public key {pk.hex()[:16]}")
-    return framed[4:]
+    return registry.framed_secrets([pk])[0][4:]
 
 
 def generate_transactions(rng, registry, view, tx_per_epoch, invalid_fraction) -> list[Transaction]:
@@ -133,7 +130,7 @@ def vrf_verify(registry: KeyRegistry, pk: bytes, seed: bytes, ctype: str, output
 
 
 def uniform(h: bytes) -> float:
-    """A VRF hash mapped into [0, 1): the correctly rounded ``int / 2**256``,
+    """A VRF hash mapped into [0, 1]: the correctly rounded ``int / 2**256``,
     which ``sortition.uniforms`` computes as ``float(int) * 2**-256``."""
     return int.from_bytes(h, "big") / (1 << 256)
 

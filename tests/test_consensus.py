@@ -603,6 +603,28 @@ def test_interim_timeout_requeues_transactions():
     assert len(sim.mempool) == 5  # everything deferred to the next round
 
 
+def test_the_signature_record_is_empty_after_every_step(monkeypatch):
+    # a scaled-down chain-traffic shape on the offline config CI runs, and
+    # half offline, where timeouts defer transfers: forged signatures take
+    # their good twin's entry, and a deferred transfer had its entry taken at
+    # its first admission
+    held = []
+    admit = consensus.run_epoch
+    invalid = deferred = 0
+    for offline_rate, seed in ((0.3, 9), (0.5, 1)):
+        sim = ChainSimulation(
+            n_nodes=120, tx_per_epoch=100, invalid_fraction=0.1, offline_rate=offline_rate, seed=seed
+        )
+        record = sim.population.registry._signed
+        monkeypatch.setattr(consensus, "run_epoch", lambda *args: held.append(len(record)) or admit(*args))
+        for _ in range(12):
+            result = sim.step()
+            assert not record
+            invalid += result.invalid_txs
+            deferred += result.kind == INTERIM and len(sim.mempool)
+    assert 0 < max(held) <= 100 and invalid and deferred
+
+
 # --- traffic generation ---
 
 TRAFFIC_REGISTRY = KeyRegistry()
@@ -898,6 +920,7 @@ def test_chain_properties_on_generated_configs(epochs, **keys):
         assert r.kind == (MAIN if r.epoch % 2 == 0 else INTERIM)
         assert 1 <= r.n_partition <= r.n_shard
         shards += [r.n_shard, state.n_shard]
+        assert not sim.population.registry._signed
     assert all(b in (a, 2 * a) for a, b in zip(shards, shards[1:]))
 
     # re-shard window: the shard count doubles right after the main block

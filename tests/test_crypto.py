@@ -12,7 +12,6 @@ from fission_sim.crypto import (
     sha3,
     sign,
     sign_each,
-    sign_framed,
     verify,
     vrf_eval,
     vrf_hashes,
@@ -138,7 +137,7 @@ def test_batch_helpers_equal_scalar_vrf_and_sign(materials, others, seed, ctype,
     assert framed == [encode_field(sk) for sk in sks]
     assert vrf_hashes(framed, seed, ctype) == [vrf_eval(sk, seed, ctype).hash for sk in sks]
     assert sign_each(framed, message) == b"".join(sign(sk, message) for sk in sks)
-    assert [sign_framed(f, message) for f in framed] == [sign(sk, message) for sk in sks]
+    assert [reg.sign(pk, message) for _, pk in pairs] == [sign(sk, message) for sk, _ in pairs]
 
 
 def test_framed_secrets_rejects_unknown_keys():
@@ -161,7 +160,7 @@ def test_public_key_is_the_hash_of_each_generated_secret_key():
         sk, pk = reg.generate(b"pk-%d" % i)
         assert pk == sha3(sk)
         assert pk in reg and sk not in reg
-        assert reg.framed_secret(pk) == encode_field(sk) and reg.framed_secret(sk) is None
+        assert reg.framed_secrets([pk]) == [encode_field(sk)]
         assert secret_key(reg, pk) == sk
 
 

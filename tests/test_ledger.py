@@ -1,6 +1,7 @@
 import gc
 import math
 import random
+from dataclasses import replace
 from unittest.mock import patch
 
 import pytest
@@ -19,12 +20,14 @@ from fission_sim.errors import (
     InvariantViolation,
     MissingEagerLog,
     NonPositiveValue,
+    TransactionRejected,
     UnknownAccount,
     VerificationFailure,
 )
 from fission_sim.ledger import (
     EAGER,
     LAZY,
+    TRANSFER_TAG,
     TX_TYPE_TRANSFER,
     ZERO_HASH,
     LedgerState,
@@ -140,10 +143,8 @@ def test_make_transfer_rejects_a_key_the_registry_did_not_generate(reg):
             make_transfer(reg, sender, pk_b, 10, 1)
 
 
-def test_make_transfer_hashes_once(reg, monkeypatch):
-    # the signature is the one hash; the secret comes framed from the registry
-    pk_a = new_key(reg, "a")
-    pk_b = new_key(reg, "b")
+def count_sha3(monkeypatch):
+    """The inputs of every ``sha3`` call that crypto and ledger make from now on."""
     calls = []
 
     def counting_sha3(data):
@@ -152,8 +153,35 @@ def test_make_transfer_hashes_once(reg, monkeypatch):
 
     monkeypatch.setattr("fission_sim.crypto.sha3", counting_sha3)
     monkeypatch.setattr("fission_sim.ledger.sha3", counting_sha3)
+    return calls
+
+
+def test_make_transfer_hashes_once(reg, monkeypatch):
+    # the signature is the one hash; the secret comes framed from the registry
+    pk_a = new_key(reg, "a")
+    pk_b = new_key(reg, "b")
+    calls = count_sha3(monkeypatch)
     make_transfer(reg, pk_a, pk_b, 10, 1)
     assert len(calls) == 1
+
+
+def test_a_recorded_transfer_is_admitted_with_one_hash(reg, monkeypatch):
+    # the id is the one hash: the signature check reads the registry's record
+    # of the signature make_transfer made, and takes it out
+    sk_a, pk_a = reg.generate(b"a")
+    pk_b = new_key(reg, "b")
+    tx = make_transfer(reg, pk_a, pk_b, 10, 1)
+    assert reg._signed == {(pk_a, tx.signing_bytes()): tx.signature}
+    calls = count_sha3(monkeypatch)
+    debit = split_transaction(tx, reg)
+    assert calls == [encode_fields(tx.signing_bytes(), tx.signature)] and not reg._signed
+    # a second check, and a transaction built by hand, hash the signature too
+    assert split_transaction(tx, reg) == debit and len(calls) == 2
+    signing = encode_fields(TRANSFER_TAG, pk_a, pk_b, encode_uint(10), encode_uint(2), ZERO_HASH)
+    by_hand = Transaction(TX_TYPE_TRANSFER, pk_a, pk_b, 10, 2, ZERO_HASH, sign(sk_a, signing))
+    calls.clear()
+    split_transaction(by_hand, reg)
+    assert len(calls) == 2
 
 
 def test_records_are_untracked_tuples_and_compare_by_value(reg):
@@ -294,6 +322,75 @@ def test_make_transfer_signs_from_the_senders_public_key(materials, value, nonce
     parent_id, *fields = split_transaction(tx, reg)
     assert parent_id == tx.id
     assert tuple(fields) == (pk, receiver, value, nonce)
+
+
+def admit_by_hand(tx: Transaction, secrets: dict[bytes, bytes]) -> SubTransaction:
+    """``split_transaction`` recomputed with no record: the expected signature
+    from ``crypto.sign`` with the sender's secret key, for a key in ``secrets``."""
+    if tx.value <= 0:
+        raise NonPositiveValue("non-positive")
+    message = tx.signing_bytes()
+    sk = secrets.get(tx.sender)
+    if sk is None or sign(sk, message) != tx.signature:
+        raise InvalidSignature("bad signature")
+    return (sha3(encode_fields(message, tx.signature)), tx.sender, tx.receiver, tx.value, tx.nonce)
+
+
+def outcome(admit, *args):
+    """What ``admit(*args)`` gives: a debit record, or the type of its rejection."""
+    try:
+        return admit(*args)
+    except TransactionRejected as err:
+        return type(err)
+
+
+# how a drawn transfer is presented for admission: as signed, with a field
+# changed after signing (by a fresh copy or in place, past the memo of its
+# signed bytes), signed by a key the registry did not generate, twice over,
+# or checked twice
+CHANGES = st.sampled_from(
+    ("none", "sender", "receiver", "value", "nonce", "signature", "stranger", "twin", "again")
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n=st.integers(1, 8))
+def test_the_signature_record_admits_as_a_recomputation_does(data, n):
+    reg, strangers = KeyRegistry(), KeyRegistry()
+    secrets = {pk: sk for sk, pk in (reg.generate(b"k%d" % i) for i in range(3))}
+    pks = list(secrets)
+    stranger = strangers.generate(b"stranger")[1]
+    key = st.sampled_from(pks)
+    txs = []
+    for _ in range(n):
+        sender, receiver = data.draw(key), data.draw(key)
+        value = data.draw(st.one_of(st.sampled_from((0, 1, 2**64 - 1)), st.integers(0, 2**64 - 1)))
+        nonce = data.draw(UINTS)
+        change = data.draw(CHANGES)
+        tx = make_transfer(reg, sender, receiver, value, nonce)
+        if change in ("sender", "receiver", "value", "nonce", "signature"):
+            new = data.draw({
+                "sender": st.sampled_from(pks + [stranger]),
+                "receiver": st.sampled_from(pks + [stranger]),
+                "value": st.integers(0, 2**64 - 1),
+                "nonce": UINTS,
+                "signature": st.one_of(st.just(sha3(b"forged" + tx.signature)), st.binary(max_size=40)),
+            }[change])
+            if data.draw(st.booleans()):
+                tx = replace(tx, **{change: new})
+            else:
+                setattr(tx, change, new)
+        elif change == "stranger":
+            tx = make_transfer(strangers, stranger, receiver, value, nonce)
+        txs.append(tx)
+        if change == "twin":
+            txs.append(make_transfer(reg, sender, receiver, value, nonce))
+        elif change == "again":
+            txs.append(tx)
+    # every transfer is drawn before any is admitted, as in an epoch
+    for tx in data.draw(st.permutations(txs)):
+        expected = outcome(admit_by_hand, tx, secrets)
+        assert outcome(split_transaction, tx, reg) == expected
 
 
 # --- eager application ---

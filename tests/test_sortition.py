@@ -278,16 +278,31 @@ def row_edge_hashes(s, p):
     return [h for e in edges for above in [least_hash_above(e)] for h in (above - 1, above)]
 
 
-def reference_weight(x, s, p):
-    """``voting_power`` of x; at the 1.0 that the all-ones hash rounds to, past
-    its domain, the smallest k with F(k) >= 1.0 that its bisection finds."""
-    if x < 1.0:
-        return voting_power(x, s, p)
-    lo, hi = 0, s
-    while lo < hi:
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if binomial_cdf(mid, s, p) >= x else (mid + 1, hi)
-    return lo
+@pytest.mark.parametrize(
+    "s, p, route",
+    [
+        (12_000, 0.004, "cut"),  # the row is cut at 1,024 entries short of 1.0
+        (2_500, 0.004, "cut"),
+        (40, 0.004, "band"),  # a complete row, with 1.0 inside an entry's band
+        (10, 0.3, "row"),  # a complete row, every entry's band below 1.0
+    ],
+)
+def test_a_draw_that_rounds_to_one_weighs_as_the_per_node_reference(s, p, route):
+    # the all-ones hash maps to 1.0, the least k with F(k) >= 1.0 weighs it
+    top = b"\xff" * 32
+    assert uniform(top) == 1.0 == sortition.uniforms([top])[0]
+    weight = next(k for k in range(s + 1) if binomial_cdf(k, s, p) >= 1.0)
+    assert voting_power(1.0, s, p) == weight
+    row = sortition._float_row(s, p, 1.0)
+    assert route == ("cut" if row is None else "band" if in_band(row, np.array([1.0])) else "row")
+    reg = KeyRegistry()
+    pk = reg.generate(b"top")[1]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sortition, "vrf_hashes", lambda framed, seed, ctype: [top])
+        drawn = select_committee(Electorate({pk: s}, reg), b"seed", BLOCK_INTERIM, p)
+    assert (drawn.pks, drawn.weights) == ([pk], [weight])
+    with pytest.raises(DomainError):
+        voting_power(math.nextafter(1.0, 2.0), s, p)
 
 
 def reaches_betainc(s, p, xs):
@@ -353,7 +368,7 @@ def test_electorate_draw_equals_per_node_draws(data, p, seed):
     with pytest.MonkeyPatch.context() as patch:
         # the reference bisects each draw alone; its CDF values are shared
         patch.setattr(sortition, "binomial_cdf", lru_cache(maxsize=None)(binomial_cdf))
-        weights = [reference_weight(x, s, p) for x, s in zip(xs, column)]
+        weights = [voting_power(x, s, p) for x, s in zip(xs, column)]
     assert (drawn.pks, drawn.weights) == (
         [pk for pk, w in zip(pks, weights) if w], [w for w in weights if w]
     )
